@@ -34,6 +34,7 @@ from . import minkowski as mk
 from .errors import (
     DOMAIN_CODES,
     BadExponent,
+    DomainEmpty,
     FinslerError,
     ParseError,
     ValidationError,
@@ -80,7 +81,8 @@ def compile_expr(expr: str, variables: tuple[str, ...], path: str):
     """Compile a config expression over the named variables.
 
     Only the whitelisted math names are visible; anything else raises a
-    ValidationError naming the offending config path.
+    ValidationError naming the offending config path.  The returned
+    function's ``variables_used`` holds the variables the expression names.
     """
     try:
         code = compile(str(expr), f"<config:{path}>", "eval")
@@ -97,6 +99,7 @@ def compile_expr(expr: str, variables: tuple[str, ...], path: str):
         ns.update(zip(variables, args))
         return eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - whitelisted names only
 
+    fn.variables_used = frozenset(code.co_names) & frozenset(variables)
     return fn
 
 
@@ -327,7 +330,7 @@ def _build_form(node: dict, dim: int, path: str) -> me.OneFormAtom:
         cols = [np.broadcast_to(np.asarray(fn(*args), dtype=float), np.asarray(x)[..., 0].shape) for fn in fns]
         return np.stack(cols, axis=-1)
 
-    return me.OneFormAtom(covector=covector)
+    return me.OneFormAtom(covector=covector, constant=not any(fn.variables_used for fn in fns))
 
 
 def _build_profile(prof, path: str) -> cb.PhiProfile:
@@ -398,7 +401,10 @@ def _build_node(node: dict, path: str) -> BuiltMetric:
                 ]
                 return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
-            atom = me.RiemannAtom(metric_matrix=metric_matrix)
+            atom = me.RiemannAtom(
+                metric_matrix=metric_matrix,
+                constant=not any(fn.variables_used for row in fns for fn in row),
+            )
         return BuiltMetric(metric=me.riemann_metric(atom, me.whole_plane(dim)))
     if t == "oneform_metric":
         form = _build_form(node, dim, path)
@@ -517,6 +523,24 @@ def _interior_ratio(phi_parts, base, v, margin: float) -> bool:
     return False
 
 
+def _admissible_draws(m: me.ConicMetric, base, rng, samples: int):
+    """Yield ``samples`` standard-normal vectors admissible at ``base``.
+
+    One ``rng.normal`` draw per attempt, so seeded runs replay exactly;
+    after 100 attempts per sample the domain counts as empty.
+    """
+    found = 0
+    for _ in range(100 * samples):
+        if found == samples:
+            return
+        v = rng.normal(size=m.dimension)
+        if bool(m.in_domain_many(base, v)):
+            found += 1
+            yield v
+    if found < samples:
+        raise DomainEmpty(f"{found} of {samples} random vectors admissible after {100 * samples} draws")
+
+
 def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     """Execute one command; returns (summary dict, csv header, csv rows)."""
     built = build_metric(spec)
@@ -593,18 +617,13 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         header = ["index"] + _vec_cols("v", dim) + ["det_formula", "det_direct", "rel_err"]
         rows = []
         worst = 0.0
-        count = 0
-        while count < samples:
-            v = rng.normal(size=dim)
-            if not bool(m.in_domain_many(base, v)):
-                continue
+        for count, v in enumerate(_admissible_draws(m, base, rng, samples)):
             tv = me.TangentVec(base, v)
             lhs = cb.det_tensor_formula(F0, beta, profile, tv)
             rhs = float(np.linalg.det(me.tensor(m, tv)))
             err = abs(lhs - rhs) / max(1.0, abs(rhs))
             worst = max(worst, err)
             rows.append([count, *v, lhs, rhs, err])
-            count += 1
         return {"command": cmd, "max_rel_err": worst}, header, rows
 
     if cmd == "geodesic":
@@ -635,10 +654,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         step = float(_param(cfg, "gauss", "step", 0.01))
         header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
         vs, ws = [], []
-        while len(vs) < samples:
-            v = rng.normal(size=dim)
-            if not bool(m.in_domain_many(base, v)):
-                continue
+        for v in _admissible_draws(m, base, rng, samples):
             vs.append(v)
             ws.append(rng.normal(size=dim))
         vs, ws = np.array(vs), np.array(ws)
@@ -694,8 +710,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         base = np.asarray(_param(cfg, "indicatrix", "base", [0.0] * dim), dtype=float)
         samples = int(_param(cfg, "indicatrix", "samples", 256))
         dirs = me.unit_directions(dim, samples)
-        ok = m.in_domain_many(np.broadcast_to(base, dirs.shape), dirs)
-        vals = m.F_many(np.broadcast_to(base, dirs.shape), dirs)
+        ok, vals = m.jet(np.broadcast_to(base, dirs.shape), dirs)
         header = ["index"] + _vec_cols("dir", dim) + _vec_cols("s", dim)
         rows = []
         for i in range(samples):

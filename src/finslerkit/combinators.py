@@ -9,7 +9,7 @@ and the two reversibilization constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -224,21 +224,25 @@ class LCombiner:
     def value(self, x, p=None) -> np.ndarray:
         return np.asarray(self.L(np.asarray(x, dtype=float), p), dtype=float)
 
+    def _fd_rows(self, fd, x, p, shape: tuple) -> np.ndarray:
+        """Row-by-row finite differences of L; rows that are not finite
+        (arguments from outside an ingredient's domain) give NaN."""
+        nan = np.full(shape, np.nan)
+        flat = x.reshape(-1, x.shape[-1])
+        out = [fd(lambda y: self.value(y, p), row) if np.all(np.isfinite(row)) else nan for row in flat]
+        return np.stack(out).reshape(x.shape[:-1] + shape)
+
     def grad(self, x, p=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.grad_L is not None:
             return np.asarray(self.grad_L(x, p), dtype=float)
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.stack([fd_gradient(lambda y: self.value(y, p), row) for row in flat])
-        return out.reshape(x.shape)
+        return self._fd_rows(fd_gradient, x, p, x.shape[-1:])
 
     def hess(self, x, p=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.hess_L is not None:
             return np.asarray(self.hess_L(x, p), dtype=float)
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.stack([fd_hessian(lambda y: self.value(y, p), row) for row in flat])
-        return out.reshape(x.shape + (x.shape[-1],))
+        return self._fd_rows(fd_hessian, x, p, x.shape[-1:] * 2)
 
     def in_cone(self, x) -> np.ndarray:
         return np.asarray(self.cone_B(np.asarray(x, dtype=float)), dtype=bool)
@@ -330,13 +334,16 @@ def check_conditions_ABC(
     return ABCReport(A_ok=a_ok, B_ok=b_ok, C_ok=c_ok)
 
 
-def _metric_pieces(m: ConicMetric, base, vec):
-    """(F, g, u = g v, h = g - u u^T / F^2) batched over (base, vec)."""
-    F = m.F_many(base, vec)
-    g = m.tensor_many(base, vec)
-    u = np.einsum("...ij,...j->...i", g, np.asarray(vec, dtype=float))
+def _pieces(jet, vec):
+    """(F, u = g v, h = g - u u^T / F^2) from a child's tensor jet."""
+    _, F, g = jet
+    u = np.einsum("...ij,...j->...i", g, vec)
     h = g - u[..., :, None] * u[..., None, :] / (F * F)[..., None, None]
-    return F, g, u, h
+    return F, u, h
+
+
+def _pair(b, vec):
+    return np.einsum("...i,...i->...", b, vec)
 
 
 def _shared_manifold(metrics: Sequence[ConicMetric]) -> ChartManifold:
@@ -347,27 +354,16 @@ def _shared_manifold(metrics: Sequence[ConicMetric]) -> ChartManifold:
     return man
 
 
-def _probe_nonempty(metric: ConicMetric) -> None:
-    man = metric.manifold
+def _combined(man: ChartManifold, jet_fn, position_independent: bool, name: str) -> ConicMetric:
+    """The combined metric, probed once on a fan of directions at the probe
+    point: none admissible raises DomainEmpty, all admissible puts the zero
+    vector in the domain."""
+    out = ConicMetric(manifold=man, jet_fn=jet_fn, position_independent=position_independent, name=name)
     dirs = unit_directions(man.dimension, DOMAIN_PROBE_DIRECTIONS)
-    base = np.broadcast_to(man.probe_point, dirs.shape)
-    if not np.any(metric.in_domain_many(base, dirs)):
+    ok = out.in_domain_many(np.broadcast_to(man.probe_point, dirs.shape), dirs)
+    if not np.any(ok):
         raise DomainEmpty("no probed direction is admissible for the combined metric")
-
-
-def _zero_convention(metric: ConicMetric) -> bool:
-    man = metric.manifold
-    dirs = unit_directions(man.dimension, DOMAIN_PROBE_DIRECTIONS)
-    base = np.broadcast_to(man.probe_point, dirs.shape)
-    return bool(np.all(metric.in_domain_many(base, dirs)))
-
-
-def _forms_constant(forms: Sequence[OneFormAtom], man: ChartManifold) -> bool:
-    if not forms:
-        return True
-    p0 = man.probe_point
-    p1 = p0 + 0.37
-    return all(np.allclose(f.coeffs(p0), f.coeffs(p1)) for f in forms)
+    return replace(out, zero_in_domain=bool(np.all(ok)))
 
 
 def combine(
@@ -390,68 +386,39 @@ def combine(
         raise ValueError("at least one metric ingredient is required")
     man = _shared_manifold(metrics)
 
-    def args_of(base, vec):
-        cols = [mk.F_many(base, vec) for mk in metrics]
-        cols += [fm.pair(base, vec) for fm in forms]
-        return np.stack(np.broadcast_arrays(*cols), axis=-1) if len(cols) > 1 else np.asarray(cols[0])[..., None]
-
-    def value_fn(base, vec):
-        x = args_of(base, vec)
-        return np.sqrt(np.maximum(combiner.value(x, base), 0.0))
-
-    def domain_fn(base, vec):
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        ok = np.ones(np.broadcast(base[..., 0], vec[..., 0]).shape, dtype=bool)
-        for mk in metrics:
-            ok = ok & mk.in_domain_many(base, vec)
-        x = args_of(base, vec)
-        ok = ok & np.all(np.isfinite(x), axis=-1) & combiner.in_cone(x)
-        return ok
-
-    def tensor_fn(base, vec):
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        base, vec = np.broadcast_arrays(base, vec)
-        N = vec.shape[-1]
-        rows = []
-        term1 = 0.0
-        x = args_of(base, vec)
+    def jet_fn(base, vec, with_tensor):
+        if with_tensor:
+            base, vec = np.broadcast_arrays(base, vec)
+        kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]
+        bs = [fm.coeffs(base) for fm in forms]
+        cols = [kid[1] for kid in kids] + [_pair(b, vec) for b in bs]
+        x = np.stack(np.broadcast_arrays(*cols), axis=-1) if len(cols) > 1 else np.asarray(cols[0])[..., None]
+        ok = np.all(np.isfinite(x), axis=-1) & combiner.in_cone(x)
+        for kid in kids:
+            ok = ok & kid[0]
+        F = np.sqrt(np.maximum(combiner.value(x, base), 0.0))
+        if not with_tensor:
+            return ok, F
         grad = combiner.grad(x, base)
         hess = combiner.hess(x, base)
-        for k, mk in enumerate(metrics):
-            Fk, _, uk, hk = _metric_pieces(mk, base, vec)
+        term1 = 0.0
+        rows = []
+        for k, kid in enumerate(kids):
+            Fk, uk, hk = _pieces(kid, vec)
             term1 = term1 + (grad[..., k] / Fk)[..., None, None] * hk
             rows.append(uk / Fk[..., None])
-        for fm in forms:
-            b = np.broadcast_to(fm.coeffs(base), vec.shape)
-            rows.append(b)
+        rows += [np.broadcast_to(b, vec.shape) for b in bs]
         J = np.stack(rows, axis=-2)  # (..., n+m, N)
         term2 = np.einsum("...ri,...rs,...sj->...ij", J, hess, J)
-        return 0.5 * (term1 + term2)
+        return ok, F, 0.5 * (term1 + term2)
 
-    out = ConicMetric(
-        manifold=man,
-        value_fn=value_fn,
-        domain_fn=domain_fn,
-        tensor_fn=tensor_fn,
-        zero_in_domain=False,
-        position_independent=(
-            combiner.position_independent
-            and all(mk.position_independent for mk in metrics)
-            and _forms_constant(forms, man)
-        ),
-        name=f"{combiner.name}({', '.join(mk.name for mk in metrics)})",
-    )
-    _probe_nonempty(out)
-    return ConicMetric(
-        manifold=out.manifold,
-        value_fn=out.value_fn,
-        domain_fn=out.domain_fn,
-        tensor_fn=out.tensor_fn,
-        zero_in_domain=_zero_convention(out),
-        position_independent=out.position_independent,
-        name=out.name,
+    return _combined(
+        man,
+        jet_fn,
+        combiner.position_independent
+        and all(mk.position_independent for mk in metrics)
+        and all(fm.constant for fm in forms),
+        f"{combiner.name}({', '.join(mk.name for mk in metrics)})",
     )
 
 
@@ -474,40 +441,31 @@ def power_q_combine(
     man = _shared_manifold(metrics)
     n, mm = len(metrics), len(forms)
 
-    def value_fn(base, vec):
+    def jet_fn(base, vec, with_tensor):
+        if with_tensor:
+            base, vec = np.broadcast_arrays(base, vec)
+        kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]
+        bcoefs = [fm.coeffs(base) for fm in forms]
+        betas = [_pair(b, vec) for b in bcoefs]
+        ok = True
         total = 0.0
-        for mk in metrics:
-            total = total + mk.F_many(base, vec) ** q
-        for fm in forms:
-            total = total + np.abs(fm.pair(base, vec)) ** q
-        return total ** (1.0 / q)
-
-    def domain_fn(base, vec):
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        ok = np.ones(np.broadcast(base[..., 0], vec[..., 0]).shape, dtype=bool)
-        for mk in metrics:
-            ok = ok & mk.in_domain_many(base, vec)
-        if q < 2.0:
-            for fm in forms:
-                ok = ok & (np.abs(fm.pair(base, vec)) > 0.0)
-        return ok
-
-    def tensor_fn(base, vec):
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        base, vec = np.broadcast_arrays(base, vec)
+        for kid in kids:
+            ok = ok & kid[0]
+            total = total + kid[1] ** q
+        for bv in betas:
+            total = total + np.abs(bv) ** q
+            if q < 2.0:
+                ok = ok & (np.abs(bv) > 0.0)
+        if not with_tensor:
+            return ok, total ** (1.0 / q)
         Fs, us, hs, a_vecs = [], [], [], []
-        for mk in metrics:
-            Fk, _, uk, hk = _metric_pieces(mk, base, vec)
+        for kid in kids:
+            Fk, uk, hk = _pieces(kid, vec)
             Fs.append(Fk)
             us.append(uk)
             hs.append(hk)
             a_vecs.append(uk / (Fk * Fk)[..., None])
-        betas, bcoefs = [], []
-        for fm in forms:
-            betas.append(fm.pair(base, vec))
-            bcoefs.append(np.broadcast_to(fm.coeffs(base), vec.shape))
+        bcoefs = [np.broadcast_to(b, vec.shape) for b in bcoefs]
 
         R = sum(Fk**q for Fk in Fs) + sum(np.abs(bv) ** q for bv in betas)
         R = R ** (1.0 / q)
@@ -539,27 +497,13 @@ def power_q_combine(
         for bv, bc in zip(betas, bcoefs):
             head = head + (np.abs(bv) ** (q - 2.0) * bv)[..., None] * bc
         T = T + outer(head)
-        return T / (R ** (2.0 * q - 2.0))[..., None, None]
+        return ok, total ** (1.0 / q), T / (R ** (2.0 * q - 2.0))[..., None, None]
 
-    out = ConicMetric(
-        manifold=man,
-        value_fn=value_fn,
-        domain_fn=domain_fn,
-        tensor_fn=tensor_fn,
-        zero_in_domain=False,
-        position_independent=all(mk.position_independent for mk in metrics)
-        and _forms_constant(forms, man),
-        name=f"power[q={q:g}]({', '.join(mk.name for mk in metrics)})",
-    )
-    _probe_nonempty(out)
-    return ConicMetric(
-        manifold=out.manifold,
-        value_fn=out.value_fn,
-        domain_fn=out.domain_fn,
-        tensor_fn=out.tensor_fn,
-        zero_in_domain=_zero_convention(out),
-        position_independent=out.position_independent,
-        name=out.name,
+    return _combined(
+        man,
+        jet_fn,
+        all(mk.position_independent for mk in metrics) and all(fm.constant for fm in forms),
+        f"power[q={q:g}]({', '.join(mk.name for mk in metrics)})",
     )
 
 
@@ -568,64 +512,44 @@ def power_q_combine(
 # ---------------------------------------------------------------------------
 
 
+def _profile_jet(profile: PhiProfile, ok, F, s):
+    """Mask and value of F * phi(s) for a ratio s on the profile's intervals."""
+    inside = profile.contains(s)
+    p = np.where(inside, np.asarray(profile.phi(np.where(inside, s, profile.representative())), float), np.nan)
+    return ok & inside, F * p
+
+
+def _profile_coefs(profile: PhiProfile, s):
+    """(phi1, phi2, psi, psi') at the ratio s."""
+    return tuple(np.asarray(f(s), float) for f in (profile.phi1, profile.phi2, profile.psi, profile.psi_dot))
+
+
 def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> ConicMetric:
     """Metric F = F0 * phi(beta / F0) with the profile's closed-form tensor."""
-    man = F0.manifold
 
-    filler = profile.representative()
-
-    def ratio(base, vec):
-        with np.errstate(all="ignore"):
-            return beta.pair(base, vec) / F0.F_many(base, vec)
-
-    def value_fn(base, vec):
-        s = ratio(base, vec)
-        ok = profile.contains(s)
-        with np.errstate(all="ignore"):
-            p = np.where(ok, np.asarray(profile.phi(np.where(ok, s, filler)), float), np.nan)
-        return F0.F_many(base, vec) * p
-
-    def domain_fn(base, vec):
-        ok = F0.in_domain_many(base, vec)
-        s = ratio(base, vec)
-        return ok & profile.contains(s)
-
-    def tensor_fn(base, vec):
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        base, vec = np.broadcast_arrays(base, vec)
-        F, _, u, h = _metric_pieces(F0, base, vec)
-        b = np.broadcast_to(beta.coeffs(base), vec.shape)
-        s = beta.pair(base, vec) / F
-        with np.errstate(all="ignore"):
-            p1 = np.asarray(profile.phi1(s), float)
-            p2 = np.asarray(profile.phi2(s), float)
-            ps = np.asarray(profile.psi(s), float)
-            psd = np.asarray(profile.psi_dot(s), float)
+    def jet_fn(base, vec, with_tensor):
+        if with_tensor:
+            base, vec = np.broadcast_arrays(base, vec)
+        kid = F0.node_jet(base, vec, with_tensor)
+        b = beta.coeffs(base)
+        s = _pair(b, vec) / kid[1]
+        ok, val = _profile_jet(profile, kid[0], kid[1], s)
+        if not with_tensor:
+            return ok, val
+        F, u, h = _pieces(kid, vec)
+        b = np.broadcast_to(b, vec.shape)
+        p1, p2, ps, psd = _profile_coefs(profile, s)
         un = u / F[..., None]
         c1 = s[..., None] * un - b
         c2 = p1[..., None] * un + psd[..., None] * b
         quad = p2[..., None, None] * c1[..., :, None] * c1[..., None, :] + c2[..., :, None] * c2[..., None, :]
-        return 0.5 * (p1[..., None, None] * h + (0.5 / ps)[..., None, None] * quad)
+        return ok, val, 0.5 * (p1[..., None, None] * h + (0.5 / ps)[..., None, None] * quad)
 
-    out = ConicMetric(
-        manifold=man,
-        value_fn=value_fn,
-        domain_fn=domain_fn,
-        tensor_fn=tensor_fn,
-        zero_in_domain=False,
-        position_independent=F0.position_independent and _forms_constant([beta], man),
-        name=f"{profile.name}({F0.name})",
-    )
-    _probe_nonempty(out)
-    return ConicMetric(
-        manifold=out.manifold,
-        value_fn=out.value_fn,
-        domain_fn=out.domain_fn,
-        tensor_fn=out.tensor_fn,
-        zero_in_domain=_zero_convention(out),
-        position_independent=out.position_independent,
-        name=out.name,
+    return _combined(
+        F0.manifold,
+        jet_fn,
+        F0.position_independent and beta.constant,
+        f"{profile.name}({F0.name})",
     )
 
 
@@ -633,64 +557,34 @@ def f1f2_combine(F1: ConicMetric, F2: ConicMetric, profile: PhiProfile) -> Conic
     """Metric F = F1 * phi(F2 / F1): the one-form is replaced by a second metric."""
     man = _shared_manifold([F1, F2])
 
-    filler = profile.representative()
-
-    def ratio(base, vec):
-        with np.errstate(all="ignore"):
-            return F2.F_many(base, vec) / F1.F_many(base, vec)
-
-    def value_fn(base, vec):
-        s = ratio(base, vec)
-        ok = profile.contains(s)
-        with np.errstate(all="ignore"):
-            p = np.where(ok, np.asarray(profile.phi(np.where(ok, s, filler)), float), np.nan)
-        return F1.F_many(base, vec) * p
-
-    def domain_fn(base, vec):
-        ok = F1.in_domain_many(base, vec) & F2.in_domain_many(base, vec)
-        return ok & profile.contains(ratio(base, vec))
-
-    def tensor_fn(base, vec):
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        base, vec = np.broadcast_arrays(base, vec)
-        Fa, _, ua, ha = _metric_pieces(F1, base, vec)
-        Fb, _, ub, hb = _metric_pieces(F2, base, vec)
-        s = Fb / Fa
-        with np.errstate(all="ignore"):
-            p1 = np.asarray(profile.phi1(s), float)
-            p2 = np.asarray(profile.phi2(s), float)
-            ps = np.asarray(profile.psi(s), float)
-            psd = np.asarray(profile.psi_dot(s), float)
+    def jet_fn(base, vec, with_tensor):
+        if with_tensor:
+            base, vec = np.broadcast_arrays(base, vec)
+        ja = F1.node_jet(base, vec, with_tensor)
+        jb = F2.node_jet(base, vec, with_tensor)
+        s = jb[1] / ja[1]
+        ok, val = _profile_jet(profile, ja[0] & jb[0], ja[1], s)
+        if not with_tensor:
+            return ok, val
+        Fa, ua, ha = _pieces(ja, vec)
+        Fb, ub, hb = _pieces(jb, vec)
+        p1, p2, ps, psd = _profile_coefs(profile, s)
         una = ua / Fa[..., None]
         unb = ub / Fb[..., None]
         c1 = s[..., None] * una - unb
         c2 = p1[..., None] * una + psd[..., None] * unb
         quad = p2[..., None, None] * c1[..., :, None] * c1[..., None, :] + c2[..., :, None] * c2[..., None, :]
-        return 0.5 * (
+        return ok, val, 0.5 * (
             p1[..., None, None] * ha
             + ((Fa / Fb) * psd)[..., None, None] * hb
             + (0.5 / ps)[..., None, None] * quad
         )
 
-    out = ConicMetric(
-        manifold=man,
-        value_fn=value_fn,
-        domain_fn=domain_fn,
-        tensor_fn=tensor_fn,
-        zero_in_domain=False,
-        position_independent=F1.position_independent and F2.position_independent,
-        name=f"{profile.name}({F1.name}, {F2.name})",
-    )
-    _probe_nonempty(out)
-    return ConicMetric(
-        manifold=out.manifold,
-        value_fn=out.value_fn,
-        domain_fn=out.domain_fn,
-        tensor_fn=out.tensor_fn,
-        zero_in_domain=_zero_convention(out),
-        position_independent=out.position_independent,
-        name=out.name,
+    return _combined(
+        man,
+        jet_fn,
+        F1.position_independent and F2.position_independent,
+        f"{profile.name}({F1.name}, {F2.name})",
     )
 
 
@@ -797,24 +691,9 @@ def characterization_nd(
 
 def _reflected(metric: ConicMetric) -> ConicMetric:
     """The metric v -> F(-v); its tensor at v is the original tensor at -v."""
-
-    def value_fn(base, vec):
-        return metric.value_fn(base, -np.asarray(vec, dtype=float))
-
-    def domain_fn(base, vec):
-        return metric.domain_fn(base, -np.asarray(vec, dtype=float))
-
-    tensor_fn = None
-    if metric.tensor_fn is not None:
-
-        def tensor_fn(base, vec):
-            return metric.tensor_fn(base, -np.asarray(vec, dtype=float))
-
     return ConicMetric(
         manifold=metric.manifold,
-        value_fn=value_fn,
-        domain_fn=domain_fn,
-        tensor_fn=tensor_fn,
+        jet_fn=lambda base, vec, with_tensor: metric.jet_fn(base, -vec, with_tensor),
         zero_in_domain=metric.zero_in_domain,
         position_independent=metric.position_independent,
         name=f"reflect({metric.name})",

@@ -101,14 +101,13 @@ def _curve_samples(curve, nodes: int):
 
 def _admissible_values(m: ConicMetric, curve, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     pos, vel, params, weights = _curve_samples(curve, nodes)
-    ok = m.in_domain_many(pos, vel)
+    ok, vals = m.jet(pos, vel)
     if not np.all(ok):
         bad = params[~ok]
         raise NotAdmissible(
             f"curve velocity leaves the conic domain at parameter {bad[0]:.6g}",
             parameter=float(bad[0]),
         )
-    vals = m.F_many(pos, vel)
     return vals, weights
 
 
@@ -141,10 +140,9 @@ class GeodesicState:
 
 
 def _tensor_checked(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    ok = m.in_domain_many(x, v)
+    ok, _, g = m.jet(x, v, with_tensor=True)
     if not np.all(ok):
         raise LeftDomain(f"geodesic left the conic domain near parameter {t:.6g}", parameter=t)
-    g = m.tensor_many(x, v)
     if not np.all(np.isfinite(g)):
         raise LeftDomain(f"tensor not finite near parameter {t:.6g}", parameter=t)
     scale = np.sqrt(np.einsum("...ij,...ij->...", g, g) / g.shape[-1])
@@ -305,9 +303,9 @@ def radial_minimality_test(
         if not np.any(keep):
             return True
         rel = rel[keep]
-        if not np.all(m.in_domain_many(np.broadcast_to(base, rel.shape), rel)):
+        ok, vals = m.jet(np.broadcast_to(base, rel.shape), rel)
+        if not np.all(ok):
             return False
-        vals = m.F_many(np.broadcast_to(base, rel.shape), rel)
         return bool(np.all(vals <= radius * (1.0 + 1e-9)))
 
     min_ratio = np.inf
@@ -324,10 +322,11 @@ def radial_minimality_test(
             attempts += 1
             d = rng.normal(size=n)
             d /= np.linalg.norm(d)
-            if not bool(m.in_domain_many(base, d)):
+            ok, F = m.jet(base, d)
+            if not bool(ok):
                 continue
             rho = rng.uniform(0.25, 0.85) * radius
-            vs.append(rho * d / float(m.F_many(base, d)))
+            vs.append(rho * d / float(F))
         if not vs:
             break
         vs = np.array(vs)
@@ -449,24 +448,21 @@ def build_separation_graph(
         dst = src + int(np.dot(off, strides))
 
         if m.position_independent:
-            if not bool(m.in_domain_many(center, delta)):
+            ok, F = m.jet(center, delta)
+            if not bool(ok):
                 continue
-            weight = float(m.F_many(center, delta))
             rows_all.append(src)
             cols_all.append(dst)
-            weights_all.append(np.full(src.shape, weight))
+            weights_all.append(np.full(src.shape, float(F)))
         else:
             pos = nodes[src][:, None, :] + tq[None, :, None] * delta[None, None, :]
-            vel = np.broadcast_to(delta, pos.shape)
-            ok = np.all(m.in_domain_many(pos, vel), axis=1)
-            if not np.any(ok):
+            ok, vals = m.jet(pos, delta)
+            keep = np.all(ok, axis=1)
+            if not np.any(keep):
                 continue
-            pos_ok = pos[ok]
-            vals = m.F_many(pos_ok, np.broadcast_to(delta, pos_ok.shape))
-            weight = vals @ wq
-            rows_all.append(src[ok])
-            cols_all.append(dst[ok])
-            weights_all.append(weight)
+            rows_all.append(src[keep])
+            cols_all.append(dst[keep])
+            weights_all.append(vals[keep] @ wq)
 
     if rows_all:
         rows = np.concatenate(rows_all)

@@ -2,9 +2,10 @@
 
 A metric is a positively homogeneous fiberwise pseudo-norm defined on an
 open cone of the tangent bundle of an open subset of R^N.  Evaluation is
-vectorized: value/domain/tensor callables accept broadcastable stacks of
-(base, vector) pairs, which is what makes the scans and graph builders in
-the rest of the package fast without any compiled extension.
+vectorized: one jet call per metric node returns the domain mask, the
+values and, on request, the fundamental tensors for a broadcastable stack
+of (base, vector) pairs, which is what makes the scans and graph builders
+in the rest of the package fast without any compiled extension.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ def unit_directions(dim: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RiemannAtom:
-    """Position-dependent positive-definite matrix field."""
+    """Positive-definite matrix field; ``constant`` marks a position-independent one."""
 
     metric_matrix: Callable[[np.ndarray], np.ndarray]
+    constant: bool = False
 
     def matrix(self, x) -> np.ndarray:
         return np.asarray(self.metric_matrix(np.asarray(x, dtype=float)), dtype=float)
@@ -116,7 +118,7 @@ def constant_riemann(matrix) -> RiemannAtom:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(g0, x.shape[:-1] + g0.shape)
 
-    return RiemannAtom(metric_matrix=metric_matrix)
+    return RiemannAtom(metric_matrix=metric_matrix, constant=True)
 
 
 def euclidean_atom(dimension: int) -> RiemannAtom:
@@ -125,9 +127,10 @@ def euclidean_atom(dimension: int) -> RiemannAtom:
 
 @dataclass(frozen=True)
 class OneFormAtom:
-    """Position-dependent covector field beta = sum b_i(x) dx^i."""
+    """Covector field beta = sum b_i(x) dx^i; ``constant`` marks a position-independent one."""
 
     covector: Callable[[np.ndarray], np.ndarray]
+    constant: bool = False
 
     def coeffs(self, x) -> np.ndarray:
         return np.asarray(self.covector(np.asarray(x, dtype=float)), dtype=float)
@@ -143,24 +146,27 @@ def constant_oneform(coeffs) -> OneFormAtom:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(b0, x.shape[:-1] + b0.shape)
 
-    return OneFormAtom(covector=covector)
+    return OneFormAtom(covector=covector, constant=True)
 
 
 @dataclass(frozen=True)
 class ConicMetric:
     """Behavioral contract of a conic pseudo-Finsler metric on one chart.
 
-    ``value_fn``/``domain_fn``/``tensor_fn`` take broadcastable stacks
-    (base, vec) of shape (..., N).  ``tensor_fn`` is the closed-form
-    fundamental tensor when one is known; finite differences of F^2/2 are
-    the fallback (and, in tests, the oracle the closed form is checked
-    against).
+    A metric is one node of an expression tree, evaluated by one call:
+    ``jet_fn(base, vec, with_tensor)`` takes broadcastable stacks (base, vec)
+    of shape (..., N) and returns ``(ok, F)`` for the whole batch, or
+    ``(ok, F, g)`` with the fundamental tensors g of shape (..., N, N) when
+    ``with_tensor`` is set.  ``ok`` is the node's conic domain; a combinator
+    calls each child's :meth:`node_jet` once and builds its value, domain
+    and tensor from those results.  A node without a closed-form tensor
+    returns ``(ok, F)`` either way; its tensor is then the finite-difference
+    Hessian of F^2/2, which is also the oracle the closed forms are checked
+    against in the tests.
     """
 
     manifold: ChartManifold
-    value_fn: Callable = field(repr=False)
-    domain_fn: Callable = field(repr=False)
-    tensor_fn: Optional[Callable] = field(default=None, repr=False)
+    jet_fn: Callable = field(repr=False)
     zero_in_domain: bool = False
     position_independent: bool = False
     name: str = ""
@@ -169,39 +175,53 @@ class ConicMetric:
     def dimension(self) -> int:
         return self.manifold.dimension
 
-    def in_domain_many(self, base, vec) -> np.ndarray:
+    def node_jet(self, base, vec, with_tensor: bool = False) -> tuple:
+        """The jet restricted to this node's chart, F NaN outside the domain.
+
+        The zero vector is not excluded here; :meth:`jet` does that once per
+        top-level call.
+        """
+        out = self.jet_fn(base, vec, with_tensor)
+        ok = out[0] & self.manifold.contains(base)
+        F = np.where(ok, out[1], np.nan)
+        if not with_tensor:
+            return ok, F
+        if len(out) == 3:
+            return ok, F, out[2]
+        # no closed form: finite differences where the probes can be evaluated
+        base_b, vec_b = np.broadcast_arrays(base, vec)
+        fd = ok & (np.linalg.norm(vec_b, axis=-1) > 0.0)
+        g = np.full(vec_b.shape + vec_b.shape[-1:], np.nan)
+        g[fd] = self.fd_tensor_many(base_b[fd], vec_b[fd])
+        return ok, F, g
+
+    def jet(self, base, vec, with_tensor: bool = False) -> tuple:
+        """``(ok, F)`` or ``(ok, F, g)`` over a batch; F is NaN where ok is False.
+
+        Tensor entries for out-of-domain inputs are unspecified (NaN or
+        garbage); use :func:`tensor` for the checked pointwise operation.
+        """
         base = np.asarray(base, dtype=float)
         vec = np.asarray(vec, dtype=float)
         with np.errstate(all="ignore"):
-            ok = np.asarray(self.domain_fn(base, vec), dtype=bool)
-        nonzero = np.linalg.norm(vec, axis=-1) > 0.0
-        return ok & nonzero & self.manifold.contains(base)
+            ok, F, *g = self.node_jet(base, vec, with_tensor)
+        ok = ok & (np.linalg.norm(vec, axis=-1) > 0.0)
+        return (ok, np.where(ok, F, np.nan), *g)
+
+    def in_domain_many(self, base, vec) -> np.ndarray:
+        return self.jet(base, vec)[0]
 
     def F_many(self, base, vec) -> np.ndarray:
         """Vectorized metric values; NaN outside the domain."""
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        ok = self.in_domain_many(base, vec)
-        with np.errstate(all="ignore"):
-            val = np.asarray(self.value_fn(base, vec), dtype=float)
-        return np.where(ok, val, np.nan)
+        return self.jet(base, vec)[1]
 
     def half_square(self, base, vec) -> np.ndarray:
         val = self.F_many(base, vec)
         return 0.5 * val * val
 
     def tensor_many(self, base, vec) -> np.ndarray:
-        """Fundamental tensors, shape (..., N, N).
-
-        Entries for out-of-domain inputs are unspecified (NaN or garbage);
-        use :func:`tensor` for the checked pointwise operation.
-        """
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        if self.tensor_fn is not None:
-            with np.errstate(all="ignore"):
-                return np.asarray(self.tensor_fn(base, vec), dtype=float)
-        return self.fd_tensor_many(base, vec)
+        """Fundamental tensors, shape (..., N, N); see :meth:`jet`."""
+        return self.jet(base, vec, with_tensor=True)[2]
 
     def fd_tensor_many(self, base, vec) -> np.ndarray:
         """Finite-difference Hessian of F^2/2 in the fiber variable.
@@ -227,36 +247,30 @@ class ConicMetric:
 # ---------------------------------------------------------------------------
 
 
+def _batch_shape(base, vec) -> tuple:
+    return np.broadcast(base[..., 0], vec[..., 0]).shape
+
+
 def riemann_metric(atom: RiemannAtom, manifold: ChartManifold = None, name: str = "") -> ConicMetric:
     """Square root of a Riemannian metric; strongly convex everywhere."""
     if manifold is None:
         g0 = np.asarray(atom.metric_matrix(np.zeros(2)), dtype=float)
         manifold = whole_plane(g0.shape[-1])
 
-    def value_fn(base, vec):
-        return np.sqrt(np.maximum(atom.square_length(base, vec), 0.0))
-
-    def domain_fn(base, vec):
-        vec = np.asarray(vec, dtype=float)
-        return np.ones(np.broadcast(np.asarray(base)[..., 0], vec[..., 0]).shape, dtype=bool)
-
-    def tensor_fn(base, vec):
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
+    def jet_fn(base, vec, with_tensor):
         g = atom.matrix(base)
-        shape = np.broadcast(base[..., 0], vec[..., 0]).shape
-        return np.broadcast_to(g, shape + g.shape[-2:])
+        F = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", vec, g, vec), 0.0))
+        shape = _batch_shape(base, vec)
+        ok = np.ones(shape, dtype=bool)
+        if not with_tensor:
+            return ok, F
+        return ok, F, np.broadcast_to(g, shape + g.shape[-2:])
 
-    # position independence detected for the constant-matrix fast path
-    x_probe = np.stack([manifold.probe_point, manifold.probe_point + 0.37])
-    const = bool(np.allclose(atom.matrix(x_probe[0]), atom.matrix(x_probe[1])))
     return ConicMetric(
         manifold=manifold,
-        value_fn=value_fn,
-        domain_fn=domain_fn,
-        tensor_fn=tensor_fn,
+        jet_fn=jet_fn,
         zero_in_domain=True,
-        position_independent=const,
+        position_independent=atom.constant,
         name=name or "riemann",
     )
 
@@ -271,57 +285,41 @@ def oneform_metric(form: OneFormAtom, manifold: ChartManifold = None, name: str 
         b0 = np.asarray(form.coeffs(np.zeros(2)), dtype=float)
         manifold = whole_plane(b0.shape[-1])
 
-    def value_fn(base, vec):
-        return form.pair(base, vec)
+    def jet_fn(base, vec, with_tensor):
+        b = form.coeffs(base)
+        beta = np.einsum("...i,...i->...", b, vec)
+        if not with_tensor:
+            return beta > 0.0, beta
+        b = np.broadcast_to(b, _batch_shape(base, vec) + b.shape[-1:])
+        return beta > 0.0, beta, b[..., :, None] * b[..., None, :]
 
-    def domain_fn(base, vec):
-        return form.pair(base, vec) > 0.0
-
-    def tensor_fn(base, vec):
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        b = np.broadcast_to(
-            form.coeffs(base), np.broadcast(base[..., 0], vec[..., 0]).shape + (manifold.dimension,)
-        )
-        return b[..., :, None] * b[..., None, :]
-
-    x_probe = np.stack([manifold.probe_point, manifold.probe_point + 0.37])
-    const = bool(np.allclose(form.coeffs(x_probe[0]), form.coeffs(x_probe[1])))
     return ConicMetric(
         manifold=manifold,
-        value_fn=value_fn,
-        domain_fn=domain_fn,
-        tensor_fn=tensor_fn,
+        jet_fn=jet_fn,
         zero_in_domain=False,
-        position_independent=const,
+        position_independent=form.constant,
         name=name or "oneform",
     )
 
 
 def minkowski_metric(gauge: GaugeNorm, manifold: ChartManifold = None, name: str = "") -> ConicMetric:
-    """Lift a fixed Minkowski conic pseudo-norm to a position-independent metric."""
+    """Lift a fixed Minkowski conic pseudo-norm to a position-independent metric.
+
+    The gauge has no closed-form tensor, so its jet is order 0 only.
+    """
     if manifold is None:
         manifold = whole_plane(gauge.dimension)
 
-    def value_fn(base, vec):
-        vec = np.asarray(vec, dtype=float)
-        val = np.asarray(gauge.value_unchecked(vec), dtype=float)
-        shape = np.broadcast(np.asarray(base)[..., 0], vec[..., 0]).shape
-        return np.broadcast_to(val, shape)
-
-    def domain_fn(base, vec):
-        vec = np.asarray(vec, dtype=float)
-        ok = np.asarray(gauge.member(vec), dtype=bool)
-        shape = np.broadcast(np.asarray(base)[..., 0], vec[..., 0]).shape
-        return np.broadcast_to(ok, shape)
+    def jet_fn(base, vec, with_tensor):
+        shape = _batch_shape(base, vec)
+        ok = np.broadcast_to(np.asarray(gauge.member(vec), dtype=bool), shape)
+        return ok, np.broadcast_to(np.asarray(gauge.value_unchecked(vec), dtype=float), shape)
 
     dirs = unit_directions(gauge.dimension, 64)
     full = bool(np.all(gauge.member(dirs)))
     return ConicMetric(
         manifold=manifold,
-        value_fn=value_fn,
-        domain_fn=domain_fn,
-        tensor_fn=None,
+        jet_fn=jet_fn,
         zero_in_domain=full,
         position_independent=True,
         name=name or f"gauge[{gauge.source.value}]",
@@ -333,27 +331,25 @@ def minkowski_metric(gauge: GaugeNorm, manifold: ChartManifold = None, name: str
 # ---------------------------------------------------------------------------
 
 
-def _require_in_domain(m: ConicMetric, v: TangentVec, allow_zero: bool = False):
-    vec_norm = float(np.linalg.norm(v.vec))
-    if vec_norm == 0.0:
-        if allow_zero and m.zero_in_domain:
-            return
+def _checked_jet(m: ConicMetric, v: TangentVec, with_tensor: bool = False) -> list:
+    """The jet at one admissible tangent vector, without its mask."""
+    if float(np.linalg.norm(v.vec)) == 0.0:
         raise OutsideDomain("the zero vector is outside this metric's domain")
-    if not bool(m.in_domain_many(v.base, v.vec)):
+    ok, *rest = m.jet(v.base, v.vec, with_tensor)
+    if not bool(ok):
         raise OutsideDomain(
             f"vector {np.array2string(v.vec, precision=4)} at "
             f"{np.array2string(v.base, precision=4)} is outside the conic domain"
         )
+    return rest
 
 
 def eval_F(m: ConicMetric, v: TangentVec) -> float:
     """Metric value at an admissible tangent vector."""
-    if float(np.linalg.norm(v.vec)) == 0.0:
-        if m.zero_in_domain:
-            return 0.0
-        raise OutsideDomain("the zero vector is outside this metric's domain")
-    _require_in_domain(m, v)
-    out = float(m.F_many(v.base, v.vec))
+    if float(np.linalg.norm(v.vec)) == 0.0 and m.zero_in_domain:
+        return 0.0
+    (F,) = _checked_jet(m, v)
+    out = float(F)
     if not np.isfinite(out):
         raise NonFiniteSample("metric value is not finite")
     return out
@@ -361,8 +357,7 @@ def eval_F(m: ConicMetric, v: TangentVec) -> float:
 
 def tensor(m: ConicMetric, v: TangentVec) -> np.ndarray:
     """Fundamental tensor at v (closed form when available, else FD oracle)."""
-    _require_in_domain(m, v)
-    g = m.tensor_many(v.base, v.vec)
+    _, g = _checked_jet(m, v, with_tensor=True)
     if not np.all(np.isfinite(g)):
         raise NonFiniteSample("fundamental tensor evaluation hit the domain boundary")
     return g
@@ -397,21 +392,13 @@ def convexity_scan(
     """Classify the fundamental tensor on a deterministic fan of directions."""
     base = np.asarray(base, dtype=float)
     dirs = unit_directions(m.dimension, samples)
-    ok = m.in_domain_many(np.broadcast_to(base, dirs.shape), dirs)
+    ok, _, tensors = m.jet(np.broadcast_to(base, dirs.shape), dirs, with_tensor=True)
     entries: list[ScanEntry] = []
-    if np.any(ok):
-        tensors = m.tensor_many(np.broadcast_to(base, dirs[ok].shape), dirs[ok])
-    idx = 0
-    for d, good in zip(dirs, ok):
-        if not good:
+    for d, good, g in zip(dirs, ok, tensors):
+        if good and np.all(np.isfinite(g)):
+            entries.append(ScanEntry(direction=d, in_domain=True, report=eigen_classify(g, tolerance)))
+        else:
             entries.append(ScanEntry(direction=d, in_domain=False, report=None))
-            continue
-        g = tensors[idx]
-        idx += 1
-        if not np.all(np.isfinite(g)):
-            entries.append(ScanEntry(direction=d, in_domain=False, report=None))
-            continue
-        entries.append(ScanEntry(direction=d, in_domain=True, report=eigen_classify(g, tolerance)))
     return entries
 
 
@@ -427,10 +414,10 @@ def lower_bound_check(m: ConicMetric, bound: RiemannAtom, base_samples: int, dir
 
     B = bases[:, None, :]  # (nb, 1, N)
     D = dirs[None, :, :]  # (1, nd, N)
-    ok = m.in_domain_many(np.broadcast_to(B, (bases.shape[0], dirs.shape[0], man.dimension)), D)
+    shape = (bases.shape[0], dirs.shape[0], man.dimension)
+    ok, fvals = m.jet(np.broadcast_to(B, shape), np.broadcast_to(D, shape))
     if not np.any(ok):
         return True
-    fvals = m.F_many(np.broadcast_to(B, ok.shape + (man.dimension,)), np.broadcast_to(D, ok.shape + (man.dimension,)))
     gvals = np.sqrt(np.maximum(bound.square_length(B, D), 0.0))
     slack = 1e-12 * np.maximum(1.0, gvals)
     return bool(np.all(fvals[ok] >= (gvals - slack)[ok]))

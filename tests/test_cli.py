@@ -17,7 +17,8 @@ from finslerkit.cli import (
     run_command,
     write_csv,
 )
-from finslerkit.errors import ParseError, ValidationError
+from finslerkit import geodesy as gd
+from finslerkit.errors import DomainEmpty, ParseError, ValidationError
 
 BUILTINS = [
     "euclidean",
@@ -155,6 +156,54 @@ class TestRunCommand:
         spec, cfg = parse_config('{"metric": {"type": "euclidean", "dimension": 2}}')
         with pytest.raises(ValidationError):
             run_command("eval", spec, cfg)
+
+    @pytest.mark.parametrize("command", ["detcheck", "gauss"])
+    def test_rejection_sampling_capped(self, command):
+        # beta vanishes at the base, so the ratio never reaches the profile interval
+        doc = {
+            "metric": {
+                "type": "phi",
+                "base": {"type": "euclidean", "dimension": 2},
+                "form": {"coeff_exprs": ["1-x", "0"]},
+                "profile": {"phi": "1+s", "interval": [0.5, 0.9]},
+            },
+            "run": {command: {"base": [1, 0], "samples": 5}},
+        }
+        spec, cfg = parse_config(json.dumps(doc))
+        with pytest.raises(DomainEmpty):
+            run_command(command, spec, cfg)
+
+
+class TestPositionIndependence:
+    """Constancy comes from the config structure, never from sampling the field."""
+
+    @staticmethod
+    def metric(tree):
+        spec, _ = parse_config(json.dumps({"metric": tree}))
+        return build_metric(spec).metric
+
+    def test_period_matching_probe_offset_is_position_dependent(self):
+        # period 0.37: the field agrees at any two points 0.37 apart in x
+        m = self.metric(
+            {"type": "riemannian", "matrix_expr": [["1+0.5*sin(2*pi*x/0.37)", "0"], ["0", "1"]]}
+        )
+        assert not m.position_independent
+        end = gd.exp_map(m, [0.0, 0.0], [0.4, 1.0])
+        assert abs(end[0] - 0.4) > 1e-3
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {"type": "riemannian", "matrix_expr": [["2", "0"], ["0", "1+0.5*cos(pi)"]]},
+            {"type": "named", "family": "randers", "form": {"coeff_exprs": ["0.3", "0.1*e"]}},
+        ],
+    )
+    def test_constant_expressions_stay_position_independent(self, tree):
+        assert self.metric(tree).position_independent
+
+    def test_position_form_expression(self):
+        m = self.metric({"type": "named", "family": "randers", "form": {"coeff_exprs": ["0.3", "0.1*y"]}})
+        assert not m.position_independent
 
 
 class TestDeterminism:

@@ -202,6 +202,14 @@ class TestCombine:
         m = cb.combine(mix, [euclid(), stretched], [])
         assert oracle_gap(m, count=25, seed=3) < 1e-4
 
+    def test_fd_fallback_scan_over_conic_ingredient(self):
+        # the scan evaluates tensors on every direction; FD rows outside the cone stay NaN
+        mix = cb.LCombiner(n=2, m=0, L=lambda x, p=None: (x[..., 0] + x[..., 1]) ** 2, name="sum-fd")
+        upper = me.oneform_metric(me.constant_oneform([0.0, 1.0]))
+        entries = me.convexity_scan(cb.combine(mix, [euclid(), upper], []), BASE, 36)
+        assert {e.in_domain for e in entries} == {True, False}
+        assert all(e.in_domain == (e.direction[1] > 0.0) for e in entries)
+
     def test_domain_empty(self):
         E = euclid()
         never = cb.LCombiner(
@@ -694,3 +702,47 @@ class TestReversibilize:
         for mode in ("sum", "quadratic"):
             m = cb.reversibilize(rd, mode)
             assert oracle_gap(m, count=40, seed=33) < 1e-6
+
+
+class TestOnePass:
+    """Each node calls each child's jet once, so every atom is evaluated once per call."""
+
+    @staticmethod
+    def depth3_tree():
+        rd, _ = cb.named_family("randers", euclid(), me.constant_oneform([0.5, 0.0]))
+        return cb.power_q_combine([cb.reversibilize(rd, "sum"), rd], [me.constant_oneform([0.2, 0.1])], 2.0)
+
+    @staticmethod
+    def randers_posdep():
+        def bcoef(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape)
+            out[..., 0] = 0.3 * (1.0 + 0.2 * np.sin(x[..., 0]))
+            return out
+
+        return cb.named_family("randers", euclid(), me.OneFormAtom(covector=bcoef))[0]
+
+    @pytest.mark.parametrize("method", ["F_many", "in_domain_many", "tensor_many"])
+    @pytest.mark.parametrize(
+        "tree, expected",
+        [("depth3_tree", (3, 4)), ("randers_posdep", (1, 1))],
+        ids=["depth3_tree", "randers_posdep"],
+    )
+    def test_atom_calls_per_top_level_call(self, monkeypatch, method, tree, expected):
+        metric = getattr(self, tree)()
+        calls = {"matrix": 0, "coeffs": 0}
+
+        def counted(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapper(atom, x):
+                calls[name] += 1
+                return inner(atom, x)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(me.RiemannAtom, "matrix")
+        counted(me.OneFormAtom, "coeffs")
+        rng = np.random.default_rng(3)
+        getattr(metric, method)(rng.uniform(-1, 1, size=(50, 2)), rng.normal(size=(50, 2)))
+        assert (calls["matrix"], calls["coeffs"]) == expected
