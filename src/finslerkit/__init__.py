@@ -57,6 +57,7 @@ from .metrics import (
     constant_riemann,
     convexity_scan,
     eval_F,
+    eval_F_many,
     euclidean_metric,
     lower_bound_check,
     minkowski_metric,

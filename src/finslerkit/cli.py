@@ -633,10 +633,10 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         step = float(_param(cfg, "geodesic", "step", 0.01))
         states = gd.geodesic_shoot(m, gd.GeodesicState(base, vel, 0.0), t_end, step)
         header = ["t"] + _vec_cols("x", dim) + _vec_cols("v", dim) + ["F"]
-        rows = []
-        for s in states:
-            f = me.eval_F(m, me.TangentVec(s.position, s.velocity))
-            rows.append([s.parameter, *s.position, *s.velocity, f])
+        xs = np.array([s.position for s in states])
+        vs = np.array([s.velocity for s in states])
+        speeds = me.eval_F_many(m, xs, vs)
+        rows = [[s.parameter, *x, *v, float(f)] for s, x, v, f in zip(states, xs, vs, speeds)]
         return {"command": cmd, "steps": len(rows) - 1}, header, rows
 
     if cmd == "expmap":

@@ -2,9 +2,11 @@
 
 Geodesics are computed as critical curves of the energy functional: the
 second-order system solves 2 g(x, v) a = d_x(F^2) - (d_x p) v with
-p = 2 g v, taking position derivatives by central differences, and is
-integrated with classical RK4.  Separations are shortest paths on a grid
-graph whose edges are straight admissible segments weighted by F-length.
+p = 2 g v, taking position derivatives by central differences of the
+fundamental tensor, and is integrated with classical RK4.  Each
+acceleration makes one stacked tensor evaluation: the state and its 2N
+stencil points.  Separations are shortest paths on a grid graph whose
+edges are straight admissible segments weighted by F-length.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ class GeodesicState:
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
 
 
-def _tensor_checked(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    ok, _, g = m.jet(x, v, with_tensor=True)
+def _tensor_checked(ok: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
+    """The jet's tensors g, once every state is in the domain and g is finite and invertible."""
     if not np.all(ok):
         raise LeftDomain(f"geodesic left the conic domain near parameter {t:.6g}", parameter=t)
     if not np.all(np.isfinite(g)):
@@ -153,28 +155,32 @@ def _tensor_checked(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> n
 
 
 def _accel(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Acceleration of the energy-critical curve at batched states (B, N)."""
-    g = _tensor_checked(m, x, v, t)
+    """Acceleration of the energy-critical curve at batched states (B, N).
+
+    One jet call evaluates the tensors on the stacked stencil: the states
+    themselves, then x + h e_a and x - h e_a for each axis a.
+    """
+    n = x.shape[-1]
+    h = (EPS ** (1.0 / 3.0)) * np.maximum(1.0, np.linalg.norm(x, axis=-1))
+    axes = 0 if m.position_independent else n
+    stencil = np.repeat(x[None], 1 + 2 * axes, axis=0)
+    for a in range(axes):
+        stencil[1 + 2 * a, ..., a] += h
+        stencil[2 + 2 * a, ..., a] -= h
+    ok, _, gs = m.jet(stencil, v, with_tensor=True)
+    g = _tensor_checked(ok[0], gs[0], t)
     if m.position_independent:
         return np.zeros_like(v)
-    n = x.shape[-1]
-    h = (EPS ** (1.0 / 3.0)) * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
     rhs = np.zeros_like(v)
     dp_dx = np.zeros(x.shape[:-1] + (n, n))  # [..., a, i] = д p_i / д x_a
     for a in range(n):
-        ha = h[..., 0]
-        xp = x.copy()
-        xp[..., a] += ha
-        xm = x.copy()
-        xm[..., a] -= ha
-        gp = m.tensor_many(xp, v)
-        gm = m.tensor_many(xm, v)
+        gp, gm = gs[1 + 2 * a], gs[2 + 2 * a]
         pp = 2.0 * np.einsum("...ij,...j->...i", gp, v)
         pm = 2.0 * np.einsum("...ij,...j->...i", gm, v)
-        dp_dx[..., a, :] = (pp - pm) / (2.0 * ha[..., None])
+        dp_dx[..., a, :] = (pp - pm) / (2.0 * h[..., None])
         lp = np.einsum("...i,...ij,...j->...", v, gp, v)
         lm = np.einsum("...i,...ij,...j->...", v, gm, v)
-        rhs[..., a] = (lp - lm) / (2.0 * ha)
+        rhs[..., a] = (lp - lm) / (2.0 * h)
     rhs = rhs - np.einsum("...ai,...a->...i", dp_dx, v)
     if not np.all(np.isfinite(rhs)):
         raise LeftDomain(f"position derivatives hit the domain boundary near {t:.6g}", parameter=t)
@@ -236,7 +242,8 @@ def gauss_residuals(m: ConicMetric, base, vs, ws, step: float = DEFAULT_STEP) ->
     ws = np.atleast_2d(np.asarray(ws, dtype=float))
     B = vs.shape[0]
     xb = np.broadcast_to(base, vs.shape).copy()
-    g = _tensor_checked(m, xb, vs, 0.0)
+    ok, _, g = m.jet(xb, vs, with_tensor=True)
+    g = _tensor_checked(ok, g, 0.0)
     gv = np.einsum("...ij,...j->...i", g, vs)
     coef = np.einsum("...i,...i->...", ws, gv) / np.einsum("...i,...i->...", vs, gv)
     ws = ws - coef[..., None] * vs
@@ -285,13 +292,12 @@ def radial_minimality_test(
     n = base.shape[-1]
 
     probe_dirs = unit_directions(n, 16)
-    ok = m.in_domain_many(np.broadcast_to(base, probe_dirs.shape), probe_dirs)
+    ok, _, gs = m.jet(np.broadcast_to(base, probe_dirs.shape), probe_dirs, with_tensor=True)
     if not np.any(ok):
         raise OutsideDomain("no admissible direction at the base point")
     from .numkernel import eigen_classify
 
-    for d in probe_dirs[ok]:
-        g = m.tensor_many(base, d)
+    for g in gs[ok]:
         if not eigen_classify(g).is_positive_definite:
             raise DegenerateTensor(
                 "radial minimality requires a positive-definite tensor near the base"

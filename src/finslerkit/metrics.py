@@ -312,8 +312,9 @@ def minkowski_metric(gauge: GaugeNorm, manifold: ChartManifold = None, name: str
 
     def jet_fn(base, vec, with_tensor):
         shape = _batch_shape(base, vec)
-        ok = np.broadcast_to(np.asarray(gauge.member(vec), dtype=bool), shape)
-        return ok, np.broadcast_to(np.asarray(gauge.value_unchecked(vec), dtype=float), shape)
+        ok, F = gauge.member_value(vec)
+        ok = np.broadcast_to(np.asarray(ok, dtype=bool), shape)
+        return ok, np.broadcast_to(np.asarray(F, dtype=float), shape)
 
     dirs = unit_directions(gauge.dimension, 64)
     full = bool(np.all(gauge.member(dirs)))
@@ -353,6 +354,23 @@ def eval_F(m: ConicMetric, v: TangentVec) -> float:
     if not np.isfinite(out):
         raise NonFiniteSample("metric value is not finite")
     return out
+
+
+def eval_F_many(m: ConicMetric, base, vec) -> np.ndarray:
+    """:func:`eval_F` over stacks of shape (K, N) in one jet call.
+
+    Raises the error :func:`eval_F` raises for the first pair it rejects.
+    """
+    base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
+    ok, F = m.jet(base, vec)
+    if m.zero_in_domain:
+        zero = np.linalg.norm(vec, axis=-1) == 0.0
+        ok, F = ok | zero, np.where(zero, 0.0, F)
+    bad = np.flatnonzero(~(ok & np.isfinite(F)))
+    if bad.size:
+        eval_F(m, TangentVec(base[bad[0]], vec[bad[0]]))
+        raise NonFiniteSample("metric value is not finite")
+    return F
 
 
 def tensor(m: ConicMetric, v: TangentVec) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -115,11 +115,16 @@ class GaugeSource(Enum):
 
 @dataclass(frozen=True)
 class GaugeNorm:
-    """A Minkowski conic pseudo-norm: positive, 1-homogeneous, smooth off 0."""
+    """A Minkowski conic pseudo-norm: positive, 1-homogeneous, smooth off 0.
+
+    ``evaluate``, when given, returns ``(member(v), value_unchecked(v))``
+    from one pass over v.
+    """
 
     domain: ConicDomainV
     value_unchecked: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     source: GaugeSource
+    evaluate: Optional[Callable[[np.ndarray], tuple]] = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -127,6 +132,12 @@ class GaugeNorm:
 
     def member(self, v) -> np.ndarray:
         return self.domain(v)
+
+    def member_value(self, v) -> tuple:
+        """Domain mask and unchecked value of v."""
+        if self.evaluate is not None:
+            return self.evaluate(v)
+        return self.member(v), self.value_unchecked(v)
 
     def value(self, v) -> float | np.ndarray:
         """Gauge value; raises OutsideCone when any input leaves the domain."""
@@ -149,16 +160,20 @@ def gauge_from_curve(curve: PolarCurve2D) -> GaugeNorm:
         _, ok = curve.angle_of(np.asarray(v, dtype=float))
         return ok
 
-    def value_unchecked(v):
+    def evaluate(v):
         v = np.asarray(v, dtype=float)
         theta, ok = curve.angle_of(v)
         with np.errstate(all="ignore"):
             rr = np.asarray(curve.r(np.where(ok, theta, np.mean(curve.theta_range) if curve.theta_range else 0.0)), dtype=float)
             out = np.linalg.norm(v, axis=-1) / rr
-        return np.where(ok, out, np.nan)
+        return ok, np.where(ok, out, np.nan)
 
-    domain = ConicDomainV(2, member)
-    return GaugeNorm(domain=domain, value_unchecked=value_unchecked, source=GaugeSource.INDICATRIX_CURVE_2D)
+    return GaugeNorm(
+        domain=ConicDomainV(2, member),
+        value_unchecked=lambda v: evaluate(v)[1],
+        source=GaugeSource.INDICATRIX_CURVE_2D,
+        evaluate=evaluate,
+    )
 
 
 def gauge_from_ball(dimension: int, member, cone: ConicDomainV) -> GaugeNorm:

@@ -18,6 +18,7 @@ from finslerkit.cli import (
     write_csv,
 )
 from finslerkit import geodesy as gd
+from finslerkit import metrics as me
 from finslerkit.errors import DomainEmpty, ParseError, ValidationError
 
 BUILTINS = [
@@ -221,6 +222,14 @@ class TestDeterminism:
         _, _, rows1 = run_command("oracle", spec, cfg)
         _, _, rows2 = run_command("oracle", spec, cfg2)
         assert rows1 != rows2
+
+    def test_geodesic_speed_column_is_pointwise_eval(self):
+        spec, cfg = parse_config(builtin_config("randers_posdep"))
+        _, header, rows = run_command("geodesic", spec, cfg)
+        m = build_metric(spec).metric
+        assert header[-1] == "F" and len(rows) == 101
+        want = [me.eval_F(m, me.TangentVec(r[1:3], r[3:5])) for r in rows]
+        assert [r[-1] for r in rows] == want
 
     def test_csv_has_17_digit_floats(self):
         buf = io.StringIO()

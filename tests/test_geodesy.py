@@ -5,7 +5,8 @@ from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
-from finslerkit.errors import DegenerateTensor, NotAdmissible
+from finslerkit.cli import MetricSpec, build_metric
+from finslerkit.errors import DegenerateTensor, LeftDomain, NotAdmissible
 
 BASE = np.zeros(2)
 
@@ -129,6 +130,118 @@ class TestGeodesicShoot:
         with pytest.raises(LeftDomain) as err:
             gd.geodesic_shoot(boxed, gd.GeodesicState([0, 0], [1.0, 0.0], 0.0), 2.0, 0.05)
         assert 0.9 < err.value.parameter <= 1.1
+
+
+RANDERS_B05 = {"type": "named", "family": "randers", "b": 0.5}
+POSDEP_TREES = {
+    "riemann_posdep": {
+        "type": "riemannian",
+        "matrix_expr": [["1+0.3*sin(x)**2", "0.1*cos(y)"], ["0.1*cos(y)", "1+0.2*cos(y)"]],
+    },
+    "tree_posdep": {
+        "type": "power_q",
+        "q": 2.0,
+        "metrics": [{"type": "reversibilize", "mode": "sum", "inner": RANDERS_B05}, RANDERS_B05],
+        "forms": [{"coeff_exprs": ["0.2*(1+0.1*sin(y))", "0.1"]}],
+    },
+}
+
+
+def _accel_reference(m, x, v, t):
+    """The per-offset acceleration: one checked tensor, then two tensor_many calls per axis."""
+    ok, _, g = m.jet(x, v, with_tensor=True)
+    g = gd._tensor_checked(ok, g, t)
+    if m.position_independent:
+        return np.zeros_like(v)
+    n = x.shape[-1]
+    h = (gd.EPS ** (1.0 / 3.0)) * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
+    rhs = np.zeros_like(v)
+    dp_dx = np.zeros(x.shape[:-1] + (n, n))
+    for a in range(n):
+        ha = h[..., 0]
+        xp = x.copy()
+        xp[..., a] += ha
+        xm = x.copy()
+        xm[..., a] -= ha
+        gp = m.tensor_many(xp, v)
+        gm = m.tensor_many(xm, v)
+        pp = 2.0 * np.einsum("...ij,...j->...i", gp, v)
+        pm = 2.0 * np.einsum("...ij,...j->...i", gm, v)
+        dp_dx[..., a, :] = (pp - pm) / (2.0 * ha[..., None])
+        lp = np.einsum("...i,...ij,...j->...", v, gp, v)
+        lm = np.einsum("...i,...ij,...j->...", v, gm, v)
+        rhs[..., a] = (lp - lm) / (2.0 * ha)
+    rhs = rhs - np.einsum("...ai,...a->...i", dp_dx, v)
+    if not np.all(np.isfinite(rhs)):
+        raise LeftDomain(f"position derivatives hit the domain boundary near {t:.6g}", parameter=t)
+    return np.linalg.solve(2.0 * g, rhs[..., None])[..., 0]
+
+
+def _boxed_posdep():
+    """A position-dependent Riemannian metric on the open square |x|, |y| < 1."""
+    atom = me.RiemannAtom(
+        metric_matrix=lambda x: (1.0 + 0.2 * np.asarray(x)[..., :1, None] ** 2) * np.eye(2)
+    )
+    chart = me.ChartManifold(
+        dimension=2, chart_member=lambda x: np.max(np.abs(np.asarray(x, float)), axis=-1) < 1.0
+    )
+    return me.riemann_metric(atom, chart)
+
+
+class TestStackedStencil:
+    @pytest.fixture(scope="class", params=["randers_posdep", *POSDEP_TREES])
+    def posdep(self, request, randers_posdep):
+        if request.param == "randers_posdep":
+            return randers_posdep
+        return build_metric(MetricSpec(tree=POSDEP_TREES[request.param], dimension=2)).metric
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_matches_per_offset_reference_bit_for_bit(self, posdep, batch):
+        rng = np.random.default_rng(batch)
+        x = rng.uniform(-0.5, 0.5, size=(batch, 2))
+        th = rng.uniform(0.0, 2.0 * np.pi, size=batch)
+        v = rng.uniform(0.8, 1.2, size=(batch, 1)) * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        assert not posdep.position_independent
+        assert np.array_equal(gd._accel(posdep, x, v, 0.3), _accel_reference(posdep, x, v, 0.3))
+
+    def test_one_top_level_jet_per_rk4_stage(self, randers_posdep, monkeypatch):
+        calls = {"accel": 0, "jet": 0}
+        state = {"inside_accel": False, "depth": 0}
+        jet, accel = me.ConicMetric.jet, gd._accel
+
+        def counting_jet(self, *args, **kwargs):
+            calls["jet"] += state["inside_accel"] and state["depth"] == 0
+            state["depth"] += 1
+            try:
+                return jet(self, *args, **kwargs)
+            finally:
+                state["depth"] -= 1
+
+        def counting_accel(*args):
+            calls["accel"] += 1
+            state["inside_accel"] = True
+            try:
+                return accel(*args)
+            finally:
+                state["inside_accel"] = False
+
+        monkeypatch.setattr(me.ConicMetric, "jet", counting_jet)
+        monkeypatch.setattr(gd, "_accel", counting_accel)
+        gd.geodesic_shoot(randers_posdep, gd.GeodesicState([0, 0], [1.0, 0.3], 0.0), 0.1, 0.01)
+        assert calls == {"accel": 40, "jet": 40}
+
+    def test_left_domain_on_position_dependent_chart(self, monkeypatch):
+        boxed = _boxed_posdep()
+        assert not boxed.position_independent
+        start = gd.GeodesicState([0, 0], [1.0, 0.0], 0.0)
+        with pytest.raises(LeftDomain) as err:
+            gd.geodesic_shoot(boxed, start, 2.0, 0.05)
+        monkeypatch.setattr(gd, "_accel", _accel_reference)
+        with pytest.raises(LeftDomain) as ref:
+            gd.geodesic_shoot(boxed, start, 2.0, 0.05)
+        assert 0.9 < err.value.parameter <= 1.1
+        assert err.value.parameter == ref.value.parameter
+        assert str(err.value) == str(ref.value)
 
 
 class TestExpMap:

@@ -4,7 +4,7 @@ import pytest
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
-from finslerkit.errors import OutsideDomain
+from finslerkit.errors import NonFiniteSample, OutsideDomain
 from finslerkit.numkernel import Definiteness, eigen_classify
 
 BASE = np.zeros(2)
@@ -45,6 +45,60 @@ class TestEvalF:
         assert me.eval_F(euclid, me.TangentVec(BASE, [0.0, 0.0])) == 0.0
         with pytest.raises(OutsideDomain):
             me.eval_F(lorentz_metric, me.TangentVec(BASE, [0.0, 0.0]))
+
+
+class TestEvalFMany:
+    def test_matches_pointwise(self, euclid, randers):
+        rng = np.random.default_rng(4)
+        bases = rng.normal(size=(9, 2))
+        vecs = rng.normal(size=(9, 2))
+        vecs[3] = 0.0
+        for m in (euclid, randers):
+            want = [me.eval_F(m, me.TangentVec(b, v)) for b, v in zip(bases, vecs)]
+            assert me.eval_F_many(m, bases, vecs).tolist() == want
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [0.0, 0.0]])
+    def test_first_rejected_pair_raises_its_pointwise_error(self, lorentz_metric, bad):
+        vecs = np.array([[0.1, 1.0], bad, [2.0, 0.0]])
+        with pytest.raises(OutsideDomain) as pointwise:
+            me.eval_F(lorentz_metric, me.TangentVec(BASE, bad))
+        with pytest.raises(OutsideDomain) as batched:
+            me.eval_F_many(lorentz_metric, BASE, vecs)
+        assert str(batched.value) == str(pointwise.value)
+
+    def test_non_finite_value(self):
+        atom = me.RiemannAtom(metric_matrix=lambda x: np.asarray(x)[..., :1, None] * np.eye(2))
+        m = me.riemann_metric(atom)
+        bases = np.array([[1.0, 0.0], [np.inf, 0.0]])
+        with pytest.raises(NonFiniteSample):
+            me.eval_F_many(m, bases, [1.0, 0.0])
+
+
+class TestGaugeOnePass:
+    def test_one_polar_angle_per_evaluation(self, lorentz_metric, monkeypatch):
+        calls = [0]
+        angle_of = mk.PolarCurve2D.angle_of
+
+        def counting(self, v):
+            calls[0] += 1
+            return angle_of(self, v)
+
+        monkeypatch.setattr(mk.PolarCurve2D, "angle_of", counting)
+        vecs = np.array([[0.1, 1.0], [0.3, 2.0], [1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]])
+        lorentz_metric.F_many(BASE, vecs)
+        assert calls[0] == 1
+        calls[0] = 0
+        lorentz_metric.tensor_many(BASE, vecs)
+        assert calls[0] == 2
+
+    @pytest.mark.parametrize("curve", [mk.lorentz_curve(), mk.spiral_curve(0.3), mk.unit_circle_curve()])
+    def test_member_value_is_member_and_value(self, curve):
+        gauge = mk.gauge_from_curve(curve)
+        vecs = np.array([[0.1, 1.0], [1.0, 0.0], [0.0, -2.0], [0.0, 0.0], [np.nan, 1.0]])
+        ok, val = gauge.member_value(vecs)
+        assert np.array_equal(ok, gauge.member(vecs))
+        assert np.array_equal(val, gauge.value_unchecked(vecs), equal_nan=True)
+        assert np.all(np.isnan(val[~ok]))
 
 
 class TestTensor:
