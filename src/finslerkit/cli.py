@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional
 
@@ -117,34 +117,37 @@ def _split_position(x: np.ndarray, dim: int):
 
 
 @dataclass(frozen=True)
-class MetricSpec:
-    """Validated declarative metric tree plus its chart dimension."""
-
-    tree: dict
-    dimension: int
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    dimension: int
-    chart_bounds: Optional[tuple] = None
-    seed: int = 0
-    tolerance: float = 1e-9
-    params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class BuiltMetric:
     """A constructed metric plus the ingredients commands may need."""
 
     metric: me.ConicMetric
     phi_parts: Optional[tuple] = None  # (F0, beta, profile) for detcheck
     strong_domain: Optional[cb.StrongDomain] = None
-    curve: Optional[mk.PolarCurve2D] = None
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """Validated declarative metric tree plus its chart dimension.
+
+    ``built`` is the metric ``parse_config`` built while validating the
+    tree; a spec made by hand leaves it empty.
+    """
+
+    tree: dict
+    dimension: int
+    built: Optional[BuiltMetric] = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    dimension: int
+    seed: int = 0
+    tolerance: float = 1e-9
+    params: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
-# Parsing and validation
+# Parsing: one walk over the metric tree validates and builds it
 # ---------------------------------------------------------------------------
 
 
@@ -153,121 +156,11 @@ def _require(cond: bool, msg: str, path: str, constraint: str = ""):
         raise ValidationError(msg, path=path, constraint=constraint)
 
 
-def _form_dimension(node: dict, path: str) -> int:
-    """Dimension of a one-form node: {'coeffs': [...]} or {'coeff_exprs': [...]}."""
-    _require(isinstance(node, dict), "one-form node must be a dict", path)
-    co = node.get("coeffs") or node.get("coeff_exprs")
-    _require(co is not None, "one-form node needs 'coeffs' or 'coeff_exprs'", path)
-    return len(co)
-
-
-def _node_dimension(node: dict, path: str) -> int:
-    t = node.get("type")
-    _require(isinstance(node, dict) and t, "metric node must be a dict with a 'type'", path)
-    if t == "euclidean":
-        return int(node.get("dimension", 2))
-    if t == "riemannian":
-        mat = node.get("matrix") or node.get("matrix_expr")
-        _require(mat is not None, "riemannian node needs 'matrix' or 'matrix_expr'", path)
-        return len(mat)
-    if t in ("oneform", "oneform_metric"):
-        co = node.get("coeffs") or node.get("coeff_exprs")
-        _require(co is not None, f"{t} node needs 'coeffs' or 'coeff_exprs'", path)
-        return len(co)
-    if t in (
-        "gauge_curve_2d",
-        "lorentz_example",
-        "spiral_example",
-        "parabola_example",
-        "sqrt_parabola_example",
-        "wavy_example",
-    ):
-        return 2
-    if t == "sum":
-        terms = node.get("terms", [])
-        _require(len(terms) >= 1, "sum needs at least one term", path)
-        dims = {_node_dimension(tm, f"{path}.terms[{i}]") for i, tm in enumerate(terms)}
-        _require(len(dims) == 1, "sum terms must share one dimension", path)
-        return dims.pop()
-    if t == "power_q":
-        mets = node.get("metrics", [])
-        _require(len(mets) >= 1, "power_q needs at least one metric", path)
-        dims = {_node_dimension(tm, f"{path}.metrics[{i}]") for i, tm in enumerate(mets)}
-        for i, fm in enumerate(node.get("forms", [])):
-            dims.add(_form_dimension(fm, f"{path}.forms[{i}]"))
-        _require(len(dims) == 1, "power_q ingredients must share one dimension", path)
-        return dims.pop()
-    if t == "phi":
-        d = _node_dimension(node.get("base", {"type": "euclidean"}), f"{path}.base")
-        _require("form" in node, "phi node needs a 'form'", path)
-        _require(
-            _form_dimension(node["form"], f"{path}.form") == d,
-            "phi base and form dimensions differ",
-            path,
-        )
-        return d
-    if t == "named":
-        base = node.get("base")
-        if base is None and "form" not in node:
-            return int(node.get("dimension", 2))
-        if base is None:
-            return _form_dimension(node["form"], f"{path}.form")
-        d = _node_dimension(base, f"{path}.base")
-        if "form" in node:
-            _require(
-                _form_dimension(node["form"], f"{path}.form") == d,
-                "named base and form dimensions differ",
-                path,
-            )
-        return d
-    if t == "f1f2":
-        d1 = _node_dimension(node.get("f1", {}), f"{path}.f1")
-        d2 = _node_dimension(node.get("f2", {}), f"{path}.f2")
-        _require(d1 == d2, "f1f2 ingredients must share one dimension", path)
-        return d1
-    if t == "reversibilize":
-        return _node_dimension(node.get("inner", {}), f"{path}.inner")
-    raise ValidationError(f"unknown metric node type {t!r}", path=path, constraint="type")
-
-
-def _validate_node(node: dict, path: str):
-    t = node.get("type")
-    if t == "named":
-        family = str(node.get("family", "")).lower()
-        _require(
-            family in ("randers", "kropina", "matsumoto", "square_over_f0", "squareoverf0"),
-            f"unknown family {node.get('family')!r}",
-            path,
-            constraint="family",
-        )
-        q = node.get("q")
-        if family == "kropina" and q is not None:
-            _require(float(q) > 0, "BadExponent: Kropina requires q > 0", path, "q")
-        if family == "matsumoto" and q is not None:
-            _require(
-                float(q) > 0 or float(q) <= -1,
-                "BadExponent: Matsumoto requires q > 0 or q <= -1",
-                path,
-                "q",
-            )
-    if t == "power_q":
-        _require(float(node.get("q", 1)) >= 1, "BadExponent: power_q requires q >= 1", path, "q")
-    if t == "spiral_example":
-        _require(0 < float(node.get("epsilon", 0.1)) < math.pi, "epsilon must be in (0, pi)", path)
-    if t == "phi":
-        prof = node.get("profile")
-        if isinstance(prof, dict) and "phi" in prof:
-            _require("interval" in prof, "custom profile needs an 'interval'", path, "interval")
-    for key in ("terms", "metrics"):
-        for i, child in enumerate(node.get(key, [])):
-            _validate_node(child, f"{path}.{key}[{i}]")
-    for key in ("base", "f1", "f2", "inner"):
-        if isinstance(node.get(key), dict):
-            _validate_node(node[key], f"{path}.{key}")
-
-
 def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
-    """Parse and validate a JSON config into (MetricSpec, RunConfig)."""
+    """Parse a JSON config into (MetricSpec, RunConfig), building the metric.
+
+    Every malformed metric node raises a ValidationError naming its path.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -275,8 +168,8 @@ def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
     if not isinstance(doc, dict) or "metric" not in doc:
         raise ValidationError("config must be an object with a 'metric' section", path="metric")
     tree = doc["metric"]
-    dim = _node_dimension(tree, "metric")
-    _validate_node(tree, "metric")
+    built = _build_node(tree, "metric")
+    dim = built.metric.dimension
 
     run = doc.get("run", {})
     if not isinstance(run, dict):
@@ -290,38 +183,32 @@ def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
         )
     tol = float(run.get("tolerance", 1e-9))
     _require(tol > 0, "tolerance must be positive", "run.tolerance", "positive")
-    bounds = run.get("chart_bounds")
-    if bounds is not None:
-        bounds = (tuple(map(float, bounds[0])), tuple(map(float, bounds[1])))
-    params = {k: v for k, v in run.items() if k not in ("dimension", "chart_bounds", "seed", "tolerance")}
-    cfg = RunConfig(
-        dimension=dim,
-        chart_bounds=bounds,
-        seed=int(run.get("seed", 0)),
-        tolerance=tol,
-        params=params,
-    )
-    return MetricSpec(tree=tree, dimension=dim), cfg
+    params = {k: v for k, v in run.items() if k not in ("dimension", "seed", "tolerance")}
+    cfg = RunConfig(dimension=dim, seed=int(run.get("seed", 0)), tolerance=tol, params=params)
+    return MetricSpec(tree=tree, dimension=dim, built=built), cfg
 
 
 def render_config(spec: MetricSpec, cfg: RunConfig) -> str:
     """Canonical JSON text whose parse reproduces (spec, cfg)."""
     run: dict = {"seed": cfg.seed, "tolerance": cfg.tolerance}
-    if cfg.chart_bounds is not None:
-        run["chart_bounds"] = [list(cfg.chart_bounds[0]), list(cfg.chart_bounds[1])]
     run.update(cfg.params)
     return json.dumps({"metric": spec.tree, "run": run}, indent=2, sort_keys=True)
 
 
-# ---------------------------------------------------------------------------
-# Metric construction from the tree
-# ---------------------------------------------------------------------------
+def build_metric(spec: MetricSpec) -> BuiltMetric:
+    """The metric of a spec: the one parse built, else built from the tree."""
+    return spec.built if spec.built is not None else _build_node(spec.tree, "metric")
 
 
-def _build_form(node: dict, dim: int, path: str) -> me.OneFormAtom:
-    if "coeffs" in node:
-        return me.constant_oneform([float(c) for c in node["coeffs"]])
-    exprs = node["coeff_exprs"]
+def _build_form(node, path: str) -> tuple[me.OneFormAtom, int]:
+    """One-form node {'coeffs': [...]} or {'coeff_exprs': [...]} and its dimension."""
+    _require(isinstance(node, dict), "one-form node must be a dict", path)
+    coeffs = node.get("coeffs")
+    if isinstance(coeffs, list) and coeffs:
+        return me.constant_oneform([float(c) for c in coeffs]), len(coeffs)
+    exprs = node.get("coeff_exprs")
+    _require(isinstance(exprs, list) and exprs, "one-form node needs 'coeffs' or 'coeff_exprs'", path)
+    dim = len(exprs)
     vars_ = _position_vars(dim)
     fns = [compile_expr(e, vars_, f"{path}.coeff_exprs[{i}]") for i, e in enumerate(exprs)]
 
@@ -330,32 +217,87 @@ def _build_form(node: dict, dim: int, path: str) -> me.OneFormAtom:
         cols = [np.broadcast_to(np.asarray(fn(*args), dtype=float), np.asarray(x)[..., 0].shape) for fn in fns]
         return np.stack(cols, axis=-1)
 
-    return me.OneFormAtom(covector=covector, constant=not any(fn.variables_used for fn in fns))
+    return me.OneFormAtom(covector=covector, constant=not any(fn.variables_used for fn in fns)), dim
+
+
+def _build_riemann(node: dict, path: str) -> me.ConicMetric:
+    rows = node.get("matrix", node.get("matrix_expr"))
+    _require(
+        isinstance(rows, list) and rows and all(isinstance(r, list) and len(r) == len(rows) for r in rows),
+        "riemannian node needs a square 'matrix' or 'matrix_expr'",
+        path,
+    )
+    dim = len(rows)
+    if "matrix" in node:
+        return me.riemann_metric(me.constant_riemann(np.asarray(rows, dtype=float)), me.whole_plane(dim))
+    vars_ = _position_vars(dim)
+    fns = [
+        [compile_expr(e, vars_, f"{path}.matrix_expr[{i}][{j}]") for j, e in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+    def metric_matrix(x):
+        args = _split_position(x, dim)
+        shape = np.asarray(x)[..., 0].shape
+        cols = [[np.broadcast_to(np.asarray(fn(*args), dtype=float), shape) for fn in row] for row in fns]
+        return np.stack([np.stack(r, axis=-1) for r in cols], axis=-2)
+
+    atom = me.RiemannAtom(
+        metric_matrix=metric_matrix,
+        constant=not any(fn.variables_used for row in fns for fn in row),
+    )
+    return me.riemann_metric(atom, me.whole_plane(dim))
+
+
+def _spiral(node: dict, path: str) -> mk.PolarCurve2D:
+    eps = float(node.get("epsilon", 0.1))
+    _require(0 < eps < math.pi, "epsilon must be in (0, pi)", path)
+    return mk.spiral_curve(eps)
+
+
+# named 2D reference gauges: node type -> indicatrix curve of (node, path)
+_EXAMPLE_CURVES = {
+    "lorentz_example": lambda node, path: mk.lorentz_curve(),
+    "spiral_example": _spiral,
+    "parabola_example": lambda node, path: mk.downward_parabola_curve(),
+    "sqrt_parabola_example": lambda node, path: mk.sqrt_parabola_curve(),
+    "wavy_example": lambda node, path: mk.wavy_curve(float(node.get("amplitude", 0.3)), int(node.get("lobes", 3))),
+}
 
 
 def _build_profile(prof, path: str) -> cb.PhiProfile:
-    if prof is None or prof == "randers":
-        return cb.randers_profile()
-    if isinstance(prof, str):
-        if prof == "kropina":
-            return cb.kropina_profile(1.0)
-        if prof == "matsumoto":
-            return cb.matsumoto_profile(1.0)
-        if prof in ("square_over_f0", "squareoverf0"):
-            return cb.square_over_f0_profile()
-        raise ValidationError(f"unknown profile {prof!r}", path=path, constraint="profile")
-    name = prof.get("name")
-    if name == "kropina":
-        return cb.kropina_profile(float(prof.get("q", 1.0)))
-    if name == "matsumoto":
-        return cb.matsumoto_profile(float(prof.get("q", 1.0)))
-    if name == "randers":
-        return cb.randers_profile()
-    if name in ("square_over_f0", "squareoverf0"):
-        return cb.square_over_f0_profile()
+    """A family name, {'name': family, 'q': q}, or a custom {'phi', 'interval'} profile."""
+    if prof is None or isinstance(prof, str):
+        name, q = "randers" if prof is None else prof, None
+    elif isinstance(prof, dict) and "name" in prof:
+        name, q = prof["name"], prof.get("q")
+    else:
+        return _custom_profile(prof, path)
+    _require(isinstance(name, str) and name in cb.FAMILIES, f"unknown profile {name!r}", path, "profile")
+    try:
+        return cb.family_profile(name, q)
+    except BadExponent as exc:
+        raise ValidationError(f"BadExponent: {exc}", path=path, constraint="q") from exc
+
+
+def _custom_profile(prof, path: str) -> cb.PhiProfile:
+    _require(
+        isinstance(prof, dict) and "phi" in prof,
+        "profile must be a family name or a dict with a 'name' or a 'phi'",
+        path,
+        "profile",
+    )
+    interval = prof.get("interval")
+    _require(
+        isinstance(interval, list) and len(interval) == 2,
+        "custom profile needs an 'interval' [lo, hi]",
+        path,
+        "interval",
+    )
     phi = compile_expr(prof["phi"], ("s",), f"{path}.phi")
-    lo, hi = (float(v) for v in prof["interval"])
+    lo, hi = (float(v) for v in interval)
     if "phi_dot" in prof:
+        _require("phi_ddot" in prof, "custom profile with 'phi_dot' needs 'phi_ddot'", path, "phi_ddot")
         phi_dot = compile_expr(prof["phi_dot"], ("s",), f"{path}.phi_dot")
         phi_ddot = compile_expr(prof["phi_ddot"], ("s",), f"{path}.phi_ddot")
     else:
@@ -371,118 +313,112 @@ def _build_profile(prof, path: str) -> cb.PhiProfile:
     return cb.PhiProfile(phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot, intervals=((lo, hi),), name="custom")
 
 
-def build_metric(spec: MetricSpec) -> BuiltMetric:
-    """Instantiate the metric described by a validated tree."""
-    return _build_node(spec.tree, "metric")
+def _metric_at(node, path: str) -> me.ConicMetric:
+    return _build_node(node, path).metric
 
 
-def _build_node(node: dict, path: str) -> BuiltMetric:
+def _child(node: dict, key: str, path: str) -> me.ConicMetric:
+    return _metric_at(node.get(key), f"{path}.{key}")
+
+
+def _each(node: dict, key: str, path: str, build) -> list:
+    items = node.get(key, [])
+    _require(isinstance(items, list), f"'{key}' must be a list", f"{path}.{key}")
+    return [build(item, f"{path}.{key}[{i}]") for i, item in enumerate(items)]
+
+
+def _base_and_form(node: dict, path: str) -> tuple[me.ConicMetric, me.OneFormAtom]:
+    """Base metric (Euclidean when absent) and one-form of a profile node.
+
+    A ``named`` node may omit the form: it is then ``b`` times dx^1.
+    """
+    base = None if node.get("base") is None else _child(node, "base", path)
+    if node["type"] == "phi" or "form" in node:
+        form, dim = _build_form(node.get("form"), f"{path}.form")
+    else:
+        dim = int(node.get("dimension", 2)) if base is None else base.dimension
+        _require(dim >= 1, "dimension must be at least 1", path, "dimension")
+        coeffs = np.zeros(dim)
+        coeffs[0] = float(node.get("b", 0.5))
+        form = me.constant_oneform(coeffs)
+    if base is None:
+        base = me.euclidean_metric(dim)
+    _require(base.dimension == dim, f"{node['type']} base and form dimensions differ", path)
+    return base, form
+
+
+def _build_node(node, path: str) -> BuiltMetric:
+    """Validate and build one metric node; a malformed node raises a
+    ValidationError naming its config path.  Dimensions come from the
+    built children."""
+    _require(
+        isinstance(node, dict) and isinstance(node.get("type"), str),
+        "metric node must be a dict with a 'type'",
+        path,
+    )
     t = node["type"]
-    dim = _node_dimension(node, path)
     if t == "euclidean":
+        dim = int(node.get("dimension", 2))
+        _require(dim >= 1, "dimension must be at least 1", path, "dimension")
         return BuiltMetric(metric=me.euclidean_metric(dim))
     if t == "riemannian":
-        if "matrix" in node:
-            atom = me.constant_riemann(np.asarray(node["matrix"], dtype=float))
-        else:
-            exprs = node["matrix_expr"]
-            vars_ = _position_vars(dim)
-            fns = [
-                [compile_expr(e, vars_, f"{path}.matrix_expr[{i}][{j}]") for j, e in enumerate(row)]
-                for i, row in enumerate(exprs)
-            ]
-
-            def metric_matrix(x):
-                args = _split_position(x, dim)
-                shape = np.asarray(x)[..., 0].shape
-                rows = [
-                    [np.broadcast_to(np.asarray(fn(*args), dtype=float), shape) for fn in row]
-                    for row in fns
-                ]
-                return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-            atom = me.RiemannAtom(
-                metric_matrix=metric_matrix,
-                constant=not any(fn.variables_used for row in fns for fn in row),
-            )
-        return BuiltMetric(metric=me.riemann_metric(atom, me.whole_plane(dim)))
+        return BuiltMetric(metric=_build_riemann(node, path))
     if t == "oneform_metric":
-        form = _build_form(node, dim, path)
+        form, dim = _build_form(node, path)
         return BuiltMetric(metric=me.oneform_metric(form, me.whole_plane(dim)))
     if t == "gauge_curve_2d":
+        _require("r" in node, "gauge_curve_2d node needs 'r'", path)
         r_fn = compile_expr(node["r"], ("theta",), f"{path}.r")
         interval = node.get("interval")
         curve = mk.polar_curve(
             lambda th: np.asarray(r_fn(np.asarray(th, dtype=float)), dtype=float),
             theta_range=None if interval is None else (float(interval[0]), float(interval[1])),
         )
-        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve)), curve=curve)
-    if t == "lorentz_example":
-        curve = mk.lorentz_curve()
-        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve), name="lorentz"), curve=curve)
-    if t == "spiral_example":
-        curve = mk.spiral_curve(float(node.get("epsilon", 0.1)))
-        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve), name="spiral"), curve=curve)
-    if t == "parabola_example":
-        curve = mk.downward_parabola_curve()
-        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve), name="parabola"), curve=curve)
-    if t == "sqrt_parabola_example":
-        curve = mk.sqrt_parabola_curve()
-        return BuiltMetric(
-            metric=me.minkowski_metric(mk.gauge_from_curve(curve), name="sqrt_parabola"), curve=curve
-        )
-    if t == "wavy_example":
-        curve = mk.wavy_curve(float(node.get("amplitude", 0.3)), int(node.get("lobes", 3)))
-        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve), name="wavy"), curve=curve)
+        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve)))
+    if t in _EXAMPLE_CURVES:
+        curve = _EXAMPLE_CURVES[t](node, path)
+        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve), name=t[: -len("_example")]))
     if t == "sum":
-        mets = [_build_node(c, f"{path}.terms[{i}]").metric for i, c in enumerate(node["terms"])]
+        mets = _each(node, "terms", path, _metric_at)
+        _require(len(mets) >= 1, "sum needs at least one term", path)
+        _require(len({m.dimension for m in mets}) == 1, "sum terms must share one dimension", path)
         return BuiltMetric(metric=cb.combine(cb.sum_combiner(len(mets)), mets, []))
     if t == "power_q":
-        mets = [_build_node(c, f"{path}.metrics[{i}]").metric for i, c in enumerate(node["metrics"])]
-        forms = [
-            _build_form(c, dim, f"{path}.forms[{i}]") for i, c in enumerate(node.get("forms", []))
-        ]
+        mets = _each(node, "metrics", path, _metric_at)
+        _require(len(mets) >= 1, "power_q needs at least one metric", path)
+        forms = _each(node, "forms", path, _build_form)
+        dims = {m.dimension for m in mets} | {d for _, d in forms}
+        _require(len(dims) == 1, "power_q ingredients must share one dimension", path)
+        _require("q" in node, "power_q node needs 'q'", path, "q")
         try:
-            return BuiltMetric(metric=cb.power_q_combine(mets, forms, float(node["q"])))
+            return BuiltMetric(metric=cb.power_q_combine(mets, [f for f, _ in forms], float(node["q"])))
         except BadExponent as exc:
             raise ValidationError(f"BadExponent: {exc}", path=path, constraint="q") from exc
     if t == "phi":
-        base = _build_node(node.get("base", {"type": "euclidean", "dimension": dim}), f"{path}.base")
-        form = _build_form(node["form"], dim, f"{path}.form")
+        base, form = _base_and_form(node, path)
         profile = _build_profile(node.get("profile"), f"{path}.profile")
-        metric = cb.phi_combine(base.metric, form, profile)
-        return BuiltMetric(metric=metric, phi_parts=(base.metric, form, profile))
+        return BuiltMetric(metric=cb.phi_combine(base, form, profile), phi_parts=(base, form, profile))
     if t == "named":
-        base_node = node.get("base", {"type": "euclidean", "dimension": dim})
-        base = _build_node(base_node, f"{path}.base")
-        if "form" in node:
-            form = _build_form(node["form"], dim, f"{path}.form")
-        else:
-            coeffs = np.zeros(dim)
-            coeffs[0] = float(node.get("b", 0.5))
-            form = me.constant_oneform(coeffs)
-        family = str(node["family"]).lower()
-        q = node.get("q")
+        family = str(node.get("family", "")).lower()
+        _require(family in cb.FAMILIES, f"unknown family {node.get('family')!r}", path, "family")
+        base, form = _base_and_form(node, path)
         try:
-            metric, strong = cb.named_family(family, base.metric, form, None if q is None else float(q))
+            profile = cb.family_profile(family, node.get("q"))
         except BadExponent as exc:
             raise ValidationError(f"BadExponent: {exc}", path=path, constraint="q") from exc
-        profile = {
-            "randers": cb.randers_profile,
-            "kropina": lambda: cb.kropina_profile(1.0 if q is None else float(q)),
-            "matsumoto": lambda: cb.matsumoto_profile(1.0 if q is None else float(q)),
-            "square_over_f0": cb.square_over_f0_profile,
-            "squareoverf0": cb.square_over_f0_profile,
-        }[family]()
-        return BuiltMetric(metric=metric, phi_parts=(base.metric, form, profile), strong_domain=strong)
+        metric, strong = cb.named_family(family, base, form, node.get("q"))
+        return BuiltMetric(metric=metric, phi_parts=(base, form, profile), strong_domain=strong)
     if t == "f1f2":
-        f1 = _build_node(node["f1"], f"{path}.f1").metric
-        f2 = _build_node(node["f2"], f"{path}.f2").metric
+        f1, f2 = _child(node, "f1", path), _child(node, "f2", path)
+        _require(f1.dimension == f2.dimension, "f1f2 ingredients must share one dimension", path)
         profile = _build_profile(node.get("profile"), f"{path}.profile")
         return BuiltMetric(metric=cb.f1f2_combine(f1, f2, profile))
     if t == "reversibilize":
-        inner = _build_node(node["inner"], f"{path}.inner").metric
-        return BuiltMetric(metric=cb.reversibilize(inner, str(node.get("mode", "sum"))))
+        inner = _child(node, "inner", path)
+        try:
+            return BuiltMetric(metric=cb.reversibilize(inner, str(node.get("mode", "sum"))))
+        except ValueError as exc:
+            raise ValidationError(str(exc), path=path, constraint="mode") from exc
     raise ValidationError(f"unknown metric node type {t!r}", path=path, constraint="type")
 
 
@@ -790,9 +726,9 @@ def main(argv=None) -> int:
             text = fh.read()
         spec, cfg = parse_config(text)
         if args.seed is not None:
-            cfg = RunConfig(cfg.dimension, cfg.chart_bounds, args.seed, cfg.tolerance, cfg.params)
+            cfg = replace(cfg, seed=args.seed)
         if args.tolerance is not None:
-            cfg = RunConfig(cfg.dimension, cfg.chart_bounds, cfg.seed, args.tolerance, cfg.params)
+            cfg = replace(cfg, tolerance=args.tolerance)
         summary, header, rows = run_command(args.command, spec, cfg)
     except FinslerError as exc:
         code = 2 if exc.code in DOMAIN_CODES else 3

@@ -425,86 +425,18 @@ def combine(
 def power_q_combine(
     metrics: Sequence[ConicMetric], forms: Sequence[OneFormAtom], q: float
 ) -> ConicMetric:
-    """q-power combination with the explicit closed-form tensor.
+    """q-power combination F = (sum F_k^q + sum |beta_mu|^q)^(1/q).
 
-    The tensor here is written out term by term (angular parts, the
-    pairwise difference squares and the rank-one head), independently of
-    the generic Hessian assembly in :func:`combine`; the two routes are
-    cross-checked in the tests.
+    Built as ``combine(power_combiner(n, m, q), metrics, forms)``, so its
+    tensor is the generic Hessian assembly; the tests cross-check it with
+    the tensor written out term by term.
     """
-    if q < 1.0:
-        raise BadExponent("power combination requires q >= 1")
     metrics = list(metrics)
     forms = list(forms)
+    combiner = power_combiner(len(metrics), len(forms), q)
     if not metrics:
         raise BadExponent("power combination needs at least one metric (n >= 1)")
-    man = _shared_manifold(metrics)
-    n, mm = len(metrics), len(forms)
-
-    def jet_fn(base, vec, with_tensor):
-        if with_tensor:
-            base, vec = np.broadcast_arrays(base, vec)
-        kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]
-        bcoefs = [fm.coeffs(base) for fm in forms]
-        betas = [_pair(b, vec) for b in bcoefs]
-        ok = True
-        total = 0.0
-        for kid in kids:
-            ok = ok & kid[0]
-            total = total + kid[1] ** q
-        for bv in betas:
-            total = total + np.abs(bv) ** q
-            if q < 2.0:
-                ok = ok & (np.abs(bv) > 0.0)
-        if not with_tensor:
-            return ok, total ** (1.0 / q)
-        Fs, us, hs, a_vecs = [], [], [], []
-        for kid in kids:
-            Fk, uk, hk = _pieces(kid, vec)
-            Fs.append(Fk)
-            us.append(uk)
-            hs.append(hk)
-            a_vecs.append(uk / (Fk * Fk)[..., None])
-        bcoefs = [np.broadcast_to(b, vec.shape) for b in bcoefs]
-
-        R = sum(Fk**q for Fk in Fs) + sum(np.abs(bv) ** q for bv in betas)
-        R = R ** (1.0 / q)
-
-        def outer(w):
-            return w[..., :, None] * w[..., None, :]
-
-        T = np.zeros(vec.shape + (vec.shape[-1],))
-        for Fk, hk in zip(Fs, hs):
-            T = T + (R**q * Fk ** (q - 2.0))[..., None, None] * hk
-        if q != 1.0:
-            for k in range(n):
-                for l in range(k + 1, n):
-                    coef = (q - 1.0) * (Fs[k] * Fs[l]) ** q
-                    T = T + coef[..., None, None] * outer(a_vecs[k] - a_vecs[l])
-            for mu in range(mm):
-                for nu in range(mu + 1, mm):
-                    coef = (q - 1.0) * np.abs(betas[mu] * betas[nu]) ** (q - 2.0)
-                    w = betas[nu][..., None] * bcoefs[mu] - betas[mu][..., None] * bcoefs[nu]
-                    T = T + coef[..., None, None] * outer(w)
-            for k in range(n):
-                for mu in range(mm):
-                    coef = (q - 1.0) * Fs[k] ** q * np.abs(betas[mu]) ** (q - 2.0)
-                    w = betas[mu][..., None] * a_vecs[k] - bcoefs[mu]
-                    T = T + coef[..., None, None] * outer(w)
-        head = np.zeros(vec.shape)
-        for Fk, uk in zip(Fs, us):
-            head = head + (Fk ** (q - 2.0))[..., None] * uk
-        for bv, bc in zip(betas, bcoefs):
-            head = head + (np.abs(bv) ** (q - 2.0) * bv)[..., None] * bc
-        T = T + outer(head)
-        return ok, total ** (1.0 / q), T / (R ** (2.0 * q - 2.0))[..., None, None]
-
-    return _combined(
-        man,
-        jet_fn,
-        all(mk.position_independent for mk in metrics) and all(fm.constant for fm in forms),
-        f"power[q={q:g}]({', '.join(mk.name for mk in metrics)})",
-    )
+    return combine(combiner, metrics, forms)
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +451,23 @@ def _profile_jet(profile: PhiProfile, ok, F, s):
     return ok & inside, F * p
 
 
-def _profile_coefs(profile: PhiProfile, s):
-    """(phi1, phi2, psi, psi') at the ratio s."""
-    return tuple(np.asarray(f(s), float) for f in (profile.phi1, profile.phi2, profile.psi, profile.psi_dot))
+def _profile_terms(profile: PhiProfile, s, jet, vec, w):
+    """Tensor terms of F = F_a * phi(s) from the first ingredient's jet.
+
+    ``w`` is the fiber gradient of the second ingredient: the one-form's
+    coefficients b, or u_b / F_b for a second metric.  Returns
+    (phi1 h_a, psi', quad / (2 psi)): twice the tensor is the first plus the
+    last, plus (F_a / F_b) psi' h_b when the second ingredient is a metric.
+    """
+    F, u, h = _pieces(jet, vec)
+    p1, p2, ps, psd = (
+        np.asarray(f(s), float) for f in (profile.phi1, profile.phi2, profile.psi, profile.psi_dot)
+    )
+    un = u / F[..., None]
+    c1 = s[..., None] * un - w
+    c2 = p1[..., None] * un + psd[..., None] * w
+    quad = p2[..., None, None] * c1[..., :, None] * c1[..., None, :] + c2[..., :, None] * c2[..., None, :]
+    return p1[..., None, None] * h, psd, (0.5 / ps)[..., None, None] * quad
 
 
 def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> ConicMetric:
@@ -536,14 +482,8 @@ def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> Coni
         ok, val = _profile_jet(profile, kid[0], kid[1], s)
         if not with_tensor:
             return ok, val
-        F, u, h = _pieces(kid, vec)
-        b = np.broadcast_to(b, vec.shape)
-        p1, p2, ps, psd = _profile_coefs(profile, s)
-        un = u / F[..., None]
-        c1 = s[..., None] * un - b
-        c2 = p1[..., None] * un + psd[..., None] * b
-        quad = p2[..., None, None] * c1[..., :, None] * c1[..., None, :] + c2[..., :, None] * c2[..., None, :]
-        return ok, val, 0.5 * (p1[..., None, None] * h + (0.5 / ps)[..., None, None] * quad)
+        lead, _, tail = _profile_terms(profile, s, kid, vec, np.broadcast_to(b, vec.shape))
+        return ok, val, 0.5 * (lead + tail)
 
     return _combined(
         F0.manifold,
@@ -566,19 +506,9 @@ def f1f2_combine(F1: ConicMetric, F2: ConicMetric, profile: PhiProfile) -> Conic
         ok, val = _profile_jet(profile, ja[0] & jb[0], ja[1], s)
         if not with_tensor:
             return ok, val
-        Fa, ua, ha = _pieces(ja, vec)
         Fb, ub, hb = _pieces(jb, vec)
-        p1, p2, ps, psd = _profile_coefs(profile, s)
-        una = ua / Fa[..., None]
-        unb = ub / Fb[..., None]
-        c1 = s[..., None] * una - unb
-        c2 = p1[..., None] * una + psd[..., None] * unb
-        quad = p2[..., None, None] * c1[..., :, None] * c1[..., None, :] + c2[..., :, None] * c2[..., None, :]
-        return ok, val, 0.5 * (
-            p1[..., None, None] * ha
-            + ((Fa / Fb) * psd)[..., None, None] * hb
-            + (0.5 / ps)[..., None, None] * quad
-        )
+        lead, psd, tail = _profile_terms(profile, s, ja, vec, ub / Fb[..., None])
+        return ok, val, 0.5 * (lead + ((ja[1] / Fb) * psd)[..., None, None] * hb + tail)
 
     return _combined(
         man,
@@ -603,32 +533,43 @@ class StrongDomain:
         return bool(self.many(v.base, v.vec))
 
 
+def _matsumoto_strong(F, bv, q):
+    return (F - (q + 1.0) * bv) * (F - bv) > 0.0
+
+
+# name -> (profile factory of the exponent q, extra strong-convexity test on
+# (F0, beta, q) or None where the whole domain is strongly convex)
+FAMILIES = {
+    "randers": (lambda q: randers_profile(), None),
+    "kropina": (kropina_profile, None),
+    "matsumoto": (matsumoto_profile, _matsumoto_strong),
+    "square_over_f0": (lambda q: square_over_f0_profile(), None),
+    "squareoverf0": (lambda q: square_over_f0_profile(), None),
+}
+
+
+def family_profile(name: str, q: float | None = None) -> PhiProfile:
+    """Profile of a family in ``FAMILIES``; the exponent q defaults to 1."""
+    return FAMILIES[name][0](1.0 if q is None else float(q))
+
+
 def named_family(
     name: str, F0: ConicMetric, beta: OneFormAtom, q: float | None = None
 ) -> tuple[ConicMetric, StrongDomain]:
     """Build a classical (F0, beta) family plus its strong-convexity domain."""
     key = name.lower()
-    if key == "randers":
-        metric = phi_combine(F0, beta, randers_profile())
+    if key not in FAMILIES:
+        raise BadExponent(f"unknown family {name!r}")
+    qq = 1.0 if q is None else float(q)
+    metric = phi_combine(F0, beta, family_profile(key, qq))
+    strong = FAMILIES[key][1]
+    if strong is None:
         return metric, StrongDomain(many=metric.in_domain_many)
-    if key == "kropina":
-        qq = 1.0 if q is None else float(q)
-        metric = phi_combine(F0, beta, kropina_profile(qq))
-        return metric, StrongDomain(many=metric.in_domain_many)
-    if key == "matsumoto":
-        qq = 1.0 if q is None else float(q)
-        metric = phi_combine(F0, beta, matsumoto_profile(qq))
 
-        def strong_many(base, vec):
-            F = F0.F_many(base, vec)
-            bv = beta.pair(base, vec)
-            return metric.in_domain_many(base, vec) & ((F - (qq + 1.0) * bv) * (F - bv) > 0.0)
+    def strong_many(base, vec):
+        return metric.in_domain_many(base, vec) & strong(F0.F_many(base, vec), beta.pair(base, vec), qq)
 
-        return metric, StrongDomain(many=strong_many)
-    if key in ("squareoverf0", "square_over_f0"):
-        metric = phi_combine(F0, beta, square_over_f0_profile())
-        return metric, StrongDomain(many=metric.in_domain_many)
-    raise BadExponent(f"unknown family {name!r}")
+    return metric, StrongDomain(many=strong_many)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,6 @@ def polar_curve(r, r_dot=None, r_ddot=None, theta_range=None) -> PolarCurve2D:
 
 class GaugeSource(Enum):
     INDICATRIX_CURVE_2D = "IndicatrixCurve2D"
-    CLOSED_FORM = "ClosedFormExpression"
     BALL_MEMBERSHIP = "BallMembershipPredicate"
 
 
@@ -212,19 +211,6 @@ def gauge_from_ball(dimension: int, member, cone: ConicDomainV) -> GaugeNorm:
         return out.reshape(v.shape[:-1])
 
     return GaugeNorm(domain=cone, value_unchecked=value_unchecked, source=GaugeSource.BALL_MEMBERSHIP)
-
-
-def gauge_from_function(dimension: int, value, member=None) -> GaugeNorm:
-    """Gauge from an explicit closed-form positively homogeneous expression."""
-    domain = whole_space_domain(dimension) if member is None else ConicDomainV(dimension, member)
-
-    def value_unchecked(v):
-        v = np.asarray(v, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.asarray(value(v), dtype=float)
-        return np.where(domain(v), out, np.nan)
-
-    return GaugeNorm(domain=domain, value_unchecked=value_unchecked, source=GaugeSource.CLOSED_FORM)
 
 
 def curve_convexity(curve: PolarCurve2D, theta: float) -> float:

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from finslerkit.cli import (
     COMMANDS,
     BuiltMetric,
     MetricSpec,
-    RunConfig,
     build_metric,
     builtin_config,
     main,
@@ -17,6 +17,7 @@ from finslerkit.cli import (
     run_command,
     write_csv,
 )
+from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit.errors import DomainEmpty, ParseError, ValidationError
@@ -102,6 +103,104 @@ class TestParseConfig:
         spec, _ = parse_config(builtin_config(name))
         built = build_metric(spec)
         assert built.metric.dimension == spec.dimension
+
+
+class TestMalformedConfig:
+    """Every malformed metric tree is a ValidationError at parse time, with its path."""
+
+    FORM = {"coeffs": [0.5, 0.0]}
+
+    @pytest.mark.parametrize(
+        "tree, path",
+        [
+            ([1], "metric"),
+            ({"type": "sum", "terms": [5]}, "metric.terms[0]"),
+            ({"type": "f1f2", "f1": {"type": "euclidean"}, "f2": [2]}, "metric.f2"),
+            ({"type": "power_q", "metrics": [{"type": "euclidean"}]}, "metric"),
+            (
+                {"type": "phi", "form": FORM, "profile": {"phi": "1+s", "phi_dot": "1", "interval": [-1, 9]}},
+                "metric.profile",
+            ),
+            ({"type": "phi", "form": FORM, "profile": {"name": "finsler"}}, "metric.profile"),
+            ({"type": "phi", "form": FORM, "profile": {"name": "kropina", "q": -1}}, "metric.profile"),
+            ({"type": "phi", "profile": "randers"}, "metric.form"),
+            ({"type": "oneform", "coeffs": [0.0, 1.0]}, "metric"),
+            ({"type": "named", "family": "randers", "dimension": 0}, "metric"),
+            (
+                {"type": "named", "family": "randers", "base": {"type": "euclidean", "dimension": 3}, "form": FORM},
+                "metric",
+            ),
+        ],
+        ids=[
+            "list_node",
+            "int_term",
+            "list_f2",
+            "power_q_without_q",
+            "phi_dot_without_phi_ddot",
+            "unknown_profile_name",
+            "bad_profile_exponent",
+            "phi_without_form",
+            "oneform_type",
+            "named_dimension_zero",
+            "base_form_dimensions",
+        ],
+    )
+    def test_error_names_path(self, tree, path):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"metric": tree}))
+        assert err.value.path == path
+
+    def test_phi_base_defaults_to_form_dimension(self):
+        form = {"coeffs": [0.3, 0.0, 0.1]}
+        phi, _ = parse_config(json.dumps({"metric": {"type": "phi", "form": form}}))
+        named, _ = parse_config(json.dumps({"metric": {"type": "named", "family": "randers", "form": form}}))
+        assert phi.dimension == named.dimension == 3
+        vs = np.random.default_rng(2).normal(size=(20, 3))
+        F = [build_metric(spec).metric.F_many(np.zeros(3), vs) for spec in (phi, named)]
+        assert np.array_equal(F[0], F[1])
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", sorted(cb.FAMILIES))
+    def test_every_route_builds_named_family(self, family):
+        form = {"coeffs": [0.3, 0.1]}
+        routes = {
+            None: [
+                {"type": "named", "family": family, "form": form},
+                {"type": "phi", "profile": family, "form": form},
+                {"type": "phi", "profile": {"name": family}, "form": form},
+            ],
+            2.0: [
+                {"type": "named", "family": family, "q": 2.0, "form": form},
+                {"type": "phi", "profile": {"name": family, "q": 2.0}, "form": form},
+            ],
+        }
+        vs = np.random.default_rng(4).normal(size=(50, 2))
+        base = np.zeros(2)
+        for q, trees in routes.items():
+            want, _ = cb.named_family(family, me.euclidean_metric(2), me.constant_oneform([0.3, 0.1]), q)
+            ok, F = want.jet(base, vs)
+            assert ok.any()
+            for tree in trees:
+                spec, _ = parse_config(json.dumps({"metric": tree}))
+                got_ok, got_F = build_metric(spec).metric.jet(base, vs)
+                assert np.array_equal(got_ok, ok) and np.array_equal(got_F, F, equal_nan=True), tree
+
+
+class TestOneBuild:
+    def test_run_command_reuses_the_parsed_metric(self, monkeypatch):
+        calls = []
+        combined = cb._combined
+
+        def counting(*args, **kwargs):
+            calls.append(args[-1])
+            return combined(*args, **kwargs)
+
+        monkeypatch.setattr(cb, "_combined", counting)
+        spec, cfg = parse_config(builtin_config("f1f2_matsumoto"))
+        parsed = len(calls)
+        run_command("oracle", spec, cfg)
+        assert parsed == 1 and len(calls) == parsed
 
 
 class TestRunCommand:
@@ -218,7 +317,7 @@ class TestDeterminism:
 
     def test_seed_changes_samples(self):
         spec, cfg = parse_config(builtin_config("randers"))
-        cfg2 = RunConfig(cfg.dimension, cfg.chart_bounds, cfg.seed + 1, cfg.tolerance, cfg.params)
+        cfg2 = replace(cfg, seed=cfg.seed + 1)
         _, _, rows1 = run_command("oracle", spec, cfg)
         _, _, rows2 = run_command("oracle", spec, cfg2)
         assert rows1 != rows2

@@ -262,40 +262,147 @@ class TestConditionsABC:
             checked += 1
 
 
+def power_q_reference(metrics, forms, q):
+    """q-power combination with its tensor written out term by term.
+
+    Angular parts, the pairwise difference squares and the rank-one head,
+    independently of the generic Hessian assembly in ``combine``.
+    """
+    if q < 1.0:
+        raise BadExponent("power combination requires q >= 1")
+    metrics = list(metrics)
+    forms = list(forms)
+    if not metrics:
+        raise BadExponent("power combination needs at least one metric (n >= 1)")
+    man = cb._shared_manifold(metrics)
+    n, mm = len(metrics), len(forms)
+
+    def jet_fn(base, vec, with_tensor):
+        if with_tensor:
+            base, vec = np.broadcast_arrays(base, vec)
+        kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]
+        bcoefs = [fm.coeffs(base) for fm in forms]
+        betas = [cb._pair(b, vec) for b in bcoefs]
+        ok = True
+        total = 0.0
+        for kid in kids:
+            ok = ok & kid[0]
+            total = total + kid[1] ** q
+        for bv in betas:
+            total = total + np.abs(bv) ** q
+            if q < 2.0:
+                ok = ok & (np.abs(bv) > 0.0)
+        if not with_tensor:
+            return ok, total ** (1.0 / q)
+        Fs, us, hs, a_vecs = [], [], [], []
+        for kid in kids:
+            Fk, uk, hk = cb._pieces(kid, vec)
+            Fs.append(Fk)
+            us.append(uk)
+            hs.append(hk)
+            a_vecs.append(uk / (Fk * Fk)[..., None])
+        bcoefs = [np.broadcast_to(b, vec.shape) for b in bcoefs]
+
+        R = sum(Fk**q for Fk in Fs) + sum(np.abs(bv) ** q for bv in betas)
+        R = R ** (1.0 / q)
+
+        def outer(w):
+            return w[..., :, None] * w[..., None, :]
+
+        T = np.zeros(vec.shape + (vec.shape[-1],))
+        for Fk, hk in zip(Fs, hs):
+            T = T + (R**q * Fk ** (q - 2.0))[..., None, None] * hk
+        if q != 1.0:
+            for k in range(n):
+                for l in range(k + 1, n):
+                    coef = (q - 1.0) * (Fs[k] * Fs[l]) ** q
+                    T = T + coef[..., None, None] * outer(a_vecs[k] - a_vecs[l])
+            for mu in range(mm):
+                for nu in range(mu + 1, mm):
+                    coef = (q - 1.0) * np.abs(betas[mu] * betas[nu]) ** (q - 2.0)
+                    w = betas[nu][..., None] * bcoefs[mu] - betas[mu][..., None] * bcoefs[nu]
+                    T = T + coef[..., None, None] * outer(w)
+            for k in range(n):
+                for mu in range(mm):
+                    coef = (q - 1.0) * Fs[k] ** q * np.abs(betas[mu]) ** (q - 2.0)
+                    w = betas[mu][..., None] * a_vecs[k] - bcoefs[mu]
+                    T = T + coef[..., None, None] * outer(w)
+        head = np.zeros(vec.shape)
+        for Fk, uk in zip(Fs, us):
+            head = head + (Fk ** (q - 2.0))[..., None] * uk
+        for bv, bc in zip(betas, bcoefs):
+            head = head + (np.abs(bv) ** (q - 2.0) * bv)[..., None] * bc
+        T = T + outer(head)
+        return ok, total ** (1.0 / q), T / (R ** (2.0 * q - 2.0))[..., None, None]
+
+    return cb._combined(
+        man,
+        jet_fn,
+        all(mk.position_independent for mk in metrics) and all(fm.constant for fm in forms),
+        f"power[q={q:g}]({', '.join(mk.name for mk in metrics)})",
+    )
+
+
+POWER_Q_ROUTES = (cb.power_q_combine, power_q_reference)
+
+
 class TestPowerQ:
+    """Each exactness check runs on the production route and on the reference."""
+
     def test_single_metric_unchanged(self):
         E = euclid()
-        for q in (1.0, 2.0, 3.0):
-            m = cb.power_q_combine([E], [], q)
-            v = np.array([0.3, 0.4])
-            assert float(m.F_many(BASE, v)) == pytest.approx(0.5)
-            assert np.allclose(m.tensor_many(BASE, v), np.eye(2), atol=1e-10)
+        for route in POWER_Q_ROUTES:
+            for q in (1.0, 2.0, 3.0):
+                m = route([E], [], q)
+                v = np.array([0.3, 0.4])
+                assert float(m.F_many(BASE, v)) == pytest.approx(0.5)
+                assert np.allclose(m.tensor_many(BASE, v), np.eye(2), atol=1e-10)
 
     def test_two_euclideans_q2(self):
-        m = cb.power_q_combine([euclid(), euclid()], [], 2.0)
-        v = np.array([1.0, 0.0])
-        assert float(m.F_many(BASE, v)) == pytest.approx(np.sqrt(2.0))
-        assert np.allclose(m.tensor_many(BASE, v), 2.0 * np.eye(2), atol=1e-12)
+        for route in POWER_Q_ROUTES:
+            m = route([euclid(), euclid()], [], 2.0)
+            v = np.array([1.0, 0.0])
+            assert float(m.F_many(BASE, v)) == pytest.approx(np.sqrt(2.0))
+            assert np.allclose(m.tensor_many(BASE, v), 2.0 * np.eye(2), atol=1e-12)
 
     def test_q1_with_form_is_randers_like(self):
         E = euclid()
         beta = me.constant_oneform([0.5, 0.0])
-        m = cb.power_q_combine([E], [beta], 1.0)
-        assert oracle_gap(m, count=60, seed=4, margin_fn=lambda v: abs(v[0]) > 0.25) < 1e-6
+        for route in POWER_Q_ROUTES:
+            m = route([E], [beta], 1.0)
+            assert oracle_gap(m, count=60, seed=4, margin_fn=lambda v: abs(v[0]) > 0.25) < 1e-6
 
     def test_exponent_validation(self):
-        with pytest.raises(BadExponent):
-            cb.power_q_combine([euclid()], [], 0.5)
-        with pytest.raises(BadExponent):
-            cb.power_q_combine([], [me.constant_oneform([1.0, 0.0])], 2.0)
+        for route in POWER_Q_ROUTES:
+            with pytest.raises(BadExponent):
+                route([euclid()], [], 0.5)
+            with pytest.raises(BadExponent):
+                route([], [me.constant_oneform([1.0, 0.0])], 2.0)
 
     def test_low_q_excludes_form_kernel(self):
         E = euclid()
         beta = me.constant_oneform([0.5, 0.0])
-        m = cb.power_q_combine([E], [beta], 1.5)
-        assert not bool(m.in_domain_many(BASE, np.array([0.0, 1.0])))
-        m2 = cb.power_q_combine([E], [beta], 2.0)
-        assert bool(m2.in_domain_many(BASE, np.array([0.0, 1.0])))
+        for route in POWER_Q_ROUTES:
+            m = route([E], [beta], 1.5)
+            assert not bool(m.in_domain_many(BASE, np.array([0.0, 1.0])))
+            m2 = route([E], [beta], 2.0)
+            assert bool(m2.in_domain_many(BASE, np.array([0.0, 1.0])))
+
+    @pytest.mark.parametrize("with_forms", [False, True], ids=["metrics", "metrics+forms"])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    def test_generic_assembly_matches_reference(self, q, with_forms):
+        rd, _ = cb.named_family("randers", euclid(), me.constant_oneform([0.5, 0.0]))
+        metrics = [cb.reversibilize(rd, "sum"), rd, euclid()]
+        forms = [me.constant_oneform([0.2, 0.1]), me.constant_oneform([-0.1, 0.3])] if with_forms else []
+        rng = np.random.default_rng(int(10 * q) + with_forms)
+        base = rng.uniform(-1.0, 1.0, size=(200, 2))
+        vec = rng.normal(size=(200, 2))
+        ok, F, g = cb.combine(cb.power_combiner(3, len(forms), q), metrics, forms).jet(base, vec, with_tensor=True)
+        ok_ref, F_ref, g_ref = power_q_reference(metrics, forms, q).jet(base, vec, with_tensor=True)
+        assert np.array_equal(ok, ok_ref) and ok.sum() > 150
+        assert np.allclose(F[ok], F_ref[ok], rtol=1e-10, atol=0.0)
+        scale = np.maximum(1.0, np.max(np.abs(g_ref[ok]), axis=(-2, -1)))
+        assert np.max(np.max(np.abs(g[ok] - g_ref[ok]), axis=(-2, -1)) / scale) < 1e-10
 
 
 class TestPhiCombine:
