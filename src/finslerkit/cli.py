@@ -122,7 +122,6 @@ class BuiltMetric:
 
     metric: me.ConicMetric
     phi_parts: Optional[tuple] = None  # (F0, beta, profile) for detcheck
-    strong_domain: Optional[cb.StrongDomain] = None
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,14 @@ def _require(cond: bool, msg: str, path: str, constraint: str = ""):
         raise ValidationError(msg, path=path, constraint=constraint)
 
 
+def _num(value, path: str, kind=float):
+    """``kind(value)`` for a config scalar; a non-numeric one is a ValidationError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected a number, got {value!r}", path=path, constraint="number") from exc
+
+
 def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
     """Parse a JSON config into (MetricSpec, RunConfig), building the metric.
 
@@ -175,16 +182,16 @@ def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
     if not isinstance(run, dict):
         raise ValidationError("'run' section must be an object", path="run")
     declared = run.get("dimension")
-    if declared is not None and int(declared) != dim:
+    if declared is not None and _num(declared, "run.dimension", int) != dim:
         raise ValidationError(
             f"run.dimension={declared} but the metric has dimension {dim}",
             path="run.dimension",
             constraint="dimension",
         )
-    tol = float(run.get("tolerance", 1e-9))
+    tol = _num(run.get("tolerance", 1e-9), "run.tolerance")
     _require(tol > 0, "tolerance must be positive", "run.tolerance", "positive")
     params = {k: v for k, v in run.items() if k not in ("dimension", "seed", "tolerance")}
-    cfg = RunConfig(dimension=dim, seed=int(run.get("seed", 0)), tolerance=tol, params=params)
+    cfg = RunConfig(dimension=dim, seed=_num(run.get("seed", 0), "run.seed", int), tolerance=tol, params=params)
     return MetricSpec(tree=tree, dimension=dim, built=built), cfg
 
 
@@ -205,7 +212,7 @@ def _build_form(node, path: str) -> tuple[me.OneFormAtom, int]:
     _require(isinstance(node, dict), "one-form node must be a dict", path)
     coeffs = node.get("coeffs")
     if isinstance(coeffs, list) and coeffs:
-        return me.constant_oneform([float(c) for c in coeffs]), len(coeffs)
+        return me.constant_oneform([_num(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)]), len(coeffs)
     exprs = node.get("coeff_exprs")
     _require(isinstance(exprs, list) and exprs, "one-form node needs 'coeffs' or 'coeff_exprs'", path)
     dim = len(exprs)
@@ -229,7 +236,8 @@ def _build_riemann(node: dict, path: str) -> me.ConicMetric:
     )
     dim = len(rows)
     if "matrix" in node:
-        return me.riemann_metric(me.constant_riemann(np.asarray(rows, dtype=float)), me.whole_plane(dim))
+        g = [[_num(e, f"{path}.matrix[{i}][{j}]") for j, e in enumerate(row)] for i, row in enumerate(rows)]
+        return me.riemann_metric(me.constant_riemann(g), me.whole_plane(dim))
     vars_ = _position_vars(dim)
     fns = [
         [compile_expr(e, vars_, f"{path}.matrix_expr[{i}][{j}]") for j, e in enumerate(row)]
@@ -250,7 +258,7 @@ def _build_riemann(node: dict, path: str) -> me.ConicMetric:
 
 
 def _spiral(node: dict, path: str) -> mk.PolarCurve2D:
-    eps = float(node.get("epsilon", 0.1))
+    eps = _num(node.get("epsilon", 0.1), f"{path}.epsilon")
     _require(0 < eps < math.pi, "epsilon must be in (0, pi)", path)
     return mk.spiral_curve(eps)
 
@@ -261,7 +269,9 @@ _EXAMPLE_CURVES = {
     "spiral_example": _spiral,
     "parabola_example": lambda node, path: mk.downward_parabola_curve(),
     "sqrt_parabola_example": lambda node, path: mk.sqrt_parabola_curve(),
-    "wavy_example": lambda node, path: mk.wavy_curve(float(node.get("amplitude", 0.3)), int(node.get("lobes", 3))),
+    "wavy_example": lambda node, path: mk.wavy_curve(
+        _num(node.get("amplitude", 0.3), f"{path}.amplitude"), _num(node.get("lobes", 3), f"{path}.lobes", int)
+    ),
 }
 
 
@@ -270,7 +280,7 @@ def _build_profile(prof, path: str) -> cb.PhiProfile:
     if prof is None or isinstance(prof, str):
         name, q = "randers" if prof is None else prof, None
     elif isinstance(prof, dict) and "name" in prof:
-        name, q = prof["name"], prof.get("q")
+        name, q = prof["name"], None if prof.get("q") is None else _num(prof["q"], f"{path}.q")
     else:
         return _custom_profile(prof, path)
     _require(isinstance(name, str) and name in cb.FAMILIES, f"unknown profile {name!r}", path, "profile")
@@ -295,7 +305,7 @@ def _custom_profile(prof, path: str) -> cb.PhiProfile:
         "interval",
     )
     phi = compile_expr(prof["phi"], ("s",), f"{path}.phi")
-    lo, hi = (float(v) for v in interval)
+    lo, hi = (_num(v, f"{path}.interval[{i}]") for i, v in enumerate(interval))
     if "phi_dot" in prof:
         _require("phi_ddot" in prof, "custom profile with 'phi_dot' needs 'phi_ddot'", path, "phi_ddot")
         phi_dot = compile_expr(prof["phi_dot"], ("s",), f"{path}.phi_dot")
@@ -336,10 +346,10 @@ def _base_and_form(node: dict, path: str) -> tuple[me.ConicMetric, me.OneFormAto
     if node["type"] == "phi" or "form" in node:
         form, dim = _build_form(node.get("form"), f"{path}.form")
     else:
-        dim = int(node.get("dimension", 2)) if base is None else base.dimension
+        dim = _num(node.get("dimension", 2), f"{path}.dimension", int) if base is None else base.dimension
         _require(dim >= 1, "dimension must be at least 1", path, "dimension")
         coeffs = np.zeros(dim)
-        coeffs[0] = float(node.get("b", 0.5))
+        coeffs[0] = _num(node.get("b", 0.5), f"{path}.b")
         form = me.constant_oneform(coeffs)
     if base is None:
         base = me.euclidean_metric(dim)
@@ -358,7 +368,7 @@ def _build_node(node, path: str) -> BuiltMetric:
     )
     t = node["type"]
     if t == "euclidean":
-        dim = int(node.get("dimension", 2))
+        dim = _num(node.get("dimension", 2), f"{path}.dimension", int)
         _require(dim >= 1, "dimension must be at least 1", path, "dimension")
         return BuiltMetric(metric=me.euclidean_metric(dim))
     if t == "riemannian":
@@ -370,9 +380,10 @@ def _build_node(node, path: str) -> BuiltMetric:
         _require("r" in node, "gauge_curve_2d node needs 'r'", path)
         r_fn = compile_expr(node["r"], ("theta",), f"{path}.r")
         interval = node.get("interval")
+        if interval is not None:
+            interval = tuple(_num(interval[i], f"{path}.interval[{i}]") for i in (0, 1))
         curve = mk.polar_curve(
-            lambda th: np.asarray(r_fn(np.asarray(th, dtype=float)), dtype=float),
-            theta_range=None if interval is None else (float(interval[0]), float(interval[1])),
+            lambda th: np.asarray(r_fn(np.asarray(th, dtype=float)), dtype=float), theta_range=interval
         )
         return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve)))
     if t in _EXAMPLE_CURVES:
@@ -390,8 +401,9 @@ def _build_node(node, path: str) -> BuiltMetric:
         dims = {m.dimension for m in mets} | {d for _, d in forms}
         _require(len(dims) == 1, "power_q ingredients must share one dimension", path)
         _require("q" in node, "power_q node needs 'q'", path, "q")
+        q = _num(node["q"], f"{path}.q")
         try:
-            return BuiltMetric(metric=cb.power_q_combine(mets, [f for f, _ in forms], float(node["q"])))
+            return BuiltMetric(metric=cb.power_q_combine(mets, [f for f, _ in forms], q))
         except BadExponent as exc:
             raise ValidationError(f"BadExponent: {exc}", path=path, constraint="q") from exc
     if t == "phi":
@@ -402,12 +414,8 @@ def _build_node(node, path: str) -> BuiltMetric:
         family = str(node.get("family", "")).lower()
         _require(family in cb.FAMILIES, f"unknown family {node.get('family')!r}", path, "family")
         base, form = _base_and_form(node, path)
-        try:
-            profile = cb.family_profile(family, node.get("q"))
-        except BadExponent as exc:
-            raise ValidationError(f"BadExponent: {exc}", path=path, constraint="q") from exc
-        metric, strong = cb.named_family(family, base, form, node.get("q"))
-        return BuiltMetric(metric=metric, phi_parts=(base, form, profile), strong_domain=strong)
+        profile = _build_profile({"name": family, "q": node.get("q")}, path)
+        return BuiltMetric(metric=cb.phi_combine(base, form, profile), phi_parts=(base, form, profile))
     if t == "f1f2":
         f1, f2 = _child(node, "f1", path), _child(node, "f2", path)
         _require(f1.dimension == f2.dimension, "f1f2 ingredients must share one dimension", path)
@@ -446,17 +454,28 @@ def _param(cfg: RunConfig, cmd: str, key: str, default=None, required: bool = Fa
     return default
 
 
-def _interior_ratio(phi_parts, base, v, margin: float) -> bool:
-    """Keep samples whose ratio stays ``margin`` away from profile endpoints,
-    where the finite-difference oracle loses accuracy to the singularity."""
+def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
+    """Mask of the samples whose ratio stays ``margin`` away from the profile
+    endpoints, where the finite-difference oracle loses accuracy to the singularity."""
     F0, beta, profile = phi_parts
-    s = float(beta.pair(base, v)) / float(F0.F_many(base, v))
+    s = beta.pair(base, vecs) / F0.F_many(base, vecs)
+    keep = np.zeros(s.shape, dtype=bool)
     for lo, hi in profile.intervals:
-        if lo < s < hi:
-            near_lo = np.isfinite(lo) and (s - lo) < margin
-            near_hi = np.isfinite(hi) and (hi - s) < margin
-            return not (near_lo or near_hi)
-    return False
+        near_lo = np.isfinite(lo) & (s - lo < margin)
+        near_hi = np.isfinite(hi) & (hi - s < margin)
+        keep |= (lo < s) & (s < hi) & ~near_lo & ~near_hi
+    return keep
+
+
+def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Base point and (K, N) vector stack of a per-vector command."""
+    base = np.asarray(_param(cfg, cmd, "base", [0.0] * dim), dtype=float)
+    vecs = np.asarray(_param(cfg, cmd, "vectors", required=True), dtype=float)
+    if vecs.size == 0:
+        vecs = vecs.reshape(0, dim)
+    shape_ok = vecs.ndim == 2 and vecs.shape[1] == dim
+    _require(shape_ok, f"vectors must be a list of {dim}-vectors", f"run.{cmd}.vectors", "shape")
+    return base, vecs
 
 
 def _admissible_draws(m: me.ConicMetric, base, rng, samples: int):
@@ -485,47 +504,25 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
 
-    if cmd == "eval":
-        base = np.asarray(_param(cfg, "eval", "base", [0.0] * dim), dtype=float)
-        vecs = np.asarray(_param(cfg, "eval", "vectors", required=True), dtype=float)
-        header = ["index"] + _vec_cols("base", dim) + _vec_cols("v", dim) + ["F"]
-        rows = []
-        for i, v in enumerate(vecs):
-            val = me.eval_F(m, me.TangentVec(base, v))
-            rows.append([i, *base, *v, val])
-        return {"command": cmd, "count": len(rows)}, header, rows
-
-    if cmd == "tensor":
-        base = np.asarray(_param(cfg, "tensor", "base", [0.0] * dim), dtype=float)
-        vecs = np.asarray(_param(cfg, "tensor", "vectors", required=True), dtype=float)
-        header = (
-            ["index"]
-            + _vec_cols("base", dim)
-            + _vec_cols("v", dim)
-            + [f"g{i}{j}" for i in range(dim) for j in range(dim)]
-        )
-        rows = []
-        for i, v in enumerate(vecs):
-            g = me.tensor(m, me.TangentVec(base, v))
-            rows.append([i, *base, *v, *g.ravel()])
-        return {"command": cmd, "count": len(rows)}, header, rows
-
-    if cmd == "classify":
-        base = np.asarray(_param(cfg, "classify", "base", [0.0] * dim), dtype=float)
-        vecs = np.asarray(_param(cfg, "classify", "vectors", required=True), dtype=float)
-        header = (
-            ["index"]
-            + _vec_cols("base", dim)
-            + _vec_cols("v", dim)
-            + ["classification", "min_eigenvalue"]
-        )
+    if cmd in ("eval", "tensor", "classify"):
+        base, vecs = _base_vectors(cfg, cmd, dim)
+        header = ["index"] + _vec_cols("base", dim) + _vec_cols("v", dim)
+        if cmd == "eval":
+            vals = me.eval_F_many(m, base, vecs)
+            rows = [[i, *base, *v, float(f)] for i, (v, f) in enumerate(zip(vecs, vals))]
+            return {"command": cmd, "count": len(rows)}, header + ["F"], rows
+        gs = me.tensor(m, me.TangentVec(base, vecs))
+        if cmd == "tensor":
+            header += [f"g{i}{j}" for i in range(dim) for j in range(dim)]
+            rows = [[i, *base, *v, *g.ravel()] for i, (v, g) in enumerate(zip(vecs, gs))]
+            return {"command": cmd, "count": len(rows)}, header, rows
         rows = []
         counts: dict[str, int] = {}
-        for i, v in enumerate(vecs):
-            rep = me.classify_point(m, me.TangentVec(base, v), tol)
+        for i, (v, g) in enumerate(zip(vecs, gs)):
+            rep = me.eigen_classify(g, tol)
             counts[rep.classification.value] = counts.get(rep.classification.value, 0) + 1
             rows.append([i, *base, *v, rep.classification.value, rep.min_eigenvalue])
-        return {"command": cmd, "counts": counts}, header, rows
+        return {"command": cmd, "counts": counts}, header + ["classification", "min_eigenvalue"], rows
 
     if cmd == "scan":
         base = np.asarray(_param(cfg, "scan", "base", [0.0] * dim), dtype=float)
@@ -551,16 +548,13 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         base = np.asarray(_param(cfg, "detcheck", "base", [0.0] * dim), dtype=float)
         samples = int(_param(cfg, "detcheck", "samples", 100))
         header = ["index"] + _vec_cols("v", dim) + ["det_formula", "det_direct", "rel_err"]
-        rows = []
-        worst = 0.0
-        for count, v in enumerate(_admissible_draws(m, base, rng, samples)):
-            tv = me.TangentVec(base, v)
-            lhs = cb.det_tensor_formula(F0, beta, profile, tv)
-            rhs = float(np.linalg.det(me.tensor(m, tv)))
-            err = abs(lhs - rhs) / max(1.0, abs(rhs))
-            worst = max(worst, err)
-            rows.append([count, *v, lhs, rhs, err])
-        return {"command": cmd, "max_rel_err": worst}, header, rows
+        vs = np.array(list(_admissible_draws(m, base, rng, samples))).reshape(-1, dim)
+        tv = me.TangentVec(base, vs)
+        lhs = cb.det_tensor_formula(F0, beta, profile, tv)
+        rhs = np.linalg.det(me.tensor(m, tv))
+        errs = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+        rows = [[i, *v, float(a), float(b), float(e)] for i, (v, a, b, e) in enumerate(zip(vs, lhs, rhs, errs))]
+        return {"command": cmd, "max_rel_err": float(np.max(errs, initial=0.0))}, header, rows
 
     if cmd == "geodesic":
         base = np.asarray(_param(cfg, "geodesic", "base", [0.0] * dim), dtype=float)
@@ -667,18 +661,11 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             attempts += 1
             vs = rng.normal(size=(2 * samples, dim))
             vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
-            ok = m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
-            for v, good in zip(vs, ok):
-                if len(picked) >= samples:
-                    break
-                if not good:
-                    continue
-                if built.phi_parts is not None and not _interior_ratio(
-                    built.phi_parts, base, v, margin
-                ):
-                    continue
-                picked.append(v)
-        vs = np.array(picked[:samples])
+            keep = m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
+            if built.phi_parts is not None:
+                keep = keep & _interior_ratio(built.phi_parts, base, vs, margin)
+            picked.extend(vs[keep][: samples - len(picked)])
+        vs = np.array(picked)
         bases = np.broadcast_to(base, vs.shape)
         ga = m.tensor_many(bases, vs)
         gf = m.fd_tensor_many(bases, vs)

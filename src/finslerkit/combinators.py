@@ -354,16 +354,19 @@ def _shared_manifold(metrics: Sequence[ConicMetric]) -> ChartManifold:
     return man
 
 
-def _combined(man: ChartManifold, jet_fn, position_independent: bool, name: str) -> ConicMetric:
+def _combined(
+    man: ChartManifold, jet_fn, position_independent: bool, name: str, admits_zero: bool = True
+) -> ConicMetric:
     """The combined metric, probed once on a fan of directions at the probe
-    point: none admissible raises DomainEmpty, all admissible puts the zero
-    vector in the domain."""
+    point: none admissible raises DomainEmpty.  The zero vector is in the
+    domain when all are and ``admits_zero`` holds (every ingredient's domain
+    holds it and the law admits beta = 0, a kernel the fan misses)."""
     out = ConicMetric(manifold=man, jet_fn=jet_fn, position_independent=position_independent, name=name)
     dirs = unit_directions(man.dimension, DOMAIN_PROBE_DIRECTIONS)
     ok = out.in_domain_many(np.broadcast_to(man.probe_point, dirs.shape), dirs)
     if not np.any(ok):
         raise DomainEmpty("no probed direction is admissible for the combined metric")
-    return replace(out, zero_in_domain=bool(np.all(ok)))
+    return replace(out, zero_in_domain=bool(np.all(ok)) and admits_zero)
 
 
 def combine(
@@ -419,6 +422,8 @@ def combine(
         and all(mk.position_independent for mk in metrics)
         and all(fm.constant for fm in forms),
         f"{combiner.name}({', '.join(mk.name for mk in metrics)})",
+        all(mk.zero_in_domain for mk in metrics)
+        and bool(combiner.in_cone(np.r_[np.ones(combiner.n), np.zeros(combiner.m)])),
     )
 
 
@@ -490,6 +495,7 @@ def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> Coni
         jet_fn,
         F0.position_independent and beta.constant,
         f"{profile.name}({F0.name})",
+        F0.zero_in_domain and bool(profile.contains(0.0)),
     )
 
 
@@ -515,6 +521,7 @@ def f1f2_combine(F1: ConicMetric, F2: ConicMetric, profile: PhiProfile) -> Conic
         jet_fn,
         F1.position_independent and F2.position_independent,
         f"{profile.name}({F1.name}, {F2.name})",
+        F1.zero_in_domain and F2.zero_in_domain,
     )
 
 
@@ -577,28 +584,27 @@ def named_family(
 # ---------------------------------------------------------------------------
 
 
-def _profile_state(F0: ConicMetric, beta: OneFormAtom, v: TangentVec):
+def _profile_state(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile, v: TangentVec):
+    """(g0, s, |beta|^2 in g0, phi, phi - s phi', phi'') over a stack of tangent vectors."""
     g0 = tensor(F0, v)
-    F = float(F0.F_many(v.base, v.vec))
-    b = np.asarray(beta.coeffs(v.base), dtype=float)
-    s = float(beta.pair(v.base, v.vec)) / F
-    z = np.linalg.solve(g0, b)
-    beta_norm_sq = float(b @ z)
-    return g0, F, s, beta_norm_sq
-
-
-def det_tensor_formula(
-    F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile, v: TangentVec
-) -> float:
-    """Closed-form determinant of the (F0, beta)-metric tensor at v."""
-    g0, _, s, bn2 = _profile_state(F0, beta, v)
+    base, vec = np.broadcast_arrays(v.base, v.vec)
+    b = beta.coeffs(base)
+    s = beta.pair(base, vec) / F0.F_many(base, vec)
+    z = np.linalg.solve(g0, b[..., None])[..., 0]
     profile.require(s)
+    p, pd, pdd = (np.asarray(f(s), float) for f in (profile.phi, profile.phi_dot, profile.phi_ddot))
+    return g0, s, np.einsum("...i,...i->...", b, z), p, p - s * pd, pdd
+
+
+def det_tensor_formula(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile, v: TangentVec):
+    """Closed-form determinant of the (F0, beta)-metric tensor at v.
+
+    ``v`` may hold stacks of shape (..., N); one vector gives a float.
+    """
+    g0, s, bn2, p, lead, pdd = _profile_state(F0, beta, profile, v)
     N = F0.dimension
-    p = float(profile.phi(s))
-    pd = float(profile.phi_dot(s))
-    pdd = float(profile.phi_ddot(s))
-    lead = p - s * pd
-    return float(lead ** (N - 2) * ((bn2 - s * s) * pdd + lead) * p ** (N + 1) * np.linalg.det(g0))
+    out = lead ** (N - 2) * ((bn2 - s * s) * pdd + lead) * p ** (N + 1) * np.linalg.det(g0)
+    return float(out) if out.ndim == 0 else out
 
 
 def characterization_nd(
@@ -613,12 +619,7 @@ def characterization_nd(
     In dimension two only the determinant-side inequality is required;
     above that the slope condition phi - s phi' > 0 is necessary as well.
     """
-    _, _, s, bn2 = _profile_state(F0, beta, v)
-    profile.require(s)
-    p = float(profile.phi(s))
-    pd = float(profile.phi_dot(s))
-    pdd = float(profile.phi_ddot(s))
-    lead = p - s * pd
+    _, s, bn2, _, lead, pdd = _profile_state(F0, beta, profile, v)
     second = pdd * (bn2 - s * s) + lead
     if F0.dimension > 2:
         return bool(lead > tolerance and second > tolerance)
@@ -643,10 +644,7 @@ def _reflected(metric: ConicMetric) -> ConicMetric:
 
 def reversibilize(F: ConicMetric, mode: str) -> ConicMetric:
     """Reversible companion metric: F(v) + F(-v) or sqrt(F(v)^2 + F(-v)^2)."""
-    man = F.manifold
-    dirs = unit_directions(man.dimension, DOMAIN_PROBE_DIRECTIONS)
-    base = np.broadcast_to(man.probe_point, dirs.shape)
-    if not (np.all(F.in_domain_many(base, dirs)) and np.all(F.in_domain_many(base, -dirs))):
+    if not F.zero_in_domain:
         raise OutsideDomain("reversibilization needs the whole tangent space as domain")
     key = mode.lower()
     if key == "sum":

@@ -332,53 +332,55 @@ def minkowski_metric(gauge: GaugeNorm, manifold: ChartManifold = None, name: str
 # ---------------------------------------------------------------------------
 
 
-def _checked_jet(m: ConicMetric, v: TangentVec, with_tensor: bool = False) -> list:
-    """The jet at one admissible tangent vector, without its mask."""
-    if float(np.linalg.norm(v.vec)) == 0.0:
-        raise OutsideDomain("the zero vector is outside this metric's domain")
-    ok, *rest = m.jet(v.base, v.vec, with_tensor)
-    if not bool(ok):
-        raise OutsideDomain(
-            f"vector {np.array2string(v.vec, precision=4)} at "
-            f"{np.array2string(v.base, precision=4)} is outside the conic domain"
-        )
-    return rest
+def _checked(m: ConicMetric, base, vec, with_tensor: bool = False) -> np.ndarray:
+    """Values F, or tensors g, over broadcastable stacks in one jet call.
 
-
-def eval_F(m: ConicMetric, v: TangentVec) -> float:
-    """Metric value at an admissible tangent vector."""
-    if float(np.linalg.norm(v.vec)) == 0.0 and m.zero_in_domain:
-        return 0.0
-    (F,) = _checked_jet(m, v)
-    out = float(F)
-    if not np.isfinite(out):
+    The zero vector has value 0 where the domain holds it; it has no tensor.
+    The first rejected pair in C order raises its error: OutsideDomain for a
+    zero or out-of-domain vector, NonFiniteSample for a non-finite result.
+    """
+    base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
+    # A leading axis keeps even one pair on numpy's array loops, whose power
+    # differs from the scalar one in the last bit: a pair's result does not
+    # depend on the batch it comes in.
+    ok, F, *g = (out[0] for out in m.jet(base[None], vec[None], with_tensor))
+    zero = np.linalg.norm(vec, axis=-1) == 0.0
+    if m.zero_in_domain and not with_tensor:
+        ok, F = ok | zero, np.where(zero, 0.0, F)
+    out = g[0] if with_tensor else F
+    bad = np.flatnonzero(~(ok & np.all(np.isfinite(out), axis=tuple(range(ok.ndim, out.ndim)))))
+    if bad.size:
+        i = np.unravel_index(bad[0], ok.shape)
+        if zero[i]:
+            raise OutsideDomain("the zero vector is outside this metric's domain")
+        if not ok[i]:
+            raise OutsideDomain(
+                f"vector {np.array2string(vec[i], precision=4)} at "
+                f"{np.array2string(base[i], precision=4)} is outside the conic domain"
+            )
+        if with_tensor:
+            raise NonFiniteSample("fundamental tensor evaluation hit the domain boundary")
         raise NonFiniteSample("metric value is not finite")
     return out
 
 
-def eval_F_many(m: ConicMetric, base, vec) -> np.ndarray:
-    """:func:`eval_F` over stacks of shape (K, N) in one jet call.
+def eval_F(m: ConicMetric, v: TangentVec) -> float:
+    """Metric value at an admissible tangent vector (0 at an admissible zero vector)."""
+    return float(_checked(m, v.base, v.vec))
 
-    Raises the error :func:`eval_F` raises for the first pair it rejects.
-    """
-    base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
-    ok, F = m.jet(base, vec)
-    if m.zero_in_domain:
-        zero = np.linalg.norm(vec, axis=-1) == 0.0
-        ok, F = ok | zero, np.where(zero, 0.0, F)
-    bad = np.flatnonzero(~(ok & np.isfinite(F)))
-    if bad.size:
-        eval_F(m, TangentVec(base[bad[0]], vec[bad[0]]))
-        raise NonFiniteSample("metric value is not finite")
-    return F
+
+def eval_F_many(m: ConicMetric, base, vec) -> np.ndarray:
+    """:func:`eval_F` over broadcastable stacks (..., N): one jet call, and the
+    error :func:`eval_F` raises for the first pair it rejects."""
+    return _checked(m, base, vec)
 
 
 def tensor(m: ConicMetric, v: TangentVec) -> np.ndarray:
-    """Fundamental tensor at v (closed form when available, else FD oracle)."""
-    _, g = _checked_jet(m, v, with_tensor=True)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteSample("fundamental tensor evaluation hit the domain boundary")
-    return g
+    """Fundamental tensor at v (closed form when available, else FD oracle).
+
+    For stacks ``v.base``/``v.vec`` of shape (..., N) it is (..., N, N).
+    """
+    return _checked(m, v.base, v.vec, with_tensor=True)
 
 
 def angular_tensor(m: ConicMetric, v: TangentVec) -> np.ndarray:

@@ -52,7 +52,6 @@ class TestParseConfig:
         spec, _ = parse_config('{"metric": {"type": "named", "family": "randers", "b": 0.5}}')
         built = build_metric(spec)
         assert float(built.metric.F_many(np.zeros(2), np.array([1.0, 0.0]))) == pytest.approx(1.5)
-        assert built.strong_domain is not None
 
     def test_matsumoto_zero_exponent_rejected(self):
         with pytest.raises(ValidationError) as err:
@@ -148,6 +147,37 @@ class TestMalformedConfig:
     def test_error_names_path(self, tree, path):
         with pytest.raises(ValidationError) as err:
             parse_config(json.dumps({"metric": tree}))
+        assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "metric, run, path",
+        [
+            ({"type": "oneform_metric", "coeffs": ["a", 0]}, {}, "metric.coeffs[0]"),
+            ({"type": "named", "family": "randers", "form": {"coeffs": [0.5, "x"]}}, {}, "metric.form.coeffs[1]"),
+            ({"type": "riemannian", "matrix": [[1, "a"], [0, 1]]}, {}, "metric.matrix[0][1]"),
+            ({"type": "spiral_example", "epsilon": "a"}, {}, "metric.epsilon"),
+            ({"type": "wavy_example", "amplitude": "a"}, {}, "metric.amplitude"),
+            ({"type": "wavy_example", "lobes": "x"}, {}, "metric.lobes"),
+            ({"type": "named", "family": "randers", "dimension": "x"}, {}, "metric.dimension"),
+            ({"type": "named", "family": "randers", "b": "x"}, {}, "metric.b"),
+            ({"type": "euclidean", "dimension": "x"}, {}, "metric.dimension"),
+            (
+                {"type": "phi", "form": FORM, "profile": {"phi": "1+s", "interval": ["a", 9]}},
+                {},
+                "metric.profile.interval[0]",
+            ),
+            ({"type": "gauge_curve_2d", "r": "1", "interval": [0.1, "b"]}, {}, "metric.interval[1]"),
+            ({"type": "power_q", "q": "x", "metrics": [{"type": "euclidean"}]}, {}, "metric.q"),
+            ({"type": "named", "family": "kropina", "q": "x"}, {}, "metric.q"),
+            ({"type": "phi", "form": FORM, "profile": {"name": "matsumoto", "q": "x"}}, {}, "metric.profile.q"),
+            ({"type": "euclidean"}, {"dimension": "x"}, "run.dimension"),
+            ({"type": "euclidean"}, {"tolerance": "x"}, "run.tolerance"),
+            ({"type": "euclidean"}, {"seed": [1]}, "run.seed"),
+        ],
+    )
+    def test_non_numeric_scalar_names_path(self, metric, run, path):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"metric": metric, "run": run}))
         assert err.value.path == path
 
     def test_phi_base_defaults_to_form_dimension(self):
@@ -274,6 +304,105 @@ class TestRunCommand:
             run_command(command, spec, cfg)
 
 
+class TestBatchedCommands:
+    """The pointwise commands evaluate all their vectors in one checked call."""
+
+    VECTORS = [[0.3, 1.0], [0.1, 0.5], [-0.5, 2.0], [0.0, 1.5]]  # inside the Lorentz cone too
+
+    @staticmethod
+    def count_jets(monkeypatch):
+        """Count top-level jet calls; a gauge's finite-difference tensor nests more."""
+        calls, depth = [0], [0]
+        jet = me.ConicMetric.jet
+
+        def counting(self, *args, **kwargs):
+            calls[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return jet(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(me.ConicMetric, "jet", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["eval", "tensor", "classify"])
+    @pytest.mark.parametrize("name", ["randers", "lorentz_ex216", "power_q2"])
+    def test_one_jet_call_and_per_vector_rows(self, command, name, monkeypatch):
+        doc = json.loads(builtin_config(name))
+        doc["run"] = {command: {"base": [0.1, 0.2], "vectors": self.VECTORS}}
+        spec, cfg = parse_config(json.dumps(doc))
+        m = build_metric(spec).metric
+        calls = self.count_jets(monkeypatch)
+        _, _, rows = run_command(command, spec, cfg)
+        assert calls[0] == 1
+        for row, v in zip(rows, self.VECTORS):
+            tv = me.TangentVec([0.1, 0.2], v)
+            want = {
+                "eval": lambda: [me.eval_F(m, tv)],
+                "tensor": lambda: list(me.tensor(m, tv).ravel()),
+                "classify": lambda: [me.classify_point(m, tv, cfg.tolerance).classification.value],
+            }[command]()
+            assert row[5 : 5 + len(want)] == want
+
+    def test_detcheck_jet_calls(self, monkeypatch):
+        doc = {
+            "metric": {"type": "phi", "form": {"coeffs": [0.5, 0.0]}, "profile": {"phi": "1+s", "interval": [0, 9]}},
+            "run": {"seed": 3, "detcheck": {"samples": 20}},
+        }
+        spec, cfg = parse_config(json.dumps(doc))
+        m = build_metric(spec).metric
+        rng, draws, found = np.random.default_rng(3), 0, 0
+        while found < 20:
+            draws += 1
+            found += bool(m.in_domain_many(np.zeros(2), rng.normal(size=2)))
+        calls = self.count_jets(monkeypatch)
+        _, _, rows = run_command("detcheck", spec, cfg)
+        assert len(rows) == 20 and draws > 20
+        # one per draw, plus F0's tensor, F0's values and the metric's tensor
+        assert calls[0] == draws + 3
+
+    def test_detcheck_matches_per_vector_formula(self):
+        spec, cfg = parse_config(builtin_config("randers"))
+        F0, beta, profile = build_metric(spec).phi_parts
+        _, _, rows = run_command("detcheck", spec, cfg)
+        for row in rows:
+            want = cb.det_tensor_formula(F0, beta, profile, me.TangentVec(np.zeros(2), row[1:3]))
+            assert row[3] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["matsumoto", "f1f2_matsumoto", "power_q2"])
+    def test_oracle_picks_as_the_per_vector_loop(self, name):
+        spec, cfg = parse_config(builtin_config(name))
+        built = build_metric(spec)
+        m, base = built.metric, np.zeros(2)
+        samples = cfg.params["oracle"].get("samples", 200)
+        margin = cfg.params["oracle"].get("interior_margin", 0.15)
+        rng, picked = np.random.default_rng(cfg.seed), []
+        while len(picked) < samples:
+            vs = rng.normal(size=(2 * samples, 2))
+            vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
+            for v in vs:
+                if len(picked) < samples and bool(m.in_domain_many(base, v)):
+                    if built.phi_parts is not None:
+                        F0, beta, profile = built.phi_parts
+                        s = float(beta.pair(base, v)) / float(F0.F_many(base, v))
+                        lo, hi = next((lo, hi) for lo, hi in profile.intervals + ((-np.inf, np.inf),) if lo < s < hi)
+                        if (np.isfinite(lo) and s - lo < margin) or (np.isfinite(hi) and hi - s < margin):
+                            continue
+                    picked.append(v)
+        _, _, rows = run_command("oracle", spec, cfg)
+        assert [r[1:3] for r in rows] == [list(v) for v in picked]
+
+    @pytest.mark.parametrize("command", ["eval", "tensor", "classify"])
+    def test_first_bad_vector_reports_its_error(self, command, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        vectors = [[0.1, 1.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.1]]
+        cfg_path.write_text(json.dumps({"metric": {"type": "lorentz_example"}, "run": {command: {"vectors": vectors}}}))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error [outside_domain]: vector [1. 0.] at [0. 0.] is outside the conic domain\n"
+
+
 class TestPositionIndependence:
     """Constancy comes from the config structure, never from sampling the field."""
 
@@ -329,6 +458,18 @@ class TestDeterminism:
         assert header[-1] == "F" and len(rows) == 101
         want = [me.eval_F(m, me.TangentVec(r[1:3], r[3:5])) for r in rows]
         assert [r[-1] for r in rows] == want
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_every_shipped_command_reruns_byte_identical(self, name, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(builtin_config(name))
+        commands = [c for c in json.loads(builtin_config(name))["run"] if c in COMMANDS]
+        assert commands
+        for command in commands:
+            outs = [tmp_path / f"{command}{i}.csv" for i in (1, 2)]
+            for out in outs:
+                assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes(), command
 
     def test_csv_has_17_digit_floats(self):
         buf = io.StringIO()

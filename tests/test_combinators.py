@@ -705,6 +705,23 @@ class TestDeterminantFormula:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-2
 
+    @pytest.mark.parametrize("family", ["randers", "matsumoto", "kropina"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_matches_per_vector(self, family, dim):
+        F0 = me.riemann_metric(me.constant_riemann(np.diag(np.arange(1.0, dim + 1.0))), me.whole_plane(dim))
+        beta = me.constant_oneform(np.r_[0.4, 0.2, np.zeros(dim - 2)])
+        prof = cb.family_profile(family)
+        m = cb.phi_combine(F0, beta, prof)
+        rng = np.random.default_rng(dim)
+        bases = rng.uniform(-1.0, 1.0, size=(300, dim))
+        vs = rng.normal(size=(300, dim))
+        keep = m.in_domain_many(bases, vs)
+        bases, vs = bases[keep], vs[keep]
+        stacked = cb.det_tensor_formula(F0, beta, prof, me.TangentVec(bases, vs))
+        single = [cb.det_tensor_formula(F0, beta, prof, me.TangentVec(b, v)) for b, v in zip(bases, vs)]
+        assert stacked.shape == (len(vs),) and all(isinstance(x, float) for x in single)
+        assert np.allclose(stacked, single, rtol=1e-12, atol=0.0)
+
 
 class TestCharacterization:
     def test_randers_always_true(self):
@@ -809,6 +826,36 @@ class TestReversibilize:
         for mode in ("sum", "quadratic"):
             m = cb.reversibilize(rd, mode)
             assert oracle_gap(m, count=40, seed=33) < 1e-6
+
+
+class TestZeroInDomain:
+    """The zero vector is in a combined metric's domain only where the law admits beta = 0."""
+
+    FORM = me.constant_oneform([0.5, 0.0])
+
+    def test_kropina_excludes_the_form_kernel(self):
+        kropina, _ = cb.named_family("kropina", euclid(), self.FORM)
+        assert not kropina.zero_in_domain
+        assert not bool(kropina.in_domain_many(BASE, np.array([0.0, 1.0])))
+        with pytest.raises(OutsideDomain):
+            me.eval_F(kropina, me.TangentVec(BASE, [0.0, 0.0]))
+
+    def test_low_power_with_form_excludes_the_kernel(self):
+        m = cb.power_q_combine([euclid()], [me.constant_oneform([0.2, 0.1])], 1.5)
+        assert not m.zero_in_domain
+
+    def test_reversibilized_kropina_rejected(self):
+        kropina, _ = cb.named_family("kropina", euclid(), self.FORM)
+        with pytest.raises(OutsideDomain):
+            cb.reversibilize(kropina, "sum")
+
+    def test_full_domains_keep_the_zero_vector(self):
+        randers, _ = cb.named_family("randers", euclid(), self.FORM)
+        matsumoto, _ = cb.named_family("matsumoto", euclid(), self.FORM)
+        power2 = cb.power_q_combine([euclid()], [me.constant_oneform([0.2, 0.1])], 2.0)
+        for m in (randers, matsumoto, power2, cb.reversibilize(randers, "quadratic")):
+            assert m.zero_in_domain, m.name
+            assert me.eval_F(m, me.TangentVec(BASE, [0.0, 0.0])) == 0.0
 
 
 class TestOnePass:

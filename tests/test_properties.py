@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
+from finslerkit import minkowski as mk
 from finslerkit.errors import FinslerError
 
 PROFILE_MARGIN = 0.15  # as the CLI oracle's default interior margin
@@ -147,3 +148,53 @@ def test_tensor_matches_fd_oracle(tree, seed):
     gf = metric.fd_tensor_many(base, vec)
     scale = np.maximum(1.0, np.max(np.abs(gf), axis=(-2, -1)))
     assert np.max(np.max(np.abs(ga - gf), axis=(-2, -1)) / scale) < ORACLE_TOL
+
+
+E2 = me.euclidean_metric(2)
+FIXED = {
+    "euclidean": E2,
+    "randers": cb.named_family("randers", E2, me.constant_oneform([0.5, 0.0]))[0],
+    "lorentz": me.minkowski_metric(mk.gauge_from_curve(mk.lorentz_curve())),
+    "kropina": cb.named_family("kropina", E2, me.constant_oneform([0.5, 0.0]))[0],
+}
+# zero, NaN, and directions outside the Lorentz cone and on the Kropina kernel
+SPECIAL = [[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+
+
+@st.composite
+def checked_cases(draw):
+    """A metric and a broadcastable (base, vec) stack mixing every kind of vector."""
+    metric = draw(trees())[0] if draw(st.booleans()) else FIXED[draw(st.sampled_from(sorted(FIXED)))]
+    rng = np.random.default_rng(draw(SEEDS))
+    count = draw(st.integers(1, 6))
+    vec = rng.normal(size=(count, 2))
+    for i in draw(st.lists(st.integers(0, count - 1), max_size=2)):
+        vec[i] = SPECIAL[draw(st.integers(0, len(SPECIAL) - 1))]
+    base = rng.uniform(-1.0, 1.0, size=(count, 2)) if draw(st.booleans()) else np.zeros(2)
+    return metric, base, vec
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except FinslerError as exc:
+        return None, (type(exc), str(exc))
+
+
+@given(checked_cases())
+def test_checked_stack_matches_pointwise_calls(case):
+    """eval_F_many and a stacked tensor equal the per-pair eval_F / tensor
+    bit for bit, or raise the error of the first pair those reject."""
+    metric, base, vec = case
+    bases = np.broadcast_to(base, vec.shape)
+    checks = (
+        (lambda: me.eval_F_many(metric, base, vec), me.eval_F),
+        (lambda: me.tensor(metric, me.TangentVec(base, vec)), me.tensor),
+    )
+    for many, one in checks:
+        pointwise = [_outcome(lambda tv=me.TangentVec(b, v): one(metric, tv)) for b, v in zip(bases, vec)]
+        first_error = next((err for _, err in pointwise if err), None)
+        got, err = _outcome(many)
+        assert err == first_error
+        if first_error is None:
+            assert np.array_equal(got, np.array([out for out, _ in pointwise]))
