@@ -454,6 +454,28 @@ def _param(cfg: RunConfig, cmd: str, key: str, default=None, required: bool = Fa
     return default
 
 
+def _point(value, dim: int, path: str) -> np.ndarray:
+    """A point or vector of the config: a list of ``dim`` numbers."""
+    _require(isinstance(value, list) and len(value) == dim, f"expected a list of {dim} numbers", path, "shape")
+    return np.array([_num(x, f"{path}[{i}]") for i, x in enumerate(value)])
+
+
+def _run_point(cfg: RunConfig, cmd: str, key: str, dim: int, required: bool = False) -> np.ndarray:
+    """``run.<cmd>.<key>`` read by :func:`_point`; the origin when absent and not required."""
+    return _point(_param(cfg, cmd, key, None if required else [0.0] * dim, required), dim, f"run.{cmd}.{key}")
+
+
+def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float):
+    """The scalar ``run.<cmd>.<key>`` (required when there is no default)."""
+    return _num(_param(cfg, cmd, key, default, default is None), f"run.{cmd}.{key}", kind)
+
+
+def _run_step(cfg: RunConfig, cmd: str) -> float:
+    step = _run_num(cfg, cmd, "step", 0.01)
+    _require(step > 0, "step must be positive", f"run.{cmd}.step", "positive")
+    return step
+
+
 def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
     """Mask of the samples whose ratio stays ``margin`` away from the profile
     endpoints, where the finite-difference oracle loses accuracy to the singularity."""
@@ -469,7 +491,7 @@ def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
 
 def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Base point and (K, N) vector stack of a per-vector command."""
-    base = np.asarray(_param(cfg, cmd, "base", [0.0] * dim), dtype=float)
+    base = _run_point(cfg, cmd, "base", dim)
     vecs = np.asarray(_param(cfg, cmd, "vectors", required=True), dtype=float)
     if vecs.size == 0:
         vecs = vecs.reshape(0, dim)
@@ -525,8 +547,8 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         return {"command": cmd, "counts": counts}, header + ["classification", "min_eigenvalue"], rows
 
     if cmd == "scan":
-        base = np.asarray(_param(cfg, "scan", "base", [0.0] * dim), dtype=float)
-        samples = int(_param(cfg, "scan", "samples", 360))
+        base = _run_point(cfg, "scan", "base", dim)
+        samples = _run_num(cfg, "scan", "samples", 360, int)
         entries = me.convexity_scan(m, base, samples, tol)
         header = ["index"] + _vec_cols("dir", dim) + ["status", "min_eigenvalue"]
         rows = []
@@ -545,8 +567,8 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
                 "detcheck needs a profile-family metric (phi or named node)", path="metric"
             )
         F0, beta, profile = built.phi_parts
-        base = np.asarray(_param(cfg, "detcheck", "base", [0.0] * dim), dtype=float)
-        samples = int(_param(cfg, "detcheck", "samples", 100))
+        base = _run_point(cfg, "detcheck", "base", dim)
+        samples = _run_num(cfg, "detcheck", "samples", 100, int)
         header = ["index"] + _vec_cols("v", dim) + ["det_formula", "det_direct", "rel_err"]
         vs = np.array(list(_admissible_draws(m, base, rng, samples))).reshape(-1, dim)
         tv = me.TangentVec(base, vs)
@@ -557,10 +579,10 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         return {"command": cmd, "max_rel_err": float(np.max(errs, initial=0.0))}, header, rows
 
     if cmd == "geodesic":
-        base = np.asarray(_param(cfg, "geodesic", "base", [0.0] * dim), dtype=float)
-        vel = np.asarray(_param(cfg, "geodesic", "velocity", required=True), dtype=float)
-        t_end = float(_param(cfg, "geodesic", "t_end", 1.0))
-        step = float(_param(cfg, "geodesic", "step", 0.01))
+        base = _run_point(cfg, "geodesic", "base", dim)
+        vel = _run_point(cfg, "geodesic", "velocity", dim, required=True)
+        t_end = _run_num(cfg, "geodesic", "t_end", 1.0)
+        step = _run_step(cfg, "geodesic")
         states = gd.geodesic_shoot(m, gd.GeodesicState(base, vel, 0.0), t_end, step)
         header = ["t"] + _vec_cols("x", dim) + _vec_cols("v", dim) + ["F"]
         xs = np.array([s.position for s in states])
@@ -570,18 +592,18 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         return {"command": cmd, "steps": len(rows) - 1}, header, rows
 
     if cmd == "expmap":
-        base = np.asarray(_param(cfg, "expmap", "base", [0.0] * dim), dtype=float)
-        vel = np.asarray(_param(cfg, "expmap", "velocity", required=True), dtype=float)
-        step = float(_param(cfg, "expmap", "step", 0.01))
+        base = _run_point(cfg, "expmap", "base", dim)
+        vel = _run_point(cfg, "expmap", "velocity", dim, required=True)
+        step = _run_step(cfg, "expmap")
         end = gd.exp_map(m, base, vel, step)
         header = _vec_cols("base", dim) + _vec_cols("v", dim) + _vec_cols("exp", dim)
         rows = [[*base, *vel, *end]]
         return {"command": cmd, "endpoint": [float(v) for v in end]}, header, rows
 
     if cmd == "gauss":
-        base = np.asarray(_param(cfg, "gauss", "base", [0.0] * dim), dtype=float)
-        samples = int(_param(cfg, "gauss", "samples", 10))
-        step = float(_param(cfg, "gauss", "step", 0.01))
+        base = _run_point(cfg, "gauss", "base", dim)
+        samples = _run_num(cfg, "gauss", "samples", 10, int)
+        step = _run_step(cfg, "gauss")
         header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
         vs, ws = [], []
         for v in _admissible_draws(m, base, rng, samples):
@@ -595,14 +617,14 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd in ("separation", "ball", "reach"):
         box = _param(cfg, cmd, "box", required=True)
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
-        resolution = int(_param(cfg, cmd, "resolution", 21))
-        radius = int(_param(cfg, cmd, "neighbor_radius", 3))
+        _require(isinstance(box, list) and len(box) == 2, "box must be [lo, hi]", f"run.{cmd}.box", "shape")
+        lo, hi = (_point(c, dim, f"run.{cmd}.box[{i}]") for i, c in enumerate(box))
+        resolution = _run_num(cfg, cmd, "resolution", 21, int)
+        radius = _run_num(cfg, cmd, "neighbor_radius", 3, int)
         graph = gd.build_separation_graph(m, (lo, hi), resolution, radius)
         if cmd == "separation":
-            src = np.asarray(_param(cfg, cmd, "source", required=True), dtype=float)
-            dst = np.asarray(_param(cfg, cmd, "target", required=True), dtype=float)
+            src = _run_point(cfg, cmd, "source", dim, required=True)
+            dst = _run_point(cfg, cmd, "target", dim, required=True)
             result = gd.separation(graph, src, dst)
             header = ["step"] + _vec_cols("x", dim)
             rows = [[i, *pt] for i, pt in enumerate(result.witness_path)]
@@ -618,13 +640,13 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
                 rows,
             )
         if cmd == "reach":
-            src = np.asarray(_param(cfg, cmd, "source", required=True), dtype=float)
+            src = _run_point(cfg, cmd, "source", dim, required=True)
             idx = gd.reachability(graph, src)
             header = ["index"] + _vec_cols("x", dim)
             rows = [[int(i), *graph.nodes[i]] for i in idx]
             return {"command": cmd, "count": int(idx.size)}, header, rows
-        center = np.asarray(_param(cfg, cmd, "center", required=True), dtype=float)
-        r = float(_param(cfg, cmd, "radius", required=True))
+        center = _run_point(cfg, cmd, "center", dim, required=True)
+        r = _run_num(cfg, cmd, "radius")
         direction = str(_param(cfg, cmd, "direction", "forward"))
         if direction not in ("forward", "backward"):
             raise ValidationError(
@@ -637,8 +659,8 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         return {"command": cmd, "count": int(idx.size)}, header, rows
 
     if cmd == "indicatrix":
-        base = np.asarray(_param(cfg, "indicatrix", "base", [0.0] * dim), dtype=float)
-        samples = int(_param(cfg, "indicatrix", "samples", 256))
+        base = _run_point(cfg, "indicatrix", "base", dim)
+        samples = _run_num(cfg, "indicatrix", "samples", 256, int)
         dirs = me.unit_directions(dim, samples)
         ok, vals = m.jet(np.broadcast_to(base, dirs.shape), dirs)
         header = ["index"] + _vec_cols("dir", dim) + _vec_cols("s", dim)
@@ -650,10 +672,10 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         return {"command": cmd, "count": len(rows)}, header, rows
 
     if cmd == "oracle":
-        samples = int(_param(cfg, "oracle", "samples", 200))
-        otol = float(_param(cfg, "oracle", "tolerance", 1e-6))
-        margin = float(_param(cfg, "oracle", "interior_margin", 0.15))
-        base = np.asarray(_param(cfg, "oracle", "base", [0.0] * dim), dtype=float)
+        samples = _run_num(cfg, "oracle", "samples", 200, int)
+        otol = _run_num(cfg, "oracle", "tolerance", 1e-6)
+        margin = _run_num(cfg, "oracle", "interior_margin", 0.15)
+        base = _run_point(cfg, "oracle", "base", dim)
         header = ["index"] + _vec_cols("v", dim) + ["rel_err"]
         picked: list[np.ndarray] = []
         attempts = 0

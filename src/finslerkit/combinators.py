@@ -43,8 +43,8 @@ DOMAIN_PROBE_DIRECTIONS = 64
 class PhiProfile:
     """Positive scalar profile with two derivatives on open interval(s).
 
-    Carries the derived quantities used by all tensor formulas:
-    psi = phi^2, phi1 = 2 psi - s psi' (= 2 phi (phi - s phi')) and
+    :func:`_psi_terms` derives what the tensor formulas use: psi = phi^2,
+    phi1 = 2 psi - s psi' (= 2 phi (phi - s phi')) and
     phi2 = 2 psi psi'' - psi'^2 (= 4 phi^3 phi'').
     """
 
@@ -76,23 +76,31 @@ class PhiProfile:
         if not np.all(self.contains(s)):
             raise OutsideProfile(f"argument outside the profile interval(s) {self.intervals}")
 
-    def psi(self, s):
-        p = np.asarray(self.phi(s), dtype=float)
-        return p * p
-
-    def psi_dot(self, s):
-        return 2.0 * np.asarray(self.phi(s), float) * np.asarray(self.phi_dot(s), float)
-
-    def psi_ddot(self, s):
-        pd = np.asarray(self.phi_dot(s), float)
-        return 2.0 * (pd * pd + np.asarray(self.phi(s), float) * np.asarray(self.phi_ddot(s), float))
+    def jet(self, s) -> tuple:
+        """(phi, phi', phi'') at s, each function evaluated once."""
+        return tuple(np.asarray(f(s), float) for f in (self.phi, self.phi_dot, self.phi_ddot))
 
     def phi1(self, s):
         s = np.asarray(s, dtype=float)
-        return 2.0 * self.psi(s) - s * self.psi_dot(s)
+        return _psi_terms(s, *self.jet(s))[2]
 
     def phi2(self, s):
-        return 2.0 * self.psi(s) * self.psi_ddot(s) - self.psi_dot(s) ** 2
+        return _psi_terms(s, *self.jet(s))[3]
+
+
+def _psi_terms(s, p, pd, pdd):
+    """(psi, psi', phi1, phi2) at s from the profile jet (phi, phi', phi'')."""
+    ps = p * p
+    psd = 2.0 * p * pd
+    psdd = 2.0 * (pd * pd + p * pdd)
+    return ps, psd, 2.0 * ps - s * psd, 2.0 * ps * psdd - psd**2
+
+
+def _criterion(s, bn2, p, pd, pdd):
+    """(lead, second) = (phi - s phi', lead + (b^2 - s^2) phi'') with b^2 = bn2: g is
+    positive definite exactly where second > 0 and, above dimension two, lead > 0."""
+    lead = p - s * pd
+    return lead, lead + (bn2 - s * s) * pdd
 
 
 def randers_profile() -> PhiProfile:
@@ -172,7 +180,8 @@ def square_over_f0_profile() -> PhiProfile:
 def phi_convexity_ok(profile: PhiProfile, s: float, tolerance: float = DEFAULT_EIG_TOL) -> bool:
     """Pointwise sufficient condition phi1 > 0 and phi2 >= 0 at the ratio s."""
     profile.require(s)
-    return bool(profile.phi1(s) > tolerance) and bool(profile.phi2(s) >= -tolerance)
+    _, _, p1, p2 = _psi_terms(s, *profile.jet(s))
+    return bool(p1 > tolerance) and bool(p2 >= -tolerance)
 
 
 def chern_shen_check(profile: PhiProfile, b0: float, grid: int = 64) -> bool:
@@ -181,12 +190,7 @@ def chern_shen_check(profile: PhiProfile, b0: float, grid: int = 64) -> bool:
     for b in bs:
         s = np.linspace(-b, b, max(grid, 3))
         profile.require(s)
-        val = (
-            np.asarray(profile.phi(s), float)
-            - s * np.asarray(profile.phi_dot(s), float)
-            + (b * b - s * s) * np.asarray(profile.phi_ddot(s), float)
-        )
-        if not np.all(val > 0.0):
+        if not np.all(_criterion(s, b * b, *profile.jet(s))[1] > 0.0):
             return False
     return True
 
@@ -465,9 +469,7 @@ def _profile_terms(profile: PhiProfile, s, jet, vec, w):
     last, plus (F_a / F_b) psi' h_b when the second ingredient is a metric.
     """
     F, u, h = _pieces(jet, vec)
-    p1, p2, ps, psd = (
-        np.asarray(f(s), float) for f in (profile.phi1, profile.phi2, profile.psi, profile.psi_dot)
-    )
+    ps, psd, p1, p2 = _psi_terms(s, *profile.jet(s))
     un = u / F[..., None]
     c1 = s[..., None] * un - w
     c2 = p1[..., None] * un + psd[..., None] * w
@@ -540,41 +542,36 @@ class StrongDomain:
         return bool(self.many(v.base, v.vec))
 
 
-def _matsumoto_strong(F, bv, q):
-    return (F - (q + 1.0) * bv) * (F - bv) > 0.0
-
-
-# name -> (profile factory of the exponent q, extra strong-convexity test on
-# (F0, beta, q) or None where the whole domain is strongly convex)
+# name -> profile factory of the exponent q
 FAMILIES = {
-    "randers": (lambda q: randers_profile(), None),
-    "kropina": (kropina_profile, None),
-    "matsumoto": (matsumoto_profile, _matsumoto_strong),
-    "square_over_f0": (lambda q: square_over_f0_profile(), None),
-    "squareoverf0": (lambda q: square_over_f0_profile(), None),
+    "randers": lambda q: randers_profile(),
+    "kropina": kropina_profile,
+    "matsumoto": matsumoto_profile,
+    "square_over_f0": lambda q: square_over_f0_profile(),
+    "squareoverf0": lambda q: square_over_f0_profile(),
 }
 
 
 def family_profile(name: str, q: float | None = None) -> PhiProfile:
     """Profile of a family in ``FAMILIES``; the exponent q defaults to 1."""
-    return FAMILIES[name][0](1.0 if q is None else float(q))
+    return FAMILIES[name](1.0 if q is None else float(q))
 
 
 def named_family(
     name: str, F0: ConicMetric, beta: OneFormAtom, q: float | None = None
 ) -> tuple[ConicMetric, StrongDomain]:
-    """Build a classical (F0, beta) family plus its strong-convexity domain."""
+    """A classical (F0, beta) family and its strong-convexity domain (:func:`characterization_nd`)."""
     key = name.lower()
     if key not in FAMILIES:
         raise BadExponent(f"unknown family {name!r}")
-    qq = 1.0 if q is None else float(q)
-    metric = phi_combine(F0, beta, family_profile(key, qq))
-    strong = FAMILIES[key][1]
-    if strong is None:
-        return metric, StrongDomain(many=metric.in_domain_many)
+    profile = family_profile(key, q)
+    metric = phi_combine(F0, beta, profile)
 
     def strong_many(base, vec):
-        return metric.in_domain_many(base, vec) & strong(F0.F_many(base, vec), beta.pair(base, vec), qq)
+        base, vec = np.broadcast_arrays(base, vec)
+        ok = np.array(metric.in_domain_many(base, vec), dtype=bool)
+        ok[ok] = characterization_nd(F0, beta, profile, TangentVec(base[ok], vec[ok]))
+        return ok
 
     return metric, StrongDomain(many=strong_many)
 
@@ -585,15 +582,16 @@ def named_family(
 
 
 def _profile_state(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile, v: TangentVec):
-    """(g0, s, |beta|^2 in g0, phi, phi - s phi', phi'') over a stack of tangent vectors."""
+    """(g0, phi, lead, second) over a stack of tangent vectors, the last two
+    from :func:`_criterion` with b^2 the squared norm of beta in g0^-1."""
     g0 = tensor(F0, v)
     base, vec = np.broadcast_arrays(v.base, v.vec)
     b = beta.coeffs(base)
     s = beta.pair(base, vec) / F0.F_many(base, vec)
     z = np.linalg.solve(g0, b[..., None])[..., 0]
     profile.require(s)
-    p, pd, pdd = (np.asarray(f(s), float) for f in (profile.phi, profile.phi_dot, profile.phi_ddot))
-    return g0, s, np.einsum("...i,...i->...", b, z), p, p - s * pd, pdd
+    p, pd, pdd = profile.jet(s)
+    return g0, p, *_criterion(s, np.einsum("...i,...i->...", b, z), p, pd, pdd)
 
 
 def det_tensor_formula(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile, v: TangentVec):
@@ -601,9 +599,9 @@ def det_tensor_formula(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile, 
 
     ``v`` may hold stacks of shape (..., N); one vector gives a float.
     """
-    g0, s, bn2, p, lead, pdd = _profile_state(F0, beta, profile, v)
+    g0, p, lead, second = _profile_state(F0, beta, profile, v)
     N = F0.dimension
-    out = lead ** (N - 2) * ((bn2 - s * s) * pdd + lead) * p ** (N + 1) * np.linalg.det(g0)
+    out = lead ** (N - 2) * second * p ** (N + 1) * np.linalg.det(g0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -613,17 +611,19 @@ def characterization_nd(
     profile: PhiProfile,
     v: TangentVec,
     tolerance: float = DEFAULT_EIG_TOL,
-) -> bool:
+):
     """Exact positive-definiteness test from the profile inequalities.
 
     In dimension two only the determinant-side inequality is required;
     above that the slope condition phi - s phi' > 0 is necessary as well.
+    ``v`` may hold stacks of shape (..., N): one vector gives a bool, a
+    stack a bool array.
     """
-    _, s, bn2, _, lead, pdd = _profile_state(F0, beta, profile, v)
-    second = pdd * (bn2 - s * s) + lead
+    _, _, lead, second = _profile_state(F0, beta, profile, v)
+    ok = second > tolerance
     if F0.dimension > 2:
-        return bool(lead > tolerance and second > tolerance)
-    return bool(second > tolerance)
+        ok = ok & (lead > tolerance)
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
 
 # ---------------------------------------------------------------------------

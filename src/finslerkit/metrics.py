@@ -200,6 +200,10 @@ class ConicMetric:
 
         Tensor entries for out-of-domain inputs are unspecified (NaN or
         garbage); use :func:`tensor` for the checked pointwise operation.
+        Results here (and in ``F_many``/``tensor_many``) may differ in the
+        last bit between batch shapes, because numpy's scalar and vectorized
+        powers differ; only :func:`eval_F`, :func:`eval_F_many` and
+        :func:`tensor` give a pair the same result in any batch.
         """
         base = np.asarray(base, dtype=float)
         vec = np.asarray(vec, dtype=float)

@@ -180,6 +180,42 @@ class TestMalformedConfig:
             parse_config(json.dumps({"metric": metric, "run": run}))
         assert err.value.path == path
 
+    @pytest.mark.parametrize(
+        "command, section, path",
+        [
+            ("scan", {"samples": "x"}, "run.scan.samples"),
+            ("scan", {"base": 5}, "run.scan.base"),
+            ("scan", {"base": [0, "a"]}, "run.scan.base[1]"),
+            ("indicatrix", {"samples": [3]}, "run.indicatrix.samples"),
+            ("detcheck", {"samples": "x"}, "run.detcheck.samples"),
+            ("geodesic", {"velocity": [1, 0, 3]}, "run.geodesic.velocity"),
+            ("geodesic", {"velocity": [1, 0], "t_end": "x"}, "run.geodesic.t_end"),
+            ("geodesic", {"velocity": [1, 0], "step": 0}, "run.geodesic.step"),
+            ("expmap", {"velocity": [1, 0], "step": -0.1}, "run.expmap.step"),
+            ("gauss", {"step": 0}, "run.gauss.step"),
+            ("gauss", {"samples": "x"}, "run.gauss.samples"),
+            ("separation", {"box": [[-1, -1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box"),
+            ("separation", {"box": [[-1, -1], [1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box[1]"),
+            ("separation", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "target": "x"}, "run.separation.target"),
+            ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "resolution": "x"}, "run.reach.resolution"),
+            ("reach", {"box": [[-1, -1], [1, 1]], "source": [0], "neighbor_radius": 2}, "run.reach.source"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0]}, "run.ball.radius"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": "x"}, "run.ball.radius"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, None], "radius": 0.3}, "run.ball.center[1]"),
+            ("oracle", {"tolerance": "x"}, "run.oracle.tolerance"),
+            ("oracle", {"interior_margin": "x"}, "run.oracle.interior_margin"),
+        ],
+    )
+    def test_run_parameter_names_path(self, command, section, path, tmp_path):
+        doc = {"metric": {"type": "named", "family": "randers", "b": 0.5}, "run": {command: section}}
+        spec, cfg = parse_config(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            run_command(command, spec, cfg)
+        assert err.value.path == path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+
     def test_phi_base_defaults_to_form_dimension(self):
         form = {"coeffs": [0.3, 0.0, 0.1]}
         phi, _ = parse_config(json.dumps({"metric": {"type": "phi", "form": form}}))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -447,7 +449,8 @@ class TestNamedFamilies:
             v = rng.normal(size=2)
             f0 = float(np.linalg.norm(v))
             bv = 0.8 * v[0]
-            expected = (f0 != bv) and ((f0 - 2 * bv) * (f0 - bv) > 0)
+            # q = 1: phi - s phi' + (b^2 - s^2) phi'' = (1 + 2 b^2 - 3 s) / (1 - s)^3, |s| <= b < 1
+            expected = (f0 != bv) and (1 + 2 * 0.64 - 3 * bv / f0) > 0
             assert strong(me.TangentVec(BASE, v)) == expected
 
     def test_randers_pd_everywhere(self):
@@ -508,6 +511,31 @@ class TestNamedFamilies:
             assert me.classify_point(metric, tv, 1e-9).is_positive_definite
             checked += 1
 
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "family, q",
+        [("randers", None), ("kropina", 1.0), ("kropina", 2.5), ("matsumoto", 1.0), ("matsumoto", -1.5),
+         ("square_over_f0", None)],
+    )
+    def test_strong_domain_equals_classification(self, family, q, dim):
+        # one stacked call: False off the metric's domain, the eigen verdict on it
+        bv = np.zeros(dim)
+        bv[0] = 0.8
+        metric, strong = cb.named_family(family, euclid(dim), me.constant_oneform(bv), q)
+        base = np.zeros(dim)
+        vs = np.random.default_rng(17 + dim).normal(size=(400, dim))
+        vs[:3] = 0.0
+        vs[1, 1] = 1.0  # on the Kropina kernel
+        got = strong.many(base, vs)
+        ok = metric.in_domain_many(base, vs)
+        assert got.shape == (400,) and not np.any(got[~ok])
+        reps = [eigen_classify(g, 1e-9) for g in me.tensor(metric, me.TangentVec(base, vs[ok]))]
+        clear = np.array([abs(r.min_eigenvalue) >= 1e-7 * max(np.abs(r.eigenvalues)) for r in reps])
+        pd = np.array([r.is_positive_definite for r in reps])
+        assert clear.sum() > 350
+        assert np.array_equal(got[ok][clear], pd[clear])
+        assert [strong(me.TangentVec(base, v)) for v in vs[:40]] == list(got[:40])
 
 class TestF1F2:
     @staticmethod
@@ -761,6 +789,57 @@ class TestCharacterization:
                 continue
             assert cb.characterization_nd(E, beta, prof, tv) == rep.is_positive_definite
             checked += 1
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacked_matches_per_vector(self, dim):
+        F0 = cb.phi_combine(euclid(dim), me.constant_oneform(np.r_[0.2, np.zeros(dim - 1)]), cb.randers_profile())
+        bv = np.zeros(dim)
+        bv[-1] = 0.8
+        beta = me.constant_oneform(bv)
+        prof = cb.matsumoto_profile(1.0)
+        m = cb.phi_combine(F0, beta, prof)
+        base = np.zeros(dim)
+        vs = np.random.default_rng(31).normal(size=(200, dim))
+        vs = vs[m.in_domain_many(base, vs)]
+        stacked = cb.characterization_nd(F0, beta, prof, me.TangentVec(base, vs))
+        single = [cb.characterization_nd(F0, beta, prof, me.TangentVec(base, v)) for v in vs]
+        assert stacked.dtype == bool and all(type(x) is bool for x in single)
+        assert list(stacked) == single and 0 < stacked.sum() < len(vs)
+
+
+class TestProfileCalls:
+    """One evaluation of each profile function per use of the profile."""
+
+    @staticmethod
+    def _counting(profile):
+        counts = {"phi": 0, "phi_dot": 0, "phi_ddot": 0}
+
+        def wrap(key):
+            f = getattr(profile, key)
+
+            def counted(s):
+                counts[key] += 1
+                return f(s)
+
+            return counted
+
+        return replace(profile, **{key: wrap(key) for key in counts}), counts
+
+    @pytest.mark.parametrize("make", [lambda: cb.matsumoto_profile(1.0), lambda: cb.kropina_profile(2.0)])
+    def test_calls_per_tensor_jet_and_profile_state(self, make):
+        prof, counts = self._counting(make())
+        beta = me.constant_oneform([0.5, 0.0])
+        vs = np.random.default_rng(3).normal(size=(7, 2))
+        for metric in (cb.phi_combine(euclid(), beta, prof), cb.f1f2_combine(euclid(), me.oneform_metric(beta), prof)):
+            counts.update(phi=0, phi_dot=0, phi_ddot=0)
+            metric.tensor_many(BASE, vs)
+            assert counts == {"phi": 2, "phi_dot": 1, "phi_ddot": 1}
+        metric = cb.phi_combine(euclid(), beta, prof)
+        vs = vs[metric.in_domain_many(BASE, vs)]
+        counts.update(phi=0, phi_dot=0, phi_ddot=0)
+        cb.det_tensor_formula(euclid(), beta, prof, me.TangentVec(BASE, vs))
+        assert counts == {"phi": 1, "phi_dot": 1, "phi_ddot": 1}
 
 
 class TestReversibilize:

@@ -15,6 +15,7 @@ from finslerkit import combinators as cb
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.errors import FinslerError
+from finslerkit.numkernel import eigen_classify
 
 PROFILE_MARGIN = 0.15  # as the CLI oracle's default interior margin
 # The step-eps^(1/4) FD Hessian is good to about 1e-7 on these trees (worst
@@ -198,3 +199,50 @@ def test_checked_stack_matches_pointwise_calls(case):
         assert err == first_error
         if first_error is None:
             assert np.array_equal(got, np.array([out for out, _ in pointwise]))
+
+
+SHELL = 1e-7  # relative band around a degenerate tensor where classifications may differ
+
+
+def _classified(metric, base, vec):
+    """(clear, pd): rows whose smallest eigenvalue clears SHELL * max|lambda|,
+    and the eigen classification's verdict on every row."""
+    reps = [eigen_classify(g, 1e-9) for g in me.tensor(metric, me.TangentVec(base, vec))]
+    clear = np.array([abs(r.min_eigenvalue) >= SHELL * np.max(np.abs(r.eigenvalues)) for r in reps], dtype=bool)
+    return clear, np.array([r.is_positive_definite for r in reps], dtype=bool)
+
+
+@st.composite
+def profile_cases(draw):
+    """(F0, beta, profile): a Euclidean, constant SPD Riemannian or Randers F0
+    in dimension 2 or 3, a random constant form and a family profile."""
+    dim = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(SEEDS))
+    F0 = me.euclidean_metric(dim)
+    kind = draw(st.sampled_from(["euclidean", "riemannian", "randers"]))
+    if kind == "riemannian":
+        a = rng.normal(size=(dim, dim))
+        F0 = me.riemann_metric(me.constant_riemann(a @ a.T + 0.5 * np.eye(dim)), me.whole_plane(dim))
+    elif kind == "randers":
+        F0 = cb.phi_combine(F0, me.constant_oneform(rng.uniform(-0.4, 0.4, dim)), cb.randers_profile())
+    beta = me.constant_oneform(rng.uniform(-1.0, 1.0, dim))
+    family = draw(st.sampled_from(["randers", "kropina", "matsumoto", "square_over_f0"]))
+    q = draw(st.floats(0.2, 3.0))
+    if family == "matsumoto" and draw(st.booleans()):
+        q = draw(st.floats(-3.0, -1.0))
+    return F0, beta, cb.family_profile(family, q)
+
+
+@given(profile_cases(), SEEDS)
+def test_characterization_matches_classification(case, seed):
+    """The profile criterion is exact: it agrees with the eigen classification
+    of the closed-form tensor on every direction outside the degenerate shell."""
+    F0, beta, profile = case
+    metric = cb.phi_combine(F0, beta, profile)
+    base = np.zeros(F0.dimension)
+    vec = np.random.default_rng(seed).normal(size=(48, F0.dimension))
+    vec = vec[metric.in_domain_many(base, vec)]
+    assume(len(vec))
+    clear, pd = _classified(metric, base, vec)
+    got = cb.characterization_nd(F0, beta, profile, me.TangentVec(base, vec))
+    assert np.array_equal(got[clear], pd[clear])
