@@ -465,15 +465,18 @@ def _run_point(cfg: RunConfig, cmd: str, key: str, dim: int, required: bool = Fa
     return _point(_param(cfg, cmd, key, None if required else [0.0] * dim, required), dim, f"run.{cmd}.{key}")
 
 
-def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float):
-    """The scalar ``run.<cmd>.<key>`` (required when there is no default)."""
-    return _num(_param(cfg, cmd, key, default, default is None), f"run.{cmd}.{key}", kind)
+def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float, least=None, positive=False):
+    """The scalar ``run.<cmd>.<key>`` (required when there is no default),
+    at least ``least`` and, with ``positive``, greater than 0."""
+    path = f"run.{cmd}.{key}"
+    value = _num(_param(cfg, cmd, key, default, default is None), path, kind)
+    _require(least is None or value >= least, f"{key} must be at least {least}", path, "minimum")
+    _require(not positive or value > 0, f"{key} must be positive", path, "positive")
+    return value
 
 
 def _run_step(cfg: RunConfig, cmd: str) -> float:
-    step = _run_num(cfg, cmd, "step", 0.01)
-    _require(step > 0, "step must be positive", f"run.{cmd}.step", "positive")
-    return step
+    return _run_num(cfg, cmd, "step", 0.01, positive=True)
 
 
 def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
@@ -548,7 +551,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "scan":
         base = _run_point(cfg, "scan", "base", dim)
-        samples = _run_num(cfg, "scan", "samples", 360, int)
+        samples = _run_num(cfg, "scan", "samples", 360, int, least=1)
         entries = me.convexity_scan(m, base, samples, tol)
         header = ["index"] + _vec_cols("dir", dim) + ["status", "min_eigenvalue"]
         rows = []
@@ -568,7 +571,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             )
         F0, beta, profile = built.phi_parts
         base = _run_point(cfg, "detcheck", "base", dim)
-        samples = _run_num(cfg, "detcheck", "samples", 100, int)
+        samples = _run_num(cfg, "detcheck", "samples", 100, int, least=1)
         header = ["index"] + _vec_cols("v", dim) + ["det_formula", "det_direct", "rel_err"]
         vs = np.array(list(_admissible_draws(m, base, rng, samples))).reshape(-1, dim)
         tv = me.TangentVec(base, vs)
@@ -602,7 +605,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "gauss":
         base = _run_point(cfg, "gauss", "base", dim)
-        samples = _run_num(cfg, "gauss", "samples", 10, int)
+        samples = _run_num(cfg, "gauss", "samples", 10, int, least=1)
         step = _run_step(cfg, "gauss")
         header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
         vs, ws = [], []
@@ -619,8 +622,8 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         box = _param(cfg, cmd, "box", required=True)
         _require(isinstance(box, list) and len(box) == 2, "box must be [lo, hi]", f"run.{cmd}.box", "shape")
         lo, hi = (_point(c, dim, f"run.{cmd}.box[{i}]") for i, c in enumerate(box))
-        resolution = _run_num(cfg, cmd, "resolution", 21, int)
-        radius = _run_num(cfg, cmd, "neighbor_radius", 3, int)
+        resolution = _run_num(cfg, cmd, "resolution", 21, int, least=2)
+        radius = _run_num(cfg, cmd, "neighbor_radius", 3, int, least=1)
         graph = gd.build_separation_graph(m, (lo, hi), resolution, radius)
         if cmd == "separation":
             src = _run_point(cfg, cmd, "source", dim, required=True)
@@ -646,7 +649,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             rows = [[int(i), *graph.nodes[i]] for i in idx]
             return {"command": cmd, "count": int(idx.size)}, header, rows
         center = _run_point(cfg, cmd, "center", dim, required=True)
-        r = _run_num(cfg, cmd, "radius")
+        r = _run_num(cfg, cmd, "radius", positive=True)
         direction = str(_param(cfg, cmd, "direction", "forward"))
         if direction not in ("forward", "backward"):
             raise ValidationError(
@@ -660,7 +663,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "indicatrix":
         base = _run_point(cfg, "indicatrix", "base", dim)
-        samples = _run_num(cfg, "indicatrix", "samples", 256, int)
+        samples = _run_num(cfg, "indicatrix", "samples", 256, int, least=1)
         dirs = me.unit_directions(dim, samples)
         ok, vals = m.jet(np.broadcast_to(base, dirs.shape), dirs)
         header = ["index"] + _vec_cols("dir", dim) + _vec_cols("s", dim)
@@ -672,7 +675,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         return {"command": cmd, "count": len(rows)}, header, rows
 
     if cmd == "oracle":
-        samples = _run_num(cfg, "oracle", "samples", 200, int)
+        samples = _run_num(cfg, "oracle", "samples", 200, int, least=1)
         otol = _run_num(cfg, "oracle", "tolerance", 1e-6)
         margin = _run_num(cfg, "oracle", "interior_margin", 0.15)
         base = _run_point(cfg, "oracle", "base", dim)

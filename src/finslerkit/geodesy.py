@@ -11,12 +11,14 @@ edges are straight admissible segments weighted by F-length.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import DegenerateTensor, LeftDomain, NotAdmissible, OutsideDomain
@@ -386,6 +388,11 @@ class SeparationGraph:
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
+    @functools.cached_property
+    def incoming(self) -> csr_matrix:
+        """Transposed adjacency, built on first use: row i lists the edges into i."""
+        return self.matrix.T.tocsr()
+
     def node_id(self, point) -> int:
         """Flat index of the grid node nearest to ``point`` (must be close)."""
         point = np.asarray(point, dtype=float)
@@ -506,6 +513,18 @@ def _as_node(graph: SeparationGraph, p) -> int:
     return graph.node_id(p)
 
 
+def _closing_edge(adj: csr_matrix, dist: np.ndarray, ip: int) -> tuple:
+    """Cheapest edge into ``ip`` after the distances ``dist``: (cost, source),
+    or (inf, -1) when none is finite.  Row ``ip`` of ``adj`` lists the edges
+    into ``ip``; ties go to the lowest source index."""
+    lo, hi = adj.indptr[ip], adj.indptr[ip + 1]
+    cost = dist[adj.indices[lo:hi]] + adj.data[lo:hi]
+    k = int(np.argmin(cost)) if cost.size else -1
+    if k < 0 or not np.isfinite(cost[k]):
+        return np.inf, -1
+    return cost[k], int(adj.indices[lo + k])
+
+
 def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     """Shortest admissible-path length from p to q on the graph."""
     ip, iq = _as_node(graph, p), _as_node(graph, q)
@@ -515,12 +534,7 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     empty = np.zeros((0, graph.nodes.shape[1]))
     if ip == iq:
         # proper separation: go out and come back (no zero-length loitering)
-        incoming = graph.matrix[:, ip].tocoo()
-        val = np.inf
-        best = -1
-        for j, wgt in zip(incoming.row, incoming.data):
-            if dist[j] + wgt < val:
-                val, best = dist[j] + wgt, int(j)
+        val, best = _closing_edge(graph.incoming, dist, ip)
         if best < 0:
             return SeparationResult(value=np.inf, witness_path=empty)
         loop = [best]
@@ -542,26 +556,24 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
 def reachability(graph: SeparationGraph, p) -> np.ndarray:
     """Flat indices of nodes reachable from p by admissible paths."""
     ip = _as_node(graph, p)
-    dist = _sp_dijkstra(graph.matrix, directed=True, indices=ip)
-    mask = np.isfinite(dist)
+    mask = np.zeros(graph.node_count, dtype=bool)
+    mask[breadth_first_order(graph.matrix, ip, directed=True, return_predecessors=False)] = True
     # p itself is in its future only when some admissible loop returns to it
-    incoming = graph.matrix[:, ip].tocoo()
-    has_loop = any(np.isfinite(dist[j]) for j in incoming.row)
-    mask[ip] = has_loop
+    adj = graph.incoming
+    mask[ip] = np.any(mask[adj.indices[adj.indptr[ip] : adj.indptr[ip + 1]]])
     return np.flatnonzero(mask)
 
 
 def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> np.ndarray:
     """Flat indices of the discrete forward/backward separation ball."""
     ip = _as_node(graph, p)
-    mat = graph.matrix if direction == "forward" else graph.matrix.T.tocsr()
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    dist = _sp_dijkstra(mat, directed=True, indices=ip)
+    # the backward ball is the forward ball of the reversed graph, whose
+    # incoming adjacency is the original one
+    mat, into = (graph.matrix, graph.incoming) if direction == "forward" else (graph.incoming, graph.matrix)
+    # scipy rejects a negative limit; such a ball is empty either way
+    dist = _sp_dijkstra(mat, directed=True, indices=ip, limit=max(r, 0.0))
     mask = dist < r
-    incoming = mat[:, ip].tocoo()
-    own = np.inf
-    for j, wgt in zip(incoming.row, incoming.data):
-        own = min(own, dist[j] + wgt)
-    mask[ip] = own < r
+    mask[ip] = _closing_edge(into, dist, ip)[0] < r
     return np.flatnonzero(mask)

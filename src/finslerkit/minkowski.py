@@ -141,10 +141,11 @@ class GaugeNorm:
     def value(self, v) -> float | np.ndarray:
         """Gauge value; raises OutsideCone when any input leaves the domain."""
         v = np.asarray(v, dtype=float)
-        ok = self.domain(v)
+        # a ball gauge tests the domain before casting any ray
+        ok, out = self.evaluate(v) if self.evaluate is not None else (self.domain(v), None)
         if not np.all(ok):
             raise OutsideCone("vector outside the gauge's conic domain")
-        out = np.asarray(self.value_unchecked(v), dtype=float)
+        out = np.asarray(self.value_unchecked(v) if out is None else out, dtype=float)
         return float(out) if out.ndim == 0 else out
 
 

@@ -225,6 +225,35 @@ class TestMalformedConfig:
         F = [build_metric(spec).metric.F_many(np.zeros(3), vs) for spec in (phi, named)]
         assert np.array_equal(F[0], F[1])
 
+    @pytest.mark.parametrize(
+        "command,section,path",
+        [
+            ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "resolution": 1}, "run.reach.resolution"),
+            ("separation", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "target": [0.5, 0], "neighbor_radius": 0},
+             "run.separation.neighbor_radius"),
+            ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "neighbor_radius": -2}, "run.reach.neighbor_radius"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": 0}, "run.ball.radius"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": -0.3}, "run.ball.radius"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": "nan"}, "run.ball.radius"),
+            ("scan", {"samples": -1}, "run.scan.samples"),
+            ("indicatrix", {"samples": 0}, "run.indicatrix.samples"),
+            ("detcheck", {"samples": -3}, "run.detcheck.samples"),
+            ("gauss", {"samples": 0}, "run.gauss.samples"),
+            ("oracle", {"samples": 0}, "run.oracle.samples"),
+        ],
+    )
+    def test_run_parameter_out_of_range_names_path(self, command, section, path, tmp_path):
+        doc = {"metric": {"type": "named", "family": "randers", "b": 0.5}, "run": {command: section}}
+        spec, cfg = parse_config(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            run_command(command, spec, cfg)
+        assert err.value.path == path
+        assert err.value.constraint in ("minimum", "positive")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestFamilyTable:
     @pytest.mark.parametrize("family", sorted(cb.FAMILIES))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
@@ -475,3 +477,183 @@ class TestDfBall:
             cone = np.abs(g.nodes[:, 0]) < g.nodes[:, 1]
             fractions.append(idx.size / max(1, int(cone.sum())))
         assert fractions[1] > fractions[0] > 0
+
+
+# Reference graph queries: a full Dijkstra, a CSR column slice for the edges
+# into the source and a per-call transpose.  The library's queries must give
+# the same bits.
+
+
+def _ref_separation(graph, p, q):
+    ip, iq = gd._as_node(graph, p), gd._as_node(graph, q)
+    dist, pred = dijkstra(graph.matrix, directed=True, indices=ip, return_predecessors=True)
+    empty = np.zeros((0, graph.nodes.shape[1]))
+    if ip == iq:
+        incoming = graph.matrix[:, ip].tocoo()
+        val = np.inf
+        best = -1
+        for j, wgt in zip(incoming.row, incoming.data):
+            if dist[j] + wgt < val:
+                val, best = dist[j] + wgt, int(j)
+        if best < 0:
+            return gd.SeparationResult(value=np.inf, witness_path=empty)
+        loop = [best]
+        while loop[-1] != ip:
+            loop.append(int(pred[loop[-1]]))
+        loop.reverse()
+        loop.append(ip)
+        return gd.SeparationResult(value=float(val), witness_path=graph.nodes[np.array(loop)])
+    val = float(dist[iq])
+    if not np.isfinite(val):
+        return gd.SeparationResult(value=np.inf, witness_path=empty)
+    path = [iq]
+    while path[-1] != ip:
+        path.append(int(pred[path[-1]]))
+    path.reverse()
+    return gd.SeparationResult(value=val, witness_path=graph.nodes[np.array(path)])
+
+
+def _ref_reachability(graph, p):
+    ip = gd._as_node(graph, p)
+    dist = dijkstra(graph.matrix, directed=True, indices=ip)
+    mask = np.isfinite(dist)
+    incoming = graph.matrix[:, ip].tocoo()
+    mask[ip] = any(np.isfinite(dist[j]) for j in incoming.row)
+    return np.flatnonzero(mask)
+
+
+def _ref_df_ball(graph, p, r, direction="forward"):
+    ip = gd._as_node(graph, p)
+    mat = graph.matrix if direction == "forward" else graph.matrix.T.tocsr()
+    dist = dijkstra(mat, directed=True, indices=ip)
+    mask = dist < r
+    incoming = mat[:, ip].tocoo()
+    own = np.inf
+    for j, wgt in zip(incoming.row, incoming.data):
+        own = min(own, dist[j] + wgt)
+    mask[ip] = own < r
+    return np.flatnonzero(mask)
+
+
+def _same_separation(a, b):
+    assert np.array_equal(np.float64(a.value), np.float64(b.value))
+    assert a.witness_path.shape == b.witness_path.shape
+    assert a.witness_path.tobytes() == b.witness_path.tobytes()
+
+
+def _same_indices(a, b):
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _hand_graph():
+    """Five nodes on a line.  Edges: 0->1 (explicit 0), 0->2 (0.25),
+    1->0 (0.5), 2->0 (0.25), 1->2 (1), 3->0 (0.2); node 3 has no incoming
+    edge and node 4 none at all.  The two loops back to 0 tie at 0.5."""
+    rows, cols = [0, 0, 1, 2, 1, 3], [1, 2, 0, 0, 2, 0]
+    data = [0.0, 0.25, 0.5, 0.25, 1.0, 0.2]
+    mat = csr_matrix((np.array(data), (np.array(rows), np.array(cols))), shape=(5, 5))
+    return gd.SeparationGraph(
+        box_lo=np.zeros(1),
+        box_hi=np.array([4.0]),
+        resolution=5,
+        neighbor_radius=1,
+        shape=(5,),
+        nodes=np.arange(5.0).reshape(5, 1),
+        matrix=mat,
+    )
+
+
+class TestGraphQueriesMatchReference:
+    """The queries return bit for bit what the reference queries return."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            ("lorentz_example", {}, ((-1.0, 0.0), (1.0, 2.0)), 21, 4),
+            ("lorentz_example", {}, ((-1.0, 0.0), (3.0, 2.0)), 21, 2),
+            ("named", {"family": "matsumoto", "q": 1.0, "b": 0.5}, ((-1.0, -1.0), (1.0, 1.0)), 15, 3),
+            ("named", {"family": "kropina", "q": 1.0, "b": 0.5}, ((-1.0, -1.0), (1.0, 1.0)), 15, 3),
+        ],
+        ids=["lorentz_ex36", "lorentz_ex36_wide", "matsumoto", "kropina"],
+    )
+    def graph(self, request):
+        kind, extra, box, res, rad = request.param
+        metric = build_metric(MetricSpec(tree={"type": kind, **extra}, dimension=2)).metric
+        return gd.build_separation_graph(metric, tuple(np.array(c) for c in box), res, rad)
+
+    def test_separation(self, graph):
+        rng = np.random.default_rng(5)
+        for p in range(graph.node_count):
+            _same_separation(gd.separation(graph, p, p), _ref_separation(graph, p, p))
+            q = int(rng.integers(graph.node_count))
+            _same_separation(gd.separation(graph, p, q), _ref_separation(graph, p, q))
+
+    def test_reachability(self, graph):
+        for p in range(0, graph.node_count, 3):
+            _same_indices(gd.reachability(graph, p), _ref_reachability(graph, p))
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_df_ball(self, graph, direction):
+        rng = np.random.default_rng(6)
+        for p in range(0, graph.node_count, 5):
+            for r in (0.0, float(rng.uniform(0.05, 1.5)), np.inf):
+                _same_indices(gd.df_ball(graph, p, r, direction), _ref_df_ball(graph, p, r, direction))
+
+
+class TestHandMadeGraph:
+    def test_explicit_zero_edge_is_stored(self):
+        g = _hand_graph()
+        assert g.matrix.nnz == 6 and g.matrix[0, 1] == 0.0
+
+    def test_matches_reference(self):
+        g = _hand_graph()
+        for p in range(5):
+            _same_indices(gd.reachability(g, p), _ref_reachability(g, p))
+            for q in range(5):
+                _same_separation(gd.separation(g, p, q), _ref_separation(g, p, q))
+            for r in (0.0, 0.1, 0.3, 0.6, np.inf):
+                for direction in ("forward", "backward"):
+                    _same_indices(gd.df_ball(g, p, r, direction), _ref_df_ball(g, p, r, direction))
+
+    def test_values(self):
+        g = _hand_graph()
+        assert gd.reachability(g, 0).tolist() == [0, 1, 2]
+        assert gd.reachability(g, 3).tolist() == [0, 1, 2]  # no edge comes back to 3
+        assert gd.reachability(g, 4).tolist() == []
+        assert gd.separation(g, 0, 1).value == 0.0  # the zero-weight edge
+        loop = gd.separation(g, 0, 0)
+        assert loop.value == 0.5
+        assert loop.witness_path.ravel().tolist() == [0.0, 1.0, 0.0]  # tie goes to source 1
+        assert np.isinf(gd.separation(g, 3, 3).value)
+        assert gd.df_ball(g, 0, 0.1).tolist() == [1]
+        assert gd.df_ball(g, 0, 0.3, "backward").tolist() == [2, 3]
+        assert gd.df_ball(g, 0, 0.6, "backward").tolist() == [0, 1, 2, 3]
+        assert gd.df_ball(g, 0, -1.0).tolist() == []
+
+
+class TestIncomingAdjacency:
+    def test_built_once(self):
+        g = _hand_graph()
+        assert g.incoming is g.incoming
+        assert (g.incoming != g.matrix.T).nnz == 0
+
+    def test_separation_between_distinct_nodes_skips_it(self):
+        g = _hand_graph()
+        gd.separation(g, 0, 2)
+        assert "incoming" not in g.__dict__
+        gd.separation(g, 0, 0)
+        assert "incoming" in g.__dict__
+
+    def test_bad_direction_raises_before_any_transpose(self, monkeypatch):
+        g = _hand_graph()
+        calls = []
+        real = type(g.matrix).transpose
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(g.matrix), "transpose", counted)
+        with pytest.raises(ValueError, match="direction must be"):
+            gd.df_ball(g, 0, 0.5, "sideways")
+        assert "incoming" not in g.__dict__ and not calls

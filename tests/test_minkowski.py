@@ -52,6 +52,25 @@ class TestGaugeFromCurve:
         with pytest.raises(OutsideCone):
             gauges["lorentz"].value(np.array([1.0, 0.5]))
 
+    def test_value_makes_one_angle_pass(self, monkeypatch):
+        calls = []
+        real = mk.PolarCurve2D.angle_of
+
+        def counted(self, v):
+            calls.append(1)
+            return real(self, v)
+
+        monkeypatch.setattr(mk.PolarCurve2D, "angle_of", counted)
+        gauge = mk.gauge_from_curve(mk.lorentz_curve())
+        vs = np.array([[0.1, 1.0], [-0.3, 2.0]])
+        vals = gauge.value(vs)
+        assert len(calls) == 1
+        assert vals.tobytes() == np.asarray(gauge.value_unchecked(vs)).tobytes()
+        calls.clear()
+        with pytest.raises(OutsideCone, match="^vector outside the gauge's conic domain$"):
+            gauge.value(np.array([[0.1, 1.0], [1.0, 0.5]]))
+        assert len(calls) == 1
+
     def test_parabola_excludes_downward_ray(self, gauges):
         assert not bool(gauges["parabola"].member(np.array([0.0, -1.0])))
         assert bool(gauges["parabola"].member(np.array([0.0, 1.0])))
@@ -59,6 +78,21 @@ class TestGaugeFromCurve:
 
 
 class TestGaugeFromBall:
+    def test_outside_cone_raises_before_casting_rays(self):
+        probed = []
+
+        def member(v):
+            probed.append(1)
+            return v[1] ** 2 - v[0] ** 2 <= 1.0
+
+        cone = mk.ConicDomainV(2, lambda v: np.asarray(v)[..., 1] > np.abs(np.asarray(v)[..., 0]))
+        gauge = mk.gauge_from_ball(2, member, cone)
+        with pytest.raises(OutsideCone):
+            gauge.value(np.array([1.0, 0.5]))
+        assert not probed
+        assert gauge.value(np.array([0.0, 2.0])) == pytest.approx(2.0, abs=1e-9)
+        assert probed
+
     def test_euclidean_ball_r3(self):
         gauge = mk.gauge_from_ball(
             3, lambda v: np.linalg.norm(v) <= 1.0, mk.whole_space_domain(3)
