@@ -39,6 +39,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .numkernel import central_derivatives
 
 COMMANDS = (
     "eval",
@@ -311,14 +312,7 @@ def _custom_profile(prof, path: str) -> cb.PhiProfile:
         phi_dot = compile_expr(prof["phi_dot"], ("s",), f"{path}.phi_dot")
         phi_ddot = compile_expr(prof["phi_ddot"], ("s",), f"{path}.phi_ddot")
     else:
-        h1, h2 = 6e-6, 1.2e-4
-
-        def phi_dot(s, _f=phi):
-            return (_f(np.asarray(s) + h1) - _f(np.asarray(s) - h1)) / (2 * h1)
-
-        def phi_ddot(s, _f=phi):
-            s = np.asarray(s)
-            return (_f(s + h2) - 2.0 * _f(s) + _f(s - h2)) / (h2 * h2)
+        phi_dot, phi_ddot = central_derivatives(phi)
 
     return cb.PhiProfile(phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot, intervals=((lo, hi),), name="custom")
 
@@ -624,10 +618,29 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         lo, hi = (_point(c, dim, f"run.{cmd}.box[{i}]") for i, c in enumerate(box))
         resolution = _run_num(cfg, cmd, "resolution", 21, int, least=2)
         radius = _run_num(cfg, cmd, "neighbor_radius", 3, int, least=1)
+
+        def node(key: str) -> int:
+            """Grid node of the point ``run.<cmd>.<key>``, checked before the graph is built."""
+            point = _run_point(cfg, cmd, key, dim, required=True)
+            try:
+                return gd.grid_node_id((lo, hi), resolution, point)
+            except ValueError as exc:
+                raise ValidationError(f"{key}: {exc}", path=f"run.{cmd}.{key}", constraint="grid") from exc
+
+        if cmd == "ball":
+            center = node("center")
+            r = _run_num(cfg, cmd, "radius", positive=True)
+            direction = str(_param(cfg, cmd, "direction", "forward"))
+            _require(
+                direction in ("forward", "backward"),
+                f"direction must be 'forward' or 'backward', got {direction!r}",
+                f"run.{cmd}.direction",
+            )
+        else:
+            src = node("source")
+            dst = node("target") if cmd == "separation" else None
         graph = gd.build_separation_graph(m, (lo, hi), resolution, radius)
         if cmd == "separation":
-            src = _run_point(cfg, cmd, "source", dim, required=True)
-            dst = _run_point(cfg, cmd, "target", dim, required=True)
             result = gd.separation(graph, src, dst)
             header = ["step"] + _vec_cols("x", dim)
             rows = [[i, *pt] for i, pt in enumerate(result.witness_path)]
@@ -642,21 +655,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
                 header,
                 rows,
             )
-        if cmd == "reach":
-            src = _run_point(cfg, cmd, "source", dim, required=True)
-            idx = gd.reachability(graph, src)
-            header = ["index"] + _vec_cols("x", dim)
-            rows = [[int(i), *graph.nodes[i]] for i in idx]
-            return {"command": cmd, "count": int(idx.size)}, header, rows
-        center = _run_point(cfg, cmd, "center", dim, required=True)
-        r = _run_num(cfg, cmd, "radius", positive=True)
-        direction = str(_param(cfg, cmd, "direction", "forward"))
-        if direction not in ("forward", "backward"):
-            raise ValidationError(
-                f"direction must be 'forward' or 'backward', got {direction!r}",
-                path=f"run.{cmd}.direction",
-            )
-        idx = gd.df_ball(graph, center, r, direction)
+        idx = gd.reachability(graph, src) if cmd == "reach" else gd.df_ball(graph, center, r, direction)
         header = ["index"] + _vec_cols("x", dim)
         rows = [[int(i), *graph.nodes[i]] for i in idx]
         return {"command": cmd, "count": int(idx.size)}, header, rows

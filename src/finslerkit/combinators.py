@@ -28,7 +28,7 @@ from .numkernel import (
     Definiteness,
     eigen_classify,
     fd_gradient,
-    fd_hessian,
+    fd_hessian_batch,
 )
 
 DOMAIN_PROBE_DIRECTIONS = 64
@@ -228,25 +228,29 @@ class LCombiner:
     def value(self, x, p=None) -> np.ndarray:
         return np.asarray(self.L(np.asarray(x, dtype=float), p), dtype=float)
 
-    def _fd_rows(self, fd, x, p, shape: tuple) -> np.ndarray:
-        """Row-by-row finite differences of L; rows that are not finite
-        (arguments from outside an ingredient's domain) give NaN."""
-        nan = np.full(shape, np.nan)
-        flat = x.reshape(-1, x.shape[-1])
-        out = [fd(lambda y: self.value(y, p), row) if np.all(np.isfinite(row)) else nan for row in flat]
-        return np.stack(out).reshape(x.shape[:-1] + shape)
+    def _fd(self, fd, x, p) -> np.ndarray:
+        """Finite differences of L, one stacked call over the finite rows of
+        x, each at its own base point; rows that are not finite (arguments
+        from outside an ingredient's domain) give NaN."""
+        fin = np.all(np.isfinite(x), axis=-1)
+        if p is not None:
+            p = np.broadcast_to(p, x.shape[:-1] + np.shape(p)[-1:])[fin]
+        rows = fd(lambda y: self.value(y, p), x[fin])
+        out = np.full(x.shape[:-1] + rows.shape[1:], np.nan)
+        out[fin] = rows
+        return out
 
     def grad(self, x, p=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.grad_L is not None:
             return np.asarray(self.grad_L(x, p), dtype=float)
-        return self._fd_rows(fd_gradient, x, p, x.shape[-1:])
+        return self._fd(fd_gradient, x, p)
 
     def hess(self, x, p=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.hess_L is not None:
             return np.asarray(self.hess_L(x, p), dtype=float)
-        return self._fd_rows(fd_hessian, x, p, x.shape[-1:] * 2)
+        return self._fd(fd_hessian_batch, x, p)
 
     def in_cone(self, x) -> np.ndarray:
         return np.asarray(self.cone_B(np.asarray(x, dtype=float)), dtype=bool)

@@ -394,25 +394,29 @@ class SeparationGraph:
         return self.matrix.T.tocsr()
 
     def node_id(self, point) -> int:
-        """Flat index of the grid node nearest to ``point`` (must be close)."""
-        point = np.asarray(point, dtype=float)
-        h = (self.box_hi - self.box_lo) / (self.resolution - 1)
-        idx = np.rint((point - self.box_lo) / h).astype(int)
-        if np.any(idx < 0) or np.any(idx >= self.resolution):
-            raise ValueError(f"point {point} outside the graph box")
-        flat = int(np.ravel_multi_index(tuple(idx), self.shape))
-        if np.linalg.norm(self.nodes[flat] - point) > 0.5 * float(np.max(h)):
-            raise ValueError(f"point {point} is not a grid node")
-        return flat
+        """Flat index of the grid node at ``point``; see :func:`grid_node_id`."""
+        return grid_node_id((self.box_lo, self.box_hi), self.resolution, point)
 
 
-def build_separation_graph(
-    m: ConicMetric,
-    box: tuple,
-    resolution: int,
-    neighbor_radius: int,
-    quad_nodes: int = EDGE_QUAD_NODES,
-) -> SeparationGraph:
+def grid_node_id(box: tuple, resolution: int, point) -> int:
+    """Flat index of the node of the ``resolution``-per-axis grid on ``box``
+    nearest to ``point``; ValueError when the point lies outside the box or
+    more than half a cell from that node."""
+    lo = np.asarray(box[0], dtype=float)
+    hi = np.asarray(box[1], dtype=float)
+    point = np.asarray(point, dtype=float)
+    h = (hi - lo) / (resolution - 1)
+    idx = np.rint((point - lo) / h).astype(int)
+    if np.any(idx < 0) or np.any(idx >= resolution):
+        raise ValueError(f"point {point} outside the graph box")
+    # the node's coordinates exactly as build_separation_graph lays them out
+    node = np.array([np.linspace(lo[d], hi[d], resolution)[i] for d, i in enumerate(idx)])
+    if np.linalg.norm(node - point) > 0.5 * float(np.max(h)):
+        raise ValueError(f"point {point} is not a grid node")
+    return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
+
+
+def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor_radius: int) -> SeparationGraph:
     """Grid discretization of the admissible-path length infimum.
 
     Every ordered node pair within the neighbor radius gets a directed
@@ -432,7 +436,7 @@ def build_separation_graph(
     h = (hi - lo) / (resolution - 1)
     center = 0.5 * (lo + hi)
 
-    w = simpson_weights(quad_nodes)
+    w = simpson_weights(EDGE_QUAD_NODES)
     tq = np.linspace(0.0, 1.0, w.size)
     wq = w / (w.size - 1)
 
@@ -528,29 +532,18 @@ def _closing_edge(adj: csr_matrix, dist: np.ndarray, ip: int) -> tuple:
 def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     """Shortest admissible-path length from p to q on the graph."""
     ip, iq = _as_node(graph, p), _as_node(graph, q)
-    dist, pred = _sp_dijkstra(
-        graph.matrix, directed=True, indices=ip, return_predecessors=True
-    )
-    empty = np.zeros((0, graph.nodes.shape[1]))
+    dist, pred = _sp_dijkstra(graph.matrix, directed=True, indices=ip, return_predecessors=True)
     if ip == iq:
         # proper separation: go out and come back (no zero-length loitering)
-        val, best = _closing_edge(graph.incoming, dist, ip)
-        if best < 0:
-            return SeparationResult(value=np.inf, witness_path=empty)
-        loop = [best]
-        while loop[-1] != ip:
-            loop.append(int(pred[loop[-1]]))
-        loop.reverse()
-        loop.append(ip)
-        return SeparationResult(value=float(val), witness_path=graph.nodes[np.array(loop)])
-    val = float(dist[iq])
+        val, last = _closing_edge(graph.incoming, dist, ip)
+        path = [iq, last]
+    else:
+        val, path = dist[iq], [iq]
     if not np.isfinite(val):
-        return SeparationResult(value=np.inf, witness_path=empty)
-    path = [iq]
+        return SeparationResult(value=np.inf, witness_path=np.zeros((0, graph.nodes.shape[1])))
     while path[-1] != ip:
         path.append(int(pred[path[-1]]))
-    path.reverse()
-    return SeparationResult(value=val, witness_path=graph.nodes[np.array(path)])
+    return SeparationResult(value=float(val), witness_path=graph.nodes[np.array(path[::-1])])
 
 
 def reachability(graph: SeparationGraph, p) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateDirection, NoBracket, NonFiniteSample, OutsideCone
-from .numkernel import EPS, fd_hessian, ray_root
+from .numkernel import GRAD_STEP, central_derivatives, fd_hessian, ray_root
 
 TWO_PI = 2.0 * np.pi
 
@@ -88,23 +88,13 @@ class PolarCurve2D:
 
 def polar_curve(r, r_dot=None, r_ddot=None, theta_range=None) -> PolarCurve2D:
     """Build a polar curve, deriving missing derivatives by central differences."""
-    if r_dot is None:
-        h1 = EPS ** (1.0 / 3.0)
-
-        def r_dot(theta, _r=r, _h=h1):
-            theta = np.asarray(theta, dtype=float)
-            return (np.asarray(_r(theta + _h)) - np.asarray(_r(theta - _h))) / (2.0 * _h)
-
-    if r_ddot is None:
-        h2 = EPS**0.25
-
-        def r_ddot(theta, _r=r, _h=h2):
-            theta = np.asarray(theta, dtype=float)
-            return (
-                np.asarray(_r(theta + _h)) - 2.0 * np.asarray(_r(theta)) + np.asarray(_r(theta - _h))
-            ) / (_h * _h)
-
-    return PolarCurve2D(r=r, r_dot=r_dot, r_ddot=r_ddot, theta_range=theta_range)
+    d1, d2 = central_derivatives(r)
+    return PolarCurve2D(
+        r=r,
+        r_dot=d1 if r_dot is None else r_dot,
+        r_ddot=d2 if r_ddot is None else r_ddot,
+        theta_range=theta_range,
+    )
 
 
 class GaugeSource(Enum):
@@ -184,16 +174,13 @@ def gauge_from_ball(dimension: int, member, cone: ConicDomainV) -> GaugeNorm:
     are degenerate and rejected.
     """
 
-    def ball_has(v) -> bool:
-        return bool(member(np.asarray(v, dtype=float)))
-
     def value_one(v: np.ndarray) -> float:
         hint = float(np.linalg.norm(v))
         if hint == 0.0:
             return 0.0
 
         def crossing(lam: float) -> float:
-            return 1.0 if ball_has(v / lam) else -1.0
+            return 1.0 if member(v / lam) else -1.0
 
         try:
             return ray_root(crossing, bracket_hint=hint)
@@ -204,8 +191,6 @@ def gauge_from_ball(dimension: int, member, cone: ConicDomainV) -> GaugeNorm:
 
     def value_unchecked(v):
         v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            return value_one(v) if cone(v) else np.nan
         flat = v.reshape(-1, v.shape[-1])
         ok = cone(flat)
         out = np.array([value_one(x) if o else np.nan for x, o in zip(flat, ok)])
@@ -230,18 +215,20 @@ def curve_convexity(curve: PolarCurve2D, theta: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+def _half_square(norm: GaugeNorm, u) -> np.ndarray:
+    """value(u)^2 / 2, NaN outside the domain."""
+    with np.errstate(all="ignore"):
+        val = np.asarray(norm.value_unchecked(u), dtype=float)
+    return 0.5 * val * val
+
+
 def fundamental_tensor_norm(norm: GaugeNorm, v: np.ndarray) -> np.ndarray:
     """Fundamental tensor at v: finite-difference Hessian of value^2 / 2."""
     v = np.asarray(v, dtype=float)
     if not np.all(norm.member(v)):
         raise OutsideCone("tensor requested outside the gauge domain")
 
-    def half_square(u):
-        with np.errstate(all="ignore"):
-            val = np.asarray(norm.value_unchecked(u), dtype=float)
-        return 0.5 * val * val
-
-    g = fd_hessian(half_square, v, scale=float(np.linalg.norm(v)))
+    g = fd_hessian(lambda u: _half_square(norm, u), v, scale=float(np.linalg.norm(v)))
     if not np.all(np.isfinite(g)):
         raise NonFiniteSample("finite-difference probes left the gauge domain")
     return g
@@ -324,13 +311,8 @@ def fundamental_inequality_check(norm: GaugeNorm, v1, v2) -> InequalityVerdict:
     if not (bool(norm.member(v1)) and bool(norm.member(v2))):
         raise OutsideCone("fundamental inequality arguments must lie in the domain")
 
-    def half_square(u):
-        with np.errstate(all="ignore"):
-            val = np.asarray(norm.value_unchecked(u), dtype=float)
-        return 0.5 * val * val
-
-    h = EPS ** (1.0 / 3.0) * float(np.linalg.norm(v1)) / max(float(np.linalg.norm(v2)), 1e-300)
-    lhs = float(half_square(v1 + h * v2) - half_square(v1 - h * v2)) / (2.0 * h)
+    h = GRAD_STEP * float(np.linalg.norm(v1)) / max(float(np.linalg.norm(v2)), 1e-300)
+    lhs = float(_half_square(norm, v1 + h * v2) - _half_square(norm, v1 - h * v2)) / (2.0 * h)
     if not np.isfinite(lhs):
         raise NonFiniteSample("derivative probes left the gauge domain")
     rhs = float(norm.value_unchecked(v1)) * float(norm.value_unchecked(v2))

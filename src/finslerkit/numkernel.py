@@ -1,11 +1,13 @@
 """Small dense numerics shared by every other module.
 
-Finite-difference oracles (gradient/Hessian), symmetric eigenvalue
-classification, composite Simpson quadrature and one-dimensional root
-bracketing.  All functions are pure; vectors are plain float ndarrays.
+Finite-difference oracles (gradient/Hessian, one-variable derivatives),
+symmetric eigenvalue classification, composite Simpson quadrature and
+one-dimensional root bracketing.  All functions are pure; vectors are
+plain float ndarrays.
 
-The finite-difference routines exist to cross-check closed-form tensors,
-so they deliberately do not share any code with the analytic paths.
+The finite-difference routines stand in where no closed form is given
+and cross-check the closed-form tensors, so they deliberately do not
+share any code with the analytic paths.
 """
 
 from __future__ import annotations
@@ -65,18 +67,38 @@ def _eval_stack(f, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def fd_gradient(f, x, scale: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function at ``x``.
+def fd_gradient(f, x, scale=None) -> np.ndarray:
+    """Central-difference gradients of a scalar function, shape (..., n) -> (..., n).
 
-    ``scale`` overrides the step heuristic h = cbrt(eps) * max(1, scale);
-    by default the norm of ``x`` is used.
+    The step per point is h = cbrt(eps) * max(1, scale); ``scale``
+    broadcasts over the batch and defaults to the norm of each point.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    h = GRAD_STEP * max(1.0, float(np.linalg.norm(x)) if scale is None else float(scale))
-    probes = np.concatenate([x + h * np.eye(n), x - h * np.eye(n)], axis=0)
-    vals = _check_finite(_eval_stack(f, probes), "fd_gradient")
-    return (vals[:n] - vals[n:]) / (2.0 * h)
+    batch = x.shape[:-1]
+    s = np.linalg.norm(x, axis=-1) if scale is None else np.broadcast_to(np.asarray(scale, float), batch)
+    h = GRAD_STEP * np.maximum(1.0, s)
+    # probes: (2n, ..., n), the +h steps first
+    steps = np.eye(n).reshape(n, *([1] * len(batch)), n) * h[..., None]
+    vals = _check_finite(_eval_stack(f, np.concatenate([x + steps, x - steps])), "fd_gradient")
+    return np.moveaxis((vals[:n] - vals[n:]) / (2.0 * h), 0, -1)
+
+
+def central_derivatives(f):
+    """First and second derivatives of a scalar function of one variable,
+    as central differences with steps ``GRAD_STEP`` and ``HESS_STEP``."""
+
+    def d1(t):
+        t = np.asarray(t, dtype=float)
+        return (np.asarray(f(t + GRAD_STEP)) - np.asarray(f(t - GRAD_STEP))) / (2.0 * GRAD_STEP)
+
+    def d2(t):
+        t = np.asarray(t, dtype=float)
+        return (
+            np.asarray(f(t + HESS_STEP)) - 2.0 * np.asarray(f(t)) + np.asarray(f(t - HESS_STEP))
+        ) / (HESS_STEP * HESS_STEP)
+
+    return d1, d2
 
 
 def _hessian_stencil(n: int):
@@ -145,25 +167,18 @@ def eigen_classify(m: np.ndarray, tolerance: float = DEFAULT_EIG_TOL) -> EigenRe
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise NonFiniteSample("non-finite entries in eigen_classify input")
-    eig = np.sort(np.linalg.eigvalsh(0.5 * (m + m.T)))
-    scale = max(float(np.max(np.abs(eig))), 1.0 if np.all(eig == 0.0) else 0.0)
-    cut = tolerance * scale
+    eig = np.linalg.eigvalsh(0.5 * (m + m.T))  # ascending
+    cut = tolerance * float(np.max(np.abs(eig)))
     n_pos = int(np.sum(eig > cut))
     n_neg = int(np.sum(eig < -cut))
-    n_zero = eig.size - n_pos - n_neg
-    if n_neg == 0 and n_zero == 0:
-        cls = Definiteness.POSITIVE_DEFINITE
-    elif n_neg == 0 and n_pos > 0:
-        cls = Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE
-    elif n_pos == 0 and n_zero == 0:
-        cls = Definiteness.NEGATIVE_DEFINITE
+    D = Definiteness
+    if n_neg == 0:
+        # the all-zero matrix counts as degenerate PSD
+        cls = D.POSITIVE_DEFINITE if n_pos == eig.size else D.POSITIVE_SEMIDEFINITE_DEGENERATE
     elif n_pos == 0:
-        cls = Definiteness.NEGATIVE_SEMIDEFINITE
+        cls = D.NEGATIVE_DEFINITE if n_neg == eig.size else D.NEGATIVE_SEMIDEFINITE
     else:
-        cls = Definiteness.INDEFINITE
-    if n_pos == 0 and n_neg == 0:
-        # all-zero matrix: treat as degenerate PSD
-        cls = Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE
+        cls = D.INDEFINITE
     return EigenReport(eigenvalues=eig, min_eigenvalue=float(eig[0]), classification=cls)
 
 
@@ -198,8 +213,9 @@ def ray_root(g, bracket_hint: float = 1.0, max_doublings: int = 60) -> float:
     """Positive root of ``g`` on (0, inf), found by doubling then bisection.
 
     ``g`` may be a genuine continuous function or a +/-1 membership
-    indicator; the bracket is shrunk to relative width ~1e-13 either way,
-    and a secant polish tightens |g| when the values support it.
+    indicator; either way the bracket is shrunk to relative width 1e-14
+    and its midpoint returned.  A non-finite value met while doubling
+    counts as no sign change.
     """
     lam0 = float(bracket_hint)
     if lam0 <= 0:
@@ -210,54 +226,32 @@ def ray_root(g, bracket_hint: float = 1.0, max_doublings: int = 60) -> float:
     if g0 == 0.0:
         return lam0
 
-    lo = hi = lam0
-    glo = ghi = g0
-    found = False
+    # the inner end of each bracket is the previous probe (or the hint),
+    # whose sign is that of g0
+    sign0 = np.sign(g0)
     for k in range(1, max_doublings + 1):
         up = lam0 * (2.0**k)
         gu = float(g(up))
-        if np.isfinite(gu) and np.sign(gu) != np.sign(g0):
-            if up > lam0:
-                lo, glo, hi, ghi = lam0 * (2.0 ** (k - 1)), g0, up, gu
-                glo = float(g(lo))
-            found = True
+        if np.isfinite(gu) and np.sign(gu) != sign0:
+            lo, hi, sign_lo = lam0 * (2.0 ** (k - 1)), up, sign0
             break
         down = lam0 / (2.0**k)
         gd = float(g(down))
-        if np.isfinite(gd) and np.sign(gd) != np.sign(g0):
-            lo, glo, hi, ghi = down, gd, lam0 / (2.0 ** (k - 1)), g0
-            ghi = float(g(hi))
-            found = True
+        if np.isfinite(gd) and np.sign(gd) != sign0:
+            lo, hi, sign_lo = down, lam0 / (2.0 ** (k - 1)), np.sign(gd)
             break
-    if not found:
+    else:
         raise NoBracket(f"no sign change within {max_doublings} doublings of {lam0}")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-14 * max(1.0, mid):
-            break
+            return mid
         gm = float(g(mid))
         if gm == 0.0:
             return mid
-        if np.sign(gm) == np.sign(glo):
-            lo, glo = mid, gm
+        if np.sign(gm) == sign_lo:
+            lo = mid
         else:
-            hi, ghi = mid, gm
-
-    lam = 0.5 * (lo + hi)
-    # secant polish; a no-op for indicator-style g (values stuck at +/-1)
-    a, b_, fa, fb = lo, hi, glo, ghi
-    for _ in range(8):
-        if fb == fa:
-            break
-        c = b_ - fb * (b_ - a) / (fb - fa)
-        if not np.isfinite(c) or c <= 0:
-            break
-        fc = float(g(c))
-        a, fa, b_, fb = b_, fb, c, fc
-        if abs(fc) <= 1e-13 * max(1.0, abs(c)):
-            return c
-    gl = float(g(lam))
-    if abs(fb) < abs(gl):
-        return b_
-    return lam
+            hi = mid
+    return 0.5 * (lo + hi)

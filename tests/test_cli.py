@@ -254,6 +254,31 @@ class TestMalformedConfig:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, section, path",
+        [
+            ("separation", {"source": [5, 5], "target": [0.5, 0]}, "run.separation.source"),
+            ("separation", {"source": [0, 0], "target": [0.04, 0.04]}, "run.separation.target"),
+            ("reach", {"source": [0, -1.5]}, "run.reach.source"),
+            ("ball", {"center": [0.04, 0.04], "radius": 0.3}, "run.ball.center"),
+            ("ball", {"center": [0, 0], "radius": 0.3, "direction": "sideways"}, "run.ball.direction"),
+        ],
+    )
+    def test_graph_points_checked_before_build(self, command, section, path, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the graph was built before its points were checked")
+
+        monkeypatch.setattr(gd, "build_separation_graph", never)
+        doc = {"metric": {"type": "euclidean"}, "run": {command: {"box": [[-1, -1], [1, 1]], **section}}}
+        spec, cfg = parse_config(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            run_command(command, spec, cfg)
+        assert err.value.path == path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestFamilyTable:
     @pytest.mark.parametrize("family", sorted(cb.FAMILIES))

@@ -212,6 +212,31 @@ class TestCombine:
         assert {e.in_domain for e in entries} == {True, False}
         assert all(e.in_domain == (e.direction[1] > 0.0) for e in entries)
 
+    @pytest.mark.parametrize("batch", [3, 9])
+    def test_fd_fallback_uses_each_rows_base_point(self, batch):
+        # L depends on the point, so each finite-difference row needs its own p
+        def L(x, p):
+            return x[..., 0] ** 2 * (1.0 + p[..., 0] ** 2) + x[..., 1] ** 2
+
+        def grad_L(x, p):
+            return np.stack([2.0 * x[..., 0] * (1.0 + p[..., 0] ** 2), 2.0 * x[..., 1]], axis=-1)
+
+        def hess_L(x, p):
+            h = np.zeros(x.shape + (2,))
+            h[..., 0, 0] = 2.0 * (1.0 + p[..., 0] ** 2)
+            h[..., 1, 1] = 2.0
+            return h
+
+        fd = cb.LCombiner(n=2, m=0, L=L, position_independent=False, name="posdep-fd")
+        exact = replace(fd, grad_L=grad_L, hess_L=hess_L, name="posdep")
+        stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), me.whole_plane(2))
+        rng = np.random.default_rng(batch)
+        base = rng.uniform(-1.0, 1.0, size=(batch, 2))
+        vs = rng.normal(size=(batch, 2))
+        g_fd, g_exact = (cb.combine(c, [euclid(), stretched], []).tensor_many(base, vs) for c in (fd, exact))
+        assert np.all(np.isfinite(g_fd))
+        assert np.max(np.abs(g_fd - g_exact)) <= 1e-6 * max(1.0, np.max(np.abs(g_exact)))
+
     def test_domain_empty(self):
         E = euclid()
         never = cb.LCombiner(

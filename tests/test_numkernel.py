@@ -4,15 +4,94 @@ import pytest
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
-from finslerkit.errors import NoBracket
+from finslerkit.errors import NoBracket, NonFiniteSample
 from finslerkit.numkernel import (
+    EPS,
     Definiteness,
+    central_derivatives,
     eigen_classify,
     fd_gradient,
     fd_hessian,
     integrate_1d,
     ray_root,
 )
+
+
+def reference_ray_root(g, bracket_hint=1.0, max_doublings=60):
+    """The earlier ray_root, kept as a reference: it re-evaluated the inner
+    bracket end after doubling and ended with a secant polish."""
+    lam0 = float(bracket_hint)
+    if lam0 <= 0:
+        lam0 = 1.0
+    g0 = float(g(lam0))
+    if not np.isfinite(g0):
+        raise NonFiniteSample("non-finite value in ray_root at the hint")
+    if g0 == 0.0:
+        return lam0
+    lo = hi = lam0
+    glo = ghi = g0
+    found = False
+    for k in range(1, max_doublings + 1):
+        up = lam0 * (2.0**k)
+        gu = float(g(up))
+        if np.isfinite(gu) and np.sign(gu) != np.sign(g0):
+            if up > lam0:
+                lo, glo, hi, ghi = lam0 * (2.0 ** (k - 1)), g0, up, gu
+                glo = float(g(lo))
+            found = True
+            break
+        down = lam0 / (2.0**k)
+        gd = float(g(down))
+        if np.isfinite(gd) and np.sign(gd) != np.sign(g0):
+            lo, glo, hi, ghi = down, gd, lam0 / (2.0 ** (k - 1)), g0
+            ghi = float(g(hi))
+            found = True
+            break
+    if not found:
+        raise NoBracket(f"no sign change within {max_doublings} doublings of {lam0}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-14 * max(1.0, mid):
+            break
+        gm = float(g(mid))
+        if gm == 0.0:
+            return mid
+        if np.sign(gm) == np.sign(glo):
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
+    lam = 0.5 * (lo + hi)
+    a, b_, fa, fb = lo, hi, glo, ghi
+    for _ in range(8):
+        if fb == fa:
+            break
+        c = b_ - fb * (b_ - a) / (fb - fa)
+        if not np.isfinite(c) or c <= 0:
+            break
+        fc = float(g(c))
+        a, fa, b_, fb = b_, fb, c, fc
+        if abs(fc) <= 1e-13 * max(1.0, abs(c)):
+            return c
+    gl = float(g(lam))
+    if abs(fb) < abs(gl):
+        return b_
+    return lam
+
+
+def reference_polar_derivatives(r):
+    """The central differences polar_curve wrote out for itself before it
+    used central_derivatives."""
+    h1, h2 = EPS ** (1.0 / 3.0), EPS**0.25
+
+    def r_dot(theta):
+        theta = np.asarray(theta, dtype=float)
+        return (np.asarray(r(theta + h1)) - np.asarray(r(theta - h1))) / (2.0 * h1)
+
+    def r_ddot(theta):
+        theta = np.asarray(theta, dtype=float)
+        return (np.asarray(r(theta + h2)) - 2.0 * np.asarray(r(theta)) + np.asarray(r(theta - h2))) / (h2 * h2)
+
+    return r_dot, r_ddot
 
 
 class TestFdGradient:
@@ -39,6 +118,34 @@ class TestFdGradient:
         g = fd_gradient(lambda u: rd.half_square(base, u), v)
         gv = me.tensor(rd, me.TangentVec(base, v)) @ v
         assert np.allclose(g, gv, atol=1e-6)
+
+    @pytest.mark.parametrize("scale", [None, 2.5])
+    def test_batch_equals_per_point_calls(self, scale):
+        f = lambda x: np.sin(x[..., 0]) * np.exp(x[..., 1]) + x[..., 2] ** 3
+        xs = np.random.default_rng(4).normal(size=(4, 5, 3)) * 2.0
+        batched = fd_gradient(f, xs, scale=scale)
+        single = np.array([[fd_gradient(f, x, scale=scale) for x in row] for row in xs])
+        assert batched.shape == xs.shape
+        assert batched.tobytes() == single.tobytes()
+
+
+class TestCentralDerivatives:
+    @pytest.mark.parametrize("curve", [mk.sqrt_parabola_curve, mk.downward_parabola_curve])
+    def test_polar_curves_keep_their_differences(self, curve):
+        c = curve()
+        theta = np.linspace(c.theta_range[0], c.theta_range[1], 1001)[1:-1]
+        ref_dot, ref_ddot = reference_polar_derivatives(c.r)
+        d1, d2 = central_derivatives(c.r)
+        for new in (c.r_dot(theta), d1(theta)):
+            assert np.asarray(new).tobytes() == ref_dot(theta).tobytes()
+        for new in (c.r_ddot(theta), d2(theta)):
+            assert np.asarray(new).tobytes() == ref_ddot(theta).tobytes()
+        assert float(d1(0.5)) == ref_dot(np.array([0.5]))[0]
+
+    def test_cubic(self):
+        d1, d2 = central_derivatives(lambda t: t**3)
+        assert float(d1(2.0)) == pytest.approx(12.0, rel=1e-9)
+        assert float(d2(2.0)) == pytest.approx(12.0, rel=1e-6)
 
 
 class TestFdHessian:
@@ -94,6 +201,16 @@ class TestEigenClassify:
         rep = eigen_classify(-np.eye(2), 1e-9)
         assert rep.classification is Definiteness.NEGATIVE_DEFINITE
 
+    def test_zero_matrix_is_semidefinite_degenerate(self):
+        rep = eigen_classify(np.zeros((3, 3)), 1e-9)
+        assert rep.classification is Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE
+        assert rep.min_eigenvalue == 0.0
+
+    def test_negative_semidefinite(self):
+        rep = eigen_classify(np.diag([0.0, -1.0]), 1e-9)
+        assert rep.classification is Definiteness.NEGATIVE_SEMIDEFINITE
+        assert rep.min_eigenvalue == -1.0
+
     def test_eigenvalues_sorted(self):
         rep = eigen_classify(np.diag([3.0, -1.0, 2.0]))
         assert np.all(np.diff(rep.eigenvalues) >= 0)
@@ -145,3 +262,40 @@ class TestRayRoot:
     def test_no_bracket(self):
         with pytest.raises(NoBracket):
             ray_root(lambda lam: lam * lam + 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda lam: lam - 2.0,
+            lambda lam: lam * lam - 9.0,
+            lambda t: np.linalg.norm(np.array([3.0, 4.0]) / t) - 1.0,
+            lambda lam: np.tanh(lam - 1.7),
+            lambda lam: 0.3 - lam,
+            lambda lam: 1.0 if lam < 0.01 else -1.0,
+        ],
+        ids=["linear", "quadratic", "unit_disk", "tanh", "down", "indicator_down"],
+    )
+    def test_matches_reference(self, g):
+        new, ref = ray_root(g, 1.0), reference_ray_root(g, 1.0)
+        assert abs(new - ref) <= 1e-12 * ref
+
+    def test_ball_gauge_bit_identical_with_fewer_calls(self, monkeypatch):
+        # a scalar-only ellipse predicate, as a user would write it
+        rng = np.random.default_rng(11)
+        ax, ay = 1.6, 0.7
+        calls = [0]
+
+        def member(v):
+            calls[0] += 1
+            return (v[0] / ax) ** 2 + (v[1] / ay) ** 2 <= 1.0
+
+        angle = rng.uniform(0.0, 2.0 * np.pi, 2000)
+        vs = rng.uniform(0.1, 3.0, 2000)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        gauge = mk.gauge_from_ball(2, member, mk.whole_space_domain(2))
+        new = gauge.value(vs)
+        new_calls, calls[0] = calls[0], 0
+        monkeypatch.setattr(mk, "ray_root", reference_ray_root)
+        ref = gauge.value(vs)
+        assert new.tobytes() == ref.tobytes()
+        assert new_calls < calls[0]
+        assert np.allclose(new, np.hypot(vs[:, 0] / ax, vs[:, 1] / ay), rtol=1e-12)
