@@ -616,6 +616,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         box = _param(cfg, cmd, "box", required=True)
         _require(isinstance(box, list) and len(box) == 2, "box must be [lo, hi]", f"run.{cmd}.box", "shape")
         lo, hi = (_point(c, dim, f"run.{cmd}.box[{i}]") for i, c in enumerate(box))
+        _require(bool(np.all(hi > lo)), "box needs hi > lo on every axis", f"run.{cmd}.box", "positive")
         resolution = _run_num(cfg, cmd, "resolution", 21, int, least=2)
         radius = _run_num(cfg, cmd, "neighbor_radius", 3, int, least=1)
 
@@ -743,7 +744,8 @@ def main(argv=None) -> int:
         summary, header, rows = run_command(args.command, spec, cfg)
     except FinslerError as exc:
         code = 2 if exc.code in DOMAIN_CODES else 3
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        where = f" at {exc.path}" if isinstance(exc, ValidationError) and exc.path else ""
+        print(f"error [{exc.code}]{where}: {exc}", file=sys.stderr)
         return code
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error [validation_error]: {exc}", file=sys.stderr)

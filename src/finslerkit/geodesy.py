@@ -6,7 +6,11 @@ p = 2 g v, taking position derivatives by central differences of the
 fundamental tensor, and is integrated with classical RK4.  Each
 acceleration makes one stacked tensor evaluation: the state and its 2N
 stencil points.  Separations are shortest paths on a grid graph whose
-edges are straight admissible segments weighted by F-length.
+edges are straight admissible segments weighted by F-length.  On a
+position-dependent metric each edge's length is the 7-point Kronrod sum
+of the embedded 3/7-point Gauss-Kronrod pair, and its cone test samples
+both ends and those 7 nodes; an edge whose 3-point Gauss estimate
+disagrees is redone with composite Simpson.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import DegenerateTensor, LeftDomain, NotAdmissible, OutsideDomain
 from .metrics import ConicMetric, TangentVec, unit_directions
-from .numkernel import EPS, simpson_weights
+from .numkernel import EPS, gauss_kronrod_3_7, simpson_weights
 
-EDGE_QUAD_NODES = 33
+EDGE_QUAD_NODES = 33  # Simpson nodes of an edge whose Gauss-Kronrod estimate is flagged
+EDGE_KRONROD_RTOL = 1e-7  # flag an edge when |K7 - G3| > EDGE_KRONROD_RTOL * |K7|
 CURVE_QUAD_NODES = 65
 DEFAULT_STEP = 0.01
 
@@ -398,12 +403,18 @@ class SeparationGraph:
         return grid_node_id((self.box_lo, self.box_hi), self.resolution, point)
 
 
+def _check_box(lo: np.ndarray, hi: np.ndarray):
+    if not np.all(hi > lo):
+        raise ValueError(f"graph box needs hi > lo on every axis, got lo={lo}, hi={hi}")
+
+
 def grid_node_id(box: tuple, resolution: int, point) -> int:
     """Flat index of the node of the ``resolution``-per-axis grid on ``box``
     nearest to ``point``; ValueError when the point lies outside the box or
-    more than half a cell from that node."""
+    more than half a cell from that node, or when hi <= lo on some axis."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
+    _check_box(lo, hi)
     point = np.asarray(point, dtype=float)
     h = (hi - lo) / (resolution - 1)
     idx = np.rint((point - lo) / h).astype(int)
@@ -416,16 +427,48 @@ def grid_node_id(box: tuple, resolution: int, point) -> int:
     return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
 
 
+def _edge_lengths(m: ConicMetric, starts: np.ndarray, delta: np.ndarray) -> tuple:
+    """(kept, lengths): the mask of the admissible straight edges
+    ``starts -> starts + delta`` on a position-dependent metric, and their
+    F-lengths, by the rule of :func:`build_separation_graph`.  A flagged
+    edge includes one whose K7 or G3 sum is not finite."""
+    t, k7, g3 = gauss_kronrod_3_7()
+    ends_and_nodes = np.concatenate([[0.0], t, [1.0]])
+    ok, vals = m.jet(starts[:, None, :] + ends_and_nodes[None, :, None] * delta, delta)
+    kept = np.all(ok, axis=1)
+    inner = vals[kept, 1:-1]
+    kronrod = inner @ k7
+    flagged = ~(np.abs(kronrod - inner[:, 1::2] @ g3) <= EDGE_KRONROD_RTOL * np.abs(kronrod))
+    lengths = np.full(kept.shape, np.nan)
+    lengths[kept] = kronrod
+    redo = np.flatnonzero(kept)[flagged]
+    if redo.size:
+        w = simpson_weights(EDGE_QUAD_NODES)
+        tq = np.linspace(0.0, 1.0, w.size)
+        ok, vals = m.jet(starts[redo][:, None, :] + tq[None, :, None] * delta, delta)
+        keep = np.all(ok, axis=1)
+        kept[redo] = keep
+        lengths[redo[keep]] = vals[keep] @ (w / (w.size - 1))
+    return kept, lengths[kept]
+
+
 def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor_radius: int) -> SeparationGraph:
     """Grid discretization of the admissible-path length infimum.
 
     Every ordered node pair within the neighbor radius gets a directed
-    edge weighted by the Simpson F-length of the straight segment, and
-    the edge is dropped when any sampled velocity leaves the cone.
+    edge weighted by the F-length of the straight segment.  On a
+    position-dependent metric that length is the 7-point Gauss-Kronrod
+    sum, and the edge is dropped when the velocity leaves the cone at
+    either end or at any of the 7 nodes; an edge whose embedded 3-point
+    Gauss estimate differs from that sum by more than
+    ``EDGE_KRONROD_RTOL`` relative is redone with ``EDGE_QUAD_NODES``-point
+    Simpson, whose points alone then decide its length and cone test.
+    ValueError for a box with hi <= lo on some axis.
     """
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     n = lo.shape[0]
+    _check_box(lo, hi)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     axes = [np.linspace(lo[d], hi[d], resolution) for d in range(n)]
@@ -435,10 +478,6 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     strides = np.array([int(np.prod(shape[d + 1 :])) for d in range(n)])
     h = (hi - lo) / (resolution - 1)
     center = 0.5 * (lo + hi)
-
-    w = simpson_weights(EDGE_QUAD_NODES)
-    tq = np.linspace(0.0, 1.0, w.size)
-    wq = w / (w.size - 1)
 
     rows_all, cols_all, weights_all = [], [], []
     R = int(neighbor_radius)
@@ -472,14 +511,12 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
             cols_all.append(dst)
             weights_all.append(np.full(src.shape, float(F)))
         else:
-            pos = nodes[src][:, None, :] + tq[None, :, None] * delta[None, None, :]
-            ok, vals = m.jet(pos, delta)
-            keep = np.all(ok, axis=1)
+            keep, lengths = _edge_lengths(m, nodes[src], delta)
             if not np.any(keep):
                 continue
             rows_all.append(src[keep])
             cols_all.append(dst[keep])
-            weights_all.append(vals[keep] @ wq)
+            weights_all.append(lengths)
 
     if rows_all:
         rows = np.concatenate(rows_all)

@@ -1,9 +1,9 @@
 """Small dense numerics shared by every other module.
 
 Finite-difference oracles (gradient/Hessian, one-variable derivatives),
-symmetric eigenvalue classification, composite Simpson quadrature and
-one-dimensional root bracketing.  All functions are pure; vectors are
-plain float ndarrays.
+symmetric eigenvalue classification, composite Simpson quadrature, the
+embedded 3/7-point Gauss-Kronrod rule and one-dimensional root
+bracketing.  All functions are pure; vectors are plain float ndarrays.
 
 The finite-difference routines stand in where no closed form is given
 and cross-check the closed-form tensors, so they deliberately do not
@@ -192,6 +192,25 @@ def simpson_weights(nodes: int) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w / 3.0
+
+
+# The embedded 3/7-point Gauss-Kronrod pair on [-1, 1] (Kronrod 1965): the
+# 7 Kronrod abscissae hold the 3 Gauss-Legendre ones at the odd indices.
+_K7_X = np.array([0.96049126870802028, 0.77459666924148338, 0.43424374934680256, 0.0])
+_K7_W = np.array([0.10465622602646727, 0.26848808986833344, 0.40139741477596222, 0.45091653865847414])
+_G3_W = np.array([5.0 / 9.0, 8.0 / 9.0])
+
+
+def gauss_kronrod_3_7() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nodes, K7 weights, G3 weights) of the embedded Gauss-Kronrod pair on [0, 1].
+
+    The 7 nodes ascend; the 3-point Gauss rule (exact to degree 5) uses
+    ``nodes[1::2]`` and the 7-point Kronrod rule is exact to degree 11.
+    """
+    x = np.concatenate([-_K7_X[:-1], _K7_X[::-1]])
+    k7 = np.concatenate([_K7_W[:-1], _K7_W[::-1]])
+    g3 = np.concatenate([_G3_W, _G3_W[:1]])
+    return 0.5 * (1.0 + x), 0.5 * k7, 0.5 * g3
 
 
 def integrate_1d(f, a: float, b: float, nodes: int = DEFAULT_QUAD_NODES) -> float:

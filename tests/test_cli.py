@@ -240,6 +240,9 @@ class TestMalformedConfig:
             ("detcheck", {"samples": -3}, "run.detcheck.samples"),
             ("gauss", {"samples": 0}, "run.gauss.samples"),
             ("oracle", {"samples": 0}, "run.oracle.samples"),
+            ("reach", {"box": [[0, 0], [0, 1]], "source": [0, 0]}, "run.reach.box"),
+            ("separation", {"box": [[-1, 1], [1, -1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box"),
+            ("ball", {"box": [[-1, -1], [1, "nan"]], "center": [0, 0], "radius": 0.3}, "run.ball.box"),
         ],
     )
     def test_run_parameter_out_of_range_names_path(self, command, section, path, tmp_path):
@@ -491,6 +494,25 @@ class TestBatchedCommands:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err == "error [outside_domain]: vector [1. 0.] at [0. 0.] is outside the conic domain\n"
+
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            (
+                {"metric": {"type": "euclidean"}, "run": {"separation": {"box": [[-1, -1], [1, 1]], "source": [0]}}},
+                "error [validation_error] at run.separation.source: expected a list of 2 numbers\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"reach": {"box": [[0, 0], [0, 1]], "source": [0, 0]}}},
+                "error [validation_error] at run.reach.box: box needs hi > lo on every axis\n",
+            ),
+        ],
+    )
+    def test_validation_error_line_names_its_path(self, doc, line, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([next(iter(doc["run"])), "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == line
 
 
 class TestPositionIndependence:

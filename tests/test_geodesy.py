@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from finslerkit import combinators as cb
@@ -9,6 +11,7 @@ from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.cli import MetricSpec, build_metric
 from finslerkit.errors import DegenerateTensor, LeftDomain, NotAdmissible
+from finslerkit.numkernel import simpson_weights
 
 BASE = np.zeros(2)
 
@@ -316,6 +319,157 @@ class TestBuildGraph:
         for r, c in zip(mat.row, mat.col):
             d = g.nodes[c] - g.nodes[r]
             assert abs(d[0]) < d[1]
+
+
+def _simpson_graph_reference(m, box, resolution, neighbor_radius):
+    """The earlier position-dependent builder, kept as a reference: every
+    edge's weight and cone test come from one jet over 33 Simpson points."""
+    assert not m.position_independent
+    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    n = lo.shape[0]
+    axes = [np.linspace(lo[d], hi[d], resolution) for d in range(n)]
+    nodes = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    strides = np.array([resolution ** (n - 1 - d) for d in range(n)])
+    h = (hi - lo) / (resolution - 1)
+    w = simpson_weights(33)
+    tq = np.linspace(0.0, 1.0, w.size)
+    wq = w / (w.size - 1)
+    rows_all, cols_all, weights_all = [], [], []
+    R = int(neighbor_radius)
+    for off in itertools.product(range(-R, R + 1), repeat=n):
+        if all(o == 0 for o in off):
+            continue
+        delta = np.array(off, dtype=float) * h
+        ranges = [np.arange(max(0, -off[d]), resolution - max(0, off[d])) * strides[d] for d in range(n)]
+        src = ranges[0]
+        for d in range(1, n):
+            src = np.add.outer(src, ranges[d]).ravel()
+        if src.size == 0:
+            continue
+        pos = nodes[src][:, None, :] + tq[None, :, None] * delta[None, None, :]
+        ok, vals = m.jet(pos, delta)
+        keep = np.all(ok, axis=1)
+        if not np.any(keep):
+            continue
+        rows_all.append(src[keep])
+        cols_all.append(src[keep] + int(np.dot(off, strides)))
+        weights_all.append(vals[keep] @ wq)
+    size = nodes.shape[0]
+    return coo_matrix(
+        (np.concatenate(weights_all), (np.concatenate(rows_all), np.concatenate(cols_all))), shape=(size, size)
+    ).tocsr()
+
+
+def _high_order_weights(m, graph, panels=16):
+    """F-length of every graph edge by composite 16-node Gauss-Legendre."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    t = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) / panels).ravel()
+    wt = np.tile(w, panels) / (2 * panels)
+    coo = graph.matrix.tocoo()
+    a, b = graph.nodes[coo.row], graph.nodes[coo.col]
+    out = np.empty(coo.nnz)
+    for s in range(0, coo.nnz, 1000):
+        d = b[s : s + 1000] - a[s : s + 1000]
+        ok, vals = m.jet(a[s : s + 1000, None, :] + t[None, :, None] * d[:, None, :], d[:, None, :])
+        assert np.all(ok)
+        out[s : s + 1000] = vals @ wt
+    return coo, out
+
+
+@pytest.fixture
+def top_level_jets(monkeypatch):
+    """Records the base-point array of every top-level ``ConicMetric.jet`` call."""
+    calls = []
+    depth = [0]
+    jet = me.ConicMetric.jet
+
+    def recording_jet(self, base, vec, *args, **kwargs):
+        if depth[0] == 0:
+            calls.append(np.array(base, dtype=float))
+        depth[0] += 1
+        try:
+            return jet(self, base, vec, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(me.ConicMetric, "jet", recording_jet)
+    return calls
+
+
+UNIT_BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+POSDEP_CONES = {
+    "kropina": {"type": "named", "family": "kropina", "form": {"coeff_exprs": ["cos(1.5*y)", "sin(1.5*y)"]}},
+    "oneform_metric": {"type": "oneform_metric", "coeff_exprs": ["cos(2*x)", "sin(2*x)"]},
+    # the cone closes at y = 0, so only the test at an edge's start drops the edges leaving that row
+    "closing_halfplane": {"type": "oneform_metric", "coeff_exprs": ["0", "y"]},
+}
+PERIOD_037 = {"type": "riemannian", "matrix_expr": [["1+0.5*sin(2*pi*x/0.37)", "0"], ["0", "1"]]}
+
+
+def _tree_metric(tree):
+    return build_metric(MetricSpec(tree=tree, dimension=2)).metric
+
+
+class TestEdgeRule:
+    """Position-dependent edges: 7-point Kronrod lengths, a 9-point cone test,
+    and the 33-point Simpson reference for the edges the 3-point Gauss estimate flags."""
+
+    @pytest.mark.parametrize("name", sorted(POSDEP_CONES))
+    def test_edge_sets_match_reference_on_position_dependent_cones(self, name):
+        m = _tree_metric(POSDEP_CONES[name])
+        assert not m.position_independent
+        g = gd.build_separation_graph(m, UNIT_BOX, 21, 3)
+        ref = _simpson_graph_reference(m, UNIT_BOX, 21, 3)
+        assert 0 < g.matrix.nnz < 21 * 21 * 48
+        assert np.array_equal(g.matrix.indptr, ref.indptr)
+        assert np.array_equal(g.matrix.indices, ref.indices)
+        assert np.allclose(g.matrix.data, ref.data, rtol=1e-8, atol=0)
+
+    def test_flagged_edges_keep_the_simpson_weight(self, top_level_jets):
+        m = _tree_metric(PERIOD_037)
+        g = gd.build_separation_graph(m, UNIT_BOX, 21, 3)
+        redone = [b for b in top_level_jets if b.shape[1] == gd.EDGE_QUAD_NODES]
+        h = (UNIT_BOX[1] - UNIT_BOX[0]) / 20
+        ids = [
+            np.ravel_multi_index(tuple(np.rint((p - UNIT_BOX[0]) / h).astype(int).T), (21, 21))
+            for b in redone
+            for p in (b[:, 0], b[:, -1])
+        ]
+        src, dst = np.concatenate(ids[0::2]), np.concatenate(ids[1::2])
+        assert 0 < src.size < g.matrix.nnz
+        ref = _simpson_graph_reference(m, UNIT_BOX, 21, 3)
+        assert np.array_equal(g.matrix.indices, ref.indices)
+        flagged = np.zeros(g.matrix.shape, dtype=bool)
+        flagged[src, dst] = True
+        coo = g.matrix.tocoo()
+        mask = flagged[coo.row, coo.col]
+        # the redone edges get the reference's jet values; the weighted sum is
+        # a BLAS matrix-vector product whose rounding depends on the number of
+        # rows, so the weights agree to 1 ulp (measured), not bit for bit
+        a, b = g.matrix.data[mask], ref.data[mask]
+        assert np.all(np.abs(a - b) <= 2 * np.spacing(b))
+        assert np.allclose(g.matrix.data[~mask], ref.data[~mask], rtol=gd.EDGE_KRONROD_RTOL, atol=0)
+
+    @pytest.mark.parametrize("name", ["randers_posdep", "riemann_posdep"])
+    def test_weights_match_high_order_reference(self, name, randers_posdep):
+        m = randers_posdep if name == "randers_posdep" else _tree_metric(POSDEP_TREES[name])
+        g = gd.build_separation_graph(m, UNIT_BOX, 17, 3)
+        coo, ref = _high_order_weights(m, g)
+        assert coo.nnz == sum((17 - abs(a)) * (17 - abs(b)) for a in range(-3, 4) for b in range(-3, 4)) - 17 * 17
+        assert np.max(np.abs(coo.data - ref) / ref) <= 1e-12
+
+    def test_at_most_nine_jet_points_per_edge(self, randers_posdep, top_level_jets):
+        g = gd.build_separation_graph(randers_posdep, UNIT_BOX, 21, 3)
+        points = sum(int(np.prod(b.shape[:-1])) for b in top_level_jets)
+        assert all(b.shape[1] == 9 for b in top_level_jets)
+        assert points == 9 * g.matrix.nnz
+
+    @pytest.mark.parametrize("box", [([0.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, 0.5]), ([0.0, 0.0], [1.0, np.nan])])
+    def test_degenerate_box_rejected(self, euclid, box):
+        with pytest.raises(ValueError, match="hi > lo"):
+            gd.build_separation_graph(euclid, box, 11, 2)
+        with pytest.raises(ValueError, match="hi > lo"):
+            gd.grid_node_id(box, 11, [0.0, 0.0])
 
 
 class TestSeparation:

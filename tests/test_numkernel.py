@@ -12,6 +12,7 @@ from finslerkit.numkernel import (
     eigen_classify,
     fd_gradient,
     fd_hessian,
+    gauss_kronrod_3_7,
     integrate_1d,
     ray_root,
 )
@@ -239,6 +240,34 @@ class TestIntegrate1d:
 
         val = integrate_1d(lambda t: math.exp(t), 0.0, 1.0)
         assert val == pytest.approx(math.e - 1.0, abs=1e-8)
+
+
+class TestGaussKronrod37:
+    @staticmethod
+    def errors(degree):
+        """Relative errors of (G3, K7) on the monomial t**degree over [0, 1]."""
+        t, k7, g3 = gauss_kronrod_3_7()
+        exact = 1.0 / (degree + 1)
+        return abs(g3 @ t[1::2] ** degree - exact) / exact, abs(k7 @ t**degree - exact) / exact
+
+    @pytest.mark.parametrize("degree", range(12))
+    def test_exact_degrees(self, degree):
+        g3_err, k7_err = self.errors(degree)
+        assert k7_err <= 4 * EPS
+        if degree <= 5:
+            assert g3_err <= 4 * EPS
+
+    def test_degrees_are_sharp(self):
+        assert self.errors(6)[0] > 1e-3
+        assert self.errors(12)[1] > 1e-8
+
+    def test_nodes_ascend_and_nest_the_gauss_nodes(self):
+        t, k7, g3 = gauss_kronrod_3_7()
+        assert np.all(np.diff(t) > 0) and 0.0 < t[0] and t[-1] < 1.0
+        assert np.allclose(t[1::2], 0.5 * (1.0 + np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])), rtol=0, atol=1e-16)
+        assert np.allclose(t + t[::-1], 1.0, rtol=0, atol=1e-16)
+        assert np.array_equal(k7, k7[::-1]) and np.array_equal(g3, g3[::-1])
+        assert np.all(k7 > 0) and np.all(g3 > 0)
 
 
 class TestRayRoot:
