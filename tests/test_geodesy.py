@@ -9,7 +9,7 @@ from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
-from finslerkit.cli import MetricSpec, build_metric
+from finslerkit.cli import MetricSpec, build_metric, builtin_config, parse_config
 from finslerkit.errors import DegenerateTensor, LeftDomain, NotAdmissible
 from finslerkit.numkernel import simpson_weights
 
@@ -470,6 +470,165 @@ class TestEdgeRule:
             gd.build_separation_graph(euclid, box, 11, 2)
         with pytest.raises(ValueError, match="hi > lo"):
             gd.grid_node_id(box, 11, [0.0, 0.0])
+
+
+def _loop_graph_reference(m, box, resolution, neighbor_radius):
+    """The earlier builder, kept as a reference: a Python loop over every
+    offset in [-R, R]^n, one jet at the box centre per offset on a
+    position-independent metric, ``_edge_lengths`` per offset otherwise,
+    and COO assembly."""
+    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    n = lo.shape[0]
+    axes = [np.linspace(lo[d], hi[d], resolution) for d in range(n)]
+    nodes = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    strides = np.array([resolution ** (n - 1 - d) for d in range(n)])
+    h = (hi - lo) / (resolution - 1)
+    rows_all, cols_all, weights_all = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    R = int(neighbor_radius)
+    for off in itertools.product(range(-R, R + 1), repeat=n):
+        if all(o == 0 for o in off):
+            continue
+        delta = np.array(off, dtype=float) * h
+        ranges = [np.arange(max(0, -off[d]), resolution - max(0, off[d])) * strides[d] for d in range(n)]
+        src = ranges[0]
+        for d in range(1, n):
+            src = np.add.outer(src, ranges[d]).ravel()
+        if src.size == 0:
+            continue
+        if m.position_independent:
+            ok, F = m.jet(0.5 * (lo + hi), delta)
+            keep = np.full(src.shape, bool(ok))
+            lengths = np.full(np.count_nonzero(keep), float(F))
+        else:
+            keep, lengths = gd._edge_lengths(m, nodes[src], delta)
+        rows_all.append(src[keep])
+        cols_all.append(src[keep] + int(np.dot(off, strides)))
+        weights_all.append(lengths)
+    size = nodes.shape[0]
+    return coo_matrix(
+        (np.concatenate(weights_all), (np.concatenate(rows_all), np.concatenate(cols_all))), shape=(size, size)
+    ).tocsr()
+
+
+def _shipped_metric(name):
+    return build_metric(parse_config(builtin_config(name))[0]).metric
+
+
+ASSEMBLY_GRAPHS = {
+    # name: (metric, box, resolution, neighbor radius)
+    "euclidean": (lambda: me.euclidean_metric(2), UNIT_BOX, 15, 4),
+    "matsumoto": (lambda: _shipped_metric("matsumoto"), UNIT_BOX, 15, 4),
+    "kropina": (lambda: _shipped_metric("kropina"), UNIT_BOX, 15, 4),
+    "halfplane_dy": (lambda: _shipped_metric("halfplane_dy"), UNIT_BOX, 15, 4),
+    "lorentz_ex36": (lambda: _shipped_metric("lorentz_cone_ex36"), ([-1.0, 0.0], [1.0, 2.0]), 21, 10),
+    "kropina_3d": (
+        lambda: cb.named_family("kropina", me.euclidean_metric(3), me.constant_oneform([0.2, 0.1, 0.5]))[0],
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+        6,
+        3,
+    ),
+    "halfline_1d": (lambda: me.oneform_metric(me.constant_oneform([1.0])), ([0.0], [1.0]), 9, 4),
+}
+
+
+def _assembly_case(name):
+    make, box, resolution, radius = ASSEMBLY_GRAPHS[name]
+    return make(), (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)), resolution, radius
+
+
+class TestGraphAssembly:
+    """The offset-table builder: one jet over the offsets on a
+    position-independent metric, and direct CSR assembly."""
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_GRAPHS))
+    def test_structure_matches_loop_reference(self, name):
+        m, box, resolution, radius = _assembly_case(name)
+        assert m.position_independent
+        g = gd.build_separation_graph(m, box, resolution, radius)
+        ref = _loop_graph_reference(m, box, resolution, radius)
+        assert 0 < g.matrix.nnz
+        assert np.array_equal(g.matrix.indptr, ref.indptr)
+        assert np.array_equal(g.matrix.indices, ref.indices)
+        assert np.allclose(g.matrix.data, ref.data, rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_GRAPHS))
+    def test_weights_are_checked_values(self, name):
+        m, box, resolution, radius = _assembly_case(name)
+        g = gd.build_separation_graph(m, box, resolution, radius)
+        coo = g.matrix.tocoo()
+        h = (box[1] - box[0]) / (resolution - 1)
+        offsets = np.rint((g.nodes[coo.col] - g.nodes[coo.row]) / h)
+        expected = me.eval_F_many(m, 0.5 * (box[0] + box[1]), offsets * h)
+        assert np.array_equal(coo.data, expected)
+
+    @pytest.mark.parametrize("name", ["lorentz_ex36", "kropina_3d"])
+    def test_one_top_level_jet(self, name, top_level_jets):
+        m, box, resolution, radius = _assembly_case(name)
+        top_level_jets.clear()  # building a family probes its domain
+        gd.build_separation_graph(m, box, resolution, radius)
+        assert len(top_level_jets) == 1
+
+    @pytest.mark.parametrize("name", ["randers_posdep", "period_037", "kropina_posdep"])
+    def test_position_dependent_matches_loop_reference(self, name, randers_posdep):
+        m = {
+            "randers_posdep": randers_posdep,
+            "period_037": _tree_metric(PERIOD_037),
+            "kropina_posdep": _tree_metric(POSDEP_CONES["kropina"]),
+        }[name]
+        g = gd.build_separation_graph(m, UNIT_BOX, 13, 3)
+        ref = _loop_graph_reference(m, UNIT_BOX, 13, 3)
+        assert 0 < g.matrix.nnz
+        assert np.array_equal(g.matrix.indptr, ref.indptr)
+        assert np.array_equal(g.matrix.indices, ref.indices)
+        assert np.array_equal(g.matrix.data, ref.data)
+
+    @pytest.mark.parametrize("name", ["euclidean", "lorentz_ex36", "kropina_3d", "halfline_1d"])
+    def test_radius_beyond_the_grid_is_clipped(self, name, top_level_jets):
+        m, box, resolution, _ = _assembly_case(name)
+        resolution = min(resolution, 6)
+        top_level_jets.clear()
+        far = gd.build_separation_graph(m, box, resolution, 10 * resolution)
+        # one jet over the offsets that fit on the grid
+        assert [b.shape[0] for b in top_level_jets] == [(2 * resolution - 1) ** box[0].size - 1]
+        full = gd.build_separation_graph(m, box, resolution, resolution - 1)
+        assert far.neighbor_radius == 10 * resolution
+        assert np.array_equal(far.matrix.indptr, full.matrix.indptr)
+        assert np.array_equal(far.matrix.indices, full.matrix.indices)
+        assert np.array_equal(far.matrix.data, full.matrix.data)
+
+    def test_clipped_radius_on_position_dependent_metric(self, randers_posdep):
+        far = gd.build_separation_graph(randers_posdep, UNIT_BOX, 5, 50)
+        full = gd.build_separation_graph(randers_posdep, UNIT_BOX, 5, 4)
+        assert far.matrix.nnz == 25 * 24
+        assert (far.matrix != full.matrix).nnz == 0
+
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_no_neighbours_gives_an_empty_graph(self, radius, randers_posdep):
+        graphs = [_assembly_case(name) for name in ("euclidean", "kropina_3d", "halfline_1d")]
+        graphs.append((randers_posdep, UNIT_BOX, 9, None))
+        for m, box, resolution, _ in graphs:
+            g = gd.build_separation_graph(m, box, resolution, radius)
+            assert g.matrix.shape == (resolution ** len(box[0]),) * 2
+            assert g.matrix.nnz == 0
+            assert g.neighbor_radius == radius
+
+    def test_edge_weight_does_not_depend_on_its_batch(self, top_level_jets):
+        m = _tree_metric(PERIOD_037)
+        axis = np.linspace(-1.0, 1.0, 21)
+        starts = np.stack([mm.ravel() for mm in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        rng = np.random.default_rng(7)
+        for delta in (np.array([0.1, 0.0]), np.array([0.2, 0.3]), np.array([0.3, -0.1])):
+            kept, lengths = gd._edge_lengths(m, starts, delta)
+            full = np.full(kept.shape, np.nan)
+            full[kept] = lengths
+            subsets = [np.arange(k) for k in range(1, 60)] + [np.array([i]) for i in range(0, starts.shape[0], 5)]
+            subsets.append(np.sort(rng.choice(starts.shape[0], 37, replace=False)))
+            for sub in subsets:
+                kept_sub, lengths_sub = gd._edge_lengths(m, starts[sub], delta)
+                assert np.array_equal(kept_sub, kept[sub])
+                assert np.array_equal(lengths_sub, full[sub][kept_sub])
+        # the batches include edges the 3-point Gauss estimate flags
+        assert any(b.shape[1] == gd.EDGE_QUAD_NODES for b in top_level_jets)
 
 
 class TestSeparation:
