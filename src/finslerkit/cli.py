@@ -41,6 +41,8 @@ from .errors import (
 )
 from .numkernel import central_derivatives
 
+MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic run
+
 COMMANDS = (
     "eval",
     "tensor",
@@ -162,6 +164,8 @@ def _num(value, path: str, kind=float):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"expected a number, got {value!r}", path=path, constraint="number") from exc
+    except OverflowError as exc:  # int(inf)
+        raise ValidationError(f"{value!r} is out of range", path=path, constraint="finite") from exc
 
 
 def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
@@ -469,8 +473,15 @@ def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float, least
     return value
 
 
+def _run_span(cfg: RunConfig, cmd: str, key: str, default: float) -> float:
+    """A finite, positive parameter length ``run.<cmd>.<key>``."""
+    value = _run_num(cfg, cmd, key, default, positive=True)
+    _require(math.isfinite(value), f"{key} must be finite", f"run.{cmd}.{key}", "finite")
+    return value
+
+
 def _run_step(cfg: RunConfig, cmd: str) -> float:
-    return _run_num(cfg, cmd, "step", 0.01, positive=True)
+    return _run_span(cfg, cmd, "step", 0.01)
 
 
 def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
@@ -578,8 +589,14 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     if cmd == "geodesic":
         base = _run_point(cfg, "geodesic", "base", dim)
         vel = _run_point(cfg, "geodesic", "velocity", dim, required=True)
-        t_end = _run_num(cfg, "geodesic", "t_end", 1.0)
+        t_end = _run_span(cfg, "geodesic", "t_end", 1.0)
         step = _run_step(cfg, "geodesic")
+        _require(
+            t_end / step <= MAX_GEODESIC_ROWS,
+            f"t_end / step must be at most {MAX_GEODESIC_ROWS} output steps",
+            "run.geodesic.t_end",
+            "maximum",
+        )
         states = gd.geodesic_shoot(m, gd.GeodesicState(base, vel, 0.0), t_end, step)
         header = ["t"] + _vec_cols("x", dim) + _vec_cols("v", dim) + ["F"]
         xs = np.array([s.position for s in states])

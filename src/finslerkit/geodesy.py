@@ -3,13 +3,15 @@
 Geodesics are computed as critical curves of the energy functional: the
 second-order system solves 2 g(x, v) a = d_x(F^2) - (d_x p) v with
 p = 2 g v, taking position derivatives by central differences of the
-fundamental tensor, and is integrated with classical RK4.  Each
-acceleration makes one stacked tensor evaluation: the state and its 2N
-stencil points.  Separations are shortest paths on a grid graph whose
-edges are straight admissible segments weighted by F-length.  The graph
-is built from one table of neighbour offsets and assembled directly as a
-CSR matrix.  On a position-independent metric one jet over that table
-gives every edge length F(delta), equal to the checked ``eval_F_many``.
+fundamental tensor.  It is integrated by the embedded Dormand-Prince 5(4)
+pair with error control at ``GEODESIC_RTOL``; states on the output grid
+come from the pair's continuous extension.  Each acceleration makes one
+stacked tensor evaluation: the state and its 2N stencil points.
+Separations are shortest paths on a grid graph whose edges are straight
+admissible segments weighted by F-length.  The graph is built from one
+table of neighbour offsets and assembled directly as a CSR matrix.  On a
+position-independent metric one jet over that table gives every edge
+length F(delta), equal to the checked ``eval_F_many``.
 On a position-dependent metric each edge's length is the 7-point Kronrod
 sum of the embedded 3/7-point Gauss-Kronrod pair, and its cone test
 samples both ends and those 7 nodes; an edge whose 3-point Gauss
@@ -33,8 +35,40 @@ from .numkernel import EPS, gauss_kronrod_3_7, simpson_weights
 
 EDGE_QUAD_NODES = 33  # Simpson nodes of an edge whose Gauss-Kronrod estimate is flagged
 EDGE_KRONROD_RTOL = 1e-7  # flag an edge when |K7 - G3| > EDGE_KRONROD_RTOL * |K7|
+GEODESIC_RTOL = 1e-10  # rtol = atol of the geodesic integrator's RMS error norm over a batch's (x, v)
 CURVE_QUAD_NODES = 65
-DEFAULT_STEP = 0.01
+DEFAULT_STEP = 0.01  # output spacing of a geodesic; the integrator picks its own steps
+
+# The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2).  Row 6 of _DP_A holds the 5th-order weights, so the 7th
+# stage is the spray at the new state and starts the next step (FSAL).
+# _DP_E = b_hat - b over the 7 stages; _DP_P gives the 4th-order continuous
+# extension y(t + theta h) = y + h sum_j theta^j (P^T k)_j, j = 1..4, with
+# Shampine's coefficients.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array(
+    [
+        [0, 0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+)
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_DP_P = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +231,71 @@ def _accel(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray
 
 
 def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, step: float):
-    """Batched RK4 orbits; returns positions/velocities at every step."""
-    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    v = np.atleast_2d(np.asarray(v0, dtype=float)).copy()
-    n_steps = max(1, int(round(t_end / step)))
-    dt = t_end / n_steps
-    xs = [x.copy()]
-    vs = [v.copy()]
-    ts = [0.0]
-    for k in range(n_steps):
-        t = k * dt
-        a1 = _accel(m, x, v, t)
-        a2 = _accel(m, x + 0.5 * dt * v, v + 0.5 * dt * a1, t + 0.5 * dt)
-        a3 = _accel(m, x + 0.5 * dt * v + 0.25 * dt * dt * a1, v + 0.5 * dt * a2, t + 0.5 * dt)
-        a4 = _accel(m, x + dt * v + 0.5 * dt * dt * a2, v + dt * a3, t + dt)
-        x = x + dt * v + dt * dt / 6.0 * (a1 + a2 + a3)
-        v = v + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        xs.append(x.copy())
-        vs.append(v.copy())
-        ts.append((k + 1) * dt)
-    return np.array(xs), np.array(vs), np.array(ts)
+    """Batched orbits by the Dormand-Prince 5(4) pair; returns positions and
+    velocities on the grid of ``round(t_end / step)`` equal intervals.
+
+    The whole batch is one state (x, v), so every orbit takes the same
+    steps: the error norm is the RMS over the batch with rtol = atol =
+    ``GEODESIC_RTOL``.  The step sequence does not depend on ``step``; the
+    grid states come from the pair's 4th-order continuous extension.  A
+    trial step whose stages leave the domain is rejected and shrunk;
+    ``LeftDomain`` is raised, at the parameter of the last accepted state,
+    once the step falls below ``GEODESIC_RTOL * t_end``.
+    """
+    y = np.concatenate([np.atleast_2d(x0), np.atleast_2d(v0)], axis=-1).astype(float)
+    n = y.shape[-1] // 2
+
+    def spray(y, t):
+        return np.concatenate([y[..., n:], _accel(m, y[..., :n], y[..., n:], t)], axis=-1)
+
+    n_out = max(1, int(round(t_end / step)))
+    ts = np.arange(n_out + 1) * (t_end / n_out)
+    out = np.empty((n_out + 1,) + y.shape)
+    out[0] = y
+    k = np.empty((7,) + y.shape)
+    k[0] = spray(y, 0.0)
+    t, h, done, after_reject = 0.0, t_end, 1, False
+    while t < t_end:
+        last = h >= t_end - t
+        if last:
+            h = t_end - t
+        cause = None
+        try:
+            for i in range(1, 7):  # the 7th stage is the new state's spray (FSAL)
+                y_new = y + h * np.tensordot(_DP_A[i, :i], k[:i], axes=1)
+                k[i] = spray(y_new, t + _DP_C[i] * h)
+        except LeftDomain as exc:
+            err, cause = np.inf, exc
+        else:
+            scale = GEODESIC_RTOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+            err = np.sqrt(np.mean((h * np.tensordot(_DP_E, k, axes=1) / scale) ** 2))
+        # a NaN error shrinks the step: max(0.2, nan) is 0.2
+        growth = 10.0 if err == 0 else min(10.0, max(0.2, 0.9 * err**-0.2))
+        if err <= 1.0:
+            stop = n_out + 1 if last else int(np.searchsorted(ts, t + h, side="right"))
+            theta = (ts[done:stop] - t) / h
+            slopes = np.tensordot(_DP_P.T, k, axes=1)
+            out[done:stop] = y + h * np.tensordot(theta[:, None] ** np.arange(1, 5), slopes, axes=1)
+            t, y, k[0], done = (t_end if last else t + h), y_new, k[6], stop
+            h *= min(growth, 1.0) if after_reject else growth
+            after_reject = False
+        else:
+            h *= growth
+            after_reject = True
+            if h < GEODESIC_RTOL * t_end:
+                msg = f"geodesic left the domain after parameter {t:.6g}; its step fell below {GEODESIC_RTOL * t_end:.3g}"
+                raise LeftDomain(msg, parameter=t) from cause
+    out[-1] = y
+    return out[..., :n], out[..., n:], ts
 
 
 def geodesic_shoot(
     m: ConicMetric, start: GeodesicState, t_end: float, step: float = DEFAULT_STEP
 ) -> list[GeodesicState]:
-    """Integrate the geodesic with the given initial state up to t_end."""
+    """Integrate the geodesic with the given initial state up to t_end;
+    returns the states at ``round(t_end / step)`` equal output intervals."""
+    if not (np.isfinite(t_end) and t_end > 0 and np.isfinite(step) and step > 0):
+        raise ValueError(f"t_end and step must be finite and positive, got {t_end!r} and {step!r}")
     tv = TangentVec(start.position, start.velocity)
     if not bool(m.in_domain_many(tv.base, tv.vec)):
         raise OutsideDomain("initial velocity is outside the conic domain")
@@ -244,7 +317,9 @@ def gauss_residuals(m: ConicMetric, base, vs, ws, step: float = DEFAULT_STEP) ->
 
     Each w is first projected onto the g_v-orthogonal complement of its v,
     then d exp is taken by a central difference of the endpoint in the
-    initial velocity.  All perturbed orbits integrate as one batch.
+    initial velocity.  All perturbed orbits integrate as one batch, so
+    they share one step sequence and step-size noise does not enter the
+    difference.
     """
     base = np.asarray(base, dtype=float)
     vs = np.atleast_2d(np.asarray(vs, dtype=float))

@@ -204,6 +204,17 @@ class TestMalformedConfig:
             ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, None], "radius": 0.3}, "run.ball.center[1]"),
             ("oracle", {"tolerance": "x"}, "run.oracle.tolerance"),
             ("oracle", {"interior_margin": "x"}, "run.oracle.interior_margin"),
+            # non-finite or overflowing spans and sample counts (appended, so earlier ids keep their index)
+            ("geodesic", {"velocity": [1, 0], "t_end": -1}, "run.geodesic.t_end"),
+            ("geodesic", {"velocity": [1, 0], "t_end": 0}, "run.geodesic.t_end"),
+            ("geodesic", {"velocity": [1, 0], "t_end": float("inf")}, "run.geodesic.t_end"),
+            ("geodesic", {"velocity": [1, 0], "t_end": float("nan")}, "run.geodesic.t_end"),
+            ("geodesic", {"velocity": [1, 0], "t_end": 1e308}, "run.geodesic.t_end"),
+            ("geodesic", {"velocity": [1, 0], "step": float("inf")}, "run.geodesic.step"),
+            ("expmap", {"velocity": [1, 0], "step": float("inf")}, "run.expmap.step"),
+            ("scan", {"samples": float("inf")}, "run.scan.samples"),
+            ("gauss", {"samples": float("inf")}, "run.gauss.samples"),
+            ("detcheck", {"samples": float("inf")}, "run.detcheck.samples"),
         ],
     )
     def test_run_parameter_names_path(self, command, section, path, tmp_path):
