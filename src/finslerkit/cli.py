@@ -21,6 +21,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional
@@ -546,12 +547,12 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             header += [f"g{i}{j}" for i in range(dim) for j in range(dim)]
             rows = [[i, *base, *v, *g.ravel()] for i, (v, g) in enumerate(zip(vecs, gs))]
             return {"command": cmd, "count": len(rows)}, header, rows
-        rows = []
-        counts: dict[str, int] = {}
-        for i, (v, g) in enumerate(zip(vecs, gs)):
-            rep = me.eigen_classify(g, tol)
-            counts[rep.classification.value] = counts.get(rep.classification.value, 0) + 1
-            rows.append([i, *base, *v, rep.classification.value, rep.min_eigenvalue])
+        reps = me.eigen_classify(gs, tol)
+        rows = [
+            [i, *base, *v, r.classification.value, r.min_eigenvalue]
+            for i, (v, r) in enumerate(zip(vecs, reps))
+        ]
+        counts = dict(Counter(r.classification.value for r in reps))
         return {"command": cmd, "counts": counts}, header + ["classification", "min_eigenvalue"], rows
 
     if cmd == "scan":
@@ -559,13 +560,11 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         samples = _run_num(cfg, "scan", "samples", 360, int, least=1)
         entries = me.convexity_scan(m, base, samples, tol)
         header = ["index"] + _vec_cols("dir", dim) + ["status", "min_eigenvalue"]
-        rows = []
-        counts: dict[str, int] = {}
-        for i, e in enumerate(entries):
-            counts[e.status] = counts.get(e.status, 0) + 1
-            rows.append(
-                [i, *e.direction, e.status, e.report.min_eigenvalue if e.report else float("nan")]
-            )
+        rows = [
+            [i, *e.direction, e.status, e.report.min_eigenvalue if e.report else float("nan")]
+            for i, e in enumerate(entries)
+        ]
+        counts = dict(Counter(e.status for e in entries))
         pd_frac = counts.get("PositiveDefinite", 0) / max(1, samples)
         return {"command": cmd, "counts": counts, "pd_fraction": pd_frac}, header, rows
 
@@ -707,6 +706,9 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             if built.phi_parts is not None:
                 keep = keep & _interior_ratio(built.phi_parts, base, vs, margin)
             picked.extend(vs[keep][: samples - len(picked)])
+        if len(picked) < samples:
+            draws = 2 * samples * attempts
+            raise DomainEmpty(f"{len(picked)} of {samples} random vectors admissible after {draws} draws")
         vs = np.array(picked)
         bases = np.broadcast_to(base, vs.shape)
         ga = m.tensor_many(bases, vs)

@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import DegenerateTensor, LeftDomain, NotAdmissible, OutsideDomain
 from .metrics import ConicMetric, TangentVec, unit_directions
-from .numkernel import EPS, gauss_kronrod_3_7, simpson_weights
+from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
 
 EDGE_QUAD_NODES = 33  # Simpson nodes of an edge whose Gauss-Kronrod estimate is flagged
 EDGE_KRONROD_RTOL = 1e-7  # flag an edge when |K7 - G3| > EDGE_KRONROD_RTOL * |K7|
@@ -299,7 +299,12 @@ def geodesic_shoot(
     tv = TangentVec(start.position, start.velocity)
     if not bool(m.in_domain_many(tv.base, tv.vec)):
         raise OutsideDomain("initial velocity is outside the conic domain")
-    xs, vs, ts = _integrate(m, start.position[None, :], start.velocity[None, :], t_end, step)
+    try:
+        xs, vs, ts = _integrate(m, start.position[None, :], start.velocity[None, :], t_end, step)
+    except LeftDomain as exc:
+        # _integrate counts from 0; report the parameter the states carry
+        t = start.parameter + exc.parameter
+        raise LeftDomain(str(exc).replace(f"{exc.parameter:.6g}", f"{t:.6g}", 1), parameter=t) from exc
     return [
         GeodesicState(position=xs[k, 0], velocity=vs[k, 0], parameter=start.parameter + ts[k])
         for k in range(xs.shape[0])
@@ -379,13 +384,8 @@ def radial_minimality_test(
     ok, _, gs = m.jet(np.broadcast_to(base, probe_dirs.shape), probe_dirs, with_tensor=True)
     if not np.any(ok):
         raise OutsideDomain("no admissible direction at the base point")
-    from .numkernel import eigen_classify
-
-    for g in gs[ok]:
-        if not eigen_classify(g).is_positive_definite:
-            raise DegenerateTensor(
-                "radial minimality requires a positive-definite tensor near the base"
-            )
+    if not all(r.is_positive_definite for r in eigen_classify(gs[ok])):
+        raise DegenerateTensor("radial minimality requires a positive-definite tensor near the base")
 
     def in_ball(points: np.ndarray) -> bool:
         rel = points - base

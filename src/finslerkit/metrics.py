@@ -395,7 +395,10 @@ def angular_tensor(m: ConicMetric, v: TangentVec) -> np.ndarray:
     return g - np.outer(gv, gv) / f2
 
 
-def classify_point(m: ConicMetric, v: TangentVec, tolerance: float = DEFAULT_EIG_TOL) -> EigenReport:
+def classify_point(
+    m: ConicMetric, v: TangentVec, tolerance: float = DEFAULT_EIG_TOL
+) -> EigenReport | list[EigenReport]:
+    """Classify the fundamental tensor at v; a stacked v gives one report per vector."""
     return eigen_classify(tensor(m, v), tolerance)
 
 
@@ -417,13 +420,9 @@ def convexity_scan(
     base = np.asarray(base, dtype=float)
     dirs = unit_directions(m.dimension, samples)
     ok, _, tensors = m.jet(np.broadcast_to(base, dirs.shape), dirs, with_tensor=True)
-    entries: list[ScanEntry] = []
-    for d, good, g in zip(dirs, ok, tensors):
-        if good and np.all(np.isfinite(g)):
-            entries.append(ScanEntry(direction=d, in_domain=True, report=eigen_classify(g, tolerance)))
-        else:
-            entries.append(ScanEntry(direction=d, in_domain=False, report=None))
-    return entries
+    good = ok & np.all(np.isfinite(tensors), axis=(-2, -1))
+    reports = iter(eigen_classify(tensors[good], tolerance))
+    return [ScanEntry(d, g, next(reports) if g else None) for d, g in zip(dirs, good.tolist())]
 
 
 def lower_bound_check(m: ConicMetric, bound: RiemannAtom, base_samples: int, dir_samples: int) -> bool:

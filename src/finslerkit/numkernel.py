@@ -158,28 +158,33 @@ def fd_hessian(f, x, scale: float | None = None) -> np.ndarray:
     return fd_hessian_batch(f, x[None, :], scale=scale)[0]
 
 
-def eigen_classify(m: np.ndarray, tolerance: float = DEFAULT_EIG_TOL) -> EigenReport:
-    """Classify a symmetric matrix by the signs of its spectrum.
+def eigen_classify(m: np.ndarray, tolerance: float = DEFAULT_EIG_TOL) -> EigenReport | list[EigenReport]:
+    """Classify a symmetric matrix, or a stack (..., N, N), by the signs of its spectrum.
 
-    The cut is relative to the spectral norm: eigenvalues within
-    ``tolerance * ||m||`` of zero count as degenerate.
+    The cut is relative to each matrix's spectral norm: eigenvalues within
+    ``tolerance * ||m||`` of zero count as degenerate.  One matrix gives one
+    report; a stack gives a list of reports, one per matrix in C order.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise NonFiniteSample("non-finite entries in eigen_classify input")
-    eig = np.linalg.eigvalsh(0.5 * (m + m.T))  # ascending
-    cut = tolerance * float(np.max(np.abs(eig)))
-    n_pos = int(np.sum(eig > cut))
-    n_neg = int(np.sum(eig < -cut))
+    eig = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))  # ascending
+    eig = eig.reshape(-1, eig.shape[-1])
+    cut = tolerance * np.max(np.abs(eig), axis=-1, keepdims=True)
+    pos = np.sum(eig > cut, axis=-1).tolist()
+    neg = np.sum(eig < -cut, axis=-1).tolist()
     D = Definiteness
-    if n_neg == 0:
-        # the all-zero matrix counts as degenerate PSD
-        cls = D.POSITIVE_DEFINITE if n_pos == eig.size else D.POSITIVE_SEMIDEFINITE_DEGENERATE
-    elif n_pos == 0:
-        cls = D.NEGATIVE_DEFINITE if n_neg == eig.size else D.NEGATIVE_SEMIDEFINITE
-    else:
-        cls = D.INDEFINITE
-    return EigenReport(eigenvalues=eig, min_eigenvalue=float(eig[0]), classification=cls)
+    reports = []
+    for e, n_pos, n_neg in zip(eig, pos, neg):
+        if n_neg == 0:
+            # the all-zero matrix counts as degenerate PSD
+            cls = D.POSITIVE_DEFINITE if n_pos == e.size else D.POSITIVE_SEMIDEFINITE_DEGENERATE
+        elif n_pos == 0:
+            cls = D.NEGATIVE_DEFINITE if n_neg == e.size else D.NEGATIVE_SEMIDEFINITE
+        else:
+            cls = D.INDEFINITE
+        reports.append(EigenReport(eigenvalues=e, min_eigenvalue=float(e[0]), classification=cls))
+    return reports[0] if m.ndim == 2 else reports
 
 
 def simpson_weights(nodes: int) -> np.ndarray:

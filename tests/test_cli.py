@@ -391,7 +391,7 @@ class TestRunCommand:
         with pytest.raises(ValidationError):
             run_command("eval", spec, cfg)
 
-    @pytest.mark.parametrize("command", ["detcheck", "gauss"])
+    @pytest.mark.parametrize("command", ["detcheck", "gauss", "oracle"])
     def test_rejection_sampling_capped(self, command):
         # beta vanishes at the base, so the ratio never reaches the profile interval
         doc = {
@@ -406,6 +406,39 @@ class TestRunCommand:
         spec, cfg = parse_config(json.dumps(doc))
         with pytest.raises(DomainEmpty):
             run_command(command, spec, cfg)
+
+    @pytest.mark.parametrize(
+        "form, interval, run, line",
+        [
+            # beta vanishes at the base: no vector is admissible
+            (
+                {"coeff_exprs": ["1 - x", "0"]},
+                [0.5, 2],
+                {"oracle": {"base": [1, 0]}},
+                "error [domain_empty]: 0 of 200 random vectors admissible after 80000 draws\n",
+            ),
+            # the interior margin leaves a sliver of directions: some, not all, are picked
+            (
+                {"coeffs": [1, 0]},
+                [0, 0.3039],
+                {"seed": 0, "oracle": {"base": [0, 0], "samples": 50, "interior_margin": 0.15}},
+                "error [domain_empty]: 25 of 50 random vectors admissible after 20000 draws\n",
+            ),
+        ],
+        ids=["none_admissible", "some_admissible"],
+    )
+    def test_oracle_short_of_samples_is_domain_empty(self, form, interval, run, line, tmp_path, capsys):
+        metric = {
+            "type": "phi",
+            "base": {"type": "euclidean", "dimension": 2},
+            "form": form,
+            "profile": {"phi": "1 + s", "interval": interval},
+        }
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps({"metric": metric, "run": run}))
+        assert main(["oracle", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line
+        assert not out.exists()
 
 
 class TestBatchedCommands:

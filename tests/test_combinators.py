@@ -555,7 +555,7 @@ class TestNamedFamilies:
         got = strong.many(base, vs)
         ok = metric.in_domain_many(base, vs)
         assert got.shape == (400,) and not np.any(got[~ok])
-        reps = [eigen_classify(g, 1e-9) for g in me.tensor(metric, me.TangentVec(base, vs[ok]))]
+        reps = eigen_classify(me.tensor(metric, me.TangentVec(base, vs[ok])), 1e-9)
         clear = np.array([abs(r.min_eigenvalue) >= 1e-7 * max(np.abs(r.eigenvalues)) for r in reps])
         pd = np.array([r.is_positive_definite for r in reps])
         assert clear.sum() > 350

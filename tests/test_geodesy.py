@@ -97,6 +97,14 @@ class TestEnergy:
                 assert en >= length**2 - 1e-9
 
 
+def _boxed_euclid():
+    """The Euclidean metric on the open square |x|, |y| < 1."""
+    chart = me.ChartManifold(
+        dimension=2, chart_member=lambda x: np.max(np.abs(np.asarray(x, float)), axis=-1) < 1.0
+    )
+    return me.riemann_metric(me.constant_riemann(np.eye(2)), chart)
+
+
 class TestGeodesicShoot:
     def test_euclidean_straight_line(self, euclid):
         states = gd.geodesic_shoot(euclid, gd.GeodesicState([0, 0], [1, 0], 0.0), 2.0, 0.05)
@@ -130,18 +138,21 @@ class TestGeodesicShoot:
             gd.geodesic_shoot(euclid, gd.GeodesicState([0, 0], [1, 0], 0.0), t_end, step)
 
     def test_left_domain_reports_exit_parameter(self):
-        from finslerkit.errors import LeftDomain
-
-        boxed = me.riemann_metric(
-            me.constant_riemann(np.eye(2)),
-            me.ChartManifold(
-                dimension=2,
-                chart_member=lambda x: np.max(np.abs(np.asarray(x, float)), axis=-1) < 1.0,
-            ),
-        )
         with pytest.raises(LeftDomain) as err:
-            gd.geodesic_shoot(boxed, gd.GeodesicState([0, 0], [1.0, 0.0], 0.0), 2.0, 0.05)
+            gd.geodesic_shoot(_boxed_euclid(), gd.GeodesicState([0, 0], [1.0, 0.0], 0.0), 2.0, 0.05)
         assert 0.9 < err.value.parameter <= 1.1
+
+    @pytest.mark.parametrize("t0", [5.0, -2.5])
+    def test_left_domain_parameter_counts_from_the_start_state(self, t0):
+        boxed = _boxed_euclid()
+        with pytest.raises(LeftDomain) as ref:
+            gd.geodesic_shoot(boxed, gd.GeodesicState([0, 0], [1.0, 0.0], 0.0), 2.0, 0.05)
+        with pytest.raises(LeftDomain) as err:
+            gd.geodesic_shoot(boxed, gd.GeodesicState([0, 0], [1.0, 0.0], t0), 2.0, 0.05)
+        # the states of this shot carry t0 + t, and so does its exit
+        assert err.value.parameter == t0 + ref.value.parameter
+        assert t0 + 0.9 < err.value.parameter <= t0 + 1.1
+        assert str(err.value).startswith(f"geodesic left the domain after parameter {t0 + 1:.6g}; ")
 
 
 RANDERS_B05 = {"type": "named", "family": "randers", "b": 0.5}

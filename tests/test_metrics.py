@@ -181,8 +181,56 @@ class TestClassifyPoint:
         r2 = me.classify_point(randers, me.TangentVec(BASE, 7.3 * v))
         assert r1.classification == r2.classification
 
+    @pytest.mark.parametrize("name", ["euclid", "randers", "lorentz_metric"])
+    def test_stacked_vector_matches_per_vector_calls(self, name, request):
+        m = request.getfixturevalue(name)
+        vs = np.random.default_rng(5).normal(size=(200, 2))
+        vs = vs[m.in_domain_many(BASE, vs)][:12].reshape(3, 4, 2)
+        reps = me.classify_point(m, me.TangentVec(BASE, vs.reshape(-1, 2)), 1e-6)
+        assert len(reps) == 12
+        for rep, v in zip(reps, vs.reshape(-1, 2)):
+            one = me.classify_point(m, me.TangentVec(BASE, v), 1e-6)
+            assert np.array_equal(rep.eigenvalues, one.eigenvalues)
+            assert rep.min_eigenvalue == one.min_eigenvalue
+            assert rep.classification is one.classification
+        stacked = me.classify_point(m, me.TangentVec(BASE, vs), 1e-6)
+        assert [r.classification for r in stacked] == [r.classification for r in reps]
+
 
 class TestConvexityScan:
+    @pytest.mark.parametrize("name", ["euclid", "randers", "lorentz_metric"])
+    def test_matches_per_direction_loop(self, name, request):
+        m = request.getfixturevalue(name)
+        entries = me.convexity_scan(m, BASE, 90, 1e-9)
+        dirs = me.unit_directions(2, 90)
+        ok, _, tensors = m.jet(np.broadcast_to(BASE, dirs.shape), dirs, with_tensor=True)
+        assert len(entries) == 90
+        for e, d, good, g in zip(entries, dirs, ok, tensors):
+            assert np.array_equal(e.direction, d)
+            assert e.in_domain is bool(good and np.all(np.isfinite(g)))
+            if e.in_domain:
+                one = eigen_classify(g, 1e-9)
+                assert np.array_equal(e.report.eigenvalues, one.eigenvalues)
+                assert e.report.min_eigenvalue == one.min_eigenvalue
+                assert e.report.classification is one.classification
+            else:
+                assert e.report is None
+
+    def test_non_finite_tensor_is_tagged_outside(self, euclid, monkeypatch):
+        jet = me.ConicMetric.jet
+
+        def nan_at_three(self, base, vec, with_tensor=False):
+            ok, F, g = jet(self, base, vec, with_tensor)
+            g = g.copy()
+            g[3, 0, 0] = np.nan
+            return ok, F, g
+
+        monkeypatch.setattr(me.ConicMetric, "jet", nan_at_three)
+        entries = me.convexity_scan(euclid, BASE, 8)
+        assert [e.in_domain for e in entries] == [True] * 3 + [False] + [True] * 4
+        assert entries[3].status == "OutsideDomain" and entries[3].report is None
+        assert all(e.status == "PositiveDefinite" for e in entries if e.in_domain)
+
     def test_euclidean_all_pd(self, euclid):
         entries = me.convexity_scan(euclid, BASE, 64)
         assert all(e.status == "PositiveDefinite" for e in entries)

@@ -184,6 +184,38 @@ class TestFdHessian:
             assert np.max(np.abs(h - a)) < 1e-6 * max(1.0, np.max(np.abs(a)))
 
 
+def _classify_loop_reference(m, tolerance=1e-9):
+    """The earlier one-matrix eigen_classify, kept as a reference."""
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteSample("non-finite entries in eigen_classify input")
+    eig = np.linalg.eigvalsh(0.5 * (m + m.T))  # ascending
+    cut = tolerance * float(np.max(np.abs(eig)))
+    n_pos = int(np.sum(eig > cut))
+    n_neg = int(np.sum(eig < -cut))
+    D = Definiteness
+    if n_neg == 0:
+        cls = D.POSITIVE_DEFINITE if n_pos == eig.size else D.POSITIVE_SEMIDEFINITE_DEGENERATE
+    elif n_pos == 0:
+        cls = D.NEGATIVE_DEFINITE if n_neg == eig.size else D.NEGATIVE_SEMIDEFINITE
+    else:
+        cls = D.INDEFINITE
+    return eig, float(eig[0]), cls
+
+
+def _assert_matches_loop(stack, tolerance=1e-9):
+    """The stacked call equals the one-matrix reference bit for bit, in C order."""
+    stack = np.asarray(stack, dtype=float)
+    reps = eigen_classify(stack, tolerance)
+    n = stack.shape[-1]
+    assert isinstance(reps, list) and len(reps) == stack.size // (n * n)
+    for rep, m in zip(reps, stack.reshape(-1, n, n)):
+        eig, lo, cls = _classify_loop_reference(m, tolerance)
+        assert np.array_equal(rep.eigenvalues, eig)
+        assert rep.min_eigenvalue == lo
+        assert rep.classification is cls
+
+
 class TestEigenClassify:
     def test_identity_positive_definite(self):
         rep = eigen_classify(np.eye(3), 1e-9)
@@ -215,6 +247,65 @@ class TestEigenClassify:
     def test_eigenvalues_sorted(self):
         rep = eigen_classify(np.diag([3.0, -1.0, 2.0]))
         assert np.all(np.diff(rep.eigenvalues) >= 0)
+
+
+class TestEigenClassifyStacks:
+    """One call classifies a stack (..., N, N) exactly as the per-matrix loop did."""
+
+    @pytest.mark.parametrize("n, count", [(2, 4000), (3, 2000)])
+    def test_random_stacks_match_loop(self, n, count):
+        rng = np.random.default_rng(40 + n)
+        stack = rng.normal(size=(count, n, n))
+        # definite, semidefinite and degenerate members, not only indefinite ones
+        stack[::4] = stack[::4] @ np.swapaxes(stack[::4], -1, -2)
+        stack[1::4] = -(stack[1::4] @ np.swapaxes(stack[1::4], -1, -2))
+        stack[2::8, :, 0] = stack[2::8, 0, :] = 0.0
+        _assert_matches_loop(stack)
+        _assert_matches_loop(stack, 1e-2)
+
+    def test_special_matrices_match_loop(self):
+        stack = [
+            np.zeros((3, 3)),
+            np.diag([2.0, 0.0, 1.0]),  # PSD, degenerate
+            np.diag([0.0, -1.0, -3.0]),  # NSD
+            -np.diag([1.0, 2.0, 3.0]),  # negative definite
+            np.diag([3.0, -1.0, 2.0]),  # indefinite
+            np.diag([1.0, 1e-12, 1.0]),  # inside the cut
+            np.eye(3),
+        ]
+        _assert_matches_loop(stack)
+        classes = [r.classification for r in eigen_classify(np.array(stack), 1e-9)]
+        D = Definiteness
+        assert classes == [
+            D.POSITIVE_SEMIDEFINITE_DEGENERATE,
+            D.POSITIVE_SEMIDEFINITE_DEGENERATE,
+            D.NEGATIVE_SEMIDEFINITE,
+            D.NEGATIVE_DEFINITE,
+            D.INDEFINITE,
+            D.POSITIVE_SEMIDEFINITE_DEGENERATE,
+            D.POSITIVE_DEFINITE,
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lead", [(0,), (5,), (2, 3)])
+    def test_shapes(self, n, lead):
+        stack = np.random.default_rng(7).normal(size=lead + (n, n))
+        _assert_matches_loop(stack)
+
+    def test_one_matrix_gives_one_report(self):
+        m = np.array([[2.0, 0.5], [0.5, -1.0]])
+        rep = eigen_classify(m)
+        eig, lo, cls = _classify_loop_reference(m)
+        assert np.array_equal(rep.eigenvalues, eig) and rep.min_eigenvalue == lo and rep.classification is cls
+        (stacked,) = eigen_classify(m[None])
+        assert np.array_equal(stacked.eigenvalues, eig) and stacked.classification is cls
+
+    def test_one_nan_in_a_stack_raises(self):
+        stack = np.tile(np.eye(2), (6, 1, 1))
+        assert all(r.is_positive_definite for r in eigen_classify(stack))
+        stack[4, 1, 0] = np.nan
+        with pytest.raises(NonFiniteSample):
+            eigen_classify(stack)
 
 
 class TestIntegrate1d:
