@@ -35,7 +35,6 @@ from . import minkowski as mk
 from .errors import (
     DOMAIN_CODES,
     BadExponent,
-    DomainEmpty,
     FinslerError,
     ParseError,
     ValidationError,
@@ -43,6 +42,7 @@ from .errors import (
 from .numkernel import central_derivatives
 
 MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic run
+MAX_SAMPLES = 10**6  # run.<cmd>.samples of the sampling commands, checked before any allocation
 
 COMMANDS = (
     "eval",
@@ -464,12 +464,13 @@ def _run_point(cfg: RunConfig, cmd: str, key: str, dim: int, required: bool = Fa
     return _point(_param(cfg, cmd, key, None if required else [0.0] * dim, required), dim, f"run.{cmd}.{key}")
 
 
-def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float, least=None, positive=False):
+def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float, least=None, most=None, positive=False):
     """The scalar ``run.<cmd>.<key>`` (required when there is no default),
-    at least ``least`` and, with ``positive``, greater than 0."""
+    from ``least`` to ``most`` and, with ``positive``, greater than 0."""
     path = f"run.{cmd}.{key}"
     value = _num(_param(cfg, cmd, key, default, default is None), path, kind)
     _require(least is None or value >= least, f"{key} must be at least {least}", path, "minimum")
+    _require(most is None or value <= most, f"{key} must be at most {most}", path, "maximum")
     _require(not positive or value > 0, f"{key} must be positive", path, "positive")
     return value
 
@@ -509,31 +510,19 @@ def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.nd
     return base, vecs
 
 
-def _admissible_draws(m: me.ConicMetric, base, rng, samples: int):
-    """Yield ``samples`` standard-normal vectors admissible at ``base``.
-
-    One ``rng.normal`` draw per attempt, so seeded runs replay exactly;
-    after 100 attempts per sample the domain counts as empty.
-    """
-    found = 0
-    for _ in range(100 * samples):
-        if found == samples:
-            return
-        v = rng.normal(size=m.dimension)
-        if bool(m.in_domain_many(base, v)):
-            found += 1
-            yield v
-    if found < samples:
-        raise DomainEmpty(f"{found} of {samples} random vectors admissible after {100 * samples} draws")
+def _in_domain_at(m: me.ConicMetric, base):
+    """The ``accept`` of :func:`me.admissible_draws` for vectors admissible at ``base``."""
+    return lambda vs: m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
 
 
 def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     """Execute one command; returns (summary dict, csv header, csv rows)."""
+    _require(cfg.seed >= 0, f"seed must be at least 0, got {cfg.seed}", "run.seed", "minimum")
+    rng = np.random.default_rng(cfg.seed)
     built = build_metric(spec)
     m = built.metric
     dim = m.dimension
     tol = cfg.tolerance
-    rng = np.random.default_rng(cfg.seed)
 
     if cmd in ("eval", "tensor", "classify"):
         base, vecs = _base_vectors(cfg, cmd, dim)
@@ -557,7 +546,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "scan":
         base = _run_point(cfg, "scan", "base", dim)
-        samples = _run_num(cfg, "scan", "samples", 360, int, least=1)
+        samples = _run_num(cfg, "scan", "samples", 360, int, least=1, most=MAX_SAMPLES)
         entries = me.convexity_scan(m, base, samples, tol)
         header = ["index"] + _vec_cols("dir", dim) + ["status", "min_eigenvalue"]
         rows = [
@@ -575,9 +564,9 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             )
         F0, beta, profile = built.phi_parts
         base = _run_point(cfg, "detcheck", "base", dim)
-        samples = _run_num(cfg, "detcheck", "samples", 100, int, least=1)
+        samples = _run_num(cfg, "detcheck", "samples", 100, int, least=1, most=MAX_SAMPLES)
         header = ["index"] + _vec_cols("v", dim) + ["det_formula", "det_direct", "rel_err"]
-        vs = np.array(list(_admissible_draws(m, base, rng, samples))).reshape(-1, dim)
+        vs = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base))
         tv = me.TangentVec(base, vs)
         lhs = cb.det_tensor_formula(F0, beta, profile, tv)
         rhs = np.linalg.det(me.tensor(m, tv))
@@ -615,14 +604,10 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "gauss":
         base = _run_point(cfg, "gauss", "base", dim)
-        samples = _run_num(cfg, "gauss", "samples", 10, int, least=1)
+        samples = _run_num(cfg, "gauss", "samples", 10, int, least=1, most=MAX_SAMPLES)
         step = _run_step(cfg, "gauss")
         header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
-        vs, ws = [], []
-        for v in _admissible_draws(m, base, rng, samples):
-            vs.append(v)
-            ws.append(rng.normal(size=dim))
-        vs, ws = np.array(vs), np.array(ws)
+        vs, ws = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base), paired=True)
         res = gd.gauss_residuals(m, base, vs, ws, step)
         rows = [[i, *v, *w, float(r)] for i, (v, w, r) in enumerate(zip(vs, ws, res))]
         worst = float(np.max(np.abs(res)))
@@ -679,7 +664,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "indicatrix":
         base = _run_point(cfg, "indicatrix", "base", dim)
-        samples = _run_num(cfg, "indicatrix", "samples", 256, int, least=1)
+        samples = _run_num(cfg, "indicatrix", "samples", 256, int, least=1, most=MAX_SAMPLES)
         dirs = me.unit_directions(dim, samples)
         ok, vals = m.jet(np.broadcast_to(base, dirs.shape), dirs)
         header = ["index"] + _vec_cols("dir", dim) + _vec_cols("s", dim)
@@ -691,25 +676,19 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         return {"command": cmd, "count": len(rows)}, header, rows
 
     if cmd == "oracle":
-        samples = _run_num(cfg, "oracle", "samples", 200, int, least=1)
+        samples = _run_num(cfg, "oracle", "samples", 200, int, least=1, most=MAX_SAMPLES)
         otol = _run_num(cfg, "oracle", "tolerance", 1e-6)
         margin = _run_num(cfg, "oracle", "interior_margin", 0.15)
         base = _run_point(cfg, "oracle", "base", dim)
         header = ["index"] + _vec_cols("v", dim) + ["rel_err"]
-        picked: list[np.ndarray] = []
-        attempts = 0
-        while len(picked) < samples and attempts < 200:
-            attempts += 1
-            vs = rng.normal(size=(2 * samples, dim))
-            vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
+
+        def accept(vs):
+            vs = vs / np.linalg.norm(vs, axis=-1, keepdims=True)
             keep = m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
-            if built.phi_parts is not None:
-                keep = keep & _interior_ratio(built.phi_parts, base, vs, margin)
-            picked.extend(vs[keep][: samples - len(picked)])
-        if len(picked) < samples:
-            draws = 2 * samples * attempts
-            raise DomainEmpty(f"{len(picked)} of {samples} random vectors admissible after {draws} draws")
-        vs = np.array(picked)
+            return keep if built.phi_parts is None else keep & _interior_ratio(built.phi_parts, base, vs, margin)
+
+        vs = me.admissible_draws(rng, samples, dim, accept)
+        vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
         bases = np.broadcast_to(base, vs.shape)
         ga = m.tensor_many(bases, vs)
         gf = m.fd_tensor_many(bases, vs)

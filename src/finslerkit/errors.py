@@ -75,9 +75,13 @@ class NotAdmissible(FinslerError):
 
 
 class DegenerateTensor(FinslerError):
-    """The fundamental tensor is (numerically) degenerate along an orbit."""
+    """The fundamental tensor is (numerically) degenerate along an orbit; carries the parameter."""
 
     code = "degenerate_tensor"
+
+    def __init__(self, message: str, parameter: float | None = None):
+        super().__init__(message)
+        self.parameter = parameter
 
 
 class LeftDomain(FinslerError):

@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import DegenerateTensor, LeftDomain, NotAdmissible, OutsideDomain
-from .metrics import ConicMetric, TangentVec, unit_directions
+from .metrics import ConicMetric, TangentVec, admissible_draws, unit_directions
 from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
 
 EDGE_QUAD_NODES = 33  # Simpson nodes of an edge whose Gauss-Kronrod estimate is flagged
@@ -193,7 +193,7 @@ def _tensor_checked(ok: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
     scale = np.sqrt(np.einsum("...ij,...ij->...", g, g) / g.shape[-1])
     det = np.linalg.det(g)
     if np.any(np.abs(det) < 1e-12 * np.maximum(scale, 1e-30) ** g.shape[-1]):
-        raise DegenerateTensor(f"fundamental tensor degenerate near parameter {t:.6g}")
+        raise DegenerateTensor(f"fundamental tensor degenerate near parameter {t:.6g}", parameter=t)
     return g
 
 
@@ -230,7 +230,7 @@ def _accel(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray
     return np.linalg.solve(2.0 * g, rhs[..., None])[..., 0]
 
 
-def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, step: float):
+def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, step: float, t0: float = 0.0):
     """Batched orbits by the Dormand-Prince 5(4) pair; returns positions and
     velocities on the grid of ``round(t_end / step)`` equal intervals.
 
@@ -240,13 +240,14 @@ def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, ste
     grid states come from the pair's 4th-order continuous extension.  A
     trial step whose stages leave the domain is rejected and shrunk;
     ``LeftDomain`` is raised, at the parameter of the last accepted state,
-    once the step falls below ``GEODESIC_RTOL * t_end``.
+    once the step falls below ``GEODESIC_RTOL * t_end``.  The orbits start at
+    parameter ``t0``: errors name ``t0 + t``, while the returned times count from 0.
     """
     y = np.concatenate([np.atleast_2d(x0), np.atleast_2d(v0)], axis=-1).astype(float)
     n = y.shape[-1] // 2
 
     def spray(y, t):
-        return np.concatenate([y[..., n:], _accel(m, y[..., :n], y[..., n:], t)], axis=-1)
+        return np.concatenate([y[..., n:], _accel(m, y[..., :n], y[..., n:], t0 + t)], axis=-1)
 
     n_out = max(1, int(round(t_end / step)))
     ts = np.arange(n_out + 1) * (t_end / n_out)
@@ -283,8 +284,8 @@ def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, ste
             h *= growth
             after_reject = True
             if h < GEODESIC_RTOL * t_end:
-                msg = f"geodesic left the domain after parameter {t:.6g}; its step fell below {GEODESIC_RTOL * t_end:.3g}"
-                raise LeftDomain(msg, parameter=t) from cause
+                msg = f"geodesic left the domain after parameter {t0 + t:.6g}; its step fell below {GEODESIC_RTOL * t_end:.3g}"
+                raise LeftDomain(msg, parameter=t0 + t) from cause
     out[-1] = y
     return out[..., :n], out[..., n:], ts
 
@@ -299,12 +300,7 @@ def geodesic_shoot(
     tv = TangentVec(start.position, start.velocity)
     if not bool(m.in_domain_many(tv.base, tv.vec)):
         raise OutsideDomain("initial velocity is outside the conic domain")
-    try:
-        xs, vs, ts = _integrate(m, start.position[None, :], start.velocity[None, :], t_end, step)
-    except LeftDomain as exc:
-        # _integrate counts from 0; report the parameter the states carry
-        t = start.parameter + exc.parameter
-        raise LeftDomain(str(exc).replace(f"{exc.parameter:.6g}", f"{t:.6g}", 1), parameter=t) from exc
+    xs, vs, ts = _integrate(m, start.position[None, :], start.velocity[None, :], t_end, step, start.parameter)
     return [
         GeodesicState(position=xs[k, 0], velocity=vs[k, 0], parameter=start.parameter + ts[k])
         for k in range(xs.shape[0])
@@ -374,7 +370,7 @@ def radial_minimality_test(
 
     Each trial shoots a radial geodesic to a random endpoint inside the
     geodesic ball, perturbs it by a smooth bump vanishing at the ends, and
-    records the length ratio.  Curves exiting the ball are skipped.
+    records the length ratio.  Curves exiting the ball are skipped; a sliver domain raises ``DomainEmpty``.
     """
     base = np.asarray(base, dtype=float)
     rng = np.random.default_rng(seed)
@@ -405,21 +401,11 @@ def radial_minimality_test(
     while counted < trials and rounds < 20:
         rounds += 1
         batch = trials - counted
-        # rejection-sample a batch of admissible radial velocities
-        vs = []
-        attempts = 0
-        while len(vs) < batch and attempts < 100 * batch:
-            attempts += 1
-            d = rng.normal(size=n)
-            d /= np.linalg.norm(d)
-            ok, F = m.jet(base, d)
-            if not bool(ok):
-                continue
-            rho = rng.uniform(0.25, 0.85) * radius
-            vs.append(rho * d / float(F))
-        if not vs:
-            break
-        vs = np.array(vs)
+        # admissible radial velocities with F = rho, rho uniform in [0.25, 0.85] * radius
+        ds = admissible_draws(rng, batch, n, lambda ds: m.in_domain_many(np.broadcast_to(base, ds.shape), ds))
+        ds /= np.linalg.norm(ds, axis=-1, keepdims=True)
+        F = m.F_many(np.broadcast_to(base, ds.shape), ds)
+        vs = (rng.uniform(0.25, 0.85, size=batch) * radius / F)[:, None] * ds
         xs, _, ts = _integrate(
             m, np.broadcast_to(base, vs.shape).copy(), vs, t_end=1.0, step=max(step, 1.0 / 64)
         )

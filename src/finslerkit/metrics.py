@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import NonFiniteSample, OutsideDomain
+from .errors import DomainEmpty, NonFiniteSample, OutsideDomain
 from .minkowski import GaugeNorm
 from .numkernel import (
     DEFAULT_EIG_TOL,
@@ -26,6 +26,7 @@ from .numkernel import (
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_DRAWS_PER_SAMPLE = 400  # stream rows drawn per requested sample before the domain counts as empty
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,38 @@ def unit_directions(dim: int, count: int) -> np.ndarray:
     u = kronecker_sequence(count, dim)
     g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def admissible_draws(rng, samples: int, dim: int, accept: Callable, paired: bool = False):
+    """The first ``samples`` rows of the seeded stream ``rng.normal(size=(k, dim))`` that ``accept`` admits.
+
+    ``accept`` maps a block of ``2 * samples`` rows to its boolean mask in one
+    call; only the picked rows are kept.  With ``paired`` the result is
+    ``(picked, partners)``: the row after each pick is its partner, whatever
+    ``accept`` says of it, and is never picked.  ``DomainEmpty`` is raised
+    when ``MAX_DRAWS_PER_SAMPLE * samples`` rows give too few picks.
+    """
+    block, cap = 2 * samples, MAX_DRAWS_PER_SAMPLE * samples
+    picks, partners, found, skip = [], [], 0, 0  # skip: 1 when a block opens with the last pick's partner
+    for _ in range(cap // block):
+        rows = rng.normal(size=(block, dim))
+        idx = skip + np.flatnonzero(accept(rows)[skip:])
+        if paired:
+            walk = []
+            for i in idx.tolist():
+                if not walk or i > walk[-1] + 1:
+                    walk.append(i)
+            idx = np.array(walk, dtype=int)
+        idx = idx[: samples - found]
+        picks.append(rows[idx])
+        found += idx.size
+        if paired:
+            partners += [rows[:skip], rows[idx[idx < block - 1] + 1]]
+            skip = int(idx.size > 0 and idx[-1] == block - 1)
+        if found == samples:
+            partners.append(rng.normal(size=(skip, dim)))  # a last partner that opens the next block
+            return (np.concatenate(picks), np.concatenate(partners)) if paired else np.concatenate(picks)
+    raise DomainEmpty(f"{found} of {samples} random vectors admissible after {cap} draws")
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,11 @@ class TestMalformedConfig:
             ("detcheck", {"samples": -3}, "run.detcheck.samples"),
             ("gauss", {"samples": 0}, "run.gauss.samples"),
             ("oracle", {"samples": 0}, "run.oracle.samples"),
+            ("scan", {"samples": 1e308}, "run.scan.samples"),
+            ("indicatrix", {"samples": 10**6 + 1}, "run.indicatrix.samples"),
+            ("detcheck", {"samples": 1e308}, "run.detcheck.samples"),
+            ("gauss", {"samples": 2 * 10**6}, "run.gauss.samples"),
+            ("oracle", {"samples": 1e308}, "run.oracle.samples"),
             ("reach", {"box": [[0, 0], [0, 1]], "source": [0, 0]}, "run.reach.box"),
             ("separation", {"box": [[-1, 1], [1, -1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box"),
             ("ball", {"box": [[-1, -1], [1, "nan"]], "center": [0, 0], "radius": 0.3}, "run.ball.box"),
@@ -262,11 +267,27 @@ class TestMalformedConfig:
         with pytest.raises(ValidationError) as err:
             run_command(command, spec, cfg)
         assert err.value.path == path
-        assert err.value.constraint in ("minimum", "positive")
+        assert err.value.constraint in ("minimum", "maximum", "positive")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    def test_negative_seed_names_path(self, flag, tmp_path, capsys):
+        doc = json.loads(builtin_config("randers"))
+        if not flag:
+            doc["run"]["seed"] = -1
+        spec, cfg = parse_config(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            run_command("detcheck", spec, replace(cfg, seed=-1))
+        assert (err.value.path, err.value.constraint) == ("run.seed", "minimum")
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(doc))
+        argv = ["detcheck", "--config", str(cfg_path), "--out", str(out)] + (["--seed", "-1"] if flag else [])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error [validation_error] at run.seed: seed must be at least 0, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, section, path",
@@ -493,11 +514,12 @@ class TestBatchedCommands:
         while found < 20:
             draws += 1
             found += bool(m.in_domain_many(np.zeros(2), rng.normal(size=2)))
+        blocks = -(-draws // 40)  # the sampler tests blocks of 2 * samples draws
         calls = self.count_jets(monkeypatch)
         _, _, rows = run_command("detcheck", spec, cfg)
         assert len(rows) == 20 and draws > 20
-        # one per draw, plus F0's tensor, F0's values and the metric's tensor
-        assert calls[0] == draws + 3
+        # one per block, plus F0's tensor, F0's values and the metric's tensor
+        assert calls[0] == blocks + 3
 
     def test_detcheck_matches_per_vector_formula(self):
         spec, cfg = parse_config(builtin_config("randers"))

@@ -10,7 +10,7 @@ from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.cli import MetricSpec, build_metric, builtin_config, parse_config
-from finslerkit.errors import DegenerateTensor, LeftDomain, NotAdmissible
+from finslerkit.errors import DegenerateTensor, DomainEmpty, LeftDomain, NotAdmissible
 from finslerkit.numkernel import simpson_weights
 
 BASE = np.zeros(2)
@@ -129,6 +129,15 @@ class TestGeodesicShoot:
     def test_degenerate_tensor_aborts(self, halfplane_dy):
         with pytest.raises(DegenerateTensor):
             gd.geodesic_shoot(halfplane_dy, gd.GeodesicState([0, 0], [0.1, 1.0], 0.0), 1.0, 0.1)
+
+    @pytest.mark.parametrize("t0", [5.0, -2.5])
+    def test_degenerate_tensor_parameter_counts_from_the_start_state(self, halfplane_dy, t0):
+        with pytest.raises(DegenerateTensor) as ref:
+            gd.geodesic_shoot(halfplane_dy, gd.GeodesicState([0, 0], [0.1, 1.0], 0.0), 1.0, 0.1)
+        with pytest.raises(DegenerateTensor) as err:
+            gd.geodesic_shoot(halfplane_dy, gd.GeodesicState([0, 0], [0.1, 1.0], t0), 1.0, 0.1)
+        assert err.value.parameter == t0 + ref.value.parameter
+        assert str(err.value) == f"fundamental tensor degenerate near parameter {t0 + ref.value.parameter:.6g}"
 
     @pytest.mark.parametrize(
         "t_end, step", [(-1.0, 0.01), (0.0, 0.01), (np.inf, 0.01), (np.nan, 0.01), (1.0, 0.0), (1.0, np.inf), (1.0, np.nan)]
@@ -377,6 +386,18 @@ class TestRadialMinimality:
     def test_lorentz_rejected(self, lorentz_metric):
         with pytest.raises(DegenerateTensor):
             gd.radial_minimality_test(lorentz_metric, [0, 0], radius=1.0, trials=5, seed=2)
+
+    def test_sliver_domain_is_domain_empty(self):
+        """The probe fan meets a cone of half-angle 1e-6 about e_0; random directions do not."""
+
+        def jet_fn(base, vec, with_tensor):
+            ok = np.abs(vec[..., 1]) < 1e-6 * vec[..., 0]
+            F = np.linalg.norm(vec, axis=-1)
+            return (ok, F, np.broadcast_to(np.eye(2), ok.shape + (2, 2))) if with_tensor else (ok, F)
+
+        sliver = me.ConicMetric(manifold=me.whole_plane(2), jet_fn=jet_fn, position_independent=True)
+        with pytest.raises(DomainEmpty, match=r"^0 of 5 random vectors admissible after 2000 draws$"):
+            gd.radial_minimality_test(sliver, [0, 0], radius=1.0, trials=5, seed=0)
 
 
 class TestBuildGraph:

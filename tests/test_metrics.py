@@ -4,7 +4,7 @@ import pytest
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
-from finslerkit.errors import NonFiniteSample, OutsideDomain
+from finslerkit.errors import DomainEmpty, NonFiniteSample, OutsideDomain
 from finslerkit.numkernel import Definiteness, eigen_classify
 
 BASE = np.zeros(2)
@@ -333,3 +333,134 @@ class TestUnitDirections:
         d = me.unit_directions(2, 360)
         angles = np.arctan2(d[:, 1], d[:, 0])
         assert np.max(np.diff(np.sort(angles))) < 0.02 + 2 * np.pi / 360
+
+
+# Reference samplers: the per-draw generator the CLI's detcheck and gauss used,
+# with its cap per sample as a parameter, and the oracle's loop of blocks.
+
+
+def _per_draw_reference(rng, samples, dim, accept, cap=10**4):
+    found = 0
+    for _ in range(cap * samples):
+        if found == samples:
+            return
+        v = rng.normal(size=dim)
+        if bool(accept(v[None])[0]):
+            found += 1
+            yield v
+    if found < samples:
+        raise DomainEmpty(f"{found} of {samples} random vectors admissible after {cap * samples} draws")
+
+
+def _oracle_loop_reference(rng, samples, dim, accept):
+    picked: list[np.ndarray] = []
+    attempts = 0
+    while len(picked) < samples and attempts < 200:
+        attempts += 1
+        vs = rng.normal(size=(2 * samples, dim))
+        vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
+        keep = accept(vs)
+        picked.extend(vs[keep][: samples - len(picked)])
+    if len(picked) < samples:
+        draws = 2 * samples * attempts
+        raise DomainEmpty(f"{len(picked)} of {samples} random vectors admissible after {draws} draws")
+    return np.array(picked)
+
+
+def _outcome(draw):
+    """The rows a sampler returns, or the message of its DomainEmpty."""
+    try:
+        return draw()
+    except DomainEmpty as exc:
+        return str(exc)
+
+
+# P(first coordinate > q) for a standard normal row: about 100%, 50%, 5% and 1%
+RATES = {"all": -3.0, "half": 0.0, "five_percent": 1.645, "sliver": 2.326}
+
+
+class TestAdmissibleDraws:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1, 7, 200])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_unpaired_picks_the_per_draw_rows(self, rate, samples, dim):
+        def accept(b):
+            return b[:, 0] > RATES[rate]
+
+        want = np.array(list(_per_draw_reference(np.random.default_rng(samples), samples, dim, accept)))
+        got = me.admissible_draws(np.random.default_rng(samples), samples, dim, accept)
+        assert got.shape == (samples, dim)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1, 7, 200])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_paired_picks_the_v_then_w_rows(self, rate, samples, dim):
+        def accept(b):
+            return b[:, 0] > RATES[rate]
+
+        rng, vs, ws = np.random.default_rng(samples + 1), [], []
+        for v in _per_draw_reference(rng, samples, dim, accept):
+            vs.append(v)
+            ws.append(rng.normal(size=dim))
+        got_v, got_w = me.admissible_draws(np.random.default_rng(samples + 1), samples, dim, accept, paired=True)
+        assert got_v.shape == got_w.shape == (samples, dim)
+        assert np.array_equal(got_v, np.array(vs)) and np.array_equal(got_w, np.array(ws))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1, 7, 200])
+    @pytest.mark.parametrize("cut", [-1.1, 0.0, 0.9, 0.999])
+    def test_normalised_picks_equal_the_oracle_loop(self, cut, samples, dim):
+        """Either the same rows bit for bit or the same DomainEmpty message."""
+
+        def accept(u):
+            return u[:, 0] > cut
+
+        def blocked():
+            vs = me.admissible_draws(
+                np.random.default_rng(5), samples, dim, lambda b: accept(b / np.linalg.norm(b, axis=-1, keepdims=True))
+            )
+            return vs / np.linalg.norm(vs, axis=-1, keepdims=True)
+
+        want = _outcome(lambda: _oracle_loop_reference(np.random.default_rng(5), samples, dim, accept))
+        got = _outcome(blocked)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("samples", [1, 7, 200])
+    def test_empty_domain_raises_after_the_cap(self, samples, paired):
+        seen = []
+
+        def never(b):
+            seen.append(b.shape[0])
+            return np.zeros(b.shape[0], dtype=bool)
+
+        rng = np.random.default_rng(0)
+        cap = me.MAX_DRAWS_PER_SAMPLE * samples
+        with pytest.raises(DomainEmpty, match=rf"^0 of {samples} random vectors admissible after {cap} draws$"):
+            me.admissible_draws(rng, samples, 2, never, paired=paired)
+        assert sum(seen) == cap and set(seen) == {2 * samples}
+        after = np.random.default_rng(0)
+        after.normal(size=(cap, 2))
+        assert rng.normal() == after.normal()
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("rate", RATES)
+    def test_one_accept_call_per_block(self, rate, paired):
+        samples, seen = 7, []
+
+        def accept(b):
+            seen.append(b.shape[0])
+            return b[:, 0] > RATES[rate]
+
+        rng = np.random.default_rng(11)
+        draws = me.admissible_draws(rng, samples, 2, accept, paired=paired)
+        last = draws[1][-1] if paired else draws[-1]
+        # the stream index of the last row returned fixes how many blocks were tested
+        stream = np.random.default_rng(11).normal(size=(me.MAX_DRAWS_PER_SAMPLE * samples, 2))
+        end = 1 + int(np.flatnonzero(np.all(stream == last, axis=-1))[0])
+        blocks = -(-(end - paired) // (2 * samples))
+        assert seen == [2 * samples] * blocks
