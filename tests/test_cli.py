@@ -251,14 +251,14 @@ class TestMalformedConfig:
             ("detcheck", {"samples": -3}, "run.detcheck.samples"),
             ("gauss", {"samples": 0}, "run.gauss.samples"),
             ("oracle", {"samples": 0}, "run.oracle.samples"),
+            ("reach", {"box": [[0, 0], [0, 1]], "source": [0, 0]}, "run.reach.box"),
+            ("separation", {"box": [[-1, 1], [1, -1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box"),
+            ("ball", {"box": [[-1, -1], [1, "nan"]], "center": [0, 0], "radius": 0.3}, "run.ball.box"),
             ("scan", {"samples": 1e308}, "run.scan.samples"),
             ("indicatrix", {"samples": 10**6 + 1}, "run.indicatrix.samples"),
             ("detcheck", {"samples": 1e308}, "run.detcheck.samples"),
             ("gauss", {"samples": 2 * 10**6}, "run.gauss.samples"),
             ("oracle", {"samples": 1e308}, "run.oracle.samples"),
-            ("reach", {"box": [[0, 0], [0, 1]], "source": [0, 0]}, "run.reach.box"),
-            ("separation", {"box": [[-1, 1], [1, -1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box"),
-            ("ball", {"box": [[-1, -1], [1, "nan"]], "center": [0, 0], "radius": 0.3}, "run.ball.box"),
         ],
     )
     def test_run_parameter_out_of_range_names_path(self, command, section, path, tmp_path):
