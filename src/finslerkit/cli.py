@@ -16,6 +16,7 @@ Config schema (see README for the full grammar)::
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -43,6 +44,7 @@ from .numkernel import central_derivatives
 
 MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic run
 MAX_SAMPLES = 10**6  # run.<cmd>.samples of the sampling commands, checked before any allocation
+MAX_GRAPH_EDGES = 10**7  # candidate edges (grid nodes x neighbour offsets) of a graph command, checked likewise
 
 COMMANDS = (
     "eval",
@@ -79,29 +81,48 @@ _EXPR_NAMES = {
     "pi": math.pi,
     "e": math.e,
 }
+# the syntax of an expression besides names and numbers: arithmetic, comparisons and calls
+_EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call, ast.Load, ast.operator, ast.unaryop,
+               ast.cmpop)
 
 
-def compile_expr(expr: str, variables: tuple[str, ...], path: str):
-    """Compile a config expression over the named variables.
+def compile_expr(expr, variables: tuple[str, ...], path: str):
+    """Compile a config expression, a string or a number, over the named variables.
 
-    Only the whitelisted math names are visible; anything else raises a
-    ValidationError naming the offending config path.  The returned
-    function's ``variables_used`` holds the variables the expression names.
+    The expression is arithmetic: numbers, the named variables, the
+    whitelisted math names, operators, comparisons and calls.  Its numbers are
+    floats, so a huge power overflows instead of growing an integer without
+    end.  Anything else, and an evaluation that raises an ArithmeticError,
+    TypeError or ValueError, raises a ValidationError naming the offending
+    config path.  The returned function gives a float array; its
+    ``variables_used`` holds the variables the expression names.
     """
+    _require(type(expr) in (str, int, float), f"expected an expression, got {expr!r}", path, "expression")
     try:
-        code = compile(str(expr), f"<config:{path}>", "eval")
+        tree = ast.parse(str(expr), mode="eval")
     except SyntaxError as exc:
         raise ValidationError(f"bad expression {expr!r}: {exc.msg}", path=path) from exc
-    for name in code.co_names:
-        if name not in _EXPR_NAMES and name not in variables:
-            raise ValidationError(
-                f"expression {expr!r} uses unknown name {name!r}", path=path, constraint="names"
-            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            known = node.id in _EXPR_NAMES or node.id in variables
+            _require(known, f"expression {expr!r} uses unknown name {node.id!r}", path, "names")
+        elif isinstance(node, ast.Constant):
+            numeric = type(node.value) in (int, float)
+            _require(numeric, f"expression {expr!r} has a non-numeric constant", path, "expression")
+            node.value = float(node.value)
+        else:
+            allowed = isinstance(node, _EXPR_NODES)
+            _require(allowed, f"expression {expr!r} uses {type(node).__name__}", path, "expression")
+    code = compile(tree, f"<config:{path}>", "eval")
 
     def fn(*args):
         ns = dict(_EXPR_NAMES)
         ns.update(zip(variables, args))
-        return eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - whitelisted names only
+        try:
+            return np.asarray(eval(code, {"__builtins__": {}}, ns), dtype=float)  # noqa: S307 - checked above
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            msg = f"expression {expr!r} failed: {exc}"
+            raise ValidationError(msg, path=path, constraint="expression") from exc
 
     fn.variables_used = frozenset(code.co_names) & frozenset(variables)
     return fn
@@ -118,6 +139,24 @@ def _split_position(x: np.ndarray, dim: int):
     comps = [x[..., i] for i in range(dim)]
     letters = comps[: 3 if dim <= 3 else 0]
     return tuple(letters) + tuple(comps)
+
+
+def _expr_field(exprs: list, dim: int, path: str, nested: bool = False):
+    """``(field, constant)`` of a list (``nested``: a list of lists) of position expressions:
+    ``field(x)`` stacks their values on trailing axes, ``constant`` says none names a position."""
+    vars_ = _position_vars(dim)
+    fns = [
+        [compile_expr(e, vars_, f"{path}[{i}][{j}]" if nested else f"{path}[{j}]") for j, e in enumerate(row)]
+        for i, row in enumerate(exprs if nested else [exprs])
+    ]
+
+    def field(x):
+        args = _split_position(x, dim)
+        shape = np.asarray(x)[..., 0].shape
+        rows = [np.stack([np.broadcast_to(fn(*args), shape) for fn in row], axis=-1) for row in fns]
+        return np.stack(rows, axis=-2) if nested else rows[0]
+
+    return field, not any(fn.variables_used for row in fns for fn in row)
 
 
 @dataclass(frozen=True)
@@ -160,13 +199,26 @@ def _require(cond: bool, msg: str, path: str, constraint: str = ""):
 
 
 def _num(value, path: str, kind=float):
-    """``kind(value)`` for a config scalar; a non-numeric one is a ValidationError."""
+    """``kind(value)`` for a config scalar; a non-numeric or boolean one, or a
+    fractional one when ``kind`` is ``int``, is a ValidationError."""
+    if kind is int:
+        integral = not isinstance(value, float) or not math.isfinite(value) or value.is_integer()
+        _require(integral and not isinstance(value, bool), f"expected an integer, got {value!r}", path, "integer")
+    _require(not isinstance(value, bool), f"expected a number, got {value!r}", path, "number")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"expected a number, got {value!r}", path=path, constraint="number") from exc
     except OverflowError as exc:  # int(inf)
         raise ValidationError(f"{value!r} is out of range", path=path, constraint="finite") from exc
+
+
+def _dimension(value, path: str) -> int:
+    """A chart dimension read at ``path``; above ``metrics.MAX_DIMENSION`` it is a
+    ValidationError, raised before anything of that size is allocated."""
+    dim = _num(value, path, int)
+    _require(dim <= me.MAX_DIMENSION, f"dimension must be at most {me.MAX_DIMENSION}", path, "maximum")
+    return dim
 
 
 def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
@@ -218,49 +270,29 @@ def _build_form(node, path: str) -> tuple[me.OneFormAtom, int]:
     _require(isinstance(node, dict), "one-form node must be a dict", path)
     coeffs = node.get("coeffs")
     if isinstance(coeffs, list) and coeffs:
-        return me.constant_oneform([_num(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)]), len(coeffs)
+        dim = _dimension(len(coeffs), f"{path}.coeffs")
+        return me.constant_oneform([_num(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)]), dim
     exprs = node.get("coeff_exprs")
     _require(isinstance(exprs, list) and exprs, "one-form node needs 'coeffs' or 'coeff_exprs'", path)
-    dim = len(exprs)
-    vars_ = _position_vars(dim)
-    fns = [compile_expr(e, vars_, f"{path}.coeff_exprs[{i}]") for i, e in enumerate(exprs)]
-
-    def covector(x):
-        args = _split_position(x, dim)
-        cols = [np.broadcast_to(np.asarray(fn(*args), dtype=float), np.asarray(x)[..., 0].shape) for fn in fns]
-        return np.stack(cols, axis=-1)
-
-    return me.OneFormAtom(covector=covector, constant=not any(fn.variables_used for fn in fns)), dim
+    dim = _dimension(len(exprs), f"{path}.coeff_exprs")
+    covector, constant = _expr_field(exprs, dim, f"{path}.coeff_exprs")
+    return me.OneFormAtom(covector=covector, constant=constant), dim
 
 
 def _build_riemann(node: dict, path: str) -> me.ConicMetric:
-    rows = node.get("matrix", node.get("matrix_expr"))
+    key = "matrix" if "matrix" in node else "matrix_expr"
+    rows = node.get(key)
     _require(
         isinstance(rows, list) and rows and all(isinstance(r, list) and len(r) == len(rows) for r in rows),
         "riemannian node needs a square 'matrix' or 'matrix_expr'",
         path,
     )
-    dim = len(rows)
-    if "matrix" in node:
+    dim = _dimension(len(rows), f"{path}.{key}")
+    if key == "matrix":
         g = [[_num(e, f"{path}.matrix[{i}][{j}]") for j, e in enumerate(row)] for i, row in enumerate(rows)]
         return me.riemann_metric(me.constant_riemann(g), me.whole_plane(dim))
-    vars_ = _position_vars(dim)
-    fns = [
-        [compile_expr(e, vars_, f"{path}.matrix_expr[{i}][{j}]") for j, e in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
-
-    def metric_matrix(x):
-        args = _split_position(x, dim)
-        shape = np.asarray(x)[..., 0].shape
-        cols = [[np.broadcast_to(np.asarray(fn(*args), dtype=float), shape) for fn in row] for row in fns]
-        return np.stack([np.stack(r, axis=-1) for r in cols], axis=-2)
-
-    atom = me.RiemannAtom(
-        metric_matrix=metric_matrix,
-        constant=not any(fn.variables_used for row in fns for fn in row),
-    )
-    return me.riemann_metric(atom, me.whole_plane(dim))
+    metric_matrix, constant = _expr_field(rows, dim, f"{path}.matrix_expr", nested=True)
+    return me.riemann_metric(me.RiemannAtom(metric_matrix=metric_matrix, constant=constant), me.whole_plane(dim))
 
 
 def _spiral(node: dict, path: str) -> mk.PolarCurve2D:
@@ -303,15 +335,8 @@ def _custom_profile(prof, path: str) -> cb.PhiProfile:
         path,
         "profile",
     )
-    interval = prof.get("interval")
-    _require(
-        isinstance(interval, list) and len(interval) == 2,
-        "custom profile needs an 'interval' [lo, hi]",
-        path,
-        "interval",
-    )
+    lo, hi = _point(prof.get("interval"), 2, f"{path}.interval").tolist()
     phi = compile_expr(prof["phi"], ("s",), f"{path}.phi")
-    lo, hi = (_num(v, f"{path}.interval[{i}]") for i, v in enumerate(interval))
     if "phi_dot" in prof:
         _require("phi_ddot" in prof, "custom profile with 'phi_dot' needs 'phi_ddot'", path, "phi_ddot")
         phi_dot = compile_expr(prof["phi_dot"], ("s",), f"{path}.phi_dot")
@@ -345,7 +370,7 @@ def _base_and_form(node: dict, path: str) -> tuple[me.ConicMetric, me.OneFormAto
     if node["type"] == "phi" or "form" in node:
         form, dim = _build_form(node.get("form"), f"{path}.form")
     else:
-        dim = _num(node.get("dimension", 2), f"{path}.dimension", int) if base is None else base.dimension
+        dim = _dimension(node.get("dimension", 2), f"{path}.dimension") if base is None else base.dimension
         _require(dim >= 1, "dimension must be at least 1", path, "dimension")
         coeffs = np.zeros(dim)
         coeffs[0] = _num(node.get("b", 0.5), f"{path}.b")
@@ -367,7 +392,7 @@ def _build_node(node, path: str) -> BuiltMetric:
     )
     t = node["type"]
     if t == "euclidean":
-        dim = _num(node.get("dimension", 2), f"{path}.dimension", int)
+        dim = _dimension(node.get("dimension", 2), f"{path}.dimension")
         _require(dim >= 1, "dimension must be at least 1", path, "dimension")
         return BuiltMetric(metric=me.euclidean_metric(dim))
     if t == "riemannian":
@@ -379,10 +404,9 @@ def _build_node(node, path: str) -> BuiltMetric:
         _require("r" in node, "gauge_curve_2d node needs 'r'", path)
         r_fn = compile_expr(node["r"], ("theta",), f"{path}.r")
         interval = node.get("interval")
-        if interval is not None:
-            interval = tuple(_num(interval[i], f"{path}.interval[{i}]") for i in (0, 1))
+        interval = None if interval is None else tuple(_point(interval, 2, f"{path}.interval").tolist())
         curve = mk.polar_curve(
-            lambda th: np.asarray(r_fn(np.asarray(th, dtype=float)), dtype=float), theta_range=interval
+            lambda th: r_fn(np.asarray(th, dtype=float)), theta_range=interval
         )
         return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve)))
     if t in _EXAMPLE_CURVES:
@@ -446,6 +470,7 @@ def _vec_cols(prefix: str, dim: int) -> list[str]:
 
 def _param(cfg: RunConfig, cmd: str, key: str, default=None, required: bool = False):
     sect = cfg.params.get(cmd, {})
+    _require(isinstance(sect, dict), f"run.{cmd} must be an object", f"run.{cmd}", "object")
     if key in sect:
         return sect[key]
     if required and default is None:
@@ -482,10 +507,6 @@ def _run_span(cfg: RunConfig, cmd: str, key: str, default: float) -> float:
     return value
 
 
-def _run_step(cfg: RunConfig, cmd: str) -> float:
-    return _run_span(cfg, cmd, "step", 0.01)
-
-
 def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
     """Mask of the samples whose ratio stays ``margin`` away from the profile
     endpoints, where the finite-difference oracle loses accuracy to the singularity."""
@@ -500,13 +521,17 @@ def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
 
 
 def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base point and (K, N) vector stack of a per-vector command."""
+    """Base point and (K, N) vector stack of a per-vector command; :func:`_point` names a bad entry."""
     base = _run_point(cfg, cmd, "base", dim)
-    vecs = np.asarray(_param(cfg, cmd, "vectors", required=True), dtype=float)
-    if vecs.size == 0:
-        vecs = vecs.reshape(0, dim)
-    shape_ok = vecs.ndim == 2 and vecs.shape[1] == dim
-    _require(shape_ok, f"vectors must be a list of {dim}-vectors", f"run.{cmd}.vectors", "shape")
+    path = f"run.{cmd}.vectors"
+    vectors = _param(cfg, cmd, "vectors", required=True)
+    _require(isinstance(vectors, list), f"vectors must be a list of {dim}-vectors", path, "shape")
+    try:
+        vecs = np.array(vectors, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a malformed entry, named below
+        vecs = np.empty(0)
+    if vecs.ndim != 2 or vecs.shape[1] != dim:
+        vecs = np.array([_point(v, dim, f"{path}[{i}]") for i, v in enumerate(vectors)]).reshape(-1, dim)
     return base, vecs
 
 
@@ -578,7 +603,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         base = _run_point(cfg, "geodesic", "base", dim)
         vel = _run_point(cfg, "geodesic", "velocity", dim, required=True)
         t_end = _run_span(cfg, "geodesic", "t_end", 1.0)
-        step = _run_step(cfg, "geodesic")
+        step = _run_span(cfg, "geodesic", "step", gd.DEFAULT_STEP)
         _require(
             t_end / step <= MAX_GEODESIC_ROWS,
             f"t_end / step must be at most {MAX_GEODESIC_ROWS} output steps",
@@ -596,7 +621,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     if cmd == "expmap":
         base = _run_point(cfg, "expmap", "base", dim)
         vel = _run_point(cfg, "expmap", "velocity", dim, required=True)
-        step = _run_step(cfg, "expmap")
+        step = _run_span(cfg, "expmap", "step", gd.DEFAULT_STEP)
         end = gd.exp_map(m, base, vel, step)
         header = _vec_cols("base", dim) + _vec_cols("v", dim) + _vec_cols("exp", dim)
         rows = [[*base, *vel, *end]]
@@ -605,7 +630,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     if cmd == "gauss":
         base = _run_point(cfg, "gauss", "base", dim)
         samples = _run_num(cfg, "gauss", "samples", 10, int, least=1, most=MAX_SAMPLES)
-        step = _run_step(cfg, "gauss")
+        step = _run_span(cfg, "gauss", "step", gd.DEFAULT_STEP)
         header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
         vs, ws = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base), paired=True)
         res = gd.gauss_residuals(m, base, vs, ws, step)
@@ -620,6 +645,13 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         _require(bool(np.all(hi > lo)), "box needs hi > lo on every axis", f"run.{cmd}.box", "positive")
         resolution = _run_num(cfg, cmd, "resolution", 21, int, least=2)
         radius = _run_num(cfg, cmd, "neighbor_radius", 3, int, least=1)
+        offsets = (2 * min(radius, resolution - 1) + 1) ** dim - 1  # the offset table of build_separation_graph
+        _require(
+            resolution**dim * offsets <= MAX_GRAPH_EDGES,
+            f"resolution^{dim} grid nodes x neighbour offsets must be at most {MAX_GRAPH_EDGES} candidate edges",
+            f"run.{cmd}.resolution",
+            "maximum",
+        )
 
         def node(key: str) -> int:
             """Grid node of the point ``run.<cmd>.<key>``, checked before the graph is built."""
@@ -740,21 +772,20 @@ def main(argv=None) -> int:
         if args.tolerance is not None:
             cfg = replace(cfg, tolerance=args.tolerance)
         summary, header, rows = run_command(args.command, spec, cfg)
+        summary["csv"] = args.out or f"{args.command}_out.csv"
+        buf = io.StringIO()
+        write_csv(buf, header, rows)
+        with open(summary["csv"], "w", encoding="utf-8", newline="") as fh:
+            fh.write(buf.getvalue())
     except FinslerError as exc:
         code = 2 if exc.code in DOMAIN_CODES else 3
         where = f" at {exc.path}" if isinstance(exc, ValidationError) and exc.path else ""
         print(f"error [{exc.code}]{where}: {exc}", file=sys.stderr)
         return code
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except OSError as exc:
         print(f"error [validation_error]: {exc}", file=sys.stderr)
         return 2
 
-    out_path = args.out or f"{args.command}_out.csv"
-    buf = io.StringIO()
-    write_csv(buf, header, rows)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
-    summary["csv"] = out_path
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:

@@ -26,6 +26,7 @@ from .numkernel import (
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_DIMENSION = len(_PRIMES)  # kronecker_sequence, and so unit_directions, has one prime per axis
 MAX_DRAWS_PER_SAMPLE = 400  # stream rows drawn per requested sample before the domain counts as empty
 
 
@@ -69,7 +70,9 @@ class TangentVec:
 
 
 def kronecker_sequence(count: int, dim: int, skip: int = 0) -> np.ndarray:
-    """Deterministic low-discrepancy points in [0,1)^dim."""
+    """Deterministic low-discrepancy points in [0,1)^dim, for dim up to MAX_DIMENSION."""
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"kronecker_sequence supports at most {MAX_DIMENSION} dimensions, got {dim}")
     alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
     i = np.arange(skip + 1, skip + count + 1, dtype=float)[:, None]
     return np.mod(0.5 + i * alphas[None, :], 1.0)

@@ -1,12 +1,19 @@
+import copy
+import functools
 import io
 import json
+import operator
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finslerkit import cli
 from finslerkit.cli import (
     COMMANDS,
+    MAX_GRAPH_EDGES,
     BuiltMetric,
     MetricSpec,
     build_metric,
@@ -20,7 +27,7 @@ from finslerkit.cli import (
 from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
-from finslerkit.errors import DomainEmpty, ParseError, ValidationError
+from finslerkit.errors import DomainEmpty, FinslerError, ParseError, ValidationError
 
 BUILTINS = [
     "euclidean",
@@ -173,6 +180,13 @@ class TestMalformedConfig:
             ({"type": "euclidean"}, {"dimension": "x"}, "run.dimension"),
             ({"type": "euclidean"}, {"tolerance": "x"}, "run.tolerance"),
             ({"type": "euclidean"}, {"seed": [1]}, "run.seed"),
+            # booleans and fractional integers (appended, so earlier ids keep their index)
+            ({"type": "euclidean"}, {"seed": 1.5}, "run.seed"),
+            ({"type": "euclidean"}, {"seed": True}, "run.seed"),
+            ({"type": "euclidean"}, {"tolerance": True}, "run.tolerance"),
+            ({"type": "euclidean", "dimension": 2.5}, {}, "metric.dimension"),
+            ({"type": "wavy_example", "lobes": 2.5}, {}, "metric.lobes"),
+            ({"type": "named", "family": "randers", "b": False}, {}, "metric.b"),
         ],
     )
     def test_non_numeric_scalar_names_path(self, metric, run, path):
@@ -215,6 +229,17 @@ class TestMalformedConfig:
             ("scan", {"samples": float("inf")}, "run.scan.samples"),
             ("gauss", {"samples": float("inf")}, "run.gauss.samples"),
             ("detcheck", {"samples": float("inf")}, "run.detcheck.samples"),
+            # sections that are not objects, malformed vector lists and boolean numbers
+            ("tensor", 2, "run.tensor"),
+            ("indicatrix", [], "run.indicatrix"),
+            ("scan", None, "run.scan"),
+            ("eval", {"vectors": "x"}, "run.eval.vectors"),
+            ("eval", {"vectors": {}}, "run.eval.vectors"),
+            ("eval", {"vectors": [[1, 2], [3, "a"]]}, "run.eval.vectors[1][1]"),
+            ("tensor", {"vectors": [[1, 2], [3]]}, "run.tensor.vectors[1]"),
+            ("classify", {"vectors": [[1, 2], 3]}, "run.classify.vectors[1]"),
+            ("eval", {"vectors": [[1, 2]], "base": [0, True]}, "run.eval.base[1]"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": True}, "run.ball.radius"),
         ],
     )
     def test_run_parameter_names_path(self, command, section, path, tmp_path):
@@ -259,6 +284,19 @@ class TestMalformedConfig:
             ("detcheck", {"samples": 1e308}, "run.detcheck.samples"),
             ("gauss", {"samples": 2 * 10**6}, "run.gauss.samples"),
             ("oracle", {"samples": 1e308}, "run.oracle.samples"),
+            # integer parameters take integral values only (appended, so earlier ids keep their index)
+            ("scan", {"samples": 2.7}, "run.scan.samples"),
+            ("indicatrix", {"samples": True}, "run.indicatrix.samples"),
+            ("gauss", {"samples": 0.5}, "run.gauss.samples"),
+            ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "resolution": 20.5}, "run.reach.resolution"),
+            ("separation", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "target": [0.5, 0], "neighbor_radius": True},
+             "run.separation.neighbor_radius"),
+            # the graph work cap: resolution^n grid nodes x neighbour offsets <= MAX_GRAPH_EDGES
+            ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "resolution": 100000}, "run.reach.resolution"),
+            ("separation", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "target": [0.5, 0], "resolution": 1119,
+                            "neighbor_radius": 1}, "run.separation.resolution"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": 0.3, "resolution": 1e308},
+             "run.ball.resolution"),
         ],
     )
     def test_run_parameter_out_of_range_names_path(self, command, section, path, tmp_path):
@@ -267,7 +305,7 @@ class TestMalformedConfig:
         with pytest.raises(ValidationError) as err:
             run_command(command, spec, cfg)
         assert err.value.path == path
-        assert err.value.constraint in ("minimum", "maximum", "positive")
+        assert err.value.constraint in ("minimum", "maximum", "positive", "integer")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
@@ -313,6 +351,102 @@ class TestMalformedConfig:
         cfg_path.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "dim, resolution, radius, capped",
+        [
+            (2, 1118, 1, False),  # 1118^2 * 8 = 9999392 candidate edges
+            (2, 1119, 1, True),
+            (3, 72, 1, False),  # 72^3 * 26 = 9704448
+            (3, 73, 1, True),
+            (2, 3, 10**6, False),  # the radius is clipped to resolution - 1: 9 * 24
+            (2, 500, 10**6, True),
+        ],
+    )
+    def test_graph_cap_counts_nodes_times_offsets(self, dim, resolution, radius, capped, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def built(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(gd, "build_separation_graph", built)
+        section = {"box": [[-1] * dim, [1] * dim], "source": [-1] * dim, "resolution": resolution,
+                   "neighbor_radius": radius}
+        doc = {"metric": {"type": "euclidean", "dimension": dim}, "run": {"reach": section}}
+        spec, cfg = parse_config(json.dumps(doc))
+        with pytest.raises(ValidationError if capped else Built) as err:
+            run_command("reach", spec, cfg)
+        if capped:
+            assert (err.value.path, err.value.constraint) == ("run.reach.resolution", "maximum")
+            assert str(MAX_GRAPH_EDGES) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "tree, path",
+        [
+            ({"type": "euclidean", "dimension": 13}, "metric.dimension"),
+            ({"type": "euclidean", "dimension": 1e9}, "metric.dimension"),
+            ({"type": "named", "family": "randers", "dimension": 13}, "metric.dimension"),
+            ({"type": "oneform_metric", "coeffs": [0.1] * 13}, "metric.coeffs"),
+            ({"type": "named", "family": "randers", "form": {"coeff_exprs": ["0.1"] * 13}}, "metric.form.coeff_exprs"),
+            ({"type": "riemannian", "matrix": np.eye(13).tolist()}, "metric.matrix"),
+            ({"type": "riemannian", "matrix_expr": [["1"] * 13] * 13}, "metric.matrix_expr"),
+        ],
+    )
+    def test_dimension_above_the_limit_names_path(self, tree, path):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"metric": tree}))
+        assert (err.value.path, err.value.constraint) == (path, "maximum")
+
+    def test_largest_dimension_scans(self):
+        doc = {"metric": {"type": "named", "family": "randers", "dimension": 12}, "run": {"scan": {"samples": 20}}}
+        spec, cfg = parse_config(json.dumps(doc))
+        summary, _, rows = run_command("scan", spec, cfg)
+        assert len(rows) == 20 and summary["pd_fraction"] == 1.0
+
+    FORM_EXPR = {"type": "named", "family": "randers", "form": {"coeff_exprs": ["0.1", "0"]}}
+
+    @pytest.mark.parametrize(
+        "tree, command, path",
+        [
+            ({"type": "gauge_curve_2d", "r": "1/0"}, "indicatrix", "metric.r"),
+            ({"type": "gauge_curve_2d", "r": "9**9**9"}, "indicatrix", "metric.r"),
+            ({"type": "gauge_curve_2d", "r": [1]}, "indicatrix", "metric.r"),
+            ({"type": "gauge_curve_2d", "r": True}, "indicatrix", "metric.r"),
+            ({"type": "gauge_curve_2d", "r": "1 + 0*theta[0]"}, "indicatrix", "metric.r"),
+            ({"type": "gauge_curve_2d", "r": "'1'"}, "indicatrix", "metric.r"),
+            ({"type": "gauge_curve_2d", "r": "theta(1)"}, "indicatrix", "metric.r"),
+            ({"type": "gauge_curve_2d", "r": "1", "interval": [1]}, "indicatrix", "metric.interval"),
+            ({"type": "gauge_curve_2d", "r": "1", "interval": [0, True]}, "indicatrix", "metric.interval[1]"),
+            ({**FORM_EXPR, "form": {"coeff_exprs": ["(0.1, 0.2)", "0"]}}, "oracle", "metric.form.coeff_exprs[0]"),
+            ({**FORM_EXPR, "form": {"coeff_exprs": ["0.1", ["0"]]}}, "oracle", "metric.form.coeff_exprs[1]"),
+            ({**FORM_EXPR, "form": {"coeff_exprs": ["0.1*x(1)", "0"]}}, "oracle", "metric.form.coeff_exprs[0]"),
+            ({**FORM_EXPR, "form": {"coeff_exprs": ["0.1", "(-8)**(1/3)"]}}, "oracle", "metric.form.coeff_exprs[1]"),
+            ({"type": "riemannian", "matrix_expr": [["1", "0"], ["0", "sqrt(x, 1)"]]}, "scan", "metric.matrix_expr[1][1]"),
+            ({"type": "phi", "form": FORM, "profile": {"phi": "1+s", "interval": 5}}, "oracle", "metric.profile.interval"),
+            (
+                {"type": "phi", "form": FORM, "profile": {"phi": "1+s", "phi_dot": "1", "phi_ddot": "0/0", "interval": [-1, 9]}},
+                "oracle",
+                "metric.profile.phi_ddot",
+            ),
+        ],
+    )
+    def test_bad_expression_names_path(self, tree, command, path, tmp_path, capsys):
+        doc = {"metric": tree, "run": {}}
+        with pytest.raises(ValidationError) as err:
+            run_command(command, *parse_config(json.dumps(doc)))
+        assert err.value.path == path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error [validation_error] at {path}: ")
+
+    def test_integral_floats_read_as_integers(self):
+        def rows(run):
+            doc = {"metric": {"type": "named", "family": "randers", "b": 0.5}, "run": run}
+            return run_command("detcheck", *parse_config(json.dumps(doc)))[2]
+
+        assert rows({"seed": 3.0, "detcheck": {"samples": 20.0}}) == rows({"seed": 3, "detcheck": {"samples": 20}})
 
 
 class TestFamilyTable:
@@ -572,6 +706,35 @@ class TestBatchedCommands:
                 {"metric": {"type": "euclidean"}, "run": {"reach": {"box": [[0, 0], [0, 1]], "source": [0, 0]}}},
                 "error [validation_error] at run.reach.box: box needs hi > lo on every axis\n",
             ),
+            # inputs that ended in a traceback or a bare error line without a path
+            (
+                {"metric": {"type": "gauge_curve_2d", "r": "1/0"}, "run": {"indicatrix": {}}},
+                "error [validation_error] at metric.r: expression '1/0' failed: float division by zero\n",
+            ),
+            (
+                {"metric": {"type": "gauge_curve_2d", "r": "1", "interval": [1]}, "run": {"indicatrix": {}}},
+                "error [validation_error] at metric.interval: expected a list of 2 numbers\n",
+            ),
+            (
+                {"metric": {"type": "euclidean", "dimension": 13}, "run": {"scan": {}}},
+                "error [validation_error] at metric.dimension: dimension must be at most 12\n",
+            ),
+            (
+                {"metric": {"type": "euclidean", "dimension": 1e9}, "run": {"scan": {}}},
+                "error [validation_error] at metric.dimension: dimension must be at most 12\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"tensor": 2}},
+                "error [validation_error] at run.tensor: run.tensor must be an object\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"eval": {"vectors": "x"}}},
+                "error [validation_error] at run.eval.vectors: vectors must be a list of 2-vectors\n",
+            ),
+            (
+                {"metric": {"type": "named", "family": "randers"}, "run": {"detcheck": {}, "seed": 1.5}},
+                "error [validation_error] at run.seed: expected an integer, got 1.5\n",
+            ),
         ],
     )
     def test_validation_error_line_names_its_path(self, doc, line, tmp_path, capsys):
@@ -746,3 +909,64 @@ class TestMainEntry:
             "indicatrix",
             "oracle",
         }
+
+    def test_unwritable_output_is_an_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(builtin_config("euclidean"))
+        assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "missing" / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error [validation_error]: ")
+
+    def test_other_exceptions_are_not_swallowed(self, tmp_path, monkeypatch):
+        # main handles FinslerError and OSError only: anything else is a bug and keeps its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "run_command", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(builtin_config("euclidean"))
+        with pytest.raises(ValueError, match="bug"):
+            main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+
+
+# One- and two-leaf mutations of the shipped configs: a node (leaf or section)
+# set to one of these values, or its key deleted.  No value raises a size
+# within a cap (1e308 exceeds every cap), so each example stays cheap.
+MUTATION_VALUES = [0, -1, float("nan"), float("inf"), float("-inf"), 1e308, "x", [], [1], None, True, {}]
+DELETE = "<delete>"
+
+
+def _node_paths(node, path=()):
+    """Key/index path of every node below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """(command, config document) of a shipped config with one or two nodes mutated."""
+    doc = json.loads(builtin_config(draw(st.sampled_from(BUILTINS))))
+    command = draw(st.sampled_from([c for c in doc["run"] if c in COMMANDS]))
+    for _ in range(draw(st.integers(1, 2))):
+        *parent, key = draw(st.sampled_from(list(_node_paths(doc))))
+        holder = functools.reduce(operator.getitem, parent, doc)
+        value = draw(st.sampled_from(MUTATION_VALUES + [DELETE]))
+        if value == DELETE:
+            del holder[key]
+        else:
+            holder[key] = copy.deepcopy(value)
+    return command, doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300)
+    @given(mutated_configs())
+    def test_mutated_config_succeeds_or_raises_a_typed_error(self, case):
+        command, doc = case
+        try:
+            run_command(command, *parse_config(json.dumps(doc)))
+        except ValidationError as exc:
+            assert exc.path, exc
+        except FinslerError:
+            pass

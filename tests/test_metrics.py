@@ -334,6 +334,15 @@ class TestUnitDirections:
         angles = np.arctan2(d[:, 1], d[:, 0])
         assert np.max(np.diff(np.sort(angles))) < 0.02 + 2 * np.pi / 360
 
+    def test_dimension_limit_raises(self):
+        # one Kronecker prime per axis: above MAX_DIMENSION there are too few
+        top = me.MAX_DIMENSION
+        assert me.unit_directions(top, 5).shape == (5, top)
+        with pytest.raises(ValueError, match="at most 12 dimensions"):
+            me.kronecker_sequence(5, top + 1)
+        with pytest.raises(ValueError):
+            me.unit_directions(top + 1, 5)
+
 
 # Reference samplers: the per-draw generator the CLI's detcheck and gauss used,
 # with its cap per sample as a parameter, and the oracle's loop of blocks.
