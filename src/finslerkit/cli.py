@@ -45,6 +45,7 @@ from .numkernel import central_derivatives
 MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic run
 MAX_SAMPLES = 10**6  # run.<cmd>.samples of the sampling commands, checked before any allocation
 MAX_GRAPH_EDGES = 10**7  # candidate edges (grid nodes x neighbour offsets) of a graph command, checked likewise
+MAX_LOBES = 10**4  # largest wavy_example lobe count
 
 COMMANDS = (
     "eval",
@@ -169,20 +170,15 @@ class BuiltMetric:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Validated declarative metric tree plus its chart dimension.
-
-    ``built`` is the metric ``parse_config`` built while validating the
-    tree; a spec made by hand leaves it empty.
-    """
+    """Validated declarative metric tree plus the metric ``parse_config`` built
+    while validating it."""
 
     tree: dict
-    dimension: int
-    built: Optional[BuiltMetric] = field(default=None, compare=False, repr=False)
+    built: BuiltMetric = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    dimension: int
     seed: int = 0
     tolerance: float = 1e-9
     params: dict = field(default_factory=dict)
@@ -249,8 +245,8 @@ def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
     tol = _num(run.get("tolerance", 1e-9), "run.tolerance")
     _require(tol > 0, "tolerance must be positive", "run.tolerance", "positive")
     params = {k: v for k, v in run.items() if k not in ("dimension", "seed", "tolerance")}
-    cfg = RunConfig(dimension=dim, seed=_num(run.get("seed", 0), "run.seed", int), tolerance=tol, params=params)
-    return MetricSpec(tree=tree, dimension=dim, built=built), cfg
+    cfg = RunConfig(seed=_num(run.get("seed", 0), "run.seed", int), tolerance=tol, params=params)
+    return MetricSpec(tree=tree, built=built), cfg
 
 
 def render_config(spec: MetricSpec, cfg: RunConfig) -> str:
@@ -261,8 +257,8 @@ def render_config(spec: MetricSpec, cfg: RunConfig) -> str:
 
 
 def build_metric(spec: MetricSpec) -> BuiltMetric:
-    """The metric of a spec: the one parse built, else built from the tree."""
-    return spec.built if spec.built is not None else _build_node(spec.tree, "metric")
+    """The metric of a spec, the one ``parse_config`` built."""
+    return spec.built
 
 
 def _build_form(node, path: str) -> tuple[me.OneFormAtom, int]:
@@ -301,15 +297,20 @@ def _spiral(node: dict, path: str) -> mk.PolarCurve2D:
     return mk.spiral_curve(eps)
 
 
+def _wavy(node: dict, path: str) -> mk.PolarCurve2D:
+    amplitude = _num(node.get("amplitude", 0.3), f"{path}.amplitude")
+    lobes = _num(node.get("lobes", 3), f"{path}.lobes", int)
+    _require(lobes <= MAX_LOBES, f"lobes must be at most {MAX_LOBES}", f"{path}.lobes", "maximum")
+    return mk.wavy_curve(amplitude, lobes)
+
+
 # named 2D reference gauges: node type -> indicatrix curve of (node, path)
 _EXAMPLE_CURVES = {
     "lorentz_example": lambda node, path: mk.lorentz_curve(),
     "spiral_example": _spiral,
     "parabola_example": lambda node, path: mk.downward_parabola_curve(),
     "sqrt_parabola_example": lambda node, path: mk.sqrt_parabola_curve(),
-    "wavy_example": lambda node, path: mk.wavy_curve(
-        _num(node.get("amplitude", 0.3), f"{path}.amplitude"), _num(node.get("lobes", 3), f"{path}.lobes", int)
-    ),
+    "wavy_example": _wavy,
 }
 
 
@@ -521,7 +522,8 @@ def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
 
 
 def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base point and (K, N) vector stack of a per-vector command; :func:`_point` names a bad entry."""
+    """Base point and (K, N) vector stack of a per-vector command; :func:`_point` names a bad
+    entry, and reads every list when one holds a boolean, which numpy would take for a number."""
     base = _run_point(cfg, cmd, "base", dim)
     path = f"run.{cmd}.vectors"
     vectors = _param(cfg, cmd, "vectors", required=True)
@@ -530,7 +532,7 @@ def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.nd
         vecs = np.array(vectors, dtype=float)
     except (TypeError, ValueError, OverflowError):  # a malformed entry, named below
         vecs = np.empty(0)
-    if vecs.ndim != 2 or vecs.shape[1] != dim:
+    if vecs.ndim != 2 or vecs.shape[1] != dim or any(type(x) is bool for row in vectors for x in row):
         vecs = np.array([_point(v, dim, f"{path}[{i}]") for i, v in enumerate(vectors)]).reshape(-1, dim)
     return base, vecs
 
@@ -621,8 +623,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     if cmd == "expmap":
         base = _run_point(cfg, "expmap", "base", dim)
         vel = _run_point(cfg, "expmap", "velocity", dim, required=True)
-        step = _run_span(cfg, "expmap", "step", gd.DEFAULT_STEP)
-        end = gd.exp_map(m, base, vel, step)
+        end = gd.exp_map(m, base, vel)
         header = _vec_cols("base", dim) + _vec_cols("v", dim) + _vec_cols("exp", dim)
         rows = [[*base, *vel, *end]]
         return {"command": cmd, "endpoint": [float(v) for v in end]}, header, rows
@@ -630,10 +631,9 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     if cmd == "gauss":
         base = _run_point(cfg, "gauss", "base", dim)
         samples = _run_num(cfg, "gauss", "samples", 10, int, least=1, most=MAX_SAMPLES)
-        step = _run_span(cfg, "gauss", "step", gd.DEFAULT_STEP)
         header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
         vs, ws = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base), paired=True)
-        res = gd.gauss_residuals(m, base, vs, ws, step)
+        res = gd.gauss_residuals(m, base, vs, ws)
         rows = [[i, *v, *w, float(r)] for i, (v, w, r) in enumerate(zip(vs, ws, res))]
         worst = float(np.max(np.abs(res)))
         return {"command": cmd, "max_abs_residual": worst}, header, rows

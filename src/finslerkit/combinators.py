@@ -365,13 +365,13 @@ def _shared_manifold(metrics: Sequence[ConicMetric]) -> ChartManifold:
 def _combined(
     man: ChartManifold, jet_fn, position_independent: bool, name: str, admits_zero: bool = True
 ) -> ConicMetric:
-    """The combined metric, probed once on a fan of directions at the probe
-    point: none admissible raises DomainEmpty.  The zero vector is in the
+    """The combined metric, probed once on a fan of directions at the origin:
+    none admissible raises DomainEmpty.  The zero vector is in the
     domain when all are and ``admits_zero`` holds (every ingredient's domain
     holds it and the law admits beta = 0, a kernel the fan misses)."""
     out = ConicMetric(manifold=man, jet_fn=jet_fn, position_independent=position_independent, name=name)
     dirs = unit_directions(man.dimension, DOMAIN_PROBE_DIRECTIONS)
-    ok = out.in_domain_many(np.broadcast_to(man.probe_point, dirs.shape), dirs)
+    ok = out.in_domain_many(np.zeros_like(dirs), dirs)
     if not np.any(ok):
         raise DomainEmpty("no probed direction is admissible for the combined metric")
     return replace(out, zero_in_domain=bool(np.all(ok)) and admits_zero)

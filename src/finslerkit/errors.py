@@ -94,6 +94,16 @@ class LeftDomain(FinslerError):
         self.parameter = parameter
 
 
+class StepBudget(FinslerError):
+    """Geodesic integration used up its trial-step budget; carries the parameter reached."""
+
+    code = "step_budget"
+
+    def __init__(self, message: str, parameter: float | None = None):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 class ParseError(FinslerError):
     """Configuration text is not syntactically valid."""
 

@@ -29,7 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .errors import DegenerateTensor, LeftDomain, NotAdmissible, OutsideDomain
+from .errors import DegenerateTensor, LeftDomain, NotAdmissible, OutsideDomain, StepBudget
 from .metrics import ConicMetric, TangentVec, admissible_draws, unit_directions
 from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
 
@@ -38,6 +38,7 @@ EDGE_KRONROD_RTOL = 1e-7  # flag an edge when |K7 - G3| > EDGE_KRONROD_RTOL * |K
 GEODESIC_RTOL = 1e-10  # rtol = atol of the geodesic integrator's RMS error norm over a batch's (x, v)
 CURVE_QUAD_NODES = 65
 DEFAULT_STEP = 0.01  # output spacing of a geodesic; the integrator picks its own steps
+MAX_GEODESIC_STEPS = 10**4  # trial steps, accepted plus rejected, of one _integrate call
 
 # The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2).  Row 6 of _DP_A holds the 5th-order weights, so the 7th
@@ -240,8 +241,10 @@ def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, ste
     grid states come from the pair's 4th-order continuous extension.  A
     trial step whose stages leave the domain is rejected and shrunk;
     ``LeftDomain`` is raised, at the parameter of the last accepted state,
-    once the step falls below ``GEODESIC_RTOL * t_end``.  The orbits start at
-    parameter ``t0``: errors name ``t0 + t``, while the returned times count from 0.
+    once the step falls below ``GEODESIC_RTOL * t_end``.  ``StepBudget`` is
+    raised, at the parameter reached, when ``MAX_GEODESIC_STEPS`` trial steps
+    do not reach ``t_end``.  The orbits start at parameter ``t0``: errors name
+    ``t0 + t``, while the returned times count from 0.
     """
     y = np.concatenate([np.atleast_2d(x0), np.atleast_2d(v0)], axis=-1).astype(float)
     n = y.shape[-1] // 2
@@ -255,8 +258,12 @@ def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, ste
     out[0] = y
     k = np.empty((7,) + y.shape)
     k[0] = spray(y, 0.0)
-    t, h, done, after_reject = 0.0, t_end, 1, False
+    t, h, done, after_reject, trials = 0.0, t_end, 1, False, 0
     while t < t_end:
+        if trials == MAX_GEODESIC_STEPS:
+            msg = f"geodesic stopped at parameter {t0 + t:.6g} after {trials} trial steps"
+            raise StepBudget(msg, parameter=t0 + t)
+        trials += 1
         last = h >= t_end - t
         if last:
             h = t_end - t

@@ -36,18 +36,12 @@ class ChartManifold:
 
     dimension: int
     chart_member: Callable[[np.ndarray], np.ndarray] = None
-    probe_point: np.ndarray = None
-    sample_halfwidth: float = 1.0
 
     def __post_init__(self):
         if self.chart_member is None:
             object.__setattr__(
                 self, "chart_member", lambda x: np.ones(np.asarray(x, float).shape[:-1], dtype=bool)
             )
-        if self.probe_point is None:
-            object.__setattr__(self, "probe_point", np.zeros(self.dimension))
-        else:
-            object.__setattr__(self, "probe_point", np.asarray(self.probe_point, dtype=float))
 
     def contains(self, x) -> np.ndarray:
         return np.asarray(self.chart_member(np.asarray(x, dtype=float)), dtype=bool)
@@ -69,12 +63,12 @@ class TangentVec:
         object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
 
 
-def kronecker_sequence(count: int, dim: int, skip: int = 0) -> np.ndarray:
+def kronecker_sequence(count: int, dim: int) -> np.ndarray:
     """Deterministic low-discrepancy points in [0,1)^dim, for dim up to MAX_DIMENSION."""
     if dim > MAX_DIMENSION:
         raise ValueError(f"kronecker_sequence supports at most {MAX_DIMENSION} dimensions, got {dim}")
     alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
-    i = np.arange(skip + 1, skip + count + 1, dtype=float)[:, None]
+    i = np.arange(1, count + 1, dtype=float)[:, None]
     return np.mod(0.5 + i * alphas[None, :], 1.0)
 
 
@@ -236,15 +230,14 @@ class ConicMetric:
 
         Tensor entries for out-of-domain inputs are unspecified (NaN or
         garbage); use :func:`tensor` for the checked pointwise operation.
-        Results here (and in ``F_many``/``tensor_many``) may differ in the
-        last bit between batch shapes, because numpy's scalar and vectorized
-        powers differ; only :func:`eval_F`, :func:`eval_F_many` and
-        :func:`tensor` give a pair the same result in any batch.
+        A pair gets the same result in any batch.
         """
         base = np.asarray(base, dtype=float)
         vec = np.asarray(vec, dtype=float)
+        # A leading axis keeps even one pair on numpy's array loops, whose power
+        # differs from the scalar one in the last bit.
         with np.errstate(all="ignore"):
-            ok, F, *g = self.node_jet(base, vec, with_tensor)
+            ok, F, *g = (out[0, ...] for out in self.node_jet(base[None], vec[None], with_tensor))
         ok = ok & (np.linalg.norm(vec, axis=-1) > 0.0)
         return (ok, np.where(ok, F, np.nan), *g)
 
@@ -291,11 +284,8 @@ def _batch_shape(base, vec) -> tuple:
     return np.broadcast(base[..., 0], vec[..., 0]).shape
 
 
-def riemann_metric(atom: RiemannAtom, manifold: ChartManifold = None, name: str = "") -> ConicMetric:
-    """Square root of a Riemannian metric; strongly convex everywhere."""
-    if manifold is None:
-        g0 = np.asarray(atom.metric_matrix(np.zeros(2)), dtype=float)
-        manifold = whole_plane(g0.shape[-1])
+def riemann_metric(atom: RiemannAtom, manifold: ChartManifold, name: str = "") -> ConicMetric:
+    """Square root of a Riemannian metric on the chart ``manifold``; strongly convex everywhere."""
 
     def jet_fn(base, vec, with_tensor):
         g = atom.matrix(base)
@@ -319,11 +309,8 @@ def euclidean_metric(dimension: int = 2) -> ConicMetric:
     return riemann_metric(euclidean_atom(dimension), whole_plane(dimension), name="euclidean")
 
 
-def oneform_metric(form: OneFormAtom, manifold: ChartManifold = None, name: str = "") -> ConicMetric:
-    """F = beta on the half-space cone {beta > 0}: a degenerate conic metric."""
-    if manifold is None:
-        b0 = np.asarray(form.coeffs(np.zeros(2)), dtype=float)
-        manifold = whole_plane(b0.shape[-1])
+def oneform_metric(form: OneFormAtom, manifold: ChartManifold, name: str = "") -> ConicMetric:
+    """F = beta on the half-space cone {beta > 0} over the chart ``manifold``: a degenerate conic metric."""
 
     def jet_fn(base, vec, with_tensor):
         b = form.coeffs(base)
@@ -380,10 +367,7 @@ def _checked(m: ConicMetric, base, vec, with_tensor: bool = False) -> np.ndarray
     zero or out-of-domain vector, NonFiniteSample for a non-finite result.
     """
     base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
-    # A leading axis keeps even one pair on numpy's array loops, whose power
-    # differs from the scalar one in the last bit: a pair's result does not
-    # depend on the batch it comes in.
-    ok, F, *g = (out[0] for out in m.jet(base[None], vec[None], with_tensor))
+    ok, F, *g = m.jet(base, vec, with_tensor)
     zero = np.linalg.norm(vec, axis=-1) == 0.0
     if m.zero_in_domain and not with_tensor:
         ok, F = ok | zero, np.where(zero, 0.0, F)
@@ -462,13 +446,16 @@ def convexity_scan(
 
 
 def lower_bound_check(m: ConicMetric, bound: RiemannAtom, base_samples: int, dir_samples: int) -> bool:
-    """Does F(v) >= sqrt(g0(v,v)) hold on all sampled admissible vectors?"""
+    """Does F(v) >= sqrt(g0(v,v)) hold on all sampled admissible vectors?
+
+    The bases are low-discrepancy points of the chart in the cube [-1, 1]^N,
+    or the origin when none is in the chart.
+    """
     man = m.manifold
-    offsets = 2.0 * kronecker_sequence(base_samples, man.dimension) - 1.0
-    bases = man.probe_point[None, :] + man.sample_halfwidth * offsets
+    bases = 2.0 * kronecker_sequence(base_samples, man.dimension) - 1.0
     bases = bases[man.contains(bases)]
     if bases.shape[0] == 0:
-        bases = man.probe_point[None, :]
+        bases = np.zeros((1, man.dimension))
     dirs = unit_directions(man.dimension, dir_samples)
 
     B = bases[:, None, :]  # (nb, 1, N)

@@ -143,23 +143,21 @@ def gauge_from_curve(curve: PolarCurve2D) -> GaugeNorm:
     """Gauge whose indicatrix is the given polar curve.
 
     For v at angle theta the polar representation is exact:
-    ||v|| = |v| / r(theta), with domain the union of the rays of theta_range.
+    ||v|| = |v| / r(theta), with domain the rays of theta_range on which
+    r(theta) is finite and positive.
     """
-
-    def member(v):
-        _, ok = curve.angle_of(np.asarray(v, dtype=float))
-        return ok
 
     def evaluate(v):
         v = np.asarray(v, dtype=float)
         theta, ok = curve.angle_of(v)
         with np.errstate(all="ignore"):
             rr = np.asarray(curve.r(np.where(ok, theta, np.mean(curve.theta_range) if curve.theta_range else 0.0)), dtype=float)
+            ok = ok & np.isfinite(rr) & (rr > 0.0)
             out = np.linalg.norm(v, axis=-1) / rr
         return ok, np.where(ok, out, np.nan)
 
     return GaugeNorm(
-        domain=ConicDomainV(2, member),
+        domain=ConicDomainV(2, lambda v: evaluate(v)[0]),
         value_unchecked=lambda v: evaluate(v)[1],
         source=GaugeSource.INDICATRIX_CURVE_2D,
         evaluate=evaluate,

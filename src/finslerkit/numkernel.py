@@ -24,6 +24,7 @@ GRAD_STEP = EPS ** (1.0 / 3.0)  # optimal for central first differences
 HESS_STEP = EPS ** 0.25  # optimal for central second differences
 DEFAULT_QUAD_NODES = 65
 DEFAULT_EIG_TOL = 1e-9
+RAY_DOUBLINGS = 60  # ray_root's bracket search widens 2^60-fold each way before giving up
 
 
 class Definiteness(Enum):
@@ -233,7 +234,7 @@ def integrate_1d(f, a: float, b: float, nodes: int = DEFAULT_QUAD_NODES) -> floa
     return float(np.dot(w, y) * step)
 
 
-def ray_root(g, bracket_hint: float = 1.0, max_doublings: int = 60) -> float:
+def ray_root(g, bracket_hint: float = 1.0) -> float:
     """Positive root of ``g`` on (0, inf), found by doubling then bisection.
 
     ``g`` may be a genuine continuous function or a +/-1 membership
@@ -253,7 +254,7 @@ def ray_root(g, bracket_hint: float = 1.0, max_doublings: int = 60) -> float:
     # the inner end of each bracket is the previous probe (or the hint),
     # whose sign is that of g0
     sign0 = np.sign(g0)
-    for k in range(1, max_doublings + 1):
+    for k in range(1, RAY_DOUBLINGS + 1):
         up = lam0 * (2.0**k)
         gu = float(g(up))
         if np.isfinite(gu) and np.sign(gu) != sign0:
@@ -265,7 +266,7 @@ def ray_root(g, bracket_hint: float = 1.0, max_doublings: int = 60) -> float:
             lo, hi, sign_lo = down, lam0 / (2.0 ** (k - 1)), np.sign(gd)
             break
     else:
-        raise NoBracket(f"no sign change within {max_doublings} doublings of {lam0}")
+        raise NoBracket(f"no sign change within {RAY_DOUBLINGS} doublings of {lam0}")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -27,7 +27,7 @@ from finslerkit.cli import (
 from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
-from finslerkit.errors import DomainEmpty, FinslerError, ParseError, ValidationError
+from finslerkit.errors import DomainEmpty, FinslerError, ParseError, StepBudget, ValidationError
 
 BUILTINS = [
     "euclidean",
@@ -51,8 +51,8 @@ BUILTINS = [
 class TestParseConfig:
     def test_minimal_euclidean(self):
         spec, cfg = parse_config('{"metric": {"type": "euclidean", "dimension": 2}}')
-        assert spec.dimension == 2
         built = build_metric(spec)
+        assert built.metric.dimension == 2
         assert built.metric.name == "euclidean"
 
     def test_randers_shorthand(self):
@@ -108,7 +108,8 @@ class TestParseConfig:
     def test_builtin_builds(self, name):
         spec, _ = parse_config(builtin_config(name))
         built = build_metric(spec)
-        assert built.metric.dimension == spec.dimension
+        assert built is spec.built
+        assert built.metric.dimension == 2  # every shipped metric lives on the plane
 
 
 class TestMalformedConfig:
@@ -205,8 +206,8 @@ class TestMalformedConfig:
             ("geodesic", {"velocity": [1, 0, 3]}, "run.geodesic.velocity"),
             ("geodesic", {"velocity": [1, 0], "t_end": "x"}, "run.geodesic.t_end"),
             ("geodesic", {"velocity": [1, 0], "step": 0}, "run.geodesic.step"),
-            ("expmap", {"velocity": [1, 0], "step": -0.1}, "run.expmap.step"),
-            ("gauss", {"step": 0}, "run.gauss.step"),
+            ("expmap", {"velocity": [1, "x"]}, "run.expmap.velocity[1]"),
+            ("gauss", {"base": [0, "x"]}, "run.gauss.base[1]"),
             ("gauss", {"samples": "x"}, "run.gauss.samples"),
             ("separation", {"box": [[-1, -1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box"),
             ("separation", {"box": [[-1, -1], [1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box[1]"),
@@ -225,7 +226,7 @@ class TestMalformedConfig:
             ("geodesic", {"velocity": [1, 0], "t_end": float("nan")}, "run.geodesic.t_end"),
             ("geodesic", {"velocity": [1, 0], "t_end": 1e308}, "run.geodesic.t_end"),
             ("geodesic", {"velocity": [1, 0], "step": float("inf")}, "run.geodesic.step"),
-            ("expmap", {"velocity": [1, 0], "step": float("inf")}, "run.expmap.step"),
+            ("expmap", {}, "run.expmap.velocity"),
             ("scan", {"samples": float("inf")}, "run.scan.samples"),
             ("gauss", {"samples": float("inf")}, "run.gauss.samples"),
             ("detcheck", {"samples": float("inf")}, "run.detcheck.samples"),
@@ -240,6 +241,7 @@ class TestMalformedConfig:
             ("classify", {"vectors": [[1, 2], 3]}, "run.classify.vectors[1]"),
             ("eval", {"vectors": [[1, 2]], "base": [0, True]}, "run.eval.base[1]"),
             ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": True}, "run.ball.radius"),
+            ("eval", {"vectors": [[1, 0], [True, 0]]}, "run.eval.vectors[1][0]"),
         ],
     )
     def test_run_parameter_names_path(self, command, section, path, tmp_path):
@@ -256,7 +258,7 @@ class TestMalformedConfig:
         form = {"coeffs": [0.3, 0.0, 0.1]}
         phi, _ = parse_config(json.dumps({"metric": {"type": "phi", "form": form}}))
         named, _ = parse_config(json.dumps({"metric": {"type": "named", "family": "randers", "form": form}}))
-        assert phi.dimension == named.dimension == 3
+        assert build_metric(phi).metric.dimension == build_metric(named).metric.dimension == 3
         vs = np.random.default_rng(2).normal(size=(20, 3))
         F = [build_metric(spec).metric.F_many(np.zeros(3), vs) for spec in (phi, named)]
         assert np.array_equal(F[0], F[1])
@@ -447,6 +449,16 @@ class TestMalformedConfig:
             return run_command("detcheck", *parse_config(json.dumps(doc)))[2]
 
         assert rows({"seed": 3.0, "detcheck": {"samples": 20.0}}) == rows({"seed": 3, "detcheck": {"samples": 20}})
+
+    @pytest.mark.parametrize("lobes, capped", [(cli.MAX_LOBES, False), (cli.MAX_LOBES + 1, True), (1e308, True)])
+    def test_wavy_lobes_are_capped(self, lobes, capped):
+        text = json.dumps({"metric": {"type": "wavy_example", "lobes": lobes}})
+        if not capped:
+            assert build_metric(parse_config(text)[0]).metric.dimension == 2
+            return
+        with pytest.raises(ValidationError) as err:
+            parse_config(text)
+        assert (err.value.path, err.value.constraint) == ("metric.lobes", "maximum")
 
 
 class TestFamilyTable:
@@ -792,6 +804,22 @@ class TestDeterminism:
         _, _, rows2 = run_command("oracle", spec, cfg2)
         assert rows1 != rows2
 
+    @pytest.mark.parametrize("command", ["expmap", "gauss"])
+    def test_expmap_and_gauss_read_no_step(self, command, monkeypatch):
+        """Their one output row is at parameter 1, so a ``step`` key changes nothing and costs nothing."""
+        doc = json.loads(builtin_config("randers_posdep"))
+        expected = run_command(command, *parse_config(json.dumps(doc)))
+        integrate = gd._integrate
+
+        def default_grid(m, x0, v0, t_end, step, t0=0.0):
+            assert step == gd.DEFAULT_STEP
+            return integrate(m, x0, v0, t_end, step, t0)
+
+        monkeypatch.setattr(gd, "_integrate", default_grid)
+        for step in (1e-6, 0.37, "x"):
+            doc["run"][command]["step"] = step
+            assert run_command(command, *parse_config(json.dumps(doc))) == expected
+
     def test_geodesic_speed_column_is_pointwise_eval(self):
         spec, cfg = parse_config(builtin_config("randers_posdep"))
         _, header, rows = run_command("geodesic", spec, cfg)
@@ -868,6 +896,30 @@ class TestMainEntry:
         )
         code = main(["geodesic", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "metric", [{"type": "wavy_example", "amplitude": 1.5}, {"type": "gauge_curve_2d", "r": "cos(theta)"}]
+    )
+    def test_curve_gauge_is_undefined_where_r_is_not_positive(self, metric, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"metric": metric, "run": {"eval": {"base": [0, 0], "vectors": [[-1, 0]]}}}))
+        assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error [outside_domain]")
+
+    def test_geodesic_step_budget(self, tmp_path, capsys, monkeypatch):
+        """Past MAX_GEODESIC_STEPS trial steps a geodesic ends in a StepBudget error (exit 3)."""
+        monkeypatch.setattr(gd, "MAX_GEODESIC_STEPS", 20)
+        run_command("geodesic", *parse_config(builtin_config("randers_posdep")))  # t_end 1 fits the budget
+        doc = json.loads(builtin_config("randers_posdep"))
+        doc["run"]["geodesic"]["t_end"] = 100.0
+        with pytest.raises(StepBudget) as err:
+            run_command("geodesic", *parse_config(json.dumps(doc)))
+        assert err.value.code == "step_budget" and 0.0 < err.value.parameter < 100.0
+        assert f"{err.value.parameter:.6g}" in str(err.value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["geodesic", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err.startswith("error [step_budget]: geodesic stopped at parameter ")
 
     def test_tolerance_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

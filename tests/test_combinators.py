@@ -207,7 +207,7 @@ class TestCombine:
     def test_fd_fallback_scan_over_conic_ingredient(self):
         # the scan evaluates tensors on every direction; FD rows outside the cone stay NaN
         mix = cb.LCombiner(n=2, m=0, L=lambda x, p=None: (x[..., 0] + x[..., 1]) ** 2, name="sum-fd")
-        upper = me.oneform_metric(me.constant_oneform([0.0, 1.0]))
+        upper = me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
         entries = me.convexity_scan(cb.combine(mix, [euclid(), upper], []), BASE, 36)
         assert {e.in_domain for e in entries} == {True, False}
         assert all(e.in_domain == (e.direction[1] > 0.0) for e in entries)
@@ -856,7 +856,8 @@ class TestProfileCalls:
         prof, counts = self._counting(make())
         beta = me.constant_oneform([0.5, 0.0])
         vs = np.random.default_rng(3).normal(size=(7, 2))
-        for metric in (cb.phi_combine(euclid(), beta, prof), cb.f1f2_combine(euclid(), me.oneform_metric(beta), prof)):
+        upper = me.oneform_metric(beta, me.whole_plane(2))
+        for metric in (cb.phi_combine(euclid(), beta, prof), cb.f1f2_combine(euclid(), upper, prof)):
             counts.update(phi=0, phi_dot=0, phi_ddot=0)
             metric.tensor_many(BASE, vs)
             assert counts == {"phi": 2, "phi_dot": 1, "phi_ddot": 1}
@@ -920,7 +921,7 @@ class TestReversibilize:
         assert np.max(np.abs(recovered - f)) < 1e-10
 
     def test_conic_domain_rejected(self):
-        lorentz_like = me.oneform_metric(me.constant_oneform([0.0, 1.0]))
+        lorentz_like = me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
         with pytest.raises(OutsideDomain):
             cb.reversibilize(lorentz_like, "sum")
 

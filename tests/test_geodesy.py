@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
-from finslerkit.cli import MetricSpec, build_metric, builtin_config, parse_config
+from finslerkit.cli import build_metric, builtin_config, parse_config
 from finslerkit.errors import DegenerateTensor, DomainEmpty, LeftDomain, NotAdmissible
 from finslerkit.numkernel import simpson_weights
 
@@ -46,7 +47,7 @@ def lorentz_metric():
 
 @pytest.fixture(scope="module")
 def halfplane_dy():
-    return me.oneform_metric(me.constant_oneform([0.0, 1.0]))
+    return me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
 
 
 class TestCurveLength:
@@ -244,7 +245,7 @@ class TestStackedStencil:
     def posdep(self, request, randers_posdep):
         if request.param == "randers_posdep":
             return randers_posdep
-        return build_metric(MetricSpec(tree=POSDEP_TREES[request.param], dimension=2)).metric
+        return build_metric(parse_config(json.dumps({"metric": POSDEP_TREES[request.param]}))[0]).metric
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_matches_per_offset_reference_bit_for_bit(self, posdep, batch):
@@ -513,7 +514,7 @@ PERIOD_037 = {"type": "riemannian", "matrix_expr": [["1+0.5*sin(2*pi*x/0.37)", "
 
 
 def _tree_metric(tree):
-    return build_metric(MetricSpec(tree=tree, dimension=2)).metric
+    return build_metric(parse_config(json.dumps({"metric": tree}))[0]).metric
 
 
 class TestEdgeRule:
@@ -629,7 +630,7 @@ ASSEMBLY_GRAPHS = {
         6,
         3,
     ),
-    "halfline_1d": (lambda: me.oneform_metric(me.constant_oneform([1.0])), ([0.0], [1.0]), 9, 4),
+    "halfline_1d": (lambda: me.oneform_metric(me.constant_oneform([1.0]), me.whole_plane(1)), ([0.0], [1.0]), 9, 4),
 }
 
 
@@ -993,7 +994,7 @@ class TestGraphQueriesMatchReference:
     )
     def graph(self, request):
         kind, extra, box, res, rad = request.param
-        metric = build_metric(MetricSpec(tree={"type": kind, **extra}, dimension=2)).metric
+        metric = build_metric(parse_config(json.dumps({"metric": {"type": kind, **extra}}))[0]).metric
         return gd.build_separation_graph(metric, tuple(np.array(c) for c in box), res, rad)
 
     def test_separation(self, graph):

@@ -68,7 +68,7 @@ class TestEvalFMany:
 
     def test_non_finite_value(self):
         atom = me.RiemannAtom(metric_matrix=lambda x: np.asarray(x)[..., :1, None] * np.eye(2))
-        m = me.riemann_metric(atom)
+        m = me.riemann_metric(atom, me.whole_plane(2))
         bases = np.array([[1.0, 0.0], [np.inf, 0.0]])
         with pytest.raises(NonFiniteSample):
             me.eval_F_many(m, bases, [1.0, 0.0])
@@ -99,6 +99,43 @@ class TestGaugeOnePass:
         assert np.array_equal(ok, gauge.member(vecs))
         assert np.array_equal(val, gauge.value_unchecked(vecs), equal_nan=True)
         assert np.all(np.isnan(val[~ok]))
+
+
+    @pytest.mark.parametrize(
+        "curve, vec",
+        [(mk.wavy_curve(1.5, 3), [-1.0, 0.0]), (mk.polar_curve(lambda th: np.cos(th)), [-1.0, 0.0])],
+    )
+    def test_rays_where_r_is_not_positive_are_outside(self, curve, vec):
+        """r(theta) <= 0 gives no point of the indicatrix, so its ray is not in the domain."""
+        metric = me.minkowski_metric(mk.gauge_from_curve(curve))
+        assert not metric.in_domain_many(BASE, vec)
+        assert np.isnan(metric.F_many(BASE, vec))
+        with pytest.raises(OutsideDomain):
+            me.eval_F(metric, me.TangentVec(BASE, vec))
+        assert me.eval_F(metric, me.TangentVec(BASE, [1.0, 0.0])) > 0
+        assert not metric.zero_in_domain
+
+
+class TestBatchInvariance:
+    """A pair's unchecked value and tensor do not depend on the batch it comes in."""
+
+    def test_one_pair_equals_its_row_of_a_batch(self, euclid):
+        metric = cb.power_q_combine([euclid], [me.constant_oneform([0.5, 0.0])], 3.0)
+        vecs = np.random.default_rng(0).normal(size=(200, 2))
+        F, g = metric.F_many(BASE, vecs), metric.tensor_many(BASE, vecs)
+        assert np.array_equal(F, np.array([metric.F_many(BASE, v) for v in vecs]))
+        assert np.array_equal(g, np.array([metric.tensor_many(BASE, v) for v in vecs]))
+        ok, F_jet = metric.jet(BASE, vecs[0])
+        assert ok.shape == F_jet.shape == () and F_jet == F[0]
+
+
+class TestRequiredChart:
+    def test_riemann_and_oneform_metrics_take_a_chart(self):
+        with pytest.raises(TypeError):
+            me.riemann_metric(me.constant_riemann(np.eye(3)))
+        with pytest.raises(TypeError):
+            me.oneform_metric(me.constant_oneform([0.0, 1.0]))
+        assert me.minkowski_metric(mk.gauge_from_curve(mk.unit_circle_curve())).dimension == 2
 
 
 class TestTensor:
@@ -275,7 +312,7 @@ class TestLowerBoundCheck:
         assert me.lower_bound_check(randers, bound, 8, 64)
 
     def test_oneform_metric_never_lower_bounded(self):
-        halfplane = me.oneform_metric(me.constant_oneform([0.0, 1.0]))
+        halfplane = me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
         bound = me.constant_riemann(0.01 * np.eye(2))
         assert not me.lower_bound_check(halfplane, bound, 4, 64)
 
