@@ -195,12 +195,13 @@ def _require(cond: bool, msg: str, path: str, constraint: str = ""):
 
 
 def _num(value, path: str, kind=float):
-    """``kind(value)`` for a config scalar; a non-numeric or boolean one, or a
-    fractional one when ``kind`` is ``int``, is a ValidationError."""
+    """``kind(value)`` for a config scalar; a non-numeric, boolean or string
+    one, or a fractional one when ``kind`` is ``int``, is a ValidationError."""
     if kind is int:
         integral = not isinstance(value, float) or not math.isfinite(value) or value.is_integer()
-        _require(integral and not isinstance(value, bool), f"expected an integer, got {value!r}", path, "integer")
-    _require(not isinstance(value, bool), f"expected a number, got {value!r}", path, "number")
+        integral = integral and not isinstance(value, (bool, str))
+        _require(integral, f"expected an integer, got {value!r}", path, "integer")
+    _require(not isinstance(value, (bool, str)), f"expected a number, got {value!r}", path, "number")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -523,7 +524,8 @@ def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
 
 def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Base point and (K, N) vector stack of a per-vector command; :func:`_point` names a bad
-    entry, and reads every list when one holds a boolean, which numpy would take for a number."""
+    entry, and reads every list when one holds a boolean or a string, which numpy would take
+    for a number."""
     base = _run_point(cfg, cmd, "base", dim)
     path = f"run.{cmd}.vectors"
     vectors = _param(cfg, cmd, "vectors", required=True)
@@ -532,7 +534,7 @@ def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.nd
         vecs = np.array(vectors, dtype=float)
     except (TypeError, ValueError, OverflowError):  # a malformed entry, named below
         vecs = np.empty(0)
-    if vecs.ndim != 2 or vecs.shape[1] != dim or any(type(x) is bool for row in vectors for x in row):
+    if vecs.ndim != 2 or vecs.shape[1] != dim or any(type(x) in (bool, str) for row in vectors for x in row):
         vecs = np.array([_point(v, dim, f"{path}[{i}]") for i, v in enumerate(vectors)]).reshape(-1, dim)
     return base, vecs
 
@@ -644,6 +646,10 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         lo, hi = (_point(c, dim, f"run.{cmd}.box[{i}]") for i, c in enumerate(box))
         _require(bool(np.all(hi > lo)), "box needs hi > lo on every axis", f"run.{cmd}.box", "positive")
         resolution = _run_num(cfg, cmd, "resolution", 21, int, least=2)
+        try:
+            gd.grid_spacing((lo, hi), resolution)
+        except ValueError as exc:
+            raise ValidationError("box needs finite corners, extent and cell size", f"run.{cmd}.box", "finite") from exc
         radius = _run_num(cfg, cmd, "neighbor_radius", 3, int, least=1)
         offsets = (2 * min(radius, resolution - 1) + 1) ** dim - 1  # the offset table of build_separation_graph
         _require(

@@ -15,12 +15,17 @@ length F(delta), equal to the checked ``eval_F_many``.
 On a position-dependent metric each edge's length is the 7-point Kronrod
 sum of the embedded 3/7-point Gauss-Kronrod pair, and its cone test
 samples both ends and those 7 nodes; an edge whose 3-point Gauss
-estimate disagrees is redone with composite Simpson.
+estimate disagrees is redone with composite Simpson.  Queries on a
+position-independent graph run on adjacencies without the offsets that
+split into cheaper sign-consistent pairs (chamfer-mask dominance), with
+the same answers bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -39,6 +44,11 @@ GEODESIC_RTOL = 1e-10  # rtol = atol of the geodesic integrator's RMS error norm
 CURVE_QUAD_NODES = 65
 DEFAULT_STEP = 0.01  # output spacing of a geodesic; the integrator picks its own steps
 MAX_GEODESIC_STEPS = 10**4  # trial steps, accepted plus rejected, of one _integrate call
+DOMINANCE_MARGIN = 1e-12  # an offset is dropped when a split costs at most (1 - margin) F(offset)
+# A graph with fewer edges than this keeps its queries on the full adjacency
+# with no distance cap, and so does one whose dominated offsets carry fewer:
+# a reduced adjacency or a cap would cost more than one query spends on them.
+REDUCE_MIN_EDGES = 2**15
 
 # The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2).  Row 6 of _DP_A holds the 5th-order weights, so the 7th
@@ -449,7 +459,15 @@ def radial_minimality_test(
 
 @dataclass(frozen=True)
 class SeparationGraph:
-    """Grid graph whose directed edges carry F-lengths of straight segments."""
+    """Grid graph whose directed edges carry F-lengths of straight segments.
+
+    ``matrix`` is the full construction.  On a position-independent metric
+    ``offsets`` (K, n) and ``weights`` (K,) hold the kept offset table and
+    F(offset), and the queries run on the dominance-reduced adjacencies
+    ``query`` (Dijkstra) and ``reach`` (BFS).  On a position-dependent
+    graph ``offsets`` and ``weights`` are ``None`` and the queries run on
+    ``matrix``.
+    """
 
     box_lo: np.ndarray
     box_hi: np.ndarray
@@ -458,40 +476,80 @@ class SeparationGraph:
     shape: tuple
     nodes: np.ndarray = field(repr=False)
     matrix: csr_matrix = field(repr=False)
+    offsets: Optional[np.ndarray] = field(default=None, repr=False)
+    weights: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
+    def _reduced(self, weights) -> csr_matrix:
+        """``matrix`` without the offsets :func:`_undominated` drops under
+        ``weights``; ``matrix`` itself when it or they carry fewer than
+        ``REDUCE_MIN_EDGES`` edges, or none is dropped."""
+        if self.offsets is None or self.matrix.nnz < REDUCE_MIN_EDGES:
+            return self.matrix
+        keep = _undominated(self.offsets, weights)
+        if keep.all() or np.prod(self.resolution - np.abs(self.offsets[~keep]), axis=1).sum() < REDUCE_MIN_EDGES:
+            return self.matrix
+        offsets = self.offsets[keep]
+        strides = self.resolution ** np.arange(len(self.shape) - 1, -1, -1)
+        return _assemble(_in_grid(offsets, self.resolution), offsets, strides, self.weights[keep])
+
+    @functools.cached_property
+    def query(self) -> csr_matrix:
+        """Adjacency of the shortest-path queries, built on first use: every
+        shortest path of ``matrix`` has the same length on it."""
+        return self._reduced(self.weights)
+
+    @functools.cached_property
+    def reach(self) -> csr_matrix:
+        """Adjacency of the reachability queries, built on first use: the
+        offsets undominated at zero weight, which reach what ``matrix`` reaches."""
+        return self._reduced(None if self.weights is None else np.zeros_like(self.weights))
+
     @functools.cached_property
     def incoming(self) -> csr_matrix:
-        """Transposed adjacency, built on first use: row i lists the edges into i."""
-        return self.matrix.T.tocsr()
+        """Transposed ``query``, built on first use: row i lists the edges into i."""
+        return self.query.T.tocsr()
 
     def node_id(self, point) -> int:
         """Flat index of the grid node at ``point``; see :func:`grid_node_id`."""
         return grid_node_id((self.box_lo, self.box_hi), self.resolution, point)
 
 
-def _check_box(lo: np.ndarray, hi: np.ndarray):
+def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
+    """The cell size h of the ``resolution``-per-axis grid on ``box``.
+    ValueError unless resolution >= 2, hi > lo on every axis, and the
+    corners, hi - lo and h are finite with h > 0."""
+    lo = np.asarray(box[0], dtype=float)
+    hi = np.asarray(box[1], dtype=float)
     if not np.all(hi > lo):
         raise ValueError(f"graph box needs hi > lo on every axis, got lo={lo}, hi={hi}")
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    # Python floats round as numpy's do and overflow to inf without a warning;
+    # with hi > lo, a finite hi - lo makes both corners finite
+    if not all(0 < (b - a) / (resolution - 1) < math.inf for a, b in zip(lo.tolist(), hi.tolist())):
+        raise ValueError(f"graph box needs finite corners, extent and cell size, got lo={lo}, hi={hi}")
+    return (hi - lo) / (resolution - 1)
 
 
 def grid_node_id(box: tuple, resolution: int, point) -> int:
     """Flat index of the node of the ``resolution``-per-axis grid on ``box``
     nearest to ``point``; ValueError when the point lies outside the box or
-    more than half a cell from that node, or when hi <= lo on some axis."""
+    more than half a cell from that node, or for a box :func:`grid_spacing` rejects."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    _check_box(lo, hi)
+    h = grid_spacing((lo, hi), resolution)
     point = np.asarray(point, dtype=float)
-    h = (hi - lo) / (resolution - 1)
-    idx = np.rint((point - lo) / h).astype(int)
-    if np.any(idx < 0) or np.any(idx >= resolution):
+    with np.errstate(over="ignore"):
+        pos = np.rint((point - lo) / h)
+    if not np.all((pos >= 0) & (pos < resolution)):  # a NaN position fails too
         raise ValueError(f"point {point} outside the graph box")
+    idx = pos.astype(int)
     # the node's coordinates exactly as build_separation_graph lays them out
-    node = np.array([np.linspace(lo[d], hi[d], resolution)[i] for d, i in enumerate(idx)])
+    node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)]
     if np.linalg.norm(node - point) > 0.5 * float(np.max(h)):
         raise ValueError(f"point {point} is not a grid node")
     return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
@@ -553,12 +611,81 @@ def _assemble(mask: np.ndarray, offsets: np.ndarray, strides: np.ndarray, weight
     ascending column order: the destinations are grid nodes, and their flat
     indices follow the lexicographic order of i + offsets[k]."""
     N = mask.shape[0]
-    counts = mask.sum(axis=1)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = np.broadcast_to(offsets @ strides, mask.shape)[mask]
-    indices += np.repeat(np.arange(N), counts)
+    # scipy keeps 32-bit indices it is given; 64-bit ones it scans and copies
+    index = np.int32 if mask.size < 2**31 else np.int64
+    counts = np.count_nonzero(mask, axis=1)
+    indptr = np.zeros(N + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.broadcast_to((offsets @ strides).astype(index), mask.shape)[mask]
+    indices += np.repeat(np.arange(N, dtype=index), counts)
     data = np.broadcast_to(weights, mask.shape)[mask]
     return csr_matrix((data, indices, indptr), shape=(N, N))
+
+
+@functools.lru_cache(maxsize=8)
+def _split_index(table: bytes, n: int) -> tuple:
+    """(keys, first, second, starts, targets, size) of :func:`_undominated`
+    for the offset table given as the bytes of a (K, n) int64 array, as
+    flat indices of a dense table of ``size`` = (2r + 1)^n entries,
+    r = max |o_d|: the ``keys`` of the offsets, and the splits o1 =
+    ``first``, o2 = ``second`` of every point of the closed orthants that
+    hold offsets (a zero component counts as positive), in the box
+    |o_d| <= max |o_d| there, grouped by that point: group i starts at
+    ``starts[i]`` and splits ``targets[i]``.  Along each axis the pairs
+    0 <= u <= t give the splits; axis 0 takes only 2 u <= t, one of each
+    split and its mirror.  That is at most 2^n ((r + 1)(r + 2) / 2)^n pairs:
+    50820 for the 400 Lorentz ex36 offsets at R = 20, 111804 for all 1680.
+    The index depends on the table only, so graphs on one stencil share it."""
+    offsets = np.frombuffer(table, dtype=np.int64).reshape(-1, n)
+    mag = np.abs(offsets).max(axis=0)
+    r = int(mag.max())
+    strides = (2 * r + 1) ** np.arange(n - 1, -1, -1)
+    present = np.flatnonzero(np.bincount((offsets < 0) @ (1 << np.arange(n)), minlength=2**n))
+    signs = 1 - 2 * (present[:, None] >> np.arange(n) & 1)
+    # axis 0 of every array runs over the orthants; pair p of axis d is (t, u)
+    first = second = targets = r * int(strides.sum())  # the zero offset
+    group, local, sizes = [np.arange(present.size).reshape((-1,) + (1,) * n)], 0, 1
+    for d in range(n):
+        whole = np.arange(mag[d] + 1)
+        counts = whole // (2 if d == 0 else 1) + 1
+        t = np.repeat(whole, counts)
+        u = np.arange(t.size) - (np.cumsum(counts) - counts)[t]
+        along = (1,) * (d + 1) + (-1,) + (1,) * (n - 1 - d)
+        step = (signs[:, d] * strides[d]).reshape((-1,) + (1,) * n)
+        first = first + step * u.reshape(along)
+        second = second + step * (t - u).reshape(along)
+        targets = targets + step * whole.reshape(along)
+        group.append(t.reshape(along))
+        local = local * counts[t].reshape(along) + u.reshape(along)  # the split's rank in its group
+        sizes = sizes * counts.reshape(along)
+    sizes = np.broadcast_to(sizes, targets.shape).ravel()
+    starts = np.cumsum(sizes) - sizes
+    at = (starts.reshape(targets.shape)[tuple(group)] + local).ravel()
+    grouped = np.empty((2, at.size), dtype=np.int64)
+    grouped[0, at] = first.ravel()
+    grouped[1, at] = second.ravel()
+    index = ((offsets + r) @ strides, grouped[0], grouped[1], starts, targets.ravel())
+    for a in index:  # every caller shares them
+        a.setflags(write=False)
+    return index + ((2 * r + 1) ** n,)
+
+
+def _undominated(offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Mask of the offsets (K, n) a shortest-path query needs.  Offset o is
+    dropped when o = o1 + o2 for table offsets o1, o2 with no component of
+    opposite sign, so the middle node lies in every box that holds both
+    ends, and w(o1) + w(o2) <= (1 - ``DOMINANCE_MARGIN``) w(o).  Each part is
+    shorter than o in L1, so every dropped edge splits into kept ones; exact
+    ties such as (2, 0) = (1, 0) + (1, 0) stay.  One vectorised min-plus
+    pass over the splits of :func:`_split_index`."""
+    if offsets.size == 0:
+        return np.ones(0, dtype=bool)
+    index = _split_index(offsets.astype(np.int64).tobytes(), offsets.shape[1])
+    keys, first, second, starts, targets, size = index
+    table = np.full(size, np.inf)  # the zero offset and offsets outside the table cost inf
+    table[keys] = weights
+    table[targets] = np.minimum.reduceat(table.take(first) + table.take(second), starts)
+    return ~(table[keys] <= (1.0 - DOMINANCE_MARGIN) * weights)  # table[keys]: the cheapest splits
 
 
 def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor_radius: int) -> SeparationGraph:
@@ -575,20 +702,18 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     edge whose embedded 3-point Gauss estimate differs from that sum by
     more than ``EDGE_KRONROD_RTOL`` relative is redone with
     ``EDGE_QUAD_NODES``-point Simpson, whose points alone then decide its
-    length and cone test.  ValueError for a box with hi <= lo on some axis.
+    length and cone test.  A position-independent graph keeps its offset
+    table and F(offset) for the reduced query adjacencies.  ValueError for a
+    box :func:`grid_spacing` rejects.
     """
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     n = lo.shape[0]
-    _check_box(lo, hi)
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    axes = [np.linspace(lo[d], hi[d], resolution) for d in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    h = grid_spacing((lo, hi), resolution)
+    mesh = np.meshgrid(*np.linspace(lo, hi, resolution).T, indexing="ij")
     nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
-    shape = tuple([resolution] * n)
-    strides = np.array([int(np.prod(shape[d + 1 :])) for d in range(n)])
-    h = (hi - lo) / (resolution - 1)
+    shape = (resolution,) * n
+    strides = resolution ** np.arange(n - 1, -1, -1)
     R = int(neighbor_radius)
     offsets = _offset_table(n, resolution, R)
 
@@ -596,8 +721,10 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
         center = np.broadcast_to(0.5 * (lo + hi), offsets.shape)
         ok, F = m.jet(center, offsets * h)
         offsets, weights = offsets[ok], F[ok]
+        table = {"offsets": offsets, "weights": weights}
         mask = _in_grid(offsets, resolution)
     else:
+        table = {}
         mask = _in_grid(offsets, resolution)
         weights = np.zeros(mask.shape)
         for k, off in enumerate(offsets):
@@ -613,6 +740,7 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
         shape=shape,
         nodes=nodes,
         matrix=_assemble(mask, offsets, strides, weights),
+        **table,
     )
 
 
@@ -644,10 +772,44 @@ def _closing_edge(adj: csr_matrix, dist: np.ndarray, ip: int) -> tuple:
     return cost[k], int(adj.indices[lo + k])
 
 
+def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
+    """An upper bound on the distance from node ip to node iq: the cost of
+    the lattice path a + floor(k delta / s), k = 0..s, with
+    s = max(1, ceil(|delta|_inf / R)), inf unless every step is a table
+    offset.  Its step weights are summed left to right from 0.0, in path
+    order, so Dijkstra's distance never exceeds it."""
+    if graph.offsets is None or graph.offsets.size == 0:
+        return np.inf
+    delta, a, b = [], ip, iq
+    for size in reversed(graph.shape):
+        (a, da), (b, db) = divmod(a, size), divmod(b, size)
+        delta.insert(0, db - da)
+    s = max(1, -(-max(map(abs, delta)) // graph.neighbor_radius))
+    # balanced base-(2r + 1) keys follow the lexicographic order of the table
+    base = 2 * min(graph.neighbor_radius, graph.resolution - 1) + 1
+    place = [base**e for e in range(len(delta) - 1, -1, -1)]
+    keys = (graph.offsets @ place).tolist()
+    bound = 0.0
+    for k in range(s):
+        step = sum(((k + 1) * d // s - k * d // s) * p for d, p in zip(delta, place))
+        at = bisect.bisect_left(keys, step)
+        if at == len(keys) or keys[at] != step:
+            return np.inf
+        bound += float(graph.weights[at])
+    return bound
+
+
 def separation(graph: SeparationGraph, p, q) -> SeparationResult:
-    """Shortest admissible-path length from p to q on the graph."""
+    """Shortest admissible-path length from p to q on the graph.
+
+    Dijkstra runs on ``graph.query``; between distinct nodes of a graph
+    with at least ``REDUCE_MIN_EDGES`` edges it stops past the
+    :func:`_path_bound` of the pair (scipy's ``limit`` keeps a node at
+    exactly that distance)."""
     ip, iq = _as_node(graph, p), _as_node(graph, q)
-    dist, pred = _sp_dijkstra(graph.matrix, directed=True, indices=ip, return_predecessors=True)
+    small = graph.matrix.nnz < REDUCE_MIN_EDGES
+    limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
+    dist, pred = _sp_dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
     if ip == iq:
         # proper separation: go out and come back (no zero-length loitering)
         val, last = _closing_edge(graph.incoming, dist, ip)
@@ -662,24 +824,26 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
 
 
 def reachability(graph: SeparationGraph, p) -> np.ndarray:
-    """Flat indices of nodes reachable from p by admissible paths."""
+    """Flat indices of nodes reachable from p by admissible paths, by BFS on ``graph.reach``."""
     ip = _as_node(graph, p)
     mask = np.zeros(graph.node_count, dtype=bool)
-    mask[breadth_first_order(graph.matrix, ip, directed=True, return_predecessors=False)] = True
-    # p itself is in its future only when some admissible loop returns to it
-    adj = graph.incoming
-    mask[ip] = np.any(mask[adj.indices[adj.indptr[ip] : adj.indptr[ip + 1]]])
+    adj = graph.reach
+    mask[breadth_first_order(adj, ip, directed=True, return_predecessors=False)] = True
+    # p itself is in its future only when some admissible loop returns to it;
+    # a loop's last edge splits until its last part is an edge of ``reach``
+    into = np.searchsorted(adj.indptr, np.flatnonzero(adj.indices == ip), side="right") - 1
+    mask[ip] = np.any(mask[into])
     return np.flatnonzero(mask)
 
 
 def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> np.ndarray:
-    """Flat indices of the discrete forward/backward separation ball."""
+    """Flat indices of the discrete forward/backward separation ball, by Dijkstra on ``graph.query``."""
     ip = _as_node(graph, p)
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     # the backward ball is the forward ball of the reversed graph, whose
     # incoming adjacency is the original one
-    mat, into = (graph.matrix, graph.incoming) if direction == "forward" else (graph.incoming, graph.matrix)
+    mat, into = (graph.query, graph.incoming) if direction == "forward" else (graph.incoming, graph.query)
     # scipy rejects a negative limit; such a ball is empty either way
     dist = _sp_dijkstra(mat, directed=True, indices=ip, limit=max(r, 0.0))
     mask = dist < r

@@ -188,6 +188,13 @@ class TestMalformedConfig:
             ({"type": "euclidean", "dimension": 2.5}, {}, "metric.dimension"),
             ({"type": "wavy_example", "lobes": 2.5}, {}, "metric.lobes"),
             ({"type": "named", "family": "randers", "b": False}, {}, "metric.b"),
+            # numeric strings are not numbers
+            ({"type": "named", "family": "randers", "b": "0.5"}, {}, "metric.b"),
+            ({"type": "oneform_metric", "coeffs": ["0.5", 0]}, {}, "metric.coeffs[0]"),
+            ({"type": "riemannian", "matrix": [[1, 0], [0, "1"]]}, {}, "metric.matrix[1][1]"),
+            ({"type": "euclidean", "dimension": "2"}, {}, "metric.dimension"),
+            ({"type": "euclidean"}, {"seed": "1"}, "run.seed"),
+            ({"type": "euclidean"}, {"tolerance": "1e-9"}, "run.tolerance"),
         ],
     )
     def test_non_numeric_scalar_names_path(self, metric, run, path):
@@ -242,6 +249,21 @@ class TestMalformedConfig:
             ("eval", {"vectors": [[1, 2]], "base": [0, True]}, "run.eval.base[1]"),
             ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": True}, "run.ball.radius"),
             ("eval", {"vectors": [[1, 0], [True, 0]]}, "run.eval.vectors[1][0]"),
+            # numeric strings are not numbers, and a graph box must be finite with a finite cell size
+            ("eval", {"base": ["0", "0"], "vectors": [[3, 4]]}, "run.eval.base[0]"),
+            ("eval", {"vectors": [["3", "4"]]}, "run.eval.vectors[0][0]"),
+            ("classify", {"vectors": [[1, 0], [0, "1"]]}, "run.classify.vectors[1][1]"),
+            ("scan", {"samples": "12"}, "run.scan.samples"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": "nan"}, "run.ball.radius"),
+            ("ball", {"box": [[-1, -1], [1, "nan"]], "center": [0, 0], "radius": 0.3}, "run.ball.box[1][1]"),
+            ("separation", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "target": [0.5, 0], "resolution": "21"},
+             "run.separation.resolution"),
+            ("separation", {"box": [[float("-inf"), -1], [1, 1]], "source": [0, 0], "target": [0.5, 0]},
+             "run.separation.box"),
+            ("separation", {"box": [[-1e308, -1], [1e308, 1]], "source": [0, 0], "target": [0, 0.5]},
+             "run.separation.box"),
+            ("reach", {"box": [[0, 0], [5e-324, 1]], "source": [0, 0]}, "run.reach.box"),
+            ("ball", {"box": [[-1, -1], [float("inf"), 1]], "center": [0, 0], "radius": 0.3}, "run.ball.box"),
         ],
     )
     def test_run_parameter_names_path(self, command, section, path, tmp_path):
@@ -272,7 +294,7 @@ class TestMalformedConfig:
             ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "neighbor_radius": -2}, "run.reach.neighbor_radius"),
             ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": 0}, "run.ball.radius"),
             ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": -0.3}, "run.ball.radius"),
-            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": "nan"}, "run.ball.radius"),
+            ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": float("nan")}, "run.ball.radius"),
             ("scan", {"samples": -1}, "run.scan.samples"),
             ("indicatrix", {"samples": 0}, "run.indicatrix.samples"),
             ("detcheck", {"samples": -3}, "run.detcheck.samples"),
@@ -280,7 +302,7 @@ class TestMalformedConfig:
             ("oracle", {"samples": 0}, "run.oracle.samples"),
             ("reach", {"box": [[0, 0], [0, 1]], "source": [0, 0]}, "run.reach.box"),
             ("separation", {"box": [[-1, 1], [1, -1]], "source": [0, 0], "target": [0.5, 0]}, "run.separation.box"),
-            ("ball", {"box": [[-1, -1], [1, "nan"]], "center": [0, 0], "radius": 0.3}, "run.ball.box"),
+            ("ball", {"box": [[-1, -1], [1, float("nan")]], "center": [0, 0], "radius": 0.3}, "run.ball.box"),
             ("scan", {"samples": 1e308}, "run.scan.samples"),
             ("indicatrix", {"samples": 10**6 + 1}, "run.indicatrix.samples"),
             ("detcheck", {"samples": 1e308}, "run.detcheck.samples"),
@@ -746,6 +768,26 @@ class TestBatchedCommands:
             (
                 {"metric": {"type": "named", "family": "randers"}, "run": {"detcheck": {}, "seed": 1.5}},
                 "error [validation_error] at run.seed: expected an integer, got 1.5\n",
+            ),
+            # an infinite box reported "source: point [0. 0.] outside the graph box", and a box whose
+            # hi - lo overflows answered "reachable": false
+            (
+                {
+                    "metric": {"type": "euclidean"},
+                    "run": {"separation": {"box": [[float("-inf"), -1], [1, 1]], "source": [0, 0], "target": [0, 1]}},
+                },
+                "error [validation_error] at run.separation.box: box needs finite corners, extent and cell size\n",
+            ),
+            (
+                {
+                    "metric": {"type": "euclidean"},
+                    "run": {"separation": {"box": [[-1e308, -1], [1e308, 1]], "source": [0, 0], "target": [0, 1]}},
+                },
+                "error [validation_error] at run.separation.box: box needs finite corners, extent and cell size\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"scan": {"samples": "12"}}},
+                "error [validation_error] at run.scan.samples: expected an integer, got '12'\n",
             ),
         ],
     )

@@ -1,8 +1,11 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -574,6 +577,33 @@ class TestEdgeRule:
         with pytest.raises(ValueError, match="hi > lo"):
             gd.grid_node_id(box, 11, [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "box",
+        [
+            ([-np.inf, -1.0], [1.0, 1.0]),
+            ([0.0, 0.0], [1.0, np.inf]),
+            ([-1e308, -1.0], [1e308, 1.0]),
+            ([0.0, 0.0], [5e-324, 1.0]),
+        ],
+        ids=["infinite_lo", "infinite_hi", "overflowing_extent", "zero_cell"],
+    )
+    def test_non_finite_box_rejected(self, euclid, box):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite corners, extent and cell size"):
+                gd.build_separation_graph(euclid, box, 11, 2)
+            with pytest.raises(ValueError, match="finite corners, extent and cell size"):
+                gd.grid_node_id(box, 11, [0.0, 0.0])
+            with pytest.raises(ValueError, match="finite corners, extent and cell size"):
+                gd.grid_spacing(box, 11)
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -1e308], [1e308, 1e308]])
+    def test_non_finite_point_is_outside_the_box(self, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the graph box"):
+                gd.grid_node_id(([-1.0, -1.0], [1.0, 1.0]), 11, point)
+
 
 def _loop_graph_reference(m, box, resolution, neighbor_radius):
     """The earlier builder, kept as a reference: a Python loop over every
@@ -989,8 +1019,20 @@ class TestGraphQueriesMatchReference:
             ("lorentz_example", {}, ((-1.0, 0.0), (3.0, 2.0)), 21, 2),
             ("named", {"family": "matsumoto", "q": 1.0, "b": 0.5}, ((-1.0, -1.0), (1.0, 1.0)), 15, 3),
             ("named", {"family": "kropina", "q": 1.0, "b": 0.5}, ((-1.0, -1.0), (1.0, 1.0)), 15, 3),
+            # large enough that the dominance-reduced adjacencies replace the full one
+            ("lorentz_example", {}, ((-1.0, 0.0), (1.0, 2.0)), 41, 20),
+            ("oneform_metric", {"coeffs": [1.0]}, ((0.0,), (1.0,)), 300, 299),
+            ("named", {"family": "kropina", "form": {"coeffs": [0.2, 0.1, 0.5]}}, ((0.0,) * 3, (1.0,) * 3), 8, 7),
         ],
-        ids=["lorentz_ex36", "lorentz_ex36_wide", "matsumoto", "kropina"],
+        ids=[
+            "lorentz_ex36",
+            "lorentz_ex36_wide",
+            "matsumoto",
+            "kropina",
+            "lorentz_ex36_res41",
+            "halfline_1d",
+            "kropina_3d",
+        ],
     )
     def graph(self, request):
         kind, extra, box, res, rad = request.param
@@ -1073,3 +1115,182 @@ class TestIncomingAdjacency:
         with pytest.raises(ValueError, match="direction must be"):
             gd.df_ball(g, 0, 0.5, "sideways")
         assert "incoming" not in g.__dict__ and not calls
+
+
+def _brute_undominated(offsets, weights):
+    """The dominance rule of ``gd._undominated`` by a loop over every split."""
+    index = {tuple(o): k for k, o in enumerate(offsets.tolist())}
+    keep = np.ones(len(index), dtype=bool)
+    for k, o in enumerate(offsets.tolist()):
+        for u in itertools.product(*[range(min(0, c), max(0, c) + 1) for c in o]):
+            v = tuple(c - a for c, a in zip(o, u))
+            if u in index and v in index:
+                keep[k] &= not weights[index[u]] + weights[index[v]] <= (1 - gd.DOMINANCE_MARGIN) * weights[k]
+    return keep
+
+
+def _config_graph(tree, box, resolution, radius):
+    metric = build_metric(parse_config(json.dumps({"metric": tree}))[0]).metric
+    return gd.build_separation_graph(metric, tuple(np.array(c, dtype=float) for c in box), resolution, radius)
+
+
+LORENTZ_BOX = ((-1.0, 0.0), (1.0, 2.0))
+
+
+class TestReducedStencils:
+    """The dominance rule, the reduced adjacencies and the distance cap."""
+
+    def test_lorentz_radius_20(self):
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 81, 20)
+        zero = np.zeros_like(g.weights)
+        assert len(g.offsets) == 400
+        assert np.count_nonzero(gd._undominated(g.offsets, g.weights)) == 58
+        assert np.count_nonzero(gd._undominated(g.offsets, zero)) == 39
+        assert np.array_equal(gd._undominated(g.offsets, g.weights), _brute_undominated(g.offsets, g.weights))
+        assert np.array_equal(gd._undominated(g.offsets, zero), _brute_undominated(g.offsets, zero))
+        assert g.query.nnz < g.matrix.nnz and g.reach.nnz < g.query.nnz
+
+    @pytest.mark.parametrize("radius", [1, 3, 10])
+    def test_euclidean_keeps_every_offset(self, radius):
+        g = _config_graph({"type": "euclidean"}, ((0.0, 0.0), (3.0, 4.0)), 41, radius)
+        assert np.all(gd._undominated(g.offsets, g.weights))
+        assert g.query is g.matrix
+
+    @pytest.mark.parametrize(
+        "tree, box",
+        [
+            ({"type": "oneform_metric", "coeffs": [0.0, 1.0]}, ((-1.0, -1.0), (1.0, 1.0))),  # F = dy
+            ({"type": "oneform_metric", "coeffs": [1.0]}, ((0.0,), (1.0,))),  # the half-line
+        ],
+        ids=["halfplane_dy", "halfline_1d"],
+    )
+    def test_collinear_ties_stay(self, tree, box):
+        # F is linear, so every split ties exactly; the margin keeps them all
+        g = _config_graph(tree, box, 300 if len(box[0]) == 1 else 41, 4)
+        assert np.all(gd._undominated(g.offsets, g.weights))
+        assert g.query is g.matrix
+        # at zero weight only the offsets that do not split are needed
+        kept = g.offsets[gd._undominated(g.offsets, np.zeros_like(g.weights))]
+        assert np.all(kept[:, -1] == 1)
+
+    def test_exact_tie_of_two_unit_steps_stays(self):
+        offsets = np.array([[1, 0], [2, 0]])
+        assert gd._undominated(offsets, np.array([1.0, 2.0])).tolist() == [True, True]
+        assert gd._undominated(offsets, np.array([1.0, 2.0 + 1e-9])).tolist() == [True, False]
+        assert gd._undominated(offsets, np.zeros(2)).tolist() == [True, False]
+
+    def test_opposite_signs_never_split(self):
+        # (1, 0) = (2, -1) + (-1, 1) is cheap, but its middle node may leave the box
+        offsets = np.array([[-1, 1], [1, 0], [2, -1]])
+        assert np.all(gd._undominated(offsets, np.array([0.1, 5.0, 0.1])))
+
+    @pytest.mark.parametrize("n, radius", [(1, 9), (2, 4), (3, 2)])
+    def test_matches_the_loop_over_every_split(self, n, radius):
+        rng = np.random.default_rng(40 + n)
+        table = gd._offset_table(n, 10, radius)
+        for _ in range(20):
+            offsets = table[rng.random(len(table)) < rng.uniform(0.3, 1.0)]
+            # small integers make exact ties common; norms make strict inequalities
+            weights = rng.choice([rng.integers(0, 4, len(offsets)).astype(float), np.linalg.norm(offsets, axis=1)])
+            assert np.array_equal(gd._undominated(offsets, weights), _brute_undominated(offsets, weights))
+        assert gd._undominated(table[:0], np.zeros(0)).shape == (0,)
+
+    def test_position_dependent_queries_run_on_matrix(self, randers_posdep):
+        g = gd.build_separation_graph(randers_posdep, UNIT_BOX, 9, 3)
+        assert g.offsets is None and g.weights is None
+        assert g.query is g.matrix and g.reach is g.matrix
+
+    def test_small_graphs_keep_matrix_without_a_dominance_pass(self, monkeypatch):
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 21, 10)
+        assert g.matrix.nnz < gd.REDUCE_MIN_EDGES
+        assert not np.all(gd._undominated(g.offsets, g.weights))
+        calls = []
+        monkeypatch.setattr(gd, "_undominated", lambda *args: calls.append(args))
+        assert g.query is g.matrix and g.reach is g.matrix and not calls
+
+    def test_few_dropped_edges_keep_matrix(self, monkeypatch):
+        # R = 2: reach drops (0, 2) = (0, 1) + (0, 1), one edge per grid row
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 101, 2)
+        keep = gd._undominated(g.offsets, np.zeros_like(g.weights))
+        dropped = int(np.prod(101 - np.abs(g.offsets[~keep]), axis=1).sum())
+        assert g.matrix.nnz >= gd.REDUCE_MIN_EDGES > dropped > 0
+        assert g.reach is g.matrix
+        monkeypatch.setattr(gd, "REDUCE_MIN_EDGES", dropped)
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 101, 2)
+        assert g.reach.nnz == g.matrix.nnz - dropped
+
+    def test_reach_is_built_only_by_reachability(self):
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
+        gd.separation(g, 20, 1660)
+        gd.separation(g, 20, 20)
+        gd.df_ball(g, 20, 0.5, "forward")
+        gd.df_ball(g, 20, 0.5, "backward")
+        assert "query" in g.__dict__ and "incoming" in g.__dict__ and "reach" not in g.__dict__
+        gd.reachability(g, 20)
+        assert "reach" in g.__dict__
+
+    def test_reachability_builds_no_transpose(self):
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
+        gd.reachability(g, 20)
+        assert "incoming" not in g.__dict__ and "query" not in g.__dict__
+
+    def test_path_bound_is_the_lattice_path_cost(self):
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
+        rng = np.random.default_rng(8)
+        weight = {tuple(o): w for o, w in zip(g.offsets.tolist(), g.weights)}
+        finite = 0
+        for _ in range(60):
+            ip, iq = (int(k) for k in rng.integers(0, g.node_count, 2))
+            a, b = np.array(np.unravel_index(ip, g.shape)), np.array(np.unravel_index(iq, g.shape))
+            s = max(1, -(-int(np.abs(b - a).max()) // 20))
+            expected = 0.0
+            for k in range(s):
+                step = tuple(((k + 1) * (b - a) // s - k * (b - a) // s).tolist())
+                expected = expected + weight[step] if step in weight else np.inf
+            bound = gd._path_bound(g, ip, iq)
+            assert bound == expected or (np.isinf(bound) and np.isinf(expected))
+            assert dijkstra(g.matrix, indices=ip)[iq] <= bound
+            finite += np.isfinite(bound)
+        assert 0 < finite < 60
+
+    def test_small_graphs_skip_the_distance_cap(self, monkeypatch):
+        calls = []
+        bound = gd._path_bound
+        monkeypatch.setattr(gd, "_path_bound", lambda *args: calls.append(args) or bound(*args))
+        small = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 21, 10)
+        assert small.matrix.nnz < gd.REDUCE_MIN_EDGES
+        gd.separation(small, 10, 430)
+        assert not calls
+        gd.separation(_config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20), 20, 1660)
+        assert len(calls) == 1
+
+    def test_dijkstra_limit_keeps_a_node_at_exactly_the_limit(self):
+        # separations pass the path bound as scipy's limit, which must be inclusive
+        g = _hand_graph()
+        dist = dijkstra(g.matrix, directed=True, indices=1, limit=0.75)
+        assert dist[2] == 0.75
+
+    @given(
+        tree=st.one_of(
+            st.just({"type": "euclidean"}),
+            st.just({"type": "lorentz_example"}),
+            st.builds(lambda b: {"type": "named", "family": "randers", "b": b}, st.floats(0.0, 0.9)),
+            st.builds(lambda b: {"type": "named", "family": "matsumoto", "b": b}, st.floats(0.0, 0.45)),
+            st.builds(lambda b: {"type": "named", "family": "kropina", "b": b}, st.floats(0.1, 0.9)),
+        ),
+        width=st.floats(0.5, 3.0),
+        resolution=st.integers(3, 9),
+        radius=st.integers(1, 5),
+        picks=st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+        r=st.floats(0.05, 3.0),
+    )
+    def test_queries_on_reduced_stencils_match_reference(self, tree, width, resolution, radius, picks, r):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gd, "REDUCE_MIN_EDGES", 0)  # reduce these small graphs too
+            g = _config_graph(tree, ((-1.0, 0.0), (width - 1.0, 2.0)), resolution, radius)
+            p, q, c, d = (k % g.node_count for k in picks)
+            _same_separation(gd.separation(g, p, q), _ref_separation(g, p, q))
+            _same_separation(gd.separation(g, p, p), _ref_separation(g, p, p))
+            _same_indices(gd.reachability(g, c), _ref_reachability(g, c))
+            for direction in ("forward", "backward"):
+                _same_indices(gd.df_ball(g, d, r, direction), _ref_df_ball(g, d, r, direction))
