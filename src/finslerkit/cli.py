@@ -37,14 +37,13 @@ from .errors import (
     DOMAIN_CODES,
     BadExponent,
     FinslerError,
+    InvalidArgument,
     ParseError,
     ValidationError,
 )
 from .numkernel import central_derivatives
 
-MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic run
-MAX_SAMPLES = 10**6  # run.<cmd>.samples of the sampling commands, checked before any allocation
-MAX_GRAPH_EDGES = 10**7  # candidate edges (grid nodes x neighbour offsets) of a graph command, checked likewise
+MAX_GRAPH_EDGES = 10**7  # candidate edges (geodesy.candidate_edges) of a graph command, checked before the build
 MAX_LOBES = 10**4  # largest wavy_example lobe count
 
 COMMANDS = (
@@ -236,6 +235,9 @@ def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
     run = doc.get("run", {})
     if not isinstance(run, dict):
         raise ValidationError("'run' section must be an object", path="run")
+    for key in run:
+        known = key in ("seed", "tolerance", "dimension") or key in COMMANDS
+        _require(known, f"unknown run key {key!r}", f"run.{key}", "unknown_key")
     declared = run.get("dimension")
     if declared is not None and _num(declared, "run.dimension", int) != dim:
         raise ValidationError(
@@ -450,7 +452,7 @@ def _build_node(node, path: str) -> BuiltMetric:
         inner = _child(node, "inner", path)
         try:
             return BuiltMetric(metric=cb.reversibilize(inner, str(node.get("mode", "sum"))))
-        except ValueError as exc:
+        except InvalidArgument as exc:
             raise ValidationError(str(exc), path=path, constraint="mode") from exc
     raise ValidationError(f"unknown metric node type {t!r}", path=path, constraint="type")
 
@@ -491,21 +493,13 @@ def _run_point(cfg: RunConfig, cmd: str, key: str, dim: int, required: bool = Fa
     return _point(_param(cfg, cmd, key, None if required else [0.0] * dim, required), dim, f"run.{cmd}.{key}")
 
 
-def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float, least=None, most=None, positive=False):
+def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float, least=None, positive=False):
     """The scalar ``run.<cmd>.<key>`` (required when there is no default),
-    from ``least`` to ``most`` and, with ``positive``, greater than 0."""
+    at least ``least`` and, with ``positive``, greater than 0."""
     path = f"run.{cmd}.{key}"
     value = _num(_param(cfg, cmd, key, default, default is None), path, kind)
     _require(least is None or value >= least, f"{key} must be at least {least}", path, "minimum")
-    _require(most is None or value <= most, f"{key} must be at most {most}", path, "maximum")
     _require(not positive or value > 0, f"{key} must be positive", path, "positive")
-    return value
-
-
-def _run_span(cfg: RunConfig, cmd: str, key: str, default: float) -> float:
-    """A finite, positive parameter length ``run.<cmd>.<key>``."""
-    value = _run_num(cfg, cmd, key, default, positive=True)
-    _require(math.isfinite(value), f"{key} must be finite", f"run.{cmd}.{key}", "finite")
     return value
 
 
@@ -545,7 +539,16 @@ def _in_domain_at(m: me.ConicMetric, base):
 
 
 def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
-    """Execute one command; returns (summary dict, csv header, csv rows)."""
+    """Execute one command; returns (summary dict, csv header, csv rows).
+    The library checks the arguments it is given; its InvalidArgument is
+    reported as a ValidationError at ``run.<cmd>.<parameter>``."""
+    try:
+        return _run(cmd, spec, cfg)
+    except InvalidArgument as exc:
+        raise ValidationError(str(exc), path=f"run.{cmd}.{exc.path}", constraint=exc.constraint) from exc
+
+
+def _run(cmd: str, spec: MetricSpec, cfg: RunConfig):
     _require(cfg.seed >= 0, f"seed must be at least 0, got {cfg.seed}", "run.seed", "minimum")
     rng = np.random.default_rng(cfg.seed)
     built = build_metric(spec)
@@ -575,7 +578,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "scan":
         base = _run_point(cfg, "scan", "base", dim)
-        samples = _run_num(cfg, "scan", "samples", 360, int, least=1, most=MAX_SAMPLES)
+        samples = _run_num(cfg, "scan", "samples", 360, int)
         entries = me.convexity_scan(m, base, samples, tol)
         header = ["index"] + _vec_cols("dir", dim) + ["status", "min_eigenvalue"]
         rows = [
@@ -583,7 +586,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             for i, e in enumerate(entries)
         ]
         counts = dict(Counter(e.status for e in entries))
-        pd_frac = counts.get("PositiveDefinite", 0) / max(1, samples)
+        pd_frac = counts.get("PositiveDefinite", 0) / samples
         return {"command": cmd, "counts": counts, "pd_fraction": pd_frac}, header, rows
 
     if cmd == "detcheck":
@@ -593,7 +596,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             )
         F0, beta, profile = built.phi_parts
         base = _run_point(cfg, "detcheck", "base", dim)
-        samples = _run_num(cfg, "detcheck", "samples", 100, int, least=1, most=MAX_SAMPLES)
+        samples = _run_num(cfg, "detcheck", "samples", 100, int)
         header = ["index"] + _vec_cols("v", dim) + ["det_formula", "det_direct", "rel_err"]
         vs = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base))
         tv = me.TangentVec(base, vs)
@@ -606,14 +609,8 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
     if cmd == "geodesic":
         base = _run_point(cfg, "geodesic", "base", dim)
         vel = _run_point(cfg, "geodesic", "velocity", dim, required=True)
-        t_end = _run_span(cfg, "geodesic", "t_end", 1.0)
-        step = _run_span(cfg, "geodesic", "step", gd.DEFAULT_STEP)
-        _require(
-            t_end / step <= MAX_GEODESIC_ROWS,
-            f"t_end / step must be at most {MAX_GEODESIC_ROWS} output steps",
-            "run.geodesic.t_end",
-            "maximum",
-        )
+        t_end = _run_num(cfg, "geodesic", "t_end", 1.0)
+        step = _run_num(cfg, "geodesic", "step", gd.DEFAULT_STEP)
         states = gd.geodesic_shoot(m, gd.GeodesicState(base, vel, 0.0), t_end, step)
         header = ["t"] + _vec_cols("x", dim) + _vec_cols("v", dim) + ["F"]
         xs = np.array([s.position for s in states])
@@ -632,7 +629,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "gauss":
         base = _run_point(cfg, "gauss", "base", dim)
-        samples = _run_num(cfg, "gauss", "samples", 10, int, least=1, most=MAX_SAMPLES)
+        samples = _run_num(cfg, "gauss", "samples", 10, int)
         header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
         vs, ws = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base), paired=True)
         res = gd.gauss_residuals(m, base, vs, ws)
@@ -644,16 +641,11 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         box = _param(cfg, cmd, "box", required=True)
         _require(isinstance(box, list) and len(box) == 2, "box must be [lo, hi]", f"run.{cmd}.box", "shape")
         lo, hi = (_point(c, dim, f"run.{cmd}.box[{i}]") for i, c in enumerate(box))
-        _require(bool(np.all(hi > lo)), "box needs hi > lo on every axis", f"run.{cmd}.box", "positive")
-        resolution = _run_num(cfg, cmd, "resolution", 21, int, least=2)
-        try:
-            gd.grid_spacing((lo, hi), resolution)
-        except ValueError as exc:
-            raise ValidationError("box needs finite corners, extent and cell size", f"run.{cmd}.box", "finite") from exc
+        resolution = _run_num(cfg, cmd, "resolution", 21, int)
+        gd.grid_spacing((lo, hi), resolution)
         radius = _run_num(cfg, cmd, "neighbor_radius", 3, int, least=1)
-        offsets = (2 * min(radius, resolution - 1) + 1) ** dim - 1  # the offset table of build_separation_graph
         _require(
-            resolution**dim * offsets <= MAX_GRAPH_EDGES,
+            gd.candidate_edges(dim, resolution, radius) <= MAX_GRAPH_EDGES,
             f"resolution^{dim} grid nodes x neighbour offsets must be at most {MAX_GRAPH_EDGES} candidate edges",
             f"run.{cmd}.resolution",
             "maximum",
@@ -664,18 +656,14 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
             point = _run_point(cfg, cmd, key, dim, required=True)
             try:
                 return gd.grid_node_id((lo, hi), resolution, point)
-            except ValueError as exc:
-                raise ValidationError(f"{key}: {exc}", path=f"run.{cmd}.{key}", constraint="grid") from exc
+            except InvalidArgument as exc:  # grid_node_id names its argument "point"
+                raise ValidationError(f"{key}: {exc}", path=f"run.{cmd}.{key}", constraint=exc.constraint) from exc
 
         if cmd == "ball":
             center = node("center")
             r = _run_num(cfg, cmd, "radius", positive=True)
             direction = str(_param(cfg, cmd, "direction", "forward"))
-            _require(
-                direction in ("forward", "backward"),
-                f"direction must be 'forward' or 'backward', got {direction!r}",
-                f"run.{cmd}.direction",
-            )
+            mk.check_ball_direction(direction)
         else:
             src = node("source")
             dst = node("target") if cmd == "separation" else None
@@ -702,7 +690,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
     if cmd == "indicatrix":
         base = _run_point(cfg, "indicatrix", "base", dim)
-        samples = _run_num(cfg, "indicatrix", "samples", 256, int, least=1, most=MAX_SAMPLES)
+        samples = _run_num(cfg, "indicatrix", "samples", 256, int)
         dirs = me.unit_directions(dim, samples)
         ok, vals = m.jet(np.broadcast_to(base, dirs.shape), dirs)
         header = ["index"] + _vec_cols("dir", dim) + _vec_cols("s", dim)
@@ -714,7 +702,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         return {"command": cmd, "count": len(rows)}, header, rows
 
     if cmd == "oracle":
-        samples = _run_num(cfg, "oracle", "samples", 200, int, least=1, most=MAX_SAMPLES)
+        samples = _run_num(cfg, "oracle", "samples", 200, int)
         otol = _run_num(cfg, "oracle", "tolerance", 1e-6)
         margin = _run_num(cfg, "oracle", "interior_margin", 0.15)
         base = _run_point(cfg, "oracle", "base", dim)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, DomainEmpty, OutsideDomain, OutsideProfile
+from .errors import BadExponent, DomainEmpty, InvalidArgument, OutsideDomain, OutsideProfile
 from .metrics import (
     ChartManifold,
     ConicMetric,
@@ -358,7 +358,8 @@ def _shared_manifold(metrics: Sequence[ConicMetric]) -> ChartManifold:
     man = metrics[0].manifold
     for mk in metrics[1:]:
         if mk.manifold.dimension != man.dimension:
-            raise ValueError("combined metrics must share one chart dimension")
+            msg = "combined metrics must share one chart dimension"
+            raise InvalidArgument(msg, path="metrics", constraint="dimension")
     return man
 
 
@@ -389,12 +390,10 @@ def combine(
     metrics = list(metrics)
     forms = list(forms)
     if len(metrics) != combiner.n or len(forms) != combiner.m:
-        raise ValueError(
-            f"combiner expects {combiner.n} metrics and {combiner.m} forms, "
-            f"got {len(metrics)} and {len(forms)}"
-        )
+        msg = f"combiner expects {combiner.n} metrics and {combiner.m} forms, got {len(metrics)} and {len(forms)}"
+        raise InvalidArgument(msg, path="metrics", constraint="shape")
     if combiner.n == 0:
-        raise ValueError("at least one metric ingredient is required")
+        raise InvalidArgument("at least one metric ingredient is required", path="metrics", constraint="minimum")
     man = _shared_manifold(metrics)
 
     def jet_fn(base, vec, with_tensor):
@@ -656,5 +655,5 @@ def reversibilize(F: ConicMetric, mode: str) -> ConicMetric:
     elif key == "quadratic":
         out = power_q_combine([F, _reflected(F)], [], q=2.0)
     else:
-        raise ValueError(f"mode must be 'sum' or 'quadratic', got {mode!r}")
+        raise InvalidArgument(f"mode must be 'sum' or 'quadratic', got {mode!r}", path="mode")
     return out.with_name(f"reversible[{key}]({F.name})")

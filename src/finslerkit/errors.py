@@ -5,6 +5,14 @@ scripts can dispatch on failures without parsing human text.  Codes in
 ``DOMAIN_CODES`` map to exit status 2 (the request asked for something
 outside a metric's domain or was malformed); everything else numeric
 maps to exit status 3.
+
+A library function that rejects one of its own arguments raises
+``InvalidArgument``: a ``ValidationError`` (code ``validation_error``)
+whose ``path`` is the parameter's name, for example ``samples`` or
+``box``, and whose ``constraint`` names the rule (``minimum``,
+``maximum``, ``positive``, ``finite``, ``shape``, ``grid``, ...).  It is
+also a ``ValueError``, so callers that catch ``ValueError`` keep working.
+The CLI reports it at ``run.<command>.<path>``.
 """
 
 from __future__ import annotations
@@ -124,6 +132,10 @@ class ValidationError(FinslerError):
         super().__init__(message)
         self.path = path
         self.constraint = constraint
+
+
+class InvalidArgument(ValidationError, ValueError):
+    """A library function's argument breaks one of its rules; ``path`` is the parameter name."""
 
 
 # Codes that signal a domain/usage problem (CLI exit 2); the remaining

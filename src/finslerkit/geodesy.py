@@ -34,8 +34,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .errors import DegenerateTensor, LeftDomain, NotAdmissible, OutsideDomain, StepBudget
+from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain, StepBudget
 from .metrics import ConicMetric, TangentVec, admissible_draws, unit_directions
+from .minkowski import check_ball_direction
 from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
 
 EDGE_QUAD_NODES = 33  # Simpson nodes of an edge whose Gauss-Kronrod estimate is flagged
@@ -44,6 +45,7 @@ GEODESIC_RTOL = 1e-10  # rtol = atol of the geodesic integrator's RMS error norm
 CURVE_QUAD_NODES = 65
 DEFAULT_STEP = 0.01  # output spacing of a geodesic; the integrator picks its own steps
 MAX_GEODESIC_STEPS = 10**4  # trial steps, accepted plus rejected, of one _integrate call
+MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic_shoot
 DOMINANCE_MARGIN = 1e-12  # an offset is dropped when a split costs at most (1 - margin) F(offset)
 # A graph with fewer edges than this keeps its queries on the full adjacency
 # with no distance cap, and so does one whose dominated offsets carry fewer:
@@ -152,7 +154,7 @@ def _curve_samples(curve, nodes: int):
         vel = curve.velocities(t)
         weights = w * ((curve.t1 - curve.t0) / (q - 1))
         return pos, vel, t, weights
-    raise TypeError(f"unsupported curve type {type(curve)!r}")
+    raise InvalidArgument(f"unsupported curve type {type(curve)!r}", path="curve", constraint="type")
 
 
 def _admissible_values(m: ConicMetric, curve, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,9 +313,17 @@ def geodesic_shoot(
     m: ConicMetric, start: GeodesicState, t_end: float, step: float = DEFAULT_STEP
 ) -> list[GeodesicState]:
     """Integrate the geodesic with the given initial state up to t_end;
-    returns the states at ``round(t_end / step)`` equal output intervals."""
-    if not (np.isfinite(t_end) and t_end > 0 and np.isfinite(step) and step > 0):
-        raise ValueError(f"t_end and step must be finite and positive, got {t_end!r} and {step!r}")
+    returns the states at ``round(t_end / step)`` equal output intervals.
+    InvalidArgument unless t_end and step are finite and positive, with at
+    most ``MAX_GEODESIC_ROWS`` output intervals."""
+    for name, value in (("t_end", t_end), ("step", step)):
+        if not value > 0:
+            raise InvalidArgument(f"{name} must be positive", path=name, constraint="positive")
+        if not math.isfinite(value):
+            raise InvalidArgument(f"{name} must be finite", path=name, constraint="finite")
+    if not t_end / step <= MAX_GEODESIC_ROWS:
+        msg = f"t_end / step must be at most {MAX_GEODESIC_ROWS} output steps"
+        raise InvalidArgument(msg, path="t_end", constraint="maximum")
     tv = TangentVec(start.position, start.velocity)
     if not bool(m.in_domain_many(tv.base, tv.vec)):
         raise OutsideDomain("initial velocity is outside the conic domain")
@@ -520,38 +530,41 @@ class SeparationGraph:
 
 def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
     """The cell size h of the ``resolution``-per-axis grid on ``box``.
-    ValueError unless resolution >= 2, hi > lo on every axis, and the
+    InvalidArgument unless hi > lo on every axis, resolution >= 2, and the
     corners, hi - lo and h are finite with h > 0."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if not np.all(hi > lo):
-        raise ValueError(f"graph box needs hi > lo on every axis, got lo={lo}, hi={hi}")
+        raise InvalidArgument("box needs hi > lo on every axis", path="box", constraint="positive")
     if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+        raise InvalidArgument("resolution must be at least 2", path="resolution", constraint="minimum")
     # Python floats round as numpy's do and overflow to inf without a warning;
     # with hi > lo, a finite hi - lo makes both corners finite
     if not all(0 < (b - a) / (resolution - 1) < math.inf for a, b in zip(lo.tolist(), hi.tolist())):
-        raise ValueError(f"graph box needs finite corners, extent and cell size, got lo={lo}, hi={hi}")
+        raise InvalidArgument("box needs finite corners, extent and cell size", path="box", constraint="finite")
     return (hi - lo) / (resolution - 1)
 
 
 def grid_node_id(box: tuple, resolution: int, point) -> int:
     """Flat index of the node of the ``resolution``-per-axis grid on ``box``
-    nearest to ``point``; ValueError when the point lies outside the box or
-    more than half a cell from that node, or for a box :func:`grid_spacing` rejects."""
+    nearest to ``point``; InvalidArgument when the point is not one
+    coordinate per axis, lies outside the box or more than half a cell from
+    that node, or for a box :func:`grid_spacing` rejects."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     h = grid_spacing((lo, hi), resolution)
     point = np.asarray(point, dtype=float)
+    if point.shape != lo.shape:
+        raise InvalidArgument(f"point needs shape {lo.shape}, got {point.shape}", path="point", constraint="shape")
     with np.errstate(over="ignore"):
         pos = np.rint((point - lo) / h)
     if not np.all((pos >= 0) & (pos < resolution)):  # a NaN position fails too
-        raise ValueError(f"point {point} outside the graph box")
+        raise InvalidArgument(f"point {point} outside the graph box", path="point", constraint="grid")
     idx = pos.astype(int)
     # the node's coordinates exactly as build_separation_graph lays them out
     node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)]
     if np.linalg.norm(node - point) > 0.5 * float(np.max(h)):
-        raise ValueError(f"point {point} is not a grid node")
+        raise InvalidArgument(f"point {point} is not a grid node", path="point", constraint="grid")
     return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
 
 
@@ -586,10 +599,21 @@ def _edge_lengths(m: ConicMetric, starts: np.ndarray, delta: np.ndarray) -> tupl
     return kept, lengths[kept]
 
 
+def _stencil_radius(resolution: int, neighbor_radius: int) -> int:
+    """The neighbour radius clipped to resolution - 1: larger offsets leave every grid."""
+    return max(0, min(neighbor_radius, resolution - 1))
+
+
+def candidate_edges(n: int, resolution: int, neighbor_radius: int) -> int:
+    """Grid nodes times :func:`_offset_table` offsets: the edges that
+    :func:`build_separation_graph` tries, counted without allocating them."""
+    return resolution**n * ((2 * _stencil_radius(resolution, neighbor_radius) + 1) ** n - 1)
+
+
 def _offset_table(n: int, resolution: int, neighbor_radius: int) -> np.ndarray:
-    """The nonzero neighbour offsets (K, n) with |o_d| <= min(R, resolution - 1),
-    in lexicographic order; larger offsets leave every grid."""
-    r = max(0, min(neighbor_radius, resolution - 1))
+    """The nonzero neighbour offsets (K, n) with |o_d| <= the :func:`_stencil_radius`,
+    in lexicographic order."""
+    r = _stencil_radius(resolution, neighbor_radius)
     table = np.indices((2 * r + 1,) * n).reshape(n, -1).T - r
     return table[np.any(table != 0, axis=1)]
 
@@ -703,8 +727,8 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     more than ``EDGE_KRONROD_RTOL`` relative is redone with
     ``EDGE_QUAD_NODES``-point Simpson, whose points alone then decide its
     length and cone test.  A position-independent graph keeps its offset
-    table and F(offset) for the reduced query adjacencies.  ValueError for a
-    box :func:`grid_spacing` rejects.
+    table and F(offset) for the reduced query adjacencies.  InvalidArgument
+    for a box or resolution :func:`grid_spacing` rejects.
     """
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
@@ -754,8 +778,14 @@ class SeparationResult:
         return np.isfinite(self.value)
 
 
-def _as_node(graph: SeparationGraph, p) -> int:
+def _as_node(graph: SeparationGraph, p, name: str = "p") -> int:
+    """Flat index of the node ``p``, an integer in [0, N) or a point of the
+    grid (:meth:`SeparationGraph.node_id`); a boolean is neither."""
+    if isinstance(p, (bool, np.bool_)):
+        raise InvalidArgument(f"{name} must be a node index or a point, got {p!r}", path=name, constraint="integer")
     if isinstance(p, (int, np.integer)):
+        if not 0 <= p < graph.node_count:
+            raise InvalidArgument(f"node {p} is not in [0, {graph.node_count})", path=name, constraint="grid")
         return int(p)
     return graph.node_id(p)
 
@@ -786,7 +816,7 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
         delta.insert(0, db - da)
     s = max(1, -(-max(map(abs, delta)) // graph.neighbor_radius))
     # balanced base-(2r + 1) keys follow the lexicographic order of the table
-    base = 2 * min(graph.neighbor_radius, graph.resolution - 1) + 1
+    base = 2 * _stencil_radius(graph.resolution, graph.neighbor_radius) + 1
     place = [base**e for e in range(len(delta) - 1, -1, -1)]
     keys = (graph.offsets @ place).tolist()
     bound = 0.0
@@ -806,7 +836,7 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     with at least ``REDUCE_MIN_EDGES`` edges it stops past the
     :func:`_path_bound` of the pair (scipy's ``limit`` keeps a node at
     exactly that distance)."""
-    ip, iq = _as_node(graph, p), _as_node(graph, q)
+    ip, iq = _as_node(graph, p), _as_node(graph, q, "q")
     small = graph.matrix.nnz < REDUCE_MIN_EDGES
     limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
     dist, pred = _sp_dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
@@ -837,10 +867,12 @@ def reachability(graph: SeparationGraph, p) -> np.ndarray:
 
 
 def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> np.ndarray:
-    """Flat indices of the discrete forward/backward separation ball, by Dijkstra on ``graph.query``."""
+    """Flat indices of the discrete forward/backward separation ball, by
+    Dijkstra on ``graph.query``; a negative radius gives the empty ball."""
     ip = _as_node(graph, p)
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    check_ball_direction(direction)
+    if np.isnan(r):
+        raise InvalidArgument("r must be a number, got nan", path="r", constraint="number")
     # the backward ball is the forward ball of the reversed graph, whose
     # incoming adjacency is the original one
     mat, into = (graph.query, graph.incoming) if direction == "forward" else (graph.incoming, graph.query)

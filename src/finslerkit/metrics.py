@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainEmpty, NonFiniteSample, OutsideDomain
+from .errors import DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain
 from .minkowski import GaugeNorm
 from .numkernel import (
     DEFAULT_EIG_TOL,
@@ -28,6 +28,7 @@ from .numkernel import (
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_DIMENSION = len(_PRIMES)  # kronecker_sequence, and so unit_directions, has one prime per axis
 MAX_DRAWS_PER_SAMPLE = 400  # stream rows drawn per requested sample before the domain counts as empty
+MAX_SAMPLES = 10**6  # samples of a direction fan or a seeded draw, checked before any allocation
 
 
 @dataclass(frozen=True)
@@ -66,29 +67,39 @@ class TangentVec:
 def kronecker_sequence(count: int, dim: int) -> np.ndarray:
     """Deterministic low-discrepancy points in [0,1)^dim, for dim up to MAX_DIMENSION."""
     if dim > MAX_DIMENSION:
-        raise ValueError(f"kronecker_sequence supports at most {MAX_DIMENSION} dimensions, got {dim}")
+        msg = f"kronecker_sequence supports at most {MAX_DIMENSION} dimensions, got {dim}"
+        raise InvalidArgument(msg, path="dim", constraint="maximum")
     alphas = np.sqrt(np.array(_PRIMES[:dim], dtype=float))
     i = np.arange(1, count + 1, dtype=float)[:, None]
     return np.mod(0.5 + i * alphas[None, :], 1.0)
 
 
-def unit_directions(dim: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy directions on the unit sphere."""
+def _check_samples(samples: int):
+    """InvalidArgument at ``samples`` unless 1 <= samples <= MAX_SAMPLES."""
+    if not samples >= 1:
+        raise InvalidArgument("samples must be at least 1", path="samples", constraint="minimum")
+    if not samples <= MAX_SAMPLES:
+        raise InvalidArgument(f"samples must be at most {MAX_SAMPLES}", path="samples", constraint="maximum")
+
+
+def unit_directions(dim: int, samples: int) -> np.ndarray:
+    """``samples`` deterministic low-discrepancy directions on the unit sphere."""
+    _check_samples(samples)
     if dim == 1:
-        signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+        signs = np.where(np.arange(samples) % 2 == 0, 1.0, -1.0)
         return signs[:, None]
     if dim == 2:
-        theta = 2.0 * np.pi * np.arange(count) / count
+        theta = 2.0 * np.pi * np.arange(samples) / samples
         return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     if dim == 3:
         # Fibonacci sphere lattice
         golden = (1.0 + np.sqrt(5.0)) / 2.0
-        i = np.arange(count, dtype=float)
-        z = 1.0 - (2.0 * i + 1.0) / count
+        i = np.arange(samples, dtype=float)
+        z = 1.0 - (2.0 * i + 1.0) / samples
         phi = 2.0 * np.pi * i / golden
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
-    u = kronecker_sequence(count, dim)
+    u = kronecker_sequence(samples, dim)
     g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
@@ -102,6 +113,7 @@ def admissible_draws(rng, samples: int, dim: int, accept: Callable, paired: bool
     ``accept`` says of it, and is never picked.  ``DomainEmpty`` is raised
     when ``MAX_DRAWS_PER_SAMPLE * samples`` rows give too few picks.
     """
+    _check_samples(samples)
     block, cap = 2 * samples, MAX_DRAWS_PER_SAMPLE * samples
     picks, partners, found, skip = [], [], 0, 0  # skip: 1 when a block opens with the last pick's partner
     for _ in range(cap // block):
@@ -436,7 +448,8 @@ class ScanEntry:
 def convexity_scan(
     m: ConicMetric, base, samples: int, tolerance: float = DEFAULT_EIG_TOL
 ) -> list[ScanEntry]:
-    """Classify the fundamental tensor on a deterministic fan of directions."""
+    """Classify the fundamental tensor on a fan of ``samples`` directions
+    (:func:`unit_directions`, which checks ``samples``)."""
     base = np.asarray(base, dtype=float)
     dirs = unit_directions(m.dimension, samples)
     ok, _, tensors = m.jet(np.broadcast_to(base, dirs.shape), dirs, with_tensor=True)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateDirection, NoBracket, NonFiniteSample, OutsideCone
+from .errors import DegenerateDirection, InvalidArgument, NoBracket, NonFiniteSample, OutsideCone
 from .numkernel import GRAD_STEP, central_derivatives, fd_hessian, ray_root
 
 TWO_PI = 2.0 * np.pi
@@ -232,16 +232,18 @@ def fundamental_tensor_norm(norm: GaugeNorm, v: np.ndarray) -> np.ndarray:
     return g
 
 
+def check_ball_direction(direction: str):
+    """InvalidArgument at ``direction`` unless it names a ball: 'forward' or 'backward'."""
+    if direction not in ("forward", "backward"):
+        raise InvalidArgument(f"direction must be 'forward' or 'backward', got {direction!r}", path="direction")
+
+
 def affine_ball(norm: GaugeNorm, center, radius: float, direction: str, probe) -> bool:
     """Membership of ``probe`` in the forward/backward affine ball at ``center``."""
+    check_ball_direction(direction)
     center = np.asarray(center, dtype=float)
     probe = np.asarray(probe, dtype=float)
-    if direction == "forward":
-        d = probe - center
-    elif direction == "backward":
-        d = center - probe
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    d = probe - center if direction == "forward" else center - probe
     if not bool(norm.member(d)):
         return False
     return float(norm.value_unchecked(d)) < radius

@@ -1,0 +1,193 @@
+"""The library checks its own arguments: each rule raises one InvalidArgument
+whose path is the parameter name, before any work of the size it guards."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from finslerkit import combinators as cb
+from finslerkit import geodesy as gd
+from finslerkit import metrics as me
+from finslerkit import minkowski as mk
+from finslerkit.errors import FinslerError, InvalidArgument, ValidationError
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "finslerkit"
+BOX = ([-1.0, -1.0], [1.0, 1.0])
+
+
+def _rejects(call, path, constraint):
+    with pytest.raises(InvalidArgument) as err:
+        call()
+    assert (err.value.path, err.value.constraint) == (path, constraint), str(err.value)
+    return err.value
+
+
+@pytest.fixture(scope="module")
+def euclid():
+    return me.euclidean_metric(2)
+
+
+@pytest.fixture(scope="module")
+def graph(euclid):
+    """Euclidean 2-D graph on [-1, 1]^2, res 5 and R 1: 25 nodes."""
+    return gd.build_separation_graph(euclid, BOX, 5, 1)
+
+
+def test_invalid_argument_is_a_validation_error_and_a_value_error():
+    exc = InvalidArgument("samples must be at least 1", path="samples", constraint="minimum")
+    assert isinstance(exc, ValidationError) and isinstance(exc, ValueError) and isinstance(exc, FinslerError)
+    assert exc.code == "validation_error"
+
+
+def _bare_raises(tree: ast.AST):
+    """(function, line) of each ``raise ValueError``/``raise TypeError`` in a module."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                    found.append((func, child.lineno))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_bare_value_or_type_error_in_the_library():
+    # integrate_1d's TypeError is internal control flow: it never leaves the function
+    bare = {
+        path.name: [(f, line) for f, line in _bare_raises(ast.parse(path.read_text())) if f != "integrate_1d"]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in bare.items() if found} == {}
+    assert _bare_raises(ast.parse("def f():\n    raise ValueError('x')\n")) == [("f", 2)]
+
+
+class TestSamples:
+    @pytest.mark.parametrize("samples, constraint", [(0, "minimum"), (-3, "minimum"), (float("nan"), "minimum"),
+                                                     (10**6 + 1, "maximum"), (1e308, "maximum")])
+    def test_each_sampler_checks_samples(self, euclid, samples, constraint):
+        rng = np.random.default_rng(0)
+        _rejects(lambda: me.unit_directions(2, samples), "samples", constraint)
+        _rejects(lambda: me.convexity_scan(euclid, [0.0, 0.0], samples), "samples", constraint)
+        _rejects(lambda: me.admissible_draws(rng, samples, 2, lambda vs: np.ones(len(vs), bool)), "samples", constraint)
+
+    def test_cap_is_checked_before_any_allocation(self, euclid, monkeypatch):
+        monkeypatch.setattr(me, "MAX_SAMPLES", 5)
+        rng = np.random.default_rng(0)
+        assert len(me.convexity_scan(euclid, [0.0, 0.0], 5)) == 5
+        assert me.admissible_draws(rng, 5, 2, lambda vs: np.ones(len(vs), bool)).shape == (5, 2)
+        err = _rejects(lambda: me.convexity_scan(euclid, [0.0, 0.0], 6), "samples", "maximum")
+        assert str(err) == "samples must be at most 5"
+        _rejects(lambda: me.admissible_draws(rng, 6, 2, lambda vs: np.ones(len(vs), bool)), "samples", "maximum")
+        _rejects(lambda: me.unit_directions(3, 6), "samples", "maximum")
+
+    def test_kronecker_dimension(self):
+        _rejects(lambda: me.kronecker_sequence(5, me.MAX_DIMENSION + 1), "dim", "maximum")
+
+
+class TestGeodesicSpan:
+    def test_row_cap(self, euclid, monkeypatch):
+        monkeypatch.setattr(gd, "MAX_GEODESIC_ROWS", 10)
+        start = gd.GeodesicState([0.0, 0.0], [1.0, 0.0], 0.0)
+        assert len(gd.geodesic_shoot(euclid, start, 1.0, 0.1)) == 11
+        err = _rejects(lambda: gd.geodesic_shoot(euclid, start, 1.0, 0.09), "t_end", "maximum")
+        assert str(err) == "t_end / step must be at most 10 output steps"
+
+    def test_overflowing_ratio_is_capped(self, euclid):
+        start = gd.GeodesicState([0.0, 0.0], [1.0, 0.0], 0.0)
+        _rejects(lambda: gd.geodesic_shoot(euclid, start, 1e308, 1e-10), "t_end", "maximum")
+
+
+class TestGridRules:
+    @pytest.mark.parametrize(
+        "box, resolution, path, constraint",
+        [
+            (([0.0, 0.0], [0.0, 1.0]), 11, "box", "positive"),
+            (([0.0, 0.0], [1.0, np.nan]), 11, "box", "positive"),
+            (([0.0, 0.0], [1.0, 1.0]), 1, "resolution", "minimum"),
+            (([0.0, 0.0], [1.0, 1.0]), -4, "resolution", "minimum"),
+            (([-np.inf, 0.0], [1.0, 1.0]), 11, "box", "finite"),
+            (([-1e308, 0.0], [1e308, 1.0]), 11, "box", "finite"),
+            (([0.0, 0.0], [5e-324, 1.0]), 11, "box", "finite"),
+        ],
+    )
+    def test_grid_spacing_owns_the_box_and_resolution(self, euclid, box, resolution, path, constraint):
+        _rejects(lambda: gd.grid_spacing(box, resolution), path, constraint)
+        _rejects(lambda: gd.grid_node_id(box, resolution, [0.0, 0.0]), path, constraint)
+        _rejects(lambda: gd.build_separation_graph(euclid, box, resolution, 1), path, constraint)
+
+    @pytest.mark.parametrize(
+        "point, constraint", [([0.0], "shape"), ([0.0, 0.0, 0.0], "shape"), (0.0, "shape"), ([5.0, 0.0], "grid"),
+                              ([0.25, 0.25], "grid")]
+    )
+    def test_grid_node_id_checks_the_point(self, point, constraint):
+        _rejects(lambda: gd.grid_node_id(BOX, 5, point), "point", constraint)
+
+    @pytest.mark.parametrize("n, resolution, radius", [(1, 2, 1), (2, 5, 1), (2, 5, 3), (2, 3, 10**6), (3, 4, 2)])
+    def test_candidate_edges_counts_nodes_times_offsets(self, euclid, n, resolution, radius):
+        count = gd.candidate_edges(n, resolution, radius)
+        assert count == resolution**n * len(gd._offset_table(n, resolution, radius))
+        # the build keeps at most the edges it tries
+        metric = me.euclidean_metric(n)
+        g = gd.build_separation_graph(metric, ([-1.0] * n, [1.0] * n), resolution, radius)
+        assert g.matrix.nnz <= count
+
+    def test_candidate_edges_of_huge_grids_need_no_allocation(self):
+        assert gd.candidate_edges(2, 10**154, 1) == 8 * 10**308
+
+
+class TestGraphQueries:
+    """Inputs that gave a silently wrong answer or an untyped error."""
+
+    def test_point_of_the_wrong_shape(self, graph):
+        _rejects(lambda: gd.separation(graph, [0.0], 0), "point", "shape")
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_boolean_is_not_a_node(self, graph, flag):
+        _rejects(lambda: gd.separation(graph, flag, 3), "p", "integer")
+        _rejects(lambda: gd.separation(graph, 3, flag), "q", "integer")
+
+    @pytest.mark.parametrize("node", [-1, 25, np.int64(-3), 10**30])
+    def test_node_index_outside_the_grid(self, graph, node):
+        _rejects(lambda: gd.separation(graph, node, 0), "p", "grid")
+        _rejects(lambda: gd.separation(graph, 0, node), "q", "grid")
+        _rejects(lambda: gd.reachability(graph, node), "p", "grid")
+        _rejects(lambda: gd.df_ball(graph, node, 1.0), "p", "grid")
+
+    def test_ball_radius(self, graph):
+        _rejects(lambda: gd.df_ball(graph, 12, np.nan), "r", "number")
+        assert gd.df_ball(graph, 12, -1.0).size == 0
+        assert gd.df_ball(graph, 12, np.inf).size == graph.node_count
+
+
+class TestDirection:
+    def test_one_rule_for_both_balls(self, graph):
+        norm = mk.gauge_from_curve(mk.unit_circle_curve())
+        for call in (
+            lambda: mk.check_ball_direction("sideways"),
+            lambda: gd.df_ball(graph, 0, 0.5, "sideways"),
+            lambda: mk.affine_ball(norm, [0.0, 0.0], 1.0, "sideways", [0.5, 0.0]),
+        ):
+            err = _rejects(call, "direction", "")
+            assert str(err) == "direction must be 'forward' or 'backward', got 'sideways'"
+        assert mk.affine_ball(norm, [0.0, 0.0], 1.0, "backward", [0.5, 0.0])
+
+
+class TestCombinatorArguments:
+    def test_combine(self):
+        e2, e3 = me.euclidean_metric(2), me.euclidean_metric(3)
+        _rejects(lambda: cb.combine(cb.sum_combiner(2), [e2], []), "metrics", "shape")
+        _rejects(lambda: cb.combine(cb.sum_combiner(2), [e2, e3], []), "metrics", "dimension")
+        _rejects(lambda: cb.combine(cb.sum_combiner(0), [], []), "metrics", "minimum")
+
+    def test_reversibilize_mode(self):
+        _rejects(lambda: cb.reversibilize(me.euclidean_metric(2), "cubic"), "mode", "")
+
+    def test_curve_type(self, euclid):
+        _rejects(lambda: gd.curve_length(euclid, [[0.0, 0.0], [1.0, 0.0]]), "curve", "type")

@@ -27,7 +27,7 @@ from finslerkit.cli import (
 from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
-from finslerkit.errors import DomainEmpty, FinslerError, ParseError, StepBudget, ValidationError
+from finslerkit.errors import DomainEmpty, FinslerError, InvalidArgument, ParseError, StepBudget, ValidationError
 
 BUILTINS = [
     "euclidean",
@@ -46,6 +46,12 @@ BUILTINS = [
     "randers_posdep",
     "wavy_ex212",
 ]
+
+
+def _is_config_path(exc: ValidationError) -> bool:
+    """A CLI error names a config path (``run``, ``run.<...>`` or ``metric<...>``),
+    never a bare library parameter."""
+    return not isinstance(exc, InvalidArgument) and (exc.path == "run" or exc.path.startswith(("run.", "metric")))
 
 
 class TestParseConfig:
@@ -195,6 +201,8 @@ class TestMalformedConfig:
             ({"type": "euclidean", "dimension": "2"}, {}, "metric.dimension"),
             ({"type": "euclidean"}, {"seed": "1"}, "run.seed"),
             ({"type": "euclidean"}, {"tolerance": "1e-9"}, "run.tolerance"),
+            # a top-level run key that is not a setting or a command
+            ({"type": "euclidean"}, {"seeed": 5}, "run.seeed"),
         ],
     )
     def test_non_numeric_scalar_names_path(self, metric, run, path):
@@ -271,7 +279,7 @@ class TestMalformedConfig:
         spec, cfg = parse_config(json.dumps(doc))
         with pytest.raises(ValidationError) as err:
             run_command(command, spec, cfg)
-        assert err.value.path == path
+        assert err.value.path == path and _is_config_path(err.value)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
@@ -328,7 +336,7 @@ class TestMalformedConfig:
         spec, cfg = parse_config(json.dumps(doc))
         with pytest.raises(ValidationError) as err:
             run_command(command, spec, cfg)
-        assert err.value.path == path
+        assert err.value.path == path and _is_config_path(err.value)
         assert err.value.constraint in ("minimum", "maximum", "positive", "integer")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -370,7 +378,7 @@ class TestMalformedConfig:
         spec, cfg = parse_config(json.dumps(doc))
         with pytest.raises(ValidationError) as err:
             run_command(command, spec, cfg)
-        assert err.value.path == path
+        assert err.value.path == path and _is_config_path(err.value)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 2
@@ -789,6 +797,43 @@ class TestBatchedCommands:
                 {"metric": {"type": "euclidean"}, "run": {"scan": {"samples": "12"}}},
                 "error [validation_error] at run.scan.samples: expected an integer, got '12'\n",
             ),
+            # rules the library owns, reported at their config path with the same lines as before
+            (
+                {"metric": {"type": "euclidean"}, "run": {"scan": {"samples": 1000001}}},
+                "error [validation_error] at run.scan.samples: samples must be at most 1000000\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"geodesic": {"velocity": [1, 0], "t_end": 0}}},
+                "error [validation_error] at run.geodesic.t_end: t_end must be positive\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"geodesic": {"velocity": [1, 0], "step": float("inf")}}},
+                "error [validation_error] at run.geodesic.step: step must be finite\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"geodesic": {"velocity": [1, 0], "t_end": 1e5}}},
+                "error [validation_error] at run.geodesic.t_end: t_end / step must be at most 1000000 output steps\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"reach": {"box": [[-1, -1], [1, 1]], "source": [0, 0],
+                                                                    "resolution": 1}}},
+                "error [validation_error] at run.reach.resolution: resolution must be at least 2\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"ball": {"box": [[-1, -1], [1, 1]], "center": [0, 0],
+                                                                   "radius": 0.3, "direction": "sideways"}}},
+                "error [validation_error] at run.ball.direction: direction must be 'forward' or 'backward', got "
+                "'sideways'\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"separation": {"box": [[-1, -1], [1, 1]],
+                                                                         "source": [0.04, 0.04], "target": [0, 0]}}},
+                "error [validation_error] at run.separation.source: source: point [0.04 0.04] is not a grid node\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"scan": {}, "seeed": 5}},
+                "error [validation_error] at run.seeed: unknown run key 'seeed'\n",
+            ),
         ],
     )
     def test_validation_error_line_names_its_path(self, doc, line, tmp_path, capsys):
@@ -1022,6 +1067,34 @@ class TestMainEntry:
             main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
 
 
+class TestLibraryRules:
+    """Rules the library owns reach the CLI as a ValidationError at ``run.<cmd>.<parameter>``."""
+
+    GRID = {"box": [[-1, -1], [1, 1]], "source": [0, 0]}
+
+    @pytest.mark.parametrize(
+        "command, module, name",
+        [("scan", me, "convexity_scan"), ("geodesic", gd, "geodesic_shoot"), ("expmap", gd, "exp_map"),
+         ("reach", gd, "build_separation_graph"), ("indicatrix", me, "unit_directions")],
+    )
+    def test_any_library_argument_error_gets_the_command_prefix(self, command, module, name, monkeypatch):
+        def reject(*args, **kwargs):
+            raise InvalidArgument("bad", path="param", constraint="minimum")
+
+        monkeypatch.setattr(module, name, reject)
+        doc = json.loads(builtin_config("randers"))
+        doc["run"] = {command: {"velocity": [1, 0], **self.GRID}}
+        with pytest.raises(ValidationError) as err:
+            run_command(command, *parse_config(json.dumps(doc)))
+        assert type(err.value) is ValidationError and isinstance(err.value.__cause__, InvalidArgument)
+        assert (err.value.path, err.value.constraint, str(err.value)) == (f"run.{command}.param", "minimum", "bad")
+
+    def test_unknown_run_key(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"metric": {"type": "euclidean"}, "run": {"seeed": 5}}))
+        assert (err.value.path, err.value.constraint) == ("run.seeed", "unknown_key")
+
+
 # One- and two-leaf mutations of the shipped configs: a node (leaf or section)
 # set to one of these values, or its key deleted.  No value raises a size
 # within a cap (1e308 exceeds every cap), so each example stays cheap.
@@ -1061,6 +1134,6 @@ class TestConfigFuzz:
         try:
             run_command(command, *parse_config(json.dumps(doc)))
         except ValidationError as exc:
-            assert exc.path, exc
+            assert _is_config_path(exc), (exc.path, exc)
         except FinslerError:
             pass

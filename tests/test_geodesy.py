@@ -14,7 +14,7 @@ from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.cli import build_metric, builtin_config, parse_config
-from finslerkit.errors import DegenerateTensor, DomainEmpty, LeftDomain, NotAdmissible
+from finslerkit.errors import DegenerateTensor, DomainEmpty, InvalidArgument, LeftDomain, NotAdmissible
 from finslerkit.numkernel import simpson_weights
 
 BASE = np.zeros(2)
@@ -147,8 +147,13 @@ class TestGeodesicShoot:
         "t_end, step", [(-1.0, 0.01), (0.0, 0.01), (np.inf, 0.01), (np.nan, 0.01), (1.0, 0.0), (1.0, np.inf), (1.0, np.nan)]
     )
     def test_non_finite_or_non_positive_span_rejected(self, euclid, t_end, step):
-        with pytest.raises(ValueError, match="finite and positive"):
+        # t_end is checked first, each for positive then finite, at its own parameter
+        name, value = ("t_end", t_end) if not 0 < t_end < np.inf else ("step", step)
+        rule = "finite" if value == np.inf else "positive"
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}$") as err:
             gd.geodesic_shoot(euclid, gd.GeodesicState([0, 0], [1, 0], 0.0), t_end, step)
+        assert isinstance(err.value, InvalidArgument)
+        assert (err.value.path, err.value.constraint) == (name, rule)
 
     def test_left_domain_reports_exit_parameter(self):
         with pytest.raises(LeftDomain) as err:
@@ -925,20 +930,46 @@ class TestDfBall:
         assert fractions[1] > fractions[0] > 0
 
 
-# Reference graph queries: a full Dijkstra, a CSR column slice for the edges
-# into the source and a per-call transpose.  The library's queries must give
-# the same bits.
+# Reference graph queries: a full Dijkstra on ``graph.matrix`` (or its
+# transpose, for backward balls) and a Python loop over the edges into the
+# source.  The library's queries must give the same bits.
 
 
-def _ref_separation(graph, p, q):
+class _Reference:
+    """The full-graph searches of one graph.  The transpose is built once, and
+    the latest source's search is kept, so the p -> p and p -> q separations
+    and the balls of several radii around one node share one Dijkstra."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.matrix = {"forward": graph.matrix, "backward": graph.matrix.T.tocsr()}
+        self._last = {}
+
+    def search(self, direction, ip):
+        """(dist, pred) of the full Dijkstra from ip on the forward or reversed graph."""
+        if (direction, ip) not in self._last:
+            self._last = {(direction, ip): dijkstra(
+                self.matrix[direction], directed=True, indices=ip, return_predecessors=True
+            )}
+        return self._last[direction, ip]
+
+    def into(self, direction, ip):
+        """(sources, weights) of the edges into ip of the forward or reversed graph, by source."""
+        mat = self.matrix["backward" if direction == "forward" else "forward"]  # row ip: the edges into ip
+        lo, hi = mat.indptr[ip], mat.indptr[ip + 1]
+        order = np.argsort(mat.indices[lo:hi], kind="stable")
+        return mat.indices[lo:hi][order], mat.data[lo:hi][order]
+
+
+def _ref_separation(ref, p, q):
+    graph = ref.graph
     ip, iq = gd._as_node(graph, p), gd._as_node(graph, q)
-    dist, pred = dijkstra(graph.matrix, directed=True, indices=ip, return_predecessors=True)
+    dist, pred = ref.search("forward", ip)
     empty = np.zeros((0, graph.nodes.shape[1]))
     if ip == iq:
-        incoming = graph.matrix[:, ip].tocoo()
         val = np.inf
         best = -1
-        for j, wgt in zip(incoming.row, incoming.data):
+        for j, wgt in zip(*ref.into("forward", ip)):
             if dist[j] + wgt < val:
                 val, best = dist[j] + wgt, int(j)
         if best < 0:
@@ -959,23 +990,20 @@ def _ref_separation(graph, p, q):
     return gd.SeparationResult(value=val, witness_path=graph.nodes[np.array(path)])
 
 
-def _ref_reachability(graph, p):
-    ip = gd._as_node(graph, p)
-    dist = dijkstra(graph.matrix, directed=True, indices=ip)
+def _ref_reachability(ref, p):
+    ip = gd._as_node(ref.graph, p)
+    dist = ref.search("forward", ip)[0]
     mask = np.isfinite(dist)
-    incoming = graph.matrix[:, ip].tocoo()
-    mask[ip] = any(np.isfinite(dist[j]) for j in incoming.row)
+    mask[ip] = any(np.isfinite(dist[j]) for j in ref.into("forward", ip)[0])
     return np.flatnonzero(mask)
 
 
-def _ref_df_ball(graph, p, r, direction="forward"):
-    ip = gd._as_node(graph, p)
-    mat = graph.matrix if direction == "forward" else graph.matrix.T.tocsr()
-    dist = dijkstra(mat, directed=True, indices=ip)
+def _ref_df_ball(ref, p, r, direction="forward"):
+    ip = gd._as_node(ref.graph, p)
+    dist = ref.search(direction, ip)[0]
     mask = dist < r
-    incoming = mat[:, ip].tocoo()
     own = np.inf
-    for j, wgt in zip(incoming.row, incoming.data):
+    for j, wgt in zip(*ref.into(direction, ip)):
         own = min(own, dist[j] + wgt)
     mask[ip] = own < r
     return np.flatnonzero(mask)
@@ -1039,23 +1067,27 @@ class TestGraphQueriesMatchReference:
         metric = build_metric(parse_config(json.dumps({"metric": {"type": kind, **extra}}))[0]).metric
         return gd.build_separation_graph(metric, tuple(np.array(c) for c in box), res, rad)
 
-    def test_separation(self, graph):
+    @pytest.fixture(scope="class")
+    def ref(self, graph):
+        return _Reference(graph)
+
+    def test_separation(self, graph, ref):
         rng = np.random.default_rng(5)
         for p in range(graph.node_count):
-            _same_separation(gd.separation(graph, p, p), _ref_separation(graph, p, p))
+            _same_separation(gd.separation(graph, p, p), _ref_separation(ref, p, p))
             q = int(rng.integers(graph.node_count))
-            _same_separation(gd.separation(graph, p, q), _ref_separation(graph, p, q))
+            _same_separation(gd.separation(graph, p, q), _ref_separation(ref, p, q))
 
-    def test_reachability(self, graph):
+    def test_reachability(self, graph, ref):
         for p in range(0, graph.node_count, 3):
-            _same_indices(gd.reachability(graph, p), _ref_reachability(graph, p))
+            _same_indices(gd.reachability(graph, p), _ref_reachability(ref, p))
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_df_ball(self, graph, direction):
+    def test_df_ball(self, graph, ref, direction):
         rng = np.random.default_rng(6)
         for p in range(0, graph.node_count, 5):
             for r in (0.0, float(rng.uniform(0.05, 1.5)), np.inf):
-                _same_indices(gd.df_ball(graph, p, r, direction), _ref_df_ball(graph, p, r, direction))
+                _same_indices(gd.df_ball(graph, p, r, direction), _ref_df_ball(ref, p, r, direction))
 
 
 class TestHandMadeGraph:
@@ -1065,13 +1097,14 @@ class TestHandMadeGraph:
 
     def test_matches_reference(self):
         g = _hand_graph()
+        ref = _Reference(g)
         for p in range(5):
-            _same_indices(gd.reachability(g, p), _ref_reachability(g, p))
+            _same_indices(gd.reachability(g, p), _ref_reachability(ref, p))
             for q in range(5):
-                _same_separation(gd.separation(g, p, q), _ref_separation(g, p, q))
+                _same_separation(gd.separation(g, p, q), _ref_separation(ref, p, q))
             for r in (0.0, 0.1, 0.3, 0.6, np.inf):
                 for direction in ("forward", "backward"):
-                    _same_indices(gd.df_ball(g, p, r, direction), _ref_df_ball(g, p, r, direction))
+                    _same_indices(gd.df_ball(g, p, r, direction), _ref_df_ball(ref, p, r, direction))
 
     def test_values(self):
         g = _hand_graph()
@@ -1289,8 +1322,9 @@ class TestReducedStencils:
             mp.setattr(gd, "REDUCE_MIN_EDGES", 0)  # reduce these small graphs too
             g = _config_graph(tree, ((-1.0, 0.0), (width - 1.0, 2.0)), resolution, radius)
             p, q, c, d = (k % g.node_count for k in picks)
-            _same_separation(gd.separation(g, p, q), _ref_separation(g, p, q))
-            _same_separation(gd.separation(g, p, p), _ref_separation(g, p, p))
-            _same_indices(gd.reachability(g, c), _ref_reachability(g, c))
+            ref = _Reference(g)
+            _same_separation(gd.separation(g, p, q), _ref_separation(ref, p, q))
+            _same_separation(gd.separation(g, p, p), _ref_separation(ref, p, p))
+            _same_indices(gd.reachability(g, c), _ref_reachability(ref, c))
             for direction in ("forward", "backward"):
-                _same_indices(gd.df_ball(g, d, r, direction), _ref_df_ball(g, d, r, direction))
+                _same_indices(gd.df_ball(g, d, r, direction), _ref_df_ball(ref, d, r, direction))
