@@ -46,41 +46,12 @@ from .numkernel import central_derivatives
 MAX_GRAPH_EDGES = 10**7  # candidate edges (geodesy.candidate_edges) of a graph command, checked before the build
 MAX_LOBES = 10**4  # largest wavy_example lobe count
 
-COMMANDS = (
-    "eval",
-    "tensor",
-    "classify",
-    "scan",
-    "detcheck",
-    "geodesic",
-    "expmap",
-    "gauss",
-    "separation",
-    "ball",
-    "reach",
-    "indicatrix",
-    "oracle",
+_EXPR_NAMES = dict(
+    {name: getattr(np, name) for name in
+     "sin cos tan arctan arctan2 sinh cosh tanh exp log sqrt abs sign minimum maximum".split()},
+    pi=math.pi,
+    e=math.e,
 )
-
-_EXPR_NAMES = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "arctan": np.arctan,
-    "arctan2": np.arctan2,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "sign": np.sign,
-    "minimum": np.minimum,
-    "maximum": np.maximum,
-    "pi": math.pi,
-    "e": math.e,
-}
 # the syntax of an expression besides names and numbers: arithmetic, comparisons and calls
 _EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call, ast.Load, ast.operator, ast.unaryop,
                ast.cmpop)
@@ -128,32 +99,22 @@ def compile_expr(expr, variables: tuple[str, ...], path: str):
     return fn
 
 
-def _position_vars(dim: int) -> tuple[str, ...]:
-    letters = ("x", "y", "z")[:dim] if dim <= 3 else ()
-    indexed = tuple(f"x{i+1}" for i in range(dim))
-    return letters + indexed
-
-
-def _split_position(x: np.ndarray, dim: int):
-    x = np.asarray(x, dtype=float)
-    comps = [x[..., i] for i in range(dim)]
-    letters = comps[: 3 if dim <= 3 else 0]
-    return tuple(letters) + tuple(comps)
-
-
 def _expr_field(exprs: list, dim: int, path: str, nested: bool = False):
-    """``(field, constant)`` of a list (``nested``: a list of lists) of position expressions:
-    ``field(x)`` stacks their values on trailing axes, ``constant`` says none names a position."""
-    vars_ = _position_vars(dim)
+    """``(field, constant)`` of a list (``nested``: a list of lists) of position expressions
+    in ``x, y, z`` (up to 3 dimensions) and ``x1 .. xN``: ``field(x)`` stacks their values
+    on trailing axes, ``constant`` says none names a position."""
+    letters = ("x", "y", "z")[:dim] if dim <= 3 else ()
+    variables = letters + tuple(f"x{i+1}" for i in range(dim))
     fns = [
-        [compile_expr(e, vars_, f"{path}[{i}][{j}]" if nested else f"{path}[{j}]") for j, e in enumerate(row)]
+        [compile_expr(e, variables, f"{path}[{i}][{j}]" if nested else f"{path}[{j}]") for j, e in enumerate(row)]
         for i, row in enumerate(exprs if nested else [exprs])
     ]
 
     def field(x):
-        args = _split_position(x, dim)
-        shape = np.asarray(x)[..., 0].shape
-        rows = [np.stack([np.broadcast_to(fn(*args), shape) for fn in row], axis=-1) for row in fns]
+        x = np.asarray(x, dtype=float)
+        comps = [x[..., i] for i in range(dim)]
+        args = comps[: len(letters)] + comps
+        rows = [np.stack([np.broadcast_to(fn(*args), x.shape[:-1]) for fn in row], axis=-1) for row in fns]
         return np.stack(rows, axis=-2) if nested else rows[0]
 
     return field, not any(fn.variables_used for row in fns for fn in row)
@@ -184,7 +145,8 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parsing: one walk over the metric tree validates and builds it
+# Parsing: one check of every object's keys, then one walk over the metric
+# tree validates and builds it
 # ---------------------------------------------------------------------------
 
 
@@ -209,6 +171,43 @@ def _num(value, path: str, kind=float):
         raise ValidationError(f"{value!r} is out of range", path=path, constraint="finite") from exc
 
 
+def _float(value, path: str, dim: int = 0) -> float:
+    return _num(value, path)
+
+
+def _int(value, path: str, dim: int = 0) -> int:
+    return _num(value, path, int)
+
+
+def _text(value, path: str, dim: int = 0) -> str:
+    return str(value)
+
+
+def _point(value, path: str, dim: int) -> np.ndarray:
+    """A point or vector of the config: a list of ``dim`` numbers."""
+    _require(isinstance(value, list) and len(value) == dim, f"expected a list of {dim} numbers", path, "shape")
+    return np.array([_num(x, f"{path}[{i}]") for i, x in enumerate(value)])
+
+
+def _vectors(value, path: str, dim: int) -> np.ndarray:
+    """A (K, N) vector stack; :func:`_point` names a bad entry, and reads every
+    list when one holds a boolean or a string, which numpy would take for a number."""
+    _require(isinstance(value, list), f"vectors must be a list of {dim}-vectors", path, "shape")
+    try:
+        vecs = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a malformed entry, named below
+        vecs = np.empty(0)
+    if vecs.ndim != 2 or vecs.shape[1] != dim or any(type(x) in (bool, str) for row in value for x in row):
+        vecs = np.array([_point(v, f"{path}[{i}]", dim) for i, v in enumerate(value)]).reshape(-1, dim)
+    return vecs
+
+
+def _box(value, path: str, dim: int) -> tuple:
+    """A graph box ``[lo, hi]`` of two points."""
+    _require(isinstance(value, list) and len(value) == 2, "box must be [lo, hi]", path, "shape")
+    return tuple(_point(c, f"{path}[{i}]", dim) for i, c in enumerate(value))
+
+
 def _dimension(value, path: str) -> int:
     """A chart dimension read at ``path``; above ``metrics.MAX_DIMENSION`` it is a
     ValidationError, raised before anything of that size is allocated."""
@@ -217,10 +216,44 @@ def _dimension(value, path: str) -> int:
     return dim
 
 
+def _known_keys(obj: dict, keys: str, path: str, what: str, common: tuple = ()):
+    """Check the keys of a config object against ``common`` and ``keys``, names
+    that ``" | "`` splits into alternatives: another key is a ValidationError at
+    its path (constraint ``unknown_key``), keys of two alternatives one at the
+    object (constraint ``exclusive``)."""
+    groups = [set(group.split()) for group in keys.split("|")]
+    for key in obj:
+        known = key in common or any(key in group for group in groups)
+        _require(known, f"unknown {what} key {key!r}", f"{path}.{key}", "unknown_key")
+    held = [next(k for k in obj if k in group) for group in groups if obj.keys() & group]
+    if len(held) > 1:
+        raise ValidationError(f"{what} takes {held[0]!r} or {held[1]!r}, not both", path=path, constraint="exclusive")
+
+
+def _check_keys(value, path: str, kind: str = "node"):
+    """Check the keys of every node, form and profile of a metric (sub)tree of
+    ``kind`` (``node``, ``form``, ``profile``, or a list of nodes or forms)
+    against the node table; a value of the wrong shape is left to its builder."""
+    if kind in ("nodes", "forms"):
+        for i, item in enumerate(value if isinstance(value, list) else ()):
+            _check_keys(item, f"{path}[{i}]", kind[:-1])
+    elif not isinstance(value, dict):
+        return
+    elif kind != "node":
+        _known_keys(value, _FORM_KEYS if kind == "form" else _PROFILE_KEYS, path, kind)
+    elif isinstance(value.get("type"), str) and value["type"] in _NODES:
+        _known_keys(value, _NODES[value["type"]][1], path, f"{value['type']} node", ("type",))
+        for key, child in value.items():
+            if key in _CHILDREN:
+                _check_keys(child, f"{path}.{key}", _CHILDREN[key])
+
+
 def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
     """Parse a JSON config into (MetricSpec, RunConfig), building the metric.
 
-    Every malformed metric node raises a ValidationError naming its path.
+    An unknown key of any node, form, profile or ``run`` section (also of a
+    command that is not run) is a ValidationError at its path, found before
+    anything is built; then every malformed metric node raises one naming its path.
     """
     try:
         doc = json.loads(text)
@@ -228,23 +261,21 @@ def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, path="") from exc
     if not isinstance(doc, dict) or "metric" not in doc:
         raise ValidationError("config must be an object with a 'metric' section", path="metric")
-    tree = doc["metric"]
+    for key in doc:
+        _require(key in ("metric", "run"), f"unknown config key {key!r}", key, "unknown_key")
+    tree, run = doc["metric"], doc.get("run", {})
+    _require(isinstance(run, dict), "'run' section must be an object", "run")
+    _check_keys(tree, "metric")
+    _known_keys(run, " ".join(("seed", "tolerance", "dimension") + COMMANDS), "run", "run")
+    for cmd in COMMANDS:
+        if cmd in run:
+            _require(isinstance(run[cmd], dict), f"run.{cmd} must be an object", f"run.{cmd}", "object")
+            _known_keys(run[cmd], " ".join(key for key, _, _ in _COMMANDS[cmd][1:]), f"run.{cmd}", cmd)
     built = _build_node(tree, "metric")
     dim = built.metric.dimension
-
-    run = doc.get("run", {})
-    if not isinstance(run, dict):
-        raise ValidationError("'run' section must be an object", path="run")
-    for key in run:
-        known = key in ("seed", "tolerance", "dimension") or key in COMMANDS
-        _require(known, f"unknown run key {key!r}", f"run.{key}", "unknown_key")
     declared = run.get("dimension")
-    if declared is not None and _num(declared, "run.dimension", int) != dim:
-        raise ValidationError(
-            f"run.dimension={declared} but the metric has dimension {dim}",
-            path="run.dimension",
-            constraint="dimension",
-        )
+    matches = declared is None or _num(declared, "run.dimension", int) == dim
+    _require(matches, f"run.dimension={declared} but the metric has dimension {dim}", "run.dimension", "dimension")
     tol = _num(run.get("tolerance", 1e-9), "run.tolerance")
     _require(tol > 0, "tolerance must be positive", "run.tolerance", "positive")
     params = {k: v for k, v in run.items() if k not in ("dimension", "seed", "tolerance")}
@@ -267,31 +298,54 @@ def build_metric(spec: MetricSpec) -> BuiltMetric:
 def _build_form(node, path: str) -> tuple[me.OneFormAtom, int]:
     """One-form node {'coeffs': [...]} or {'coeff_exprs': [...]} and its dimension."""
     _require(isinstance(node, dict), "one-form node must be a dict", path)
-    coeffs = node.get("coeffs")
-    if isinstance(coeffs, list) and coeffs:
-        dim = _dimension(len(coeffs), f"{path}.coeffs")
-        return me.constant_oneform([_num(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)]), dim
-    exprs = node.get("coeff_exprs")
-    _require(isinstance(exprs, list) and exprs, "one-form node needs 'coeffs' or 'coeff_exprs'", path)
-    dim = _dimension(len(exprs), f"{path}.coeff_exprs")
-    covector, constant = _expr_field(exprs, dim, f"{path}.coeff_exprs")
+    key = "coeffs" if "coeffs" in node else "coeff_exprs"
+    _require(key in node, "one-form node needs 'coeffs' or 'coeff_exprs'", path)
+    items = node[key]
+    _require(isinstance(items, list) and items, f"{key} must be a non-empty list", f"{path}.{key}", "shape")
+    dim = _dimension(len(items), f"{path}.{key}")
+    if key == "coeffs":
+        return me.constant_oneform([_num(c, f"{path}.coeffs[{i}]") for i, c in enumerate(items)]), dim
+    covector, constant = _expr_field(items, dim, f"{path}.coeff_exprs")
     return me.OneFormAtom(covector=covector, constant=constant), dim
 
 
-def _build_riemann(node: dict, path: str) -> me.ConicMetric:
+def _chart_dimension(node: dict, path: str) -> int:
+    """The ``dimension`` of a node's Euclidean chart, 2 when absent."""
+    dim = _dimension(node.get("dimension", 2), f"{path}.dimension")
+    _require(dim >= 1, "dimension must be at least 1", path, "dimension")
+    return dim
+
+
+def _riemannian(node: dict, path: str) -> me.ConicMetric:
     key = "matrix" if "matrix" in node else "matrix_expr"
     rows = node.get(key)
-    _require(
-        isinstance(rows, list) and rows and all(isinstance(r, list) and len(r) == len(rows) for r in rows),
-        "riemannian node needs a square 'matrix' or 'matrix_expr'",
-        path,
-    )
+    square = isinstance(rows, list) and rows and all(isinstance(r, list) and len(r) == len(rows) for r in rows)
+    _require(square, "riemannian node needs a square 'matrix' or 'matrix_expr'", path)
     dim = _dimension(len(rows), f"{path}.{key}")
     if key == "matrix":
         g = [[_num(e, f"{path}.matrix[{i}][{j}]") for j, e in enumerate(row)] for i, row in enumerate(rows)]
         return me.riemann_metric(me.constant_riemann(g), me.whole_plane(dim))
     metric_matrix, constant = _expr_field(rows, dim, f"{path}.matrix_expr", nested=True)
     return me.riemann_metric(me.RiemannAtom(metric_matrix=metric_matrix, constant=constant), me.whole_plane(dim))
+
+
+def _oneform_metric(node: dict, path: str) -> me.ConicMetric:
+    form, dim = _build_form(node, path)
+    return me.oneform_metric(form, me.whole_plane(dim))
+
+
+def _gauge_curve(node: dict, path: str) -> me.ConicMetric:
+    _require("r" in node, "gauge_curve_2d node needs 'r'", path)
+    r_fn = compile_expr(node["r"], ("theta",), f"{path}.r")
+    interval = node.get("interval")
+    interval = None if interval is None else tuple(_point(interval, f"{path}.interval", 2).tolist())
+    curve = mk.polar_curve(lambda th: r_fn(np.asarray(th, dtype=float)), theta_range=interval)
+    return me.minkowski_metric(mk.gauge_from_curve(curve))
+
+
+def _example(name: str, curve):
+    """Builder of the named 2D reference gauge whose indicatrix is ``curve(node, path)``."""
+    return lambda node, path: me.minkowski_metric(mk.gauge_from_curve(curve(node, path)), name=name)
 
 
 def _spiral(node: dict, path: str) -> mk.PolarCurve2D:
@@ -307,16 +361,6 @@ def _wavy(node: dict, path: str) -> mk.PolarCurve2D:
     return mk.wavy_curve(amplitude, lobes)
 
 
-# named 2D reference gauges: node type -> indicatrix curve of (node, path)
-_EXAMPLE_CURVES = {
-    "lorentz_example": lambda node, path: mk.lorentz_curve(),
-    "spiral_example": _spiral,
-    "parabola_example": lambda node, path: mk.downward_parabola_curve(),
-    "sqrt_parabola_example": lambda node, path: mk.sqrt_parabola_curve(),
-    "wavy_example": _wavy,
-}
-
-
 def _build_profile(prof, path: str) -> cb.PhiProfile:
     """A family name, {'name': family, 'q': q}, or a custom {'phi', 'interval'} profile."""
     if prof is None or isinstance(prof, str):
@@ -324,31 +368,22 @@ def _build_profile(prof, path: str) -> cb.PhiProfile:
     elif isinstance(prof, dict) and "name" in prof:
         name, q = prof["name"], None if prof.get("q") is None else _num(prof["q"], f"{path}.q")
     else:
-        return _custom_profile(prof, path)
+        custom = isinstance(prof, dict) and "phi" in prof
+        _require(custom, "profile must be a family name or a dict with a 'name' or a 'phi'", path, "profile")
+        lo, hi = _point(prof.get("interval"), f"{path}.interval", 2).tolist()
+        phi = compile_expr(prof["phi"], ("s",), f"{path}.phi")
+        if "phi_dot" in prof:
+            _require("phi_ddot" in prof, "custom profile with 'phi_dot' needs 'phi_ddot'", path, "phi_ddot")
+            phi_dot = compile_expr(prof["phi_dot"], ("s",), f"{path}.phi_dot")
+            phi_ddot = compile_expr(prof["phi_ddot"], ("s",), f"{path}.phi_ddot")
+        else:
+            phi_dot, phi_ddot = central_derivatives(phi)
+        return cb.PhiProfile(phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot, intervals=((lo, hi),), name="custom")
     _require(isinstance(name, str) and name in cb.FAMILIES, f"unknown profile {name!r}", path, "profile")
     try:
         return cb.family_profile(name, q)
     except BadExponent as exc:
         raise ValidationError(f"BadExponent: {exc}", path=path, constraint="q") from exc
-
-
-def _custom_profile(prof, path: str) -> cb.PhiProfile:
-    _require(
-        isinstance(prof, dict) and "phi" in prof,
-        "profile must be a family name or a dict with a 'name' or a 'phi'",
-        path,
-        "profile",
-    )
-    lo, hi = _point(prof.get("interval"), 2, f"{path}.interval").tolist()
-    phi = compile_expr(prof["phi"], ("s",), f"{path}.phi")
-    if "phi_dot" in prof:
-        _require("phi_ddot" in prof, "custom profile with 'phi_dot' needs 'phi_ddot'", path, "phi_ddot")
-        phi_dot = compile_expr(prof["phi_dot"], ("s",), f"{path}.phi_dot")
-        phi_ddot = compile_expr(prof["phi_ddot"], ("s",), f"{path}.phi_ddot")
-    else:
-        phi_dot, phi_ddot = central_derivatives(phi)
-
-    return cb.PhiProfile(phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot, intervals=((lo, hi),), name="custom")
 
 
 def _metric_at(node, path: str) -> me.ConicMetric:
@@ -365,142 +400,112 @@ def _each(node: dict, key: str, path: str, build) -> list:
     return [build(item, f"{path}.{key}[{i}]") for i, item in enumerate(items)]
 
 
-def _base_and_form(node: dict, path: str) -> tuple[me.ConicMetric, me.OneFormAtom]:
-    """Base metric (Euclidean when absent) and one-form of a profile node.
+def _sum(node: dict, path: str) -> me.ConicMetric:
+    mets = _each(node, "terms", path, _metric_at)
+    _require(len(mets) >= 1, "sum needs at least one term", path)
+    _require(len({m.dimension for m in mets}) == 1, "sum terms must share one dimension", path)
+    return cb.combine(cb.sum_combiner(len(mets)), mets, [])
 
-    A ``named`` node may omit the form: it is then ``b`` times dx^1.
-    """
+
+def _power_q(node: dict, path: str) -> me.ConicMetric:
+    mets = _each(node, "metrics", path, _metric_at)
+    _require(len(mets) >= 1, "power_q needs at least one metric", path)
+    forms = _each(node, "forms", path, _build_form)
+    dims = {m.dimension for m in mets} | {d for _, d in forms}
+    _require(len(dims) == 1, "power_q ingredients must share one dimension", path)
+    _require("q" in node, "power_q node needs 'q'", path, "q")
+    q = _num(node["q"], f"{path}.q")
+    try:
+        return cb.power_q_combine(mets, [f for f, _ in forms], q)
+    except BadExponent as exc:
+        raise ValidationError(f"BadExponent: {exc}", path=path, constraint="q") from exc
+
+
+def _profile_node(node: dict, path: str) -> BuiltMetric:
+    """A ``phi`` or ``named`` node: the base metric (Euclidean when absent),
+    one-form and profile of a profile combination.  A ``named`` node may omit
+    the form: it is then ``b`` times dx^1."""
+    named = node["type"] == "named"
+    if named:
+        family = str(node.get("family", "")).lower()
+        _require(family in cb.FAMILIES, f"unknown family {node.get('family')!r}", path, "family")
     base = None if node.get("base") is None else _child(node, "base", path)
-    if node["type"] == "phi" or "form" in node:
+    if not named or "form" in node:
         form, dim = _build_form(node.get("form"), f"{path}.form")
     else:
-        dim = _dimension(node.get("dimension", 2), f"{path}.dimension") if base is None else base.dimension
-        _require(dim >= 1, "dimension must be at least 1", path, "dimension")
+        dim = _chart_dimension(node, path) if base is None else base.dimension
         coeffs = np.zeros(dim)
         coeffs[0] = _num(node.get("b", 0.5), f"{path}.b")
         form = me.constant_oneform(coeffs)
     if base is None:
         base = me.euclidean_metric(dim)
     _require(base.dimension == dim, f"{node['type']} base and form dimensions differ", path)
-    return base, form
+    if named:
+        profile = _build_profile({"name": family, "q": node.get("q")}, path)
+    else:
+        profile = _build_profile(node.get("profile"), f"{path}.profile")
+    return BuiltMetric(metric=cb.phi_combine(base, form, profile), phi_parts=(base, form, profile))
+
+
+def _f1f2(node: dict, path: str) -> me.ConicMetric:
+    f1, f2 = _child(node, "f1", path), _child(node, "f2", path)
+    _require(f1.dimension == f2.dimension, "f1f2 ingredients must share one dimension", path)
+    return cb.f1f2_combine(f1, f2, _build_profile(node.get("profile"), f"{path}.profile"))
+
+
+def _reversibilize(node: dict, path: str) -> me.ConicMetric:
+    inner = _child(node, "inner", path)
+    try:
+        return cb.reversibilize(inner, str(node.get("mode", "sum")))
+    except InvalidArgument as exc:
+        raise ValidationError(str(exc), path=path, constraint="mode") from exc
+
+
+# node type -> (builder of (node, path), the keys the node may hold besides "type");
+# " | " separates alternatives, which a node may not mix
+_NODES = {
+    "euclidean": (lambda node, path: me.euclidean_metric(_chart_dimension(node, path)), "dimension"),
+    "riemannian": (_riemannian, "matrix | matrix_expr"),
+    "oneform_metric": (_oneform_metric, "coeffs | coeff_exprs"),
+    "gauge_curve_2d": (_gauge_curve, "r interval"),
+    "lorentz_example": (_example("lorentz", lambda node, path: mk.lorentz_curve()), ""),
+    "spiral_example": (_example("spiral", _spiral), "epsilon"),
+    "parabola_example": (_example("parabola", lambda node, path: mk.downward_parabola_curve()), ""),
+    "sqrt_parabola_example": (_example("sqrt_parabola", lambda node, path: mk.sqrt_parabola_curve()), ""),
+    "wavy_example": (_example("wavy", _wavy), "amplitude lobes"),
+    "sum": (_sum, "terms"),
+    "power_q": (_power_q, "q metrics forms"),
+    "phi": (_profile_node, "profile base form"),
+    "named": (_profile_node, "family q b dimension base form"),
+    "f1f2": (_f1f2, "profile f1 f2"),
+    "reversibilize": (_reversibilize, "mode inner"),
+}
+_FORM_KEYS = "coeffs | coeff_exprs"
+_PROFILE_KEYS = "name q | phi interval phi_dot phi_ddot"  # a family or a custom profile
+# what a node key that holds more of the tree holds
+_CHILDREN = {"base": "node", "f1": "node", "f2": "node", "inner": "node", "terms": "nodes", "metrics": "nodes",
+             "form": "form", "forms": "forms", "profile": "profile"}
 
 
 def _build_node(node, path: str) -> BuiltMetric:
     """Validate and build one metric node; a malformed node raises a
     ValidationError naming its config path.  Dimensions come from the
     built children."""
-    _require(
-        isinstance(node, dict) and isinstance(node.get("type"), str),
-        "metric node must be a dict with a 'type'",
-        path,
-    )
-    t = node["type"]
-    if t == "euclidean":
-        dim = _dimension(node.get("dimension", 2), f"{path}.dimension")
-        _require(dim >= 1, "dimension must be at least 1", path, "dimension")
-        return BuiltMetric(metric=me.euclidean_metric(dim))
-    if t == "riemannian":
-        return BuiltMetric(metric=_build_riemann(node, path))
-    if t == "oneform_metric":
-        form, dim = _build_form(node, path)
-        return BuiltMetric(metric=me.oneform_metric(form, me.whole_plane(dim)))
-    if t == "gauge_curve_2d":
-        _require("r" in node, "gauge_curve_2d node needs 'r'", path)
-        r_fn = compile_expr(node["r"], ("theta",), f"{path}.r")
-        interval = node.get("interval")
-        interval = None if interval is None else tuple(_point(interval, 2, f"{path}.interval").tolist())
-        curve = mk.polar_curve(
-            lambda th: r_fn(np.asarray(th, dtype=float)), theta_range=interval
-        )
-        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve)))
-    if t in _EXAMPLE_CURVES:
-        curve = _EXAMPLE_CURVES[t](node, path)
-        return BuiltMetric(metric=me.minkowski_metric(mk.gauge_from_curve(curve), name=t[: -len("_example")]))
-    if t == "sum":
-        mets = _each(node, "terms", path, _metric_at)
-        _require(len(mets) >= 1, "sum needs at least one term", path)
-        _require(len({m.dimension for m in mets}) == 1, "sum terms must share one dimension", path)
-        return BuiltMetric(metric=cb.combine(cb.sum_combiner(len(mets)), mets, []))
-    if t == "power_q":
-        mets = _each(node, "metrics", path, _metric_at)
-        _require(len(mets) >= 1, "power_q needs at least one metric", path)
-        forms = _each(node, "forms", path, _build_form)
-        dims = {m.dimension for m in mets} | {d for _, d in forms}
-        _require(len(dims) == 1, "power_q ingredients must share one dimension", path)
-        _require("q" in node, "power_q node needs 'q'", path, "q")
-        q = _num(node["q"], f"{path}.q")
-        try:
-            return BuiltMetric(metric=cb.power_q_combine(mets, [f for f, _ in forms], q))
-        except BadExponent as exc:
-            raise ValidationError(f"BadExponent: {exc}", path=path, constraint="q") from exc
-    if t == "phi":
-        base, form = _base_and_form(node, path)
-        profile = _build_profile(node.get("profile"), f"{path}.profile")
-        return BuiltMetric(metric=cb.phi_combine(base, form, profile), phi_parts=(base, form, profile))
-    if t == "named":
-        family = str(node.get("family", "")).lower()
-        _require(family in cb.FAMILIES, f"unknown family {node.get('family')!r}", path, "family")
-        base, form = _base_and_form(node, path)
-        profile = _build_profile({"name": family, "q": node.get("q")}, path)
-        return BuiltMetric(metric=cb.phi_combine(base, form, profile), phi_parts=(base, form, profile))
-    if t == "f1f2":
-        f1, f2 = _child(node, "f1", path), _child(node, "f2", path)
-        _require(f1.dimension == f2.dimension, "f1f2 ingredients must share one dimension", path)
-        profile = _build_profile(node.get("profile"), f"{path}.profile")
-        return BuiltMetric(metric=cb.f1f2_combine(f1, f2, profile))
-    if t == "reversibilize":
-        inner = _child(node, "inner", path)
-        try:
-            return BuiltMetric(metric=cb.reversibilize(inner, str(node.get("mode", "sum"))))
-        except InvalidArgument as exc:
-            raise ValidationError(str(exc), path=path, constraint="mode") from exc
-    raise ValidationError(f"unknown metric node type {t!r}", path=path, constraint="type")
+    typed = isinstance(node, dict) and isinstance(node.get("type"), str)
+    _require(typed, "metric node must be a dict with a 'type'", path)
+    _require(node["type"] in _NODES, f"unknown metric node type {node['type']!r}", path, "type")
+    built = _NODES[node["type"]][0](node, path)
+    return built if isinstance(built, BuiltMetric) else BuiltMetric(metric=built)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: a function of (cmd, built metric, run config, parameters) each,
+# with its parameters declared in _COMMANDS
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
 
 
 def _vec_cols(prefix: str, dim: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(dim)]
-
-
-def _param(cfg: RunConfig, cmd: str, key: str, default=None, required: bool = False):
-    sect = cfg.params.get(cmd, {})
-    _require(isinstance(sect, dict), f"run.{cmd} must be an object", f"run.{cmd}", "object")
-    if key in sect:
-        return sect[key]
-    if required and default is None:
-        raise ValidationError(f"missing run.{cmd}.{key}", path=f"run.{cmd}.{key}", constraint="required")
-    return default
-
-
-def _point(value, dim: int, path: str) -> np.ndarray:
-    """A point or vector of the config: a list of ``dim`` numbers."""
-    _require(isinstance(value, list) and len(value) == dim, f"expected a list of {dim} numbers", path, "shape")
-    return np.array([_num(x, f"{path}[{i}]") for i, x in enumerate(value)])
-
-
-def _run_point(cfg: RunConfig, cmd: str, key: str, dim: int, required: bool = False) -> np.ndarray:
-    """``run.<cmd>.<key>`` read by :func:`_point`; the origin when absent and not required."""
-    return _point(_param(cfg, cmd, key, None if required else [0.0] * dim, required), dim, f"run.{cmd}.{key}")
-
-
-def _run_num(cfg: RunConfig, cmd: str, key: str, default=None, kind=float, least=None, positive=False):
-    """The scalar ``run.<cmd>.<key>`` (required when there is no default),
-    at least ``least`` and, with ``positive``, greater than 0."""
-    path = f"run.{cmd}.{key}"
-    value = _num(_param(cfg, cmd, key, default, default is None), path, kind)
-    _require(least is None or value >= least, f"{key} must be at least {least}", path, "minimum")
-    _require(not positive or value > 0, f"{key} must be positive", path, "positive")
-    return value
 
 
 def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
@@ -516,226 +521,216 @@ def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
     return keep
 
 
-def _base_vectors(cfg: RunConfig, cmd: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base point and (K, N) vector stack of a per-vector command; :func:`_point` names a bad
-    entry, and reads every list when one holds a boolean or a string, which numpy would take
-    for a number."""
-    base = _run_point(cfg, cmd, "base", dim)
-    path = f"run.{cmd}.vectors"
-    vectors = _param(cfg, cmd, "vectors", required=True)
-    _require(isinstance(vectors, list), f"vectors must be a list of {dim}-vectors", path, "shape")
-    try:
-        vecs = np.array(vectors, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # a malformed entry, named below
-        vecs = np.empty(0)
-    if vecs.ndim != 2 or vecs.shape[1] != dim or any(type(x) in (bool, str) for row in vectors for x in row):
-        vecs = np.array([_point(v, dim, f"{path}[{i}]") for i, v in enumerate(vectors)]).reshape(-1, dim)
-    return base, vecs
-
-
 def _in_domain_at(m: me.ConicMetric, base):
     """The ``accept`` of :func:`me.admissible_draws` for vectors admissible at ``base``."""
     return lambda vs: m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
 
 
-def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
-    """Execute one command; returns (summary dict, csv header, csv rows).
-    The library checks the arguments it is given; its InvalidArgument is
-    reported as a ValidationError at ``run.<cmd>.<parameter>``."""
-    try:
-        return _run(cmd, spec, cfg)
-    except InvalidArgument as exc:
-        raise ValidationError(str(exc), path=f"run.{cmd}.{exc.path}", constraint=exc.constraint) from exc
-
-
-def _run(cmd: str, spec: MetricSpec, cfg: RunConfig):
-    _require(cfg.seed >= 0, f"seed must be at least 0, got {cfg.seed}", "run.seed", "minimum")
-    rng = np.random.default_rng(cfg.seed)
-    built = build_metric(spec)
-    m = built.metric
-    dim = m.dimension
-    tol = cfg.tolerance
-
-    if cmd in ("eval", "tensor", "classify"):
-        base, vecs = _base_vectors(cfg, cmd, dim)
-        header = ["index"] + _vec_cols("base", dim) + _vec_cols("v", dim)
-        if cmd == "eval":
-            vals = me.eval_F_many(m, base, vecs)
-            rows = [[i, *base, *v, float(f)] for i, (v, f) in enumerate(zip(vecs, vals))]
-            return {"command": cmd, "count": len(rows)}, header + ["F"], rows
-        gs = me.tensor(m, me.TangentVec(base, vecs))
-        if cmd == "tensor":
-            header += [f"g{i}{j}" for i in range(dim) for j in range(dim)]
-            rows = [[i, *base, *v, *g.ravel()] for i, (v, g) in enumerate(zip(vecs, gs))]
-            return {"command": cmd, "count": len(rows)}, header, rows
-        reps = me.eigen_classify(gs, tol)
-        rows = [
-            [i, *base, *v, r.classification.value, r.min_eigenvalue]
-            for i, (v, r) in enumerate(zip(vecs, reps))
-        ]
-        counts = dict(Counter(r.classification.value for r in reps))
-        return {"command": cmd, "counts": counts}, header + ["classification", "min_eigenvalue"], rows
-
-    if cmd == "scan":
-        base = _run_point(cfg, "scan", "base", dim)
-        samples = _run_num(cfg, "scan", "samples", 360, int)
-        entries = me.convexity_scan(m, base, samples, tol)
-        header = ["index"] + _vec_cols("dir", dim) + ["status", "min_eigenvalue"]
-        rows = [
-            [i, *e.direction, e.status, e.report.min_eigenvalue if e.report else float("nan")]
-            for i, e in enumerate(entries)
-        ]
-        counts = dict(Counter(e.status for e in entries))
-        pd_frac = counts.get("PositiveDefinite", 0) / samples
-        return {"command": cmd, "counts": counts, "pd_fraction": pd_frac}, header, rows
-
-    if cmd == "detcheck":
-        if built.phi_parts is None:
-            raise ValidationError(
-                "detcheck needs a profile-family metric (phi or named node)", path="metric"
-            )
-        F0, beta, profile = built.phi_parts
-        base = _run_point(cfg, "detcheck", "base", dim)
-        samples = _run_num(cfg, "detcheck", "samples", 100, int)
-        header = ["index"] + _vec_cols("v", dim) + ["det_formula", "det_direct", "rel_err"]
-        vs = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base))
-        tv = me.TangentVec(base, vs)
-        lhs = cb.det_tensor_formula(F0, beta, profile, tv)
-        rhs = np.linalg.det(me.tensor(m, tv))
-        errs = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-        rows = [[i, *v, float(a), float(b), float(e)] for i, (v, a, b, e) in enumerate(zip(vs, lhs, rhs, errs))]
-        return {"command": cmd, "max_rel_err": float(np.max(errs, initial=0.0))}, header, rows
-
-    if cmd == "geodesic":
-        base = _run_point(cfg, "geodesic", "base", dim)
-        vel = _run_point(cfg, "geodesic", "velocity", dim, required=True)
-        t_end = _run_num(cfg, "geodesic", "t_end", 1.0)
-        step = _run_num(cfg, "geodesic", "step", gd.DEFAULT_STEP)
-        states = gd.geodesic_shoot(m, gd.GeodesicState(base, vel, 0.0), t_end, step)
-        header = ["t"] + _vec_cols("x", dim) + _vec_cols("v", dim) + ["F"]
-        xs = np.array([s.position for s in states])
-        vs = np.array([s.velocity for s in states])
-        speeds = me.eval_F_many(m, xs, vs)
-        rows = [[s.parameter, *x, *v, float(f)] for s, x, v, f in zip(states, xs, vs, speeds)]
-        return {"command": cmd, "steps": len(rows) - 1}, header, rows
-
-    if cmd == "expmap":
-        base = _run_point(cfg, "expmap", "base", dim)
-        vel = _run_point(cfg, "expmap", "velocity", dim, required=True)
-        end = gd.exp_map(m, base, vel)
-        header = _vec_cols("base", dim) + _vec_cols("v", dim) + _vec_cols("exp", dim)
-        rows = [[*base, *vel, *end]]
-        return {"command": cmd, "endpoint": [float(v) for v in end]}, header, rows
-
-    if cmd == "gauss":
-        base = _run_point(cfg, "gauss", "base", dim)
-        samples = _run_num(cfg, "gauss", "samples", 10, int)
-        header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
-        vs, ws = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base), paired=True)
-        res = gd.gauss_residuals(m, base, vs, ws)
-        rows = [[i, *v, *w, float(r)] for i, (v, w, r) in enumerate(zip(vs, ws, res))]
-        worst = float(np.max(np.abs(res)))
-        return {"command": cmd, "max_abs_residual": worst}, header, rows
-
-    if cmd in ("separation", "ball", "reach"):
-        box = _param(cfg, cmd, "box", required=True)
-        _require(isinstance(box, list) and len(box) == 2, "box must be [lo, hi]", f"run.{cmd}.box", "shape")
-        lo, hi = (_point(c, dim, f"run.{cmd}.box[{i}]") for i, c in enumerate(box))
-        resolution = _run_num(cfg, cmd, "resolution", 21, int)
-        gd.grid_spacing((lo, hi), resolution)
-        radius = _run_num(cfg, cmd, "neighbor_radius", 3, int, least=1)
-        _require(
-            gd.candidate_edges(dim, resolution, radius) <= MAX_GRAPH_EDGES,
-            f"resolution^{dim} grid nodes x neighbour offsets must be at most {MAX_GRAPH_EDGES} candidate edges",
-            f"run.{cmd}.resolution",
-            "maximum",
-        )
-
-        def node(key: str) -> int:
-            """Grid node of the point ``run.<cmd>.<key>``, checked before the graph is built."""
-            point = _run_point(cfg, cmd, key, dim, required=True)
-            try:
-                return gd.grid_node_id((lo, hi), resolution, point)
-            except InvalidArgument as exc:  # grid_node_id names its argument "point"
-                raise ValidationError(f"{key}: {exc}", path=f"run.{cmd}.{key}", constraint=exc.constraint) from exc
-
-        if cmd == "ball":
-            center = node("center")
-            r = _run_num(cfg, cmd, "radius", positive=True)
-            direction = str(_param(cfg, cmd, "direction", "forward"))
-            mk.check_ball_direction(direction)
-        else:
-            src = node("source")
-            dst = node("target") if cmd == "separation" else None
-        graph = gd.build_separation_graph(m, (lo, hi), resolution, radius)
-        if cmd == "separation":
-            result = gd.separation(graph, src, dst)
-            header = ["step"] + _vec_cols("x", dim)
-            rows = [[i, *pt] for i, pt in enumerate(result.witness_path)]
-            return (
-                {
-                    "command": cmd,
-                    "value": float(result.value) if np.isfinite(result.value) else "Infinity",
-                    "reachable": bool(result.reachable),
-                    "nodes": graph.node_count,
-                    "edges": int(graph.matrix.nnz),
-                },
-                header,
-                rows,
-            )
-        idx = gd.reachability(graph, src) if cmd == "reach" else gd.df_ball(graph, center, r, direction)
-        header = ["index"] + _vec_cols("x", dim)
-        rows = [[int(i), *graph.nodes[i]] for i in idx]
-        return {"command": cmd, "count": int(idx.size)}, header, rows
-
-    if cmd == "indicatrix":
-        base = _run_point(cfg, "indicatrix", "base", dim)
-        samples = _run_num(cfg, "indicatrix", "samples", 256, int)
-        dirs = me.unit_directions(dim, samples)
-        ok, vals = m.jet(np.broadcast_to(base, dirs.shape), dirs)
-        header = ["index"] + _vec_cols("dir", dim) + _vec_cols("s", dim)
-        rows = []
-        for i in range(samples):
-            if ok[i] and np.isfinite(vals[i]) and vals[i] > 0:
-                pt = dirs[i] / vals[i]
-                rows.append([i, *dirs[i], *pt])
+def _pointwise(cmd: str, built: BuiltMetric, cfg: RunConfig, base, vectors):
+    """``eval``, ``tensor`` and ``classify``: one row per vector at ``base``."""
+    m, dim = built.metric, len(base)
+    header = ["index"] + _vec_cols("base", dim) + _vec_cols("v", dim)
+    if cmd == "eval":
+        vals = me.eval_F_many(m, base, vectors)
+        rows = [[i, *base, *v, float(f)] for i, (v, f) in enumerate(zip(vectors, vals))]
+        return {"command": cmd, "count": len(rows)}, header + ["F"], rows
+    gs = me.tensor(m, me.TangentVec(base, vectors))
+    if cmd == "tensor":
+        header += [f"g{i}{j}" for i in range(dim) for j in range(dim)]
+        rows = [[i, *base, *v, *g.ravel()] for i, (v, g) in enumerate(zip(vectors, gs))]
         return {"command": cmd, "count": len(rows)}, header, rows
+    reps = me.eigen_classify(gs, cfg.tolerance)
+    rows = [[i, *base, *v, r.classification.value, r.min_eigenvalue] for i, (v, r) in enumerate(zip(vectors, reps))]
+    counts = dict(Counter(r.classification.value for r in reps))
+    return {"command": cmd, "counts": counts}, header + ["classification", "min_eigenvalue"], rows
 
-    if cmd == "oracle":
-        samples = _run_num(cfg, "oracle", "samples", 200, int)
-        otol = _run_num(cfg, "oracle", "tolerance", 1e-6)
-        margin = _run_num(cfg, "oracle", "interior_margin", 0.15)
-        base = _run_point(cfg, "oracle", "base", dim)
-        header = ["index"] + _vec_cols("v", dim) + ["rel_err"]
 
-        def accept(vs):
-            vs = vs / np.linalg.norm(vs, axis=-1, keepdims=True)
-            keep = m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
-            return keep if built.phi_parts is None else keep & _interior_ratio(built.phi_parts, base, vs, margin)
+def _scan(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
+    entries = me.convexity_scan(built.metric, base, samples, cfg.tolerance)
+    header = ["index"] + _vec_cols("dir", len(base)) + ["status", "min_eigenvalue"]
+    rows = [
+        [i, *e.direction, e.status, e.report.min_eigenvalue if e.report else float("nan")]
+        for i, e in enumerate(entries)
+    ]
+    counts = dict(Counter(e.status for e in entries))
+    pd_frac = counts.get("PositiveDefinite", 0) / samples
+    return {"command": cmd, "counts": counts, "pd_fraction": pd_frac}, header, rows
 
-        vs = me.admissible_draws(rng, samples, dim, accept)
-        vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
-        bases = np.broadcast_to(base, vs.shape)
-        ga = m.tensor_many(bases, vs)
-        gf = m.fd_tensor_many(bases, vs)
-        scale = np.maximum(1.0, np.max(np.abs(gf), axis=(-2, -1)))
-        errs = np.max(np.abs(ga - gf), axis=(-2, -1)) / scale
-        rows = [[i, *v, float(e)] for i, (v, e) in enumerate(zip(vs, errs))]
-        worst = float(np.max(errs)) if errs.size else 0.0
+
+def _detcheck(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
+    if built.phi_parts is None:
+        raise ValidationError("detcheck needs a profile-family metric (phi or named node)", path="metric")
+    F0, beta, profile = built.phi_parts
+    m, dim = built.metric, len(base)
+    header = ["index"] + _vec_cols("v", dim) + ["det_formula", "det_direct", "rel_err"]
+    vs = me.admissible_draws(np.random.default_rng(cfg.seed), samples, dim, _in_domain_at(m, base))
+    tv = me.TangentVec(base, vs)
+    lhs = cb.det_tensor_formula(F0, beta, profile, tv)
+    rhs = np.linalg.det(me.tensor(m, tv))
+    errs = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    rows = [[i, *v, float(a), float(b), float(e)] for i, (v, a, b, e) in enumerate(zip(vs, lhs, rhs, errs))]
+    return {"command": cmd, "max_rel_err": float(np.max(errs, initial=0.0))}, header, rows
+
+
+def _geodesic(cmd: str, built: BuiltMetric, cfg: RunConfig, base, velocity, t_end, step):
+    m, dim = built.metric, len(base)
+    states = gd.geodesic_shoot(m, gd.GeodesicState(base, velocity, 0.0), t_end, step)
+    header = ["t"] + _vec_cols("x", dim) + _vec_cols("v", dim) + ["F"]
+    xs = np.array([s.position for s in states])
+    vs = np.array([s.velocity for s in states])
+    speeds = me.eval_F_many(m, xs, vs)
+    rows = [[s.parameter, *x, *v, float(f)] for s, x, v, f in zip(states, xs, vs, speeds)]
+    return {"command": cmd, "steps": len(rows) - 1}, header, rows
+
+
+def _expmap(cmd: str, built: BuiltMetric, cfg: RunConfig, base, velocity):
+    end = gd.exp_map(built.metric, base, velocity)
+    header = _vec_cols("base", len(base)) + _vec_cols("v", len(base)) + _vec_cols("exp", len(base))
+    return {"command": cmd, "endpoint": [float(v) for v in end]}, header, [[*base, *velocity, *end]]
+
+
+def _gauss(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
+    m, dim = built.metric, len(base)
+    header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
+    rng = np.random.default_rng(cfg.seed)
+    vs, ws = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base), paired=True)
+    res = gd.gauss_residuals(m, base, vs, ws)
+    rows = [[i, *v, *w, float(r)] for i, (v, w, r) in enumerate(zip(vs, ws, res))]
+    return {"command": cmd, "max_abs_residual": float(np.max(np.abs(res)))}, header, rows
+
+
+def _graph(cmd: str, built: BuiltMetric, cfg: RunConfig, box, resolution, neighbor_radius, source=None,
+           target=None, center=None, radius=None, direction=None):
+    """``separation``, ``ball`` and ``reach`` on the grid graph of ``box``; the
+    box, the size cap and the points are checked before the graph is built."""
+    dim = len(box[0])
+    gd.grid_spacing(box, resolution)
+    path = f"run.{cmd}."
+    _require(neighbor_radius >= 1, "neighbor_radius must be at least 1", path + "neighbor_radius", "minimum")
+    _require(
+        gd.candidate_edges(dim, resolution, neighbor_radius) <= MAX_GRAPH_EDGES,
+        f"resolution^{dim} grid nodes x neighbour offsets must be at most {MAX_GRAPH_EDGES} candidate edges",
+        path + "resolution",
+        "maximum",
+    )
+
+    def node(key: str, point) -> int:
+        try:
+            return gd.grid_node_id(box, resolution, point)
+        except InvalidArgument as exc:  # grid_node_id names its argument "point"
+            raise ValidationError(f"{key}: {exc}", path=path + key, constraint=exc.constraint) from exc
+
+    if cmd == "ball":
+        center = node("center", center)
+        _require(radius > 0, "radius must be positive", path + "radius", "positive")
+        mk.check_ball_direction(direction)
+    else:
+        source = node("source", source)
+        target = node("target", target) if cmd == "separation" else None
+    graph = gd.build_separation_graph(built.metric, box, resolution, neighbor_radius)
+    if cmd == "separation":
+        result = gd.separation(graph, source, target)
+        header = ["step"] + _vec_cols("x", dim)
+        rows = [[i, *pt] for i, pt in enumerate(result.witness_path)]
         return (
-            {"command": cmd, "max_rel_err": worst, "tolerance": otol, "ok": bool(worst <= otol)},
+            {
+                "command": cmd,
+                "value": float(result.value) if np.isfinite(result.value) else "Infinity",
+                "reachable": bool(result.reachable),
+                "nodes": graph.node_count,
+                "edges": int(graph.matrix.nnz),
+            },
             header,
             rows,
         )
+    idx = gd.reachability(graph, source) if cmd == "reach" else gd.df_ball(graph, center, radius, direction)
+    rows = [[int(i), *graph.nodes[i]] for i in idx]
+    return {"command": cmd, "count": int(idx.size)}, ["index"] + _vec_cols("x", dim), rows
 
-    raise ValidationError(f"unknown command {cmd!r}", path="command", constraint="command")
+
+def _indicatrix(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
+    dirs = me.unit_directions(len(base), samples)
+    ok, vals = built.metric.jet(np.broadcast_to(base, dirs.shape), dirs)
+    header = ["index"] + _vec_cols("dir", len(base)) + _vec_cols("s", len(base))
+    on_ray = ok & np.isfinite(vals) & (vals > 0)
+    rows = [[i, *dirs[i], *(dirs[i] / vals[i])] for i in range(samples) if on_ray[i]]
+    return {"command": cmd, "count": len(rows)}, header, rows
+
+
+def _oracle(cmd: str, built: BuiltMetric, cfg: RunConfig, samples, tolerance, interior_margin, base):
+    m, dim = built.metric, len(base)
+    header = ["index"] + _vec_cols("v", dim) + ["rel_err"]
+
+    def accept(vs):
+        vs = vs / np.linalg.norm(vs, axis=-1, keepdims=True)
+        keep = m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
+        return keep if built.phi_parts is None else keep & _interior_ratio(built.phi_parts, base, vs, interior_margin)
+
+    vs = me.admissible_draws(np.random.default_rng(cfg.seed), samples, dim, accept)
+    vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
+    bases = np.broadcast_to(base, vs.shape)
+    ga = m.tensor_many(bases, vs)
+    gf = m.fd_tensor_many(bases, vs)
+    scale = np.maximum(1.0, np.max(np.abs(gf), axis=(-2, -1)))
+    errs = np.max(np.abs(ga - gf), axis=(-2, -1)) / scale
+    rows = [[i, *v, float(e)] for i, (v, e) in enumerate(zip(vs, errs))]
+    worst = float(np.max(errs)) if errs.size else 0.0
+    return {"command": cmd, "max_rel_err": worst, "tolerance": tolerance, "ok": bool(worst <= tolerance)}, header, rows
+
+
+# command -> (function, then one (key, reader, default) per key of its run.<cmd>
+# section, in reading order); a default of None marks a required key, a callable
+# one is called with the metric's dimension
+_BASE = ("base", _point, np.zeros)
+_VECTORS = ("vectors", _vectors, None)
+_VELOCITY = ("velocity", _point, None)
+_GRID = (("box", _box, None), ("resolution", _int, 21), ("neighbor_radius", _int, 3))
+_COMMANDS = {
+    "eval": (_pointwise, _BASE, _VECTORS),
+    "tensor": (_pointwise, _BASE, _VECTORS),
+    "classify": (_pointwise, _BASE, _VECTORS),
+    "scan": (_scan, _BASE, ("samples", _int, 360)),
+    "detcheck": (_detcheck, _BASE, ("samples", _int, 100)),
+    "geodesic": (_geodesic, _BASE, _VELOCITY, ("t_end", _float, 1.0), ("step", _float, gd.DEFAULT_STEP)),
+    "expmap": (_expmap, _BASE, _VELOCITY),
+    "gauss": (_gauss, _BASE, ("samples", _int, 10)),
+    "separation": (_graph, *_GRID, ("source", _point, None), ("target", _point, None)),
+    "ball": (_graph, *_GRID, ("center", _point, None), ("radius", _float, None), ("direction", _text, "forward")),
+    "reach": (_graph, *_GRID, ("source", _point, None)),
+    "indicatrix": (_indicatrix, _BASE, ("samples", _int, 256)),
+    "oracle": (_oracle, ("samples", _int, 200), ("tolerance", _float, 1e-6), ("interior_margin", _float, 0.15), _BASE),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
+def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
+    """Execute one command on the parameters its declared readers take from
+    ``run.<cmd>``; returns (summary dict, csv header, csv rows).  A library
+    InvalidArgument is reported as a ValidationError at ``run.<cmd>.<parameter>``."""
+    _require(cmd in _COMMANDS, f"unknown command {cmd!r}", "command", "command")
+    _require(cfg.seed >= 0, f"seed must be at least 0, got {cfg.seed}", "run.seed", "minimum")
+    built = build_metric(spec)
+    dim = built.metric.dimension
+    run, *params = _COMMANDS[cmd]
+    section, args = cfg.params.get(cmd, {}), {}
+    for key, read, default in params:
+        path = f"run.{cmd}.{key}"
+        if key in section:
+            args[key] = read(section[key], path, dim)
+        else:
+            _require(default is not None, f"missing {path}", path, "required")
+            args[key] = default(dim) if callable(default) else default
+    try:
+        return run(cmd, built, cfg, **args)
+    except InvalidArgument as exc:
+        raise ValidationError(str(exc), path=f"run.{cmd}.{exc.path}", constraint=exc.constraint) from exc
 
 
 def write_csv(stream, header: list[str], rows: list[list]):
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+        writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
 
 
 def builtin_config(name: str) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -530,14 +531,16 @@ class SeparationGraph:
 
 def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
     """The cell size h of the ``resolution``-per-axis grid on ``box``.
-    InvalidArgument unless hi > lo on every axis, resolution >= 2, and the
-    corners, hi - lo and h are finite with h > 0."""
+    InvalidArgument unless hi > lo on every axis, 2 <= resolution <= the
+    largest float, and the corners, hi - lo and h are finite with h > 0."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if not np.all(hi > lo):
         raise InvalidArgument("box needs hi > lo on every axis", path="box", constraint="positive")
     if resolution < 2:
         raise InvalidArgument("resolution must be at least 2", path="resolution", constraint="minimum")
+    if resolution > sys.float_info.max:  # an integer that no float holds
+        raise InvalidArgument("resolution is out of range", path="resolution", constraint="maximum")
     # Python floats round as numpy's do and overflow to inf without a warning;
     # with hi > lo, a finite hi - lo makes both corners finite
     if not all(0 < (b - a) / (resolution - 1) < math.inf for a, b in zip(lo.tolist(), hi.tolist())):

@@ -115,6 +115,7 @@ class TestGridRules:
             (([-np.inf, 0.0], [1.0, 1.0]), 11, "box", "finite"),
             (([-1e308, 0.0], [1e308, 1.0]), 11, "box", "finite"),
             (([0.0, 0.0], [5e-324, 1.0]), 11, "box", "finite"),
+            pytest.param(([0.0, 0.0], [1.0, 1.0]), 10**400, "resolution", "maximum", id="integer_above_every_float"),
         ],
     )
     def test_grid_spacing_owns_the_box_and_resolution(self, euclid, box, resolution, path, constraint):

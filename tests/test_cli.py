@@ -3,7 +3,9 @@ import functools
 import io
 import json
 import operator
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,31 @@ class TestMalformedConfig:
             ({"type": "euclidean"}, {"tolerance": "1e-9"}, "run.tolerance"),
             # a top-level run key that is not a setting or a command
             ({"type": "euclidean"}, {"seeed": 5}, "run.seeed"),
+            # a key no table declares, in a node, a form, a profile or a run section (run or not),
+            # and keys of two alternatives together
+            ({"type": "euclidean", "dimenson": 3}, {}, "metric.dimenson"),
+            ({"type": "euclidean"}, {"scan": {"sampels": 12}}, "run.scan.sampels"),
+            ({"type": "euclidean"}, {"ball": {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": 0.3,
+                                              "directon": "backward"}}, "run.ball.directon"),
+            ({"type": "gauge_curve_2d", "r": "1", "intervl": [0.1, 6.18]}, {}, "metric.intervl"),
+            ({"type": "sum", "terms": [{"type": "euclidean"}, {"type": "euclidean", "dimenson": 3}]}, {},
+             "metric.terms[1].dimenson"),
+            ({"type": "power_q", "q": 2, "metrics": [{"type": "euclidean"}], "forms": [{"coefs": [0.5, 0]}]}, {},
+             "metric.forms[0].coefs"),
+            ({"type": "phi", "form": {"coeffs": [0.5, 0], "b": 1}}, {}, "metric.form.b"),
+            ({"type": "phi", "form": FORM, "profile": {"name": "kropina", "qq": 2}}, {}, "metric.profile.qq"),
+            ({"type": "phi", "form": FORM, "profile": {"phi": "1+s", "interval": [-1, 9], "q": 2}}, {},
+             "metric.profile"),
+            ({"type": "named", "family": "randers", "base": {"type": "euclidean", "dim": 2}}, {}, "metric.base.dim"),
+            ({"type": "euclidean"}, {"scan": {}, "tensor": {"vectrs": [[1, 0]]}}, "run.tensor.vectrs"),
+            ({"type": "oneform_metric", "coeffs": [0, 1], "coeff_exprs": ["0", "1"]}, {}, "metric"),
+            ({"type": "riemannian", "matrix": [[1, 0], [0, 1]], "matrix_expr": [["1", "0"], ["0", "1"]]}, {},
+             "metric"),
+            ({"type": "phi", "form": FORM, "profile": {"name": "randers", "phi": "1+s", "interval": [-1, 9]}}, {},
+             "metric.profile"),
+            ({"type": "oneform_metric", "coeffs": "abc"}, {}, "metric.coeffs"),
+            ({"type": "named", "family": "randers", "form": {"coeffs": [], "coeff_exprs": ["0.1", "0"]}}, {},
+             "metric.form"),
         ],
     )
     def test_non_numeric_scalar_names_path(self, metric, run, path):
@@ -272,13 +299,14 @@ class TestMalformedConfig:
              "run.separation.box"),
             ("reach", {"box": [[0, 0], [5e-324, 1]], "source": [0, 0]}, "run.reach.box"),
             ("ball", {"box": [[-1, -1], [float("inf"), 1]], "center": [0, 0], "radius": 0.3}, "run.ball.box"),
+            # a key the command does not declare
+            ("scan", {"base": [0, 0], "samples": 10, "step": 0.1}, "run.scan.step"),
         ],
     )
     def test_run_parameter_names_path(self, command, section, path, tmp_path):
         doc = {"metric": {"type": "named", "family": "randers", "b": 0.5}, "run": {command: section}}
-        spec, cfg = parse_config(json.dumps(doc))
-        with pytest.raises(ValidationError) as err:
-            run_command(command, spec, cfg)
+        with pytest.raises(ValidationError) as err:  # a section that is not an object fails in parse_config
+            run_command(command, *parse_config(json.dumps(doc)))
         assert err.value.path == path and _is_config_path(err.value)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -329,6 +357,8 @@ class TestMalformedConfig:
                             "neighbor_radius": 1}, "run.separation.resolution"),
             ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": 0.3, "resolution": 1e308},
              "run.ball.resolution"),
+            # an integer resolution above the largest float
+            ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "resolution": 10**400}, "run.reach.resolution"),
         ],
     )
     def test_run_parameter_out_of_range_names_path(self, command, section, path, tmp_path):
@@ -834,6 +864,27 @@ class TestBatchedCommands:
                 {"metric": {"type": "euclidean"}, "run": {"scan": {}, "seeed": 5}},
                 "error [validation_error] at run.seeed: unknown run key 'seeed'\n",
             ),
+            # an integer resolution above the largest float ended in a traceback
+            (
+                {"metric": {"type": "euclidean"}, "run": {"reach": {"box": [[-1, -1], [1, 1]], "source": [0, 0],
+                                                                    "resolution": 10**400}}},
+                "error [validation_error] at run.reach.resolution: resolution is out of range\n",
+            ),
+            # misspelt keys were dropped: a 2-D metric, and the forward ball
+            (
+                {"metric": {"type": "euclidean", "dimenson": 3}, "run": {"scan": {}}},
+                "error [validation_error] at metric.dimenson: unknown euclidean node key 'dimenson'\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"ball": {"box": [[-1, -1], [1, 1]], "center": [0, 0],
+                                                                   "radius": 0.3, "directon": "backward"}}},
+                "error [validation_error] at run.ball.directon: unknown ball key 'directon'\n",
+            ),
+            (
+                {"metric": {"type": "riemannian", "matrix": [[1, 0], [0, 1]], "matrix_expr": [["1", "0"], ["0", "1"]]},
+                 "run": {"scan": {}}},
+                "error [validation_error] at metric: riemannian node takes 'matrix' or 'matrix_expr', not both\n",
+            ),
         ],
     )
     def test_validation_error_line_names_its_path(self, doc, line, tmp_path, capsys):
@@ -892,20 +943,13 @@ class TestDeterminism:
         assert rows1 != rows2
 
     @pytest.mark.parametrize("command", ["expmap", "gauss"])
-    def test_expmap_and_gauss_read_no_step(self, command, monkeypatch):
-        """Their one output row is at parameter 1, so a ``step`` key changes nothing and costs nothing."""
+    def test_expmap_and_gauss_reject_step(self, command):
+        """Their one output row is at parameter 1, so they declare no ``step``: the key is an unknown one."""
         doc = json.loads(builtin_config("randers_posdep"))
-        expected = run_command(command, *parse_config(json.dumps(doc)))
-        integrate = gd._integrate
-
-        def default_grid(m, x0, v0, t_end, step, t0=0.0):
-            assert step == gd.DEFAULT_STEP
-            return integrate(m, x0, v0, t_end, step, t0)
-
-        monkeypatch.setattr(gd, "_integrate", default_grid)
-        for step in (1e-6, 0.37, "x"):
-            doc["run"][command]["step"] = step
-            assert run_command(command, *parse_config(json.dumps(doc))) == expected
+        doc["run"][command]["step"] = 0.37
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(doc))
+        assert (err.value.path, err.value.constraint) == (f"run.{command}.step", "unknown_key")
 
     def test_geodesic_speed_column_is_pointwise_eval(self):
         spec, cfg = parse_config(builtin_config("randers_posdep"))
@@ -1048,6 +1092,13 @@ class TestMainEntry:
             "indicatrix",
             "oracle",
         }
+        # the README's config schema names exactly the keys each command declares
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        schema = json.loads(re.sub(r"/\*.*?\*/|//[^\n]*", "", block))
+        assert set(schema["run"]) == {"seed", "tolerance", "dimension", *COMMANDS}
+        declared = {cmd: {key for key, _, _ in params} for cmd, (_, *params) in cli._COMMANDS.items()}
+        assert {cmd: set(schema["run"][cmd]) for cmd in COMMANDS} == declared
 
     def test_unwritable_output_is_an_error_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -1070,7 +1121,8 @@ class TestMainEntry:
 class TestLibraryRules:
     """Rules the library owns reach the CLI as a ValidationError at ``run.<cmd>.<parameter>``."""
 
-    GRID = {"box": [[-1, -1], [1, 1]], "source": [0, 0]}
+    SECTIONS = {"geodesic": {"velocity": [1, 0]}, "expmap": {"velocity": [1, 0]},
+                "reach": {"box": [[-1, -1], [1, 1]], "source": [0, 0]}}
 
     @pytest.mark.parametrize(
         "command, module, name",
@@ -1083,7 +1135,7 @@ class TestLibraryRules:
 
         monkeypatch.setattr(module, name, reject)
         doc = json.loads(builtin_config("randers"))
-        doc["run"] = {command: {"velocity": [1, 0], **self.GRID}}
+        doc["run"] = {command: self.SECTIONS.get(command, {})}
         with pytest.raises(ValidationError) as err:
             run_command(command, *parse_config(json.dumps(doc)))
         assert type(err.value) is ValidationError and isinstance(err.value.__cause__, InvalidArgument)
@@ -1137,3 +1189,77 @@ class TestConfigFuzz:
             assert _is_config_path(exc), (exc.path, exc)
         except FinslerError:
             pass
+
+
+def _config_path(parts) -> str:
+    """The config path of a key/index path, for example ``metric.terms[0]``."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parts).lstrip(".")
+
+
+def _declared_keys() -> set:
+    """Every key that the config tables declare anywhere."""
+    tables = [keys for _, keys in cli._NODES.values()] + [cli._FORM_KEYS, cli._PROFILE_KEYS]
+    keys = {key for table in tables for key in table.replace("|", " ").split()}
+    keys |= {key for _, *params in cli._COMMANDS.values() for key, _, _ in params}
+    return keys | set(COMMANDS) | {"metric", "run", "type", "seed", "tolerance", "dimension"}
+
+
+@st.composite
+def configs_with_an_unknown_key(draw):
+    """(config document, path) of a shipped config with one undeclared key inserted at ``path``."""
+    doc = json.loads(builtin_config(draw(st.sampled_from(BUILTINS))))
+    objects = [()] + [p for p in _node_paths(doc) if isinstance(functools.reduce(operator.getitem, p, doc), dict)]
+    parent = draw(st.sampled_from(objects))
+    key = draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(lambda k: k not in _declared_keys()))
+    functools.reduce(operator.getitem, parent, doc)[key] = draw(st.sampled_from(MUTATION_VALUES))
+    return doc, _config_path(parent + (key,))
+
+
+class TestDeclaredKeys:
+    """parse_config checks every object's keys against the tables before it builds anything."""
+
+    @settings(max_examples=200)
+    @given(configs_with_an_unknown_key())
+    def test_unknown_key_is_an_error_at_its_path(self, case):
+        doc, path = case
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(doc))
+        assert (err.value.path, err.value.constraint) == (path, "unknown_key")
+
+    def test_config_path_names_list_items(self):
+        assert _config_path(("metric", "terms", 0, "form")) == "metric.terms[0].form"
+        assert _config_path(("rnu",)) == "rnu"
+
+    FORM = {"coeffs": [0.5, 0.0]}
+
+    @pytest.mark.parametrize(
+        "tree, path",
+        [
+            ({"type": "oneform_metric", "coeffs": [0, 1], "coeff_exprs": ["0", "1"]}, "metric"),
+            ({"type": "named", "family": "randers", "form": {"coeffs": [0.5, 0], "coeff_exprs": ["0", "0"]}},
+             "metric.form"),
+            ({"type": "riemannian", "matrix": [[1, 0], [0, 1]], "matrix_expr": [["1", "0"], ["0", "1"]]}, "metric"),
+            ({"type": "phi", "form": FORM, "profile": {"name": "randers", "phi": "1+s", "interval": [-1, 9]}},
+             "metric.profile"),
+            ({"type": "f1f2", "f1": {"type": "euclidean"}, "f2": {"type": "euclidean"},
+              "profile": {"phi": "1+s", "interval": [-1, 9], "q": 2}}, "metric.profile"),
+        ],
+    )
+    def test_alternative_keys_together(self, tree, path):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"metric": tree}))
+        assert (err.value.path, err.value.constraint) == (path, "exclusive")
+
+    @pytest.mark.parametrize("coeffs", ["abc", [], 3, None])
+    def test_coeffs_must_be_a_non_empty_list(self, coeffs):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"metric": {"type": "oneform_metric", "coeffs": coeffs}}))
+        assert (err.value.path, err.value.constraint) == ("metric.coeffs", "shape")
+
+    def test_values_of_sections_not_run_stay_unread(self):
+        doc = {"metric": {"type": "euclidean"}, "run": {"scan": {"samples": 12}, "ball": {"radius": "x"}}}
+        summary, _, rows = run_command("scan", *parse_config(json.dumps(doc)))
+        assert len(rows) == 12
+        with pytest.raises(ValidationError) as err:
+            run_command("ball", *parse_config(json.dumps(doc)))
+        assert err.value.path == "run.ball.box"
