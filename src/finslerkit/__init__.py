@@ -68,14 +68,12 @@ from .metrics import (
     whole_plane,
 )
 from .minkowski import (
-    ConicDomainV,
     GaugeNorm,
     PolarCurve2D,
     affine_ball,
     curve_convexity,
     downward_parabola_curve,
     fundamental_inequality_check,
-    fundamental_tensor_norm,
     gauge_from_ball,
     gauge_from_curve,
     lorentz_curve,

@@ -424,11 +424,15 @@ def _power_q(node: dict, path: str) -> me.ConicMetric:
 def _profile_node(node: dict, path: str) -> BuiltMetric:
     """A ``phi`` or ``named`` node: the base metric (Euclidean when absent),
     one-form and profile of a profile combination.  A ``named`` node may omit
-    the form: it is then ``b`` times dx^1."""
+    the form: it is then ``b`` times dx^1 on the chart of ``dimension``; ``b``
+    beside ``form``, or ``dimension`` beside ``form`` or ``base``, is an error."""
     named = node["type"] == "named"
     if named:
         family = str(node.get("family", "")).lower()
         _require(family in cb.FAMILIES, f"unknown family {node.get('family')!r}", path, "family")
+        for key, given in (("b", "form"), ("dimension", "form"), ("dimension", "base")):
+            both = key in node and given in node
+            _require(not both, f"named node takes {key!r} or {given!r}, not both", path, "exclusive")
     base = None if node.get("base") is None else _child(node, "base", path)
     if not named or "form" in node:
         form, dim = _build_form(node.get("form"), f"{path}.form")

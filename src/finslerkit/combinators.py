@@ -10,7 +10,7 @@ and the two reversibilization constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -204,29 +204,34 @@ def chern_shen_check(profile: PhiProfile, b0: float, grid: int = 64) -> bool:
 class LCombiner:
     """Degree-2 homogeneous combination law on n metrics and m one-forms.
 
-    ``L`` maps (x, p) with x in the cone B of R^(n+m) and p a chart point
-    to a positive scalar.  ``grad_L``/``hess_L`` are its first and second
-    x-derivatives; when omitted they fall back to finite differences of L
-    (with correspondingly looser oracle tolerances).
+    The law is one call, ``jet_fn(x, p, with_derivatives)``: for a stack x of
+    shape (..., n+m) and a chart point p it returns ``(ok, L)``, the mask of
+    the cone B over the batch (``True`` alone for all of R^(n+m)) and the
+    positive scalar L, or ``(ok, L, grad, hess)`` with the first and second
+    x-derivatives of L when ``with_derivatives`` is set.  A law that always
+    returns ``(ok, L)`` gets finite differences of L instead (with
+    correspondingly looser oracle tolerances).
     """
 
     n: int
     m: int
-    L: Callable = field(repr=False)
-    grad_L: Optional[Callable] = field(default=None, repr=False)
-    hess_L: Optional[Callable] = field(default=None, repr=False)
-    cone_B: Callable = field(default=None, repr=False)
+    jet_fn: Callable = field(repr=False)
     position_independent: bool = True
     name: str = "L"
 
-    def __post_init__(self):
-        if self.cone_B is None:
-            object.__setattr__(
-                self, "cone_B", lambda x: np.ones(np.asarray(x, float).shape[:-1], dtype=bool)
-            )
+    def jet(self, x, p=None, with_derivatives: bool = False) -> tuple:
+        """``(ok, L)`` or ``(ok, L, grad, hess)`` from one call of the law."""
+        x = np.asarray(x, dtype=float)
+        ok, L, *derivs = self.jet_fn(x, p, with_derivatives)
+        out = (np.asarray(ok, dtype=bool), np.asarray(L, dtype=float))
+        if not with_derivatives:
+            return out
+        if not derivs:
+            derivs = (self._fd(fd_gradient, x, p), self._fd(fd_hessian_batch, x, p))
+        return out + tuple(np.asarray(d, dtype=float) for d in derivs)
 
     def value(self, x, p=None) -> np.ndarray:
-        return np.asarray(self.L(np.asarray(x, dtype=float), p), dtype=float)
+        return self.jet(x, p)[1]
 
     def _fd(self, fd, x, p) -> np.ndarray:
         """Finite differences of L, one stacked call over the finite rows of
@@ -241,39 +246,27 @@ class LCombiner:
         return out
 
     def grad(self, x, p=None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.grad_L is not None:
-            return np.asarray(self.grad_L(x, p), dtype=float)
-        return self._fd(fd_gradient, x, p)
+        return self.jet(x, p, True)[2]
 
     def hess(self, x, p=None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.hess_L is not None:
-            return np.asarray(self.hess_L(x, p), dtype=float)
-        return self._fd(fd_hessian_batch, x, p)
+        return self.jet(x, p, True)[3]
 
-    def in_cone(self, x) -> np.ndarray:
-        return np.asarray(self.cone_B(np.asarray(x, dtype=float)), dtype=bool)
+    def in_cone(self, x, p=None) -> np.ndarray:
+        return self.jet(x, p)[0]
 
 
 def sum_combiner(n: int) -> LCombiner:
     """L = (x_1 + ... + x_n)^2, the plain sum of metrics."""
 
-    def L(x, p=None):
+    def jet_fn(x, p, with_derivatives):
         t = np.sum(x, axis=-1)
-        return t * t
+        ok, L = t > 0.0, t * t
+        if not with_derivatives:
+            return ok, L
+        grad = np.broadcast_to((2.0 * t)[..., None], x.shape).copy()
+        return ok, L, grad, np.broadcast_to(2.0 * np.ones((n, n)), x.shape + (n,)).copy()
 
-    def grad_L(x, p=None):
-        t = np.sum(x, axis=-1)
-        return np.broadcast_to((2.0 * t)[..., None], x.shape).copy()
-
-    def hess_L(x, p=None):
-        return np.broadcast_to(2.0 * np.ones((n, n)), x.shape + (n,)).copy()
-
-    def cone_B(x):
-        return np.sum(x, axis=-1) > 0.0
-
-    return LCombiner(n=n, m=0, L=L, grad_L=grad_L, hess_L=hess_L, cone_B=cone_B, name=f"sum[{n}]")
+    return LCombiner(n=n, m=0, jet_fn=jet_fn, name=f"sum[{n}]")
 
 
 def power_combiner(n: int, m: int, q: float) -> LCombiner:
@@ -282,39 +275,26 @@ def power_combiner(n: int, m: int, q: float) -> LCombiner:
         raise BadExponent("power combination requires q >= 1")
     d = n + m
 
-    def U(x):
-        return np.sum(np.abs(x) ** q, axis=-1)
-
-    def L(x, p=None):
-        return U(x) ** (2.0 / q)
-
-    def grad_L(x, p=None):
-        x = np.asarray(x, dtype=float)
-        u = U(x)
-        return 2.0 * x * np.abs(x) ** (q - 2.0) * (u ** (2.0 / q - 1.0))[..., None]
-
-    def hess_L(x, p=None):
-        x = np.asarray(x, dtype=float)
-        u = U(x)
-        aq = np.abs(x) ** (q - 2.0)
-        diag = 2.0 * (q - 1.0) * aq * (u ** (2.0 / q - 1.0))[..., None]
-        w = x * aq
-        cross = 2.0 * (2.0 - q) * (u ** (2.0 / q - 2.0))[..., None, None] * (
-            w[..., :, None] * w[..., None, :]
-        )
-        out = cross
-        idx = np.arange(d)
-        out[..., idx, idx] += diag
-        return out
-
-    def cone_B(x):
-        x = np.asarray(x, dtype=float)
-        ok = U(x) > 0.0
+    def jet_fn(x, p, with_derivatives):
+        ax = np.abs(x)
+        u = np.sum(ax**q, axis=-1)
+        ok = u > 0.0
         if q < 2.0 and m > 0:
-            ok = ok & np.all(np.abs(x[..., n:]) > 0.0, axis=-1)
-        return ok
+            ok = ok & np.all(ax[..., n:] > 0.0, axis=-1)
+        L = u ** (2.0 / q)
+        if not with_derivatives:
+            return ok, L
+        aq = ax ** (q - 2.0)
+        up = (u ** (2.0 / q - 1.0))[..., None]
+        grad = 2.0 * x * aq * up
+        diag = 2.0 * (q - 1.0) * aq * up
+        w = x * aq
+        hess = 2.0 * (2.0 - q) * (u ** (2.0 / q - 2.0))[..., None, None] * (w[..., :, None] * w[..., None, :])
+        idx = np.arange(d)
+        hess[..., idx, idx] += diag
+        return ok, L, grad, hess
 
-    return LCombiner(n=n, m=m, L=L, grad_L=grad_L, hess_L=hess_L, cone_B=cone_B, name=f"power[q={q:g}]")
+    return LCombiner(n=n, m=m, jet_fn=jet_fn, name=f"power[q={q:g}]")
 
 
 @dataclass(frozen=True)
@@ -332,9 +312,7 @@ def check_conditions_ABC(
     combiner: LCombiner, point, base=None, tolerance: float = DEFAULT_EIG_TOL
 ) -> ABCReport:
     """Positive-semidefiniteness conditions of the combination law at a point."""
-    x = np.asarray(point, dtype=float)
-    grad = combiner.grad(x, base)
-    hess = combiner.hess(x, base)
+    _, _, grad, hess = combiner.jet(point, base, True)
     a_ok = bool(np.all(grad[: combiner.n] >= -tolerance)) if combiner.n else True
     cls = eigen_classify(hess, tolerance).classification
     b_ok = cls in (Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE)
@@ -403,14 +381,14 @@ def combine(
         bs = [fm.coeffs(base) for fm in forms]
         cols = [kid[1] for kid in kids] + [_pair(b, vec) for b in bs]
         x = np.stack(np.broadcast_arrays(*cols), axis=-1) if len(cols) > 1 else np.asarray(cols[0])[..., None]
-        ok = np.all(np.isfinite(x), axis=-1) & combiner.in_cone(x)
+        in_cone, L, *derivs = combiner.jet(x, base, with_tensor)
+        ok = np.all(np.isfinite(x), axis=-1) & in_cone
         for kid in kids:
             ok = ok & kid[0]
-        F = np.sqrt(np.maximum(combiner.value(x, base), 0.0))
+        F = np.sqrt(np.maximum(L, 0.0))
         if not with_tensor:
             return ok, F
-        grad = combiner.grad(x, base)
-        hess = combiner.hess(x, base)
+        grad, hess = derivs
         term1 = 0.0
         rows = []
         for k, kid in enumerate(kids):
@@ -430,7 +408,7 @@ def combine(
         and all(fm.constant for fm in forms),
         f"{combiner.name}({', '.join(mk.name for mk in metrics)})",
         all(mk.zero_in_domain for mk in metrics)
-        and bool(combiner.in_cone(np.r_[np.ones(combiner.n), np.zeros(combiner.m)])),
+        and bool(combiner.in_cone(np.r_[np.ones(combiner.n), np.zeros(combiner.m)], np.zeros(man.dimension))),
     )
 
 

@@ -344,7 +344,8 @@ def oneform_metric(form: OneFormAtom, manifold: ChartManifold, name: str = "") -
 def minkowski_metric(gauge: GaugeNorm, manifold: ChartManifold = None, name: str = "") -> ConicMetric:
     """Lift a fixed Minkowski conic pseudo-norm to a position-independent metric.
 
-    The gauge has no closed-form tensor, so its jet is order 0 only.
+    Its jet is the gauge's one evaluation pass (:meth:`GaugeNorm.member_value`);
+    the gauge has no closed-form tensor, so the jet is order 0 only.
     """
     if manifold is None:
         manifold = whole_plane(gauge.dimension)
@@ -352,8 +353,7 @@ def minkowski_metric(gauge: GaugeNorm, manifold: ChartManifold = None, name: str
     def jet_fn(base, vec, with_tensor):
         shape = _batch_shape(base, vec)
         ok, F = gauge.member_value(vec)
-        ok = np.broadcast_to(np.asarray(ok, dtype=bool), shape)
-        return ok, np.broadcast_to(np.asarray(F, dtype=float), shape)
+        return np.broadcast_to(ok, shape), np.broadcast_to(F, shape)
 
     dirs = unit_directions(gauge.dimension, 64)
     full = bool(np.all(gauge.member(dirs)))

@@ -11,34 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidArgument, NoBracket, NonFiniteSample, OutsideCone
-from .numkernel import GRAD_STEP, central_derivatives, fd_hessian, ray_root
+from .numkernel import GRAD_STEP, central_derivatives, ray_root
 
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class ConicDomainV:
-    """Open cone in a vector space, given by a vectorized membership test."""
-
-    dimension: int
-    member: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.asarray(self.member(v), dtype=bool)
-
-
-def whole_space_domain(dimension: int) -> ConicDomainV:
-    def member(v):
-        v = np.asarray(v, dtype=float)
-        return np.ones(v.shape[:-1], dtype=bool)
-
-    return ConicDomainV(dimension, member)
+def whole_space_domain(dimension: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The cone of all of R^dimension as a membership test of stacks (..., dimension)."""
+    return lambda v: np.ones(np.shape(v)[:-1], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -106,36 +91,30 @@ class GaugeSource(Enum):
 class GaugeNorm:
     """A Minkowski conic pseudo-norm: positive, 1-homogeneous, smooth off 0.
 
-    ``evaluate``, when given, returns ``(member(v), value_unchecked(v))``
-    from one pass over v.
+    ``value_unchecked`` is the one evaluation pass: the gauge of each vector
+    of a stack (..., dimension), NaN exactly outside the conic domain.
+    ``domain`` is the domain's membership test alone: a curve gauge reads it
+    off that pass, a ball gauge tests its cone and casts no ray.
     """
 
-    domain: ConicDomainV
+    dimension: int
+    domain: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     value_unchecked: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     source: GaugeSource
-    evaluate: Optional[Callable[[np.ndarray], tuple]] = field(default=None, repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.domain.dimension
 
     def member(self, v) -> np.ndarray:
-        return self.domain(v)
+        return np.asarray(self.domain(np.asarray(v, dtype=float)), dtype=bool)
 
     def member_value(self, v) -> tuple:
-        """Domain mask and unchecked value of v."""
-        if self.evaluate is not None:
-            return self.evaluate(v)
-        return self.member(v), self.value_unchecked(v)
+        """Domain mask and unchecked value of v from one pass."""
+        val = np.asarray(self.value_unchecked(v), dtype=float)
+        return ~np.isnan(val), val
 
     def value(self, v) -> float | np.ndarray:
         """Gauge value; raises OutsideCone when any input leaves the domain."""
-        v = np.asarray(v, dtype=float)
-        # a ball gauge tests the domain before casting any ray
-        ok, out = self.evaluate(v) if self.evaluate is not None else (self.domain(v), None)
+        ok, out = self.member_value(v)
         if not np.all(ok):
             raise OutsideCone("vector outside the gauge's conic domain")
-        out = np.asarray(self.value_unchecked(v) if out is None else out, dtype=float)
         return float(out) if out.ndim == 0 else out
 
 
@@ -147,26 +126,28 @@ def gauge_from_curve(curve: PolarCurve2D) -> GaugeNorm:
     r(theta) is finite and positive.
     """
 
-    def evaluate(v):
+    def value_unchecked(v):
         v = np.asarray(v, dtype=float)
         theta, ok = curve.angle_of(v)
         with np.errstate(all="ignore"):
             rr = np.asarray(curve.r(np.where(ok, theta, np.mean(curve.theta_range) if curve.theta_range else 0.0)), dtype=float)
             ok = ok & np.isfinite(rr) & (rr > 0.0)
             out = np.linalg.norm(v, axis=-1) / rr
-        return ok, np.where(ok, out, np.nan)
+        return np.where(ok, out, np.nan)
 
     return GaugeNorm(
-        domain=ConicDomainV(2, lambda v: evaluate(v)[0]),
-        value_unchecked=lambda v: evaluate(v)[1],
+        dimension=2,
+        domain=lambda v: ~np.isnan(value_unchecked(v)),
+        value_unchecked=value_unchecked,
         source=GaugeSource.INDICATRIX_CURVE_2D,
-        evaluate=evaluate,
     )
 
 
-def gauge_from_ball(dimension: int, member, cone: ConicDomainV) -> GaugeNorm:
+def gauge_from_ball(dimension: int, member, cone: Callable) -> GaugeNorm:
     """Gauge of a unit ball given only by a membership predicate.
 
+    ``cone`` is the membership test of the conic domain, stacks (..., dimension)
+    to a boolean mask (:func:`whole_space_domain` for all of R^dimension).
     Each evaluation runs a doubling bracket plus bisection on the ray
     crossing; directions whose rays never leave (or never enter) the ball
     are degenerate and rejected.
@@ -190,11 +171,13 @@ def gauge_from_ball(dimension: int, member, cone: ConicDomainV) -> GaugeNorm:
     def value_unchecked(v):
         v = np.asarray(v, dtype=float)
         flat = v.reshape(-1, v.shape[-1])
-        ok = cone(flat)
+        ok = np.asarray(cone(flat), dtype=bool)
         out = np.array([value_one(x) if o else np.nan for x, o in zip(flat, ok)])
         return out.reshape(v.shape[:-1])
 
-    return GaugeNorm(domain=cone, value_unchecked=value_unchecked, source=GaugeSource.BALL_MEMBERSHIP)
+    return GaugeNorm(
+        dimension=dimension, domain=cone, value_unchecked=value_unchecked, source=GaugeSource.BALL_MEMBERSHIP
+    )
 
 
 def curve_convexity(curve: PolarCurve2D, theta: float) -> float:
@@ -220,18 +203,6 @@ def _half_square(norm: GaugeNorm, u) -> np.ndarray:
     return 0.5 * val * val
 
 
-def fundamental_tensor_norm(norm: GaugeNorm, v: np.ndarray) -> np.ndarray:
-    """Fundamental tensor at v: finite-difference Hessian of value^2 / 2."""
-    v = np.asarray(v, dtype=float)
-    if not np.all(norm.member(v)):
-        raise OutsideCone("tensor requested outside the gauge domain")
-
-    g = fd_hessian(lambda u: _half_square(norm, u), v, scale=float(np.linalg.norm(v)))
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteSample("finite-difference probes left the gauge domain")
-    return g
-
-
 def check_ball_direction(direction: str):
     """InvalidArgument at ``direction`` unless it names a ball: 'forward' or 'backward'."""
     if direction not in ("forward", "backward"):
@@ -244,9 +215,7 @@ def affine_ball(norm: GaugeNorm, center, radius: float, direction: str, probe) -
     center = np.asarray(center, dtype=float)
     probe = np.asarray(probe, dtype=float)
     d = probe - center if direction == "forward" else center - probe
-    if not bool(norm.member(d)):
-        return False
-    return float(norm.value_unchecked(d)) < radius
+    return float(norm.value_unchecked(d)) < radius  # NaN, so False, outside the domain
 
 
 class TriangleVerdict(Enum):

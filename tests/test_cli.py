@@ -230,6 +230,9 @@ class TestMalformedConfig:
             ({"type": "oneform_metric", "coeffs": "abc"}, {}, "metric.coeffs"),
             ({"type": "named", "family": "randers", "form": {"coeffs": [], "coeff_exprs": ["0.1", "0"]}}, {},
              "metric.form"),
+            # a named node's shorthand beside what it stands for
+            ({"type": "named", "family": "randers", "dimension": 3, "base": {"type": "euclidean"}}, {}, "metric"),
+            ({"type": "named", "family": "randers", "b": 0.9, "form": {"coeffs": [0.5, 0]}}, {}, "metric"),
         ],
     )
     def test_non_numeric_scalar_names_path(self, metric, run, path):
@@ -1243,6 +1246,10 @@ class TestDeclaredKeys:
              "metric.profile"),
             ({"type": "f1f2", "f1": {"type": "euclidean"}, "f2": {"type": "euclidean"},
               "profile": {"phi": "1+s", "interval": [-1, 9], "q": 2}}, "metric.profile"),
+            # a named node's shorthand beside what takes its place
+            ({"type": "named", "family": "randers", "b": 0.9, "form": FORM}, "metric"),
+            ({"type": "named", "family": "randers", "dimension": 2, "form": FORM}, "metric"),
+            ({"type": "named", "family": "randers", "dimension": 3, "base": {"type": "euclidean"}}, "metric"),
         ],
     )
     def test_alternative_keys_together(self, tree, path):

@@ -163,14 +163,12 @@ class TestCombinerLaws:
 class TestCombine:
     def test_identity_combination(self):
         E = euclid()
-        ident = cb.LCombiner(
-            n=1,
-            m=0,
-            L=lambda x, p=None: x[..., 0] ** 2,
-            grad_L=lambda x, p=None: 2.0 * x,
-            hess_L=lambda x, p=None: np.broadcast_to(2.0 * np.eye(1), x.shape + (1,)).copy(),
-            name="identity",
-        )
+        def jet_fn(x, p, with_derivatives):
+            if not with_derivatives:
+                return True, x[..., 0] ** 2
+            return True, x[..., 0] ** 2, 2.0 * x, np.broadcast_to(2.0 * np.eye(1), x.shape + (1,))
+
+        ident = cb.LCombiner(n=1, m=0, jet_fn=jet_fn, name="identity")
         m = cb.combine(ident, [E], [])
         v = np.array([0.6, -0.8])
         assert float(m.F_many(BASE, v)) == pytest.approx(float(E.F_many(BASE, v)))
@@ -194,19 +192,17 @@ class TestCombine:
 
     def test_fd_fallback_for_user_l(self):
         # grad/hess omitted: combination still works against the FD oracle
-        mix = cb.LCombiner(
-            n=2,
-            m=0,
-            L=lambda x, p=None: x[..., 0] ** 2 + 0.5 * x[..., 1] ** 2 + 0.3 * x[..., 0] * x[..., 1],
-            name="quadratic-mix",
-        )
+        def jet_fn(x, p, with_derivatives):
+            return True, x[..., 0] ** 2 + 0.5 * x[..., 1] ** 2 + 0.3 * x[..., 0] * x[..., 1]
+
+        mix = cb.LCombiner(n=2, m=0, jet_fn=jet_fn, name="quadratic-mix")
         stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), me.whole_plane(2))
         m = cb.combine(mix, [euclid(), stretched], [])
         assert oracle_gap(m, count=25, seed=3) < 1e-4
 
     def test_fd_fallback_scan_over_conic_ingredient(self):
         # the scan evaluates tensors on every direction; FD rows outside the cone stay NaN
-        mix = cb.LCombiner(n=2, m=0, L=lambda x, p=None: (x[..., 0] + x[..., 1]) ** 2, name="sum-fd")
+        mix = cb.LCombiner(n=2, m=0, jet_fn=lambda x, p, d: (True, (x[..., 0] + x[..., 1]) ** 2), name="sum-fd")
         upper = me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
         entries = me.convexity_scan(cb.combine(mix, [euclid(), upper], []), BASE, 36)
         assert {e.in_domain for e in entries} == {True, False}
@@ -218,17 +214,17 @@ class TestCombine:
         def L(x, p):
             return x[..., 0] ** 2 * (1.0 + p[..., 0] ** 2) + x[..., 1] ** 2
 
-        def grad_L(x, p):
-            return np.stack([2.0 * x[..., 0] * (1.0 + p[..., 0] ** 2), 2.0 * x[..., 1]], axis=-1)
-
-        def hess_L(x, p):
+        def exact_jet(x, p, with_derivatives):
+            if not with_derivatives:
+                return True, L(x, p)
+            grad = np.stack([2.0 * x[..., 0] * (1.0 + p[..., 0] ** 2), 2.0 * x[..., 1]], axis=-1)
             h = np.zeros(x.shape + (2,))
             h[..., 0, 0] = 2.0 * (1.0 + p[..., 0] ** 2)
             h[..., 1, 1] = 2.0
-            return h
+            return True, L(x, p), grad, h
 
-        fd = cb.LCombiner(n=2, m=0, L=L, position_independent=False, name="posdep-fd")
-        exact = replace(fd, grad_L=grad_L, hess_L=hess_L, name="posdep")
+        fd = cb.LCombiner(n=2, m=0, jet_fn=lambda x, p, d: (True, L(x, p)), position_independent=False, name="posdep-fd")
+        exact = replace(fd, jet_fn=exact_jet, name="posdep")
         stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), me.whole_plane(2))
         rng = np.random.default_rng(batch)
         base = rng.uniform(-1.0, 1.0, size=(batch, 2))
@@ -239,13 +235,7 @@ class TestCombine:
 
     def test_domain_empty(self):
         E = euclid()
-        never = cb.LCombiner(
-            n=1,
-            m=0,
-            L=lambda x, p=None: x[..., 0] ** 2,
-            cone_B=lambda x: np.zeros(np.asarray(x)[..., 0].shape, dtype=bool),
-            name="empty",
-        )
+        never = cb.LCombiner(n=1, m=0, jet_fn=lambda x, p, d: (False, x[..., 0] ** 2), name="empty")
         with pytest.raises(DomainEmpty):
             cb.combine(never, [E], [])
 
@@ -256,14 +246,14 @@ class TestConditionsABC:
         assert rep.A_ok and rep.B_ok and rep.C_ok
 
     def test_lorentz_like_l_fails_b(self):
-        lor = cb.LCombiner(
-            n=2,
-            m=0,
-            L=lambda x, p=None: x[..., 0] ** 2 - x[..., 1] ** 2,
-            grad_L=lambda x, p=None: np.stack([2 * x[..., 0], -2 * x[..., 1]], axis=-1),
-            hess_L=lambda x, p=None: np.broadcast_to(np.diag([2.0, -2.0]), x.shape + (2,)).copy(),
-            name="lorentz-like",
-        )
+        def jet_fn(x, p, with_derivatives):
+            L = x[..., 0] ** 2 - x[..., 1] ** 2
+            if not with_derivatives:
+                return True, L
+            grad = np.stack([2 * x[..., 0], -2 * x[..., 1]], axis=-1)
+            return True, L, grad, np.broadcast_to(np.diag([2.0, -2.0]), x.shape + (2,))
+
+        lor = cb.LCombiner(n=2, m=0, jet_fn=jet_fn, name="lorentz-like")
         rep = cb.check_conditions_ABC(lor, [1.0, 1.0])
         assert not rep.B_ok
 
@@ -866,6 +856,32 @@ class TestProfileCalls:
         counts.update(phi=0, phi_dot=0, phi_ddot=0)
         cb.det_tensor_formula(euclid(), beta, prof, me.TangentVec(BASE, vs))
         assert counts == {"phi": 1, "phi_dot": 1, "phi_ddot": 1}
+
+
+class TestLawCalls:
+    """One call of the combination law per evaluation of a combine node."""
+
+    @pytest.mark.parametrize("method", ["F_many", "tensor_many"])
+    @pytest.mark.parametrize(
+        "make", [lambda: cb.sum_combiner(2), lambda: cb.power_combiner(2, 1, 1.5)], ids=["sum", "power"]
+    )
+    def test_one_law_call_per_evaluation(self, make, method):
+        law = make()
+        calls = [0]
+
+        def counting(x, p, with_derivatives):
+            calls[0] += 1
+            return law.jet_fn(x, p, with_derivatives)
+
+        counted = replace(law, jet_fn=counting)
+        metric = cb.combine(counted, [euclid()] * law.n, [me.constant_oneform([0.5, 0.0])] * law.m)
+        vs = np.random.default_rng(3).normal(size=(7, 2))
+        calls[0] = 0
+        getattr(metric, method)(BASE, vs)
+        assert calls[0] == 1
+        calls[0] = 0
+        cb.check_conditions_ABC(counted, [1.0] * (law.n + law.m))
+        assert calls[0] == 1
 
 
 class TestReversibilize:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,14 +93,41 @@ class TestGaugeOnePass:
         lorentz_metric.tensor_many(BASE, vecs)
         assert calls[0] == 2
 
-    @pytest.mark.parametrize("curve", [mk.lorentz_curve(), mk.spiral_curve(0.3), mk.unit_circle_curve()])
+    @pytest.mark.parametrize("curve", [mk.lorentz_curve(), mk.spiral_curve(0.3), mk.unit_circle_curve(), None])
     def test_member_value_is_member_and_value(self, curve):
-        gauge = mk.gauge_from_curve(curve)
+        # None: a ball gauge, the unit disc on the cone y > |x|
+        if curve is None:
+            gauge = mk.gauge_from_ball(2, lambda v: v @ v <= 1.0, lambda v: v[..., 1] > np.abs(v[..., 0]))
+        else:
+            gauge = mk.gauge_from_curve(curve)
         vecs = np.array([[0.1, 1.0], [1.0, 0.0], [0.0, -2.0], [0.0, 0.0], [np.nan, 1.0]])
         ok, val = gauge.member_value(vecs)
         assert np.array_equal(ok, gauge.member(vecs))
         assert np.array_equal(val, gauge.value_unchecked(vecs), equal_nan=True)
         assert np.all(np.isnan(val[~ok]))
+
+    @pytest.mark.parametrize("kind", ["curve", "ball"])
+    def test_a_replaced_value_pass_serves_every_evaluation(self, kind):
+        """``value``, ``member_value`` and the lifted metric all go through the
+        ``value_unchecked`` field, so replacing it (as a tracer does) sees each call."""
+        if kind == "curve":
+            gauge = mk.gauge_from_curve(mk.lorentz_curve())
+        else:
+            gauge = mk.gauge_from_ball(2, lambda v: v @ v <= 1.0, mk.whole_space_domain(2))
+        calls = [0]
+
+        def counting(v):
+            calls[0] += 1
+            return gauge.value_unchecked(v)
+
+        traced = replace(gauge, value_unchecked=counting)
+        metric = me.minkowski_metric(traced)
+        vecs = np.array([[0.1, 1.0], [-0.3, 2.0]])
+        expected = gauge.value_unchecked(vecs)
+        for evaluate in (traced.value, lambda v: traced.member_value(v)[1], lambda v: metric.F_many(BASE, v)):
+            calls[0] = 0
+            assert np.array_equal(evaluate(vecs), expected)
+            assert calls[0] == 1
 
 
     @pytest.mark.parametrize(
