@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -530,33 +531,50 @@ def _in_domain_at(m: me.ConicMetric, base):
     return lambda vs: m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
 
 
+def _rows(*columns, index=None, text=None) -> list[list]:
+    """CSV rows from whole arrays: one ``np.column_stack(columns).tolist()`` of
+    the float columns (1-D arrays or 2-D blocks), then in each row list the
+    int from ``index`` in front and, for ``text = (position, cells)``, its
+    text cell at that position among the float cells."""
+    rows = np.column_stack(columns).tolist()
+    if text is not None:
+        at, cells = text
+        for row, cell in zip(rows, cells):
+            row.insert(at, cell)
+    if index is not None:
+        for row, i in zip(rows, index):
+            row.insert(0, i)
+    return rows
+
+
 def _pointwise(cmd: str, built: BuiltMetric, cfg: RunConfig, base, vectors):
     """``eval``, ``tensor`` and ``classify``: one row per vector at ``base``."""
-    m, dim = built.metric, len(base)
+    m, dim, count = built.metric, len(base), len(vectors)
     header = ["index"] + _vec_cols("base", dim) + _vec_cols("v", dim)
+    lead = (np.broadcast_to(base, vectors.shape), vectors)
     if cmd == "eval":
-        vals = me.eval_F_many(m, base, vectors)
-        rows = [[i, *base, *v, float(f)] for i, (v, f) in enumerate(zip(vectors, vals))]
-        return {"command": cmd, "count": len(rows)}, header + ["F"], rows
+        rows = _rows(*lead, me.eval_F_many(m, base, vectors), index=range(count))
+        return {"command": cmd, "count": count}, header + ["F"], rows
     gs = me.tensor(m, me.TangentVec(base, vectors))
     if cmd == "tensor":
         header += [f"g{i}{j}" for i in range(dim) for j in range(dim)]
-        rows = [[i, *base, *v, *g.ravel()] for i, (v, g) in enumerate(zip(vectors, gs))]
-        return {"command": cmd, "count": len(rows)}, header, rows
+        rows = _rows(*lead, gs.reshape(count, dim * dim), index=range(count))
+        return {"command": cmd, "count": count}, header, rows
     reps = me.eigen_classify(gs, cfg.tolerance)
-    rows = [[i, *base, *v, r.classification.value, r.min_eigenvalue] for i, (v, r) in enumerate(zip(vectors, reps))]
-    counts = dict(Counter(r.classification.value for r in reps))
-    return {"command": cmd, "counts": counts}, header + ["classification", "min_eigenvalue"], rows
+    classes = [r.classification.value for r in reps]
+    mins = np.array([r.min_eigenvalue for r in reps])
+    rows = _rows(*lead, mins, index=range(count), text=(2 * dim, classes))
+    return {"command": cmd, "counts": dict(Counter(classes))}, header + ["classification", "min_eigenvalue"], rows
 
 
 def _scan(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
     entries = me.convexity_scan(built.metric, base, samples, cfg.tolerance)
     header = ["index"] + _vec_cols("dir", len(base)) + ["status", "min_eigenvalue"]
-    rows = [
-        [i, *e.direction, e.status, e.report.min_eigenvalue if e.report else float("nan")]
-        for i, e in enumerate(entries)
-    ]
-    counts = dict(Counter(e.status for e in entries))
+    dirs = np.array([e.direction for e in entries])
+    mins = np.array([e.report.min_eigenvalue if e.report else math.nan for e in entries])
+    statuses = [e.status for e in entries]
+    rows = _rows(dirs, mins, index=range(len(entries)), text=(len(base), statuses))
+    counts = dict(Counter(statuses))
     pd_frac = counts.get("PositiveDefinite", 0) / samples
     return {"command": cmd, "counts": counts, "pd_fraction": pd_frac}, header, rows
 
@@ -572,7 +590,7 @@ def _detcheck(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
     lhs = cb.det_tensor_formula(F0, beta, profile, tv)
     rhs = np.linalg.det(me.tensor(m, tv))
     errs = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-    rows = [[i, *v, float(a), float(b), float(e)] for i, (v, a, b, e) in enumerate(zip(vs, lhs, rhs, errs))]
+    rows = _rows(vs, lhs, rhs, errs, index=range(len(vs)))
     return {"command": cmd, "max_rel_err": float(np.max(errs, initial=0.0))}, header, rows
 
 
@@ -580,17 +598,18 @@ def _geodesic(cmd: str, built: BuiltMetric, cfg: RunConfig, base, velocity, t_en
     m, dim = built.metric, len(base)
     states = gd.geodesic_shoot(m, gd.GeodesicState(base, velocity, 0.0), t_end, step)
     header = ["t"] + _vec_cols("x", dim) + _vec_cols("v", dim) + ["F"]
+    ts = np.array([s.parameter for s in states])
     xs = np.array([s.position for s in states])
     vs = np.array([s.velocity for s in states])
-    speeds = me.eval_F_many(m, xs, vs)
-    rows = [[s.parameter, *x, *v, float(f)] for s, x, v, f in zip(states, xs, vs, speeds)]
+    rows = _rows(ts, xs, vs, me.eval_F_many(m, xs, vs))
     return {"command": cmd, "steps": len(rows) - 1}, header, rows
 
 
 def _expmap(cmd: str, built: BuiltMetric, cfg: RunConfig, base, velocity):
     end = gd.exp_map(built.metric, base, velocity)
     header = _vec_cols("base", len(base)) + _vec_cols("v", len(base)) + _vec_cols("exp", len(base))
-    return {"command": cmd, "endpoint": [float(v) for v in end]}, header, [[*base, *velocity, *end]]
+    rows = _rows(base[None], velocity[None], np.asarray(end)[None])
+    return {"command": cmd, "endpoint": [float(v) for v in end]}, header, rows
 
 
 def _gauss(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
@@ -599,7 +618,7 @@ def _gauss(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
     rng = np.random.default_rng(cfg.seed)
     vs, ws = me.admissible_draws(rng, samples, dim, _in_domain_at(m, base), paired=True)
     res = gd.gauss_residuals(m, base, vs, ws)
-    rows = [[i, *v, *w, float(r)] for i, (v, w, r) in enumerate(zip(vs, ws, res))]
+    rows = _rows(vs, ws, res, index=range(len(vs)))
     return {"command": cmd, "max_abs_residual": float(np.max(np.abs(res)))}, header, rows
 
 
@@ -635,7 +654,7 @@ def _graph(cmd: str, built: BuiltMetric, cfg: RunConfig, box, resolution, neighb
     if cmd == "separation":
         result = gd.separation(graph, source, target)
         header = ["step"] + _vec_cols("x", dim)
-        rows = [[i, *pt] for i, pt in enumerate(result.witness_path)]
+        rows = _rows(result.witness_path, index=range(len(result.witness_path)))
         return (
             {
                 "command": cmd,
@@ -648,7 +667,7 @@ def _graph(cmd: str, built: BuiltMetric, cfg: RunConfig, box, resolution, neighb
             rows,
         )
     idx = gd.reachability(graph, source) if cmd == "reach" else gd.df_ball(graph, center, radius, direction)
-    rows = [[int(i), *graph.nodes[i]] for i in idx]
+    rows = _rows(graph.nodes[idx], index=idx.tolist())
     return {"command": cmd, "count": int(idx.size)}, ["index"] + _vec_cols("x", dim), rows
 
 
@@ -657,7 +676,7 @@ def _indicatrix(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
     ok, vals = built.metric.jet(np.broadcast_to(base, dirs.shape), dirs)
     header = ["index"] + _vec_cols("dir", len(base)) + _vec_cols("s", len(base))
     on_ray = ok & np.isfinite(vals) & (vals > 0)
-    rows = [[i, *dirs[i], *(dirs[i] / vals[i])] for i in range(samples) if on_ray[i]]
+    rows = _rows(dirs[on_ray], dirs[on_ray] / vals[on_ray, None], index=np.flatnonzero(on_ray).tolist())
     return {"command": cmd, "count": len(rows)}, header, rows
 
 
@@ -677,7 +696,7 @@ def _oracle(cmd: str, built: BuiltMetric, cfg: RunConfig, samples, tolerance, in
     gf = m.fd_tensor_many(bases, vs)
     scale = np.maximum(1.0, np.max(np.abs(gf), axis=(-2, -1)))
     errs = np.max(np.abs(ga - gf), axis=(-2, -1)) / scale
-    rows = [[i, *v, float(e)] for i, (v, e) in enumerate(zip(vs, errs))]
+    rows = _rows(vs, errs, index=range(len(vs)))
     worst = float(np.max(errs)) if errs.size else 0.0
     return {"command": cmd, "max_rel_err": worst, "tolerance": tolerance, "ok": bool(worst <= tolerance)}, header, rows
 
@@ -730,11 +749,41 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
         raise ValidationError(str(exc), path=f"run.{cmd}.{exc.path}", constraint=exc.constraint) from exc
 
 
+# the %-format of a cell type whose text is fixed: floats as format(x, ".17g"),
+# integers as str(x); numpy integer types are added by _row_format
+_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%d", str: "%s"}
+_PLAIN_TEXT = re.compile(r"[\w.+-]+", re.ASCII)  # text csv's minimal quoting writes as it is
+
+
+def _row_format(types: tuple):
+    """The one %-format of a row of cells of these types, with the positions of
+    its text cells; None when a cell type must go through the csv writer."""
+    cells = []
+    for t in types:
+        fmt = _CELL_FORMATS.get(t) or ("%d" if issubclass(t, np.integer) else None)
+        if fmt is None:
+            return None
+        cells.append(fmt)
+    return ",".join(cells) + "\n", [k for k, t in enumerate(types) if t is str]
+
+
 def write_csv(stream, header: list[str], rows: list[list]):
+    """Write the header and rows: floats as ``format(x, ".17g")``, everything
+    else as ``str(x)``, under csv's minimal quoting.  A row whose cells are all
+    floats, ints or plain text is written with one %-format string, chosen once
+    per tuple of cell types; any other row goes through the csv writer."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
+    formats = {}
     for row in rows:
-        writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = _row_format(types)
+        fmt = formats[types]
+        if fmt is not None and all(_PLAIN_TEXT.fullmatch(row[k]) for k in fmt[1]):
+            stream.write(fmt[0] % tuple(row))
+        else:
+            writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
 
 
 def builtin_config(name: str) -> str:

@@ -196,11 +196,12 @@ def curve_convexity(curve: PolarCurve2D, theta: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _half_square(norm: GaugeNorm, u) -> np.ndarray:
-    """value(u)^2 / 2, NaN outside the domain."""
+def _member_values(norm: GaugeNorm, *vectors) -> tuple:
+    """Domain mask and gauge values (Python floats, NaN outside the domain) of
+    the vectors, from one pass over their stack."""
     with np.errstate(all="ignore"):
-        val = np.asarray(norm.value_unchecked(u), dtype=float)
-    return 0.5 * val * val
+        ok, vals = norm.member_value(np.stack(vectors))
+    return ok.tolist(), vals.tolist()
 
 
 def check_ball_direction(direction: str):
@@ -238,14 +239,11 @@ def triangle_report(norm: GaugeNorm, v1, v2) -> TriangleVerdict:
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    if not (bool(norm.member(v1)) and bool(norm.member(v2))):
+    ok, (a, b, c) = _member_values(norm, v1, v2, v1 + v2)
+    if not (ok[0] and ok[1]):
         raise OutsideCone("triangle_report arguments must lie in the domain")
-    if not bool(norm.member(v1 + v2)):
+    if not ok[2]:
         return TriangleVerdict.NOT_COMPARABLE
-
-    a = float(norm.value_unchecked(v1))
-    b = float(norm.value_unchecked(v2))
-    c = float(norm.value_unchecked(v1 + v2))
     slack = 1e-10 * max(1.0, a + b)
 
     if c > a + b + slack:
@@ -277,14 +275,14 @@ def fundamental_inequality_check(norm: GaugeNorm, v1, v2) -> InequalityVerdict:
     v2 = np.asarray(v2, dtype=float)
     if float(np.linalg.norm(v1)) == 0.0:
         raise OutsideCone("v1 must be nonzero")
-    if not (bool(norm.member(v1)) and bool(norm.member(v2))):
-        raise OutsideCone("fundamental inequality arguments must lie in the domain")
-
     h = GRAD_STEP * float(np.linalg.norm(v1)) / max(float(np.linalg.norm(v2)), 1e-300)
-    lhs = float(_half_square(norm, v1 + h * v2) - _half_square(norm, v1 - h * v2)) / (2.0 * h)
+    ok, (a, b, plus, minus) = _member_values(norm, v1, v2, v1 + h * v2, v1 - h * v2)
+    if not (ok[0] and ok[1]):
+        raise OutsideCone("fundamental inequality arguments must lie in the domain")
+    lhs = (0.5 * plus * plus - 0.5 * minus * minus) / (2.0 * h)
     if not np.isfinite(lhs):
         raise NonFiniteSample("derivative probes left the gauge domain")
-    rhs = float(norm.value_unchecked(v1)) * float(norm.value_unchecked(v2))
+    rhs = a * b
     tol = 1e-9 * max(1.0, abs(rhs))
     if lhs > rhs + tol:
         return InequalityVerdict.VIOLATED

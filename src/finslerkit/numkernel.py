@@ -12,6 +12,7 @@ share any code with the analytic paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -246,24 +247,26 @@ def ray_root(g, bracket_hint: float = 1.0) -> float:
     if lam0 <= 0:
         lam0 = 1.0
     g0 = float(g(lam0))
-    if not np.isfinite(g0):
+    if not math.isfinite(g0):
         raise NonFiniteSample("non-finite value in ray_root at the hint")
     if g0 == 0.0:
         return lam0
 
-    # the inner end of each bracket is the previous probe (or the hint),
-    # whose sign is that of g0
-    sign0 = np.sign(g0)
+    # sign0 is the sign of the inner end of each bracket, the previous probe (or
+    # the hint); a probe p is a sign change when -inf < p * sign0 <= 0 (NaN and
+    # infinities are not), and the bisection keeps lo = mid while mid's value
+    # times the sign of lo's is positive (NaN never is; lo's sign may be 0)
+    sign0 = 1.0 if g0 > 0.0 else -1.0
     for k in range(1, RAY_DOUBLINGS + 1):
         up = lam0 * (2.0**k)
         gu = float(g(up))
-        if np.isfinite(gu) and np.sign(gu) != sign0:
+        if -math.inf < gu * sign0 <= 0.0:
             lo, hi, sign_lo = lam0 * (2.0 ** (k - 1)), up, sign0
             break
         down = lam0 / (2.0**k)
         gd = float(g(down))
-        if np.isfinite(gd) and np.sign(gd) != sign0:
-            lo, hi, sign_lo = down, lam0 / (2.0 ** (k - 1)), np.sign(gd)
+        if -math.inf < gd * sign0 <= 0.0:
+            lo, hi, sign_lo = down, lam0 / (2.0 ** (k - 1)), 0.0 if gd == 0.0 else -sign0
             break
     else:
         raise NoBracket(f"no sign change within {RAY_DOUBLINGS} doublings of {lam0}")
@@ -275,7 +278,7 @@ def ray_root(g, bracket_hint: float = 1.0) -> float:
         gm = float(g(mid))
         if gm == 0.0:
             return mid
-        if np.sign(gm) == sign_lo:
+        if gm * sign_lo > 0.0:
             lo = mid
         else:
             hi = mid

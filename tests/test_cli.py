@@ -1,7 +1,9 @@
 import copy
+import csv
 import functools
 import io
 import json
+import math
 import operator
 import re
 from dataclasses import replace
@@ -978,6 +980,150 @@ class TestDeterminism:
         buf = io.StringIO()
         write_csv(buf, ["x"], [[1.0 / 3.0]])
         assert "0.33333333333333331" in buf.getvalue()
+
+
+def spec_write_csv(stream, header, rows):
+    """The CSV cell rule as a per-cell csv.writer: floats (float and its
+    subclasses) as format(x, ".17g"), everything else as str(x), csv's
+    minimal quoting."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.0 / 3.0]),
+)
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", ",", '"', "\r", "\n", "a,b", 'say "hi"', " ", "PositiveDefinite", "1.5e-3", "%d", "-"]),
+)
+_CELL_KINDS = [  # one strategy per kind of cell
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+    st.integers(min_value=-(2**31), max_value=2**31 - 1).map(np.int32),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.floats(width=32).map(np.float32),
+    _TEXT,
+    st.none(),
+]
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows): runs of rows that share one list of cell strategies, so
+    a type tuple repeats, with the cell types changing between runs."""
+    header = draw(st.lists(_TEXT, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = draw(st.lists(st.sampled_from(_CELL_KINDS), max_size=5))
+        rows += draw(st.lists(st.tuples(*kinds).map(list), max_size=4))
+    return header, rows
+
+
+class TestWriteCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_tables())
+    def test_bytes_equal_the_per_cell_writer(self, table):
+        header, rows = table
+        got, want = io.StringIO(), io.StringIO()
+        write_csv(got, header, rows)
+        spec_write_csv(want, header, rows)
+        assert got.getvalue() == want.getvalue()
+
+    def test_type_change_within_one_table(self):
+        rows = [[0, 1.5, "Indefinite"], [1, np.float64(-0.0), "a,b"], [True, np.float32(0.1), ""], [2, math.nan, None]]
+        got, want = io.StringIO(), io.StringIO()
+        write_csv(got, ["index", "x", "status"], rows)
+        spec_write_csv(want, ["index", "x", "status"], rows)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().splitlines()[1:] == ["0,1.5,Indefinite", '1,-0,"a,b"', "True,0.1,", "2,nan,None"]
+
+
+def _columns(header, rows, prefix) -> np.ndarray:
+    """The cells of the columns named ``prefix`` + digits, as a float array (rows, k)."""
+    at = [i for i, name in enumerate(header) if re.fullmatch(rf"{prefix}\d+", name)]
+    return np.array([[row[i] for i in at] for row in rows], dtype=float).reshape(len(rows), len(at))
+
+
+def _library_columns(cmd, built, cfg, header, rows) -> dict:
+    """Columns the library computes from a command's row inputs: name or prefix -> array."""
+    m = built.metric
+    col = lambda name: np.array([row[header.index(name)] for row in rows], dtype=float)  # noqa: E731
+    params = cfg.params[cmd]
+    if cmd == "indicatrix":
+        dirs = me.unit_directions(m.dimension, params["samples"])
+        _, F = m.jet(np.zeros_like(dirs), dirs)
+        idx = np.array([row[0] for row in rows], dtype=int)
+        return {"dir": dirs[idx], "s": dirs[idx] / F[idx, None]}
+    if cmd in ("eval", "tensor", "classify"):
+        base, vs = _columns(header, rows, "base"), _columns(header, rows, "v")
+        if cmd == "eval":
+            return {"F": me.eval_F_many(m, base[0], vs)}
+        gs = me.tensor(m, me.TangentVec(base[0], vs))
+        if cmd == "tensor":
+            return {f"g{i}{j}": gs[:, i, j] for i in range(2) for j in range(2)}
+        return {"min_eigenvalue": np.array([r.min_eigenvalue for r in me.eigen_classify(gs, cfg.tolerance)])}
+    if cmd == "scan":
+        entries = me.convexity_scan(m, np.asarray(params["base"], dtype=float), params["samples"], cfg.tolerance)
+        mins = [e.report.min_eigenvalue if e.report else math.nan for e in entries]
+        return {"dir": np.array([e.direction for e in entries]), "min_eigenvalue": np.array(mins)}
+    base = np.asarray(params.get("base", [0.0, 0.0]), dtype=float)
+    if cmd == "detcheck":
+        tv = me.TangentVec(base, _columns(header, rows, "v"))
+        lhs = cb.det_tensor_formula(*built.phi_parts, tv)
+        rhs = np.linalg.det(me.tensor(m, tv))
+        return {"det_formula": lhs, "det_direct": rhs, "rel_err": np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))}
+    if cmd == "oracle":
+        vs = _columns(header, rows, "v")
+        bases = np.broadcast_to(base, vs.shape)
+        ga, gf = m.tensor_many(bases, vs), m.fd_tensor_many(bases, vs)
+        return {"rel_err": np.max(np.abs(ga - gf), axis=(-2, -1)) / np.maximum(1.0, np.max(np.abs(gf), axis=(-2, -1)))}
+    if cmd == "geodesic":
+        return {"F": me.eval_F_many(m, _columns(header, rows, "x"), _columns(header, rows, "v"))}
+    if cmd == "expmap":
+        return {"exp": gd.exp_map(m, base, np.asarray(params["velocity"], dtype=float))[None]}
+    if cmd == "gauss":
+        return {"residual": gd.gauss_residuals(m, base, _columns(header, rows, "v"), _columns(header, rows, "w"))}
+    graph = gd.build_separation_graph(m, tuple(params["box"]), params["resolution"], params["neighbor_radius"])
+    if cmd == "separation":
+        ids = [gd.grid_node_id(params["box"], params["resolution"], params[k]) for k in ("source", "target")]
+        return {"x": gd.separation(graph, *ids).witness_path}
+    return {"x": graph.nodes[np.array([row[0] for row in rows], dtype=int)]}
+
+
+SHIPPED_COMMANDS = [
+    (name, command) for name in BUILTINS for command in json.loads(builtin_config(name))["run"] if command in COMMANDS
+]
+
+
+class TestRowContract:
+    """run_command's rows: lists led by an int index, float numeric cells and
+    str text cells, equal bit for bit to the library's arrays."""
+
+    TEXT = {"classification", "status"}
+
+    @pytest.mark.parametrize("name, command", SHIPPED_COMMANDS, ids=[f"{n}-{c}" for n, c in SHIPPED_COMMANDS])
+    def test_rows_are_lists_of_library_values(self, name, command):
+        spec, cfg = parse_config(builtin_config(name))
+        _, header, rows = run_command(command, spec, cfg)
+        assert type(rows) is list and rows
+        indexed = header[0] in ("index", "step")
+        for row in rows:
+            assert type(row) is list and len(row) == len(header)
+            types = [type(x) for x in row]
+            want = [int if k == 0 and indexed else str if h in self.TEXT else float for k, h in enumerate(header)]
+            assert types == want
+        for key, expected in _library_columns(command, build_metric(spec), cfg, header, rows).items():
+            got = _columns(header, rows, key) if key not in header else np.array([r[header.index(key)] for r in rows])
+            assert got.tobytes() == np.asarray(expected, dtype=float).reshape(got.shape).tobytes(), key
 
 
 class TestMainEntry:

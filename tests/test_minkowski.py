@@ -314,6 +314,49 @@ class TestFundamentalInequality:
         assert verdict is mk.InequalityVerdict.VIOLATED
 
 
+class TestOnePassPerCheck:
+    """triangle_report and fundamental_inequality_check read their domain tests
+    and values off one stacked evaluation pass."""
+
+    V1, V2 = [0.1, 1.0], [-0.2, 1.5]  # inside the Lorentz cone, as is the segment between them
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = [0]
+        angle_of = mk.PolarCurve2D.angle_of
+
+        def counting(self, v):
+            count[0] += 1
+            return angle_of(self, v)
+
+        monkeypatch.setattr(mk.PolarCurve2D, "angle_of", counting)
+        return count
+
+    def test_triangle_report(self, gauges, passes):
+        assert mk.triangle_report(gauges["lorentz"], self.V1, self.V2) is mk.TriangleVerdict.VIOLATED
+        assert passes[0] == 1
+        assert mk.triangle_report(gauges["parabola"], self.V1, self.V2) is mk.TriangleVerdict.HOLDS_STRICT
+        assert passes[0] == 3  # [v1, v2, v1 + v2], then the segment test
+
+    def test_fundamental_inequality_check(self, gauges, passes):
+        assert mk.fundamental_inequality_check(gauges["lorentz"], self.V1, self.V2) is mk.InequalityVerdict.VIOLATED
+        assert passes[0] == 1
+
+    @pytest.mark.parametrize("check", [mk.triangle_report, mk.fundamental_inequality_check])
+    def test_outside_cone_still_raises(self, gauges, check):
+        with pytest.raises(OutsideCone):
+            check(gauges["lorentz"], self.V1, [1.0, 0.0])
+
+    @pytest.mark.parametrize("check", [mk.triangle_report, mk.fundamental_inequality_check])
+    def test_ball_gauge_casts_in_cone_rays_first(self, check):
+        """A degenerate in-cone ray is reported before another argument's OutsideCone."""
+        gauge = mk.gauge_from_ball(2, lambda v: v[1] ** 2 - v[0] ** 2 <= 1.0, lambda v: v[..., 1] > 0)
+        with pytest.raises(DegenerateDirection):
+            check(gauge, [1.0, 1.0], [0.0, -1.0])
+        with pytest.raises(OutsideCone):
+            check(gauge, [0.0, 1.0], [0.0, -1.0])
+
+
 class TestClosedCurveDichotomy:
     # a closed wavy indicatrix is a norm exactly when it stays convex:
     # small amplitude keeps the convexity function positive everywhere,

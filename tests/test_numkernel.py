@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
@@ -7,6 +11,7 @@ from finslerkit import minkowski as mk
 from finslerkit.errors import NoBracket, NonFiniteSample
 from finslerkit.numkernel import (
     EPS,
+    RAY_DOUBLINGS,
     Definiteness,
     central_derivatives,
     eigen_classify,
@@ -77,6 +82,45 @@ def reference_ray_root(g, bracket_hint=1.0, max_doublings=60):
     if abs(fb) < abs(gl):
         return b_
     return lam
+
+
+def sign_test_ray_root(g, bracket_hint=1.0):
+    """ray_root as it was before its sign tests became float comparisons:
+    np.sign and np.isfinite on each probe."""
+    lam0 = float(bracket_hint)
+    if lam0 <= 0:
+        lam0 = 1.0
+    g0 = float(g(lam0))
+    if not np.isfinite(g0):
+        raise NonFiniteSample("non-finite value in ray_root at the hint")
+    if g0 == 0.0:
+        return lam0
+    sign0 = np.sign(g0)
+    for k in range(1, RAY_DOUBLINGS + 1):
+        up = lam0 * (2.0**k)
+        gu = float(g(up))
+        if np.isfinite(gu) and np.sign(gu) != sign0:
+            lo, hi, sign_lo = lam0 * (2.0 ** (k - 1)), up, sign0
+            break
+        down = lam0 / (2.0**k)
+        gd = float(g(down))
+        if np.isfinite(gd) and np.sign(gd) != sign0:
+            lo, hi, sign_lo = down, lam0 / (2.0 ** (k - 1)), np.sign(gd)
+            break
+    else:
+        raise NoBracket(f"no sign change within {RAY_DOUBLINGS} doublings of {lam0}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-14 * max(1.0, mid):
+            return mid
+        gm = float(g(mid))
+        if gm == 0.0:
+            return mid
+        if np.sign(gm) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def reference_polar_derivatives(r):
@@ -398,6 +442,29 @@ class TestRayRoot:
     def test_matches_reference(self, g):
         new, ref = ray_root(g, 1.0), reference_ray_root(g, 1.0)
         assert abs(new - ref) <= 1e-12 * ref
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1.0, -1.0, 0.0, -0.0, math.nan, math.inf, -math.inf]), min_size=1, max_size=80),
+        st.sampled_from([1.0, 0.3, 7.0, 0.0]),
+    )
+    def test_float_sign_tests_match_np_sign(self, values, hint):
+        """Fed the same probe values, the current ray_root and its np.sign
+        version probe the same points and end the same way."""
+
+        def run(root):
+            probes = []
+
+            def g(lam):
+                probes.append(lam)
+                return values[(len(probes) - 1) % len(values)]
+
+            try:
+                return root(g, hint), probes
+            except (NoBracket, NonFiniteSample) as exc:
+                return type(exc), probes
+
+        assert run(ray_root) == run(sign_test_ray_root)
 
     def test_ball_gauge_bit_identical_with_fewer_calls(self, monkeypatch):
         # a scalar-only ellipse predicate, as a user would write it
