@@ -38,7 +38,6 @@ from .geodesy import (
     df_ball,
     energy,
     exp_map,
-    gauss_lemma_residual,
     geodesic_shoot,
     radial_minimality_test,
     reachability,

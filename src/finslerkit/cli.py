@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .numkernel import central_derivatives
+from .numkernel import Definiteness, central_derivatives
 
 MAX_GRAPH_EDGES = 10**7  # candidate edges (geodesy.candidate_edges) of a graph command, checked before the build
 MAX_LOBES = 10**4  # largest wavy_example lobe count
@@ -282,13 +282,6 @@ def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
     params = {k: v for k, v in run.items() if k not in ("dimension", "seed", "tolerance")}
     cfg = RunConfig(seed=_num(run.get("seed", 0), "run.seed", int), tolerance=tol, params=params)
     return MetricSpec(tree=tree, built=built), cfg
-
-
-def render_config(spec: MetricSpec, cfg: RunConfig) -> str:
-    """Canonical JSON text whose parse reproduces (spec, cfg)."""
-    run: dict = {"seed": cfg.seed, "tolerance": cfg.tolerance}
-    run.update(cfg.params)
-    return json.dumps({"metric": spec.tree, "run": run}, indent=2, sort_keys=True)
 
 
 def build_metric(spec: MetricSpec) -> BuiltMetric:
@@ -547,6 +540,9 @@ def _rows(*columns, index=None, text=None) -> list[list]:
     return rows
 
 
+_CLASS_NAMES = np.array([d.value for d in Definiteness])  # the CSV name of each EigenReport code
+
+
 def _pointwise(cmd: str, built: BuiltMetric, cfg: RunConfig, base, vectors):
     """``eval``, ``tensor`` and ``classify``: one row per vector at ``base``."""
     m, dim, count = built.metric, len(base), len(vectors)
@@ -560,20 +556,19 @@ def _pointwise(cmd: str, built: BuiltMetric, cfg: RunConfig, base, vectors):
         header += [f"g{i}{j}" for i in range(dim) for j in range(dim)]
         rows = _rows(*lead, gs.reshape(count, dim * dim), index=range(count))
         return {"command": cmd, "count": count}, header, rows
-    reps = me.eigen_classify(gs, cfg.tolerance)
-    classes = [r.classification.value for r in reps]
-    mins = np.array([r.min_eigenvalue for r in reps])
-    rows = _rows(*lead, mins, index=range(count), text=(2 * dim, classes))
+    rep = me.eigen_classify(gs, cfg.tolerance)
+    classes = _CLASS_NAMES[rep.code].tolist()
+    rows = _rows(*lead, rep.min_eigenvalue, index=range(count), text=(2 * dim, classes))
     return {"command": cmd, "counts": dict(Counter(classes))}, header + ["classification", "min_eigenvalue"], rows
 
 
 def _scan(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
-    entries = me.convexity_scan(built.metric, base, samples, cfg.tolerance)
+    dirs, ok, rep = me.convexity_scan(built.metric, base, samples, cfg.tolerance)
     header = ["index"] + _vec_cols("dir", len(base)) + ["status", "min_eigenvalue"]
-    dirs = np.array([e.direction for e in entries])
-    mins = np.array([e.report.min_eigenvalue if e.report else math.nan for e in entries])
-    statuses = [e.status for e in entries]
-    rows = _rows(dirs, mins, index=range(len(entries)), text=(len(base), statuses))
+    mins, statuses = np.full(samples, math.nan), np.full(samples, "OutsideDomain", dtype=object)
+    mins[ok], statuses[ok] = rep.min_eigenvalue, _CLASS_NAMES[rep.code]
+    statuses = statuses.tolist()
+    rows = _rows(dirs, mins, index=range(samples), text=(len(base), statuses))
     counts = dict(Counter(statuses))
     pd_frac = counts.get("PositiveDefinite", 0) / samples
     return {"command": cmd, "counts": counts, "pd_fraction": pd_frac}, header, rows

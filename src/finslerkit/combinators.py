@@ -25,7 +25,6 @@ from .metrics import (
 )
 from .numkernel import (
     DEFAULT_EIG_TOL,
-    Definiteness,
     eigen_classify,
     fd_gradient,
     fd_hessian_batch,
@@ -314,8 +313,7 @@ def check_conditions_ABC(
     """Positive-semidefiniteness conditions of the combination law at a point."""
     _, _, grad, hess = combiner.jet(point, base, True)
     a_ok = bool(np.all(grad[: combiner.n] >= -tolerance)) if combiner.n else True
-    cls = eigen_classify(hess, tolerance).classification
-    b_ok = cls in (Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE)
+    b_ok = eigen_classify(hess, tolerance).code <= 1  # PositiveDefinite or PositiveSemiDefiniteDegenerate
     c_ok = bool(np.sum(grad[: combiner.n]) > tolerance) if combiner.n else False
     return ABCReport(A_ok=a_ok, B_ok=b_ok, C_ok=c_ok)
 

@@ -373,11 +373,6 @@ def gauss_residuals(m: ConicMetric, base, vs, ws, step: float = DEFAULT_STEP) ->
     return np.where(wn > 0, out, 0.0)
 
 
-def gauss_lemma_residual(m: ConicMetric, base, v, w, step: float = DEFAULT_STEP) -> float:
-    """Single-pair version of :func:`gauss_residuals`."""
-    return float(gauss_residuals(m, base, np.asarray(v)[None, :], np.asarray(w)[None, :], step)[0])
-
-
 @dataclass(frozen=True)
 class MinimalityReport:
     min_ratio: float
@@ -408,7 +403,7 @@ def radial_minimality_test(
     ok, _, gs = m.jet(np.broadcast_to(base, probe_dirs.shape), probe_dirs, with_tensor=True)
     if not np.any(ok):
         raise OutsideDomain("no admissible direction at the base point")
-    if not all(r.is_positive_definite for r in eigen_classify(gs[ok])):
+    if not np.all(eigen_classify(gs[ok]).is_positive_definite):
         raise DegenerateTensor("radial minimality requires a positive-definite tensor near the base")
 
     def in_ball(points: np.ndarray) -> bool:

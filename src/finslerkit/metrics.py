@@ -11,7 +11,7 @@ in the rest of the package fast without any compiled extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -427,35 +427,25 @@ def angular_tensor(m: ConicMetric, v: TangentVec) -> np.ndarray:
     return g - np.outer(gv, gv) / f2
 
 
-def classify_point(
-    m: ConicMetric, v: TangentVec, tolerance: float = DEFAULT_EIG_TOL
-) -> EigenReport | list[EigenReport]:
-    """Classify the fundamental tensor at v; a stacked v gives one report per vector."""
+def classify_point(m: ConicMetric, v: TangentVec, tolerance: float = DEFAULT_EIG_TOL) -> EigenReport:
+    """Classify the fundamental tensor at v; a stacked v gives one record of arrays over its vectors."""
     return eigen_classify(tensor(m, v), tolerance)
-
-
-@dataclass(frozen=True)
-class ScanEntry:
-    direction: np.ndarray
-    in_domain: bool
-    report: Optional[EigenReport]
-
-    @property
-    def status(self) -> str:
-        return self.report.classification.value if self.in_domain else "OutsideDomain"
 
 
 def convexity_scan(
     m: ConicMetric, base, samples: int, tolerance: float = DEFAULT_EIG_TOL
-) -> list[ScanEntry]:
+) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     """Classify the fundamental tensor on a fan of ``samples`` directions
-    (:func:`unit_directions`, which checks ``samples``)."""
+    (:func:`unit_directions`, which checks ``samples``).
+
+    Returns ``(directions, in_domain, report)``: ``report`` classifies the
+    tensors of the directions where ``in_domain`` holds, in direction order.
+    """
     base = np.asarray(base, dtype=float)
     dirs = unit_directions(m.dimension, samples)
     ok, _, tensors = m.jet(np.broadcast_to(base, dirs.shape), dirs, with_tensor=True)
     good = ok & np.all(np.isfinite(tensors), axis=(-2, -1))
-    reports = iter(eigen_classify(tensors[good], tolerance))
-    return [ScanEntry(d, g, next(reports) if g else None) for d, g in zip(dirs, good.tolist())]
+    return dirs, good, eigen_classify(tensors[good], tolerance)
 
 
 def lower_bound_check(m: ConicMetric, bound: RiemannAtom, base_samples: int, dir_samples: int) -> bool:

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NoBracket, NonFiniteSample
+from .errors import InvalidArgument, NoBracket, NonFiniteSample
 
 EPS = float(np.finfo(float).eps)
 GRAD_STEP = EPS ** (1.0 / 3.0)  # optimal for central first differences
@@ -36,17 +36,30 @@ class Definiteness(Enum):
     NEGATIVE_DEFINITE = "NegativeDefinite"
 
 
+_CLASSES = np.array(tuple(Definiteness), dtype=object)  # the code table: code i is _CLASSES[i]
+
+
 @dataclass(frozen=True)
 class EigenReport:
-    """Sorted spectrum of a symmetric matrix plus its sign classification."""
+    """Sorted spectra of a stack (..., N, N) of symmetric matrices and their sign classes.
+
+    ``eigenvalues`` is (..., N), ascending; ``min_eigenvalue`` and ``code``
+    are (...); ``code`` indexes ``tuple(Definiteness)``.  For one matrix they
+    are a float and an int, so ``classification`` is one ``Definiteness``
+    member and ``is_positive_definite`` one bool.
+    """
 
     eigenvalues: np.ndarray
-    min_eigenvalue: float
-    classification: Definiteness
+    min_eigenvalue: np.ndarray | float
+    code: np.ndarray | int
 
     @property
-    def is_positive_definite(self) -> bool:
-        return self.classification is Definiteness.POSITIVE_DEFINITE
+    def classification(self) -> Definiteness | np.ndarray:
+        return _CLASSES[self.code]
+
+    @property
+    def is_positive_definite(self) -> np.ndarray | bool:
+        return self.code == 0
 
 
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -160,33 +173,26 @@ def fd_hessian(f, x, scale: float | None = None) -> np.ndarray:
     return fd_hessian_batch(f, x[None, :], scale=scale)[0]
 
 
-def eigen_classify(m: np.ndarray, tolerance: float = DEFAULT_EIG_TOL) -> EigenReport | list[EigenReport]:
+def eigen_classify(m: np.ndarray, tolerance: float = DEFAULT_EIG_TOL) -> EigenReport:
     """Classify a symmetric matrix, or a stack (..., N, N), by the signs of its spectrum.
 
     The cut is relative to each matrix's spectral norm: eigenvalues within
-    ``tolerance * ||m||`` of zero count as degenerate.  One matrix gives one
-    report; a stack gives a list of reports, one per matrix in C order.
+    ``tolerance * ||m||`` of zero count as degenerate, and the all-zero
+    matrix is degenerate PSD.  One call gives one :class:`EigenReport`.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise InvalidArgument(f"expected shape (..., N, N) with N >= 1, got {m.shape}", path="m", constraint="shape")
     if not np.all(np.isfinite(m)):
         raise NonFiniteSample("non-finite entries in eigen_classify input")
     eig = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))  # ascending
-    eig = eig.reshape(-1, eig.shape[-1])
     cut = tolerance * np.max(np.abs(eig), axis=-1, keepdims=True)
-    pos = np.sum(eig > cut, axis=-1).tolist()
-    neg = np.sum(eig < -cut, axis=-1).tolist()
-    D = Definiteness
-    reports = []
-    for e, n_pos, n_neg in zip(eig, pos, neg):
-        if n_neg == 0:
-            # the all-zero matrix counts as degenerate PSD
-            cls = D.POSITIVE_DEFINITE if n_pos == e.size else D.POSITIVE_SEMIDEFINITE_DEGENERATE
-        elif n_pos == 0:
-            cls = D.NEGATIVE_DEFINITE if n_neg == e.size else D.NEGATIVE_SEMIDEFINITE
-        else:
-            cls = D.INDEFINITE
-        reports.append(EigenReport(eigenvalues=e, min_eigenvalue=float(e[0]), classification=cls))
-    return reports[0] if m.ndim == 2 else reports
+    n, n_pos, n_neg = eig.shape[-1], np.sum(eig > cut, axis=-1), np.sum(eig < -cut, axis=-1)
+    # PositiveDefinite 0, PositiveSemiDefiniteDegenerate 1, Indefinite 2, NegativeSemiDefinite 3, NegativeDefinite 4
+    code = np.select([n_neg == 0, n_pos == 0], [np.where(n_pos == n, 0, 1), np.where(n_neg == n, 4, 3)], 2)
+    if m.ndim == 2:
+        return EigenReport(eigenvalues=eig, min_eigenvalue=float(eig[0]), code=int(code))
+    return EigenReport(eigenvalues=eig, min_eigenvalue=eig[..., 0], code=code)
 
 
 def simpson_weights(nodes: int) -> np.ndarray:

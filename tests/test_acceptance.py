@@ -115,15 +115,13 @@ def test_criterion_02_convexity_domains():
             boundary_ok = boundary_ok and (min(abs(th), abs(2 * np.pi - th)) <= 1e-3)
 
     kp, _ = cb.named_family("kropina", E, beta, q=1)
-    kropina_ok = True
-    for e in me.convexity_scan(kp, base, 720, 1e-9):
-        if e.in_domain and abs(0.5 * e.direction[0]) > 1e-6:
-            kropina_ok = kropina_ok and (e.status == "PositiveDefinite")
+    dirs, in_domain, rep = me.convexity_scan(kp, base, 720, 1e-9)
+    off_kernel = np.abs(0.5 * dirs[in_domain, 0]) > 1e-6
+    kropina_ok = bool(np.all(rep.is_positive_definite[off_kernel]))
 
     rd, _ = cb.named_family("randers", E, beta)
-    randers_ok = all(
-        e.status == "PositiveDefinite" for e in me.convexity_scan(rd, base, 720, 1e-9)
-    )
+    _, in_domain, rep = me.convexity_scan(rd, base, 720, 1e-9)
+    randers_ok = bool(np.all(in_domain) and np.all(rep.is_positive_definite))
 
     _line(
         "2",

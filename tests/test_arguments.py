@@ -11,6 +11,7 @@ from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
+from finslerkit import numkernel as nk
 from finslerkit.errors import FinslerError, InvalidArgument, ValidationError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "finslerkit"
@@ -80,7 +81,8 @@ class TestSamples:
     def test_cap_is_checked_before_any_allocation(self, euclid, monkeypatch):
         monkeypatch.setattr(me, "MAX_SAMPLES", 5)
         rng = np.random.default_rng(0)
-        assert len(me.convexity_scan(euclid, [0.0, 0.0], 5)) == 5
+        dirs, in_domain, report = me.convexity_scan(euclid, [0.0, 0.0], 5)
+        assert dirs.shape == (5, 2) and in_domain.shape == report.code.shape == (5,)
         assert me.admissible_draws(rng, 5, 2, lambda vs: np.ones(len(vs), bool)).shape == (5, 2)
         err = _rejects(lambda: me.convexity_scan(euclid, [0.0, 0.0], 6), "samples", "maximum")
         assert str(err) == "samples must be at most 5"
@@ -192,3 +194,15 @@ class TestCombinatorArguments:
 
     def test_curve_type(self, euclid):
         _rejects(lambda: gd.curve_length(euclid, [[0.0, 0.0], [1.0, 0.0]]), "curve", "type")
+
+
+class TestEigenClassifyShape:
+    @pytest.mark.parametrize("m", [np.ones(3), 1.0, np.ones((2, 3)), np.ones((3, 2, 3)), np.ones((0, 0)),
+                                   np.ones((4, 0, 0))], ids=["1d", "scalar", "2x3", "3x2x3", "0x0", "4x0x0"])
+    def test_not_a_stack_of_square_matrices(self, m):
+        _rejects(lambda: nk.eigen_classify(m), "m", "shape")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_stack_gives_empty_arrays(self, n):
+        report = nk.eigen_classify(np.ones((0, n, n)))
+        assert report.eigenvalues.shape == (0, n) and report.min_eigenvalue.shape == report.code.shape == (0,)

@@ -204,9 +204,9 @@ class TestCombine:
         # the scan evaluates tensors on every direction; FD rows outside the cone stay NaN
         mix = cb.LCombiner(n=2, m=0, jet_fn=lambda x, p, d: (True, (x[..., 0] + x[..., 1]) ** 2), name="sum-fd")
         upper = me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
-        entries = me.convexity_scan(cb.combine(mix, [euclid(), upper], []), BASE, 36)
-        assert {e.in_domain for e in entries} == {True, False}
-        assert all(e.in_domain == (e.direction[1] > 0.0) for e in entries)
+        dirs, in_domain, _ = me.convexity_scan(cb.combine(mix, [euclid(), upper], []), BASE, 36)
+        assert set(in_domain.tolist()) == {True, False}
+        assert np.array_equal(in_domain, dirs[:, 1] > 0.0)
 
     @pytest.mark.parametrize("batch", [3, 9])
     def test_fd_fallback_uses_each_rows_base_point(self, batch):
@@ -471,8 +471,8 @@ class TestNamedFamilies:
     def test_randers_pd_everywhere(self):
         E = euclid()
         metric, strong = cb.named_family("randers", E, me.constant_oneform([0.5, 0.0]))
-        entries = me.convexity_scan(metric, BASE, 180)
-        assert all(e.status == "PositiveDefinite" for e in entries)
+        _, in_domain, rep = me.convexity_scan(metric, BASE, 180)
+        assert np.all(in_domain) and np.all(rep.is_positive_definite)
 
     def test_kropina_strong_domain_excludes_kernel(self):
         E = euclid()
@@ -545,9 +545,9 @@ class TestNamedFamilies:
         got = strong.many(base, vs)
         ok = metric.in_domain_many(base, vs)
         assert got.shape == (400,) and not np.any(got[~ok])
-        reps = eigen_classify(me.tensor(metric, me.TangentVec(base, vs[ok])), 1e-9)
-        clear = np.array([abs(r.min_eigenvalue) >= 1e-7 * max(np.abs(r.eigenvalues)) for r in reps])
-        pd = np.array([r.is_positive_definite for r in reps])
+        rep = eigen_classify(me.tensor(metric, me.TangentVec(base, vs[ok])), 1e-9)
+        clear = np.abs(rep.min_eigenvalue) >= 1e-7 * np.max(np.abs(rep.eigenvalues), axis=-1)
+        pd = rep.is_positive_definite
         assert clear.sum() > 350
         assert np.array_equal(got[ok][clear], pd[clear])
         assert [strong(me.TangentVec(base, v)) for v in vs[:40]] == list(got[:40])

@@ -367,11 +367,11 @@ class TestExpMap:
 
 class TestGaussLemma:
     def test_euclidean(self, euclid):
-        res = gd.gauss_lemma_residual(euclid, [0, 0], [1.0, 0.5], [0.0, 1.0])
+        (res,) = gd.gauss_residuals(euclid, [0, 0], np.array([[1.0, 0.5]]), np.array([[0.0, 1.0]]))
         assert abs(res) < 1e-6
 
     def test_randers_constant(self, randers_const):
-        res = gd.gauss_lemma_residual(randers_const, [0, 0], [1.0, 0.2], [-0.3, 1.0])
+        (res,) = gd.gauss_residuals(randers_const, [0, 0], np.array([[1.0, 0.2]]), np.array([[-0.3, 1.0]]))
         assert abs(res) < 1e-6
 
     def test_randers_position_dependent(self, randers_posdep):

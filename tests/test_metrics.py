@@ -252,35 +252,35 @@ class TestClassifyPoint:
         m = request.getfixturevalue(name)
         vs = np.random.default_rng(5).normal(size=(200, 2))
         vs = vs[m.in_domain_many(BASE, vs)][:12].reshape(3, 4, 2)
-        reps = me.classify_point(m, me.TangentVec(BASE, vs.reshape(-1, 2)), 1e-6)
-        assert len(reps) == 12
-        for rep, v in zip(reps, vs.reshape(-1, 2)):
+        rep = me.classify_point(m, me.TangentVec(BASE, vs.reshape(-1, 2)), 1e-6)
+        assert rep.code.shape == (12,)
+        for i, v in enumerate(vs.reshape(-1, 2)):
             one = me.classify_point(m, me.TangentVec(BASE, v), 1e-6)
-            assert np.array_equal(rep.eigenvalues, one.eigenvalues)
-            assert rep.min_eigenvalue == one.min_eigenvalue
-            assert rep.classification is one.classification
+            assert np.array_equal(rep.eigenvalues[i], one.eigenvalues)
+            assert rep.min_eigenvalue[i] == one.min_eigenvalue
+            assert rep.classification[i] is one.classification
         stacked = me.classify_point(m, me.TangentVec(BASE, vs), 1e-6)
-        assert [r.classification for r in stacked] == [r.classification for r in reps]
+        assert stacked.code.shape == (3, 4) and np.array_equal(stacked.code.reshape(-1), rep.code)
 
 
 class TestConvexityScan:
     @pytest.mark.parametrize("name", ["euclid", "randers", "lorentz_metric"])
     def test_matches_per_direction_loop(self, name, request):
         m = request.getfixturevalue(name)
-        entries = me.convexity_scan(m, BASE, 90, 1e-9)
-        dirs = me.unit_directions(2, 90)
-        ok, _, tensors = m.jet(np.broadcast_to(BASE, dirs.shape), dirs, with_tensor=True)
-        assert len(entries) == 90
-        for e, d, good, g in zip(entries, dirs, ok, tensors):
-            assert np.array_equal(e.direction, d)
-            assert e.in_domain is bool(good and np.all(np.isfinite(g)))
-            if e.in_domain:
+        dirs, in_domain, rep = me.convexity_scan(m, BASE, 90, 1e-9)
+        want = me.unit_directions(2, 90)
+        ok, _, tensors = m.jet(np.broadcast_to(BASE, want.shape), want, with_tensor=True)
+        assert np.array_equal(dirs, want) and in_domain.shape == (90,)
+        row = 0  # the report's rows are the in-domain directions, in order
+        for inside, good, g in zip(in_domain.tolist(), ok, tensors):
+            assert inside is bool(good and np.all(np.isfinite(g)))
+            if inside:
                 one = eigen_classify(g, 1e-9)
-                assert np.array_equal(e.report.eigenvalues, one.eigenvalues)
-                assert e.report.min_eigenvalue == one.min_eigenvalue
-                assert e.report.classification is one.classification
-            else:
-                assert e.report is None
+                assert np.array_equal(rep.eigenvalues[row], one.eigenvalues)
+                assert rep.min_eigenvalue[row] == one.min_eigenvalue
+                assert rep.classification[row] is one.classification
+                row += 1
+        assert rep.code.shape == (row,)
 
     def test_non_finite_tensor_is_tagged_outside(self, euclid, monkeypatch):
         jet = me.ConicMetric.jet
@@ -292,42 +292,37 @@ class TestConvexityScan:
             return ok, F, g
 
         monkeypatch.setattr(me.ConicMetric, "jet", nan_at_three)
-        entries = me.convexity_scan(euclid, BASE, 8)
-        assert [e.in_domain for e in entries] == [True] * 3 + [False] + [True] * 4
-        assert entries[3].status == "OutsideDomain" and entries[3].report is None
-        assert all(e.status == "PositiveDefinite" for e in entries if e.in_domain)
+        _, in_domain, rep = me.convexity_scan(euclid, BASE, 8)
+        assert in_domain.tolist() == [True] * 3 + [False] + [True] * 4
+        assert rep.code.shape == (7,) and np.all(rep.is_positive_definite)
 
     def test_euclidean_all_pd(self, euclid):
-        entries = me.convexity_scan(euclid, BASE, 64)
-        assert all(e.status == "PositiveDefinite" for e in entries)
+        _, in_domain, rep = me.convexity_scan(euclid, BASE, 64)
+        assert np.all(in_domain) and np.all(rep.is_positive_definite)
 
     def test_matsumoto_boundary(self, euclid):
         mt, _ = cb.named_family("matsumoto", euclid, me.constant_oneform([0.5, 0.0]), q=1)
-        entries = me.convexity_scan(mt, BASE, 360, 1e-9)
-        for e in entries:
-            v = e.direction
-            product = (1.0 - 2 * 0.5 * v[0]) * (1.0 - 0.5 * v[0])
-            if product > 1e-6:
-                assert e.status == "PositiveDefinite"
+        dirs, in_domain, rep = me.convexity_scan(mt, BASE, 360, 1e-9)
+        pd = in_domain.copy()
+        pd[in_domain] = rep.is_positive_definite
+        product = (1.0 - 2 * 0.5 * dirs[:, 0]) * (1.0 - 0.5 * dirs[:, 0])
+        assert np.all(pd[product > 1e-6])
 
     def test_kropina_pd_off_kernel(self, euclid):
         kp, _ = cb.named_family("kropina", euclid, me.constant_oneform([0.5, 0.0]), q=1)
-        entries = me.convexity_scan(kp, BASE, 360, 1e-9)
-        for e in entries:
-            if abs(0.5 * e.direction[0]) > 1e-6 and e.in_domain:
-                assert e.status == "PositiveDefinite"
+        dirs, in_domain, rep = me.convexity_scan(kp, BASE, 360, 1e-9)
+        off_kernel = np.abs(0.5 * dirs[in_domain, 0]) > 1e-6
+        assert np.all(rep.is_positive_definite[off_kernel])
 
     def test_deterministic_order(self, euclid):
-        e1 = me.convexity_scan(euclid, BASE, 32)
-        e2 = me.convexity_scan(euclid, BASE, 32)
-        assert all(np.array_equal(a.direction, b.direction) for a, b in zip(e1, e2))
+        d1, _, _ = me.convexity_scan(euclid, BASE, 32)
+        d2, _, _ = me.convexity_scan(euclid, BASE, 32)
+        assert np.array_equal(d1, d2)
 
     def test_outside_domain_tagged(self, lorentz_metric):
-        entries = me.convexity_scan(lorentz_metric, BASE, 360)
-        statuses = {e.status for e in entries}
-        assert "OutsideDomain" in statuses
-        inside = [e for e in entries if e.in_domain]
-        assert all(e.status == "Indefinite" for e in inside)
+        _, in_domain, rep = me.convexity_scan(lorentz_metric, BASE, 360)
+        assert not np.all(in_domain)
+        assert all(cls is Definiteness.INDEFINITE for cls in rep.classification)
 
 
 class TestLowerBoundCheck:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerkit import combinators as cb
@@ -250,14 +250,15 @@ def _classify_loop_reference(m, tolerance=1e-9):
 def _assert_matches_loop(stack, tolerance=1e-9):
     """The stacked call equals the one-matrix reference bit for bit, in C order."""
     stack = np.asarray(stack, dtype=float)
-    reps = eigen_classify(stack, tolerance)
-    n = stack.shape[-1]
-    assert isinstance(reps, list) and len(reps) == stack.size // (n * n)
-    for rep, m in zip(reps, stack.reshape(-1, n, n)):
-        eig, lo, cls = _classify_loop_reference(m, tolerance)
-        assert np.array_equal(rep.eigenvalues, eig)
-        assert rep.min_eigenvalue == lo
-        assert rep.classification is cls
+    rep = eigen_classify(stack, tolerance)
+    lead, n = stack.shape[:-2], stack.shape[-1]
+    assert rep.eigenvalues.shape == lead + (n,) and rep.min_eigenvalue.shape == rep.code.shape == lead
+    columns = (rep.eigenvalues.reshape(-1, n), rep.min_eigenvalue.reshape(-1), rep.classification.reshape(-1))
+    for m, e, lo, cls in zip(stack.reshape(-1, n, n), *columns):
+        eig, ref_lo, ref_cls = _classify_loop_reference(m, tolerance)
+        assert np.array_equal(e, eig)
+        assert lo == ref_lo
+        assert cls is ref_cls
 
 
 class TestEigenClassify:
@@ -318,7 +319,7 @@ class TestEigenClassifyStacks:
             np.eye(3),
         ]
         _assert_matches_loop(stack)
-        classes = [r.classification for r in eigen_classify(np.array(stack), 1e-9)]
+        classes = eigen_classify(np.array(stack), 1e-9).classification.tolist()
         D = Definiteness
         assert classes == [
             D.POSITIVE_SEMIDEFINITE_DEGENERATE,
@@ -341,15 +342,66 @@ class TestEigenClassifyStacks:
         rep = eigen_classify(m)
         eig, lo, cls = _classify_loop_reference(m)
         assert np.array_equal(rep.eigenvalues, eig) and rep.min_eigenvalue == lo and rep.classification is cls
-        (stacked,) = eigen_classify(m[None])
-        assert np.array_equal(stacked.eigenvalues, eig) and stacked.classification is cls
+        assert isinstance(rep.min_eigenvalue, float) and rep.is_positive_definite is False
+        stacked = eigen_classify(m[None])
+        assert np.array_equal(stacked.eigenvalues, eig[None]) and stacked.classification.tolist() == [cls]
 
     def test_one_nan_in_a_stack_raises(self):
         stack = np.tile(np.eye(2), (6, 1, 1))
-        assert all(r.is_positive_definite for r in eigen_classify(stack))
+        assert np.all(eigen_classify(stack).is_positive_definite)
         stack[4, 1, 0] = np.nan
         with pytest.raises(NonFiniteSample):
             eigen_classify(stack)
+
+
+@st.composite
+def _classify_stacks(draw):
+    """(stack (k, N, N), tolerance) with N in 1..4 and k in 1..5.
+
+    Each member is the zero matrix, a random one, or Q diag(lam) Q^T with
+    some lam set exactly to +/- tolerance * max|lam|; Q is a signed
+    permutation (the spectrum stays exact, so those lam sit on the cut) or
+    the orthogonal factor of a random matrix.
+    """
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    tolerance = draw(st.sampled_from([1e-9, 1e-3, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    stack = np.zeros((k, n, n))
+    for i in range(k):
+        kind = draw(st.sampled_from(["zero", "random", "cut"]))
+        if kind == "random":
+            stack[i] = rng.normal(size=(n, n))
+        elif kind == "cut":
+            lam = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+            top = int(np.argmax(np.abs(lam)))
+            signs = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=n, max_size=n))
+            on_cut = tolerance * np.max(np.abs(lam))
+            lam = np.array([s * on_cut if s and j != top else lam[j] for j, s in enumerate(signs)])
+            if draw(st.booleans()):
+                q = np.eye(n)[draw(st.permutations(range(n)))] * np.array(draw(st.lists(
+                    st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+            else:
+                q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            stack[i] = (q * lam) @ q.T
+    return stack, tolerance
+
+
+class TestEigenClassifyProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_classify_stacks())
+    @example((np.zeros((1, 3, 3)), 1e-9))
+    @example((np.diag([1.0, 1e-9, -1e-9])[None], 1e-9))
+    def test_matches_loop_reference(self, drawn):
+        stack, tolerance = drawn
+        _assert_matches_loop(stack, tolerance)
+        rep = eigen_classify(stack, tolerance)
+        codes = [tuple(Definiteness).index(_classify_loop_reference(m, tolerance)[2]) for m in stack]
+        assert rep.code.tolist() == codes
+        if len(stack) == 1:
+            one = eigen_classify(stack[0], tolerance)
+            assert np.array_equal(one.eigenvalues, rep.eigenvalues[0]) and one.min_eigenvalue == rep.min_eigenvalue[0]
+            assert one.classification is rep.classification[0]
 
 
 class TestIntegrate1d:

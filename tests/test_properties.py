@@ -207,9 +207,8 @@ SHELL = 1e-7  # relative band around a degenerate tensor where classifications m
 def _classified(metric, base, vec):
     """(clear, pd): rows whose smallest eigenvalue clears SHELL * max|lambda|,
     and the eigen classification's verdict on every row."""
-    reps = eigen_classify(me.tensor(metric, me.TangentVec(base, vec)), 1e-9)
-    clear = np.array([abs(r.min_eigenvalue) >= SHELL * np.max(np.abs(r.eigenvalues)) for r in reps], dtype=bool)
-    return clear, np.array([r.is_positive_definite for r in reps], dtype=bool)
+    rep = eigen_classify(me.tensor(metric, me.TangentVec(base, vec)), 1e-9)
+    return np.abs(rep.min_eigenvalue) >= SHELL * np.max(np.abs(rep.eigenvalues), axis=-1), rep.is_positive_definite
 
 
 @st.composite
