@@ -18,7 +18,8 @@ samples both ends and those 7 nodes; an edge whose 3-point Gauss
 estimate disagrees is redone with composite Simpson.  Queries on a
 position-independent graph run on adjacencies without the offsets that
 split into cheaper sign-consistent pairs (chamfer-mask dominance), with
-the same answers bit for bit.
+the same answers bit for bit, and read the edges into a node off the
+offset table instead of a transposed adjacency.
 """
 
 from __future__ import annotations
@@ -470,9 +471,11 @@ class SeparationGraph:
     ``matrix`` is the full construction.  On a position-independent metric
     ``offsets`` (K, n) and ``weights`` (K,) hold the kept offset table and
     F(offset), and the queries run on the dominance-reduced adjacencies
-    ``query`` (Dijkstra) and ``reach`` (BFS).  On a position-dependent
-    graph ``offsets`` and ``weights`` are ``None`` and the queries run on
-    ``matrix``.
+    ``query`` (Dijkstra) and ``reach`` (BFS); :meth:`edges_into` reads the
+    edges into a node off the same table, so no forward query transposes
+    an adjacency.  On a position-dependent graph ``offsets`` and
+    ``weights`` are ``None``, the queries run on ``matrix`` and the edges
+    into a node are a row of its transpose ``incoming``.
     """
 
     box_lo: np.ndarray
@@ -489,39 +492,84 @@ class SeparationGraph:
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
-    def _reduced(self, weights) -> csr_matrix:
-        """``matrix`` without the offsets :func:`_undominated` drops under
-        ``weights``; ``matrix`` itself when it or they carry fewer than
-        ``REDUCE_MIN_EDGES`` edges, or none is dropped."""
-        if self.offsets is None or self.matrix.nnz < REDUCE_MIN_EDGES:
-            return self.matrix
+    def _keep(self, weights) -> Optional[np.ndarray]:
+        """Mask of the table offsets a reduced adjacency under ``weights``
+        holds: all but those :func:`_undominated` drops, or every offset when
+        ``matrix`` or the dropped offsets carry fewer than ``REDUCE_MIN_EDGES``
+        edges; ``None`` on a graph without an offset table."""
+        if self.offsets is None:
+            return None
+        if self.matrix.nnz < REDUCE_MIN_EDGES:
+            return np.ones(len(self.offsets), dtype=bool)
         keep = _undominated(self.offsets, weights)
-        if keep.all() or np.prod(self.resolution - np.abs(self.offsets[~keep]), axis=1).sum() < REDUCE_MIN_EDGES:
-            return self.matrix
-        offsets = self.offsets[keep]
+        if np.prod(self.resolution - np.abs(self.offsets[~keep]), axis=1).sum() < REDUCE_MIN_EDGES:
+            keep[:] = True
+        return keep
+
+    @functools.cached_property
+    def _query_keep(self) -> Optional[np.ndarray]:
+        return self._keep(self.weights)
+
+    @functools.cached_property
+    def _reach_keep(self) -> Optional[np.ndarray]:
+        return self._keep(None if self.weights is None else np.zeros_like(self.weights))
+
+    def _table_adjacency(self, offsets: np.ndarray, weights: np.ndarray) -> csr_matrix:
         strides = self.resolution ** np.arange(len(self.shape) - 1, -1, -1)
-        return _assemble(_in_grid(offsets, self.resolution), offsets, strides, self.weights[keep])
+        return _assemble(_in_grid(offsets, self.resolution), offsets, strides, weights)
+
+    def _reduced(self, keep: Optional[np.ndarray]) -> csr_matrix:
+        """``matrix`` with only the table offsets in ``keep``; ``matrix``
+        itself when every offset is kept or there is no table."""
+        if keep is None or keep.all():
+            return self.matrix
+        return self._table_adjacency(self.offsets[keep], self.weights[keep])
 
     @functools.cached_property
     def query(self) -> csr_matrix:
         """Adjacency of the shortest-path queries, built on first use: every
         shortest path of ``matrix`` has the same length on it."""
-        return self._reduced(self.weights)
+        return self._reduced(self._query_keep)
 
     @functools.cached_property
     def reach(self) -> csr_matrix:
         """Adjacency of the reachability queries, built on first use: the
         offsets undominated at zero weight, which reach what ``matrix`` reaches."""
-        return self._reduced(None if self.weights is None else np.zeros_like(self.weights))
+        return self._reduced(self._reach_keep)
 
     @functools.cached_property
     def incoming(self) -> csr_matrix:
-        """Transposed ``query``, built on first use: row i lists the edges into i."""
-        return self.query.T.tocsr()
+        """Transposed ``query``, built on first use: row i lists the edges
+        into i.  Only backward balls need it whole on a position-independent
+        graph, where it is assembled from the negated kept offsets in
+        reversed table order, which is lexicographic order."""
+        keep = self._query_keep
+        if keep is None:
+            return self.query.T.tocsr()
+        return self._table_adjacency(-self.offsets[keep][::-1], self.weights[keep][::-1])
+
+    def edges_into(self, i: int, reach: bool = False) -> tuple:
+        """(sources, weights) of the edges into node ``i`` of ``query``, or
+        of ``reach`` when ``reach``, sources ascending.  On a
+        position-independent graph they are i - o for the kept offsets o
+        whose source is a grid node, with weight F(o): the table walked in
+        reverse lexicographic order gives the sources in ascending order.
+        Otherwise they are row i of ``incoming``."""
+        keep = self._reach_keep if reach else self._query_keep
+        if keep is None:
+            return _row(self.incoming, i)
+        offsets = self.offsets[keep][::-1]
+        sources = np.array(np.unravel_index(i, self.shape)) - offsets
+        ok = np.all((sources >= 0) & (sources < self.resolution), axis=1)
+        return np.ravel_multi_index(sources[ok].T, self.shape), self.weights[keep][::-1][ok]
+
+    @functools.cached_property
+    def _spacing(self) -> np.ndarray:
+        return grid_spacing((self.box_lo, self.box_hi), self.resolution)
 
     def node_id(self, point) -> int:
         """Flat index of the grid node at ``point``; see :func:`grid_node_id`."""
-        return grid_node_id((self.box_lo, self.box_hi), self.resolution, point)
+        return _grid_index(self.box_lo, self.box_hi, self._spacing, self.resolution, point, self.nodes)
 
 
 def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
@@ -550,7 +598,12 @@ def grid_node_id(box: tuple, resolution: int, point) -> int:
     that node, or for a box :func:`grid_spacing` rejects."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    h = grid_spacing((lo, hi), resolution)
+    return _grid_index(lo, hi, grid_spacing((lo, hi), resolution), resolution, point)
+
+
+def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, point, nodes=None) -> int:
+    """:func:`grid_node_id` on a checked box with cell size ``h``; ``nodes``,
+    when given, are the grid's node coordinates in flat order."""
     point = np.asarray(point, dtype=float)
     if point.shape != lo.shape:
         raise InvalidArgument(f"point needs shape {lo.shape}, got {point.shape}", path="point", constraint="shape")
@@ -559,11 +612,12 @@ def grid_node_id(box: tuple, resolution: int, point) -> int:
     if not np.all((pos >= 0) & (pos < resolution)):  # a NaN position fails too
         raise InvalidArgument(f"point {point} outside the graph box", path="point", constraint="grid")
     idx = pos.astype(int)
+    flat = int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
     # the node's coordinates exactly as build_separation_graph lays them out
-    node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)]
+    node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)] if nodes is None else nodes[flat]
     if np.linalg.norm(node - point) > 0.5 * float(np.max(h)):
         raise InvalidArgument(f"point {point} is not a grid node", path="point", constraint="grid")
-    return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
+    return flat
 
 
 def _edge_lengths(m: ConicMetric, starts: np.ndarray, delta: np.ndarray) -> tuple:
@@ -788,16 +842,21 @@ def _as_node(graph: SeparationGraph, p, name: str = "p") -> int:
     return graph.node_id(p)
 
 
-def _closing_edge(adj: csr_matrix, dist: np.ndarray, ip: int) -> tuple:
-    """Cheapest edge into ``ip`` after the distances ``dist``: (cost, source),
-    or (inf, -1) when none is finite.  Row ``ip`` of ``adj`` lists the edges
-    into ``ip``; ties go to the lowest source index."""
-    lo, hi = adj.indptr[ip], adj.indptr[ip + 1]
-    cost = dist[adj.indices[lo:hi]] + adj.data[lo:hi]
+def _row(adj: csr_matrix, i: int) -> tuple:
+    """(columns, weights) of row ``i`` of ``adj``."""
+    lo, hi = adj.indptr[i], adj.indptr[i + 1]
+    return adj.indices[lo:hi], adj.data[lo:hi]
+
+
+def _closing_edge(dist: np.ndarray, sources: np.ndarray, weights: np.ndarray) -> tuple:
+    """Cheapest of the edges ``sources`` -> ip with ``weights`` after the
+    distances ``dist``: (cost, source), or (inf, -1) when none is finite.
+    With the sources ascending, ties go to the lowest source index."""
+    cost = dist[sources] + weights
     k = int(np.argmin(cost)) if cost.size else -1
     if k < 0 or not np.isfinite(cost[k]):
         return np.inf, -1
-    return cost[k], int(adj.indices[lo + k])
+    return cost[k], int(sources[k])
 
 
 def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
@@ -827,20 +886,38 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
     return bound
 
 
+def _loop_bound(graph: SeparationGraph, ip: int, sources: np.ndarray, weights: np.ndarray) -> float:
+    """An upper bound on the loop separation at ip, given the edges into it:
+    the :func:`_path_bound` from ip to the source s of the cheapest edge
+    (ties go to the lowest source) plus that edge's weight; inf when there
+    is no such edge or lattice path.  Weights are >= 0 and rounding is
+    monotone, so a closing cost at most this bound comes from a node at
+    most this far from ip."""
+    if weights.size == 0:
+        return np.inf
+    k = int(np.argmin(weights))
+    return _path_bound(graph, ip, int(sources[k])) + weights[k]
+
+
 def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     """Shortest admissible-path length from p to q on the graph.
 
-    Dijkstra runs on ``graph.query``; between distinct nodes of a graph
-    with at least ``REDUCE_MIN_EDGES`` edges it stops past the
-    :func:`_path_bound` of the pair (scipy's ``limit`` keeps a node at
-    exactly that distance)."""
+    Dijkstra runs on ``graph.query``.  On a graph with at least
+    ``REDUCE_MIN_EDGES`` edges it stops past an upper bound of the answer
+    (scipy's ``limit`` keeps a node at exactly that distance): the
+    :func:`_path_bound` of distinct nodes, the :func:`_loop_bound` of a
+    loop p -> p.  A loop closes through the cheapest edge into p, read off
+    :meth:`SeparationGraph.edges_into`."""
     ip, iq = _as_node(graph, p), _as_node(graph, q, "q")
-    small = graph.matrix.nnz < REDUCE_MIN_EDGES
-    limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
+    into = graph.edges_into(ip) if ip == iq else None
+    if graph.matrix.nnz < REDUCE_MIN_EDGES:
+        limit = np.inf
+    else:
+        limit = _path_bound(graph, ip, iq) if into is None else _loop_bound(graph, ip, *into)
     dist, pred = _sp_dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
-    if ip == iq:
+    if into is not None:
         # proper separation: go out and come back (no zero-length loitering)
-        val, last = _closing_edge(graph.incoming, dist, ip)
+        val, last = _closing_edge(dist, *into)
         path = [iq, last]
     else:
         val, path = dist[iq], [iq]
@@ -855,27 +932,30 @@ def reachability(graph: SeparationGraph, p) -> np.ndarray:
     """Flat indices of nodes reachable from p by admissible paths, by BFS on ``graph.reach``."""
     ip = _as_node(graph, p)
     mask = np.zeros(graph.node_count, dtype=bool)
-    adj = graph.reach
-    mask[breadth_first_order(adj, ip, directed=True, return_predecessors=False)] = True
+    mask[breadth_first_order(graph.reach, ip, directed=True, return_predecessors=False)] = True
     # p itself is in its future only when some admissible loop returns to it;
     # a loop's last edge splits until its last part is an edge of ``reach``
-    into = np.searchsorted(adj.indptr, np.flatnonzero(adj.indices == ip), side="right") - 1
-    mask[ip] = np.any(mask[into])
+    mask[ip] = np.any(mask[graph.edges_into(ip, reach=True)[0]])
     return np.flatnonzero(mask)
 
 
 def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> np.ndarray:
     """Flat indices of the discrete forward/backward separation ball, by
-    Dijkstra on ``graph.query``; a negative radius gives the empty ball."""
+    Dijkstra on ``graph.query`` (forward) or on the reversed graph
+    ``graph.incoming`` (backward); a negative radius gives the empty ball.
+    The node p is in its ball when a loop through p costs less than r: the
+    closing edges are :meth:`SeparationGraph.edges_into` p forward, and row
+    p of ``graph.query`` backward."""
     ip = _as_node(graph, p)
     check_ball_direction(direction)
     if np.isnan(r):
         raise InvalidArgument("r must be a number, got nan", path="r", constraint="number")
-    # the backward ball is the forward ball of the reversed graph, whose
-    # incoming adjacency is the original one
-    mat, into = (graph.query, graph.incoming) if direction == "forward" else (graph.incoming, graph.query)
+    if direction == "forward":
+        mat, into = graph.query, graph.edges_into(ip)
+    else:  # the edges into p of the reversed graph are the edges out of p
+        mat, into = graph.incoming, _row(graph.query, ip)
     # scipy rejects a negative limit; such a ball is empty either way
     dist = _sp_dijkstra(mat, directed=True, indices=ip, limit=max(r, 0.0))
     mask = dist < r
-    mask[ip] = _closing_edge(into, dist, ip)[0] < r
+    mask[ip] = _closing_edge(dist, *into)[0] < r
     return np.flatnonzero(mask)

@@ -1132,8 +1132,14 @@ class TestIncomingAdjacency:
         g = _hand_graph()
         gd.separation(g, 0, 2)
         assert "incoming" not in g.__dict__
+        # without an offset table a loop reads the edges into 0 off the transpose
         gd.separation(g, 0, 0)
         assert "incoming" in g.__dict__
+        # with one it reads them off the table
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
+        gd.separation(g, 20, 1660)
+        gd.separation(g, 20, 20)
+        assert "incoming" not in g.__dict__
 
     def test_bad_direction_raises_before_any_transpose(self, monkeypatch):
         g = _hand_graph()
@@ -1257,8 +1263,9 @@ class TestReducedStencils:
         gd.separation(g, 20, 1660)
         gd.separation(g, 20, 20)
         gd.df_ball(g, 20, 0.5, "forward")
-        gd.df_ball(g, 20, 0.5, "backward")
-        assert "query" in g.__dict__ and "incoming" in g.__dict__ and "reach" not in g.__dict__
+        assert "query" in g.__dict__ and "incoming" not in g.__dict__ and "reach" not in g.__dict__
+        gd.df_ball(g, 20, 0.5, "backward")  # only a backward ball needs the reversed graph whole
+        assert "incoming" in g.__dict__ and "reach" not in g.__dict__
         gd.reachability(g, 20)
         assert "reach" in g.__dict__
 
@@ -1328,3 +1335,149 @@ class TestReducedStencils:
             _same_indices(gd.reachability(g, c), _ref_reachability(ref, c))
             for direction in ("forward", "backward"):
                 _same_indices(gd.df_ball(g, d, r, direction), _ref_df_ball(ref, d, r, direction))
+
+
+MATSUMOTO = {"type": "named", "family": "matsumoto", "q": 1.0, "b": 0.5}
+SQUARE_BOX = ((-1.0, -1.0), (1.0, 1.0))
+KROPINA_3D = {"type": "named", "family": "kropina", "form": {"coeffs": [0.2, 0.1, 0.5]}}
+
+# Graphs whose rows into each node are held to the transpose of ``query``.
+TABLE_GRAPHS = {
+    "lorentz_ex36_res81": ({"type": "lorentz_example"}, LORENTZ_BOX, 81, 20),
+    "matsumoto_res81": (MATSUMOTO, SQUARE_BOX, 81, 10),
+    "euclidean": ({"type": "euclidean"}, ((0.0, 0.0), (3.0, 4.0)), 41, 3),
+    "halfline_1d": ({"type": "oneform_metric", "coeffs": [1.0]}, ((0.0,), (1.0,)), 300, 299),
+    "kropina_3d": (KROPINA_3D, ((0.0,) * 3, (1.0,) * 3), 8, 7),
+}
+
+
+@pytest.fixture(scope="module", params=list(TABLE_GRAPHS))
+def table_graph(request):
+    return _config_graph(*TABLE_GRAPHS[request.param])
+
+
+def _count_transposes(monkeypatch, cls):
+    calls = []
+    real = cls.transpose
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "transpose", counted)
+    return calls
+
+
+class TestEdgesInto:
+    """The edges into a node come off the offset table, as the transpose of ``query`` has them."""
+
+    def test_rows_match_the_transposed_query(self, table_graph):
+        g = table_graph
+        for adj, reach in ((g.query, False), (g.reach, True)):
+            t = adj.T.tocsr()
+            for i in range(g.node_count):
+                sources, weights = g.edges_into(i, reach)
+                lo, hi = t.indptr[i], t.indptr[i + 1]
+                assert np.array_equal(sources, t.indices[lo:hi])
+                assert weights.tobytes() == t.data[lo:hi].tobytes()
+
+    def test_reversed_adjacency_is_the_transposed_query(self, table_graph):
+        t = table_graph.query.T.tocsr()
+        inc = table_graph.incoming
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(inc, name), getattr(t, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_forward_queries_build_no_transpose(self, monkeypatch):
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
+        calls = _count_transposes(monkeypatch, type(g.matrix))
+        gd.df_ball(g, 20, 0.5, "forward")
+        gd.separation(g, 20, 20)
+        gd.separation(g, 1660, 1660)
+        gd.reachability(g, 20)
+        assert not calls and "incoming" not in g.__dict__
+
+    @pytest.mark.parametrize("name", ["lorentz_ex36_res81", "matsumoto_res81"])
+    def test_backward_balls_match_dijkstra_on_the_transposed_query(self, name):
+        g = _config_graph(*TABLE_GRAPHS[name])
+        t = g.query.T.tocsr()
+        rng = np.random.default_rng(23)
+        for ip in rng.integers(0, g.node_count, 6).tolist():
+            dist = dijkstra(t, directed=True, indices=ip)
+            for r in (0.0, float(rng.uniform(0.1, 1.0)), np.inf):
+                mask = dist < r
+                lo, hi = g.query.indptr[ip], g.query.indptr[ip + 1]  # the edges out of ip close a reversed loop
+                mask[ip] = np.any(dist[g.query.indices[lo:hi]] + g.query.data[lo:hi] < r)
+                _same_indices(gd.df_ball(g, ip, r, "backward"), np.flatnonzero(mask))
+
+
+LOOP_GRAPHS = {
+    "lorentz_ex36_res41": ({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20),
+    "matsumoto_res41": (MATSUMOTO, SQUARE_BOX, 41, 10),
+    "euclidean": ({"type": "euclidean"}, ((0.0, 0.0), (3.0, 4.0)), 41, 3),
+}
+
+
+class TestLoopBound:
+    """A loop separation passes Dijkstra a distance limit and keeps the unbounded answer."""
+
+    @pytest.mark.parametrize("name", list(LOOP_GRAPHS))
+    def test_loops_match_the_unbounded_reference(self, name, monkeypatch):
+        g = _config_graph(*LOOP_GRAPHS[name])
+        assert g.matrix.nnz >= gd.REDUCE_MIN_EDGES
+        limits = []
+        real = gd._sp_dijkstra
+        monkeypatch.setattr(gd, "_sp_dijkstra", lambda *a, **kw: limits.append(kw["limit"]) or real(*a, **kw))
+        ref = _Reference(g)
+        top = [i * g.resolution + g.resolution - 1 for i in range(g.resolution)]  # the nodes with the largest y
+        picks = sorted(set(range(0, g.node_count, 7)) | set(top))
+        values = []
+        for p in picks:
+            got = gd.separation(g, p, p)
+            _same_separation(got, _ref_separation(ref, p, p))
+            assert got.value <= limits[-1]
+            values.append(got.value)
+        if name.startswith("lorentz"):
+            # no lattice path runs against the cone, so no loop closes and none is capped
+            assert np.all(np.isinf(values)) and np.all(np.isinf(limits))
+        else:
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(limits))
+
+    def test_loop_bound_is_the_cheapest_closing_lattice_path(self):
+        g = _config_graph(*LOOP_GRAPHS["euclidean"])
+        ip = 20 * 41 + 20
+        sources, weights = g.edges_into(ip)
+        k = int(np.argmin(weights))  # the steps (1, 0) and (-1, 0) tie; the lowest source wins
+        assert weights[k] == g.weights.min() and sources[k] == ip - 41
+        assert gd._loop_bound(g, ip, sources, weights) == gd._path_bound(g, ip, ip - 41) + weights[k] == 2 * weights[k]
+        assert gd._loop_bound(g, ip, sources[:0], weights[:0]) == np.inf
+
+
+class TestNodeId:
+    """``SeparationGraph.node_id`` answers as ``grid_node_id`` does, index or error."""
+
+    @pytest.mark.parametrize(
+        "box, resolution",
+        [(LORENTZ_BOX, 41), (((0.0, 0.0), (3.0, 4.0)), 7), (((0.0,), (1.0,)), 11), (((0.0,) * 3, (1.0, 2.0, 3.0)), 4)],
+    )
+    def test_matches_grid_node_id(self, box, resolution):
+        box = tuple(np.array(c) for c in box)
+        g = gd.build_separation_graph(me.euclidean_metric(box[0].size), box, resolution, 1)
+        h = (box[1] - box[0]) / (resolution - 1)
+        rng = np.random.default_rng(31)
+        points = [g.nodes[i] for i in rng.integers(0, g.node_count, 20)]
+        points += [g.nodes[i] + h * rng.uniform(-0.6, 0.6, h.size) for i in rng.integers(0, g.node_count, 40)]
+        points += [np.full(h.size, np.nan), box[0] - h, box[1] + h, np.full(h.size, np.inf), np.zeros(h.size + 1), 0.0]
+        answers = set()
+        for point in points:
+            try:
+                want = gd.grid_node_id(box, resolution, point)
+            except InvalidArgument as exc:
+                with pytest.raises(InvalidArgument) as got:
+                    g.node_id(point)
+                assert (got.value.path, got.value.constraint) == (exc.path, exc.constraint)
+                answers.add(exc.constraint)
+            else:
+                assert g.node_id(point) == want
+                answers.add("index")
+        assert answers == {"index", "grid", "shape"}
