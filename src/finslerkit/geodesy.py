@@ -474,8 +474,9 @@ class SeparationGraph:
     ``query`` (Dijkstra) and ``reach`` (BFS); :meth:`edges_into` reads the
     edges into a node off the same table, so no forward query transposes
     an adjacency.  On a position-dependent graph ``offsets`` and
-    ``weights`` are ``None``, the queries run on ``matrix`` and the edges
-    into a node are a row of its transpose ``incoming``.
+    ``weights`` are ``None``, the queries run on ``matrix`` and
+    :meth:`edges_into` scans one of its columns.  Only a backward ball
+    builds the transpose ``incoming``.
     """
 
     box_lo: np.ndarray
@@ -540,9 +541,9 @@ class SeparationGraph:
     @functools.cached_property
     def incoming(self) -> csr_matrix:
         """Transposed ``query``, built on first use: row i lists the edges
-        into i.  Only backward balls need it whole on a position-independent
-        graph, where it is assembled from the negated kept offsets in
-        reversed table order, which is lexicographic order."""
+        into i.  Only backward balls need it whole.  On a
+        position-independent graph it is assembled from the negated kept
+        offsets in reversed table order, which is lexicographic order."""
         keep = self._query_keep
         if keep is None:
             return self.query.T.tocsr()
@@ -554,10 +555,12 @@ class SeparationGraph:
         position-independent graph they are i - o for the kept offsets o
         whose source is a grid node, with weight F(o): the table walked in
         reverse lexicographic order gives the sources in ascending order.
-        Otherwise they are row i of ``incoming``."""
+        Otherwise a scan of the adjacency's column ``i`` finds them."""
         keep = self._reach_keep if reach else self._query_keep
         if keep is None:
-            return _row(self.incoming, i)
+            adj = self.reach if reach else self.query
+            at = np.flatnonzero(adj.indices == i)
+            return np.searchsorted(adj.indptr, at, side="right") - 1, adj.data[at]
         offsets = self.offsets[keep][::-1]
         sources = np.array(np.unravel_index(i, self.shape)) - offsets
         ok = np.all((sources >= 0) & (sources < self.resolution), axis=1)
@@ -569,7 +572,7 @@ class SeparationGraph:
 
     def node_id(self, point) -> int:
         """Flat index of the grid node at ``point``; see :func:`grid_node_id`."""
-        return _grid_index(self.box_lo, self.box_hi, self._spacing, self.resolution, point, self.nodes)
+        return _grid_index(self.box_lo, self.box_hi, self._spacing, self.resolution, point)
 
 
 def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
@@ -601,9 +604,8 @@ def grid_node_id(box: tuple, resolution: int, point) -> int:
     return _grid_index(lo, hi, grid_spacing((lo, hi), resolution), resolution, point)
 
 
-def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, point, nodes=None) -> int:
-    """:func:`grid_node_id` on a checked box with cell size ``h``; ``nodes``,
-    when given, are the grid's node coordinates in flat order."""
+def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, point) -> int:
+    """:func:`grid_node_id` on a checked box with cell size ``h``."""
     point = np.asarray(point, dtype=float)
     if point.shape != lo.shape:
         raise InvalidArgument(f"point needs shape {lo.shape}, got {point.shape}", path="point", constraint="shape")
@@ -612,12 +614,11 @@ def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, 
     if not np.all((pos >= 0) & (pos < resolution)):  # a NaN position fails too
         raise InvalidArgument(f"point {point} outside the graph box", path="point", constraint="grid")
     idx = pos.astype(int)
-    flat = int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
     # the node's coordinates exactly as build_separation_graph lays them out
-    node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)] if nodes is None else nodes[flat]
+    node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)]
     if np.linalg.norm(node - point) > 0.5 * float(np.max(h)):
         raise InvalidArgument(f"point {point} is not a grid node", path="point", constraint="grid")
-    return flat
+    return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
 
 
 def _edge_lengths(m: ConicMetric, starts: np.ndarray, delta: np.ndarray) -> tuple:
@@ -886,38 +887,21 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
     return bound
 
 
-def _loop_bound(graph: SeparationGraph, ip: int, sources: np.ndarray, weights: np.ndarray) -> float:
-    """An upper bound on the loop separation at ip, given the edges into it:
-    the :func:`_path_bound` from ip to the source s of the cheapest edge
-    (ties go to the lowest source) plus that edge's weight; inf when there
-    is no such edge or lattice path.  Weights are >= 0 and rounding is
-    monotone, so a closing cost at most this bound comes from a node at
-    most this far from ip."""
-    if weights.size == 0:
-        return np.inf
-    k = int(np.argmin(weights))
-    return _path_bound(graph, ip, int(sources[k])) + weights[k]
-
-
 def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     """Shortest admissible-path length from p to q on the graph.
 
-    Dijkstra runs on ``graph.query``.  On a graph with at least
-    ``REDUCE_MIN_EDGES`` edges it stops past an upper bound of the answer
-    (scipy's ``limit`` keeps a node at exactly that distance): the
-    :func:`_path_bound` of distinct nodes, the :func:`_loop_bound` of a
-    loop p -> p.  A loop closes through the cheapest edge into p, read off
-    :meth:`SeparationGraph.edges_into`."""
+    Dijkstra runs on ``graph.query``; between distinct nodes of a graph
+    with at least ``REDUCE_MIN_EDGES`` edges it stops past the
+    :func:`_path_bound` of the pair (scipy's ``limit`` keeps a node at
+    exactly that distance).  A loop p -> p closes through the cheapest
+    edge into p, read off :meth:`SeparationGraph.edges_into`."""
     ip, iq = _as_node(graph, p), _as_node(graph, q, "q")
-    into = graph.edges_into(ip) if ip == iq else None
-    if graph.matrix.nnz < REDUCE_MIN_EDGES:
-        limit = np.inf
-    else:
-        limit = _path_bound(graph, ip, iq) if into is None else _loop_bound(graph, ip, *into)
+    small = graph.matrix.nnz < REDUCE_MIN_EDGES
+    limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
     dist, pred = _sp_dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
-    if into is not None:
+    if ip == iq:
         # proper separation: go out and come back (no zero-length loitering)
-        val, last = _closing_edge(dist, *into)
+        val, last = _closing_edge(dist, *graph.edges_into(ip))
         path = [iq, last]
     else:
         val, path = dist[iq], [iq]

@@ -1132,9 +1132,9 @@ class TestIncomingAdjacency:
         g = _hand_graph()
         gd.separation(g, 0, 2)
         assert "incoming" not in g.__dict__
-        # without an offset table a loop reads the edges into 0 off the transpose
+        # without an offset table a loop scans the column of 0 for its edges
         gd.separation(g, 0, 0)
-        assert "incoming" in g.__dict__
+        assert "incoming" not in g.__dict__
         # with one it reads them off the table
         g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
         gd.separation(g, 20, 1660)
@@ -1397,6 +1397,22 @@ class TestEdgesInto:
         gd.reachability(g, 20)
         assert not calls and "incoming" not in g.__dict__
 
+    def test_position_dependent_graphs_scan_a_column(self, randers_posdep, monkeypatch):
+        g = gd.build_separation_graph(randers_posdep, UNIT_BOX, 9, 3)
+        calls = _count_transposes(monkeypatch, type(g.matrix))
+        gd.reachability(g, 40)
+        gd.df_ball(g, 40, 0.5, "forward")
+        gd.separation(g, 40, 40)
+        assert not calls and "incoming" not in g.__dict__
+        monkeypatch.undo()
+        t = g.matrix.T.tocsr()
+        for i in range(g.node_count):
+            lo, hi = t.indptr[i], t.indptr[i + 1]
+            for reach in (False, True):
+                sources, weights = g.edges_into(i, reach)
+                assert np.array_equal(sources, t.indices[lo:hi])
+                assert weights.tobytes() == t.data[lo:hi].tobytes()
+
     @pytest.mark.parametrize("name", ["lorentz_ex36_res81", "matsumoto_res81"])
     def test_backward_balls_match_dijkstra_on_the_transposed_query(self, name):
         g = _config_graph(*TABLE_GRAPHS[name])
@@ -1409,48 +1425,6 @@ class TestEdgesInto:
                 lo, hi = g.query.indptr[ip], g.query.indptr[ip + 1]  # the edges out of ip close a reversed loop
                 mask[ip] = np.any(dist[g.query.indices[lo:hi]] + g.query.data[lo:hi] < r)
                 _same_indices(gd.df_ball(g, ip, r, "backward"), np.flatnonzero(mask))
-
-
-LOOP_GRAPHS = {
-    "lorentz_ex36_res41": ({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20),
-    "matsumoto_res41": (MATSUMOTO, SQUARE_BOX, 41, 10),
-    "euclidean": ({"type": "euclidean"}, ((0.0, 0.0), (3.0, 4.0)), 41, 3),
-}
-
-
-class TestLoopBound:
-    """A loop separation passes Dijkstra a distance limit and keeps the unbounded answer."""
-
-    @pytest.mark.parametrize("name", list(LOOP_GRAPHS))
-    def test_loops_match_the_unbounded_reference(self, name, monkeypatch):
-        g = _config_graph(*LOOP_GRAPHS[name])
-        assert g.matrix.nnz >= gd.REDUCE_MIN_EDGES
-        limits = []
-        real = gd._sp_dijkstra
-        monkeypatch.setattr(gd, "_sp_dijkstra", lambda *a, **kw: limits.append(kw["limit"]) or real(*a, **kw))
-        ref = _Reference(g)
-        top = [i * g.resolution + g.resolution - 1 for i in range(g.resolution)]  # the nodes with the largest y
-        picks = sorted(set(range(0, g.node_count, 7)) | set(top))
-        values = []
-        for p in picks:
-            got = gd.separation(g, p, p)
-            _same_separation(got, _ref_separation(ref, p, p))
-            assert got.value <= limits[-1]
-            values.append(got.value)
-        if name.startswith("lorentz"):
-            # no lattice path runs against the cone, so no loop closes and none is capped
-            assert np.all(np.isinf(values)) and np.all(np.isinf(limits))
-        else:
-            assert np.all(np.isfinite(values)) and np.all(np.isfinite(limits))
-
-    def test_loop_bound_is_the_cheapest_closing_lattice_path(self):
-        g = _config_graph(*LOOP_GRAPHS["euclidean"])
-        ip = 20 * 41 + 20
-        sources, weights = g.edges_into(ip)
-        k = int(np.argmin(weights))  # the steps (1, 0) and (-1, 0) tie; the lowest source wins
-        assert weights[k] == g.weights.min() and sources[k] == ip - 41
-        assert gd._loop_bound(g, ip, sources, weights) == gd._path_bound(g, ip, ip - 41) + weights[k] == 2 * weights[k]
-        assert gd._loop_bound(g, ip, sources[:0], weights[:0]) == np.inf
 
 
 class TestNodeId:
