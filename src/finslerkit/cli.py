@@ -103,7 +103,8 @@ def compile_expr(expr, variables: tuple[str, ...], path: str):
 def _expr_field(exprs: list, dim: int, path: str, nested: bool = False):
     """``(field, constant)`` of a list (``nested``: a list of lists) of position expressions
     in ``x, y, z`` (up to 3 dimensions) and ``x1 .. xN``: ``field(x)`` stacks their values
-    on trailing axes, ``constant`` says none names a position."""
+    on trailing axes, with x's batch shape only when one names a position (the atom
+    broadcasts the rest), ``constant`` says none names a position."""
     letters = ("x", "y", "z")[:dim] if dim <= 3 else ()
     variables = letters + tuple(f"x{i+1}" for i in range(dim))
     fns = [
@@ -115,8 +116,8 @@ def _expr_field(exprs: list, dim: int, path: str, nested: bool = False):
         x = np.asarray(x, dtype=float)
         comps = [x[..., i] for i in range(dim)]
         args = comps[: len(letters)] + comps
-        rows = [np.stack([np.broadcast_to(fn(*args), x.shape[:-1]) for fn in row], axis=-1) for row in fns]
-        return np.stack(rows, axis=-2) if nested else rows[0]
+        vals = np.stack(np.broadcast_arrays(*(fn(*args) for row in fns for fn in row)), axis=-1)
+        return vals.reshape(vals.shape[:-1] + (len(fns), -1)) if nested else vals
 
     return field, not any(fn.variables_used for row in fns for fn in row)
 
@@ -131,11 +132,9 @@ class BuiltMetric:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Validated declarative metric tree plus the metric ``parse_config`` built
-    while validating it."""
+    """The metric ``parse_config`` built while validating its declarative tree."""
 
-    tree: dict
-    built: BuiltMetric = field(compare=False, repr=False)
+    built: BuiltMetric
 
 
 @dataclass(frozen=True)
@@ -281,7 +280,7 @@ def parse_config(text: str) -> tuple[MetricSpec, RunConfig]:
     _require(tol > 0, "tolerance must be positive", "run.tolerance", "positive")
     params = {k: v for k, v in run.items() if k not in ("dimension", "seed", "tolerance")}
     cfg = RunConfig(seed=_num(run.get("seed", 0), "run.seed", int), tolerance=tol, params=params)
-    return MetricSpec(tree=tree, built=built), cfg
+    return MetricSpec(built=built), cfg
 
 
 def build_metric(spec: MetricSpec) -> BuiltMetric:
@@ -521,7 +520,7 @@ def _interior_ratio(phi_parts, base, vecs, margin: float) -> np.ndarray:
 
 def _in_domain_at(m: me.ConicMetric, base):
     """The ``accept`` of :func:`me.admissible_draws` for vectors admissible at ``base``."""
-    return lambda vs: m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
+    return lambda vs: m.in_domain_many(base, vs)
 
 
 def _rows(*columns, index=None, text=None) -> list[list]:
@@ -624,7 +623,6 @@ def _graph(cmd: str, built: BuiltMetric, cfg: RunConfig, box, resolution, neighb
     dim = len(box[0])
     gd.grid_spacing(box, resolution)
     path = f"run.{cmd}."
-    _require(neighbor_radius >= 1, "neighbor_radius must be at least 1", path + "neighbor_radius", "minimum")
     _require(
         gd.candidate_edges(dim, resolution, neighbor_radius) <= MAX_GRAPH_EDGES,
         f"resolution^{dim} grid nodes x neighbour offsets must be at most {MAX_GRAPH_EDGES} candidate edges",
@@ -668,7 +666,7 @@ def _graph(cmd: str, built: BuiltMetric, cfg: RunConfig, box, resolution, neighb
 
 def _indicatrix(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
     dirs = me.unit_directions(len(base), samples)
-    ok, vals = built.metric.jet(np.broadcast_to(base, dirs.shape), dirs)
+    ok, vals = built.metric.jet(base, dirs)
     header = ["index"] + _vec_cols("dir", len(base)) + _vec_cols("s", len(base))
     on_ray = ok & np.isfinite(vals) & (vals > 0)
     rows = _rows(dirs[on_ray], dirs[on_ray] / vals[on_ray, None], index=np.flatnonzero(on_ray).tolist())
@@ -681,14 +679,13 @@ def _oracle(cmd: str, built: BuiltMetric, cfg: RunConfig, samples, tolerance, in
 
     def accept(vs):
         vs = vs / np.linalg.norm(vs, axis=-1, keepdims=True)
-        keep = m.in_domain_many(np.broadcast_to(base, vs.shape), vs)
+        keep = m.in_domain_many(base, vs)
         return keep if built.phi_parts is None else keep & _interior_ratio(built.phi_parts, base, vs, interior_margin)
 
     vs = me.admissible_draws(np.random.default_rng(cfg.seed), samples, dim, accept)
     vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
-    bases = np.broadcast_to(base, vs.shape)
-    ga = m.tensor_many(bases, vs)
-    gf = m.fd_tensor_many(bases, vs)
+    ga = m.tensor_many(base, vs)
+    gf = m.fd_tensor_many(base, vs)
     scale = np.maximum(1.0, np.max(np.abs(gf), axis=(-2, -1)))
     errs = np.max(np.abs(ga - gf), axis=(-2, -1)) / scale
     rows = _rows(vs, errs, index=range(len(vs)))

@@ -348,7 +348,7 @@ def _combined(
     holds it and the law admits beta = 0, a kernel the fan misses)."""
     out = ConicMetric(manifold=man, jet_fn=jet_fn, position_independent=position_independent, name=name)
     dirs = unit_directions(man.dimension, DOMAIN_PROBE_DIRECTIONS)
-    ok = out.in_domain_many(np.zeros_like(dirs), dirs)
+    ok = out.in_domain_many(np.zeros(man.dimension), dirs)
     if not np.any(ok):
         raise DomainEmpty("no probed direction is admissible for the combined metric")
     return replace(out, zero_in_domain=bool(np.all(ok)) and admits_zero)
@@ -373,12 +373,9 @@ def combine(
     man = _shared_manifold(metrics)
 
     def jet_fn(base, vec, with_tensor):
-        if with_tensor:
-            base, vec = np.broadcast_arrays(base, vec)
         kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]
         bs = [fm.coeffs(base) for fm in forms]
-        cols = [kid[1] for kid in kids] + [_pair(b, vec) for b in bs]
-        x = np.stack(np.broadcast_arrays(*cols), axis=-1) if len(cols) > 1 else np.asarray(cols[0])[..., None]
+        x = np.stack([kid[1] for kid in kids] + [_pair(b, vec) for b in bs], axis=-1)
         in_cone, L, *derivs = combiner.jet(x, base, with_tensor)
         ok = np.all(np.isfinite(x), axis=-1) & in_cone
         for kid in kids:
@@ -393,7 +390,7 @@ def combine(
             Fk, uk, hk = _pieces(kid, vec)
             term1 = term1 + (grad[..., k] / Fk)[..., None, None] * hk
             rows.append(uk / Fk[..., None])
-        rows += [np.broadcast_to(b, vec.shape) for b in bs]
+        rows += bs
         J = np.stack(rows, axis=-2)  # (..., n+m, N)
         term2 = np.einsum("...ri,...rs,...sj->...ij", J, hess, J)
         return ok, F, 0.5 * (term1 + term2)
@@ -460,15 +457,13 @@ def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> Coni
     """Metric F = F0 * phi(beta / F0) with the profile's closed-form tensor."""
 
     def jet_fn(base, vec, with_tensor):
-        if with_tensor:
-            base, vec = np.broadcast_arrays(base, vec)
         kid = F0.node_jet(base, vec, with_tensor)
         b = beta.coeffs(base)
         s = _pair(b, vec) / kid[1]
         ok, val = _profile_jet(profile, kid[0], kid[1], s)
         if not with_tensor:
             return ok, val
-        lead, _, tail = _profile_terms(profile, s, kid, vec, np.broadcast_to(b, vec.shape))
+        lead, _, tail = _profile_terms(profile, s, kid, vec, b)
         return ok, val, 0.5 * (lead + tail)
 
     return _combined(
@@ -485,8 +480,6 @@ def f1f2_combine(F1: ConicMetric, F2: ConicMetric, profile: PhiProfile) -> Conic
     man = _shared_manifold([F1, F2])
 
     def jet_fn(base, vec, with_tensor):
-        if with_tensor:
-            base, vec = np.broadcast_arrays(base, vec)
         ja = F1.node_jet(base, vec, with_tensor)
         jb = F2.node_jet(base, vec, with_tensor)
         s = jb[1] / ja[1]

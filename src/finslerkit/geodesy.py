@@ -401,7 +401,7 @@ def radial_minimality_test(
     n = base.shape[-1]
 
     probe_dirs = unit_directions(n, 16)
-    ok, _, gs = m.jet(np.broadcast_to(base, probe_dirs.shape), probe_dirs, with_tensor=True)
+    ok, _, gs = m.jet(base, probe_dirs, with_tensor=True)
     if not np.any(ok):
         raise OutsideDomain("no admissible direction at the base point")
     if not np.all(eigen_classify(gs[ok]).is_positive_definite):
@@ -413,7 +413,7 @@ def radial_minimality_test(
         if not np.any(keep):
             return True
         rel = rel[keep]
-        ok, vals = m.jet(np.broadcast_to(base, rel.shape), rel)
+        ok, vals = m.jet(base, rel)
         if not np.all(ok):
             return False
         return bool(np.all(vals <= radius * (1.0 + 1e-9)))
@@ -426,9 +426,9 @@ def radial_minimality_test(
         rounds += 1
         batch = trials - counted
         # admissible radial velocities with F = rho, rho uniform in [0.25, 0.85] * radius
-        ds = admissible_draws(rng, batch, n, lambda ds: m.in_domain_many(np.broadcast_to(base, ds.shape), ds))
+        ds = admissible_draws(rng, batch, n, lambda ds: m.in_domain_many(base, ds))
         ds /= np.linalg.norm(ds, axis=-1, keepdims=True)
-        F = m.F_many(np.broadcast_to(base, ds.shape), ds)
+        F = m.F_many(base, ds)
         vs = (rng.uniform(0.25, 0.85, size=batch) * radius / F)[:, None] * ds
         xs, _, ts = _integrate(
             m, np.broadcast_to(base, vs.shape).copy(), vs, t_end=1.0, step=max(step, 1.0 / 64)
@@ -781,8 +781,12 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     ``EDGE_QUAD_NODES``-point Simpson, whose points alone then decide its
     length and cone test.  A position-independent graph keeps its offset
     table and F(offset) for the reduced query adjacencies.  InvalidArgument
-    for a box or resolution :func:`grid_spacing` rejects.
+    for a box or resolution :func:`grid_spacing` rejects, and for a
+    ``neighbor_radius`` below 1, which would give a graph without edges.
     """
+    if not neighbor_radius >= 1:
+        msg = "neighbor_radius must be at least 1"
+        raise InvalidArgument(msg, path="neighbor_radius", constraint="minimum")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     n = lo.shape[0]
@@ -795,8 +799,7 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     offsets = _offset_table(n, resolution, R)
 
     if m.position_independent:
-        center = np.broadcast_to(0.5 * (lo + hi), offsets.shape)
-        ok, F = m.jet(center, offsets * h)
+        ok, F = m.jet(0.5 * (lo + hi), offsets * h)
         offsets, weights = offsets[ok], F[ok]
         table = {"offsets": offsets, "weights": weights}
         mask = _in_grid(offsets, resolution)

@@ -3,8 +3,8 @@
 A metric is a positively homogeneous fiberwise pseudo-norm defined on an
 open cone of the tangent bundle of an open subset of R^N.  Evaluation is
 vectorized: one jet call per metric node returns the domain mask, the
-values and, on request, the fundamental tensors for a broadcastable stack
-of (base, vector) pairs, which is what makes the scans and graph builders
+values and, on request, the fundamental tensors for a stack of (base,
+vector) pairs, which is what makes the scans and graph builders
 in the rest of the package fast without any compiled extension.
 """
 
@@ -145,7 +145,11 @@ class RiemannAtom:
     constant: bool = False
 
     def matrix(self, x) -> np.ndarray:
-        return np.asarray(self.metric_matrix(np.asarray(x, dtype=float)), dtype=float)
+        """The matrices at the points x (..., N), shape (..., N, N): the callable's
+        value broadcast to the batch, so one that ignores x may return one matrix."""
+        x = np.asarray(x, dtype=float)
+        g = np.asarray(self.metric_matrix(x), dtype=float)
+        return np.broadcast_to(g, x.shape[:-1] + g.shape[-2:])
 
     def square_length(self, x, v) -> np.ndarray:
         g = self.matrix(x)
@@ -155,12 +159,7 @@ class RiemannAtom:
 
 def constant_riemann(matrix) -> RiemannAtom:
     g0 = np.asarray(matrix, dtype=float)
-
-    def metric_matrix(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(g0, x.shape[:-1] + g0.shape)
-
-    return RiemannAtom(metric_matrix=metric_matrix, constant=True)
+    return RiemannAtom(metric_matrix=lambda x: g0, constant=True)
 
 
 def euclidean_atom(dimension: int) -> RiemannAtom:
@@ -175,7 +174,11 @@ class OneFormAtom:
     constant: bool = False
 
     def coeffs(self, x) -> np.ndarray:
-        return np.asarray(self.covector(np.asarray(x, dtype=float)), dtype=float)
+        """The covectors at the points x (..., N), shape (..., N): the callable's
+        value broadcast to the batch, so one that ignores x may return one covector."""
+        x = np.asarray(x, dtype=float)
+        b = np.asarray(self.covector(x), dtype=float)
+        return np.broadcast_to(b, x.shape[:-1] + b.shape[-1:])
 
     def pair(self, x, v) -> np.ndarray:
         return np.einsum("...i,...i->...", self.coeffs(x), np.asarray(v, dtype=float))
@@ -183,12 +186,7 @@ class OneFormAtom:
 
 def constant_oneform(coeffs) -> OneFormAtom:
     b0 = np.asarray(coeffs, dtype=float)
-
-    def covector(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(b0, x.shape[:-1] + b0.shape)
-
-    return OneFormAtom(covector=covector, constant=True)
+    return OneFormAtom(covector=lambda x: b0, constant=True)
 
 
 @dataclass(frozen=True)
@@ -196,8 +194,9 @@ class ConicMetric:
     """Behavioral contract of a conic pseudo-Finsler metric on one chart.
 
     A metric is one node of an expression tree, evaluated by one call:
-    ``jet_fn(base, vec, with_tensor)`` takes broadcastable stacks (base, vec)
-    of shape (..., N) and returns ``(ok, F)`` for the whole batch, or
+    ``jet_fn(base, vec, with_tensor)`` takes two stacks (base, vec) of the
+    same shape (..., N), which :meth:`jet` broadcasts once per top-level
+    call, and returns ``(ok, F)`` for the whole batch, or
     ``(ok, F, g)`` with the fundamental tensors g of shape (..., N, N) when
     ``with_tensor`` is set.  ``ok`` is the node's conic domain; a combinator
     calls each child's :meth:`node_jet` once and builds its value, domain
@@ -231,26 +230,28 @@ class ConicMetric:
         if len(out) == 3:
             return ok, F, out[2]
         # no closed form: finite differences where the probes can be evaluated
-        base_b, vec_b = np.broadcast_arrays(base, vec)
-        fd = ok & (np.linalg.norm(vec_b, axis=-1) > 0.0)
-        g = np.full(vec_b.shape + vec_b.shape[-1:], np.nan)
-        g[fd] = self.fd_tensor_many(base_b[fd], vec_b[fd])
+        fd = ok & (np.linalg.norm(vec, axis=-1) > 0.0)
+        g = np.full(vec.shape + vec.shape[-1:], np.nan)
+        g[fd] = self.fd_tensor_many(base[fd], vec[fd])
         return ok, F, g
 
     def jet(self, base, vec, with_tensor: bool = False) -> tuple:
         """``(ok, F)`` or ``(ok, F, g)`` over a batch; F is NaN where ok is False.
 
-        Tensor entries for out-of-domain inputs are unspecified (NaN or
-        garbage); use :func:`tensor` for the checked pointwise operation.
-        A pair gets the same result in any batch.
+        ``base`` and ``vec`` are broadcastable stacks (..., N); the node jets
+        get them broadcast to one shape.  Tensor entries for out-of-domain
+        inputs are unspecified (NaN or garbage); use :func:`tensor` for the
+        checked pointwise operation.  A pair gets the same result in any batch.
         """
         base = np.asarray(base, dtype=float)
         vec = np.asarray(vec, dtype=float)
-        # A leading axis keeps even one pair on numpy's array loops, whose power
-        # differs from the scalar one in the last bit.
         with np.errstate(all="ignore"):
-            ok, F, *g = (out[0, ...] for out in self.node_jet(base[None], vec[None], with_tensor))
-        ok = ok & (np.linalg.norm(vec, axis=-1) > 0.0)
+            nonzero = np.linalg.norm(vec, axis=-1) > 0.0  # on the caller's stack, not the broadcast one
+            # A leading axis keeps even one pair on numpy's array loops, whose power
+            # differs from the scalar one in the last bit.
+            base, vec = np.broadcast_arrays(base[None], vec[None])
+            ok, F, *g = (out[0, ...] for out in self.node_jet(base, vec, with_tensor))
+        ok = ok & nonzero
         return (ok, np.where(ok, F, np.nan), *g)
 
     def in_domain_many(self, base, vec) -> np.ndarray:
@@ -292,21 +293,16 @@ class ConicMetric:
 # ---------------------------------------------------------------------------
 
 
-def _batch_shape(base, vec) -> tuple:
-    return np.broadcast(base[..., 0], vec[..., 0]).shape
-
-
 def riemann_metric(atom: RiemannAtom, manifold: ChartManifold, name: str = "") -> ConicMetric:
     """Square root of a Riemannian metric on the chart ``manifold``; strongly convex everywhere."""
 
     def jet_fn(base, vec, with_tensor):
         g = atom.matrix(base)
         F = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", vec, g, vec), 0.0))
-        shape = _batch_shape(base, vec)
-        ok = np.ones(shape, dtype=bool)
+        ok = np.ones(F.shape, dtype=bool)
         if not with_tensor:
             return ok, F
-        return ok, F, np.broadcast_to(g, shape + g.shape[-2:])
+        return ok, F, g
 
     return ConicMetric(
         manifold=manifold,
@@ -329,7 +325,6 @@ def oneform_metric(form: OneFormAtom, manifold: ChartManifold, name: str = "") -
         beta = np.einsum("...i,...i->...", b, vec)
         if not with_tensor:
             return beta > 0.0, beta
-        b = np.broadcast_to(b, _batch_shape(base, vec) + b.shape[-1:])
         return beta > 0.0, beta, b[..., :, None] * b[..., None, :]
 
     return ConicMetric(
@@ -351,9 +346,7 @@ def minkowski_metric(gauge: GaugeNorm, manifold: ChartManifold = None, name: str
         manifold = whole_plane(gauge.dimension)
 
     def jet_fn(base, vec, with_tensor):
-        shape = _batch_shape(base, vec)
-        ok, F = gauge.member_value(vec)
-        return np.broadcast_to(ok, shape), np.broadcast_to(F, shape)
+        return gauge.member_value(vec)
 
     dirs = unit_directions(gauge.dimension, 64)
     full = bool(np.all(gauge.member(dirs)))
@@ -380,7 +373,8 @@ def _checked(m: ConicMetric, base, vec, with_tensor: bool = False) -> np.ndarray
     """
     base, vec = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
     ok, F, *g = m.jet(base, vec, with_tensor)
-    zero = np.linalg.norm(vec, axis=-1) == 0.0
+    with np.errstate(all="ignore"):
+        zero = np.linalg.norm(vec, axis=-1) == 0.0
     if m.zero_in_domain and not with_tensor:
         ok, F = ok | zero, np.where(zero, 0.0, F)
     out = g[0] if with_tensor else F
@@ -441,9 +435,8 @@ def convexity_scan(
     Returns ``(directions, in_domain, report)``: ``report`` classifies the
     tensors of the directions where ``in_domain`` holds, in direction order.
     """
-    base = np.asarray(base, dtype=float)
     dirs = unit_directions(m.dimension, samples)
-    ok, _, tensors = m.jet(np.broadcast_to(base, dirs.shape), dirs, with_tensor=True)
+    ok, _, tensors = m.jet(base, dirs, with_tensor=True)
     good = ok & np.all(np.isfinite(tensors), axis=(-2, -1))
     return dirs, good, eigen_classify(tensors[good], tolerance)
 
@@ -463,8 +456,7 @@ def lower_bound_check(m: ConicMetric, bound: RiemannAtom, base_samples: int, dir
 
     B = bases[:, None, :]  # (nb, 1, N)
     D = dirs[None, :, :]  # (1, nd, N)
-    shape = (bases.shape[0], dirs.shape[0], man.dimension)
-    ok, fvals = m.jet(np.broadcast_to(B, shape), np.broadcast_to(D, shape))
+    ok, fvals = m.jet(B, D)
     if not np.any(ok):
         return True
     gvals = np.sqrt(np.maximum(bound.square_length(B, D), 0.0))

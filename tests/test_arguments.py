@@ -141,6 +141,12 @@ class TestGridRules:
         g = gd.build_separation_graph(metric, ([-1.0] * n, [1.0] * n), resolution, radius)
         assert g.matrix.nnz <= count
 
+    def test_neighbor_radius_boundary(self, euclid):
+        _rejects(lambda: gd.build_separation_graph(euclid, BOX, 11, 0), "neighbor_radius", "minimum")
+        g = gd.build_separation_graph(euclid, BOX, 11, 1)
+        # 11 x 10 steps along each axis and 10 x 10 along each diagonal, both ways
+        assert g.neighbor_radius == 1 and g.matrix.nnz == 2 * (2 * 11 * 10 + 2 * 10 * 10)
+
     def test_candidate_edges_of_huge_grids_need_no_allocation(self):
         assert gd.candidate_edges(2, 10**154, 1) == 8 * 10**308
 

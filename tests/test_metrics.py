@@ -1,15 +1,18 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from finslerkit import combinators as cb
+from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.errors import DomainEmpty, NonFiniteSample, OutsideDomain
 from finslerkit.numkernel import Definiteness, eigen_classify
 
 BASE = np.zeros(2)
+BOX_2D = ([-1.0, -1.0], [1.0, 1.0])
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,22 @@ class TestEvalFMany:
         bases = np.array([[1.0, 0.0], [np.inf, 0.0]])
         with pytest.raises(NonFiniteSample):
             me.eval_F_many(m, bases, [1.0, 0.0])
+
+    def test_zero_vector_test_warns_of_nothing(self, euclid, lorentz_metric):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the squared norm overflows: a vector, not the zero vector
+            with pytest.raises(NonFiniteSample):
+                me.eval_F_many(euclid, BASE, [[1e200, 1e200]])
+            with pytest.raises(OutsideDomain, match="is outside the conic domain"):
+                me.tensor(lorentz_metric, me.TangentVec(BASE, [1e200, 1e200]))
+            # it underflows to 0: the zero vector
+            assert me.eval_F(euclid, me.TangentVec(BASE, [1e-200, 1e-200])) == 0.0
+            with pytest.raises(OutsideDomain, match="zero vector"):
+                me.eval_F(lorentz_metric, me.TangentVec(BASE, [1e-200, 1e-200]))
+            # a NaN vector is neither
+            with pytest.raises(OutsideDomain, match="is outside the conic domain"):
+                me.eval_F(euclid, me.TangentVec(BASE, [np.nan, 0.0]))
 
 
 class TestGaugeOnePass:
@@ -156,6 +175,73 @@ class TestBatchInvariance:
         assert np.array_equal(g, np.array([metric.tensor_many(BASE, v) for v in vecs]))
         ok, F_jet = metric.jet(BASE, vecs[0])
         assert ok.shape == F_jet.shape == () and F_jet == F[0]
+
+
+def _spy(calls: list, position_independent: bool, closed_form: bool) -> me.ConicMetric:
+    """A Riemannian leaf whose jet records the shapes it gets and asserts they are equal;
+    without ``closed_form`` it returns no tensor, so its parent takes finite differences."""
+    if position_independent:
+        inner = me.euclidean_metric(2)
+    else:
+        atom = me.RiemannAtom(lambda x: (1.0 + 0.1 * np.sin(x[..., :1, None])) * np.eye(2))
+        inner = me.riemann_metric(atom, me.whole_plane(2))
+
+    def jet_fn(base, vec, with_tensor):
+        calls.append((base.shape, vec.shape))
+        assert base.shape == vec.shape
+        out = inner.jet_fn(base, vec, with_tensor)
+        return out if closed_form else out[:2]
+
+    return replace(inner, jet_fn=jet_fn, name="spy")
+
+
+def _spied_tree(name: str, calls: list, position_independent: bool) -> me.ConicMetric:
+    def leaf(closed_form=True):
+        return _spy(calls, position_independent, closed_form)
+
+    form = me.constant_oneform([0.2, 0.1])
+    if name == "combine":
+        return cb.combine(cb.power_combiner(2, 1, 2.0), [leaf(), leaf(closed_form=False)], [form])
+    if name == "phi_combine":
+        return cb.phi_combine(leaf(), form, cb.randers_profile())
+    if name == "f1f2_combine":
+        return cb.f1f2_combine(leaf(), leaf(closed_form=False), cb.randers_profile())
+    return cb.reversibilize(leaf(), "quadratic")
+
+
+class TestAlignedStacks:
+    """Every node jet gets base and vector stacks of one shape, whatever the caller passes."""
+
+    @pytest.mark.parametrize("name", ["combine", "phi_combine", "f1f2_combine", "reversibilize"])
+    def test_node_jets_get_aligned_stacks(self, name):
+        calls = []
+        m = _spied_tree(name, calls, True)
+        base, vs = np.array([0.3, -0.2]), me.unit_directions(2, 12)
+        calls.clear()
+        m.jet(base, vs)  # one base point with a vector stack
+        m.jet(base, vs, with_tensor=True)  # also the FD probes (9, 12, 2) of the leaf without a tensor
+        m.fd_tensor_many(base, vs)  # probes (9, 12, 2) against bases (12, 2)
+        gd.build_separation_graph(m, BOX_2D, 5, 2)  # the centre against the offset table (24, 2)
+        me.lower_bound_check(m, me.constant_riemann(0.01 * np.eye(2)), 3, 8)  # (3, 1, 2) against (1, 8, 2)
+        posdep = _spied_tree(name, calls, False)
+        gd._accel(posdep, np.stack([base, -base]), vs[:2], 0.0)  # the stencil (5, 2, 2) against (2, 2)
+        assert all(b == v for b, v in calls)
+        shapes = {b for b, _ in calls}
+        assert {(1, 12, 2), (1, 9, 12, 2), (1, 24, 2), (1, 3, 8, 2), (1, 5, 2, 2)} <= shapes, shapes
+
+    def test_atoms_whose_callables_ignore_x_give_batch_shaped_values(self):
+        base, vs = np.zeros((5, 2)), me.unit_directions(2, 5)
+        atom = me.RiemannAtom(metric_matrix=lambda x: np.diag([2.0, 1.0]))
+        form = me.OneFormAtom(covector=lambda x: np.array([1.0, 0.5]))
+        assert atom.matrix(base).shape == (5, 2, 2) and form.coeffs(base).shape == (5, 2)
+        assert atom.matrix(BASE).shape == (2, 2) and form.coeffs(BASE).shape == (2,)
+        riemann = me.riemann_metric(atom, me.whole_plane(2))
+        assert np.array_equal(riemann.tensor_many(base, vs), np.broadcast_to(np.diag([2.0, 1.0]), (5, 2, 2)))
+        b = np.array([1.0, 0.5])
+        assert np.array_equal(me.oneform_metric(form, me.whole_plane(2)).tensor_many(BASE, vs),
+                              np.broadcast_to(np.outer(b, b), (5, 2, 2)))
+        randers = cb.phi_combine(riemann, form, cb.randers_profile())
+        assert randers.tensor_many(base, vs).shape == randers.tensor_many(BASE, vs).shape == (5, 2, 2)
 
 
 class TestRequiredChart:
