@@ -44,9 +44,6 @@ from .errors import (
 )
 from .numkernel import Definiteness, central_derivatives
 
-MAX_GRAPH_EDGES = 10**7  # candidate edges (geodesy.candidate_edges) of a graph command, checked before the build
-MAX_LOBES = 10**4  # largest wavy_example lobe count
-
 _EXPR_NAMES = dict(
     {name: getattr(np, name) for name in
      "sin cos tan arctan arctan2 sinh cosh tanh exp log sqrt abs sign minimum maximum".split()},
@@ -342,16 +339,12 @@ def _example(name: str, curve):
 
 
 def _spiral(node: dict, path: str) -> mk.PolarCurve2D:
-    eps = _num(node.get("epsilon", 0.1), f"{path}.epsilon")
-    _require(0 < eps < math.pi, "epsilon must be in (0, pi)", path)
-    return mk.spiral_curve(eps)
+    return mk.spiral_curve(_num(node.get("epsilon", 0.1), f"{path}.epsilon"))
 
 
 def _wavy(node: dict, path: str) -> mk.PolarCurve2D:
     amplitude = _num(node.get("amplitude", 0.3), f"{path}.amplitude")
-    lobes = _num(node.get("lobes", 3), f"{path}.lobes", int)
-    _require(lobes <= MAX_LOBES, f"lobes must be at most {MAX_LOBES}", f"{path}.lobes", "maximum")
-    return mk.wavy_curve(amplitude, lobes)
+    return mk.wavy_curve(amplitude, _num(node.get("lobes", 3), f"{path}.lobes", int))
 
 
 def _build_profile(prof, path: str) -> cb.PhiProfile:
@@ -451,11 +444,7 @@ def _f1f2(node: dict, path: str) -> me.ConicMetric:
 
 
 def _reversibilize(node: dict, path: str) -> me.ConicMetric:
-    inner = _child(node, "inner", path)
-    try:
-        return cb.reversibilize(inner, str(node.get("mode", "sum")))
-    except InvalidArgument as exc:
-        raise ValidationError(str(exc), path=path, constraint="mode") from exc
+    return cb.reversibilize(_child(node, "inner", path), str(node.get("mode", "sum")))
 
 
 # node type -> (builder of (node, path), the keys the node may hold besides "type");
@@ -487,11 +476,15 @@ _CHILDREN = {"base": "node", "f1": "node", "f2": "node", "inner": "node", "terms
 def _build_node(node, path: str) -> BuiltMetric:
     """Validate and build one metric node; a malformed node raises a
     ValidationError naming its config path.  Dimensions come from the
-    built children."""
+    built children.  A library InvalidArgument of the node's builder is
+    reported at ``<path>.<parameter>``, the node key of that name."""
     typed = isinstance(node, dict) and isinstance(node.get("type"), str)
     _require(typed, "metric node must be a dict with a 'type'", path)
     _require(node["type"] in _NODES, f"unknown metric node type {node['type']!r}", path, "type")
-    built = _NODES[node["type"]][0](node, path)
+    try:
+        built = _NODES[node["type"]][0](node, path)
+    except InvalidArgument as exc:
+        raise ValidationError(str(exc), path=f"{path}.{exc.path}", constraint=exc.constraint) from exc
     return built if isinstance(built, BuiltMetric) else BuiltMetric(metric=built)
 
 
@@ -619,30 +612,17 @@ def _gauss(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
 def _graph(cmd: str, built: BuiltMetric, cfg: RunConfig, box, resolution, neighbor_radius, source=None,
            target=None, center=None, radius=None, direction=None):
     """``separation``, ``ball`` and ``reach`` on the grid graph of ``box``; the
-    box, the size cap and the points are checked before the graph is built."""
+    graph's arguments (:func:`gd.check_graph`), then the points are checked
+    before the graph is built."""
     dim = len(box[0])
-    gd.grid_spacing(box, resolution)
-    path = f"run.{cmd}."
-    _require(
-        gd.candidate_edges(dim, resolution, neighbor_radius) <= MAX_GRAPH_EDGES,
-        f"resolution^{dim} grid nodes x neighbour offsets must be at most {MAX_GRAPH_EDGES} candidate edges",
-        path + "resolution",
-        "maximum",
-    )
-
-    def node(key: str, point) -> int:
-        try:
-            return gd.grid_node_id(box, resolution, point)
-        except InvalidArgument as exc:  # grid_node_id names its argument "point"
-            raise ValidationError(f"{key}: {exc}", path=path + key, constraint=exc.constraint) from exc
-
+    gd.check_graph(box, resolution, neighbor_radius)
     if cmd == "ball":
-        center = node("center", center)
-        _require(radius > 0, "radius must be positive", path + "radius", "positive")
+        center = gd.grid_node_id(box, resolution, center, "center")
+        _require(radius > 0, "radius must be positive", f"run.{cmd}.radius", "positive")
         mk.check_ball_direction(direction)
     else:
-        source = node("source", source)
-        target = node("target", target) if cmd == "separation" else None
+        source = gd.grid_node_id(box, resolution, source, "source")
+        target = gd.grid_node_id(box, resolution, target, "target") if cmd == "separation" else None
     graph = gd.build_separation_graph(built.metric, box, resolution, neighbor_radius)
     if cmd == "separation":
         result = gd.separation(graph, source, target)

@@ -31,6 +31,7 @@ from .numkernel import (
 )
 
 DOMAIN_PROBE_DIRECTIONS = 64
+MAX_CHERN_SHEN_GRID = 10**4  # largest grid of chern_shen_check, whose work grows as grid^2
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,13 @@ def phi_convexity_ok(profile: PhiProfile, s: float, tolerance: float = DEFAULT_E
 
 
 def chern_shen_check(profile: PhiProfile, b0: float, grid: int = 64) -> bool:
-    """Grid check of (phi - s phi') + (b^2 - s^2) phi'' > 0 for |s| <= b < b0."""
+    """Grid check of (phi - s phi') + (b^2 - s^2) phi'' > 0 for |s| <= b < b0,
+    on ``grid`` values of b and max(grid, 3) of s each.  InvalidArgument at
+    ``grid`` unless 1 <= grid <= ``MAX_CHERN_SHEN_GRID``."""
+    if not grid >= 1:
+        raise InvalidArgument("grid must be at least 1", path="grid", constraint="minimum")
+    if not grid <= MAX_CHERN_SHEN_GRID:
+        raise InvalidArgument(f"grid must be at most {MAX_CHERN_SHEN_GRID}", path="grid", constraint="maximum")
     bs = b0 * np.arange(grid) / grid
     for b in bs:
         s = np.linspace(-b, b, max(grid, 3))

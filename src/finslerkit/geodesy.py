@@ -37,7 +37,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain, StepBudget
-from .metrics import ConicMetric, TangentVec, admissible_draws, unit_directions
+from .metrics import ConicMetric, TangentVec, _check_samples, admissible_draws, unit_directions
 from .minkowski import check_ball_direction
 from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
 
@@ -48,6 +48,7 @@ CURVE_QUAD_NODES = 65
 DEFAULT_STEP = 0.01  # output spacing of a geodesic; the integrator picks its own steps
 MAX_GEODESIC_STEPS = 10**4  # trial steps, accepted plus rejected, of one _integrate call
 MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic_shoot
+MAX_GRAPH_EDGES = 5 * 10**7  # candidate_edges of one graph, checked by check_graph before any allocation
 DOMINANCE_MARGIN = 1e-12  # an offset is dropped when a split costs at most (1 - margin) F(offset)
 # A graph with fewer edges than this keeps its queries on the full adjacency
 # with no distance cap, and so does one whose dominated offsets carry fewer:
@@ -395,7 +396,9 @@ def radial_minimality_test(
     Each trial shoots a radial geodesic to a random endpoint inside the
     geodesic ball, perturbs it by a smooth bump vanishing at the ends, and
     records the length ratio.  Curves exiting the ball are skipped; a sliver domain raises ``DomainEmpty``.
+    ``trials`` is checked as a sample count (1 to ``MAX_SAMPLES``) before any draw.
     """
+    _check_samples(trials, "trials")
     base = np.asarray(base, dtype=float)
     rng = np.random.default_rng(seed)
     n = base.shape[-1]
@@ -570,9 +573,9 @@ class SeparationGraph:
     def _spacing(self) -> np.ndarray:
         return grid_spacing((self.box_lo, self.box_hi), self.resolution)
 
-    def node_id(self, point) -> int:
+    def node_id(self, point, name: str = "point") -> int:
         """Flat index of the grid node at ``point``; see :func:`grid_node_id`."""
-        return _grid_index(self.box_lo, self.box_hi, self._spacing, self.resolution, point)
+        return _grid_index(self.box_lo, self.box_hi, self._spacing, self.resolution, point, name)
 
 
 def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
@@ -594,30 +597,32 @@ def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
     return (hi - lo) / (resolution - 1)
 
 
-def grid_node_id(box: tuple, resolution: int, point) -> int:
+def grid_node_id(box: tuple, resolution: int, point, name: str = "point") -> int:
     """Flat index of the node of the ``resolution``-per-axis grid on ``box``
-    nearest to ``point``; InvalidArgument when the point is not one
-    coordinate per axis, lies outside the box or more than half a cell from
-    that node, or for a box :func:`grid_spacing` rejects."""
+    nearest to ``point``; InvalidArgument at ``name``, the caller's name for
+    the point, when it is not one coordinate per axis, lies outside the box
+    or more than half a cell from that node, or for a box
+    :func:`grid_spacing` rejects."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    return _grid_index(lo, hi, grid_spacing((lo, hi), resolution), resolution, point)
+    return _grid_index(lo, hi, grid_spacing((lo, hi), resolution), resolution, point, name)
 
 
-def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, point) -> int:
+def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, point, name: str) -> int:
     """:func:`grid_node_id` on a checked box with cell size ``h``."""
     point = np.asarray(point, dtype=float)
     if point.shape != lo.shape:
-        raise InvalidArgument(f"point needs shape {lo.shape}, got {point.shape}", path="point", constraint="shape")
+        msg = f"{name}: point needs shape {lo.shape}, got {point.shape}"
+        raise InvalidArgument(msg, path=name, constraint="shape")
     with np.errstate(over="ignore"):
         pos = np.rint((point - lo) / h)
     if not np.all((pos >= 0) & (pos < resolution)):  # a NaN position fails too
-        raise InvalidArgument(f"point {point} outside the graph box", path="point", constraint="grid")
+        raise InvalidArgument(f"{name}: point {point} outside the graph box", path=name, constraint="grid")
     idx = pos.astype(int)
     # the node's coordinates exactly as build_separation_graph lays them out
     node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)]
     if np.linalg.norm(node - point) > 0.5 * float(np.max(h)):
-        raise InvalidArgument(f"point {point} is not a grid node", path="point", constraint="grid")
+        raise InvalidArgument(f"{name}: point {point} is not a grid node", path=name, constraint="grid")
     return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
 
 
@@ -661,6 +666,23 @@ def candidate_edges(n: int, resolution: int, neighbor_radius: int) -> int:
     """Grid nodes times :func:`_offset_table` offsets: the edges that
     :func:`build_separation_graph` tries, counted without allocating them."""
     return resolution**n * ((2 * _stencil_radius(resolution, neighbor_radius) + 1) ** n - 1)
+
+
+def check_graph(box: tuple, resolution: int, neighbor_radius: int) -> np.ndarray:
+    """The cell size h of the graph :func:`build_separation_graph` lays out
+    on these arguments, after the rules it checks before any allocation:
+    InvalidArgument for a ``neighbor_radius`` below 1, which would give a
+    graph without edges, for a box or resolution :func:`grid_spacing`
+    rejects, and at ``resolution`` (constraint ``maximum``) for more than
+    ``MAX_GRAPH_EDGES`` :func:`candidate_edges`."""
+    if not neighbor_radius >= 1:
+        raise InvalidArgument("neighbor_radius must be at least 1", path="neighbor_radius", constraint="minimum")
+    h = grid_spacing(box, resolution)
+    n = h.shape[0]
+    if candidate_edges(n, resolution, neighbor_radius) > MAX_GRAPH_EDGES:
+        msg = f"resolution^{n} grid nodes x neighbour offsets must be at most {MAX_GRAPH_EDGES} candidate edges"
+        raise InvalidArgument(msg, path="resolution", constraint="maximum")
+    return h
 
 
 def _offset_table(n: int, resolution: int, neighbor_radius: int) -> np.ndarray:
@@ -780,17 +802,13 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     more than ``EDGE_KRONROD_RTOL`` relative is redone with
     ``EDGE_QUAD_NODES``-point Simpson, whose points alone then decide its
     length and cone test.  A position-independent graph keeps its offset
-    table and F(offset) for the reduced query adjacencies.  InvalidArgument
-    for a box or resolution :func:`grid_spacing` rejects, and for a
-    ``neighbor_radius`` below 1, which would give a graph without edges.
+    table and F(offset) for the reduced query adjacencies.  The arguments
+    pass :func:`check_graph` before anything is allocated.
     """
-    if not neighbor_radius >= 1:
-        msg = "neighbor_radius must be at least 1"
-        raise InvalidArgument(msg, path="neighbor_radius", constraint="minimum")
+    h = check_graph(box, resolution, neighbor_radius)
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     n = lo.shape[0]
-    h = grid_spacing((lo, hi), resolution)
     mesh = np.meshgrid(*np.linspace(lo, hi, resolution).T, indexing="ij")
     nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
     shape = (resolution,) * n
@@ -843,7 +861,7 @@ def _as_node(graph: SeparationGraph, p, name: str = "p") -> int:
         if not 0 <= p < graph.node_count:
             raise InvalidArgument(f"node {p} is not in [0, {graph.node_count})", path=name, constraint="grid")
         return int(p)
-    return graph.node_id(p)
+    return graph.node_id(p, name)
 
 
 def _row(adj: csr_matrix, i: int) -> tuple:

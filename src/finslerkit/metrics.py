@@ -74,12 +74,12 @@ def kronecker_sequence(count: int, dim: int) -> np.ndarray:
     return np.mod(0.5 + i * alphas[None, :], 1.0)
 
 
-def _check_samples(samples: int):
-    """InvalidArgument at ``samples`` unless 1 <= samples <= MAX_SAMPLES."""
+def _check_samples(samples: int, name: str = "samples"):
+    """InvalidArgument at ``name``, the caller's name for the count, unless 1 <= samples <= MAX_SAMPLES."""
     if not samples >= 1:
-        raise InvalidArgument("samples must be at least 1", path="samples", constraint="minimum")
+        raise InvalidArgument(f"{name} must be at least 1", path=name, constraint="minimum")
     if not samples <= MAX_SAMPLES:
-        raise InvalidArgument(f"samples must be at most {MAX_SAMPLES}", path="samples", constraint="maximum")
+        raise InvalidArgument(f"{name} must be at most {MAX_SAMPLES}", path=name, constraint="maximum")
 
 
 def unit_directions(dim: int, samples: int) -> np.ndarray:
@@ -445,8 +445,11 @@ def lower_bound_check(m: ConicMetric, bound: RiemannAtom, base_samples: int, dir
     """Does F(v) >= sqrt(g0(v,v)) hold on all sampled admissible vectors?
 
     The bases are low-discrepancy points of the chart in the cube [-1, 1]^N,
-    or the origin when none is in the chart.
+    or the origin when none is in the chart.  Both counts are checked as
+    sample counts, each at its own name, before anything is allocated.
     """
+    _check_samples(base_samples, "base_samples")
+    _check_samples(dir_samples, "dir_samples")
     man = m.manifold
     bases = 2.0 * kronecker_sequence(base_samples, man.dimension) - 1.0
     bases = bases[man.contains(bases)]

@@ -9,6 +9,7 @@ fundamental inequality testers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -19,6 +20,7 @@ from .errors import DegenerateDirection, InvalidArgument, NoBracket, NonFiniteSa
 from .numkernel import GRAD_STEP, central_derivatives, ray_root
 
 TWO_PI = 2.0 * np.pi
+MAX_LOBES = 10**4  # largest |lobes| of wavy_curve
 
 
 def whole_space_domain(dimension: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -307,7 +309,13 @@ def unit_circle_curve() -> PolarCurve2D:
 
 def spiral_curve(epsilon: float) -> PolarCurve2D:
     """Archimedean arc r = theta on (epsilon, 2*pi - epsilon); convex indicatrix
-    on a non-convex cone, the classic source of triangle-inequality failures."""
+    on a non-convex cone, the classic source of triangle-inequality failures.
+    The cone is proper for 0 < epsilon < pi only: InvalidArgument at
+    ``epsilon`` otherwise (constraint ``positive`` or ``maximum``)."""
+    if not epsilon > 0:
+        raise InvalidArgument("epsilon must be in (0, pi)", path="epsilon", constraint="positive")
+    if not epsilon < np.pi:
+        raise InvalidArgument("epsilon must be in (0, pi)", path="epsilon", constraint="maximum")
     return PolarCurve2D(
         r=lambda th: np.asarray(th, dtype=float).copy(),
         r_dot=lambda th: np.ones_like(np.asarray(th, dtype=float)),
@@ -362,7 +370,13 @@ def downward_parabola_curve() -> PolarCurve2D:
 
 def wavy_curve(amplitude: float = 0.3, lobes: int = 3) -> PolarCurve2D:
     """Closed wavy indicatrix r = 1 + a cos(k theta): a pseudo-norm on all of
-    the plane whose fundamental tensor is indefinite on the concave arcs."""
+    the plane whose fundamental tensor is indefinite on the concave arcs.
+    InvalidArgument at ``lobes`` unless it is an integer (constraint
+    ``integer``) of magnitude at most ``MAX_LOBES`` (constraint ``maximum``)."""
+    if not (isinstance(lobes, numbers.Integral) or float(lobes).is_integer()):
+        raise InvalidArgument(f"lobes must be an integer, got {lobes!r}", path="lobes", constraint="integer")
+    if not abs(lobes) <= MAX_LOBES:
+        raise InvalidArgument(f"|lobes| must be at most {MAX_LOBES}", path="lobes", constraint="maximum")
     a, k = float(amplitude), int(lobes)
 
     def r(th):

@@ -151,11 +151,57 @@ class TestGridRules:
         assert gd.candidate_edges(2, 10**154, 1) == 8 * 10**308
 
 
+class TestGraphCap:
+    """``check_graph`` holds one graph to ``MAX_GRAPH_EDGES`` candidate edges before any allocation."""
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the offset table was built before the cap was checked")
+
+        monkeypatch.setattr(gd, "_offset_table", never)
+
+    def test_over_cap_build_allocates_nothing(self, euclid, no_allocation):
+        assert gd.candidate_edges(2, 3001, 3) > gd.MAX_GRAPH_EDGES
+        err = _rejects(lambda: gd.build_separation_graph(euclid, BOX, 3001, 3), "resolution", "maximum")
+        assert str(err) == (f"resolution^2 grid nodes x neighbour offsets must be at most {gd.MAX_GRAPH_EDGES} "
+                            "candidate edges")
+
+    def test_cap_boundary(self, euclid, monkeypatch):
+        monkeypatch.setattr(gd, "MAX_GRAPH_EDGES", gd.candidate_edges(2, 5, 1))  # 25 nodes x 8 offsets
+        assert gd.build_separation_graph(euclid, BOX, 5, 1).node_count == 25
+        np.testing.assert_array_equal(gd.check_graph(BOX, 5, 1), gd.grid_spacing(BOX, 5))
+        monkeypatch.setattr(gd, "_offset_table", None)  # a build past the check would fail on a call of None
+        _rejects(lambda: gd.build_separation_graph(euclid, BOX, 6, 1), "resolution", "maximum")
+        _rejects(lambda: gd.build_separation_graph(euclid, BOX, 5, 2), "resolution", "maximum")
+
+    def test_cap_admits_the_largest_graphs_built_here(self):
+        # the benchmark's Lorentz graph at resolution 81 and neighbour radius 20: 6561 nodes x 1680 offsets
+        assert gd.candidate_edges(2, 81, 20) == 11_022_480 <= gd.MAX_GRAPH_EDGES
+        # criterion 6's Lorentz graph at resolution 81 and neighbour radius 40: 6561 nodes x 6560 offsets
+        assert gd.candidate_edges(2, 81, 40) == 43_040_160 <= gd.MAX_GRAPH_EDGES
+
+    def test_rules_are_checked_in_order(self, no_allocation):
+        bad_box = ([0.0, 0.0], [0.0, 1.0])
+        _rejects(lambda: gd.check_graph(bad_box, 10**9, 0), "neighbor_radius", "minimum")
+        _rejects(lambda: gd.check_graph(bad_box, 10**9, 1), "box", "positive")
+        _rejects(lambda: gd.check_graph(BOX, 10**400, 1), "resolution", "maximum")
+        _rejects(lambda: gd.check_graph(BOX, 10**9, 1), "resolution", "maximum")
+
+
 class TestGraphQueries:
     """Inputs that gave a silently wrong answer or an untyped error."""
 
     def test_point_of_the_wrong_shape(self, graph):
-        _rejects(lambda: gd.separation(graph, [0.0], 0), "point", "shape")
+        _rejects(lambda: gd.separation(graph, [0.0], 0), "p", "shape")
+
+    def test_point_is_named_by_the_caller(self, graph):
+        err = _rejects(lambda: gd.separation(graph, [9.0, 9.0], 0), "p", "grid")
+        assert str(err) == "p: point [9. 9.] outside the graph box"
+        _rejects(lambda: gd.separation(graph, 0, [0.25, 0.25]), "q", "grid")
+        _rejects(lambda: gd.df_ball(graph, [0.0], 1.0), "p", "shape")
+        err = _rejects(lambda: gd.grid_node_id(BOX, 5, [0.25, 0.25], "source"), "source", "grid")
+        assert str(err) == "source: point [0.25 0.25] is not a grid node"
 
     @pytest.mark.parametrize("flag", [True, False, np.True_])
     def test_boolean_is_not_a_node(self, graph, flag):
@@ -173,6 +219,75 @@ class TestGraphQueries:
         _rejects(lambda: gd.df_ball(graph, 12, np.nan), "r", "number")
         assert gd.df_ball(graph, 12, -1.0).size == 0
         assert gd.df_ball(graph, 12, np.inf).size == graph.node_count
+
+
+class TestCurveArguments:
+    @pytest.mark.parametrize("epsilon, constraint", [(0.0, "positive"), (-0.5, "positive"), (np.nan, "positive"),
+                                                     (np.pi, "maximum"), (4.0, "maximum"), (np.inf, "maximum")])
+    def test_spiral_epsilon(self, epsilon, constraint):
+        err = _rejects(lambda: mk.spiral_curve(epsilon), "epsilon", constraint)
+        assert str(err) == "epsilon must be in (0, pi)"
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 0.1, np.nextafter(np.pi, 0.0)])
+    def test_spiral_epsilon_inside_the_interval(self, epsilon):
+        assert mk.spiral_curve(epsilon).theta_range == (epsilon, mk.TWO_PI - epsilon)
+
+    @pytest.mark.parametrize("lobes", [2.5, np.nan, np.inf, -np.inf])
+    def test_wavy_lobes_are_integers(self, lobes):
+        _rejects(lambda: mk.wavy_curve(0.3, lobes), "lobes", "integer")
+
+    def test_wavy_lobes_cap(self, monkeypatch):
+        _rejects(lambda: mk.wavy_curve(0.3, 10**4 + 1), "lobes", "maximum")
+        _rejects(lambda: mk.wavy_curve(0.3, 10**400), "lobes", "maximum")
+        monkeypatch.setattr(mk, "MAX_LOBES", 5)
+        for lobes in (5, -5, 5.0, np.int64(5)):
+            assert float(mk.wavy_curve(0.3, lobes).r(0.0)) == 1.3
+        for lobes in (6, -6, 6.0):
+            err = _rejects(lambda: mk.wavy_curve(0.3, lobes), "lobes", "maximum")
+        assert str(err) == "|lobes| must be at most 5"
+
+
+class TestSampleCounts:
+    """Every count that sizes a draw is checked under its own name, before any draw."""
+
+    @pytest.mark.parametrize("trials, constraint", [(0, "minimum"), (-1, "minimum"), (np.nan, "minimum"),
+                                                    (2 * 10**6, "maximum")])
+    def test_radial_minimality_trials(self, euclid, trials, constraint, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a draw ran before trials was checked")
+
+        monkeypatch.setattr(gd, "admissible_draws", never)
+        _rejects(lambda: gd.radial_minimality_test(euclid, [0.0, 0.0], 1.0, trials, 0), "trials", constraint)
+
+    def test_radial_minimality_trials_boundary(self, euclid, monkeypatch):
+        monkeypatch.setattr(me, "MAX_SAMPLES", 16)  # the base-point probe draws 16 directions
+        assert gd.radial_minimality_test(euclid, [0.0, 0.0], 1.0, 16, 0).counted >= 1
+        err = _rejects(lambda: gd.radial_minimality_test(euclid, [0.0, 0.0], 1.0, 17, 0), "trials", "maximum")
+        assert str(err) == "trials must be at most 16"
+
+    def test_lower_bound_check_counts(self, euclid, monkeypatch):
+        bound = me.constant_riemann(0.5 * np.eye(2))
+        _rejects(lambda: me.lower_bound_check(euclid, bound, 0, 8), "base_samples", "minimum")
+        _rejects(lambda: me.lower_bound_check(euclid, bound, 8, 0), "dir_samples", "minimum")
+        monkeypatch.setattr(me, "MAX_SAMPLES", 4)
+        assert me.lower_bound_check(euclid, bound, 4, 4)
+        monkeypatch.setattr(me, "kronecker_sequence", None)  # a check past the counts would fail on a call of None
+        _rejects(lambda: me.lower_bound_check(euclid, bound, 5, 4), "base_samples", "maximum")
+        _rejects(lambda: me.lower_bound_check(euclid, bound, 4, 5), "dir_samples", "maximum")
+
+
+class TestChernShenGrid:
+    @pytest.mark.parametrize("grid", [0, -1, np.nan])
+    def test_grid_minimum(self, grid):
+        _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=grid), "grid", "minimum")
+
+    def test_grid_cap(self, monkeypatch):
+        _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=10**4 + 1), "grid", "maximum")
+        monkeypatch.setattr(cb, "MAX_CHERN_SHEN_GRID", 8)
+        assert cb.chern_shen_check(cb.randers_profile(), 0.9, grid=8)
+        assert cb.chern_shen_check(cb.randers_profile(), 0.9, grid=1)
+        err = _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=9), "grid", "maximum")
+        assert str(err) == "grid must be at most 8"
 
 
 class TestDirection:

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from finslerkit import cli
 from finslerkit.cli import (
     COMMANDS,
-    MAX_GRAPH_EDGES,
     BuiltMetric,
     MetricSpec,
     build_metric,
@@ -33,6 +32,7 @@ from finslerkit.cli import (
 from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
+from finslerkit import minkowski as mk
 from finslerkit.errors import DomainEmpty, FinslerError, InvalidArgument, ParseError, StepBudget, ValidationError
 
 BUILTINS = [
@@ -52,6 +52,14 @@ BUILTINS = [
     "randers_posdep",
     "wavy_ex212",
 ]
+
+
+def _largest_resolution(dim: int) -> int:
+    """The largest resolution whose graph with neighbour radius 1 stays within ``gd.MAX_GRAPH_EDGES``."""
+    res = 2
+    while gd.candidate_edges(dim, res + 1, 1) <= gd.MAX_GRAPH_EDGES:
+        res += 1
+    return res
 
 
 def _is_config_path(exc: ValidationError) -> bool:
@@ -358,10 +366,11 @@ class TestMalformedConfig:
             ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "resolution": 20.5}, "run.reach.resolution"),
             ("separation", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "target": [0.5, 0], "neighbor_radius": True},
              "run.separation.neighbor_radius"),
-            # the graph work cap: resolution^n grid nodes x neighbour offsets <= MAX_GRAPH_EDGES
+            # the graph work cap: resolution^n grid nodes x neighbour offsets <= gd.MAX_GRAPH_EDGES
             ("reach", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "resolution": 100000}, "run.reach.resolution"),
-            ("separation", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "target": [0.5, 0], "resolution": 1119,
-                            "neighbor_radius": 1}, "run.separation.resolution"),
+            ("separation", {"box": [[-1, -1], [1, 1]], "source": [0, 0], "target": [0.5, 0],
+                            "resolution": _largest_resolution(2) + 1, "neighbor_radius": 1},
+             "run.separation.resolution"),
             ("ball", {"box": [[-1, -1], [1, 1]], "center": [0, 0], "radius": 0.3, "resolution": 1e308},
              "run.ball.resolution"),
             # an integer resolution above the largest float
@@ -424,10 +433,10 @@ class TestMalformedConfig:
     @pytest.mark.parametrize(
         "dim, resolution, radius, capped",
         [
-            (2, 1118, 1, False),  # 1118^2 * 8 = 9999392 candidate edges
-            (2, 1119, 1, True),
-            (3, 72, 1, False),  # 72^3 * 26 = 9704448
-            (3, 73, 1, True),
+            (2, _largest_resolution(2), 1, False),  # 2500^2 * 8 = 50000000 candidate edges
+            (2, _largest_resolution(2) + 1, 1, True),
+            (3, _largest_resolution(3), 1, False),  # 124^3 * 26 = 49572224
+            (3, _largest_resolution(3) + 1, 1, True),
             (2, 3, 10**6, False),  # the radius is clipped to resolution - 1: 9 * 24
             (2, 500, 10**6, True),
         ],
@@ -448,7 +457,7 @@ class TestMalformedConfig:
             run_command("reach", spec, cfg)
         if capped:
             assert (err.value.path, err.value.constraint) == ("run.reach.resolution", "maximum")
-            assert str(MAX_GRAPH_EDGES) in str(err.value)
+            assert str(gd.MAX_GRAPH_EDGES) in str(err.value)
 
     @pytest.mark.parametrize(
         "tree, path",
@@ -517,7 +526,7 @@ class TestMalformedConfig:
 
         assert rows({"seed": 3.0, "detcheck": {"samples": 20.0}}) == rows({"seed": 3, "detcheck": {"samples": 20}})
 
-    @pytest.mark.parametrize("lobes, capped", [(cli.MAX_LOBES, False), (cli.MAX_LOBES + 1, True), (1e308, True)])
+    @pytest.mark.parametrize("lobes, capped", [(mk.MAX_LOBES, False), (mk.MAX_LOBES + 1, True), (1e308, True)])
     def test_wavy_lobes_are_capped(self, lobes, capped):
         text = json.dumps({"metric": {"type": "wavy_example", "lobes": lobes}})
         if not capped:
@@ -914,6 +923,36 @@ class TestBatchedCommands:
                 {"metric": {"type": "riemannian", "matrix": [[1, 0], [0, 1]], "matrix_expr": [["1", "0"], ["0", "1"]]},
                  "run": {"scan": {}}},
                 "error [validation_error] at metric: riemannian node takes 'matrix' or 'matrix_expr', not both\n",
+            ),
+            # library rules on a node's arguments, reported at the node key of the parameter
+            (
+                {"metric": {"type": "spiral_example", "epsilon": -0.5}, "run": {"indicatrix": {}}},
+                "error [validation_error] at metric.epsilon: epsilon must be in (0, pi)\n",
+            ),
+            (
+                {"metric": {"type": "spiral_example", "epsilon": 4.0}, "run": {"indicatrix": {}}},
+                "error [validation_error] at metric.epsilon: epsilon must be in (0, pi)\n",
+            ),
+            (
+                {"metric": {"type": "reversibilize", "mode": "cubic", "inner": {"type": "euclidean"}},
+                 "run": {"scan": {}}},
+                "error [validation_error] at metric.mode: mode must be 'sum' or 'quadratic', got 'cubic'\n",
+            ),
+            (
+                {"metric": {"type": "reversibilize", "inner": {"type": "spiral_example", "epsilon": 0}},
+                 "run": {"scan": {}}},
+                "error [validation_error] at metric.inner.epsilon: epsilon must be in (0, pi)\n",
+            ),
+            (
+                {"metric": {"type": "wavy_example", "lobes": 10**4 + 1}, "run": {"indicatrix": {}}},
+                "error [validation_error] at metric.lobes: |lobes| must be at most 10000\n",
+            ),
+            (
+                {"metric": {"type": "euclidean"}, "run": {"reach": {"box": [[-1, -1], [1, 1]], "source": [0, 0],
+                                                                    "resolution": _largest_resolution(2) + 1,
+                                                                    "neighbor_radius": 1}}},
+                "error [validation_error] at run.reach.resolution: resolution^2 grid nodes x neighbour offsets must "
+                f"be at most {gd.MAX_GRAPH_EDGES} candidate edges\n",
             ),
         ],
     )

@@ -31,3 +31,46 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def cli_rule_owners(source: str) -> tuple[list[str], list[str]]:
+    """(module-level ``MAX_*`` names, functions with an ``except InvalidArgument``
+    handler) of a module's source, a function once per handler."""
+    tree = ast.parse(source)
+    caps = [
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    ]
+    handlers = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                caught = node.type if isinstance(node, ast.ExceptHandler) else None
+                names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+                if any(isinstance(n, ast.Name) and n.id == "InvalidArgument" for n in names):
+                    handlers.append(func.name)
+    return caps, handlers
+
+
+def test_the_owner_check_sees_caps_and_handlers():
+    source = (
+        "MAX_A = 1\nMAX_B: int = 2\nLIMIT = 3\n"
+        "def f():\n    try:\n        pass\n    except (KeyError, InvalidArgument):\n        pass\n"
+        "def g():\n    try:\n        pass\n    except ValueError:\n        pass\n"
+    )
+    assert cli_rule_owners(source) == (["MAX_A", "MAX_B"], ["f"])
+
+
+def test_cli_owns_no_library_budget_and_maps_library_errors_twice():
+    # the library owns every budget and argument rule; cli.py reports its
+    # InvalidArgument at the node path (_build_node) or the command path (run_command)
+    source = (PACKAGE / "cli.py").read_text()
+    caps, handlers = cli_rule_owners(source)
+    assert caps == []
+    assert sorted(handlers) == ["_build_node", "run_command"]
+    called = {node.func.attr for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not called & {"grid_spacing", "candidate_edges"}  # geodesy.check_graph holds both rules
