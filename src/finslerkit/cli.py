@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .numkernel import Definiteness, central_derivatives
+from .numkernel import Definiteness, central_jet
 
 _EXPR_NAMES = dict(
     {name: getattr(np, name) for name in
@@ -329,8 +329,7 @@ def _gauge_curve(node: dict, path: str) -> me.ConicMetric:
     r_fn = compile_expr(node["r"], ("theta",), f"{path}.r")
     interval = node.get("interval")
     interval = None if interval is None else tuple(_point(interval, f"{path}.interval", 2).tolist())
-    curve = mk.polar_curve(lambda th: r_fn(np.asarray(th, dtype=float)), theta_range=interval)
-    return me.minkowski_metric(mk.gauge_from_curve(curve))
+    return me.minkowski_metric(mk.gauge_from_curve(mk.polar_curve(r_fn, theta_range=interval)))
 
 
 def _example(name: str, curve):
@@ -358,13 +357,15 @@ def _build_profile(prof, path: str) -> cb.PhiProfile:
         _require(custom, "profile must be a family name or a dict with a 'name' or a 'phi'", path, "profile")
         lo, hi = _point(prof.get("interval"), f"{path}.interval", 2).tolist()
         phi = compile_expr(prof["phi"], ("s",), f"{path}.phi")
-        if "phi_dot" in prof:
-            _require("phi_ddot" in prof, "custom profile with 'phi_dot' needs 'phi_ddot'", path, "phi_ddot")
-            phi_dot = compile_expr(prof["phi_dot"], ("s",), f"{path}.phi_dot")
-            phi_ddot = compile_expr(prof["phi_ddot"], ("s",), f"{path}.phi_ddot")
-        else:
-            phi_dot, phi_ddot = central_derivatives(phi)
-        return cb.PhiProfile(phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot, intervals=((lo, hi),), name="custom")
+        if "phi_dot" not in prof:
+            return cb.PhiProfile(jet_fn=central_jet(phi), intervals=((lo, hi),), name="custom")
+        _require("phi_ddot" in prof, "custom profile with 'phi_dot' needs 'phi_ddot'", path, "phi_ddot")
+        fns = [phi] + [compile_expr(prof[key], ("s",), f"{path}.{key}") for key in ("phi_dot", "phi_ddot")]
+
+        def jet_fn(s, with_derivatives):
+            return tuple(f(s) for f in fns) if with_derivatives else phi(s)
+
+        return cb.PhiProfile(jet_fn=jet_fn, intervals=((lo, hi),), name="custom")
     _require(isinstance(name, str) and name in cb.FAMILIES, f"unknown profile {name!r}", path, "profile")
     try:
         return cb.family_profile(name, q)

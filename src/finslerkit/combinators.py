@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, DomainEmpty, InvalidArgument, OutsideDomain, OutsideProfile
+from .errors import BadExponent, DomainEmpty, InvalidArgument, OutsideDomain, OutsideProfile, check_integer
 from .metrics import (
     ChartManifold,
     ConicMetric,
@@ -43,14 +43,14 @@ MAX_CHERN_SHEN_GRID = 10**4  # largest grid of chern_shen_check, whose work grow
 class PhiProfile:
     """Positive scalar profile with two derivatives on open interval(s).
 
-    :func:`_psi_terms` derives what the tensor formulas use: psi = phi^2,
-    phi1 = 2 psi - s psi' (= 2 phi (phi - s phi')) and
+    The profile is one call, ``jet_fn(s, with_derivatives)``: for a float
+    array s it returns phi, or (phi, phi', phi'') when ``with_derivatives``
+    is set.  :func:`_psi_terms` derives what the tensor formulas use:
+    psi = phi^2, phi1 = 2 psi - s psi' (= 2 phi (phi - s phi')) and
     phi2 = 2 psi psi'' - psi'^2 (= 4 phi^3 phi'').
     """
 
-    phi: Callable[[np.ndarray], np.ndarray]
-    phi_dot: Callable[[np.ndarray], np.ndarray]
-    phi_ddot: Callable[[np.ndarray], np.ndarray]
+    jet_fn: Callable = field(repr=False)
     intervals: tuple[tuple[float, float], ...] = ((-np.inf, np.inf),)
     name: str = "custom"
 
@@ -61,31 +61,17 @@ class PhiProfile:
             ok |= (s > lo) & (s < hi)
         return ok & np.isfinite(s)
 
-    def representative(self) -> float:
-        """Some point of the first interval (used as a filler for masked slots)."""
-        lo, hi = self.intervals[0]
-        if np.isfinite(lo) and np.isfinite(hi):
-            return 0.5 * (lo + hi)
-        if np.isfinite(lo):
-            return lo + 1.0
-        if np.isfinite(hi):
-            return hi - 1.0
-        return 0.0
-
     def require(self, s) -> None:
         if not np.all(self.contains(s)):
             raise OutsideProfile(f"argument outside the profile interval(s) {self.intervals}")
 
+    def value(self, s) -> np.ndarray:
+        """phi at s, from one call without derivatives."""
+        return np.asarray(self.jet_fn(np.asarray(s, dtype=float), False), dtype=float)
+
     def jet(self, s) -> tuple:
-        """(phi, phi', phi'') at s, each function evaluated once."""
-        return tuple(np.asarray(f(s), float) for f in (self.phi, self.phi_dot, self.phi_ddot))
-
-    def phi1(self, s):
-        s = np.asarray(s, dtype=float)
-        return _psi_terms(s, *self.jet(s))[2]
-
-    def phi2(self, s):
-        return _psi_terms(s, *self.jet(s))[3]
+        """(phi, phi', phi'') at s, from one call."""
+        return tuple(np.asarray(d, dtype=float) for d in self.jet_fn(np.asarray(s, dtype=float), True))
 
 
 def _psi_terms(s, p, pd, pdd):
@@ -104,77 +90,48 @@ def _criterion(s, bn2, p, pd, pdd):
 
 
 def randers_profile() -> PhiProfile:
-    return PhiProfile(
-        phi=lambda s: 1.0 + np.asarray(s, float),
-        phi_dot=lambda s: np.ones_like(np.asarray(s, float)),
-        phi_ddot=lambda s: np.zeros_like(np.asarray(s, float)),
-        intervals=((-1.0, np.inf),),
-        name="randers",
-    )
+    def jet_fn(s, with_derivatives):
+        p = 1.0 + s
+        return (p, np.ones_like(s), np.zeros_like(s)) if with_derivatives else p
+
+    return PhiProfile(jet_fn=jet_fn, intervals=((-1.0, np.inf),), name="randers")
+
+
+def _power_jet(q: float, du: float, u_of):
+    """Jet of phi(s) = |u|^-q for u = u_of(s) with slope du = +-1, the power computed once."""
+
+    def jet_fn(s, with_derivatives):
+        u = u_of(s)
+        p = np.abs(u) ** -q
+        if not with_derivatives:
+            return p
+        return p, -du * q * p / u, q * (q + 1.0) * p / (u * u)
+
+    return jet_fn
 
 
 def kropina_profile(q: float = 1.0) -> PhiProfile:
     if q <= 0:
         raise BadExponent("Kropina exponent must satisfy q > 0")
-
-    def phi(s):
-        return np.abs(np.asarray(s, float)) ** -q
-
-    def phi_dot(s):
-        s = np.asarray(s, float)
-        return -q * np.abs(s) ** -q / s
-
-    def phi_ddot(s):
-        s = np.asarray(s, float)
-        return q * (q + 1.0) * np.abs(s) ** -q / (s * s)
-
-    return PhiProfile(
-        phi=phi,
-        phi_dot=phi_dot,
-        phi_ddot=phi_ddot,
-        intervals=((-np.inf, 0.0), (0.0, np.inf)),
-        name=f"kropina[q={q:g}]",
-    )
+    intervals = ((-np.inf, 0.0), (0.0, np.inf))
+    return PhiProfile(jet_fn=_power_jet(q, 1.0, lambda s: s), intervals=intervals, name=f"kropina[q={q:g}]")
 
 
 def matsumoto_profile(q: float = 1.0) -> PhiProfile:
     if not (q > 0 or q <= -1):
         raise BadExponent("Matsumoto exponent must satisfy q > 0 or q <= -1")
-
-    def phi(s):
-        return np.abs(1.0 - np.asarray(s, float)) ** -q
-
-    def phi_dot(s):
-        u = 1.0 - np.asarray(s, float)
-        return q * np.abs(u) ** -q / u
-
-    def phi_ddot(s):
-        u = 1.0 - np.asarray(s, float)
-        return q * (q + 1.0) * np.abs(u) ** -q / (u * u)
-
-    return PhiProfile(
-        phi=phi,
-        phi_dot=phi_dot,
-        phi_ddot=phi_ddot,
-        intervals=((-np.inf, 1.0), (1.0, np.inf)),
-        name=f"matsumoto[q={q:g}]",
-    )
+    intervals = ((-np.inf, 1.0), (1.0, np.inf))
+    return PhiProfile(jet_fn=_power_jet(q, -1.0, lambda s: 1.0 - s), intervals=intervals, name=f"matsumoto[q={q:g}]")
 
 
 def square_over_f0_profile() -> PhiProfile:
     """Profile of (F0 + beta)^2 / F0 on the band |s| < 1."""
 
-    def phi(s):
-        u = 1.0 + np.asarray(s, float)
-        return u * u
+    def jet_fn(s, with_derivatives):
+        u = 1.0 + s
+        return (u * u, 2.0 * u, 2.0 * np.ones_like(s)) if with_derivatives else u * u
 
-    return PhiProfile(
-        phi=phi,
-        phi_dot=lambda s: 2.0 * (1.0 + np.asarray(s, float)),
-        phi_ddot=lambda s: 2.0 * np.ones_like(np.asarray(s, float)),
-        intervals=((-1.0, 1.0),),
-        name="square_over_f0",
-    )
+    return PhiProfile(jet_fn=jet_fn, intervals=((-1.0, 1.0),), name="square_over_f0")
 
 
 def phi_convexity_ok(profile: PhiProfile, s: float, tolerance: float = DEFAULT_EIG_TOL) -> bool:
@@ -187,11 +144,12 @@ def phi_convexity_ok(profile: PhiProfile, s: float, tolerance: float = DEFAULT_E
 def chern_shen_check(profile: PhiProfile, b0: float, grid: int = 64) -> bool:
     """Grid check of (phi - s phi') + (b^2 - s^2) phi'' > 0 for |s| <= b < b0,
     on ``grid`` values of b and max(grid, 3) of s each.  InvalidArgument at
-    ``grid`` unless 1 <= grid <= ``MAX_CHERN_SHEN_GRID``."""
+    ``grid`` unless 1 <= grid <= ``MAX_CHERN_SHEN_GRID`` and it is an integer."""
     if not grid >= 1:
         raise InvalidArgument("grid must be at least 1", path="grid", constraint="minimum")
     if not grid <= MAX_CHERN_SHEN_GRID:
         raise InvalidArgument(f"grid must be at most {MAX_CHERN_SHEN_GRID}", path="grid", constraint="maximum")
+    grid = check_integer(grid, "grid")
     bs = b0 * np.arange(grid) / grid
     for b in bs:
         s = np.linspace(-b, b, max(grid, 3))
@@ -436,15 +394,19 @@ def power_q_combine(
 # ---------------------------------------------------------------------------
 
 
-def _profile_jet(profile: PhiProfile, ok, F, s):
-    """Mask and value of F * phi(s) for a ratio s on the profile's intervals."""
-    inside = profile.contains(s)
-    p = np.where(inside, np.asarray(profile.phi(np.where(inside, s, profile.representative())), float), np.nan)
-    return ok & inside, F * p
+def _profile_jet(profile: PhiProfile, ok, F, s, with_tensor):
+    """Mask and value of F * phi(s) for a ratio s on the profile's intervals,
+    and (phi, phi', phi'') with the tensor, else None: one profile call either way."""
+    ok = ok & profile.contains(s)
+    if not with_tensor:
+        return ok, F * profile.value(s), None
+    pj = profile.jet(s)
+    return ok, F * pj[0], pj
 
 
-def _profile_terms(profile: PhiProfile, s, jet, vec, w):
-    """Tensor terms of F = F_a * phi(s) from the first ingredient's jet.
+def _profile_terms(pj, s, jet, vec, w):
+    """Tensor terms of F = F_a * phi(s) from the profile jet ``pj`` at s and
+    the first ingredient's jet.
 
     ``w`` is the fiber gradient of the second ingredient: the one-form's
     coefficients b, or u_b / F_b for a second metric.  Returns
@@ -452,7 +414,7 @@ def _profile_terms(profile: PhiProfile, s, jet, vec, w):
     last, plus (F_a / F_b) psi' h_b when the second ingredient is a metric.
     """
     F, u, h = _pieces(jet, vec)
-    ps, psd, p1, p2 = _psi_terms(s, *profile.jet(s))
+    ps, psd, p1, p2 = _psi_terms(s, *pj)
     un = u / F[..., None]
     c1 = s[..., None] * un - w
     c2 = p1[..., None] * un + psd[..., None] * w
@@ -467,10 +429,10 @@ def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> Coni
         kid = F0.node_jet(base, vec, with_tensor)
         b = beta.coeffs(base)
         s = _pair(b, vec) / kid[1]
-        ok, val = _profile_jet(profile, kid[0], kid[1], s)
+        ok, val, pj = _profile_jet(profile, kid[0], kid[1], s, with_tensor)
         if not with_tensor:
             return ok, val
-        lead, _, tail = _profile_terms(profile, s, kid, vec, b)
+        lead, _, tail = _profile_terms(pj, s, kid, vec, b)
         return ok, val, 0.5 * (lead + tail)
 
     return _combined(
@@ -490,11 +452,11 @@ def f1f2_combine(F1: ConicMetric, F2: ConicMetric, profile: PhiProfile) -> Conic
         ja = F1.node_jet(base, vec, with_tensor)
         jb = F2.node_jet(base, vec, with_tensor)
         s = jb[1] / ja[1]
-        ok, val = _profile_jet(profile, ja[0] & jb[0], ja[1], s)
+        ok, val, pj = _profile_jet(profile, ja[0] & jb[0], ja[1], s, with_tensor)
         if not with_tensor:
             return ok, val
         Fb, ub, hb = _pieces(jb, vec)
-        lead, psd, tail = _profile_terms(profile, s, ja, vec, ub / Fb[..., None])
+        lead, psd, tail = _profile_terms(pj, s, ja, vec, ub / Fb[..., None])
         return ok, val, 0.5 * (lead + ((ja[1] / Fb) * psd)[..., None, None] * hb + tail)
 
     return _combined(

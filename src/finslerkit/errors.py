@@ -17,6 +17,8 @@ The CLI reports it at ``run.<command>.<path>``.
 
 from __future__ import annotations
 
+import numbers
+
 
 class FinslerError(Exception):
     """Base class for all library errors."""
@@ -136,6 +138,16 @@ class ValidationError(FinslerError):
 
 class InvalidArgument(ValidationError, ValueError):
     """A library function's argument breaks one of its rules; ``path`` is the parameter name."""
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int: an integer, or a real with an integral value; InvalidArgument
+    at ``name`` (constraint ``integer``) for anything else, a boolean included."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}", path=name, constraint="integer")
+    return int(value)
 
 
 # Codes that signal a domain/usage problem (CLI exit 2); the remaining

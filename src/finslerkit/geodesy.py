@@ -36,7 +36,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain, StepBudget
+from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain, StepBudget, check_integer
 from .metrics import ConicMetric, TangentVec, _check_samples, admissible_draws, unit_directions
 from .minkowski import check_ball_direction
 from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
@@ -581,7 +581,8 @@ class SeparationGraph:
 def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
     """The cell size h of the ``resolution``-per-axis grid on ``box``.
     InvalidArgument unless hi > lo on every axis, 2 <= resolution <= the
-    largest float, and the corners, hi - lo and h are finite with h > 0."""
+    largest float, resolution is an integer, and the corners, hi - lo and h
+    are finite with h > 0."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if not np.all(hi > lo):
@@ -590,6 +591,7 @@ def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
         raise InvalidArgument("resolution must be at least 2", path="resolution", constraint="minimum")
     if resolution > sys.float_info.max:  # an integer that no float holds
         raise InvalidArgument("resolution is out of range", path="resolution", constraint="maximum")
+    resolution = check_integer(resolution, "resolution")
     # Python floats round as numpy's do and overflow to inf without a warning;
     # with hi > lo, a finite hi - lo makes both corners finite
     if not all(0 < (b - a) / (resolution - 1) < math.inf for a, b in zip(lo.tolist(), hi.tolist())):
@@ -672,11 +674,12 @@ def check_graph(box: tuple, resolution: int, neighbor_radius: int) -> np.ndarray
     """The cell size h of the graph :func:`build_separation_graph` lays out
     on these arguments, after the rules it checks before any allocation:
     InvalidArgument for a ``neighbor_radius`` below 1, which would give a
-    graph without edges, for a box or resolution :func:`grid_spacing`
-    rejects, and at ``resolution`` (constraint ``maximum``) for more than
-    ``MAX_GRAPH_EDGES`` :func:`candidate_edges`."""
+    graph without edges, or not an integer, for a box or resolution
+    :func:`grid_spacing` rejects, and at ``resolution`` (constraint
+    ``maximum``) for more than ``MAX_GRAPH_EDGES`` :func:`candidate_edges`."""
     if not neighbor_radius >= 1:
         raise InvalidArgument("neighbor_radius must be at least 1", path="neighbor_radius", constraint="minimum")
+    check_integer(neighbor_radius, "neighbor_radius")
     h = grid_spacing(box, resolution)
     n = h.shape[0]
     if candidate_edges(n, resolution, neighbor_radius) > MAX_GRAPH_EDGES:
@@ -806,6 +809,7 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     pass :func:`check_graph` before anything is allocated.
     """
     h = check_graph(box, resolution, neighbor_radius)
+    resolution, R = int(resolution), int(neighbor_radius)
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     n = lo.shape[0]
@@ -813,7 +817,6 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
     shape = (resolution,) * n
     strides = resolution ** np.arange(n - 1, -1, -1)
-    R = int(neighbor_radius)
     offsets = _offset_table(n, resolution, R)
 
     if m.position_independent:

@@ -23,6 +23,7 @@ from .numkernel import (
     EigenReport,
     eigen_classify,
     fd_hessian_batch,
+    fd_hessian_rows,
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -229,10 +230,10 @@ class ConicMetric:
             return ok, F
         if len(out) == 3:
             return ok, F, out[2]
-        # no closed form: finite differences where the probes can be evaluated
+        # no closed form: finite differences, NaN where a probe leaves the domain
         fd = ok & (np.linalg.norm(vec, axis=-1) > 0.0)
         g = np.full(vec.shape + vec.shape[-1:], np.nan)
-        g[fd] = self.fd_tensor_many(base[fd], vec[fd])
+        g[fd] = self._fd(fd_hessian_rows, base[fd], vec[fd])
         return ok, F, g
 
     def jet(self, base, vec, with_tensor: bool = False) -> tuple:
@@ -274,15 +275,14 @@ class ConicMetric:
 
         The probe step follows max(1, |v|), so relative accuracy is best
         for vectors near unit scale; the tensor itself is scale-invariant.
+        NonFiniteSample where a probe leaves the domain.
         """
-        base = np.asarray(base, dtype=float)
-        vec = np.asarray(vec, dtype=float)
-        base_b, vec_b = np.broadcast_arrays(base, vec)
+        return self._fd(fd_hessian_batch, base, vec)
 
-        def f(vs):
-            return self.half_square(base_b, vs)
-
-        return fd_hessian_batch(f, vec_b, scale=np.linalg.norm(vec_b, axis=-1))
+    def _fd(self, hessian, base, vec) -> np.ndarray:
+        """``hessian`` (:func:`fd_hessian_batch` or :func:`fd_hessian_rows`) of F^2/2 in the fiber."""
+        base_b, vec_b = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
+        return hessian(lambda vs: self.half_square(base_b, vs), vec_b, scale=np.linalg.norm(vec_b, axis=-1))
 
     def with_name(self, name: str) -> "ConicMetric":
         return replace(self, name=name)

@@ -9,15 +9,14 @@ fundamental inequality testers.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDirection, InvalidArgument, NoBracket, NonFiniteSample, OutsideCone
-from .numkernel import GRAD_STEP, central_derivatives, ray_root
+from .errors import DegenerateDirection, InvalidArgument, NoBracket, NonFiniteSample, OutsideCone, check_integer
+from .numkernel import GRAD_STEP, central_jet, ray_root
 
 TWO_PI = 2.0 * np.pi
 MAX_LOBES = 10**4  # largest |lobes| of wavy_curve
@@ -32,14 +31,22 @@ def whole_space_domain(dimension: int) -> Callable[[np.ndarray], np.ndarray]:
 class PolarCurve2D:
     """Plane curve c(theta) = r(theta) (cos theta, sin theta), r > 0.
 
+    The radius is one call, ``jet_fn(theta, with_derivatives)``: for a float
+    array theta it returns r, or (r, r', r'') when ``with_derivatives`` is set.
     ``theta_range`` is an open interval of length <= 2*pi, or ``None`` for
     a closed curve parameterized over the full circle (r 2*pi-periodic).
     """
 
-    r: Callable[[np.ndarray], np.ndarray]
-    r_dot: Callable[[np.ndarray], np.ndarray]
-    r_ddot: Callable[[np.ndarray], np.ndarray]
+    jet_fn: Callable = field(repr=False)
     theta_range: tuple[float, float] | None = None
+
+    def value(self, theta) -> np.ndarray:
+        """r at theta, from one call without derivatives."""
+        return np.asarray(self.jet_fn(np.asarray(theta, dtype=float), False), dtype=float)
+
+    def jet(self, theta) -> tuple:
+        """(r, r', r'') at theta, from one call."""
+        return tuple(np.asarray(d, dtype=float) for d in self.jet_fn(np.asarray(theta, dtype=float), True))
 
     def contains_angle(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -62,26 +69,19 @@ class PolarCurve2D:
 
     def point(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        rr = np.asarray(self.r(theta), dtype=float)
+        rr = self.value(theta)
         return np.stack([rr * np.cos(theta), rr * np.sin(theta)], axis=-1)
 
     def tangent(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        rr = np.asarray(self.r(theta), dtype=float)
-        rd = np.asarray(self.r_dot(theta), dtype=float)
+        rr, rd, _ = self.jet(theta)
         c, s = np.cos(theta), np.sin(theta)
         return np.stack([rd * c - rr * s, rd * s + rr * c], axis=-1)
 
 
-def polar_curve(r, r_dot=None, r_ddot=None, theta_range=None) -> PolarCurve2D:
-    """Build a polar curve, deriving missing derivatives by central differences."""
-    d1, d2 = central_derivatives(r)
-    return PolarCurve2D(
-        r=r,
-        r_dot=d1 if r_dot is None else r_dot,
-        r_ddot=d2 if r_ddot is None else r_ddot,
-        theta_range=theta_range,
-    )
+def polar_curve(r, theta_range=None) -> PolarCurve2D:
+    """The curve of a radius function r(theta), its derivatives by central differences."""
+    return PolarCurve2D(jet_fn=central_jet(r), theta_range=theta_range)
 
 
 class GaugeSource(Enum):
@@ -131,8 +131,8 @@ def gauge_from_curve(curve: PolarCurve2D) -> GaugeNorm:
     def value_unchecked(v):
         v = np.asarray(v, dtype=float)
         theta, ok = curve.angle_of(v)
-        with np.errstate(all="ignore"):
-            rr = np.asarray(curve.r(np.where(ok, theta, np.mean(curve.theta_range) if curve.theta_range else 0.0)), dtype=float)
+        with np.errstate(all="ignore"):  # r outside the angular interval is masked
+            rr = curve.value(theta)
             ok = ok & np.isfinite(rr) & (rr > 0.0)
             out = np.linalg.norm(v, axis=-1) / rr
         return np.where(ok, out, np.nan)
@@ -191,9 +191,7 @@ def curve_convexity(curve: PolarCurve2D, theta: float) -> float:
     th = np.asarray(theta, dtype=float)
     if not np.all(curve.contains_angle(th)):
         raise OutsideCone(f"theta={theta} outside the curve's angular interval")
-    r = np.asarray(curve.r(th), dtype=float)
-    rd = np.asarray(curve.r_dot(th), dtype=float)
-    rdd = np.asarray(curve.r_ddot(th), dtype=float)
+    r, rd, rdd = curve.jet(th)
     out = (2.0 * rd**2 + r * (r - rdd)) / np.sqrt(r**2 + rd**2)
     return float(out) if out.ndim == 0 else out
 
@@ -299,12 +297,11 @@ def fundamental_inequality_check(norm: GaugeNorm, v1, v2) -> InequalityVerdict:
 
 
 def unit_circle_curve() -> PolarCurve2D:
-    return PolarCurve2D(
-        r=lambda th: np.ones_like(np.asarray(th, dtype=float)),
-        r_dot=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
-        r_ddot=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
-        theta_range=None,
-    )
+    def jet_fn(th, with_derivatives):
+        r = np.ones_like(th)
+        return (r, np.zeros_like(th), np.zeros_like(th)) if with_derivatives else r
+
+    return PolarCurve2D(jet_fn=jet_fn, theta_range=None)
 
 
 def spiral_curve(epsilon: float) -> PolarCurve2D:
@@ -316,40 +313,33 @@ def spiral_curve(epsilon: float) -> PolarCurve2D:
         raise InvalidArgument("epsilon must be in (0, pi)", path="epsilon", constraint="positive")
     if not epsilon < np.pi:
         raise InvalidArgument("epsilon must be in (0, pi)", path="epsilon", constraint="maximum")
-    return PolarCurve2D(
-        r=lambda th: np.asarray(th, dtype=float).copy(),
-        r_dot=lambda th: np.ones_like(np.asarray(th, dtype=float)),
-        r_ddot=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
-        theta_range=(epsilon, TWO_PI - epsilon),
-    )
+
+    def jet_fn(th, with_derivatives):
+        r = th.copy()
+        return (r, np.ones_like(th), np.zeros_like(th)) if with_derivatives else r
+
+    return PolarCurve2D(jet_fn=jet_fn, theta_range=(epsilon, TWO_PI - epsilon))
 
 
 def lorentz_curve() -> PolarCurve2D:
     """Upper unit hyperbola y^2 - x^2 = 1; the gauge is sqrt(y^2 - x^2) on
     the future timelike cone and its indicatrix is concave everywhere."""
 
-    def r(th):
-        th = np.asarray(th, dtype=float)
-        return (-np.cos(2.0 * th)) ** -0.5
-
-    def r_dot(th):
-        th = np.asarray(th, dtype=float)
+    def jet_fn(th, with_derivatives):
         u = -np.cos(2.0 * th)
-        return -np.sin(2.0 * th) * u**-1.5
+        r = u**-0.5
+        if not with_derivatives:
+            return r
+        sn, w = np.sin(2.0 * th), u**-1.5
+        return r, -sn * w, 2.0 * u * w + 3.0 * sn**2 * u**-2.5
 
-    def r_ddot(th):
-        th = np.asarray(th, dtype=float)
-        u = -np.cos(2.0 * th)
-        return -2.0 * np.cos(2.0 * th) * u**-1.5 + 3.0 * np.sin(2.0 * th) ** 2 * u**-2.5
-
-    return PolarCurve2D(r=r, r_dot=r_dot, r_ddot=r_ddot, theta_range=(np.pi / 4.0, 3.0 * np.pi / 4.0))
+    return PolarCurve2D(jet_fn=jet_fn, theta_range=(np.pi / 4.0, 3.0 * np.pi / 4.0))
 
 
 def sqrt_parabola_curve() -> PolarCurve2D:
     """Branch of y = sqrt(1 - x) over the upper half-plane cone (0, pi)."""
 
     def r(th):
-        th = np.asarray(th, dtype=float)
         c = np.cos(th)
         return 2.0 / (c + np.sqrt(4.0 - 3.0 * c * c))
 
@@ -361,7 +351,6 @@ def downward_parabola_curve() -> PolarCurve2D:
     strongly convex with exactly the downward direction excluded."""
 
     def r(th):
-        th = np.asarray(th, dtype=float)
         s = np.sin(th)
         return 2.0 / (s + np.sqrt(4.0 - 3.0 * s * s))
 
@@ -373,19 +362,14 @@ def wavy_curve(amplitude: float = 0.3, lobes: int = 3) -> PolarCurve2D:
     the plane whose fundamental tensor is indefinite on the concave arcs.
     InvalidArgument at ``lobes`` unless it is an integer (constraint
     ``integer``) of magnitude at most ``MAX_LOBES`` (constraint ``maximum``)."""
-    if not (isinstance(lobes, numbers.Integral) or float(lobes).is_integer()):
-        raise InvalidArgument(f"lobes must be an integer, got {lobes!r}", path="lobes", constraint="integer")
-    if not abs(lobes) <= MAX_LOBES:
+    k = check_integer(lobes, "lobes")
+    if not abs(k) <= MAX_LOBES:
         raise InvalidArgument(f"|lobes| must be at most {MAX_LOBES}", path="lobes", constraint="maximum")
-    a, k = float(amplitude), int(lobes)
+    a = float(amplitude)
 
-    def r(th):
-        return 1.0 + a * np.cos(k * np.asarray(th, dtype=float))
+    def jet_fn(th, with_derivatives):
+        c = np.cos(k * th)
+        r = 1.0 + a * c
+        return (r, -a * k * np.sin(k * th), -a * k * k * c) if with_derivatives else r
 
-    def r_dot(th):
-        return -a * k * np.sin(k * np.asarray(th, dtype=float))
-
-    def r_ddot(th):
-        return -a * k * k * np.cos(k * np.asarray(th, dtype=float))
-
-    return PolarCurve2D(r=r, r_dot=r_dot, r_ddot=r_ddot, theta_range=None)
+    return PolarCurve2D(jet_fn=jet_fn, theta_range=None)

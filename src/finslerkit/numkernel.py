@@ -99,21 +99,21 @@ def fd_gradient(f, x, scale=None) -> np.ndarray:
     return np.moveaxis((vals[:n] - vals[n:]) / (2.0 * h), 0, -1)
 
 
-def central_derivatives(f):
-    """First and second derivatives of a scalar function of one variable,
-    as central differences with steps ``GRAD_STEP`` and ``HESS_STEP``."""
+def central_jet(f):
+    """The one-call jet of a scalar function of one variable:
+    ``jet_fn(t, with_derivatives)`` returns f(t), or (f(t), f'(t), f''(t))
+    with central differences of steps ``GRAD_STEP`` and ``HESS_STEP``."""
 
-    def d1(t):
+    def jet_fn(t, with_derivatives):
         t = np.asarray(t, dtype=float)
-        return (np.asarray(f(t + GRAD_STEP)) - np.asarray(f(t - GRAD_STEP))) / (2.0 * GRAD_STEP)
+        v = np.asarray(f(t))
+        if not with_derivatives:
+            return v
+        d1 = (np.asarray(f(t + GRAD_STEP)) - np.asarray(f(t - GRAD_STEP))) / (2.0 * GRAD_STEP)
+        d2 = (np.asarray(f(t + HESS_STEP)) - 2.0 * v + np.asarray(f(t - HESS_STEP))) / (HESS_STEP * HESS_STEP)
+        return v, d1, d2
 
-    def d2(t):
-        t = np.asarray(t, dtype=float)
-        return (
-            np.asarray(f(t + HESS_STEP)) - 2.0 * np.asarray(f(t)) + np.asarray(f(t - HESS_STEP))
-        ) / (HESS_STEP * HESS_STEP)
-
-    return d1, d2
+    return jet_fn
 
 
 def _hessian_stencil(n: int):
@@ -133,8 +133,9 @@ def _hessian_stencil(n: int):
     return np.array(offs), pairs
 
 
-def fd_hessian_batch(f, xs: np.ndarray, scale=None) -> np.ndarray:
-    """Hessians of ``f`` at a batch of points, shape (..., n) -> (..., n, n).
+def fd_hessian_rows(f, xs: np.ndarray, scale=None) -> np.ndarray:
+    """Hessians of ``f`` at a batch of points, shape (..., n) -> (..., n, n),
+    NaN at each point where a probe of ``f`` is not finite.
 
     Uses the 4-point mixed stencil; the result is symmetrized exactly.
     """
@@ -150,7 +151,9 @@ def fd_hessian_batch(f, xs: np.ndarray, scale=None) -> np.ndarray:
     offsets, pairs = _hessian_stencil(n)
     # points: (n_off, ..., n)
     points = xs[None, ...] + offsets.reshape(-1, *([1] * len(batch)), n) * h[None, ...]
-    vals = _check_finite(_eval_stack(f, points), "fd_hessian")
+    vals = _eval_stack(f, points)
+    finite = np.isfinite(vals)
+    vals = np.where(finite, vals, np.nan)  # NaN arithmetic raises no warning
 
     hsq = (h[..., 0]) ** 2
     hess = np.zeros(batch + (n, n))
@@ -164,7 +167,13 @@ def fd_hessian_batch(f, xs: np.ndarray, scale=None) -> np.ndarray:
         mixed = (fpp - fpm - fmp + fmm) / (4.0 * hsq)
         hess[..., i, j] = mixed
         hess[..., j, i] = mixed
+    hess[~np.all(finite, axis=0)] = np.nan
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+
+
+def fd_hessian_batch(f, xs: np.ndarray, scale=None) -> np.ndarray:
+    """:func:`fd_hessian_rows`; NonFiniteSample where a probe is not finite."""
+    return _check_finite(fd_hessian_rows(f, xs, scale), "fd_hessian")
 
 
 def fd_hessian(f, x, scale: float | None = None) -> np.ndarray:

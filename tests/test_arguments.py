@@ -147,6 +147,22 @@ class TestGridRules:
         # 11 x 10 steps along each axis and 10 x 10 along each diagonal, both ways
         assert g.neighbor_radius == 1 and g.matrix.nnz == 2 * (2 * 11 * 10 + 2 * 10 * 10)
 
+    @pytest.mark.parametrize("resolution, radius, path", [(5.5, 1, "resolution"), (np.nan, 1, "resolution"),
+                                                           (5, 1.5, "neighbor_radius"), (5, True, "neighbor_radius"),
+                                                           (5, np.True_, "neighbor_radius")])
+    def test_counts_are_integers(self, euclid, resolution, radius, path):
+        # a radius of 1.5 used to build the radius-1 graph while candidate_edges counted 15 offsets per node
+        _rejects(lambda: gd.check_graph(BOX, resolution, radius), path, "integer")
+        _rejects(lambda: gd.build_separation_graph(euclid, BOX, resolution, radius), path, "integer")
+        if path == "resolution":
+            _rejects(lambda: gd.grid_node_id(BOX, resolution, [0.0, 0.0]), path, "integer")
+
+    def test_integral_floats_are_counts(self, euclid):
+        g = gd.build_separation_graph(euclid, BOX, 5.0, np.float64(2.0))
+        ref = gd.build_separation_graph(euclid, BOX, 5, 2)
+        assert type(g.resolution) is int and type(g.neighbor_radius) is int
+        assert g.matrix.nnz == ref.matrix.nnz and np.array_equal(g.matrix.data, ref.matrix.data)
+
     def test_candidate_edges_of_huge_grids_need_no_allocation(self):
         assert gd.candidate_edges(2, 10**154, 1) == 8 * 10**308
 
@@ -241,7 +257,7 @@ class TestCurveArguments:
         _rejects(lambda: mk.wavy_curve(0.3, 10**400), "lobes", "maximum")
         monkeypatch.setattr(mk, "MAX_LOBES", 5)
         for lobes in (5, -5, 5.0, np.int64(5)):
-            assert float(mk.wavy_curve(0.3, lobes).r(0.0)) == 1.3
+            assert float(mk.wavy_curve(0.3, lobes).value(0.0)) == 1.3
         for lobes in (6, -6, 6.0):
             err = _rejects(lambda: mk.wavy_curve(0.3, lobes), "lobes", "maximum")
         assert str(err) == "|lobes| must be at most 5"
@@ -280,6 +296,12 @@ class TestChernShenGrid:
     @pytest.mark.parametrize("grid", [0, -1, np.nan])
     def test_grid_minimum(self, grid):
         _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=grid), "grid", "minimum")
+
+    @pytest.mark.parametrize("grid", [2.5, True, np.float64(7.25)])
+    def test_grid_is_an_integer(self, grid):
+        # grid=2.5 used to check np.arange(2.5)'s three values of b and return True
+        _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=grid), "grid", "integer")
+        assert cb.chern_shen_check(cb.randers_profile(), 0.9, grid=3.0) is cb.chern_shen_check(cb.randers_profile(), 0.9, grid=3)
 
     def test_grid_cap(self, monkeypatch):
         _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=10**4 + 1), "grid", "maximum")

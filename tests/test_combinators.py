@@ -15,6 +15,19 @@ def euclid(n=2):
     return me.euclidean_metric(n)
 
 
+def profile_of(phi, phi_dot, phi_ddot, **kw):
+    """A profile whose one call evaluates three callables of s."""
+
+    def jet_fn(s, with_derivatives):
+        return (phi(s), phi_dot(s), phi_ddot(s)) if with_derivatives else phi(s)
+
+    return cb.PhiProfile(jet_fn=jet_fn, **kw)
+
+
+def constant_profile():
+    return profile_of(np.ones_like, np.zeros_like, np.zeros_like)
+
+
 def unit_samples(m, count, seed, margin_fn=None):
     rng = np.random.default_rng(seed)
     base = np.zeros(m.dimension)
@@ -59,12 +72,11 @@ class TestProfiles:
             s = rng.uniform(-3, 3)
             if not bool(profile.contains(s)):
                 continue
-            p = float(profile.phi(s))
-            pd = float(profile.phi_dot(s))
-            pdd = float(profile.phi_ddot(s))
+            p, pd, pdd = (float(x) for x in profile.jet(s))
+            _, _, phi1, phi2 = cb._psi_terms(s, *profile.jet(s))
             scale = max(1.0, abs(p) ** 4, abs(p * pd * s))
-            assert abs(float(profile.phi1(s)) - 2 * p * (p - s * pd)) < 1e-10 * scale
-            assert abs(float(profile.phi2(s)) - 4 * p**3 * pdd) < 1e-10 * scale * max(1, abs(pdd))
+            assert abs(float(phi1) - 2 * p * (p - s * pd)) < 1e-10 * scale
+            assert abs(float(phi2) - 4 * p**3 * pdd) < 1e-10 * scale * max(1, abs(pdd))
             count += 1
 
     def test_kropina_requires_positive_exponent(self):
@@ -119,21 +131,12 @@ class TestChernShen:
         assert cb.chern_shen_check(cb.randers_profile(), 1.0, grid=48)
 
     def test_one_plus_s_squared_fails_for_large_band(self):
-        prof = cb.PhiProfile(
-            phi=lambda s: 1.0 + np.asarray(s, float) ** 2,
-            phi_dot=lambda s: 2.0 * np.asarray(s, float),
-            phi_ddot=lambda s: 2.0 * np.ones_like(np.asarray(s, float)),
-        )
+        prof = profile_of(lambda s: 1.0 + s**2, lambda s: 2.0 * s, lambda s: 2.0 * np.ones_like(s))
         assert not cb.chern_shen_check(prof, 2.0, grid=48)
 
     def test_convex_profile_with_positive_slope_condition(self):
         # phi = exp(s): phi - s phi' = (1-s) e^s > 0 on s < 1 and phi'' >= 0
-        prof = cb.PhiProfile(
-            phi=lambda s: np.exp(np.asarray(s, float)),
-            phi_dot=lambda s: np.exp(np.asarray(s, float)),
-            phi_ddot=lambda s: np.exp(np.asarray(s, float)),
-            intervals=((-0.9, 0.9),),
-        )
+        prof = profile_of(np.exp, np.exp, np.exp, intervals=((-0.9, 0.9),))
         assert cb.chern_shen_check(prof, 0.9, grid=48)
 
 
@@ -425,11 +428,7 @@ class TestPowerQ:
 class TestPhiCombine:
     def test_constant_profile_is_identity(self):
         E = euclid()
-        one = cb.PhiProfile(
-            phi=lambda s: np.ones_like(np.asarray(s, float)),
-            phi_dot=lambda s: np.zeros_like(np.asarray(s, float)),
-            phi_ddot=lambda s: np.zeros_like(np.asarray(s, float)),
-        )
+        one = constant_profile()
         m = cb.phi_combine(E, me.constant_oneform([0.5, 0.0]), one)
         v = np.array([0.3, 0.4])
         assert float(m.F_many(BASE, v)) == pytest.approx(0.5)
@@ -561,23 +560,14 @@ class TestF1F2:
 
     def test_constant_profile_identity(self):
         f1, f2 = self._pair()
-        one = cb.PhiProfile(
-            phi=lambda s: np.ones_like(np.asarray(s, float)),
-            phi_dot=lambda s: np.zeros_like(np.asarray(s, float)),
-            phi_ddot=lambda s: np.zeros_like(np.asarray(s, float)),
-        )
+        one = constant_profile()
         m = cb.f1f2_combine(f1, f2, one)
         v = np.array([3.0, 4.0])
         assert float(m.F_many(BASE, v)) == pytest.approx(5.0)
 
     def test_equal_metrics_scale_by_profile(self):
         f1 = euclid()
-        prof = cb.PhiProfile(
-            phi=lambda s: 2.0 + 0.5 * np.asarray(s, float),
-            phi_dot=lambda s: 0.5 * np.ones_like(np.asarray(s, float)),
-            phi_ddot=lambda s: np.zeros_like(np.asarray(s, float)),
-            intervals=((0.0, 10.0),),
-        )
+        prof = profile_of(lambda s: 2.0 + 0.5 * s, lambda s: 0.5 * np.ones_like(s), np.zeros_like, intervals=((0.0, 10.0),))
         m = cb.f1f2_combine(f1, euclid(), prof)
         v = np.array([1.0, 0.0])
         c = 2.0 + 0.5  # phi evaluated at s = 1
@@ -706,11 +696,7 @@ class TestDeterminantFormula:
     def test_constant_profile_gives_base_determinant(self):
         G = me.constant_riemann(np.diag([2.0, 3.0]))
         F0 = me.riemann_metric(G, me.whole_plane(2))
-        one = cb.PhiProfile(
-            phi=lambda s: np.ones_like(np.asarray(s, float)),
-            phi_dot=lambda s: np.zeros_like(np.asarray(s, float)),
-            phi_ddot=lambda s: np.zeros_like(np.asarray(s, float)),
-        )
+        one = constant_profile()
         tv = me.TangentVec(BASE, np.array([0.4, 1.0]))
         val = cb.det_tensor_formula(F0, me.constant_oneform([0.3, 0.0]), one, tv)
         assert val == pytest.approx(6.0, rel=1e-12)
@@ -824,38 +810,35 @@ class TestCharacterization:
 
 
 class TestProfileCalls:
-    """One evaluation of each profile function per use of the profile."""
+    """One call of the profile per use: per value jet, per tensor jet and per
+    determinant, with derivatives only where they are used."""
 
     @staticmethod
     def _counting(profile):
-        counts = {"phi": 0, "phi_dot": 0, "phi_ddot": 0}
+        calls = []
 
-        def wrap(key):
-            f = getattr(profile, key)
+        def counted(s, with_derivatives):
+            calls.append(with_derivatives)
+            return profile.jet_fn(s, with_derivatives)
 
-            def counted(s):
-                counts[key] += 1
-                return f(s)
-
-            return counted
-
-        return replace(profile, **{key: wrap(key) for key in counts}), counts
+        return replace(profile, jet_fn=counted), calls
 
     @pytest.mark.parametrize("make", [lambda: cb.matsumoto_profile(1.0), lambda: cb.kropina_profile(2.0)])
     def test_calls_per_tensor_jet_and_profile_state(self, make):
-        prof, counts = self._counting(make())
+        prof, calls = self._counting(make())
         beta = me.constant_oneform([0.5, 0.0])
         vs = np.random.default_rng(3).normal(size=(7, 2))
         upper = me.oneform_metric(beta, me.whole_plane(2))
         for metric in (cb.phi_combine(euclid(), beta, prof), cb.f1f2_combine(euclid(), upper, prof)):
-            counts.update(phi=0, phi_dot=0, phi_ddot=0)
-            metric.tensor_many(BASE, vs)
-            assert counts == {"phi": 2, "phi_dot": 1, "phi_ddot": 1}
+            for method, with_derivatives in (("F_many", False), ("in_domain_many", False), ("tensor_many", True)):
+                calls.clear()
+                getattr(metric, method)(BASE, vs)
+                assert calls == [with_derivatives]
         metric = cb.phi_combine(euclid(), beta, prof)
         vs = vs[metric.in_domain_many(BASE, vs)]
-        counts.update(phi=0, phi_dot=0, phi_ddot=0)
+        calls.clear()
         cb.det_tensor_formula(euclid(), beta, prof, me.TangentVec(BASE, vs))
-        assert counts == {"phi": 1, "phi_dot": 1, "phi_ddot": 1}
+        assert calls == [True]
 
 
 class TestLawCalls:

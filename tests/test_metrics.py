@@ -112,6 +112,22 @@ class TestGaugeOnePass:
         lorentz_metric.tensor_many(BASE, vecs)
         assert calls[0] == 2
 
+    @pytest.mark.parametrize("curve", [mk.lorentz_curve(), mk.wavy_curve(), mk.sqrt_parabola_curve()])
+    def test_one_radius_call_without_derivatives_per_value_pass(self, curve):
+        calls = []
+
+        def counted(theta, with_derivatives):
+            calls.append(with_derivatives)
+            return curve.jet_fn(theta, with_derivatives)
+
+        gauge = mk.gauge_from_curve(replace(curve, jet_fn=counted))
+        metric = me.minkowski_metric(gauge)
+        vecs = np.array([[0.1, 1.0], [0.3, 2.0], [1.0, 0.0], [0.0, 0.0], [np.nan, 1.0], [0.0, -1.0]])
+        for evaluate in (gauge.value_unchecked, gauge.member, lambda v: metric.F_many(BASE, v)):
+            calls.clear()
+            evaluate(vecs)
+            assert calls == [False]
+
     @pytest.mark.parametrize("curve", [mk.lorentz_curve(), mk.spiral_curve(0.3), mk.unit_circle_curve(), None])
     def test_member_value_is_member_and_value(self, curve):
         # None: a ball gauge, the unit disc on the cone y > |x|
@@ -175,6 +191,46 @@ class TestBatchInvariance:
         assert np.array_equal(g, np.array([metric.tensor_many(BASE, v) for v in vecs]))
         ok, F_jet = metric.jet(BASE, vecs[0])
         assert ok.shape == F_jet.shape == () and F_jet == F[0]
+
+
+NEAR_EDGE = np.pi / 4.0 + 1e-5  # a Lorentz direction whose FD probes leave the cone
+
+
+class TestFiniteDifferenceTensorNearTheConeBoundary:
+    """A node without a closed-form tensor gives NaN rows where a probe of its
+    finite-difference Hessian leaves the domain; the rest of the batch is unchanged."""
+
+    def test_probe_outside_the_cone_gives_a_nan_row(self, lorentz_metric):
+        edge = [np.cos(NEAR_EDGE), np.sin(NEAR_EDGE)]
+        g = lorentz_metric.tensor_many(BASE, [edge, [0.0, 1.0]])
+        assert np.all(np.isnan(g[0]))
+        assert np.array_equal(g[1], lorentz_metric.tensor_many(BASE, [0.0, 1.0]))
+        assert np.allclose(g[1], np.diag([-1.0, 1.0]), atol=1e-7)
+
+    def test_checked_tensor_and_fd_oracle_still_raise(self, lorentz_metric):
+        edge = np.array([np.cos(NEAR_EDGE), np.sin(NEAR_EDGE)])
+        with pytest.raises(NonFiniteSample, match="hit the domain boundary"):
+            me.tensor(lorentz_metric, me.TangentVec(BASE, edge))
+        with pytest.raises(NonFiniteSample, match="fd_hessian"):
+            lorentz_metric.fd_tensor_many(BASE, edge)
+
+    @pytest.mark.parametrize("make", [lambda: mk.gauge_from_curve(mk.lorentz_curve()),
+                                      lambda: mk.gauge_from_ball(2, lambda v: v @ v <= 1.0,
+                                                                 lambda v: v[..., 1] > np.abs(v[..., 0]))])
+    def test_a_pair_gets_its_tensor_in_any_batch(self, make):
+        metric = me.minkowski_metric(make())
+        theta = np.pi / 4.0 + np.array([1e-5, 3e-4, 0.3, 1.0, 1.5, -1.0])
+        vecs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        g = metric.tensor_many(BASE, vecs)
+        assert np.array_equal(g, np.array([metric.tensor_many(BASE, v) for v in vecs]), equal_nan=True)
+        assert np.all(np.isnan(g[[0, 5]])) and np.all(np.isfinite(g[1:5]))
+
+    def test_scan_drops_the_directions_next_to_the_boundary(self, lorentz_metric):
+        # 40000 directions put one within a finite-difference step of each cone edge
+        dirs, in_domain, rep = me.convexity_scan(lorentz_metric, BASE, 40000)
+        inside = lorentz_metric.in_domain_many(BASE, dirs)
+        assert 0 < np.sum(inside & ~in_domain) <= 4 and not np.any(in_domain & ~inside)
+        assert np.all(rep.classification == Definiteness.INDEFINITE)
 
 
 def _spy(calls: list, position_independent: bool, closed_form: bool) -> me.ConicMetric:

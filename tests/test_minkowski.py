@@ -401,17 +401,18 @@ class TestPolarCurveHelpers:
         span = hi - lo
         thetas = np.linspace(lo + 0.15 * span, hi - 0.15 * span, 11)
         h = 1e-5
-        r = np.asarray(curve.r(thetas))
-        fd1 = (np.asarray(curve.r(thetas + h)) - np.asarray(curve.r(thetas - h))) / (2 * h)
-        fd2 = (np.asarray(curve.r(thetas + h)) - 2 * r + np.asarray(curve.r(thetas - h))) / (h * h)
-        assert np.allclose(curve.r_dot(thetas), fd1, rtol=1e-5, atol=1e-5)
-        assert np.allclose(curve.r_ddot(thetas), fd2, rtol=1e-3, atol=1e-3)
+        r, r_dot, r_ddot = curve.jet(thetas)
+        fd1 = (curve.value(thetas + h) - curve.value(thetas - h)) / (2 * h)
+        fd2 = (curve.value(thetas + h) - 2 * r + curve.value(thetas - h)) / (h * h)
+        assert np.allclose(r_dot, fd1, rtol=1e-5, atol=1e-5)
+        assert np.allclose(r_ddot, fd2, rtol=1e-3, atol=1e-3)
 
     def test_fd_derivatives_consistent(self):
         curve = mk.polar_curve(lambda th: 2.0 + np.sin(3 * np.asarray(th)))
         thetas = np.linspace(0.2, 5.8, 12)
-        assert np.allclose(curve.r_dot(thetas), 3 * np.cos(3 * thetas), rtol=1e-5, atol=1e-6)
-        assert np.allclose(curve.r_ddot(thetas), -9 * np.sin(3 * thetas), rtol=1e-4, atol=1e-4)
+        _, r_dot, r_ddot = curve.jet(thetas)
+        assert np.allclose(r_dot, 3 * np.cos(3 * thetas), rtol=1e-5, atol=1e-6)
+        assert np.allclose(r_ddot, -9 * np.sin(3 * thetas), rtol=1e-4, atol=1e-4)
 
     def test_domain_cone_property(self):
         curve = mk.spiral_curve(0.1)

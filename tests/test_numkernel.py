@@ -13,7 +13,7 @@ from finslerkit.numkernel import (
     EPS,
     RAY_DOUBLINGS,
     Definiteness,
-    central_derivatives,
+    central_jet,
     eigen_classify,
     fd_gradient,
     fd_hessian,
@@ -125,7 +125,7 @@ def sign_test_ray_root(g, bracket_hint=1.0):
 
 def reference_polar_derivatives(r):
     """The central differences polar_curve wrote out for itself before it
-    used central_derivatives."""
+    used the shared central-difference jet."""
     h1, h2 = EPS ** (1.0 / 3.0), EPS**0.25
 
     def r_dot(theta):
@@ -179,18 +179,19 @@ class TestCentralDerivatives:
     def test_polar_curves_keep_their_differences(self, curve):
         c = curve()
         theta = np.linspace(c.theta_range[0], c.theta_range[1], 1001)[1:-1]
-        ref_dot, ref_ddot = reference_polar_derivatives(c.r)
-        d1, d2 = central_derivatives(c.r)
-        for new in (c.r_dot(theta), d1(theta)):
-            assert np.asarray(new).tobytes() == ref_dot(theta).tobytes()
-        for new in (c.r_ddot(theta), d2(theta)):
-            assert np.asarray(new).tobytes() == ref_ddot(theta).tobytes()
-        assert float(d1(0.5)) == ref_dot(np.array([0.5]))[0]
+        r = lambda t: c.jet_fn(np.asarray(t, dtype=float), False)
+        ref_dot, ref_ddot = reference_polar_derivatives(r)
+        for got in (c.jet(theta), central_jet(r)(theta, True)):
+            assert np.asarray(got[0]).tobytes() == r(theta).tobytes()
+            assert np.asarray(got[1]).tobytes() == ref_dot(theta).tobytes()
+            assert np.asarray(got[2]).tobytes() == ref_ddot(theta).tobytes()
+        assert float(central_jet(r)(0.5, True)[1]) == ref_dot(np.array([0.5]))[0]
 
     def test_cubic(self):
-        d1, d2 = central_derivatives(lambda t: t**3)
-        assert float(d1(2.0)) == pytest.approx(12.0, rel=1e-9)
-        assert float(d2(2.0)) == pytest.approx(12.0, rel=1e-6)
+        v, d1, d2 = central_jet(lambda t: t**3)(2.0, True)
+        assert float(v) == 8.0 and float(central_jet(lambda t: t**3)(2.0, False)) == 8.0
+        assert float(d1) == pytest.approx(12.0, rel=1e-9)
+        assert float(d2) == pytest.approx(12.0, rel=1e-6)
 
 
 class TestFdHessian:

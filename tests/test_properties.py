@@ -4,14 +4,23 @@ Leaves are Euclidean and Randers metrics; nodes are sums, q-power means,
 reversibilizations and (F1, F2) profile combinations.  Each tree comes with
 a predicate that keeps sample vectors whose profile ratios stay away from
 the profile endpoints, where the finite-difference oracle loses accuracy.
+Separation graphs on random position-independent trees are held to the
+triangle inequality, nested balls and, on convex trees, the straight-line
+length.  Profile and curve jets are held bit for bit to the three callables
+each was built from before it became one call.
 """
+
+import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from finslerkit import cli
 from finslerkit import combinators as cb
+from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.errors import FinslerError
@@ -33,13 +42,14 @@ def _everywhere(base, vec):
 
 
 @st.composite
-def leaves(draw):
-    """(metric, margin predicate) for a Euclidean or Randers leaf."""
+def leaves(draw, posdep=True):
+    """(metric, margin predicate) for a Euclidean or Randers leaf; a Randers
+    leaf's form depends on the position only with ``posdep``."""
     E = me.euclidean_metric(2)
     if draw(st.booleans()):
         return E, _everywhere
     b = np.array(draw(st.tuples(*[st.floats(-0.4, 0.4)] * 2)))
-    if draw(st.booleans()):
+    if not posdep or draw(st.booleans()):
         return cb.phi_combine(E, me.constant_oneform(b), cb.randers_profile()), _everywhere
 
     def covector(x):
@@ -50,13 +60,17 @@ def leaves(draw):
 
 
 @st.composite
-def trees(draw, depth=3):
-    """(metric, margin predicate) for a tree with at most ``depth`` node levels."""
-    kind = draw(st.sampled_from(["leaf", "sum", "power_q", "reversibilize", "f1f2"] if depth else ["leaf"]))
+def trees(draw, depth=3, posdep=True, f1f2=True):
+    """(metric, margin predicate) for a tree with at most ``depth`` node levels;
+    without ``posdep`` it is position-independent, without ``f1f2`` it has no
+    (F1, F2) node, and so is convex."""
+    kinds = ["leaf", "sum", "power_q", "reversibilize"] + ["f1f2"] * f1f2
+    kind = draw(st.sampled_from(kinds if depth else ["leaf"]))
     if kind == "leaf":
-        return draw(leaves())
+        return draw(leaves(posdep))
+    sub = trees(depth - 1, posdep, f1f2)
     if kind == "reversibilize":
-        inner, margin = draw(trees(depth - 1))
+        inner, margin = draw(sub)
         mode = draw(st.sampled_from(["sum", "quadratic"]))
         try:
             metric = cb.reversibilize(inner, mode)
@@ -64,7 +78,7 @@ def trees(draw, depth=3):
             assume(False)
         return metric, lambda base, vec: margin(base, vec) & margin(base, -vec)
     if kind == "f1f2":
-        (f1, m1), (f2, m2) = draw(trees(depth - 1)), draw(trees(depth - 1))
+        (f1, m1), (f2, m2) = draw(sub), draw(sub)
         profile = PROFILES[draw(st.sampled_from(sorted(PROFILES)))]()
         try:
             metric = cb.f1f2_combine(f1, f2, profile)
@@ -79,7 +93,7 @@ def trees(draw, depth=3):
             return clear & m1(base, vec) & m2(base, vec)
 
         return metric, margin
-    kids = draw(st.lists(trees(depth - 1), min_size=1, max_size=3))
+    kids = draw(st.lists(sub, min_size=1, max_size=3))
     metrics = [k[0] for k in kids]
 
     def margin(base, vec):
@@ -245,3 +259,179 @@ def test_characterization_matches_classification(case, seed):
     clear, pd = _classified(metric, base, vec)
     got = cb.characterization_nd(F0, beta, profile, me.TangentVec(base, vec))
     assert np.array_equal(got[clear], pd[clear])
+
+
+# The three callables (phi, phi', phi'') of each built-in profile and
+# (r, r', r'') of each built-in curve, as written before each became one
+# ``jet_fn`` call: the spec the jets are held to, bit for bit.
+H1, H2 = np.finfo(float).eps ** (1.0 / 3.0), np.finfo(float).eps ** 0.25
+
+
+def _central(r):
+    """(r, r', r'') by the central differences of steps eps^(1/3) and eps^(1/4)."""
+    return (
+        r,
+        lambda t: (r(t + H1) - r(t - H1)) / (2.0 * H1),
+        lambda t: (r(t + H2) - 2.0 * r(t) + r(t - H2)) / (H2 * H2),
+    )
+
+
+def _spec_profile(family, q):
+    if family == "randers":
+        return lambda s: 1.0 + s, np.ones_like, np.zeros_like
+    if family == "kropina":
+        return (lambda s: np.abs(s) ** -q, lambda s: -q * np.abs(s) ** -q / s,
+                lambda s: q * (q + 1.0) * np.abs(s) ** -q / (s * s))
+    if family == "matsumoto":
+        return (lambda s: np.abs(1.0 - s) ** -q, lambda s: q * np.abs(1.0 - s) ** -q / (1.0 - s),
+                lambda s: q * (q + 1.0) * np.abs(1.0 - s) ** -q / ((1.0 - s) * (1.0 - s)))
+    return lambda s: (1.0 + s) * (1.0 + s), lambda s: 2.0 * (1.0 + s), lambda s: 2.0 * np.ones_like(s)
+
+
+def _sqrt_parabola_r(th):
+    c = np.cos(th)
+    return 2.0 / (c + np.sqrt(4.0 - 3.0 * c * c))
+
+
+def _parabola_r(th):
+    s = np.sin(th)
+    return 2.0 / (s + np.sqrt(4.0 - 3.0 * s * s))
+
+
+def _lorentz_spec():
+    u = lambda th: -np.cos(2.0 * th)
+    return (lambda th: u(th) ** -0.5, lambda th: -np.sin(2.0 * th) * u(th) ** -1.5,
+            lambda th: -2.0 * np.cos(2.0 * th) * u(th) ** -1.5 + 3.0 * np.sin(2.0 * th) ** 2 * u(th) ** -2.5)
+
+
+@st.composite
+def spec_curves(draw):
+    """(curve, its three spec callables) for a built-in or a polar_curve."""
+    kind = draw(st.sampled_from(["circle", "spiral", "lorentz", "sqrt_parabola", "parabola", "wavy", "polar"]))
+    if kind == "circle":
+        return mk.unit_circle_curve(), (np.ones_like, np.zeros_like, np.zeros_like)
+    if kind == "spiral":
+        return mk.spiral_curve(draw(st.floats(0.01, 3.0))), (lambda th: th.copy(), np.ones_like, np.zeros_like)
+    if kind == "lorentz":
+        return mk.lorentz_curve(), _lorentz_spec()
+    if kind in ("sqrt_parabola", "parabola"):
+        r = _sqrt_parabola_r if kind == "sqrt_parabola" else _parabola_r
+        return (mk.sqrt_parabola_curve() if kind == "sqrt_parabola" else mk.downward_parabola_curve()), _central(r)
+    if kind == "wavy":
+        a, k = draw(st.floats(-2.0, 2.0)), draw(st.integers(-12, 12))
+        spec = (lambda th: 1.0 + a * np.cos(k * th), lambda th: -a * k * np.sin(k * th),
+                lambda th: -a * k * k * np.cos(k * th))
+        return mk.wavy_curve(a, k), spec
+    c = draw(st.floats(1.5, 3.0))
+    r = lambda th: c + np.sin(3.0 * th) * np.cos(th)
+    return mk.polar_curve(r), _central(r)
+
+
+@st.composite
+def spec_profiles(draw):
+    """(profile, its three spec callables) for a family or a custom CLI profile."""
+    family = draw(st.sampled_from(["randers", "kropina", "matsumoto", "square_over_f0", "custom", "custom_derivs"]))
+    if family == "custom":
+        spec = {"phi": "exp(s) + s * s / 3", "interval": [-2, 2]}
+        return cli._build_profile(spec, "metric.profile"), _central(lambda s: np.exp(s) + s * s / 3.0)
+    if family == "custom_derivs":
+        spec = {"phi": "1 + s * s", "phi_dot": "2 * s", "phi_ddot": "2 + 0 * s", "interval": [-2, 2]}
+        return cli._build_profile(spec, "metric.profile"), (lambda s: 1.0 + s * s, lambda s: 2.0 * s,
+                                                            lambda s: 2.0 + 0.0 * s)
+    q = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 4.0))
+    if family == "matsumoto" and draw(st.booleans()):
+        q = draw(st.sampled_from([-1.0, -2.0]) | st.floats(-4.0, -1.0))
+    return cb.family_profile(family, q), _spec_profile(family, q)
+
+
+ARGUMENTS = st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=16).map(np.array)
+
+
+def _same_bits(obj, spec, t):
+    """``obj.value(t)`` and ``obj.jet(t)`` equal the spec callables at t, bit for bit."""
+    with np.errstate(all="ignore"):
+        want = [np.broadcast_to(np.asarray(f(t), dtype=float), t.shape) for f in spec]
+        assert obj.value(t).tobytes() == want[0].tobytes()
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(obj.jet(t), want))
+
+
+@given(spec_profiles(), ARGUMENTS)
+def test_profile_jets_equal_the_three_callables(case, s):
+    _same_bits(*case, s)
+
+
+@given(spec_curves(), ARGUMENTS)
+def test_curve_jets_equal_the_three_callables(case, theta):
+    _same_bits(*case, theta)
+
+
+# Properties of separation graphs on random position-independent trees: small
+# grids (res <= 9, R <= 3), reduced and full query adjacencies alike.
+BOX = ([-1.0, -1.0], [1.0, 1.0])
+
+
+@st.composite
+def graphs(draw, f1f2=True):
+    """(metric, graph, reduce) on a random position-independent tree; with
+    ``reduce`` the queries run on the dominance-reduced adjacencies and
+    separations stop at the lattice-path bound."""
+    metric, _ = draw(trees(posdep=False, f1f2=f1f2))
+    resolution, radius = draw(st.integers(3, 9)), draw(st.integers(1, 3))
+    return metric, gd.build_separation_graph(metric, BOX, resolution, radius), draw(st.booleans())
+
+
+@contextlib.contextmanager
+def _reduced(reduce):
+    """Queries on the reduced adjacencies of even these small graphs when ``reduce``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if reduce:
+            mp.setattr(gd, "REDUCE_MIN_EDGES", 0)
+        yield
+
+
+def _nodes(graph, count):
+    """``count`` flat node indices, drawn one grid coordinate per axis."""
+    node = st.tuples(*[st.integers(0, graph.resolution - 1)] * len(graph.shape))
+    return st.lists(node.map(lambda ij: int(np.ravel_multi_index(ij, graph.shape))), min_size=count, max_size=count)
+
+
+@given(graphs(), st.data())
+def test_separation_triangle_inequality(case, data):
+    """d(p, r) <= d(p, q) + d(q, r): where the right side is finite, so is the left."""
+    _, graph, reduce = case
+    p, q, r = data.draw(_nodes(graph, 3))
+    with _reduced(reduce):
+        d = {(a, b): gd.separation(graph, a, b).value for a, b in ((p, r), (p, q), (q, r))}
+    bound = d[p, q] + d[q, r]
+    if np.isfinite(bound):
+        assert d[p, r] <= bound * (1.0 + 1e-12)
+
+
+@given(graphs(), st.data())
+def test_forward_balls_nest(case, data):
+    """Forward balls grow with the radius, and q is in the ball of radius r exactly when d(p, q) < r."""
+    _, graph, reduce = case
+    p, q = data.draw(_nodes(graph, 2))
+    radii = sorted(data.draw(st.lists(st.floats(0.0, 4.0), min_size=2, max_size=4)))
+    with _reduced(reduce):
+        balls = [set(gd.df_ball(graph, p, r).tolist()) for r in radii]
+        d = gd.separation(graph, p, q).value
+    assert all(small <= large for small, large in zip(balls, balls[1:]))
+    assert [q in ball for ball in balls] == [d < r for r in radii]
+
+
+@given(graphs(f1f2=False), st.data())
+def test_separation_is_at_least_the_straight_length(case, data):
+    """On a convex tree every path from p to q costs at least F(q - p)."""
+    metric, graph, reduce = case
+    p, q = data.draw(_nodes(graph, 2))
+    assume(p != q)
+    with _reduced(reduce):
+        d = gd.separation(graph, p, q).value
+    straight = float(metric.F_many(np.zeros(2), graph.nodes[q] - graph.nodes[p]))
+    assert d >= straight * (1.0 - 1e-12)
+
+
+def test_profiles_and_curves_are_one_call():
+    assert [f.name for f in dataclasses.fields(cb.PhiProfile)] == ["jet_fn", "intervals", "name"]
+    assert [f.name for f in dataclasses.fields(mk.PolarCurve2D)] == ["jet_fn", "theta_range"]
