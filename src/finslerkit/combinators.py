@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, DomainEmpty, InvalidArgument, OutsideDomain, OutsideProfile, check_integer
+from .errors import BadExponent, DomainEmpty, InvalidArgument, OutsideDomain, OutsideProfile, check_integer, check_real
 from .metrics import (
     ChartManifold,
     ConicMetric,
@@ -26,8 +26,8 @@ from .metrics import (
 from .numkernel import (
     DEFAULT_EIG_TOL,
     eigen_classify,
-    fd_gradient,
-    fd_hessian_batch,
+    fd_gradient_rows,
+    fd_hessian_rows,
 )
 
 DOMAIN_PROBE_DIRECTIONS = 64
@@ -145,6 +145,7 @@ def chern_shen_check(profile: PhiProfile, b0: float, grid: int = 64) -> bool:
     """Grid check of (phi - s phi') + (b^2 - s^2) phi'' > 0 for |s| <= b < b0,
     on ``grid`` values of b and max(grid, 3) of s each.  InvalidArgument at
     ``grid`` unless 1 <= grid <= ``MAX_CHERN_SHEN_GRID`` and it is an integer."""
+    check_real(grid, "grid")
     if not grid >= 1:
         raise InvalidArgument("grid must be at least 1", path="grid", constraint="minimum")
     if not grid <= MAX_CHERN_SHEN_GRID:
@@ -191,7 +192,7 @@ class LCombiner:
         if not with_derivatives:
             return out
         if not derivs:
-            derivs = (self._fd(fd_gradient, x, p), self._fd(fd_hessian_batch, x, p))
+            derivs = (self._fd(fd_gradient_rows, x, p), self._fd(fd_hessian_rows, x, p))
         return out + tuple(np.asarray(d, dtype=float) for d in derivs)
 
     def value(self, x, p=None) -> np.ndarray:
@@ -200,7 +201,8 @@ class LCombiner:
     def _fd(self, fd, x, p) -> np.ndarray:
         """Finite differences of L, one stacked call over the finite rows of
         x, each at its own base point; rows that are not finite (arguments
-        from outside an ingredient's domain) give NaN."""
+        from outside an ingredient's domain), or where a probe of L is not
+        finite, give NaN."""
         fin = np.all(np.isfinite(x), axis=-1)
         if p is not None:
             p = np.broadcast_to(p, x.shape[:-1] + np.shape(p)[-1:])[fin]

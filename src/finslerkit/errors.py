@@ -140,6 +140,14 @@ class InvalidArgument(ValidationError, ValueError):
     """A library function's argument breaks one of its rules; ``path`` is the parameter name."""
 
 
+def check_real(value, name: str) -> None:
+    """InvalidArgument at ``name`` (constraint ``integer``) unless ``value`` is
+    a real number.  A count rule calls it before it compares the bounds, so
+    that a string is a typed error there and not a TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}", path=name, constraint="integer")
+
+
 def check_integer(value, name: str) -> int:
     """``value`` as an int: an integer, or a real with an integral value; InvalidArgument
     at ``name`` (constraint ``integer``) for anything else, a boolean included."""

@@ -19,13 +19,16 @@ estimate disagrees is redone with composite Simpson.  Queries on a
 position-independent graph run on adjacencies without the offsets that
 split into cheaper sign-consistent pairs (chamfer-mask dominance), with
 the same answers bit for bit, and read the edges into a node off the
-offset table instead of a transposed adjacency.
+offset table instead of a transposed adjacency.  A separation on a large
+such graph whose kept offsets all lie on their convex envelope runs A*,
+guided by the envelope's gauge, a lower bound on every path's length.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import math
 import sys
 from dataclasses import dataclass, field
@@ -36,7 +39,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain, StepBudget, check_integer
+from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain, StepBudget, check_integer, check_real
 from .metrics import ConicMetric, TangentVec, _check_samples, admissible_draws, unit_directions
 from .minkowski import check_ball_direction
 from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
@@ -54,6 +57,16 @@ DOMINANCE_MARGIN = 1e-12  # an offset is dropped when a split costs at most (1 -
 # with no distance cap, and so does one whose dominated offsets carry fewer:
 # a reduced adjacency or a cap would cost more than one query spends on them.
 REDUCE_MIN_EDGES = 2**15
+# A separation between distinct nodes runs A* under the offset envelope when
+# ``query`` has at least ASTAR_MIN_EDGES edges, the table keeps at least
+# ASTAR_MIN_OFFSETS offsets and every kept offset lies on the envelope.  On a
+# smaller graph one scipy Dijkstra call costs less than the search; on a
+# smaller table many lattice paths tie at the shortest length, and A*
+# expands every node on them.
+ASTAR_MIN_EDGES = 2**20
+ASTAR_MIN_OFFSETS = 64
+ENVELOPE_RTOL = 1e-9  # an offset lies on the envelope when w(o) <= (1 + rtol) H(o)
+ENVELOPE_MARGIN = 1e-12  # A* takes (1 - margin) H, which covers the rounding of a path's sum
 
 # The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2).  Row 6 of _DP_A holds the 5th-order weights, so the 7th
@@ -468,6 +481,53 @@ def radial_minimality_test(
 
 
 @dataclass(frozen=True)
+class Envelope:
+    """The gauge H of conv({0} u {o / w(o)}) over a table of integer offsets
+    o with weights w(o) > 0, in lattice units.  H is sublinear and
+    H(o) <= w(o), so every path of table offsets from p to q costs at
+    least H(q - p).  Inside the cone the offsets span, H(x) is
+    max(0, max_k ``facets[k]`` . x); x is outside that cone, and H(x) = inf,
+    when ``cone[k]`` . x > 1e-9 |x| for some k: the rows of ``cone`` are the
+    outward normals of the hull's facets through 0.  ``convex`` holds when
+    every offset lies on the envelope, w(o) <= (1 + ``ENVELOPE_RTOL``) H(o)."""
+
+    facets: np.ndarray
+    cone: np.ndarray
+    convex: bool
+
+    def gauge(self, deltas) -> np.ndarray:
+        """H at lattice vectors (..., n)."""
+        d = np.asarray(deltas, dtype=float)
+        h = np.maximum((d @ self.facets.T).max(axis=-1), 0.0)
+        if len(self.cone):
+            outside = np.any(d @ self.cone.T > 1e-9 * np.linalg.norm(d, axis=-1)[..., None], axis=-1)
+            h = np.where(outside, np.inf, h)
+        return h
+
+
+def _envelope(offsets: np.ndarray, weights: np.ndarray) -> Optional[Envelope]:
+    """The :class:`Envelope` of the offsets (K, n) and weights (K,), by
+    qhull; None for n < 2, a weight that is not positive, or offsets that
+    span fewer than n dimensions, which qhull cannot hull.  The facets are
+    scaled down by max(1, max H(o) / w(o)), so qhull's rounding never puts
+    H above a weight."""
+    n = offsets.shape[1]
+    if n < 2 or not np.all(weights > 0.0) or np.linalg.matrix_rank(offsets) < n:
+        return None
+    from scipy.spatial import ConvexHull  # ~36 ms of imports, paid by the first graph that needs a hull
+
+    points = offsets / weights[:, None]
+    equations = ConvexHull(np.vstack([np.zeros(n), points])).equations  # unit outward normal, offset
+    normals, dist = equations[:, :-1], -equations[:, -1]  # facet k: normals[k] . x <= dist[k]
+    at_zero = dist <= 1e-12 * np.linalg.norm(points, axis=1).max()
+    env = Envelope(normals[~at_zero] / dist[~at_zero, None], normals[at_zero], False)
+    ratio = env.gauge(offsets) / weights
+    return Envelope(
+        env.facets / max(1.0, ratio.max()), env.cone, bool(np.all(1.0 <= (1.0 + ENVELOPE_RTOL) * ratio))
+    )
+
+
+@dataclass(frozen=True)
 class SeparationGraph:
     """Grid graph whose directed edges carry F-lengths of straight segments.
 
@@ -479,7 +539,8 @@ class SeparationGraph:
     an adjacency.  On a position-dependent graph ``offsets`` and
     ``weights`` are ``None``, the queries run on ``matrix`` and
     :meth:`edges_into` scans one of its columns.  Only a backward ball
-    builds the transpose ``incoming``.
+    builds the transpose ``incoming``, and only a large graph's separation
+    builds the ``envelope`` of the kept offsets.
     """
 
     box_lo: np.ndarray
@@ -570,6 +631,14 @@ class SeparationGraph:
         return np.ravel_multi_index(sources[ok].T, self.shape), self.weights[keep][::-1][ok]
 
     @functools.cached_property
+    def envelope(self) -> Optional[Envelope]:
+        """The :class:`Envelope` of the kept ``query`` offsets, built on first
+        use; None without an offset table and where :func:`_envelope` gives
+        none."""
+        keep = self._query_keep
+        return None if keep is None else _envelope(self.offsets[keep], self.weights[keep])
+
+    @functools.cached_property
     def _spacing(self) -> np.ndarray:
         return grid_spacing((self.box_lo, self.box_hi), self.resolution)
 
@@ -582,11 +651,13 @@ def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
     """The cell size h of the ``resolution``-per-axis grid on ``box``.
     InvalidArgument unless hi > lo on every axis, 2 <= resolution <= the
     largest float, resolution is an integer, and the corners, hi - lo and h
-    are finite with h > 0."""
+    are finite with h > 0; a resolution that is not a real number fails
+    ``integer`` before the bounds are compared."""
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if not np.all(hi > lo):
         raise InvalidArgument("box needs hi > lo on every axis", path="box", constraint="positive")
+    check_real(resolution, "resolution")
     if resolution < 2:
         raise InvalidArgument("resolution must be at least 2", path="resolution", constraint="minimum")
     if resolution > sys.float_info.max:  # an integer that no float holds
@@ -676,7 +747,9 @@ def check_graph(box: tuple, resolution: int, neighbor_radius: int) -> np.ndarray
     InvalidArgument for a ``neighbor_radius`` below 1, which would give a
     graph without edges, or not an integer, for a box or resolution
     :func:`grid_spacing` rejects, and at ``resolution`` (constraint
-    ``maximum``) for more than ``MAX_GRAPH_EDGES`` :func:`candidate_edges`."""
+    ``maximum``) for more than ``MAX_GRAPH_EDGES`` :func:`candidate_edges`.
+    A count that is not a real number fails ``integer`` first."""
+    check_real(neighbor_radius, "neighbor_radius")
     if not neighbor_radius >= 1:
         raise InvalidArgument("neighbor_radius must be at least 1", path="neighbor_radius", constraint="minimum")
     check_integer(neighbor_radius, "neighbor_radius")
@@ -911,6 +984,59 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
     return bound
 
 
+def _goal_directed(graph: SeparationGraph) -> bool:
+    """Whether a separation between distinct nodes runs :func:`_astar`: on a
+    graph with an offset table of at least ``ASTAR_MIN_OFFSETS`` kept
+    offsets, all on the envelope, whose ``query`` has at least
+    ``ASTAR_MIN_EDGES`` edges."""
+    keep = graph._query_keep
+    if keep is None or np.count_nonzero(keep) < ASTAR_MIN_OFFSETS or graph.query.nnz < ASTAR_MIN_EDGES:
+        return False
+    return graph.envelope is not None and graph.envelope.convex
+
+
+def _astar(graph: SeparationGraph, ip: int, iq: int, limit: float) -> tuple:
+    """(distance, predecessors) of the A* search from node ip to node iq on
+    ``graph.query``; inf when iq lies outside the offset cone from ip or no
+    path costs at most ``limit``.  A node's priority is g + (1 -
+    ``ENVELOPE_MARGIN``) H(iq - x), with H evaluated only on the nodes a
+    relaxation improves.  H is consistent and the margin covers the rounding
+    of a path's sum, so iq leaves the frontier at the distance Dijkstra
+    gives; an entry whose node has since improved is skipped, and a node
+    that improves after its expansion is expanded again."""
+    adj, env = graph.query, graph.envelope
+    target = np.array(np.unravel_index(iq, graph.shape))
+    scale = 1.0 - ENVELOPE_MARGIN
+    limit = min(limit, sys.float_info.max)  # a node outside the cone (H = inf) is never queued
+    g = np.full(graph.node_count, np.inf)
+    pred = np.full(graph.node_count, -1)
+    h = np.full(graph.node_count, np.nan)
+    if not scale * env.gauge(target - np.array(np.unravel_index(ip, graph.shape))) <= limit:
+        return np.inf, pred
+    g[ip] = 0.0
+    frontier = [(0.0, 0.0, ip)]
+    while frontier:
+        _, gu, u = heapq.heappop(frontier)
+        if gu > g[u]:
+            continue
+        if u == iq:
+            return gu, pred
+        cols, w = _row(adj, u)
+        cand = gu + w
+        better = cand < g[cols]
+        cols, cand = cols[better], cand[better]
+        new = cols[np.isnan(h[cols])]
+        h[new] = scale * env.gauge(target - np.stack(np.unravel_index(new, graph.shape), axis=-1))
+        f = cand + h[cols]
+        keep = f <= limit
+        cols, cand, f = cols[keep], cand[keep], f[keep]
+        g[cols] = cand
+        pred[cols] = u
+        for entry in zip(f.tolist(), cand.tolist(), cols.tolist()):
+            heapq.heappush(frontier, entry)
+    return np.inf, pred
+
+
 def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     """Shortest admissible-path length from p to q on the graph.
 
@@ -918,17 +1044,35 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     with at least ``REDUCE_MIN_EDGES`` edges it stops past the
     :func:`_path_bound` of the pair (scipy's ``limit`` keeps a node at
     exactly that distance).  A loop p -> p closes through the cheapest
-    edge into p, read off :meth:`SeparationGraph.edges_into`."""
+    edge into p, read off :meth:`SeparationGraph.edges_into`.
+
+    On a position-independent graph with at least ``ASTAR_MIN_EDGES``
+    ``query`` edges and ``ASTAR_MIN_OFFSETS`` kept offsets, a pair of
+    distinct nodes is searched by A* instead, with the same
+    :func:`_path_bound` as cutoff.  Its heuristic is the
+    ``graph.envelope`` H, the gauge of conv({0} u {o / w(o)}) over the kept
+    offsets o in lattice units: H is sublinear and H(o) <= w(o), so
+    d(p, q) >= H(q - p), and a q - p outside the offset cone (H = inf) is
+    unreachable without a search.  A* runs only when every kept offset lies
+    on the envelope, w(o) <= (1 + ``ENVELOPE_RTOL``) H(o); where H is loose,
+    as on the Lorentz cone, or n = 1 or the offsets span fewer than n
+    dimensions, Dijkstra runs.  Building the envelope imports
+    ``scipy.spatial`` (qhull) on first use.  Both searches give the same
+    distance bit for bit; a predecessor may differ only on an exact tie."""
     ip, iq = _as_node(graph, p), _as_node(graph, q, "q")
-    small = graph.matrix.nnz < REDUCE_MIN_EDGES
-    limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
-    dist, pred = _sp_dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
-    if ip == iq:
-        # proper separation: go out and come back (no zero-length loitering)
-        val, last = _closing_edge(dist, *graph.edges_into(ip))
-        path = [iq, last]
+    if ip != iq and _goal_directed(graph):
+        val, pred = _astar(graph, ip, iq, _path_bound(graph, ip, iq))
+        path = [iq]
     else:
-        val, path = dist[iq], [iq]
+        small = graph.matrix.nnz < REDUCE_MIN_EDGES
+        limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
+        dist, pred = _sp_dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
+        if ip == iq:
+            # proper separation: go out and come back (no zero-length loitering)
+            val, last = _closing_edge(dist, *graph.edges_into(ip))
+            path = [iq, last]
+        else:
+            val, path = dist[iq], [iq]
     if not np.isfinite(val):
         return SeparationResult(value=np.inf, witness_path=np.zeros((0, graph.nodes.shape[1])))
     while path[-1] != ip:

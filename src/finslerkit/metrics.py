@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain
+from .errors import DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain, check_real
 from .minkowski import GaugeNorm
 from .numkernel import (
     DEFAULT_EIG_TOL,
@@ -76,7 +76,9 @@ def kronecker_sequence(count: int, dim: int) -> np.ndarray:
 
 
 def _check_samples(samples: int, name: str = "samples"):
-    """InvalidArgument at ``name``, the caller's name for the count, unless 1 <= samples <= MAX_SAMPLES."""
+    """InvalidArgument at ``name``, the caller's name for the count, unless 1 <= samples <= MAX_SAMPLES;
+    one that is not a real number fails ``integer`` first."""
+    check_real(samples, name)
     if not samples >= 1:
         raise InvalidArgument(f"{name} must be at least 1", path=name, constraint="minimum")
     if not samples <= MAX_SAMPLES:

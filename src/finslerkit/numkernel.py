@@ -82,8 +82,9 @@ def _eval_stack(f, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def fd_gradient(f, x, scale=None) -> np.ndarray:
-    """Central-difference gradients of a scalar function, shape (..., n) -> (..., n).
+def fd_gradient_rows(f, x, scale=None) -> np.ndarray:
+    """Central-difference gradients of a scalar function, shape (..., n) -> (..., n),
+    NaN at each point where a probe of ``f`` is not finite.
 
     The step per point is h = cbrt(eps) * max(1, scale); ``scale``
     broadcasts over the batch and defaults to the norm of each point.
@@ -95,8 +96,17 @@ def fd_gradient(f, x, scale=None) -> np.ndarray:
     h = GRAD_STEP * np.maximum(1.0, s)
     # probes: (2n, ..., n), the +h steps first
     steps = np.eye(n).reshape(n, *([1] * len(batch)), n) * h[..., None]
-    vals = _check_finite(_eval_stack(f, np.concatenate([x + steps, x - steps])), "fd_gradient")
-    return np.moveaxis((vals[:n] - vals[n:]) / (2.0 * h), 0, -1)
+    vals = _eval_stack(f, np.concatenate([x + steps, x - steps]))
+    finite = np.isfinite(vals)
+    vals = np.where(finite, vals, np.nan)  # NaN arithmetic raises no warning
+    grad = np.moveaxis((vals[:n] - vals[n:]) / (2.0 * h), 0, -1)
+    grad[~np.all(finite, axis=0)] = np.nan
+    return grad
+
+
+def fd_gradient(f, x, scale=None) -> np.ndarray:
+    """:func:`fd_gradient_rows`; NonFiniteSample where a probe is not finite."""
+    return _check_finite(fd_gradient_rows(f, x, scale), "fd_gradient")
 
 
 def central_jet(f):

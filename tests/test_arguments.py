@@ -89,6 +89,11 @@ class TestSamples:
         _rejects(lambda: me.admissible_draws(rng, 6, 2, lambda vs: np.ones(len(vs), bool)), "samples", "maximum")
         _rejects(lambda: me.unit_directions(3, 6), "samples", "maximum")
 
+    @pytest.mark.parametrize("samples", ["3", None])
+    def test_samples_that_are_not_numbers(self, euclid, samples):
+        _rejects(lambda: me.unit_directions(2, samples), "samples", "integer")
+        _rejects(lambda: gd.radial_minimality_test(euclid, [0.0, 0.0], 1.0, samples, 0), "trials", "integer")
+
     def test_kronecker_dimension(self):
         _rejects(lambda: me.kronecker_sequence(5, me.MAX_DIMENSION + 1), "dim", "maximum")
 
@@ -156,6 +161,15 @@ class TestGridRules:
         _rejects(lambda: gd.build_separation_graph(euclid, BOX, resolution, radius), path, "integer")
         if path == "resolution":
             _rejects(lambda: gd.grid_node_id(BOX, resolution, [0.0, 0.0]), path, "integer")
+
+    @pytest.mark.parametrize("resolution, radius, path", [("5", 1, "resolution"), (5, "2", "neighbor_radius"),
+                                                           (5, None, "neighbor_radius"), ([5], 1, "resolution")])
+    def test_counts_that_are_not_numbers(self, euclid, resolution, radius, path):
+        # a string used to raise an untyped TypeError from the bound comparison
+        _rejects(lambda: gd.check_graph(BOX, resolution, radius), path, "integer")
+        _rejects(lambda: gd.build_separation_graph(euclid, BOX, resolution, radius), path, "integer")
+        if path == "resolution":
+            _rejects(lambda: gd.grid_spacing(BOX, resolution), path, "integer")
 
     def test_integral_floats_are_counts(self, euclid):
         g = gd.build_separation_graph(euclid, BOX, 5.0, np.float64(2.0))
@@ -297,7 +311,7 @@ class TestChernShenGrid:
     def test_grid_minimum(self, grid):
         _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=grid), "grid", "minimum")
 
-    @pytest.mark.parametrize("grid", [2.5, True, np.float64(7.25)])
+    @pytest.mark.parametrize("grid", [2.5, True, np.float64(7.25), "3", None])
     def test_grid_is_an_integer(self, grid):
         # grid=2.5 used to check np.arange(2.5)'s three values of b and return True
         _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=grid), "grid", "integer")

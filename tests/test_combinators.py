@@ -5,7 +5,7 @@ import pytest
 
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
-from finslerkit.errors import BadExponent, DomainEmpty, OutsideDomain
+from finslerkit.errors import BadExponent, DomainEmpty, NonFiniteSample, OutsideDomain
 from finslerkit.numkernel import Definiteness, eigen_classify
 
 BASE = np.zeros(2)
@@ -210,6 +210,21 @@ class TestCombine:
         dirs, in_domain, _ = me.convexity_scan(cb.combine(mix, [euclid(), upper], []), BASE, 36)
         assert set(in_domain.tolist()) == {True, False}
         assert np.array_equal(in_domain, dirs[:, 1] > 0.0)
+
+    def test_fd_fallback_gives_a_nan_row_where_a_probe_leaves_the_cone(self):
+        # (beta > 0, (F + sqrt(beta))^2): the probes of the second row cross beta = 0
+        def jet_fn(x, p, with_derivatives):
+            return x[..., 1] > 0.0, (x[..., 0] + np.sqrt(x[..., 1])) ** 2
+
+        law = cb.LCombiner(n=1, m=1, jet_fn=jet_fn, name="sqrt-beta")
+        m = cb.combine(law, [euclid()], [me.constant_oneform([0.0, 1.0])])
+        g = m.tensor_many(BASE, [[1.0, 1.0], [1.0, 1e-6]])
+        assert g[0].tobytes() == m.tensor_many(BASE, [[1.0, 1.0]])[0].tobytes()
+        assert np.all(np.isfinite(g[0])) and np.all(np.isnan(g[1]))
+        with pytest.raises(NonFiniteSample, match="hit the domain boundary"):
+            me.tensor(m, me.TangentVec(BASE, np.array([1.0, 1e-6])))
+        with pytest.raises(NonFiniteSample, match="fd_hessian"):
+            m.fd_tensor_many(BASE, [1.0, 1e-6])
 
     @pytest.mark.parametrize("batch", [3, 9])
     def test_fd_fallback_uses_each_rows_base_point(self, batch):

@@ -1020,6 +1020,11 @@ def _same_indices(a, b):
     assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+MATSUMOTO_TREE = {"type": "named", "family": "matsumoto", "q": 1.0, "b": 0.5}
+# Kropina's profile 1/s on s > 0 alone: its domain is the half-plane beta > 0
+KROPINA_ONE_SIDED = {"phi": "1/s", "phi_dot": "-1/s**2", "phi_ddot": "2/s**3", "interval": [0.0, 1e300]}
+
+
 def _hand_graph():
     """Five nodes on a line.  Edges: 0->1 (explicit 0), 0->2 (0.25),
     1->0 (0.5), 2->0 (0.25), 1->2 (1), 3->0 (0.2); node 3 has no incoming
@@ -1052,6 +1057,7 @@ class TestGraphQueriesMatchReference:
             ("lorentz_example", {}, ((-1.0, 0.0), (1.0, 2.0)), 41, 20),
             ("oneform_metric", {"coeffs": [1.0]}, ((0.0,), (1.0,)), 300, 299),
             ("named", {"family": "kropina", "form": {"coeffs": [0.2, 0.1, 0.5]}}, ((0.0,) * 3, (1.0,) * 3), 8, 7),
+            ("phi", {"form": {"coeffs": [0.5, 0.0]}, "profile": KROPINA_ONE_SIDED}, ((-1.0, -1.0), (1.0, 1.0)), 15, 3),
         ],
         ids=[
             "lorentz_ex36",
@@ -1061,6 +1067,7 @@ class TestGraphQueriesMatchReference:
             "lorentz_ex36_res41",
             "halfline_1d",
             "kropina_3d",
+            "kropina_one_sided",
         ],
     )
     def graph(self, request):
@@ -1089,6 +1096,96 @@ class TestGraphQueriesMatchReference:
         for p in range(0, graph.node_count, 5):
             for r in (0.0, float(rng.uniform(0.05, 1.5)), np.inf):
                 _same_indices(gd.df_ball(graph, p, r, direction), _ref_df_ball(ref, p, r, direction))
+
+    def test_goal_directed_separation(self, graph, ref, request, monkeypatch):
+        """With the size thresholds lifted, exactly the graphs whose kept offsets
+        all lie on the envelope search by A*: Matsumoto and the one-sided
+        Kropina.  The two-sided Kropina (phi = |s|^-q on both half-lines) and
+        Lorentz fail that rule; the 1-D table and the two collinear offsets
+        of the wide Lorentz graph span too few dimensions for a hull.  A*
+        gives the reference's value and witness path bit for bit, with or
+        without the lattice-path cutoff, directly and through ``separation``."""
+        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        fixture = request.node.callspec.id
+        assert gd._goal_directed(graph) == (fixture in ("matsumoto", "kropina_one_sided"))
+        assert (graph.envelope is None) == (fixture in ("halfline_1d", "lorentz_ex36_wide"))
+        if not gd._goal_directed(graph):
+            return
+        rng = np.random.default_rng(7)
+        for p, q in rng.integers(graph.node_count, size=(150, 2)).tolist():
+            if p == q:
+                continue
+            want = _ref_separation(ref, p, q)
+            _same_separation(gd.separation(graph, p, q), want)
+            for limit in (gd._path_bound(graph, p, q), np.inf):
+                value, pred = gd._astar(graph, p, q, limit)
+                assert value == want.value
+                if np.isfinite(value):
+                    path = [q]
+                    while path[-1] != p:
+                        path.append(int(pred[path[-1]]))
+                    assert graph.nodes[path[::-1]].tobytes() == want.witness_path.tobytes()
+
+
+class TestGoalDirectedSeparation:
+    """A* under the offset envelope, where the size rules choose it."""
+
+    @pytest.fixture(scope="class")
+    def matsumoto(self):
+        metric = build_metric(parse_config(json.dumps({"metric": MATSUMOTO_TREE}))[0]).metric
+        return gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 81, 10)
+
+    def test_matsumoto_res81_r10_matches_dijkstra(self, matsumoto):
+        # all 440 offsets are kept and lie on the envelope: 2.52 M query edges
+        assert matsumoto.query.nnz >= gd.ASTAR_MIN_EDGES and gd._goal_directed(matsumoto)
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            p, q = (int(k) for k in rng.choice(matsumoto.node_count, size=2, replace=False))
+            dist, pred = dijkstra(matsumoto.query, directed=True, indices=p, return_predecessors=True)
+            path = [q]
+            while path[-1] != p:
+                path.append(int(pred[path[-1]]))
+            got = gd.separation(matsumoto, p, q)
+            assert got.value == dist[q]
+            assert got.witness_path.tobytes() == matsumoto.nodes[path[::-1]].tobytes()
+
+    def test_size_rules(self, matsumoto, monkeypatch):
+        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", matsumoto.query.nnz + 1)
+        assert not gd._goal_directed(matsumoto)
+        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 441)
+        assert not gd._goal_directed(matsumoto)
+
+    def test_target_outside_the_cone_or_past_the_cutoff_is_unreachable(self, monkeypatch):
+        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        tree = {"type": "phi", "form": {"coeffs": [0.5, 0.0]}, "profile": KROPINA_ONE_SIDED}
+        metric = build_metric(parse_config(json.dumps({"metric": tree}))[0]).metric
+        graph = gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 9, 2)
+        assert gd._goal_directed(graph) and len(graph.envelope.cone) == 2
+        p, q = graph.node_id([0.0, 0.0]), graph.node_id([-0.5, 0.0], "q")  # beta(q - p) < 0
+        assert graph.envelope.gauge(np.subtract(*[np.unravel_index(i, graph.shape) for i in (q, p)])) == np.inf
+        out = gd.separation(graph, p, q)
+        assert out.value == np.inf and not out.reachable and out.witness_path.shape == (0, 2)
+        r = graph.node_id([0.5, 0.25], "q")
+        d = gd.separation(graph, p, r).value
+        assert np.isfinite(d) and gd._astar(graph, p, r, d)[0] == d
+        assert gd._astar(graph, p, r, d * (1.0 - 1e-9))[0] == np.inf
+
+    def test_position_dependent_and_loops_keep_dijkstra(self, randers_posdep, monkeypatch):
+        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        graph = gd.build_separation_graph(randers_posdep, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 7, 2)
+        assert graph.envelope is None and not gd._goal_directed(graph)
+
+        def fail(*args):
+            raise AssertionError("a loop runs Dijkstra")
+
+        metric = build_metric(parse_config(json.dumps({"metric": MATSUMOTO_TREE}))[0]).metric
+        small = gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 9, 3)
+        monkeypatch.setattr(gd, "_astar", fail)
+        assert np.isfinite(gd.separation(small, 4, 4).value)
 
 
 class TestHandMadeGraph:

@@ -16,6 +16,7 @@ from finslerkit.numkernel import (
     central_jet,
     eigen_classify,
     fd_gradient,
+    fd_gradient_rows,
     fd_hessian,
     gauss_kronrod_3_7,
     integrate_1d,
@@ -163,6 +164,13 @@ class TestFdGradient:
         g = fd_gradient(lambda u: rd.half_square(base, u), v)
         gv = me.tensor(rd, me.TangentVec(base, v)) @ v
         assert np.allclose(g, gv, atol=1e-6)
+
+    def test_rows_are_nan_where_a_probe_is_not_finite(self):
+        f = lambda x: np.sqrt(x[..., 0]) + x[..., 1] ** 2
+        xs = np.array([[4.0, 1.0], [1e-10, 1.0], [9.0, -2.0]])
+        rows = fd_gradient_rows(f, xs)
+        assert np.all(np.isnan(rows[1]))
+        assert rows[[0, 2]].tobytes() == fd_gradient(f, xs[[0, 2]]).tobytes()
 
     @pytest.mark.parametrize("scale", [None, 2.5])
     def test_batch_equals_per_point_calls(self, scale):

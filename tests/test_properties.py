@@ -5,8 +5,8 @@ reversibilizations and (F1, F2) profile combinations.  Each tree comes with
 a predicate that keeps sample vectors whose profile ratios stay away from
 the profile endpoints, where the finite-difference oracle loses accuracy.
 Separation graphs on random position-independent trees are held to the
-triangle inequality, nested balls and, on convex trees, the straight-line
-length.  Profile and curve jets are held bit for bit to the three callables
+triangle inequality, nested balls, the offset envelope, A*'s agreement with
+Dijkstra and, on convex trees, the straight-line length.  Profile and curve jets are held bit for bit to the three callables
 each was built from before it became one call.
 """
 
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from finslerkit import cli
 from finslerkit import combinators as cb
@@ -430,6 +431,35 @@ def test_separation_is_at_least_the_straight_length(case, data):
         d = gd.separation(graph, p, q).value
     straight = float(metric.F_many(np.zeros(2), graph.nodes[q] - graph.nodes[p]))
     assert d >= straight * (1.0 - 1e-12)
+
+
+@given(graphs(), st.data())
+def test_separation_is_at_least_the_envelope(case, data):
+    """d(p, q) >= H(q - p), H the gauge of the hull of 0 and the kept offsets
+    o / w(o): every edge costs at least H of its offset, and H is sublinear.
+    It holds on non-convex trees too, where H lies below the weights."""
+    _, graph, reduce = case
+    p, q = data.draw(_nodes(graph, 2))
+    with _reduced(reduce):
+        envelope = graph.envelope
+        d = gd.separation(graph, p, q).value
+    assume(envelope is not None)
+    delta = np.subtract(np.unravel_index(q, graph.shape), np.unravel_index(p, graph.shape))
+    assert d >= envelope.gauge(delta) * (1.0 - 1e-12)
+
+
+@given(graphs(), st.data())
+def test_goal_directed_search_finds_the_dijkstra_distance(case, data):
+    """A* under the envelope gives scipy's distance bit for bit, with or
+    without the lattice-path cutoff, whether or not the table is convex."""
+    _, graph, reduce = case
+    p, q = data.draw(_nodes(graph, 2))
+    assume(p != q)
+    with _reduced(reduce):
+        assume(graph.envelope is not None)
+        want = dijkstra(graph.query, directed=True, indices=p)[q]
+        for limit in (gd._path_bound(graph, p, q), np.inf):
+            assert gd._astar(graph, p, q, limit)[0] == want
 
 
 def test_profiles_and_curves_are_one_call():
