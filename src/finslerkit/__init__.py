@@ -32,11 +32,9 @@ from .geodesy import (
     Polyline,
     SeparationGraph,
     SeparationResult,
-    SmoothCurve,
     build_separation_graph,
     curve_length,
     df_ball,
-    energy,
     exp_map,
     geodesic_shoot,
     radial_minimality_test,
@@ -50,7 +48,6 @@ from .metrics import (
     OneFormAtom,
     RiemannAtom,
     TangentVec,
-    angular_tensor,
     classify_point,
     constant_oneform,
     constant_riemann,
@@ -58,7 +55,6 @@ from .metrics import (
     eval_F,
     eval_F_many,
     euclidean_metric,
-    lower_bound_check,
     minkowski_metric,
     oneform_metric,
     riemann_metric,
@@ -72,7 +68,6 @@ from .minkowski import (
     affine_ball,
     curve_convexity,
     downward_parabola_curve,
-    fundamental_inequality_check,
     gauge_from_ball,
     gauge_from_curve,
     lorentz_curve,
@@ -87,9 +82,6 @@ from .numkernel import (
     EigenReport,
     Definiteness,
     eigen_classify,
-    fd_gradient,
-    fd_hessian,
-    integrate_1d,
     ray_root,
 )
 

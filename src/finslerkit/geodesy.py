@@ -32,7 +32,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -101,7 +101,7 @@ _DP_P = np.array(
 
 
 # ---------------------------------------------------------------------------
-# Curves and integral functionals
+# Curves and their F-length
 # ---------------------------------------------------------------------------
 
 
@@ -121,59 +121,29 @@ class Polyline:
             object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
 
 
-@dataclass(frozen=True)
-class SmoothCurve:
-    """A smooth path given as a vectorized callable on [t0, t1].
-
-    The path must evaluate slightly beyond the ends when no velocity
-    callable is supplied (the fallback is a central difference).
-    """
-
-    path: Callable[[np.ndarray], np.ndarray]
-    t0: float = 0.0
-    t1: float = 1.0
-    velocity: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def positions(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.path(np.asarray(t, dtype=float)), dtype=float)
-
-    def velocities(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.velocity is not None:
-            return np.asarray(self.velocity(t), dtype=float)
-        h = max(1e-7, 1e-7 * (self.t1 - self.t0))
-        return (self.positions(t + h) - self.positions(t - h)) / (2.0 * h)
-
-
 def segment(a, b) -> Polyline:
     return Polyline(points=np.stack([np.asarray(a, float), np.asarray(b, float)]))
 
 
 def _curve_samples(curve, nodes: int):
-    """(positions, velocities, parameters, weights*dt) at quadrature nodes."""
+    """(positions, velocities, parameters, weights*dt) at the Simpson nodes of each piece."""
+    if not isinstance(curve, Polyline):
+        raise InvalidArgument(f"unsupported curve type {type(curve)!r}", path="curve", constraint="type")
     w = simpson_weights(nodes)
     q = w.size
-    if isinstance(curve, Polyline):
-        pts, tms = curve.points, curve.times
-        K = pts.shape[0] - 1
-        dt = np.diff(tms)  # (K,)
-        tloc = np.linspace(0.0, 1.0, q)
-        pos = pts[:-1, None, :] + tloc[None, :, None] * np.diff(pts, axis=0)[:, None, :]
-        vel = (np.diff(pts, axis=0) / dt[:, None])[:, None, :]
-        vel = np.broadcast_to(vel, pos.shape)
-        params = tms[:-1, None] + tloc[None, :] * dt[:, None]
-        weights = w[None, :] * (dt / (q - 1))[:, None]
-        return pos.reshape(-1, pts.shape[1]), vel.reshape(-1, pts.shape[1]), params.ravel(), weights.ravel()
-    if isinstance(curve, SmoothCurve):
-        t = np.linspace(curve.t0, curve.t1, q)
-        pos = curve.positions(t)
-        vel = curve.velocities(t)
-        weights = w * ((curve.t1 - curve.t0) / (q - 1))
-        return pos, vel, t, weights
-    raise InvalidArgument(f"unsupported curve type {type(curve)!r}", path="curve", constraint="type")
+    pts, tms = curve.points, curve.times
+    dt = np.diff(tms)  # (K,), one per piece
+    tloc = np.linspace(0.0, 1.0, q)
+    pos = pts[:-1, None, :] + tloc[None, :, None] * np.diff(pts, axis=0)[:, None, :]
+    vel = (np.diff(pts, axis=0) / dt[:, None])[:, None, :]
+    vel = np.broadcast_to(vel, pos.shape)
+    params = tms[:-1, None] + tloc[None, :] * dt[:, None]
+    weights = w[None, :] * (dt / (q - 1))[:, None]
+    return pos.reshape(-1, pts.shape[1]), vel.reshape(-1, pts.shape[1]), params.ravel(), weights.ravel()
 
 
-def _admissible_values(m: ConicMetric, curve, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def curve_length(m: ConicMetric, curve, nodes: int = CURVE_QUAD_NODES) -> float:
+    """Simpson-integrated F-length of an admissible curve."""
     pos, vel, params, weights = _curve_samples(curve, nodes)
     ok, vals = m.jet(pos, vel)
     if not np.all(ok):
@@ -182,19 +152,7 @@ def _admissible_values(m: ConicMetric, curve, nodes: int) -> tuple[np.ndarray, n
             f"curve velocity leaves the conic domain at parameter {bad[0]:.6g}",
             parameter=float(bad[0]),
         )
-    return vals, weights
-
-
-def curve_length(m: ConicMetric, curve, nodes: int = CURVE_QUAD_NODES) -> float:
-    """Simpson-integrated F-length of an admissible curve."""
-    vals, weights = _admissible_values(m, curve, nodes)
     return float(np.dot(weights, vals))
-
-
-def energy(m: ConicMetric, curve, nodes: int = CURVE_QUAD_NODES) -> float:
-    """Simpson-integrated energy: the integral of F(velocity)^2."""
-    vals, weights = _admissible_values(m, curve, nodes)
-    return float(np.dot(weights, vals * vals))
 
 
 # ---------------------------------------------------------------------------

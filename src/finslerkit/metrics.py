@@ -154,11 +154,6 @@ class RiemannAtom:
         g = np.asarray(self.metric_matrix(x), dtype=float)
         return np.broadcast_to(g, x.shape[:-1] + g.shape[-2:])
 
-    def square_length(self, x, v) -> np.ndarray:
-        g = self.matrix(x)
-        v = np.asarray(v, dtype=float)
-        return np.einsum("...i,...ij,...j->...", v, g, v)
-
 
 def constant_riemann(matrix) -> RiemannAtom:
     g0 = np.asarray(matrix, dtype=float)
@@ -264,10 +259,6 @@ class ConicMetric:
         """Vectorized metric values; NaN outside the domain."""
         return self.jet(base, vec)[1]
 
-    def half_square(self, base, vec) -> np.ndarray:
-        val = self.F_many(base, vec)
-        return 0.5 * val * val
-
     def tensor_many(self, base, vec) -> np.ndarray:
         """Fundamental tensors, shape (..., N, N); see :meth:`jet`."""
         return self.jet(base, vec, with_tensor=True)[2]
@@ -284,7 +275,12 @@ class ConicMetric:
     def _fd(self, hessian, base, vec) -> np.ndarray:
         """``hessian`` (:func:`fd_hessian_batch` or :func:`fd_hessian_rows`) of F^2/2 in the fiber."""
         base_b, vec_b = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(vec, dtype=float))
-        return hessian(lambda vs: self.half_square(base_b, vs), vec_b, scale=np.linalg.norm(vec_b, axis=-1))
+
+        def half_f_squared(vs):
+            val = self.F_many(base_b, vs)
+            return 0.5 * val * val
+
+        return hessian(half_f_squared, vec_b, scale=np.linalg.norm(vec_b, axis=-1))
 
     def with_name(self, name: str) -> "ConicMetric":
         return replace(self, name=name)
@@ -415,14 +411,6 @@ def tensor(m: ConicMetric, v: TangentVec) -> np.ndarray:
     return _checked(m, v.base, v.vec, with_tensor=True)
 
 
-def angular_tensor(m: ConicMetric, v: TangentVec) -> np.ndarray:
-    """g_v minus its rank-one part along v; kernel contains v."""
-    g = tensor(m, v)
-    f2 = float(m.F_many(v.base, v.vec)) ** 2
-    gv = g @ v.vec
-    return g - np.outer(gv, gv) / f2
-
-
 def classify_point(m: ConicMetric, v: TangentVec, tolerance: float = DEFAULT_EIG_TOL) -> EigenReport:
     """Classify the fundamental tensor at v; a stacked v gives one record of arrays over its vectors."""
     return eigen_classify(tensor(m, v), tolerance)
@@ -442,28 +430,3 @@ def convexity_scan(
     good = ok & np.all(np.isfinite(tensors), axis=(-2, -1))
     return dirs, good, eigen_classify(tensors[good], tolerance)
 
-
-def lower_bound_check(m: ConicMetric, bound: RiemannAtom, base_samples: int, dir_samples: int) -> bool:
-    """Does F(v) >= sqrt(g0(v,v)) hold on all sampled admissible vectors?
-
-    The bases are low-discrepancy points of the chart in the cube [-1, 1]^N,
-    or the origin when none is in the chart.  Both counts are checked as
-    sample counts, each at its own name, before anything is allocated.
-    """
-    _check_samples(base_samples, "base_samples")
-    _check_samples(dir_samples, "dir_samples")
-    man = m.manifold
-    bases = 2.0 * kronecker_sequence(base_samples, man.dimension) - 1.0
-    bases = bases[man.contains(bases)]
-    if bases.shape[0] == 0:
-        bases = np.zeros((1, man.dimension))
-    dirs = unit_directions(man.dimension, dir_samples)
-
-    B = bases[:, None, :]  # (nb, 1, N)
-    D = dirs[None, :, :]  # (1, nd, N)
-    ok, fvals = m.jet(B, D)
-    if not np.any(ok):
-        return True
-    gvals = np.sqrt(np.maximum(bound.square_length(B, D), 0.0))
-    slack = 1e-12 * np.maximum(1.0, gvals)
-    return bool(np.all(fvals[ok] >= (gvals - slack)[ok]))

@@ -3,8 +3,8 @@
 Gauges are built either from a 2D polar curve (the indicatrix is given
 explicitly) or from a unit-ball membership predicate in any dimension
 (the gauge is recovered by root-finding along rays).  The module also
-hosts the scalar convexity function of polar curves and the triangle /
-fundamental inequality testers.
+hosts the scalar convexity function of polar curves and the triangle
+inequality tester.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDirection, InvalidArgument, NoBracket, NonFiniteSample, OutsideCone, check_integer
-from .numkernel import GRAD_STEP, central_jet, ray_root
+from .errors import DegenerateDirection, InvalidArgument, NoBracket, OutsideCone, check_integer
+from .numkernel import central_jet, ray_root
 
 TWO_PI = 2.0 * np.pi
 MAX_LOBES = 10**4  # largest |lobes| of wavy_curve
@@ -196,14 +196,6 @@ def curve_convexity(curve: PolarCurve2D, theta: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _member_values(norm: GaugeNorm, *vectors) -> tuple:
-    """Domain mask and gauge values (Python floats, NaN outside the domain) of
-    the vectors, from one pass over their stack."""
-    with np.errstate(all="ignore"):
-        ok, vals = norm.member_value(np.stack(vectors))
-    return ok.tolist(), vals.tolist()
-
-
 def check_ball_direction(direction: str):
     """InvalidArgument at ``direction`` unless it names a ball: 'forward' or 'backward'."""
     if direction not in ("forward", "backward"):
@@ -239,7 +231,9 @@ def triangle_report(norm: GaugeNorm, v1, v2) -> TriangleVerdict:
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    ok, (a, b, c) = _member_values(norm, v1, v2, v1 + v2)
+    with np.errstate(all="ignore"):  # one pass over the stack; NaN outside the domain
+        ok, vals = norm.member_value(np.stack([v1, v2, v1 + v2]))
+    ok, (a, b, c) = ok.tolist(), vals.tolist()
     if not (ok[0] and ok[1]):
         raise OutsideCone("triangle_report arguments must lie in the domain")
     if not ok[2]:
@@ -256,39 +250,6 @@ def triangle_report(norm: GaugeNorm, v1, v2) -> TriangleVerdict:
     if c < a + b - slack:
         return TriangleVerdict.HOLDS_STRICT
     return TriangleVerdict.HOLDS
-
-
-class InequalityVerdict(Enum):
-    HOLDS = "Holds"
-    EQUALITY = "Equality"
-    VIOLATED = "Violated"
-
-
-def fundamental_inequality_check(norm: GaugeNorm, v1, v2) -> InequalityVerdict:
-    """Check g_{v1}(v1, v2) <= ||v1|| ||v2|| at the given pair.
-
-    The left side is the directional derivative of the half-squared gauge
-    at v1 along v2 (a first difference, accurate enough to resolve the
-    1e-9 equality band that signals proportional vectors).
-    """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if float(np.linalg.norm(v1)) == 0.0:
-        raise OutsideCone("v1 must be nonzero")
-    h = GRAD_STEP * float(np.linalg.norm(v1)) / max(float(np.linalg.norm(v2)), 1e-300)
-    ok, (a, b, plus, minus) = _member_values(norm, v1, v2, v1 + h * v2, v1 - h * v2)
-    if not (ok[0] and ok[1]):
-        raise OutsideCone("fundamental inequality arguments must lie in the domain")
-    lhs = (0.5 * plus * plus - 0.5 * minus * minus) / (2.0 * h)
-    if not np.isfinite(lhs):
-        raise NonFiniteSample("derivative probes left the gauge domain")
-    rhs = a * b
-    tol = 1e-9 * max(1.0, abs(rhs))
-    if lhs > rhs + tol:
-        return InequalityVerdict.VIOLATED
-    if abs(lhs - rhs) <= tol:
-        return InequalityVerdict.EQUALITY
-    return InequalityVerdict.HOLDS
 
 
 # ---------------------------------------------------------------------------

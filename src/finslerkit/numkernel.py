@@ -1,13 +1,16 @@
 """Small dense numerics shared by every other module.
 
-Finite-difference oracles (gradient/Hessian, one-variable derivatives),
-symmetric eigenvalue classification, composite Simpson quadrature, the
-embedded 3/7-point Gauss-Kronrod rule and one-dimensional root
-bracketing.  All functions are pure; vectors are plain float ndarrays.
+Finite differences (gradients and Hessians over batches of points, NaN
+at each point where a probe is not finite, and the one-call jet of a
+function of one variable), symmetric eigenvalue classification,
+composite Simpson weights, the embedded 3/7-point Gauss-Kronrod rule and
+one-dimensional root bracketing.  All functions are pure; vectors are
+plain float ndarrays.
 
 The finite-difference routines stand in where no closed form is given
 and cross-check the closed-form tensors, so they deliberately do not
-share any code with the analytic paths.
+share any code with the analytic paths.  :func:`fd_hessian_batch` is the
+oracle's form: it raises where :func:`fd_hessian_rows` gives NaN.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .errors import InvalidArgument, NoBracket, NonFiniteSample
 EPS = float(np.finfo(float).eps)
 GRAD_STEP = EPS ** (1.0 / 3.0)  # optimal for central first differences
 HESS_STEP = EPS ** 0.25  # optimal for central second differences
-DEFAULT_QUAD_NODES = 65
 DEFAULT_EIG_TOL = 1e-9
 RAY_DOUBLINGS = 60  # ray_root's bracket search widens 2^60-fold each way before giving up
 
@@ -62,23 +64,18 @@ class EigenReport:
         return self.code == 0
 
 
-def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteSample(f"non-finite sample while evaluating {what}")
-    return values
-
-
 def _eval_stack(f, points: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on a stack of points, accommodating scalar-only callables.
+    """``f`` on a stack of points (..., n), one value per point.
 
-    Out-of-domain probes are expected to produce NaN (not warnings); the
-    caller turns them into NonFiniteSample.
+    Out-of-domain probes are expected to produce NaN (not warnings), which
+    the kernels turn into NaN rows.  An output of any other shape is an
+    InvalidArgument at ``f``.
     """
     with np.errstate(all="ignore"):
         out = np.asarray(f(points), dtype=float)
-        if out.shape != points.shape[:-1]:
-            out = np.array([f(p) for p in points.reshape(-1, points.shape[-1])], dtype=float)
-            out = out.reshape(points.shape[:-1])
+    if out.shape != points.shape[:-1]:
+        msg = f"f must map a stack of points {points.shape} to one value each, got shape {out.shape}"
+        raise InvalidArgument(msg, path="f", constraint="shape")
     return out
 
 
@@ -102,11 +99,6 @@ def fd_gradient_rows(f, x, scale=None) -> np.ndarray:
     grad = np.moveaxis((vals[:n] - vals[n:]) / (2.0 * h), 0, -1)
     grad[~np.all(finite, axis=0)] = np.nan
     return grad
-
-
-def fd_gradient(f, x, scale=None) -> np.ndarray:
-    """:func:`fd_gradient_rows`; NonFiniteSample where a probe is not finite."""
-    return _check_finite(fd_gradient_rows(f, x, scale), "fd_gradient")
 
 
 def central_jet(f):
@@ -183,13 +175,10 @@ def fd_hessian_rows(f, xs: np.ndarray, scale=None) -> np.ndarray:
 
 def fd_hessian_batch(f, xs: np.ndarray, scale=None) -> np.ndarray:
     """:func:`fd_hessian_rows`; NonFiniteSample where a probe is not finite."""
-    return _check_finite(fd_hessian_rows(f, xs, scale), "fd_hessian")
-
-
-def fd_hessian(f, x, scale: float | None = None) -> np.ndarray:
-    """Symmetric central-difference Hessian of a scalar function at ``x``."""
-    x = np.asarray(x, dtype=float)
-    return fd_hessian_batch(f, x[None, :], scale=scale)[0]
+    hess = fd_hessian_rows(f, xs, scale)
+    if not np.all(np.isfinite(hess)):
+        raise NonFiniteSample("non-finite sample while evaluating fd_hessian")
+    return hess
 
 
 def eigen_classify(m: np.ndarray, tolerance: float = DEFAULT_EIG_TOL) -> EigenReport:
@@ -243,21 +232,6 @@ def gauss_kronrod_3_7() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k7 = np.concatenate([_K7_W[:-1], _K7_W[::-1]])
     g3 = np.concatenate([_G3_W, _G3_W[:1]])
     return 0.5 * (1.0 + x), 0.5 * k7, 0.5 * g3
-
-
-def integrate_1d(f, a: float, b: float, nodes: int = DEFAULT_QUAD_NODES) -> float:
-    """Composite Simpson integral of ``f`` over [a, b]."""
-    w = simpson_weights(nodes)
-    t = np.linspace(a, b, w.size)
-    try:
-        y = np.asarray(f(t), dtype=float)
-        if y.shape != t.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        y = np.array([f(ti) for ti in t], dtype=float)
-    _check_finite(y, "integrate_1d")
-    step = (b - a) / (w.size - 1)
-    return float(np.dot(w, y) * step)
 
 
 def ray_root(g, bracket_hint: float = 1.0) -> float:

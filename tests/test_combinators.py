@@ -155,10 +155,10 @@ class TestCombinerLaws:
         val = combiner.value(point)
         for lam in (0.5, 2.0):
             assert combiner.value(lam * point) == pytest.approx(lam * lam * val, rel=1e-12)
-        from finslerkit.numkernel import fd_gradient, fd_hessian
+        from finslerkit.numkernel import fd_gradient_rows, fd_hessian_batch
 
-        grad_fd = fd_gradient(lambda x: combiner.value(x), point)
-        hess_fd = fd_hessian(lambda x: combiner.value(x), point)
+        grad_fd = fd_gradient_rows(lambda x: combiner.value(x), point)
+        hess_fd = fd_hessian_batch(lambda x: combiner.value(x), point)
         assert np.allclose(combiner.grad(point), grad_fd, rtol=1e-5, atol=1e-6)
         assert np.allclose(combiner.hess(point), hess_fd, rtol=1e-4, atol=1e-4)
 

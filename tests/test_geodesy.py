@@ -58,12 +58,8 @@ class TestCurveLength:
         assert gd.curve_length(euclid, gd.segment([0, 0], [3, 4])) == pytest.approx(5.0, abs=1e-10)
 
     def test_dy_metric_monotone_curves_all_length_one(self, halfplane_dy):
-        wiggly = gd.SmoothCurve(
-            path=lambda t: np.stack([0.4 * np.sin(np.pi * np.asarray(t)), np.asarray(t)], axis=-1),
-            velocity=lambda t: np.stack(
-                [0.4 * np.pi * np.cos(np.pi * np.asarray(t)), np.ones_like(np.asarray(t))], axis=-1
-            ),
-        )
+        t = np.linspace(0.0, 1.0, 41)
+        wiggly = gd.Polyline(points=np.stack([0.4 * np.sin(np.pi * t), t], axis=-1))
         assert gd.curve_length(halfplane_dy, wiggly) == pytest.approx(1.0, abs=1e-10)
         assert gd.curve_length(halfplane_dy, gd.segment([0, 0], [0, 1])) == pytest.approx(1.0)
 
@@ -77,28 +73,6 @@ class TestCurveLength:
         with pytest.raises(NotAdmissible) as err:
             gd.curve_length(halfplane_dy, path)
         assert err.value.parameter >= 0.5
-
-
-class TestEnergy:
-    def test_unit_speed_energy_equals_length(self, euclid):
-        length = 5.0
-        curve = gd.Polyline(
-            points=np.linspace([0, 0], [3, 4], 51), times=np.linspace(0, length, 51)
-        )
-        assert gd.energy(euclid, curve) == pytest.approx(length, abs=1e-9)
-
-    def test_segment_energy(self, euclid):
-        assert gd.energy(euclid, gd.segment([0, 0], [3, 4])) == pytest.approx(25.0, abs=1e-9)
-
-    def test_energy_length_inequality(self, euclid, randers_const):
-        rng = np.random.default_rng(3)
-        for metric in (euclid, randers_const):
-            for _ in range(10):
-                pts = np.cumsum(rng.uniform(0.05, 0.3, size=(7, 2)), axis=0)
-                curve = gd.Polyline(points=pts)
-                length = gd.curve_length(metric, curve)
-                en = gd.energy(metric, curve)
-                assert en >= length**2 - 1e-9
 
 
 def _boxed_euclid():

@@ -297,26 +297,8 @@ class TestTriangleReport:
                 count += 1
 
 
-class TestFundamentalInequality:
-    def test_euclidean_holds(self, gauges):
-        verdict = mk.fundamental_inequality_check(gauges["circle"], [1.0, 0.0], [0.0, 1.0])
-        assert verdict is mk.InequalityVerdict.HOLDS
-
-    @pytest.mark.parametrize("name", ["circle", "sqrt_parabola", "parabola"])
-    def test_proportional_gives_equality(self, gauges, name):
-        vs = _sample_in_domain(gauges[name], 5, seed=31)
-        for v in vs:
-            verdict = mk.fundamental_inequality_check(gauges[name], v, 2.0 * v)
-            assert verdict is mk.InequalityVerdict.EQUALITY
-
-    def test_lorentz_violation(self, gauges):
-        verdict = mk.fundamental_inequality_check(gauges["lorentz"], [0.0, 1.0], [0.9, 1.0])
-        assert verdict is mk.InequalityVerdict.VIOLATED
-
-
 class TestOnePassPerCheck:
-    """triangle_report and fundamental_inequality_check read their domain tests
-    and values off one stacked evaluation pass."""
+    """triangle_report reads its domain tests and values off one stacked evaluation pass."""
 
     V1, V2 = [0.1, 1.0], [-0.2, 1.5]  # inside the Lorentz cone, as is the segment between them
 
@@ -338,16 +320,12 @@ class TestOnePassPerCheck:
         assert mk.triangle_report(gauges["parabola"], self.V1, self.V2) is mk.TriangleVerdict.HOLDS_STRICT
         assert passes[0] == 3  # [v1, v2, v1 + v2], then the segment test
 
-    def test_fundamental_inequality_check(self, gauges, passes):
-        assert mk.fundamental_inequality_check(gauges["lorentz"], self.V1, self.V2) is mk.InequalityVerdict.VIOLATED
-        assert passes[0] == 1
-
-    @pytest.mark.parametrize("check", [mk.triangle_report, mk.fundamental_inequality_check])
+    @pytest.mark.parametrize("check", [mk.triangle_report])
     def test_outside_cone_still_raises(self, gauges, check):
         with pytest.raises(OutsideCone):
             check(gauges["lorentz"], self.V1, [1.0, 0.0])
 
-    @pytest.mark.parametrize("check", [mk.triangle_report, mk.fundamental_inequality_check])
+    @pytest.mark.parametrize("check", [mk.triangle_report])
     def test_ball_gauge_casts_in_cone_rays_first(self, check):
         """A degenerate in-cone ray is reported before another argument's OutsideCone."""
         gauge = mk.gauge_from_ball(2, lambda v: v[1] ** 2 - v[0] ** 2 <= 1.0, lambda v: v[..., 1] > 0)

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
-from finslerkit.errors import NoBracket, NonFiniteSample
+from finslerkit.errors import InvalidArgument, NoBracket, NonFiniteSample
 from finslerkit.numkernel import (
     EPS,
     RAY_DOUBLINGS,
     Definiteness,
     central_jet,
     eigen_classify,
-    fd_gradient,
     fd_gradient_rows,
-    fd_hessian,
+    fd_hessian_batch,
+    fd_hessian_rows,
     gauss_kronrod_3_7,
-    integrate_1d,
     ray_root,
 )
 
@@ -142,18 +141,16 @@ def reference_polar_derivatives(r):
 
 class TestFdGradient:
     def test_square_1d(self):
-        g = fd_gradient(lambda x: x[..., 0] ** 2, np.array([3.0]))
+        g = fd_gradient_rows(lambda x: x[..., 0] ** 2, np.array([3.0]))
         assert abs(g[0] - 6.0) < 1e-7
 
     def test_half_norm_square_is_identity_map(self):
-        g = fd_gradient(lambda x: 0.5 * np.sum(x**2, axis=-1), np.array([3.0, 4.0]))
+        g = fd_gradient_rows(lambda x: 0.5 * np.sum(x**2, axis=-1), np.array([3.0, 4.0]))
         assert np.allclose(g, [3.0, 4.0], atol=1e-7)
 
     def test_non_finite_probe_detected(self):
-        from finslerkit.errors import NonFiniteSample
-
-        with pytest.raises(NonFiniteSample):
-            fd_gradient(lambda x: np.sqrt(x[..., 0]), np.array([1e-10]))
+        g = fd_gradient_rows(lambda x: np.sqrt(x[..., 0]), np.array([1e-10]))
+        assert np.all(np.isnan(g))
 
     def test_randers_half_square_gradient_matches_tensor_row(self):
         # grad of F^2/2 at v equals g_v v for the closed-form Randers tensor
@@ -161,7 +158,7 @@ class TestFdGradient:
         rd, _ = cb.named_family("randers", E, me.constant_oneform([0.5, 0.0]))
         base = np.zeros(2)
         v = np.array([1.0, 0.0])
-        g = fd_gradient(lambda u: rd.half_square(base, u), v)
+        g = fd_gradient_rows(lambda u: 0.5 * rd.F_many(base, u) ** 2, v)
         gv = me.tensor(rd, me.TangentVec(base, v)) @ v
         assert np.allclose(g, gv, atol=1e-6)
 
@@ -170,16 +167,27 @@ class TestFdGradient:
         xs = np.array([[4.0, 1.0], [1e-10, 1.0], [9.0, -2.0]])
         rows = fd_gradient_rows(f, xs)
         assert np.all(np.isnan(rows[1]))
-        assert rows[[0, 2]].tobytes() == fd_gradient(f, xs[[0, 2]]).tobytes()
+        assert rows[[0, 2]].tobytes() == fd_gradient_rows(f, xs[[0, 2]]).tobytes()
 
     @pytest.mark.parametrize("scale", [None, 2.5])
     def test_batch_equals_per_point_calls(self, scale):
         f = lambda x: np.sin(x[..., 0]) * np.exp(x[..., 1]) + x[..., 2] ** 3
         xs = np.random.default_rng(4).normal(size=(4, 5, 3)) * 2.0
-        batched = fd_gradient(f, xs, scale=scale)
-        single = np.array([[fd_gradient(f, x, scale=scale) for x in row] for row in xs])
+        batched = fd_gradient_rows(f, xs, scale=scale)
+        single = np.array([[fd_gradient_rows(f, x, scale=scale) for x in row] for row in xs])
         assert batched.shape == xs.shape
         assert batched.tobytes() == single.tobytes()
+
+
+class TestProbeShape:
+    """The kernels evaluate ``f`` once, on the whole probe stack; a callable
+    that does not give one value per probe is an InvalidArgument at ``f``."""
+
+    @pytest.mark.parametrize("kernel", [fd_gradient_rows, fd_hessian_rows, fd_hessian_batch])
+    def test_a_scalar_only_callable_is_rejected(self, kernel):
+        with pytest.raises(InvalidArgument) as err:
+            kernel(lambda x: x[0], np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert (err.value.path, err.value.constraint) == ("f", "shape")
 
 
 class TestCentralDerivatives:
@@ -204,11 +212,11 @@ class TestCentralDerivatives:
 
 class TestFdHessian:
     def test_bilinear(self):
-        h = fd_hessian(lambda x: x[..., 0] * x[..., 1], np.array([1.0, 1.0]))
+        h = fd_hessian_batch(lambda x: x[..., 0] * x[..., 1], np.array([1.0, 1.0]))
         assert np.allclose(h, [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
 
     def test_euclidean_fundamental_tensor(self):
-        h = fd_hessian(lambda x: 0.5 * np.sum(x**2, axis=-1), np.array([0.3, -1.2]))
+        h = fd_hessian_batch(lambda x: 0.5 * np.sum(x**2, axis=-1), np.array([0.3, -1.2]))
         assert np.allclose(h, np.eye(2), atol=1e-6)
 
     def test_lorentz_gauge(self):
@@ -218,13 +226,13 @@ class TestFdHessian:
             val = np.asarray(lz.value_unchecked(u), dtype=float)
             return 0.5 * val * val
 
-        h = fd_hessian(G, np.array([0.0, 1.0]))
+        h = fd_hessian_batch(G, np.array([0.0, 1.0]))
         assert np.allclose(h, np.diag([-1.0, 1.0]), atol=1e-6)
 
     def test_output_exactly_symmetric(self):
         rng = np.random.default_rng(0)
         f = lambda x: np.sin(x[..., 0]) * np.exp(x[..., 1]) + x[..., 2] ** 3
-        h = fd_hessian(f, rng.normal(size=3))
+        h = fd_hessian_batch(f, rng.normal(size=3))
         assert np.array_equal(h, h.T)
 
     def test_quadratic_recovered_exactly(self):
@@ -233,7 +241,7 @@ class TestFdHessian:
             a = rng.normal(size=(3, 3))
             a = 0.5 * (a + a.T)
             x0 = rng.normal(size=3)
-            h = fd_hessian(lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, a, x), x0)
+            h = fd_hessian_batch(lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, a, x), x0)
             assert np.max(np.abs(h - a)) < 1e-6 * max(1.0, np.max(np.abs(a)))
 
 
@@ -411,31 +419,6 @@ class TestEigenClassifyProperty:
             one = eigen_classify(stack[0], tolerance)
             assert np.array_equal(one.eigenvalues, rep.eigenvalues[0]) and one.min_eigenvalue == rep.min_eigenvalue[0]
             assert one.classification is rep.classification[0]
-
-
-class TestIntegrate1d:
-    def test_constant(self):
-        assert integrate_1d(lambda t: np.ones_like(t), 0.0, 2.0) == pytest.approx(2.0)
-
-    def test_linear(self):
-        assert integrate_1d(lambda t: t, 0.0, 1.0, nodes=64) == pytest.approx(0.5, abs=1e-12)
-
-    def test_cubic_exact(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            c = rng.normal(size=4)
-            a, b = sorted(rng.normal(size=2) * 3)
-            if b - a < 0.1:
-                b = a + 1.0
-            val = integrate_1d(lambda t: c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3, a, b)
-            exact = sum(c[k] * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(4))
-            assert abs(val - exact) <= 1e-12 * max(1.0, abs(exact))
-
-    def test_scalar_only_callable(self):
-        import math
-
-        val = integrate_1d(lambda t: math.exp(t), 0.0, 1.0)
-        assert val == pytest.approx(math.e - 1.0, abs=1e-8)
 
 
 class TestGaussKronrod37:

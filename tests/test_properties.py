@@ -7,7 +7,8 @@ the profile endpoints, where the finite-difference oracle loses accuracy.
 Separation graphs on random position-independent trees are held to the
 triangle inequality, nested balls, the offset envelope, A*'s agreement with
 Dijkstra and, on convex trees, the straight-line length.  Profile and curve jets are held bit for bit to the three callables
-each was built from before it became one call.
+each was built from before it became one call.  Finite-difference tensors
+next to a cone's edge do not depend on the batch a row comes in.
 """
 
 import contextlib
@@ -24,8 +25,8 @@ from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
-from finslerkit.errors import FinslerError
-from finslerkit.numkernel import eigen_classify
+from finslerkit.errors import FinslerError, NonFiniteSample
+from finslerkit.numkernel import HESS_STEP, _hessian_stencil, eigen_classify
 
 PROFILE_MARGIN = 0.15  # as the CLI oracle's default interior margin
 # The step-eps^(1/4) FD Hessian is good to about 1e-7 on these trees (worst
@@ -101,11 +102,17 @@ def trees(draw, depth=3, posdep=True, f1f2=True):
         return np.logical_and.reduce([k[1](base, vec) for k in kids])
 
     if kind == "sum":
-        return cb.combine(cb.sum_combiner(len(metrics)), metrics, []), margin
-    q = draw(st.sampled_from([2.0, 3.0]))
-    # |beta|^q is smooth enough for the oracle only at q = 2
-    forms = [me.constant_oneform(draw(st.tuples(*[st.floats(-1, 1)] * 2)))] if q == 2.0 and draw(st.booleans()) else []
-    return cb.power_q_combine(metrics, forms, q), margin
+        build = lambda: cb.combine(cb.sum_combiner(len(metrics)), metrics, [])
+    else:
+        q = draw(st.sampled_from([2.0, 3.0]))
+        # |beta|^q is smooth enough for the oracle only at q = 2
+        forms = [me.constant_oneform(draw(st.tuples(*[st.floats(-1, 1)] * 2)))] if q == 2.0 and draw(st.booleans()) else []
+        build = lambda: cb.power_q_combine(metrics, forms, q)
+    try:
+        metric = build()
+    except FinslerError:  # e.g. DomainEmpty: no probed direction is in every child's cone
+        assume(False)
+    return metric, margin
 
 
 def samples(metric, seed, count=24):
@@ -214,6 +221,102 @@ def test_checked_stack_matches_pointwise_calls(case):
         assert err == first_error
         if first_error is None:
             assert np.array_equal(got, np.array([out for out, _ in pointwise]))
+
+
+# Finite-difference tensors next to a cone's edge: the derivative-free law
+# (beta > 0, (a F + c sqrt(beta))^2) over Euclidean, whose L is differenced in
+# (F, beta), and the Lorentz and wavy curve gauges, whose F^2/2 is differenced
+# in the fiber.  Each batch mixes rows well inside the cone with rows within
+# one Hessian step of its edge, so some probes leave the cone.
+BASE = np.zeros(2)
+
+
+def _stencil_leaves(accept, x):
+    """Rows of x (k, n) with a point of the finite-difference Hessian stencil,
+    step eps^(1/4) max(1, |x|), that ``accept`` rejects.  The gradient's probes
+    are shorter and lie on the same axes, so they cross a straight edge only
+    where the Hessian's do."""
+    h = HESS_STEP * np.maximum(1.0, np.linalg.norm(x, axis=-1))
+    probes = x[:, None, :] + _hessian_stencil(x.shape[-1])[0][None] * h[:, None, None]
+    return ~np.all(accept(probes), axis=-1)
+
+
+def _sqrt_beta_law(a, c):
+    def jet_fn(x, p, with_derivatives):
+        return x[..., 1] > 0.0, (a * x[..., 0] + c * np.sqrt(x[..., 1])) ** 2
+
+    return cb.LCombiner(n=1, m=1, jet_fn=jet_fn, name="sqrt-beta")
+
+
+@st.composite
+def edge_batches(draw):
+    """(metric, rows where a probe of the tensor leaves the cone, vectors (k, 2)).
+
+    The cone is described by its edge rays: angle theta_e, the side s on which
+    theta_e + s * eta is inside for 0 < eta < width.  Rows inside sit at eta in
+    (0.05, 0.95) * width; rows at the edge at distance u h from its ray, with
+    u in (0.05, 0.95) and h the fiber Hessian step eps^(1/4) max(1, |v|).
+    """
+    kind = draw(st.sampled_from(["law", "lorentz", "wavy"]))
+    rng = np.random.default_rng(draw(SEEDS))
+    if kind == "law":
+        a, c = rng.uniform(0.5, 2.0), rng.uniform(0.1, 3.0)
+        phi = rng.uniform(-np.pi, np.pi)
+        b = rng.uniform(0.2, 3.0) * np.array([np.cos(phi), np.sin(phi)])
+        law = _sqrt_beta_law(a, c)
+        E, form = me.euclidean_metric(2), me.constant_oneform(b)
+        metric = cb.combine(law, [E], [form])
+        edges, width = [(phi + np.pi / 2.0, -1.0), (phi - np.pi / 2.0, 1.0)], np.pi
+
+        def leaves(v):
+            x = np.stack([E.F_many(BASE, v), form.pair(BASE, v)], axis=-1)
+            with np.errstate(invalid="ignore"):  # sqrt of a negative beta probe
+                return _stencil_leaves(lambda probes: np.isfinite(law.value(probes)), x)
+
+    else:
+        if kind == "lorentz":
+            curve = mk.lorentz_curve()
+            edges, width = [(np.pi / 4.0, 1.0), (3.0 * np.pi / 4.0, -1.0)], np.pi / 2.0
+        else:
+            amplitude, k = rng.uniform(1.1, 2.5), int(rng.integers(1, 7))
+            curve = mk.wavy_curve(amplitude, k)
+            alpha = np.arccos(-1.0 / amplitude)  # r > 0 where k theta is within alpha of 0 mod 2 pi
+            j = int(rng.integers(0, k))
+            edges, width = [((alpha + 2.0 * np.pi * j) / k, -1.0), ((2.0 * np.pi * j - alpha) / k, 1.0)], 2.0 * alpha / k
+        metric = me.minkowski_metric(mk.gauge_from_curve(curve))
+
+        def leaves(v):
+            return _stencil_leaves(lambda probes: metric.in_domain_many(BASE, probes), v)
+
+    rows = []
+    for near in [False] * draw(st.integers(1, 4)) + [True] * draw(st.integers(1, 4)):
+        theta_e, side = edges[rng.integers(len(edges))]
+        rho = rng.uniform(0.5, 3.0)
+        if near:
+            eta = np.arcsin(rng.uniform(0.05, 0.95) * HESS_STEP * max(1.0, rho) / rho)
+        else:
+            eta = rng.uniform(0.05, 0.95) * width
+        theta = theta_e + side * eta
+        rows.append(rho * np.array([np.cos(theta), np.sin(theta)]))
+    vecs = rng.permutation(np.array(rows))
+    return metric, leaves(vecs), vecs
+
+
+@given(edge_batches())
+def test_fd_tensor_rows_do_not_depend_on_the_batch(case):
+    """Each row of a finite-difference tensor batch equals its one-row call bit
+    for bit, and is NaN exactly where a probe leaves the cone; the oracle
+    still raises on the batch."""
+    metric, leaves, vecs = case
+    assert np.all(metric.in_domain_many(BASE, vecs))
+    g = metric.tensor_many(BASE, vecs)
+    for row, v in zip(g, vecs):
+        assert np.array_equal(row, metric.tensor_many(BASE, v), equal_nan=True)
+    finite = np.all(np.isfinite(g), axis=(-2, -1))
+    assert np.array_equal(~finite, np.all(np.isnan(g), axis=(-2, -1)))
+    assert np.array_equal(~finite, leaves)
+    with pytest.raises(NonFiniteSample):
+        metric.fd_tensor_many(BASE, vecs)
 
 
 SHELL = 1e-7  # relative band around a degenerate tensor where classifications may differ

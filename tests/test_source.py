@@ -74,3 +74,48 @@ def test_cli_owns_no_library_budget_and_maps_library_errors_twice():
     called = {node.func.attr for node in ast.walk(ast.parse(source))
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert not called & {"grid_spacing", "candidate_edges"}  # geodesy.check_graph holds both rules
+
+
+ROOT = PACKAGE.parents[1]
+# The public names that no command, acceptance criterion or benchmark reads:
+# the strong-convexity conditions A-C of combination laws, a profile's
+# pointwise convexity test and the Chern-Shen check of (alpha, beta) profiles,
+# the scalar convexity of indicatrix curves, affine balls and the unit circle.
+KEPT_EXPORTS = {
+    "check_conditions_ABC",
+    "chern_shen_check",
+    "curve_convexity",
+    "phi_convexity_ok",
+    "affine_ball",
+    "unit_circle_curve",
+}
+
+
+def exported_names(init_source: str) -> list[str]:
+    """The names that ``__init__`` imports from the package's modules to re-export."""
+    return [alias.asname or alias.name for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+
+
+def read_names(source: str) -> set[str]:
+    """The names a module reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_the_export_check_sees_an_unread_name():
+    assert exported_names("from .a import (x, y)\nfrom .b import z as w\nimport os\n") == ["x", "y", "w"]
+    assert read_names("def f(v: x):\n    return m.y(z)\n") == {"x", "m", "y", "z"}
+
+
+def test_every_export_has_a_reader():
+    # the library itself (cli.py and every module but __init__), the acceptance
+    # criteria and the benchmark are the readers; a name that only its own tests
+    # reach is either deleted or kept on purpose in KEPT_EXPORTS
+    readers = [*MODULES, ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    read = set().union(*(read_names(path.read_text()) for path in readers))
+    exported = exported_names((PACKAGE / "__init__.py").read_text())
+    assert sorted(set(exported) - read - KEPT_EXPORTS) == []
+    assert KEPT_EXPORTS <= set(exported) - read  # a kept name that gains a reader leaves the set
