@@ -43,7 +43,6 @@ from .geodesy import (
     separation,
 )
 from .metrics import (
-    ChartManifold,
     ConicMetric,
     OneFormAtom,
     RiemannAtom,
@@ -60,7 +59,6 @@ from .metrics import (
     riemann_metric,
     tensor,
     unit_directions,
-    whole_plane,
 )
 from .minkowski import (
     GaugeNorm,

@@ -206,7 +206,7 @@ def _box(value, path: str, dim: int) -> tuple:
 
 
 def _dimension(value, path: str) -> int:
-    """A chart dimension read at ``path``; above ``metrics.MAX_DIMENSION`` it is a
+    """A dimension read at ``path``; above ``metrics.MAX_DIMENSION`` it is a
     ValidationError, raised before anything of that size is allocated."""
     dim = _num(value, path, int)
     _require(dim <= me.MAX_DIMENSION, f"dimension must be at most {me.MAX_DIMENSION}", path, "maximum")
@@ -299,8 +299,8 @@ def _build_form(node, path: str) -> tuple[me.OneFormAtom, int]:
     return me.OneFormAtom(covector=covector, constant=constant), dim
 
 
-def _chart_dimension(node: dict, path: str) -> int:
-    """The ``dimension`` of a node's Euclidean chart, 2 when absent."""
+def _node_dimension(node: dict, path: str) -> int:
+    """A node's ``dimension``, 2 when absent."""
     dim = _dimension(node.get("dimension", 2), f"{path}.dimension")
     _require(dim >= 1, "dimension must be at least 1", path, "dimension")
     return dim
@@ -314,14 +314,14 @@ def _riemannian(node: dict, path: str) -> me.ConicMetric:
     dim = _dimension(len(rows), f"{path}.{key}")
     if key == "matrix":
         g = [[_num(e, f"{path}.matrix[{i}][{j}]") for j, e in enumerate(row)] for i, row in enumerate(rows)]
-        return me.riemann_metric(me.constant_riemann(g), me.whole_plane(dim))
+        return me.riemann_metric(me.constant_riemann(g), dim)
     metric_matrix, constant = _expr_field(rows, dim, f"{path}.matrix_expr", nested=True)
-    return me.riemann_metric(me.RiemannAtom(metric_matrix=metric_matrix, constant=constant), me.whole_plane(dim))
+    return me.riemann_metric(me.RiemannAtom(metric_matrix=metric_matrix, constant=constant), dim)
 
 
 def _oneform_metric(node: dict, path: str) -> me.ConicMetric:
     form, dim = _build_form(node, path)
-    return me.oneform_metric(form, me.whole_plane(dim))
+    return me.oneform_metric(form, dim)
 
 
 def _gauge_curve(node: dict, path: str) -> me.ConicMetric:
@@ -411,7 +411,7 @@ def _power_q(node: dict, path: str) -> me.ConicMetric:
 def _profile_node(node: dict, path: str) -> BuiltMetric:
     """A ``phi`` or ``named`` node: the base metric (Euclidean when absent),
     one-form and profile of a profile combination.  A ``named`` node may omit
-    the form: it is then ``b`` times dx^1 on the chart of ``dimension``; ``b``
+    the form: it is then ``b`` times dx^1 in ``dimension``; ``b``
     beside ``form``, or ``dimension`` beside ``form`` or ``base``, is an error."""
     named = node["type"] == "named"
     if named:
@@ -424,7 +424,7 @@ def _profile_node(node: dict, path: str) -> BuiltMetric:
     if not named or "form" in node:
         form, dim = _build_form(node.get("form"), f"{path}.form")
     else:
-        dim = _chart_dimension(node, path) if base is None else base.dimension
+        dim = _node_dimension(node, path) if base is None else base.dimension
         coeffs = np.zeros(dim)
         coeffs[0] = _num(node.get("b", 0.5), f"{path}.b")
         form = me.constant_oneform(coeffs)
@@ -451,7 +451,7 @@ def _reversibilize(node: dict, path: str) -> me.ConicMetric:
 # node type -> (builder of (node, path), the keys the node may hold besides "type");
 # " | " separates alternatives, which a node may not mix
 _NODES = {
-    "euclidean": (lambda node, path: me.euclidean_metric(_chart_dimension(node, path)), "dimension"),
+    "euclidean": (lambda node, path: me.euclidean_metric(_node_dimension(node, path)), "dimension"),
     "riemannian": (_riemannian, "matrix | matrix_expr"),
     "oneform_metric": (_oneform_metric, "coeffs | coeff_exprs"),
     "gauge_curve_2d": (_gauge_curve, "r interval"),

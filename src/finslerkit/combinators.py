@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import BadExponent, DomainEmpty, InvalidArgument, OutsideDomain, OutsideProfile, check_integer, check_real
 from .metrics import (
-    ChartManifold,
     ConicMetric,
     OneFormAtom,
     TangentVec,
@@ -170,7 +169,7 @@ class LCombiner:
     """Degree-2 homogeneous combination law on n metrics and m one-forms.
 
     The law is one call, ``jet_fn(x, p, with_derivatives)``: for a stack x of
-    shape (..., n+m) and a chart point p it returns ``(ok, L)``, the mask of
+    shape (..., n+m) and a base point p it returns ``(ok, L)``, the mask of
     the cone B over the batch (``True`` alone for all of R^(n+m)) and the
     positive scalar L, or ``(ok, L, grad, hess)`` with the first and second
     x-derivatives of L when ``with_derivatives`` is set.  A law that always
@@ -297,26 +296,23 @@ def _pair(b, vec):
     return np.einsum("...i,...i->...", b, vec)
 
 
-def _shared_manifold(metrics: Sequence[ConicMetric]) -> ChartManifold:
-    man = metrics[0].manifold
-    for mk in metrics[1:]:
-        if mk.manifold.dimension != man.dimension:
-            msg = "combined metrics must share one chart dimension"
-            raise InvalidArgument(msg, path="metrics", constraint="dimension")
-    return man
+def _shared_dimension(metrics: Sequence[ConicMetric]) -> int:
+    dim = metrics[0].dimension
+    if any(mk.dimension != dim for mk in metrics[1:]):
+        raise InvalidArgument("combined metrics must share one dimension", path="metrics", constraint="dimension")
+    return dim
 
 
-def _combined(
-    man: ChartManifold, jet_fn, position_independent: bool, name: str, admits_zero: bool = True
-) -> ConicMetric:
-    """The combined metric, probed once on a fan of directions at the origin:
-    none admissible raises DomainEmpty.  The zero vector is in the
-    domain when all are and ``admits_zero`` holds (every ingredient's domain
+def _combined(dim: int, jet_fn, position_independent: bool, name: str, admits_zero: bool = True) -> ConicMetric:
+    """The combined metric, probed once on a fan of directions at the origin.
+    A position-independent metric with none admissible raises DomainEmpty; a
+    position-dependent one may be defined elsewhere, and its evaluation
+    reports per point.  The zero vector is in the domain when all probed
+    directions are and ``admits_zero`` holds (every ingredient's domain
     holds it and the law admits beta = 0, a kernel the fan misses)."""
-    out = ConicMetric(manifold=man, jet_fn=jet_fn, position_independent=position_independent, name=name)
-    dirs = unit_directions(man.dimension, DOMAIN_PROBE_DIRECTIONS)
-    ok = out.in_domain_many(np.zeros(man.dimension), dirs)
-    if not np.any(ok):
+    out = ConicMetric(dimension=dim, jet_fn=jet_fn, position_independent=position_independent, name=name)
+    ok = out.in_domain_many(np.zeros(dim), unit_directions(dim, DOMAIN_PROBE_DIRECTIONS))
+    if position_independent and not np.any(ok):
         raise DomainEmpty("no probed direction is admissible for the combined metric")
     return replace(out, zero_in_domain=bool(np.all(ok)) and admits_zero)
 
@@ -337,7 +333,7 @@ def combine(
         raise InvalidArgument(msg, path="metrics", constraint="shape")
     if combiner.n == 0:
         raise InvalidArgument("at least one metric ingredient is required", path="metrics", constraint="minimum")
-    man = _shared_manifold(metrics)
+    dim = _shared_dimension(metrics)
 
     def jet_fn(base, vec, with_tensor):
         kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]
@@ -363,14 +359,14 @@ def combine(
         return ok, F, 0.5 * (term1 + term2)
 
     return _combined(
-        man,
+        dim,
         jet_fn,
         combiner.position_independent
         and all(mk.position_independent for mk in metrics)
         and all(fm.constant for fm in forms),
         f"{combiner.name}({', '.join(mk.name for mk in metrics)})",
         all(mk.zero_in_domain for mk in metrics)
-        and bool(combiner.in_cone(np.r_[np.ones(combiner.n), np.zeros(combiner.m)], np.zeros(man.dimension))),
+        and bool(combiner.in_cone(np.r_[np.ones(combiner.n), np.zeros(combiner.m)], np.zeros(dim))),
     )
 
 
@@ -438,7 +434,7 @@ def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> Coni
         return ok, val, 0.5 * (lead + tail)
 
     return _combined(
-        F0.manifold,
+        F0.dimension,
         jet_fn,
         F0.position_independent and beta.constant,
         f"{profile.name}({F0.name})",
@@ -448,7 +444,7 @@ def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> Coni
 
 def f1f2_combine(F1: ConicMetric, F2: ConicMetric, profile: PhiProfile) -> ConicMetric:
     """Metric F = F1 * phi(F2 / F1): the one-form is replaced by a second metric."""
-    man = _shared_manifold([F1, F2])
+    dim = _shared_dimension([F1, F2])
 
     def jet_fn(base, vec, with_tensor):
         ja = F1.node_jet(base, vec, with_tensor)
@@ -462,7 +458,7 @@ def f1f2_combine(F1: ConicMetric, F2: ConicMetric, profile: PhiProfile) -> Conic
         return ok, val, 0.5 * (lead + ((ja[1] / Fb) * psd)[..., None, None] * hb + tail)
 
     return _combined(
-        man,
+        dim,
         jet_fn,
         F1.position_independent and F2.position_independent,
         f"{profile.name}({F1.name}, {F2.name})",
@@ -577,7 +573,7 @@ def characterization_nd(
 def _reflected(metric: ConicMetric) -> ConicMetric:
     """The metric v -> F(-v); its tensor at v is the original tensor at -v."""
     return ConicMetric(
-        manifold=metric.manifold,
+        dimension=metric.dimension,
         jet_fn=lambda base, vec, with_tensor: metric.jet_fn(base, -vec, with_tensor),
         zero_in_domain=metric.zero_in_domain,
         position_independent=metric.position_independent,

@@ -74,44 +74,36 @@ class BadExponent(FinslerError):
     code = "bad_exponent"
 
 
-class NotAdmissible(FinslerError):
+class _AtParameter(FinslerError):
+    """An error along a curve or orbit; ``parameter`` is where it happened."""
+
+    def __init__(self, message: str, parameter: float | None = None):
+        super().__init__(message)
+        self.parameter = parameter
+
+
+class NotAdmissible(_AtParameter):
     """A curve velocity leaves the conic domain; carries the offending parameter."""
 
     code = "not_admissible"
 
-    def __init__(self, message: str, parameter: float | None = None):
-        super().__init__(message)
-        self.parameter = parameter
 
-
-class DegenerateTensor(FinslerError):
+class DegenerateTensor(_AtParameter):
     """The fundamental tensor is (numerically) degenerate along an orbit; carries the parameter."""
 
     code = "degenerate_tensor"
 
-    def __init__(self, message: str, parameter: float | None = None):
-        super().__init__(message)
-        self.parameter = parameter
 
-
-class LeftDomain(FinslerError):
+class LeftDomain(_AtParameter):
     """Geodesic integration exited the conic domain; carries the exit parameter."""
 
     code = "left_domain"
 
-    def __init__(self, message: str, parameter: float | None = None):
-        super().__init__(message)
-        self.parameter = parameter
 
-
-class StepBudget(FinslerError):
+class StepBudget(_AtParameter):
     """Geodesic integration used up its trial-step budget; carries the parameter reached."""
 
     code = "step_budget"
-
-    def __init__(self, message: str, parameter: float | None = None):
-        super().__init__(message)
-        self.parameter = parameter
 
 
 class ParseError(FinslerError):

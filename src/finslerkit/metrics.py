@@ -1,11 +1,12 @@
-"""Conic pseudo-Finsler metrics on single-chart manifolds.
+"""Conic pseudo-Finsler metrics on R^N.
 
 A metric is a positively homogeneous fiberwise pseudo-norm defined on an
-open cone of the tangent bundle of an open subset of R^N.  Evaluation is
-vectorized: one jet call per metric node returns the domain mask, the
-values and, on request, the fundamental tensors for a stack of (base,
-vector) pairs, which is what makes the scans and graph builders
-in the rest of the package fast without any compiled extension.
+open cone A of the tangent bundle of R^N.  A is the jet's domain mask, so
+a restriction on base points is part of it.  Evaluation is vectorized:
+one jet call per metric node returns the domain mask, the values and, on
+request, the fundamental tensors for a stack of (base, vector) pairs,
+which is what makes the scans and graph builders in the rest of the
+package fast without any compiled extension.
 """
 
 from __future__ import annotations
@@ -33,29 +34,8 @@ MAX_SAMPLES = 10**6  # samples of a direction fan or a seeded draw, checked befo
 
 
 @dataclass(frozen=True)
-class ChartManifold:
-    """An open subset of R^N used as a single coordinate chart."""
-
-    dimension: int
-    chart_member: Callable[[np.ndarray], np.ndarray] = None
-
-    def __post_init__(self):
-        if self.chart_member is None:
-            object.__setattr__(
-                self, "chart_member", lambda x: np.ones(np.asarray(x, float).shape[:-1], dtype=bool)
-            )
-
-    def contains(self, x) -> np.ndarray:
-        return np.asarray(self.chart_member(np.asarray(x, dtype=float)), dtype=bool)
-
-
-def whole_plane(dimension: int = 2) -> ChartManifold:
-    return ChartManifold(dimension=dimension)
-
-
-@dataclass(frozen=True)
 class TangentVec:
-    """A tangent vector: chart point plus fiber vector."""
+    """A tangent vector: base point plus fiber vector."""
 
     base: np.ndarray
     vec: np.ndarray
@@ -189,39 +169,37 @@ def constant_oneform(coeffs) -> OneFormAtom:
 
 @dataclass(frozen=True)
 class ConicMetric:
-    """Behavioral contract of a conic pseudo-Finsler metric on one chart.
+    """Behavioral contract of a conic pseudo-Finsler metric on R^N, N = ``dimension``.
 
     A metric is one node of an expression tree, evaluated by one call:
     ``jet_fn(base, vec, with_tensor)`` takes two stacks (base, vec) of the
     same shape (..., N), which :meth:`jet` broadcasts once per top-level
     call, and returns ``(ok, F)`` for the whole batch, or
     ``(ok, F, g)`` with the fundamental tensors g of shape (..., N, N) when
-    ``with_tensor`` is set.  ``ok`` is the node's conic domain; a combinator
-    calls each child's :meth:`node_jet` once and builds its value, domain
-    and tensor from those results.  A node without a closed-form tensor
-    returns ``(ok, F)`` either way; its tensor is then the finite-difference
-    Hessian of F^2/2, which is also the oracle the closed forms are checked
-    against in the tests.
+    ``with_tensor`` is set.  ``ok`` is the node's conic domain, and a
+    restriction on base points belongs in it; ``position_independent``
+    says that the whole jet, ``ok`` included, ignores the base point.  A
+    combinator calls each child's :meth:`node_jet` once and builds its
+    value, domain and tensor from those results.  A node without a
+    closed-form tensor returns ``(ok, F)`` either way; its tensor is then
+    the finite-difference Hessian of F^2/2, which is also the oracle the
+    closed forms are checked against in the tests.
     """
 
-    manifold: ChartManifold
+    dimension: int
     jet_fn: Callable = field(repr=False)
     zero_in_domain: bool = False
     position_independent: bool = False
     name: str = ""
 
-    @property
-    def dimension(self) -> int:
-        return self.manifold.dimension
-
     def node_jet(self, base, vec, with_tensor: bool = False) -> tuple:
-        """The jet restricted to this node's chart, F NaN outside the domain.
+        """This node's jet with F NaN outside the domain.
 
         The zero vector is not excluded here; :meth:`jet` does that once per
         top-level call.
         """
         out = self.jet_fn(base, vec, with_tensor)
-        ok = out[0] & self.manifold.contains(base)
+        ok = out[0]
         F = np.where(ok, out[1], np.nan)
         if not with_tensor:
             return ok, F
@@ -291,8 +269,8 @@ class ConicMetric:
 # ---------------------------------------------------------------------------
 
 
-def riemann_metric(atom: RiemannAtom, manifold: ChartManifold, name: str = "") -> ConicMetric:
-    """Square root of a Riemannian metric on the chart ``manifold``; strongly convex everywhere."""
+def riemann_metric(atom: RiemannAtom, dimension: int, name: str = "") -> ConicMetric:
+    """Square root of a Riemannian metric on R^dimension; strongly convex everywhere."""
 
     def jet_fn(base, vec, with_tensor):
         g = atom.matrix(base)
@@ -303,7 +281,7 @@ def riemann_metric(atom: RiemannAtom, manifold: ChartManifold, name: str = "") -
         return ok, F, g
 
     return ConicMetric(
-        manifold=manifold,
+        dimension=dimension,
         jet_fn=jet_fn,
         zero_in_domain=True,
         position_independent=atom.constant,
@@ -312,11 +290,11 @@ def riemann_metric(atom: RiemannAtom, manifold: ChartManifold, name: str = "") -
 
 
 def euclidean_metric(dimension: int = 2) -> ConicMetric:
-    return riemann_metric(euclidean_atom(dimension), whole_plane(dimension), name="euclidean")
+    return riemann_metric(euclidean_atom(dimension), dimension, name="euclidean")
 
 
-def oneform_metric(form: OneFormAtom, manifold: ChartManifold, name: str = "") -> ConicMetric:
-    """F = beta on the half-space cone {beta > 0} over the chart ``manifold``: a degenerate conic metric."""
+def oneform_metric(form: OneFormAtom, dimension: int, name: str = "") -> ConicMetric:
+    """F = beta on the half-space cone {beta > 0} over R^dimension: a degenerate conic metric."""
 
     def jet_fn(base, vec, with_tensor):
         b = form.coeffs(base)
@@ -326,7 +304,7 @@ def oneform_metric(form: OneFormAtom, manifold: ChartManifold, name: str = "") -
         return beta > 0.0, beta, b[..., :, None] * b[..., None, :]
 
     return ConicMetric(
-        manifold=manifold,
+        dimension=dimension,
         jet_fn=jet_fn,
         zero_in_domain=False,
         position_independent=form.constant,
@@ -334,26 +312,23 @@ def oneform_metric(form: OneFormAtom, manifold: ChartManifold, name: str = "") -
     )
 
 
-def minkowski_metric(gauge: GaugeNorm, manifold: ChartManifold = None, name: str = "") -> ConicMetric:
+def minkowski_metric(gauge: GaugeNorm, name: str = "") -> ConicMetric:
     """Lift a fixed Minkowski conic pseudo-norm to a position-independent metric.
 
     Its jet is the gauge's one evaluation pass (:meth:`GaugeNorm.member_value`);
     the gauge has no closed-form tensor, so the jet is order 0 only.
     """
-    if manifold is None:
-        manifold = whole_plane(gauge.dimension)
-
     def jet_fn(base, vec, with_tensor):
         return gauge.member_value(vec)
 
     dirs = unit_directions(gauge.dimension, 64)
     full = bool(np.all(gauge.member(dirs)))
     return ConicMetric(
-        manifold=manifold,
+        dimension=gauge.dimension,
         jet_fn=jet_fn,
         zero_in_domain=full,
         position_independent=True,
-        name=name or f"gauge[{gauge.source.value}]",
+        name=name or "gauge",
     )
 
 

@@ -84,11 +84,6 @@ def polar_curve(r, theta_range=None) -> PolarCurve2D:
     return PolarCurve2D(jet_fn=central_jet(r), theta_range=theta_range)
 
 
-class GaugeSource(Enum):
-    INDICATRIX_CURVE_2D = "IndicatrixCurve2D"
-    BALL_MEMBERSHIP = "BallMembershipPredicate"
-
-
 @dataclass(frozen=True)
 class GaugeNorm:
     """A Minkowski conic pseudo-norm: positive, 1-homogeneous, smooth off 0.
@@ -102,7 +97,6 @@ class GaugeNorm:
     dimension: int
     domain: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     value_unchecked: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    source: GaugeSource
 
     def member(self, v) -> np.ndarray:
         return np.asarray(self.domain(np.asarray(v, dtype=float)), dtype=bool)
@@ -141,7 +135,6 @@ def gauge_from_curve(curve: PolarCurve2D) -> GaugeNorm:
         dimension=2,
         domain=lambda v: ~np.isnan(value_unchecked(v)),
         value_unchecked=value_unchecked,
-        source=GaugeSource.INDICATRIX_CURVE_2D,
     )
 
 
@@ -177,9 +170,7 @@ def gauge_from_ball(dimension: int, member, cone: Callable) -> GaugeNorm:
         out = np.array([value_one(x) if o else np.nan for x, o in zip(flat, ok)])
         return out.reshape(v.shape[:-1])
 
-    return GaugeNorm(
-        dimension=dimension, domain=cone, value_unchecked=value_unchecked, source=GaugeSource.BALL_MEMBERSHIP
-    )
+    return GaugeNorm(dimension=dimension, domain=cone, value_unchecked=value_unchecked)
 
 
 def curve_convexity(curve: PolarCurve2D, theta: float) -> float:

@@ -62,14 +62,14 @@ def _family_matrix(dim):
         metric, _ = cb.named_family("matsumoto", E, beta, q=q)
         out.append((f"matsumoto[q={q}]", metric, None))
     stretched = me.riemann_metric(
-        me.constant_riemann(np.diag(np.linspace(1.0, 2.0, dim))), me.whole_plane(dim)
+        me.constant_riemann(np.diag(np.linspace(1.0, 2.0, dim))), dim
     )
     out.append(("sum", cb.combine(cb.sum_combiner(2), [E, stretched], []), None))
     for q in (1.0, 2.0, 3.0):
         metric = cb.power_q_combine([E], [beta], q)
         margin = (lambda vs: np.abs(0.5 * vs[..., 0]) > 0.1) if q < 2 else None
         out.append((f"power[q={q}]", metric, margin))
-    small = me.riemann_metric(me.constant_riemann(0.04 * np.eye(dim)), me.whole_plane(dim))
+    small = me.riemann_metric(me.constant_riemann(0.04 * np.eye(dim)), dim)
     out.append(("f1f2-matsumoto", cb.f1f2_combine(E, small, cb.matsumoto_profile(1.0)), None))
     return out
 

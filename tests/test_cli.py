@@ -994,6 +994,33 @@ class TestPositionIndependence:
         m = self.metric({"type": "named", "family": "randers", "form": {"coeff_exprs": ["0.3", "0.1*y"]}})
         assert not m.position_independent
 
+    @pytest.mark.parametrize(
+        "tree, value",
+        [
+            ({"type": "sum", "terms": [{"type": "euclidean"}, {"type": "oneform_metric", "coeff_exprs": ["x", "0"]}]}, "2"),
+            ({"type": "named", "family": "kropina", "form": {"coeff_exprs": ["x", "0"]}}, "1"),
+            (
+                {
+                    "type": "named",
+                    "family": "randers",
+                    "b": 0.5,
+                    "base": {"type": "riemannian", "matrix_expr": [["x", "0"], ["0", "x"]]},
+                },
+                "1.5",
+            ),
+        ],
+    )
+    def test_empty_at_the_origin_is_not_empty(self, tree, value, tmp_path, capsys):
+        """No probed direction is admissible at the origin, but the metric is
+        defined at (1, 0); evaluation answers there and rejects the origin."""
+        assert not self.metric(tree).position_independent
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        for base, code in (([1, 0], 0), ([0, 0], 2)):
+            cfg_path.write_text(json.dumps({"metric": tree, "run": {"eval": {"base": base, "vectors": [[1, 0]]}}}))
+            assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == code
+        assert out.read_text().splitlines()[1] == f"0,1,0,1,0,{value}"
+        assert capsys.readouterr().err.startswith("error [outside_domain]: vector [1. 0.] at [0. 0.]")
+
 
 class TestDeterminism:
     def test_byte_identical_csv(self):

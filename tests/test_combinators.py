@@ -199,14 +199,14 @@ class TestCombine:
             return True, x[..., 0] ** 2 + 0.5 * x[..., 1] ** 2 + 0.3 * x[..., 0] * x[..., 1]
 
         mix = cb.LCombiner(n=2, m=0, jet_fn=jet_fn, name="quadratic-mix")
-        stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), me.whole_plane(2))
+        stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), 2)
         m = cb.combine(mix, [euclid(), stretched], [])
         assert oracle_gap(m, count=25, seed=3) < 1e-4
 
     def test_fd_fallback_scan_over_conic_ingredient(self):
         # the scan evaluates tensors on every direction; FD rows outside the cone stay NaN
         mix = cb.LCombiner(n=2, m=0, jet_fn=lambda x, p, d: (True, (x[..., 0] + x[..., 1]) ** 2), name="sum-fd")
-        upper = me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
+        upper = me.oneform_metric(me.constant_oneform([0.0, 1.0]), 2)
         dirs, in_domain, _ = me.convexity_scan(cb.combine(mix, [euclid(), upper], []), BASE, 36)
         assert set(in_domain.tolist()) == {True, False}
         assert np.array_equal(in_domain, dirs[:, 1] > 0.0)
@@ -243,7 +243,7 @@ class TestCombine:
 
         fd = cb.LCombiner(n=2, m=0, jet_fn=lambda x, p, d: (True, L(x, p)), position_independent=False, name="posdep-fd")
         exact = replace(fd, jet_fn=exact_jet, name="posdep")
-        stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), me.whole_plane(2))
+        stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), 2)
         rng = np.random.default_rng(batch)
         base = rng.uniform(-1.0, 1.0, size=(batch, 2))
         vs = rng.normal(size=(batch, 2))
@@ -309,7 +309,7 @@ def power_q_reference(metrics, forms, q):
     forms = list(forms)
     if not metrics:
         raise BadExponent("power combination needs at least one metric (n >= 1)")
-    man = cb._shared_manifold(metrics)
+    dim = cb._shared_dimension(metrics)
     n, mm = len(metrics), len(forms)
 
     def jet_fn(base, vec, with_tensor):
@@ -371,7 +371,7 @@ def power_q_reference(metrics, forms, q):
         return ok, total ** (1.0 / q), T / (R ** (2.0 * q - 2.0))[..., None, None]
 
     return cb._combined(
-        man,
+        dim,
         jet_fn,
         all(mk.position_independent for mk in metrics) and all(fm.constant for fm in forms),
         f"power[q={q:g}]({', '.join(mk.name for mk in metrics)})",
@@ -570,7 +570,7 @@ class TestF1F2:
     @staticmethod
     def _pair(n=2):
         f1 = euclid(n)
-        f2 = me.riemann_metric(me.constant_riemann(0.04 * np.eye(n)), me.whole_plane(n))
+        f2 = me.riemann_metric(me.constant_riemann(0.04 * np.eye(n)), n)
         return f1, f2
 
     def test_constant_profile_identity(self):
@@ -662,7 +662,7 @@ class TestFamilyClosedForms:
         # oracle arbitrates this (an F1/F2-inflated variant fails it)
         q = 1.0
         f1 = euclid()
-        f2 = me.riemann_metric(me.constant_riemann(0.04 * np.eye(2)), me.whole_plane(2))
+        f2 = me.riemann_metric(me.constant_riemann(0.04 * np.eye(2)), 2)
         metric = cb.f1f2_combine(f1, f2, cb.matsumoto_profile(q))
         for v in self._samples(metric, 25, seed=104):
             Fa, ua, ha = self._pieces(f1, v)
@@ -687,7 +687,7 @@ class TestFamilyClosedForms:
 
     def test_sum_tensor_transcription(self):
         f1 = euclid()
-        f2 = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), me.whole_plane(2))
+        f2 = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), 2)
         metric = cb.combine(cb.sum_combiner(2), [f1, f2], [])
         for v in self._samples(metric, 25, seed=105):
             F1, u1, h1 = self._pieces(f1, v)
@@ -710,7 +710,7 @@ class TestDeterminantFormula:
 
     def test_constant_profile_gives_base_determinant(self):
         G = me.constant_riemann(np.diag([2.0, 3.0]))
-        F0 = me.riemann_metric(G, me.whole_plane(2))
+        F0 = me.riemann_metric(G, 2)
         one = constant_profile()
         tv = me.TangentVec(BASE, np.array([0.4, 1.0]))
         val = cb.det_tensor_formula(F0, me.constant_oneform([0.3, 0.0]), one, tv)
@@ -752,7 +752,7 @@ class TestDeterminantFormula:
     @pytest.mark.parametrize("family", ["randers", "matsumoto", "kropina"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stacked_matches_per_vector(self, family, dim):
-        F0 = me.riemann_metric(me.constant_riemann(np.diag(np.arange(1.0, dim + 1.0))), me.whole_plane(dim))
+        F0 = me.riemann_metric(me.constant_riemann(np.diag(np.arange(1.0, dim + 1.0))), dim)
         beta = me.constant_oneform(np.r_[0.4, 0.2, np.zeros(dim - 2)])
         prof = cb.family_profile(family)
         m = cb.phi_combine(F0, beta, prof)
@@ -843,7 +843,7 @@ class TestProfileCalls:
         prof, calls = self._counting(make())
         beta = me.constant_oneform([0.5, 0.0])
         vs = np.random.default_rng(3).normal(size=(7, 2))
-        upper = me.oneform_metric(beta, me.whole_plane(2))
+        upper = me.oneform_metric(beta, 2)
         for metric in (cb.phi_combine(euclid(), beta, prof), cb.f1f2_combine(euclid(), upper, prof)):
             for method, with_derivatives in (("F_many", False), ("in_domain_many", False), ("tensor_many", True)):
                 calls.clear()
@@ -935,7 +935,7 @@ class TestReversibilize:
         assert np.max(np.abs(recovered - f)) < 1e-10
 
     def test_conic_domain_rejected(self):
-        lorentz_like = me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
+        lorentz_like = me.oneform_metric(me.constant_oneform([0.0, 1.0]), 2)
         with pytest.raises(OutsideDomain):
             cb.reversibilize(lorentz_like, "sum")
 

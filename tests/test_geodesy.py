@@ -14,8 +14,10 @@ from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.cli import build_metric, builtin_config, parse_config
-from finslerkit.errors import DegenerateTensor, DomainEmpty, InvalidArgument, LeftDomain, NotAdmissible
+from finslerkit.errors import DegenerateTensor, DomainEmpty, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain
 from finslerkit.numkernel import simpson_weights
+
+from conftest import boxed
 
 BASE = np.zeros(2)
 
@@ -50,7 +52,7 @@ def lorentz_metric():
 
 @pytest.fixture(scope="module")
 def halfplane_dy():
-    return me.oneform_metric(me.constant_oneform([0.0, 1.0]), me.whole_plane(2))
+    return me.oneform_metric(me.constant_oneform([0.0, 1.0]), 2)
 
 
 class TestCurveLength:
@@ -73,14 +75,6 @@ class TestCurveLength:
         with pytest.raises(NotAdmissible) as err:
             gd.curve_length(halfplane_dy, path)
         assert err.value.parameter >= 0.5
-
-
-def _boxed_euclid():
-    """The Euclidean metric on the open square |x|, |y| < 1."""
-    chart = me.ChartManifold(
-        dimension=2, chart_member=lambda x: np.max(np.abs(np.asarray(x, float)), axis=-1) < 1.0
-    )
-    return me.riemann_metric(me.constant_riemann(np.eye(2)), chart)
 
 
 class TestGeodesicShoot:
@@ -131,16 +125,16 @@ class TestGeodesicShoot:
 
     def test_left_domain_reports_exit_parameter(self):
         with pytest.raises(LeftDomain) as err:
-            gd.geodesic_shoot(_boxed_euclid(), gd.GeodesicState([0, 0], [1.0, 0.0], 0.0), 2.0, 0.05)
+            gd.geodesic_shoot(boxed(me.euclidean_metric(2)), gd.GeodesicState([0, 0], [1.0, 0.0], 0.0), 2.0, 0.05)
         assert 0.9 < err.value.parameter <= 1.1
 
     @pytest.mark.parametrize("t0", [5.0, -2.5])
     def test_left_domain_parameter_counts_from_the_start_state(self, t0):
-        boxed = _boxed_euclid()
+        square = boxed(me.euclidean_metric(2))
         with pytest.raises(LeftDomain) as ref:
-            gd.geodesic_shoot(boxed, gd.GeodesicState([0, 0], [1.0, 0.0], 0.0), 2.0, 0.05)
+            gd.geodesic_shoot(square, gd.GeodesicState([0, 0], [1.0, 0.0], 0.0), 2.0, 0.05)
         with pytest.raises(LeftDomain) as err:
-            gd.geodesic_shoot(boxed, gd.GeodesicState([0, 0], [1.0, 0.0], t0), 2.0, 0.05)
+            gd.geodesic_shoot(square, gd.GeodesicState([0, 0], [1.0, 0.0], t0), 2.0, 0.05)
         # the states of this shot carry t0 + t, and so does its exit
         assert err.value.parameter == t0 + ref.value.parameter
         assert t0 + 0.9 < err.value.parameter <= t0 + 1.1
@@ -211,15 +205,8 @@ def _rk4_reference(m, x0, v0, t_end, step):
     return np.array(xs), np.array(vs)
 
 
-def _boxed_posdep():
-    """A position-dependent Riemannian metric on the open square |x|, |y| < 1."""
-    atom = me.RiemannAtom(
-        metric_matrix=lambda x: (1.0 + 0.2 * np.asarray(x)[..., :1, None] ** 2) * np.eye(2)
-    )
-    chart = me.ChartManifold(
-        dimension=2, chart_member=lambda x: np.max(np.abs(np.asarray(x, float)), axis=-1) < 1.0
-    )
-    return me.riemann_metric(atom, chart)
+# a position-dependent Riemannian metric, boxed in the square |x|, |y| < 1 by the tests
+POSDEP_ATOM = me.RiemannAtom(metric_matrix=lambda x: (1.0 + 0.2 * np.asarray(x)[..., :1, None] ** 2) * np.eye(2))
 
 
 class TestStackedStencil:
@@ -267,20 +254,20 @@ class TestStackedStencil:
         assert 0 < calls["accel"] < 40
 
     def test_left_domain_on_position_dependent_chart(self, monkeypatch):
-        boxed = _boxed_posdep()
-        assert not boxed.position_independent
+        square = boxed(me.riemann_metric(POSDEP_ATOM, 2))
+        assert not square.position_independent
         start = gd.GeodesicState([0, 0], [1.0, 0.0], 0.0)
         with pytest.raises(LeftDomain) as err:
-            gd.geodesic_shoot(boxed, start, 2.0, 0.05)
+            gd.geodesic_shoot(square, start, 2.0, 0.05)
         monkeypatch.setattr(gd, "_accel", _accel_reference)
         with pytest.raises(LeftDomain) as ref:
-            gd.geodesic_shoot(boxed, start, 2.0, 0.05)
+            gd.geodesic_shoot(square, start, 2.0, 0.05)
         assert 0.9 < err.value.parameter <= 1.1
         assert err.value.parameter == ref.value.parameter
         assert str(err.value) == str(ref.value)
 
     def test_rejected_trial_steps_do_not_end_an_orbit_inside_the_chart(self, monkeypatch):
-        boxed = _boxed_posdep()
+        square = boxed(me.riemann_metric(POSDEP_ATOM, 2))
         exits = []
         accel = gd._accel
 
@@ -293,11 +280,11 @@ class TestStackedStencil:
 
         monkeypatch.setattr(gd, "_accel", recording_accel)
         x0, v0 = [0.0, 0.0], [1.0, 0.999]
-        states = gd.geodesic_shoot(boxed, gd.GeodesicState(x0, v0, 0.0), 1.0, 0.05)
+        states = gd.geodesic_shoot(square, gd.GeodesicState(x0, v0, 0.0), 1.0, 0.05)
         assert exits  # a trial step crossed the edge and was rejected
         end = states[-1].position
         assert 0.99 < end[0] < 1.0
-        xs, _ = _rk4_reference(boxed, np.array([x0]), np.array([v0]), 1.0, 0.005)
+        xs, _ = _rk4_reference(square, np.array([x0]), np.array([v0]), 1.0, 0.005)
         assert np.max(np.abs(end - xs[-1, 0])) < 1e-9
 
 
@@ -378,12 +365,23 @@ class TestRadialMinimality:
             F = np.linalg.norm(vec, axis=-1)
             return (ok, F, np.broadcast_to(np.eye(2), ok.shape + (2, 2))) if with_tensor else (ok, F)
 
-        sliver = me.ConicMetric(manifold=me.whole_plane(2), jet_fn=jet_fn, position_independent=True)
+        sliver = me.ConicMetric(dimension=2, jet_fn=jet_fn, position_independent=True)
         with pytest.raises(DomainEmpty, match=r"^0 of 5 random vectors admissible after 2000 draws$"):
             gd.radial_minimality_test(sliver, [0, 0], radius=1.0, trials=5, seed=0)
 
 
 class TestBuildGraph:
+    def test_boxed_metric_leaves_nodes_outside_its_square_unreachable(self, euclid):
+        """The square max|x_i| < 1 is in the jet's domain, so no edge leaves a
+        node outside it, just as eval_F_many rejects every vector there."""
+        m = boxed(euclid)
+        g = gd.build_separation_graph(m, (np.full(2, -2.0), np.full(2, 2.0)), 9, 2)
+        p, q = np.array([-2.0, -2.0]), np.array([2.0, 2.0])
+        with pytest.raises(OutsideDomain):
+            me.eval_F_many(m, p, q - p)
+        assert gd.separation(g, p, q).value == np.inf
+        assert gd.separation(g, [-0.5, -0.5], [0.5, 0.5]).value == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
     def test_euclidean_unit_box(self, euclid):
         g = gd.build_separation_graph(euclid, (np.zeros(2), np.ones(2)), 21, 2)
         n_nodes = 21 * 21
@@ -640,7 +638,7 @@ ASSEMBLY_GRAPHS = {
         6,
         3,
     ),
-    "halfline_1d": (lambda: me.oneform_metric(me.constant_oneform([1.0]), me.whole_plane(1)), ([0.0], [1.0]), 9, 4),
+    "halfline_1d": (lambda: me.oneform_metric(me.constant_oneform([1.0]), 1), ([0.0], [1.0]), 9, 4),
 }
 
 

@@ -73,7 +73,7 @@ class TestEvalFMany:
 
     def test_non_finite_value(self):
         atom = me.RiemannAtom(metric_matrix=lambda x: np.asarray(x)[..., :1, None] * np.eye(2))
-        m = me.riemann_metric(atom, me.whole_plane(2))
+        m = me.riemann_metric(atom, 2)
         bases = np.array([[1.0, 0.0], [np.inf, 0.0]])
         with pytest.raises(NonFiniteSample):
             me.eval_F_many(m, bases, [1.0, 0.0])
@@ -240,7 +240,7 @@ def _spy(calls: list, position_independent: bool, closed_form: bool) -> me.Conic
         inner = me.euclidean_metric(2)
     else:
         atom = me.RiemannAtom(lambda x: (1.0 + 0.1 * np.sin(x[..., :1, None])) * np.eye(2))
-        inner = me.riemann_metric(atom, me.whole_plane(2))
+        inner = me.riemann_metric(atom, 2)
 
     def jet_fn(base, vec, with_tensor):
         calls.append((base.shape, vec.shape))
@@ -291,10 +291,10 @@ class TestAlignedStacks:
         form = me.OneFormAtom(covector=lambda x: np.array([1.0, 0.5]))
         assert atom.matrix(base).shape == (5, 2, 2) and form.coeffs(base).shape == (5, 2)
         assert atom.matrix(BASE).shape == (2, 2) and form.coeffs(BASE).shape == (2,)
-        riemann = me.riemann_metric(atom, me.whole_plane(2))
+        riemann = me.riemann_metric(atom, 2)
         assert np.array_equal(riemann.tensor_many(base, vs), np.broadcast_to(np.diag([2.0, 1.0]), (5, 2, 2)))
         b = np.array([1.0, 0.5])
-        assert np.array_equal(me.oneform_metric(form, me.whole_plane(2)).tensor_many(BASE, vs),
+        assert np.array_equal(me.oneform_metric(form, 2).tensor_many(BASE, vs),
                               np.broadcast_to(np.outer(b, b), (5, 2, 2)))
         randers = cb.phi_combine(riemann, form, cb.randers_profile())
         assert randers.tensor_many(base, vs).shape == randers.tensor_many(BASE, vs).shape == (5, 2, 2)
@@ -302,10 +302,13 @@ class TestAlignedStacks:
 
 class TestRequiredChart:
     def test_riemann_and_oneform_metrics_take_a_chart(self):
+        """The dimension is a required argument; a gauge's metric takes its gauge's."""
         with pytest.raises(TypeError):
             me.riemann_metric(me.constant_riemann(np.eye(3)))
         with pytest.raises(TypeError):
             me.oneform_metric(me.constant_oneform([0.0, 1.0]))
+        assert me.riemann_metric(me.constant_riemann(np.eye(3)), 3).dimension == 3
+        assert me.oneform_metric(me.constant_oneform([0.0, 1.0]), 2).dimension == 2
         assert me.minkowski_metric(mk.gauge_from_curve(mk.unit_circle_curve())).dimension == 2
 
 
@@ -466,7 +469,7 @@ class TestDomainAndHomogeneity:
 
     def test_analytic_tensor_matches_oracle_at_random_bases(self):
         # position-dependent form: the closed form must track the FD Hessian
-        # at every chart point, not just the origin
+        # at every base point, not just the origin
         def bcoef(x):
             x = np.asarray(x, dtype=float)
             out = np.zeros(x.shape)

@@ -28,6 +28,8 @@ from finslerkit import minkowski as mk
 from finslerkit.errors import FinslerError, NonFiniteSample
 from finslerkit.numkernel import HESS_STEP, _hessian_stencil, eigen_classify
 
+from conftest import boxed
+
 PROFILE_MARGIN = 0.15  # as the CLI oracle's default interior margin
 # The step-eps^(1/4) FD Hessian is good to about 1e-7 on these trees (worst
 # of 400 random ones: 3.3e-7); closed-form mistakes show up at 1e-3 or more.
@@ -171,6 +173,25 @@ def test_tensor_matches_fd_oracle(tree, seed):
     gf = metric.fd_tensor_many(base, vec)
     scale = np.maximum(1.0, np.max(np.abs(gf), axis=(-2, -1)))
     assert np.max(np.max(np.abs(ga - gf), axis=(-2, -1)) / scale) < ORACLE_TOL
+
+
+@st.composite
+def boxed_trees(draw):
+    """A tree, half the time with its domain cut to a square of base points
+    (:func:`boxed`); its leaves are position-independent half the time."""
+    metric, _ = draw(trees(posdep=draw(st.booleans())))
+    return boxed(metric, draw(st.floats(0.3, 1.5))) if draw(st.booleans()) else metric
+
+
+@given(boxed_trees(), SEEDS)
+def test_position_independent_jet_ignores_its_base(metric, seed):
+    """A position-independent node gets the same jet, bit for bit, at any two base points."""
+    assume(metric.position_independent)
+    rng = np.random.default_rng(seed)
+    b1, b2 = rng.uniform(-2.0, 2.0, size=(2, 24, 2))
+    vec = rng.normal(size=(24, 2))
+    for at1, at2 in zip(metric.jet(b1, vec, with_tensor=True), metric.jet(b2, vec, with_tensor=True)):
+        assert np.array_equal(at1, at2, equal_nan=True)
 
 
 E2 = me.euclidean_metric(2)
@@ -339,7 +360,7 @@ def profile_cases(draw):
     kind = draw(st.sampled_from(["euclidean", "riemannian", "randers"]))
     if kind == "riemannian":
         a = rng.normal(size=(dim, dim))
-        F0 = me.riemann_metric(me.constant_riemann(a @ a.T + 0.5 * np.eye(dim)), me.whole_plane(dim))
+        F0 = me.riemann_metric(me.constant_riemann(a @ a.T + 0.5 * np.eye(dim)), dim)
     elif kind == "randers":
         F0 = cb.phi_combine(F0, me.constant_oneform(rng.uniform(-0.4, 0.4, dim)), cb.randers_profile())
     beta = me.constant_oneform(rng.uniform(-1.0, 1.0, dim))
