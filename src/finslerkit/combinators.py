@@ -307,14 +307,17 @@ def _combined(dim: int, jet_fn, position_independent: bool, name: str, admits_ze
     """The combined metric, probed once on a fan of directions at the origin.
     A position-independent metric with none admissible raises DomainEmpty; a
     position-dependent one may be defined elsewhere, and its evaluation
-    reports per point.  The zero vector is in the domain when all probed
-    directions are and ``admits_zero`` holds (every ingredient's domain
-    holds it and the law admits beta = 0, a kernel the fan misses)."""
+    reports per point.  The zero vector is in the domain of a
+    position-independent metric when all probed directions are and
+    ``admits_zero`` holds (every ingredient's domain holds it and the law
+    admits beta = 0, a kernel the fan misses).  A probe at the origin says
+    nothing of other base points, so a position-dependent combination never
+    claims the zero vector."""
     out = ConicMetric(dimension=dim, jet_fn=jet_fn, position_independent=position_independent, name=name)
     ok = out.in_domain_many(np.zeros(dim), unit_directions(dim, DOMAIN_PROBE_DIRECTIONS))
     if position_independent and not np.any(ok):
         raise DomainEmpty("no probed direction is admissible for the combined metric")
-    return replace(out, zero_in_domain=bool(np.all(ok)) and admits_zero)
+    return replace(out, zero_in_domain=position_independent and bool(np.all(ok)) and admits_zero)
 
 
 def combine(

@@ -22,6 +22,9 @@ the same answers bit for bit, and read the edges into a node off the
 offset table instead of a transposed adjacency.  A separation on a large
 such graph whose kept offsets all lie on their convex envelope runs A*,
 guided by the envelope's gauge, a lower bound on every path's length.
+scipy is imported where a graph first needs it, not by ``import
+finslerkit``: ``scipy.sparse`` by the first assembly, ``csgraph`` by the
+first query and ``scipy.spatial`` (qhull) by the first envelope.
 """
 
 from __future__ import annotations
@@ -32,17 +35,17 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain, StepBudget, check_integer, check_real
 from .metrics import ConicMetric, TangentVec, _check_samples, admissible_draws, unit_directions
 from .minkowski import check_ball_direction
 from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 EDGE_QUAD_NODES = 33  # Simpson nodes of an edge whose Gauss-Kronrod estimate is flagged
 EDGE_KRONROD_RTOL = 1e-7  # flag an edge when |K7 - G3| > EDGE_KRONROD_RTOL * |K7|
@@ -472,7 +475,7 @@ def _envelope(offsets: np.ndarray, weights: np.ndarray) -> Optional[Envelope]:
     n = offsets.shape[1]
     if n < 2 or not np.all(weights > 0.0) or np.linalg.matrix_rank(offsets) < n:
         return None
-    from scipy.spatial import ConvexHull  # ~36 ms of imports, paid by the first graph that needs a hull
+    from scipy.spatial import ConvexHull  # ~90 ms of imports after csgraph, paid by the first graph that needs a hull
 
     points = offsets / weights[:, None]
     equations = ConvexHull(np.vstack([np.zeros(n), points])).equations  # unit outward normal, offset
@@ -743,6 +746,8 @@ def _assemble(mask: np.ndarray, offsets: np.ndarray, strides: np.ndarray, weight
     weights (K,) or (N, K).  Row i lists its edges in offset order, which is
     ascending column order: the destinations are grid nodes, and their flat
     indices follow the lexicographic order of i + offsets[k]."""
+    from scipy.sparse import csr_matrix
+
     N = mask.shape[0]
     # scipy keeps 32-bit indices it is given; 64-bit ones it scans and copies
     index = np.int32 if mask.size < 2**31 else np.int64
@@ -1017,6 +1022,8 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     dimensions, Dijkstra runs.  Building the envelope imports
     ``scipy.spatial`` (qhull) on first use.  Both searches give the same
     distance bit for bit; a predecessor may differ only on an exact tie."""
+    from scipy.sparse.csgraph import dijkstra
+
     ip, iq = _as_node(graph, p), _as_node(graph, q, "q")
     if ip != iq and _goal_directed(graph):
         val, pred = _astar(graph, ip, iq, _path_bound(graph, ip, iq))
@@ -1024,7 +1031,7 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     else:
         small = graph.matrix.nnz < REDUCE_MIN_EDGES
         limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
-        dist, pred = _sp_dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
+        dist, pred = dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
         if ip == iq:
             # proper separation: go out and come back (no zero-length loitering)
             val, last = _closing_edge(dist, *graph.edges_into(ip))
@@ -1040,6 +1047,8 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
 
 def reachability(graph: SeparationGraph, p) -> np.ndarray:
     """Flat indices of nodes reachable from p by admissible paths, by BFS on ``graph.reach``."""
+    from scipy.sparse.csgraph import breadth_first_order
+
     ip = _as_node(graph, p)
     mask = np.zeros(graph.node_count, dtype=bool)
     mask[breadth_first_order(graph.reach, ip, directed=True, return_predecessors=False)] = True
@@ -1056,6 +1065,8 @@ def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> 
     The node p is in its ball when a loop through p costs less than r: the
     closing edges are :meth:`SeparationGraph.edges_into` p forward, and row
     p of ``graph.query`` backward."""
+    from scipy.sparse.csgraph import dijkstra
+
     ip = _as_node(graph, p)
     check_ball_direction(direction)
     if np.isnan(r):
@@ -1065,7 +1076,7 @@ def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> 
     else:  # the edges into p of the reversed graph are the edges out of p
         mat, into = graph.incoming, _row(graph.query, ip)
     # scipy rejects a negative limit; such a ball is empty either way
-    dist = _sp_dijkstra(mat, directed=True, indices=ip, limit=max(r, 0.0))
+    dist = dijkstra(mat, directed=True, indices=ip, limit=max(r, 0.0))
     mask = dist < r
     mask[ip] = _closing_edge(dist, *into)[0] < r
     return np.flatnonzero(mask)

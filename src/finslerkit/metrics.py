@@ -6,7 +6,9 @@ a restriction on base points is part of it.  Evaluation is vectorized:
 one jet call per metric node returns the domain mask, the values and, on
 request, the fundamental tensors for a stack of (base, vector) pairs,
 which is what makes the scans and graph builders in the rest of the
-package fast without any compiled extension.
+package fast without any compiled extension.  The module needs only
+numpy; ``scipy.special`` is imported by the first direction fan above
+three dimensions, the only caller of ``ndtri``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain, check_real
 from .minkowski import GaugeNorm
@@ -82,6 +83,8 @@ def unit_directions(dim: int, samples: int) -> np.ndarray:
         phi = 2.0 * np.pi * i / golden
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
+    from scipy.special import ndtri
+
     u = kronecker_sequence(samples, dim)
     g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     return g / np.linalg.norm(g, axis=-1, keepdims=True)

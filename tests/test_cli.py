@@ -1230,6 +1230,44 @@ class TestMainEntry:
         assert lines[0].startswith("index,base0,base1,v0,v1,F")
         assert len(lines) == 3
 
+    def test_commands_load_only_the_scipy_they_run(self, tmp_path):
+        # in a fresh interpreter, since this one has imported scipy already
+        probe = """
+import contextlib, io, json, sys
+import finslerkit, finslerkit.cli as cli
+from finslerkit.metrics import unit_directions
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+steps = [["import", 0, loaded()]]
+configs, out = sys.argv[1:]
+for command, config in [("eval", "euclidean"), ("scan", "kropina"), ("oracle", "kropina"),
+                        ("indicatrix", "spiral_ex213"), ("geodesic", "randers_posdep"), ("separation", "euclidean")]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", f"{configs}/{config}.json", "--out", out])
+    steps.append([command, code, loaded()])
+fan = unit_directions(4, 8)
+steps.append(["unit_directions", 0, loaded()])
+print(json.dumps({"steps": steps, "fan": fan.tolist()}))
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = [sys.executable, "-c", probe, str(src / "finslerkit" / "configs"), str(tmp_path / "o.csv")]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        steps = {name: (code, set(mods)) for name, code, mods in report["steps"]}
+        for name in ("import", "eval", "scan", "oracle", "indicatrix", "geodesic"):
+            assert steps[name] == (0, set()), name
+        code, mods = steps["separation"]
+        assert code == 0 and "scipy.sparse.csgraph" in mods and "scipy.special" not in mods
+        assert "scipy.special" in steps["unit_directions"][1]
+        from scipy.special import ndtri
+
+        g = ndtri(np.clip(me.kronecker_sequence(8, 4), 1e-12, 1.0 - 1e-12))
+        assert np.array_equal(report["fan"], g / np.linalg.norm(g, axis=-1, keepdims=True))
+
     def test_domain_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

@@ -977,6 +977,23 @@ class TestZeroInDomain:
             assert me.eval_F(m, me.TangentVec(BASE, [0.0, 0.0])) == 0.0
 
 
+def test_position_dependent_combination_does_not_claim_the_zero_vector():
+    """b(x) = (2x, 0) vanishes at the origin, where the probe finds every
+    direction admissible, but at (1, 0) the Randers cone excludes (-1, 0)."""
+    form = me.OneFormAtom(covector=lambda x: np.stack([2.0 * x[..., 0], np.zeros_like(x[..., 0])], axis=-1))
+    randers, _ = cb.named_family("randers", euclid(), form)
+    assert not randers.zero_in_domain
+    assert not bool(randers.in_domain_many([1.0, 0.0], [-1.0, 0.0]))
+    with pytest.raises(OutsideDomain):
+        me.eval_F_many(randers, [1.0, 0.0], [0.0, 0.0])
+    with pytest.raises(OutsideDomain, match="whole tangent space"):
+        cb.reversibilize(randers, "sum")
+    # an atom is not a combination: its domain is the whole tangent space at every base point
+    atom = me.riemann_metric(me.RiemannAtom(lambda x: (1.0 + 0.1 * np.sin(x[..., :1, None])) * np.eye(2)), 2)
+    assert not atom.position_independent and atom.zero_in_domain
+    assert me.eval_F_many(atom, [1.0, 0.0], [0.0, 0.0]) == 0.0
+
+
 class TestOnePass:
     """Each node calls each child's jet once, so every atom is evaluated once per call."""
 

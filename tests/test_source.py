@@ -33,6 +33,47 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def eager_imports(source: str) -> list[str]:
+    """Modules that importing the module imports: every import outside a
+    function body and outside an ``if TYPE_CHECKING:`` block, in source order."""
+    found = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append(node.module)
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def test_the_check_sees_an_eager_import():
+    source = (
+        "import typing\nfrom typing import TYPE_CHECKING\nfrom . import sibling\n"
+        "if TYPE_CHECKING:\n    from scipy.sparse import csr_matrix\nelse:\n    import os\n"
+        "if typing.TYPE_CHECKING:\n    import scipy\n"
+        "try:\n    import scipy.special\nexcept ImportError:\n    pass\n"
+        "class C:\n    from scipy import spatial\n    def f(self):\n        import scipy.sparse\n"
+        "def g():\n    from scipy.sparse.csgraph import dijkstra\n"
+    )
+    assert eager_imports(source) == ["typing", "typing", "os", "scipy.special", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_when_imported(path):
+    # scipy is imported by the functions that call it, so a command that builds
+    # no graph and draws no fan above 3-D never loads it
+    assert [name for name in eager_imports(path.read_text()) if name.split(".")[0] == "scipy"] == []
+
+
 def cli_rule_owners(source: str) -> tuple[list[str], list[str]]:
     """(module-level ``MAX_*`` names, functions with an ``except InvalidArgument``
     handler) of a module's source, a function once per handler."""
