@@ -1,10 +1,13 @@
 """Homogeneous combinations of conic Finsler metrics and one-forms.
 
-Everything here produces metrics with closed-form fundamental tensors:
-general degree-2-homogeneous combinations, q-power means, profile-based
-(F0, beta) families (Randers / Kropina / Matsumoto and relatives), the
-(F1, F2) generalization, determinant and convexity characterizations,
-and the two reversibilization constructions.
+Everything here produces metrics with closed-form fundamental tensors,
+and every combination is one path, :func:`combine` over a degree-2
+homogeneous law L(F_1..F_n, beta_1..beta_m): q-power means, the
+profile-based (F0, beta) families (Randers / Kropina / Matsumoto and
+relatives) and their (F1, F2) generalization, whose law is
+(x1 phi(x2 / x1))^2, and the two reversibilization constructions.  The
+profile formulas of the determinant and of positive definiteness stay
+here as independent references.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ class PhiProfile:
 
     def contains(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        ok = np.zeros(s.shape, dtype=bool)
+        ok = False
         for lo, hi in self.intervals:
-            ok |= (s > lo) & (s < hi)
-        return ok & np.isfinite(s)
+            ok = ok | ((s > lo) & (s < hi))  # open bounds: never inf or NaN
+        return ok
 
     def require(self, s) -> None:
         if not np.all(self.contains(s)):
@@ -186,13 +189,10 @@ class LCombiner:
     def jet(self, x, p=None, with_derivatives: bool = False) -> tuple:
         """``(ok, L)`` or ``(ok, L, grad, hess)`` from one call of the law."""
         x = np.asarray(x, dtype=float)
-        ok, L, *derivs = self.jet_fn(x, p, with_derivatives)
-        out = (np.asarray(ok, dtype=bool), np.asarray(L, dtype=float))
-        if not with_derivatives:
-            return out
-        if not derivs:
-            derivs = (self._fd(fd_gradient_rows, x, p), self._fd(fd_hessian_rows, x, p))
-        return out + tuple(np.asarray(d, dtype=float) for d in derivs)
+        out = self.jet_fn(x, p, with_derivatives)
+        if with_derivatives and len(out) == 2:
+            return (*out, self._fd(fd_gradient_rows, x, p), self._fd(fd_hessian_rows, x, p))
+        return out
 
     def value(self, x, p=None) -> np.ndarray:
         return self.jet(x, p)[1]
@@ -292,8 +292,8 @@ def _pieces(jet, vec):
     return F, u, h
 
 
-def _pair(b, vec):
-    return np.einsum("...i,...i->...", b, vec)
+def _pair(b, vec, out=None):
+    return np.einsum("...i,...i->...", b, vec, out=out)
 
 
 def _shared_dimension(metrics: Sequence[ConicMetric]) -> int:
@@ -331,35 +331,43 @@ def combine(
     """
     metrics = list(metrics)
     forms = list(forms)
-    if len(metrics) != combiner.n or len(forms) != combiner.m:
-        msg = f"combiner expects {combiner.n} metrics and {combiner.m} forms, got {len(metrics)} and {len(forms)}"
+    n, m = combiner.n, combiner.m
+    if len(metrics) != n or len(forms) != m:
+        msg = f"combiner expects {n} metrics and {m} forms, got {len(metrics)} and {len(forms)}"
         raise InvalidArgument(msg, path="metrics", constraint="shape")
-    if combiner.n == 0:
+    if n == 0:
         raise InvalidArgument("at least one metric ingredient is required", path="metrics", constraint="minimum")
     dim = _shared_dimension(metrics)
+    # The forms' kernel maps to (1..1, 0..0), which the fan probe misses; without
+    # forms there is no kernel, and that point may be a pole of the law (s = 1 for
+    # a two-metric Matsumoto profile).  Kropina's law divides by zero there.
+    with np.errstate(all="ignore"):
+        admits_beta_zero = m == 0 or bool(combiner.in_cone(np.array([1.0] * n + [0.0] * m), np.zeros(dim)))
 
     def jet_fn(base, vec, with_tensor):
         kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]
         bs = [fm.coeffs(base) for fm in forms]
-        x = np.stack([kid[1] for kid in kids] + [_pair(b, vec) for b in bs], axis=-1)
-        in_cone, L, *derivs = combiner.jet(x, base, with_tensor)
-        ok = np.all(np.isfinite(x), axis=-1) & in_cone
-        for kid in kids:
-            ok = ok & kid[0]
+        x = np.empty((n + m,) + vec.shape[:-1])  # one contiguous row per argument
+        for k, kid in enumerate(kids):
+            x[k] = kid[1]
+        for r, b in enumerate(bs, n):
+            _pair(b, vec, out=x[r])
+        ok, L, *derivs = combiner.jet(x.transpose(*range(1, x.ndim), 0), base, with_tensor)
+        for row in np.isfinite(x):  # a child's F is NaN outside its domain, so this masks it too
+            ok = row & ok
         F = np.sqrt(np.maximum(L, 0.0))
         if not with_tensor:
             return ok, F
         grad, hess = derivs
         term1 = 0.0
-        rows = []
+        J = np.empty(vec.shape[:-1] + (n + m, dim))  # rows: the fiber derivatives of the arguments
         for k, kid in enumerate(kids):
             Fk, uk, hk = _pieces(kid, vec)
             term1 = term1 + (grad[..., k] / Fk)[..., None, None] * hk
-            rows.append(uk / Fk[..., None])
-        rows += bs
-        J = np.stack(rows, axis=-2)  # (..., n+m, N)
-        term2 = np.einsum("...ri,...rs,...sj->...ij", J, hess, J)
-        return ok, F, 0.5 * (term1 + term2)
+            J[..., k, :] = uk / Fk[..., None]
+        for r, b in enumerate(bs, n):
+            J[..., r, :] = b
+        return ok, F, 0.5 * (term1 + J.swapaxes(-1, -2) @ (hess @ J))
 
     return _combined(
         dim,
@@ -368,8 +376,7 @@ def combine(
         and all(mk.position_independent for mk in metrics)
         and all(fm.constant for fm in forms),
         f"{combiner.name}({', '.join(mk.name for mk in metrics)})",
-        all(mk.zero_in_domain for mk in metrics)
-        and bool(combiner.in_cone(np.r_[np.ones(combiner.n), np.zeros(combiner.m)], np.zeros(dim))),
+        all(mk.zero_in_domain for mk in metrics) and admits_beta_zero,
     )
 
 
@@ -395,78 +402,49 @@ def power_q_combine(
 # ---------------------------------------------------------------------------
 
 
-def _profile_jet(profile: PhiProfile, ok, F, s, with_tensor):
-    """Mask and value of F * phi(s) for a ratio s on the profile's intervals,
-    and (phi, phi', phi'') with the tensor, else None: one profile call either way."""
-    ok = ok & profile.contains(s)
-    if not with_tensor:
-        return ok, F * profile.value(s), None
-    pj = profile.jet(s)
-    return ok, F * pj[0], pj
+def _profile_law(profile: PhiProfile, n: int, m: int) -> LCombiner:
+    """The law L(x1, x2) = (x1 phi(x2 / x1))^2 of F = F_a phi(x_b / F_a), whose
+    second argument is a one-form (n, m = 1, 1) or a second metric (2, 0).
 
-
-def _profile_terms(pj, s, jet, vec, w):
-    """Tensor terms of F = F_a * phi(s) from the profile jet ``pj`` at s and
-    the first ingredient's jet.
-
-    ``w`` is the fiber gradient of the second ingredient: the one-form's
-    coefficients b, or u_b / F_b for a second metric.  Returns
-    (phi1 h_a, psi', quad / (2 psi)): twice the tensor is the first plus the
-    last, plus (F_a / F_b) psi' h_b when the second ingredient is a metric.
+    One profile call per jet.  With psi = phi^2 and s = x2 / x1 the derivatives
+    are L_1 = x1 (2 psi - s psi'), L_2 = x1 psi', L_12 = psi' - s psi'',
+    L_22 = psi'' and L_11 = 2 psi - 2 s psi' + s^2 psi'' = L_1 / x1 - s L_12.
+    L is t * t with t = x1 phi(s), so sqrt(L) = |t| exactly unless t * t
+    overflows or underflows.
     """
-    F, u, h = _pieces(jet, vec)
-    ps, psd, p1, p2 = _psi_terms(s, *pj)
-    un = u / F[..., None]
-    c1 = s[..., None] * un - w
-    c2 = p1[..., None] * un + psd[..., None] * w
-    quad = p2[..., None, None] * c1[..., :, None] * c1[..., None, :] + c2[..., :, None] * c2[..., None, :]
-    return p1[..., None, None] * h, psd, (0.5 / ps)[..., None, None] * quad
+
+    def jet_fn(x, p, with_derivatives):
+        x1 = x[..., 0]
+        s = x[..., 1] / x1
+        ok = profile.contains(s)
+        if not with_derivatives:
+            t = x1 * profile.jet_fn(s, False)
+            return ok, t * t
+        phi, dphi, ddphi = profile.jet_fn(s, True)
+        t = x1 * phi
+        dpsi, ddpsi = 2.0 * phi * dphi, 2.0 * (dphi * dphi + phi * ddphi)
+        l1 = 2.0 * phi * phi - s * dpsi  # L_1 / x1
+        grad = np.empty(x.shape)
+        grad[..., 0] = x1 * l1
+        grad[..., 1] = x1 * dpsi
+        hess = np.empty(x.shape + (2,))
+        hess[..., 0, 1] = hess[..., 1, 0] = l12 = dpsi - s * ddpsi
+        hess[..., 0, 0] = l1 - s * l12
+        hess[..., 1, 1] = ddpsi
+        return ok, t * t, grad, hess
+
+    return LCombiner(n=n, m=m, jet_fn=jet_fn, name=profile.name)
 
 
 def phi_combine(F0: ConicMetric, beta: OneFormAtom, profile: PhiProfile) -> ConicMetric:
-    """Metric F = F0 * phi(beta / F0) with the profile's closed-form tensor."""
-
-    def jet_fn(base, vec, with_tensor):
-        kid = F0.node_jet(base, vec, with_tensor)
-        b = beta.coeffs(base)
-        s = _pair(b, vec) / kid[1]
-        ok, val, pj = _profile_jet(profile, kid[0], kid[1], s, with_tensor)
-        if not with_tensor:
-            return ok, val
-        lead, _, tail = _profile_terms(pj, s, kid, vec, b)
-        return ok, val, 0.5 * (lead + tail)
-
-    return _combined(
-        F0.dimension,
-        jet_fn,
-        F0.position_independent and beta.constant,
-        f"{profile.name}({F0.name})",
-        F0.zero_in_domain and bool(profile.contains(0.0)),
-    )
+    """Metric F = F0 * phi(beta / F0): :func:`combine` over the profile's law."""
+    return combine(_profile_law(profile, 1, 1), [F0], [beta])
 
 
 def f1f2_combine(F1: ConicMetric, F2: ConicMetric, profile: PhiProfile) -> ConicMetric:
-    """Metric F = F1 * phi(F2 / F1): the one-form is replaced by a second metric."""
-    dim = _shared_dimension([F1, F2])
-
-    def jet_fn(base, vec, with_tensor):
-        ja = F1.node_jet(base, vec, with_tensor)
-        jb = F2.node_jet(base, vec, with_tensor)
-        s = jb[1] / ja[1]
-        ok, val, pj = _profile_jet(profile, ja[0] & jb[0], ja[1], s, with_tensor)
-        if not with_tensor:
-            return ok, val
-        Fb, ub, hb = _pieces(jb, vec)
-        lead, psd, tail = _profile_terms(pj, s, ja, vec, ub / Fb[..., None])
-        return ok, val, 0.5 * (lead + ((ja[1] / Fb) * psd)[..., None, None] * hb + tail)
-
-    return _combined(
-        dim,
-        jet_fn,
-        F1.position_independent and F2.position_independent,
-        f"{profile.name}({F1.name}, {F2.name})",
-        F1.zero_in_domain and F2.zero_in_domain,
-    )
+    """Metric F = F1 * phi(F2 / F1), the one-form replaced by a second metric:
+    :func:`combine` over the profile's law."""
+    return combine(_profile_law(profile, 2, 0), [F1, F2])
 
 
 # ---------------------------------------------------------------------------

@@ -370,9 +370,9 @@ def radial_minimality_test(
     Each trial shoots a radial geodesic to a random endpoint inside the
     geodesic ball, perturbs it by a smooth bump vanishing at the ends, and
     records the length ratio.  Curves exiting the ball are skipped; a sliver domain raises ``DomainEmpty``.
-    ``trials`` is checked as a sample count (1 to ``MAX_SAMPLES``) before any draw.
+    ``trials`` is checked as a sample count (an integer, 1 to ``MAX_SAMPLES``) before any draw.
     """
-    _check_samples(trials, "trials")
+    trials = _check_samples(trials, "trials")
     base = np.asarray(base, dtype=float)
     rng = np.random.default_rng(seed)
     n = base.shape[-1]

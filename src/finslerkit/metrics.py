@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain, check_real
+from .errors import DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain, check_integer, check_real
 from .minkowski import GaugeNorm
 from .numkernel import (
     DEFAULT_EIG_TOL,
@@ -56,19 +56,21 @@ def kronecker_sequence(count: int, dim: int) -> np.ndarray:
     return np.mod(0.5 + i * alphas[None, :], 1.0)
 
 
-def _check_samples(samples: int, name: str = "samples"):
-    """InvalidArgument at ``name``, the caller's name for the count, unless 1 <= samples <= MAX_SAMPLES;
-    one that is not a real number fails ``integer`` first."""
+def _check_samples(samples: int, name: str = "samples") -> int:
+    """``samples`` as an int; InvalidArgument at ``name``, the caller's name for the count, unless
+    1 <= samples <= MAX_SAMPLES and it is an integer.  One that is not a real number fails
+    ``integer`` first, a fraction or a boolean within the bounds after them."""
     check_real(samples, name)
     if not samples >= 1:
         raise InvalidArgument(f"{name} must be at least 1", path=name, constraint="minimum")
     if not samples <= MAX_SAMPLES:
         raise InvalidArgument(f"{name} must be at most {MAX_SAMPLES}", path=name, constraint="maximum")
+    return check_integer(samples, name)
 
 
 def unit_directions(dim: int, samples: int) -> np.ndarray:
     """``samples`` deterministic low-discrepancy directions on the unit sphere."""
-    _check_samples(samples)
+    samples = _check_samples(samples)
     if dim == 1:
         signs = np.where(np.arange(samples) % 2 == 0, 1.0, -1.0)
         return signs[:, None]
@@ -99,7 +101,7 @@ def admissible_draws(rng, samples: int, dim: int, accept: Callable, paired: bool
     ``accept`` says of it, and is never picked.  ``DomainEmpty`` is raised
     when ``MAX_DRAWS_PER_SAMPLE * samples`` rows give too few picks.
     """
-    _check_samples(samples)
+    samples = _check_samples(samples)
     block, cap = 2 * samples, MAX_DRAWS_PER_SAMPLE * samples
     picks, partners, found, skip = [], [], 0, 0  # skip: 1 when a block opens with the last pick's partner
     for _ in range(cap // block):

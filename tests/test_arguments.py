@@ -67,12 +67,19 @@ def test_no_bare_value_or_type_error_in_the_library():
 
 class TestSamples:
     @pytest.mark.parametrize("samples, constraint", [(0, "minimum"), (-3, "minimum"), (float("nan"), "minimum"),
-                                                     (10**6 + 1, "maximum"), (1e308, "maximum")])
+                                                     (10**6 + 1, "maximum"), (1e308, "maximum"),
+                                                     (2.5, "integer"), (True, "integer"),
+                                                     (np.float64(7.25), "integer")])
     def test_each_sampler_checks_samples(self, euclid, samples, constraint):
         rng = np.random.default_rng(0)
         _rejects(lambda: me.unit_directions(2, samples), "samples", constraint)
         _rejects(lambda: me.convexity_scan(euclid, [0.0, 0.0], samples), "samples", constraint)
         _rejects(lambda: me.admissible_draws(rng, samples, 2, lambda vs: np.ones(len(vs), bool)), "samples", constraint)
+
+    def test_an_integral_float_is_its_integer(self):
+        assert np.array_equal(me.unit_directions(2, 7.0), me.unit_directions(2, 7))
+        draws = [me.admissible_draws(np.random.default_rng(0), k, 2, lambda vs: vs[:, 0] > 0.0) for k in (4, 4.0)]
+        assert np.array_equal(draws[0], draws[1]) and draws[0].shape == (4, 2)
 
     def test_cap_is_checked_before_any_allocation(self, euclid, monkeypatch):
         monkeypatch.setattr(me, "MAX_SAMPLES", 5)
@@ -277,7 +284,8 @@ class TestSampleCounts:
     """Every count that sizes a draw is checked under its own name, before any draw."""
 
     @pytest.mark.parametrize("trials, constraint", [(0, "minimum"), (-1, "minimum"), (np.nan, "minimum"),
-                                                    (2 * 10**6, "maximum")])
+                                                    (2 * 10**6, "maximum"), (2.5, "integer"), (True, "integer"),
+                                                    (np.float64(7.25), "integer")])
     def test_radial_minimality_trials(self, euclid, trials, constraint, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a draw ran before trials was checked")

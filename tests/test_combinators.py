@@ -148,8 +148,11 @@ class TestCombinerLaws:
             (cb.power_combiner(2, 0, 2.0), np.array([1.3, 0.4])),
             (cb.power_combiner(1, 1, 1.0), np.array([1.0, 0.6])),
             (cb.power_combiner(1, 1, 3.0), np.array([0.8, -0.5])),
+            (cb._profile_law(cb.randers_profile(), 1, 1), np.array([1.3, 0.4])),
+            (cb._profile_law(cb.kropina_profile(2.0), 1, 1), np.array([1.3, 0.4])),
+            (cb._profile_law(cb.matsumoto_profile(1.0), 2, 0), np.array([1.3, 0.4])),
         ],
-        ids=["sum", "power2", "power1", "power3"],
+        ids=["sum", "power2", "power1", "power3", "randers", "kropina2", "matsumoto_f1f2"],
     )
     def test_homogeneity_and_derivative_consistency(self, combiner, point):
         val = combiner.value(point)
@@ -595,6 +598,58 @@ class TestF1F2:
         assert oracle_gap(m, count=60, seed=17) < 1e-6
 
 
+class TestProfileNodeValues:
+    """A profile node's value is F0 * phi(beta / F0), or F1 * phi(F2 / F1), to the
+    bit: the law returns L = t * t with t that product, and sqrt(t * t) = |t| in
+    binary64 unless t * t overflows or underflows."""
+
+    FORM = me.constant_oneform([0.5, 0.0])
+
+    @classmethod
+    def _nodes(cls):
+        """(name, node, reference F as a function of the vectors) for phi, named and f1f2 nodes."""
+        E = euclid()
+        second = me.riemann_metric(me.constant_riemann(0.04 * np.eye(2)), 2)
+        wavy = profile_of(lambda s: 1.0 + 0.3 * np.sin(s), lambda s: 0.3 * np.cos(s), lambda s: -0.3 * np.sin(s))
+
+        def phi_reference(profile):
+            return lambda vs: E.F_many(BASE, vs) * profile.value(cls.FORM.pair(BASE, vs) / E.F_many(BASE, vs))
+
+        def f1f2_reference(profile):
+            return lambda vs: E.F_many(BASE, vs) * profile.value(second.F_many(BASE, vs) / E.F_many(BASE, vs))
+
+        out = [("phi[wavy]", cb.phi_combine(E, cls.FORM, wavy), phi_reference(wavy))]
+        for family, q in (("randers", None), ("kropina", 1.0), ("matsumoto", 2.0), ("square_over_f0", None)):
+            metric, _ = cb.named_family(family, E, cls.FORM, q)
+            out.append((family, metric, phi_reference(cb.family_profile(family, q))))
+        for profile in (cb.matsumoto_profile(1.0), wavy):
+            out.append((f"f1f2[{profile.name}]", cb.f1f2_combine(E, second, profile), f1f2_reference(profile)))
+        return out
+
+    def test_values_are_the_profile_product_bit_for_bit(self):
+        scales = 10.0 ** np.arange(-150, 151, 10)
+        vs = scales[:, None, None] * np.random.default_rng(41).normal(size=(9, 2))  # (31, 9, 2)
+        for name, metric, reference in self._nodes():
+            with np.errstate(all="ignore"):
+                want = reference(vs)
+            got = metric.F_many(BASE, vs)
+            ok = metric.in_domain_many(BASE, vs)
+            checked = ok & (want < 1e154)
+            assert checked.sum() >= 200, name
+            assert np.array_equal(got[checked], want[checked]), name
+            assert np.array_equal(me.eval_F_many(metric, BASE, vs[checked]), want[checked]), name
+
+    def test_a_value_whose_square_overflows_is_a_non_finite_sample(self):
+        for name, metric, reference in self._nodes():
+            v = np.array([1.3e154, 0.0])  # F0 = 1.3e154, beta / F0 = 0.5, F2 / F1 = 0.2
+            with np.errstate(all="ignore"):
+                want = float(reference(v))
+                assert np.isfinite(want) and np.isinf(want * want), name  # representable, its square is not
+            assert not np.isfinite(metric.F_many(BASE, v)), name
+            with pytest.raises(NonFiniteSample, match="metric value is not finite"):
+                me.eval_F_many(metric, BASE, [[1.0, 0.0], v])
+
+
 class TestFamilyClosedForms:
     """The family tensors written out term by term, as an exact second route.
 
@@ -861,7 +916,15 @@ class TestLawCalls:
 
     @pytest.mark.parametrize("method", ["F_many", "tensor_many"])
     @pytest.mark.parametrize(
-        "make", [lambda: cb.sum_combiner(2), lambda: cb.power_combiner(2, 1, 1.5)], ids=["sum", "power"]
+        "make",
+        [
+            lambda: cb.sum_combiner(2),
+            lambda: cb.power_combiner(2, 1, 1.5),
+            lambda: cb._profile_law(cb.randers_profile(), 1, 1),
+            lambda: cb._profile_law(cb.kropina_profile(2.0), 1, 1),
+            lambda: cb._profile_law(cb.matsumoto_profile(1.0), 2, 0),
+        ],
+        ids=["sum", "power", "randers", "kropina2", "matsumoto_f1f2"],
     )
     def test_one_law_call_per_evaluation(self, make, method):
         law = make()
@@ -872,13 +935,15 @@ class TestLawCalls:
             return law.jet_fn(x, p, with_derivatives)
 
         counted = replace(law, jet_fn=counting)
-        metric = cb.combine(counted, [euclid()] * law.n, [me.constant_oneform([0.5, 0.0])] * law.m)
+        # two different metrics: equal ones put a two-metric Matsumoto law on its pole s = 1
+        metrics = [euclid(), me.riemann_metric(me.constant_riemann(0.04 * np.eye(2)), 2)][: law.n]
+        metric = cb.combine(counted, metrics, [me.constant_oneform([0.5, 0.0])] * law.m)
         vs = np.random.default_rng(3).normal(size=(7, 2))
         calls[0] = 0
         getattr(metric, method)(BASE, vs)
         assert calls[0] == 1
         calls[0] = 0
-        cb.check_conditions_ABC(counted, [1.0] * (law.n + law.m))
+        cb.check_conditions_ABC(counted, np.linspace(1.0, 0.5, law.n + law.m))
         assert calls[0] == 1
 
 
@@ -972,7 +1037,10 @@ class TestZeroInDomain:
         randers, _ = cb.named_family("randers", euclid(), self.FORM)
         matsumoto, _ = cb.named_family("matsumoto", euclid(), self.FORM)
         power2 = cb.power_q_combine([euclid()], [me.constant_oneform([0.2, 0.1])], 2.0)
-        for m in (randers, matsumoto, power2, cb.reversibilize(randers, "quadratic")):
+        # no form, so the law is not probed at (1, 1), the pole s = 1 of this profile
+        f1f2 = cb.f1f2_combine(euclid(), me.riemann_metric(me.constant_riemann(0.04 * np.eye(2)), 2),
+                               cb.matsumoto_profile(1.0))
+        for m in (randers, matsumoto, power2, cb.reversibilize(randers, "quadratic"), f1f2):
             assert m.zero_in_domain, m.name
             assert me.eval_F(m, me.TangentVec(BASE, [0.0, 0.0])) == 0.0
 
