@@ -10,7 +10,6 @@ from .combinators import (
     PhiProfile,
     characterization_nd,
     check_conditions_ABC,
-    chern_shen_check,
     combine,
     det_tensor_formula,
     f1f2_combine,
@@ -18,7 +17,6 @@ from .combinators import (
     matsumoto_profile,
     named_family,
     phi_combine,
-    phi_convexity_ok,
     power_combiner,
     power_q_combine,
     randers_profile,
@@ -39,7 +37,6 @@ from .geodesy import (
     geodesic_shoot,
     radial_minimality_test,
     reachability,
-    segment,
     separation,
 )
 from .metrics import (
@@ -63,7 +60,6 @@ from .metrics import (
 from .minkowski import (
     GaugeNorm,
     PolarCurve2D,
-    affine_ball,
     curve_convexity,
     downward_parabola_curve,
     gauge_from_ball,
@@ -73,7 +69,6 @@ from .minkowski import (
     spiral_curve,
     sqrt_parabola_curve,
     triangle_report,
-    unit_circle_curve,
     wavy_curve,
 )
 from .numkernel import (

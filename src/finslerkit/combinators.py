@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, DomainEmpty, InvalidArgument, OutsideDomain, OutsideProfile, check_integer, check_real
+from .errors import BadExponent, DomainEmpty, InvalidArgument, OutsideDomain, OutsideProfile
 from .metrics import (
     ConicMetric,
     OneFormAtom,
@@ -33,7 +33,6 @@ from .numkernel import (
 )
 
 DOMAIN_PROBE_DIRECTIONS = 64
-MAX_CHERN_SHEN_GRID = 10**4  # largest grid of chern_shen_check, whose work grows as grid^2
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +46,7 @@ class PhiProfile:
 
     The profile is one call, ``jet_fn(s, with_derivatives)``: for a float
     array s it returns phi, or (phi, phi', phi'') when ``with_derivatives``
-    is set.  :func:`_psi_terms` derives what the tensor formulas use:
-    psi = phi^2, phi1 = 2 psi - s psi' (= 2 phi (phi - s phi')) and
-    phi2 = 2 psi psi'' - psi'^2 (= 4 phi^3 phi'').
+    is set.
     """
 
     jet_fn: Callable = field(repr=False)
@@ -74,14 +71,6 @@ class PhiProfile:
     def jet(self, s) -> tuple:
         """(phi, phi', phi'') at s, from one call."""
         return tuple(np.asarray(d, dtype=float) for d in self.jet_fn(np.asarray(s, dtype=float), True))
-
-
-def _psi_terms(s, p, pd, pdd):
-    """(psi, psi', phi1, phi2) at s from the profile jet (phi, phi', phi'')."""
-    ps = p * p
-    psd = 2.0 * p * pd
-    psdd = 2.0 * (pd * pd + p * pdd)
-    return ps, psd, 2.0 * ps - s * psd, 2.0 * ps * psdd - psd**2
 
 
 def _criterion(s, bn2, p, pd, pdd):
@@ -136,32 +125,6 @@ def square_over_f0_profile() -> PhiProfile:
     return PhiProfile(jet_fn=jet_fn, intervals=((-1.0, 1.0),), name="square_over_f0")
 
 
-def phi_convexity_ok(profile: PhiProfile, s: float, tolerance: float = DEFAULT_EIG_TOL) -> bool:
-    """Pointwise sufficient condition phi1 > 0 and phi2 >= 0 at the ratio s."""
-    profile.require(s)
-    _, _, p1, p2 = _psi_terms(s, *profile.jet(s))
-    return bool(p1 > tolerance) and bool(p2 >= -tolerance)
-
-
-def chern_shen_check(profile: PhiProfile, b0: float, grid: int = 64) -> bool:
-    """Grid check of (phi - s phi') + (b^2 - s^2) phi'' > 0 for |s| <= b < b0,
-    on ``grid`` values of b and max(grid, 3) of s each.  InvalidArgument at
-    ``grid`` unless 1 <= grid <= ``MAX_CHERN_SHEN_GRID`` and it is an integer."""
-    check_real(grid, "grid")
-    if not grid >= 1:
-        raise InvalidArgument("grid must be at least 1", path="grid", constraint="minimum")
-    if not grid <= MAX_CHERN_SHEN_GRID:
-        raise InvalidArgument(f"grid must be at most {MAX_CHERN_SHEN_GRID}", path="grid", constraint="maximum")
-    grid = check_integer(grid, "grid")
-    bs = b0 * np.arange(grid) / grid
-    for b in bs:
-        s = np.linspace(-b, b, max(grid, 3))
-        profile.require(s)
-        if not np.all(_criterion(s, b * b, *profile.jet(s))[1] > 0.0):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # General homogeneous combinations
 # ---------------------------------------------------------------------------
@@ -209,15 +172,6 @@ class LCombiner:
         out = np.full(x.shape[:-1] + rows.shape[1:], np.nan)
         out[fin] = rows
         return out
-
-    def grad(self, x, p=None) -> np.ndarray:
-        return self.jet(x, p, True)[2]
-
-    def hess(self, x, p=None) -> np.ndarray:
-        return self.jet(x, p, True)[3]
-
-    def in_cone(self, x, p=None) -> np.ndarray:
-        return self.jet(x, p)[0]
 
 
 def sum_combiner(n: int) -> LCombiner:
@@ -276,11 +230,25 @@ class ABCReport:
 def check_conditions_ABC(
     combiner: LCombiner, point, base=None, tolerance: float = DEFAULT_EIG_TOL
 ) -> ABCReport:
-    """Positive-semidefiniteness conditions of the combination law at a point."""
-    _, _, grad, hess = combiner.jet(point, base, True)
-    a_ok = bool(np.all(grad[: combiner.n] >= -tolerance)) if combiner.n else True
+    """Positive-semidefiniteness conditions of the combination law at one
+    point (F_1..F_n, beta_1..beta_m): A, L_k >= 0 for k <= n; B, Hess L
+    positive semidefinite; C, L_1 + ... + L_n > 0.  Where all hold and the
+    ingredient metrics are positive definite, so is the combination.
+
+    InvalidArgument at ``point`` unless its shape is (n + m,); OutsideDomain
+    where the point leaves the law's cone.
+    """
+    point = np.asarray(point, dtype=float)
+    n, d = combiner.n, combiner.n + combiner.m
+    if point.shape != (d,):
+        raise InvalidArgument(f"point must have shape ({d},), got {point.shape}", path="point", constraint="shape")
+    with np.errstate(all="ignore"):  # a pole of the law is outside its cone
+        ok, _, grad, hess = combiner.jet(point, base, True)
+    if not np.all(ok):
+        raise OutsideDomain(f"point {point} outside the cone of the law {combiner.name}")
+    a_ok = bool(np.all(grad[:n] >= -tolerance))
     b_ok = eigen_classify(hess, tolerance).code <= 1  # PositiveDefinite or PositiveSemiDefiniteDegenerate
-    c_ok = bool(np.sum(grad[: combiner.n]) > tolerance) if combiner.n else False
+    c_ok = bool(np.sum(grad[:n]) > tolerance)
     return ABCReport(A_ok=a_ok, B_ok=b_ok, C_ok=c_ok)
 
 
@@ -342,7 +310,7 @@ def combine(
     # forms there is no kernel, and that point may be a pole of the law (s = 1 for
     # a two-metric Matsumoto profile).  Kropina's law divides by zero there.
     with np.errstate(all="ignore"):
-        admits_beta_zero = m == 0 or bool(combiner.in_cone(np.array([1.0] * n + [0.0] * m), np.zeros(dim)))
+        admits_beta_zero = m == 0 or bool(combiner.jet(np.array([1.0] * n + [0.0] * m), np.zeros(dim))[0])
 
     def jet_fn(base, vec, with_tensor):
         kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]

@@ -124,10 +124,6 @@ class Polyline:
             object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
 
 
-def segment(a, b) -> Polyline:
-    return Polyline(points=np.stack([np.asarray(a, float), np.asarray(b, float)]))
-
-
 def _curve_samples(curve, nodes: int):
     """(positions, velocities, parameters, weights*dt) at the Simpson nodes of each piece."""
     if not isinstance(curve, Polyline):

@@ -67,17 +67,6 @@ class PolarCurve2D:
         ok = (theta > lo) & (theta < hi) & (np.linalg.norm(v, axis=-1) > 0)
         return theta, ok
 
-    def point(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        rr = self.value(theta)
-        return np.stack([rr * np.cos(theta), rr * np.sin(theta)], axis=-1)
-
-    def tangent(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        rr, rd, _ = self.jet(theta)
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack([rd * c - rr * s, rd * s + rr * c], axis=-1)
-
 
 def polar_curve(r, theta_range=None) -> PolarCurve2D:
     """The curve of a radius function r(theta), its derivatives by central differences."""
@@ -193,15 +182,6 @@ def check_ball_direction(direction: str):
         raise InvalidArgument(f"direction must be 'forward' or 'backward', got {direction!r}", path="direction")
 
 
-def affine_ball(norm: GaugeNorm, center, radius: float, direction: str, probe) -> bool:
-    """Membership of ``probe`` in the forward/backward affine ball at ``center``."""
-    check_ball_direction(direction)
-    center = np.asarray(center, dtype=float)
-    probe = np.asarray(probe, dtype=float)
-    d = probe - center if direction == "forward" else center - probe
-    return float(norm.value_unchecked(d)) < radius  # NaN, so False, outside the domain
-
-
 class TriangleVerdict(Enum):
     HOLDS = "Holds"
     HOLDS_STRICT = "HoldsStrict"
@@ -246,14 +226,6 @@ def triangle_report(norm: GaugeNorm, v1, v2) -> TriangleVerdict:
 # ---------------------------------------------------------------------------
 # Built-in reference curves
 # ---------------------------------------------------------------------------
-
-
-def unit_circle_curve() -> PolarCurve2D:
-    def jet_fn(th, with_derivatives):
-        r = np.ones_like(th)
-        return (r, np.zeros_like(th), np.zeros_like(th)) if with_derivatives else r
-
-    return PolarCurve2D(jet_fn=jet_fn, theta_range=None)
 
 
 def spiral_curve(epsilon: float) -> PolarCurve2D:

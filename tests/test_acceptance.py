@@ -382,3 +382,75 @@ def test_criterion_10_reversibilization():
     recovered = 0.5 * (ft + sign * np.sqrt(np.maximum(2.0 * fh**2 - ft**2, 0.0)))
     worst = float(np.max(np.abs(recovered - f)))
     _line("10", worst < 1e-10, f"recovery identity worst abs err {worst:.3g} on 1000 samples")
+
+
+def test_criterion_11_curve_convexity_sign():
+    # the scalar convexity of an indicatrix has the sign of det g of its gauge's
+    # metric in the same direction; angles near an inflection (|kappa| < 1.5e-3) are skipped
+    curves = {
+        "lorentz": mk.lorentz_curve(),
+        "spiral": mk.spiral_curve(0.1),
+        "parabola": mk.downward_parabola_curve(),
+        "sqrt_parabola": mk.sqrt_parabola_curve(),
+        "wavy": mk.wavy_curve(0.3, 3),
+    }
+    mismatches, counted, concave = 0, 0, 0
+    for curve in curves.values():
+        lo, hi = curve.theta_range or (0.0, 2 * np.pi)
+        th = np.linspace(lo, hi, 2003)[1:-1]
+        kappa = mk.curve_convexity(curve, th)
+        v = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        g = me.tensor(me.minkowski_metric(mk.gauge_from_curve(curve)), me.TangentVec(np.zeros_like(v), v))
+        away = np.abs(kappa) >= 1.5e-3
+        mismatches += int(np.sum(np.sign(np.linalg.det(g[away])) != np.sign(kappa[away])))
+        counted += int(np.sum(away))
+        concave += int(np.sum(kappa[away] < 0.0))
+    _line(
+        "11",
+        mismatches == 0 and counted >= 5 * 1990,
+        f"sign(curve_convexity) = sign(det g) on {counted} angles of {len(curves)} curves "
+        f"({concave} concave): {mismatches} mismatches",
+    )
+
+
+def test_criterion_12_conditions_abc_sufficient():
+    # conditions A-C of the law at (F_1..F_n, beta_1..beta_m) imply a positive
+    # definite combination of positive definite ingredients; not conversely
+    # (Matsumoto q=1 at b=0.8 is positive definite where A fails)
+    E = me.euclidean_metric(2)
+    beta = me.constant_oneform([0.5, 0.0])
+    stretched = me.riemann_metric(me.constant_riemann(np.diag([1.0, 2.0])), 2)
+    small = me.riemann_metric(me.constant_riemann(0.04 * np.eye(2)), 2)
+    cases = {
+        "sum": (cb.sum_combiner(2), [E, stretched], []),
+        **{f"power[q={q:g}]": (cb.power_combiner(1, 1, q), [E], [beta]) for q in (1.0, 2.0, 3.0)},
+        "randers": (cb._profile_law(cb.randers_profile(), 1, 1), [E], [beta]),
+        "kropina": (cb._profile_law(cb.kropina_profile(1.0), 1, 1), [E], [beta]),
+        "matsumoto[q=1]": (cb._profile_law(cb.matsumoto_profile(1.0), 1, 1), [E], [me.constant_oneform([0.8, 0.0])]),
+        "matsumoto[q=-2]": (cb._profile_law(cb.matsumoto_profile(-2.0), 1, 1), [E], [beta]),
+        "f1f2-matsumoto": (cb._profile_law(cb.matsumoto_profile(1.0), 2, 0), [E, small], []),
+    }
+    dirs = me.unit_directions(2, 4000)
+    counterexamples, counts = 0, {}
+    for name, (law, metrics, forms) in cases.items():
+        m = cb.combine(law, metrics, forms)
+        base = np.zeros_like(dirs)
+        ok = m.in_domain_many(base, dirs)
+        # off the forms' kernel, as in criterion 2: at beta(v) ~ 1e-17 the Kropina tensor's
+        # eigenvalues span 33 orders, which the relative tolerance classifies as degenerate
+        for fm in forms:
+            ok = ok & (np.abs(fm.pair(base, dirs)) > 1e-6)
+        base, vs = base[ok], dirs[ok]
+        args = [mt.F_many(base, vs) for mt in metrics] + [fm.pair(base, vs) for fm in forms]
+        points = np.stack(args, axis=-1)
+        passed = np.array([cb.check_conditions_ABC(law, p).all_ok for p in points])
+        pd = me.classify_point(m, me.TangentVec(base, vs)).is_positive_definite
+        counterexamples += int(np.sum(passed & ~pd))
+        counts[name] = (int(np.sum(passed)), int(np.sum(pd)), len(vs))
+    _line(
+        "12",
+        counterexamples == 0 and min(c[0] for c in counts.values()) > 0,
+        f"{counterexamples} directions pass A-C without a positive definite tensor over {len(cases)} laws; "
+        f"matsumoto[q=1]: {counts['matsumoto[q=1]'][0]} pass A-C, {counts['matsumoto[q=1]'][1]} "
+        f"positive definite of {counts['matsumoto[q=1]'][2]} directions",
+    )

@@ -300,37 +300,14 @@ class TestSampleCounts:
         assert str(err) == "trials must be at most 16"
 
 
-class TestChernShenGrid:
-    @pytest.mark.parametrize("grid", [0, -1, np.nan])
-    def test_grid_minimum(self, grid):
-        _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=grid), "grid", "minimum")
-
-    @pytest.mark.parametrize("grid", [2.5, True, np.float64(7.25), "3", None])
-    def test_grid_is_an_integer(self, grid):
-        # grid=2.5 used to check np.arange(2.5)'s three values of b and return True
-        _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=grid), "grid", "integer")
-        assert cb.chern_shen_check(cb.randers_profile(), 0.9, grid=3.0) is cb.chern_shen_check(cb.randers_profile(), 0.9, grid=3)
-
-    def test_grid_cap(self, monkeypatch):
-        _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=10**4 + 1), "grid", "maximum")
-        monkeypatch.setattr(cb, "MAX_CHERN_SHEN_GRID", 8)
-        assert cb.chern_shen_check(cb.randers_profile(), 0.9, grid=8)
-        assert cb.chern_shen_check(cb.randers_profile(), 0.9, grid=1)
-        err = _rejects(lambda: cb.chern_shen_check(cb.randers_profile(), 0.9, grid=9), "grid", "maximum")
-        assert str(err) == "grid must be at most 8"
-
-
 class TestDirection:
     def test_one_rule_for_both_balls(self, graph):
-        norm = mk.gauge_from_curve(mk.unit_circle_curve())
         for call in (
             lambda: mk.check_ball_direction("sideways"),
             lambda: gd.df_ball(graph, 0, 0.5, "sideways"),
-            lambda: mk.affine_ball(norm, [0.0, 0.0], 1.0, "sideways", [0.5, 0.0]),
         ):
             err = _rejects(call, "direction", "")
             assert str(err) == "direction must be 'forward' or 'backward', got 'sideways'"
-        assert mk.affine_ball(norm, [0.0, 0.0], 1.0, "backward", [0.5, 0.0])
 
 
 class TestCombinatorArguments:

@@ -5,8 +5,8 @@ import pytest
 
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
-from finslerkit.errors import BadExponent, DomainEmpty, NonFiniteSample, OutsideDomain
-from finslerkit.numkernel import Definiteness, eigen_classify
+from finslerkit.errors import BadExponent, DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain
+from finslerkit.numkernel import eigen_classify
 
 BASE = np.zeros(2)
 
@@ -65,7 +65,9 @@ class TestProfiles:
         ],
     )
     def test_derived_identities(self, profile):
-        # phi1 = 2 phi (phi - s phi') and phi2 = 4 phi^3 phi'' on samples
+        # on the (F0, beta) law L = x1^2 psi(s) at x = (1, s): L_1 = 2 phi (phi - s phi')
+        # and det Hess L = 2 psi psi'' - psi'^2 = 4 phi^3 phi''
+        law = cb._profile_law(profile, 1, 1)
         rng = np.random.default_rng(5)
         count = 0
         while count < 40:
@@ -73,10 +75,10 @@ class TestProfiles:
             if not bool(profile.contains(s)):
                 continue
             p, pd, pdd = (float(x) for x in profile.jet(s))
-            _, _, phi1, phi2 = cb._psi_terms(s, *profile.jet(s))
+            _, _, grad, hess = law.jet([1.0, s], None, True)
             scale = max(1.0, abs(p) ** 4, abs(p * pd * s))
-            assert abs(float(phi1) - 2 * p * (p - s * pd)) < 1e-10 * scale
-            assert abs(float(phi2) - 4 * p**3 * pdd) < 1e-10 * scale * max(1, abs(pdd))
+            assert abs(float(grad[0]) - 2 * p * (p - s * pd)) < 1e-10 * scale
+            assert abs(float(np.linalg.det(hess)) - 4 * p**3 * pdd) < 1e-10 * scale * max(1, abs(pdd))
             count += 1
 
     def test_kropina_requires_positive_exponent(self):
@@ -88,56 +90,29 @@ class TestProfiles:
             cb.matsumoto_profile(-0.5)
 
 
-class TestPhiConvexityOk:
-    def test_randers(self):
-        assert cb.phi_convexity_ok(cb.randers_profile(), 0.5)
-
-    def test_matsumoto_outside_strong_region(self):
-        assert not cb.phi_convexity_ok(cb.matsumoto_profile(1.0), 0.6)
-
-    def test_kropina(self):
-        assert cb.phi_convexity_ok(cb.kropina_profile(1.0), 0.3)
-
-    def test_outside_profile_interval_rejected(self):
-        from finslerkit.errors import OutsideProfile
-
-        with pytest.raises(OutsideProfile):
-            cb.phi_convexity_ok(cb.kropina_profile(1.0), 0.0)
-
-
-class TestProfileConvexitySufficiency:
-    def test_pointwise_condition_excludes_indefiniteness(self):
-        # wherever the profile condition holds, classification is never Indefinite
-        E = euclid()
-        beta = me.constant_oneform([0.8, 0.0])
-        prof = cb.matsumoto_profile(1.0)
-        m = cb.phi_combine(E, beta, prof)
-        rng = np.random.default_rng(8)
-        checked = 0
-        while checked < 200:
-            v = rng.normal(size=2)
-            v /= np.linalg.norm(v)
-            if not bool(m.in_domain_many(BASE, v)):
-                continue
-            s = 0.8 * v[0]
-            if cb.phi_convexity_ok(prof, s):
-                rep = me.classify_point(m, me.TangentVec(BASE, v), 1e-9)
-                assert rep.classification is not Definiteness.INDEFINITE
-            checked += 1
+def chern_shen_holds(profile, b0, grid=48):
+    """The Chern-Shen condition (phi - s phi') + (b^2 - s^2) phi'' > 0 for
+    |s| <= b < b0, as :func:`characterization_nd` of the Euclidean plane and
+    beta = b dx on ``grid`` directions, for ``grid`` values of b."""
+    E, tv = euclid(), me.TangentVec(np.zeros((grid, 2)), me.unit_directions(2, grid))
+    return all(
+        np.all(cb.characterization_nd(E, me.constant_oneform([b, 0.0]), profile, tv))
+        for b in b0 * np.arange(grid) / grid
+    )
 
 
 class TestChernShen:
     def test_randers_all_b(self):
-        assert cb.chern_shen_check(cb.randers_profile(), 1.0, grid=48)
+        assert chern_shen_holds(cb.randers_profile(), 1.0)
 
     def test_one_plus_s_squared_fails_for_large_band(self):
         prof = profile_of(lambda s: 1.0 + s**2, lambda s: 2.0 * s, lambda s: 2.0 * np.ones_like(s))
-        assert not cb.chern_shen_check(prof, 2.0, grid=48)
+        assert not chern_shen_holds(prof, 2.0)
 
     def test_convex_profile_with_positive_slope_condition(self):
         # phi = exp(s): phi - s phi' = (1-s) e^s > 0 on s < 1 and phi'' >= 0
         prof = profile_of(np.exp, np.exp, np.exp, intervals=((-0.9, 0.9),))
-        assert cb.chern_shen_check(prof, 0.9, grid=48)
+        assert chern_shen_holds(prof, 0.9)
 
 
 class TestCombinerLaws:
@@ -162,8 +137,9 @@ class TestCombinerLaws:
 
         grad_fd = fd_gradient_rows(lambda x: combiner.value(x), point)
         hess_fd = fd_hessian_batch(lambda x: combiner.value(x), point)
-        assert np.allclose(combiner.grad(point), grad_fd, rtol=1e-5, atol=1e-6)
-        assert np.allclose(combiner.hess(point), hess_fd, rtol=1e-4, atol=1e-4)
+        _, _, grad, hess = combiner.jet(point, None, True)
+        assert np.allclose(grad, grad_fd, rtol=1e-5, atol=1e-6)
+        assert np.allclose(hess, hess_fd, rtol=1e-4, atol=1e-4)
 
 
 class TestCombine:
@@ -282,22 +258,39 @@ class TestConditionsABC:
         rep = cb.check_conditions_ABC(cb.power_combiner(1, 1, 2.0), [1.0, 0.7])
         assert rep.A_ok and rep.B_ok
 
-    def test_abc_implies_positive_definite(self):
-        E = euclid()
-        beta = me.constant_oneform([0.5, 0.0])
-        m = cb.power_q_combine([E], [beta], 2.0)
-        comb = cb.power_combiner(1, 1, 2.0)
-        rng = np.random.default_rng(9)
-        checked = 0
-        while checked < 50:
-            v = rng.normal(size=2)
-            if not bool(m.in_domain_many(BASE, v)):
-                continue
-            point = np.array([float(E.F_many(BASE, v)), float(beta.pair(BASE, v))])
-            rep = cb.check_conditions_ABC(comb, point)
-            if rep.all_ok:
-                assert me.classify_point(m, me.TangentVec(BASE, v)).is_positive_definite
-            checked += 1
+    @pytest.mark.parametrize(
+        "profile,s,verdict",
+        [
+            (cb.randers_profile(), 0.5, (True, True, True)),
+            (cb.kropina_profile(1.0), 0.3, (True, True, True)),
+            (cb.matsumoto_profile(1.0), 0.6, (False, True, False)),
+        ],
+        ids=["randers", "kropina", "matsumoto"],
+    )
+    def test_profile_law(self, profile, s, verdict):
+        # at x = (1, s), L_1 = 2 psi - s psi' and det Hess L = 2 psi psi'' - psi'^2 (psi = phi^2)
+        rep = cb.check_conditions_ABC(cb._profile_law(profile, 1, 1), [1.0, s])
+        assert (rep.A_ok, rep.B_ok, rep.C_ok) == verdict
+
+    @pytest.mark.parametrize(
+        "law,point",
+        [
+            (cb._profile_law(cb.randers_profile(), 1, 1), [1.0, -2.0]),
+            (cb.sum_combiner(2), [1.0, -3.0]),
+            (cb._profile_law(cb.kropina_profile(1.0), 1, 1), [1.0, 0.0]),  # the pole s = 0
+            (cb._profile_law(cb.matsumoto_profile(1.0), 1, 1), [1.0, 1.0]),  # the pole s = 1
+        ],
+        ids=["randers", "sum", "kropina_pole", "matsumoto_pole"],
+    )
+    def test_outside_the_cone(self, law, point):
+        with pytest.raises(OutsideDomain):
+            cb.check_conditions_ABC(law, point)
+
+    @pytest.mark.parametrize("point", [[[1.0, 1.0], [1.0, -0.5]], [1.0, 1.0, 1.0], [1.0], 1.0], ids=["stack", "long", "short", "scalar"])
+    def test_one_point_of_n_plus_m_arguments(self, point):
+        with pytest.raises(InvalidArgument) as info:
+            cb.check_conditions_ABC(cb.sum_combiner(2), point)
+        assert (info.value.path, info.value.constraint) == ("point", "shape")
 
 
 def power_q_reference(metrics, forms, q):

@@ -57,13 +57,13 @@ def halfplane_dy():
 
 class TestCurveLength:
     def test_euclidean_segment(self, euclid):
-        assert gd.curve_length(euclid, gd.segment([0, 0], [3, 4])) == pytest.approx(5.0, abs=1e-10)
+        assert gd.curve_length(euclid, gd.Polyline(points=[[0, 0], [3, 4]])) == pytest.approx(5.0, abs=1e-10)
 
     def test_dy_metric_monotone_curves_all_length_one(self, halfplane_dy):
         t = np.linspace(0.0, 1.0, 41)
         wiggly = gd.Polyline(points=np.stack([0.4 * np.sin(np.pi * t), t], axis=-1))
         assert gd.curve_length(halfplane_dy, wiggly) == pytest.approx(1.0, abs=1e-10)
-        assert gd.curve_length(halfplane_dy, gd.segment([0, 0], [0, 1])) == pytest.approx(1.0)
+        assert gd.curve_length(halfplane_dy, gd.Polyline(points=[[0, 0], [0, 1]])) == pytest.approx(1.0)
 
     def test_lorentz_short_polygonal(self, lorentz_metric):
         # two segments hugging the null lines make the path cheap

@@ -11,6 +11,8 @@ from finslerkit import minkowski as mk
 from finslerkit.errors import DomainEmpty, NonFiniteSample, OutsideDomain
 from finslerkit.numkernel import Definiteness, eigen_classify
 
+from conftest import unit_circle_curve
+
 BASE = np.zeros(2)
 BOX_2D = ([-1.0, -1.0], [1.0, 1.0])
 
@@ -128,7 +130,7 @@ class TestGaugeOnePass:
             evaluate(vecs)
             assert calls == [False]
 
-    @pytest.mark.parametrize("curve", [mk.lorentz_curve(), mk.spiral_curve(0.3), mk.unit_circle_curve(), None])
+    @pytest.mark.parametrize("curve", [mk.lorentz_curve(), mk.spiral_curve(0.3), unit_circle_curve(), None])
     def test_member_value_is_member_and_value(self, curve):
         # None: a ball gauge, the unit disc on the cone y > |x|
         if curve is None:
@@ -309,7 +311,7 @@ class TestRequiredChart:
             me.oneform_metric(me.constant_oneform([0.0, 1.0]))
         assert me.riemann_metric(me.constant_riemann(np.eye(3)), 3).dimension == 3
         assert me.oneform_metric(me.constant_oneform([0.0, 1.0]), 2).dimension == 2
-        assert me.minkowski_metric(mk.gauge_from_curve(mk.unit_circle_curve())).dimension == 2
+        assert me.minkowski_metric(mk.gauge_from_curve(unit_circle_curve())).dimension == 2
 
 
 class TestTensor:

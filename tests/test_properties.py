@@ -28,7 +28,7 @@ from finslerkit import minkowski as mk
 from finslerkit.errors import FinslerError, NonFiniteSample
 from finslerkit.numkernel import HESS_STEP, _hessian_stencil, eigen_classify
 
-from conftest import boxed
+from conftest import boxed, unit_circle_curve
 
 PROFILE_MARGIN = 0.15  # as the CLI oracle's default interior margin
 # The step-eps^(1/4) FD Hessian is good to about 1e-7 on these trees (worst
@@ -434,7 +434,7 @@ def spec_curves(draw):
     """(curve, its three spec callables) for a built-in or a polar_curve."""
     kind = draw(st.sampled_from(["circle", "spiral", "lorentz", "sqrt_parabola", "parabola", "wavy", "polar"]))
     if kind == "circle":
-        return mk.unit_circle_curve(), (np.ones_like, np.zeros_like, np.zeros_like)
+        return unit_circle_curve(), (np.ones_like, np.zeros_like, np.zeros_like)
     if kind == "spiral":
         return mk.spiral_curve(draw(st.floats(0.01, 3.0))), (lambda th: th.copy(), np.ones_like, np.zeros_like)
     if kind == "lorentz":

@@ -118,18 +118,6 @@ def test_cli_owns_no_library_budget_and_maps_library_errors_twice():
 
 
 ROOT = PACKAGE.parents[1]
-# The public names that no command, acceptance criterion or benchmark reads:
-# the strong-convexity conditions A-C of combination laws, a profile's
-# pointwise convexity test and the Chern-Shen check of (alpha, beta) profiles,
-# the scalar convexity of indicatrix curves, affine balls and the unit circle.
-KEPT_EXPORTS = {
-    "check_conditions_ABC",
-    "chern_shen_check",
-    "curve_convexity",
-    "phi_convexity_ok",
-    "affine_ball",
-    "unit_circle_curve",
-}
 
 
 def exported_names(init_source: str) -> list[str]:
@@ -138,25 +126,59 @@ def exported_names(init_source: str) -> list[str]:
             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
 
 
-def read_names(source: str) -> set[str]:
-    """The names a module reads, bare or as an attribute."""
-    tree = ast.parse(source)
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+def loaded_names(tree: ast.AST) -> set[str]:
+    """The names an AST reads, bare or as an attribute."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
         node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
     }
+
+
+def read_names(source: str) -> set[str]:
+    """The names a module reads, bare or as an attribute, less the bare names
+    it binds itself: a local variable named like an export reads no export."""
+    tree = ast.parse(source)
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    bound = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    return {node.id for node in names} - bound | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def test_the_export_check_sees_an_unread_name():
     assert exported_names("from .a import (x, y)\nfrom .b import z as w\nimport os\n") == ["x", "y", "w"]
     assert read_names("def f(v: x):\n    return m.y(z)\n") == {"x", "m", "y", "z"}
+    assert read_names("def f():\n    segment = 1\n    return segment\n") == set()
 
 
 def test_every_export_has_a_reader():
     # the library itself (cli.py and every module but __init__), the acceptance
     # criteria and the benchmark are the readers; a name that only its own tests
-    # reach is either deleted or kept on purpose in KEPT_EXPORTS
+    # reach is deleted
     readers = [*MODULES, ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
     read = set().union(*(read_names(path.read_text()) for path in readers))
     exported = exported_names((PACKAGE / "__init__.py").read_text())
-    assert sorted(set(exported) - read - KEPT_EXPORTS) == []
-    assert KEPT_EXPORTS <= set(exported) - read  # a kept name that gains a reader leaves the set
+    assert sorted(set(exported) - read) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The private functions, classes and constants a module defines at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_the_private_check_sees_an_orphan():
+    source = "_A = 1\n_B: int = 2\n__all__ = []\nC = _A\ndef _f():\n    return 0\nclass _K:\n    pass\n"
+    assert private_definitions(source) == ["_A", "_B", "_f", "_K"]
+    assert sorted(set(private_definitions(source)) - loaded_names(ast.parse(source))) == ["_B", "_K", "_f"]
+
+
+def test_every_private_name_has_a_reader():
+    # a deletion that leaves a helper without its last caller deletes the helper too
+    sources = [path.read_text() for path in sorted(PACKAGE.rglob("*.py"))]
+    read = set().union(*(loaded_names(ast.parse(source)) for source in sources))
+    defined = {name for source in sources for name in private_definitions(source)}
+    assert sorted(defined - read) == []
