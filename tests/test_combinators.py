@@ -6,7 +6,7 @@ import pytest
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
 from finslerkit.errors import BadExponent, DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain
-from finslerkit.numkernel import eigen_classify
+from finslerkit.numkernel import Definiteness, eigen_classify
 
 BASE = np.zeros(2)
 
@@ -88,6 +88,28 @@ class TestProfiles:
     def test_matsumoto_exponent_gap(self):
         with pytest.raises(BadExponent):
             cb.matsumoto_profile(-0.5)
+
+
+class TestProfileConvexitySufficiency:
+    def test_pointwise_condition_excludes_indefiniteness(self):
+        # wherever conditions A-C of the profile law hold at (1, s), classification is never Indefinite
+        E = euclid()
+        beta = me.constant_oneform([0.8, 0.0])
+        prof = cb.matsumoto_profile(1.0)
+        law = cb._profile_law(prof, 1, 1)
+        m = cb.phi_combine(E, beta, prof)
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 200:
+            v = rng.normal(size=2)
+            v /= np.linalg.norm(v)
+            if not bool(m.in_domain_many(BASE, v)):
+                continue
+            s = 0.8 * v[0]
+            if cb.check_conditions_ABC(law, [1.0, s]).all_ok:
+                rep = me.classify_point(m, me.TangentVec(BASE, v), 1e-9)
+                assert rep.classification is not Definiteness.INDEFINITE
+            checked += 1
 
 
 def chern_shen_holds(profile, b0, grid=48):
@@ -257,6 +279,23 @@ class TestConditionsABC:
     def test_power_combiner_hessian_psd(self):
         rep = cb.check_conditions_ABC(cb.power_combiner(1, 1, 2.0), [1.0, 0.7])
         assert rep.A_ok and rep.B_ok
+
+    def test_abc_implies_positive_definite(self):
+        E = euclid()
+        beta = me.constant_oneform([0.5, 0.0])
+        m = cb.power_q_combine([E], [beta], 2.0)
+        comb = cb.power_combiner(1, 1, 2.0)
+        rng = np.random.default_rng(9)
+        checked = 0
+        while checked < 50:
+            v = rng.normal(size=2)
+            if not bool(m.in_domain_many(BASE, v)):
+                continue
+            point = np.array([float(E.F_many(BASE, v)), float(beta.pair(BASE, v))])
+            rep = cb.check_conditions_ABC(comb, point)
+            if rep.all_ok:
+                assert me.classify_point(m, me.TangentVec(BASE, v)).is_positive_definite
+            checked += 1
 
     @pytest.mark.parametrize(
         "profile,s,verdict",
