@@ -101,22 +101,28 @@ def _expr_field(exprs: list, dim: int, path: str, nested: bool = False):
     """``(field, constant)`` of a list (``nested``: a list of lists) of position expressions
     in ``x, y, z`` (up to 3 dimensions) and ``x1 .. xN``: ``field(x)`` stacks their values
     on trailing axes, with x's batch shape only when one names a position (the atom
-    broadcasts the rest), ``constant`` says none names a position."""
+    broadcasts the rest), ``constant`` says none names a position.  Each distinct
+    expression text is compiled, at its first path, and evaluated once per call."""
     letters = ("x", "y", "z")[:dim] if dim <= 3 else ()
     variables = letters + tuple(f"x{i+1}" for i in range(dim))
-    fns = [
-        [compile_expr(e, variables, f"{path}[{i}][{j}]" if nested else f"{path}[{j}]") for j, e in enumerate(row)]
-        for i, row in enumerate(exprs if nested else [exprs])
-    ]
+    rows = exprs if nested else [exprs]
+    fns, slot = {}, []  # text -> compiled expression; each entry's text, row by row
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            text = str(e)
+            if text not in fns:
+                fns[text] = compile_expr(e, variables, f"{path}[{i}][{j}]" if nested else f"{path}[{j}]")
+            slot.append(text)
 
     def field(x):
         x = np.asarray(x, dtype=float)
         comps = [x[..., i] for i in range(dim)]
         args = comps[: len(letters)] + comps
-        vals = np.stack(np.broadcast_arrays(*(fn(*args) for row in fns for fn in row)), axis=-1)
-        return vals.reshape(vals.shape[:-1] + (len(fns), -1)) if nested else vals
+        values = {text: fn(*args) for text, fn in fns.items()}
+        vals = np.stack(np.broadcast_arrays(*(values[text] for text in slot)), axis=-1)
+        return vals.reshape(vals.shape[:-1] + (len(rows), -1)) if nested else vals
 
-    return field, not any(fn.variables_used for row in fns for fn in row)
+    return field, not any(fn.variables_used for fn in fns.values())
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ length F(delta), equal to the checked ``eval_F_many``.
 On a position-dependent metric each edge's length is the 7-point Kronrod
 sum of the embedded 3/7-point Gauss-Kronrod pair, and its cone test
 samples both ends and those 7 nodes; an edge whose 3-point Gauss
-estimate disagrees is redone with composite Simpson.  Queries on a
+estimate disagrees is redone with composite Simpson.  Edges are
+evaluated in blocks of whole offsets, one jet per block, and an edge's
+velocity is one vector broadcast over its points, which the metric's
+position-independent nodes evaluate once.  Queries on a
 position-independent graph run on adjacencies without the offsets that
 split into cheaper sign-consistent pairs (chamfer-mask dominance), with
 the same answers bit for bit, and read the edges into a node off the
@@ -55,6 +58,9 @@ DEFAULT_STEP = 0.01  # output spacing of a geodesic; the integrator picks its ow
 MAX_GEODESIC_STEPS = 10**4  # trial steps, accepted plus rejected, of one _integrate call
 MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic_shoot
 MAX_GRAPH_EDGES = 5 * 10**7  # candidate_edges of one graph, checked by check_graph before any allocation
+# A position-dependent graph evaluates its edges in blocks of whole offsets, the
+# fewest that hold EDGE_BLOCK edges: one jet per block bounds a build's memory.
+EDGE_BLOCK = 2**10
 DOMINANCE_MARGIN = 1e-12  # an offset is dropped when a split costs at most (1 - margin) F(offset)
 # A graph with fewer edges than this keeps its queries on the full adjacency
 # with no distance cap, and so does one whose dominated offsets carry fewer:
@@ -656,17 +662,29 @@ def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, 
     return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
 
 
+def _segment_points(starts: np.ndarray, delta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The points ``starts + t_j * delta`` (E, J, n) of the edges (E, n), one
+    coordinate at a time: broadcasting (E, 1, n) against (J, n) would run an
+    inner loop of length n."""
+    points = np.empty(starts.shape[:1] + t.shape + starts.shape[1:])
+    for d in range(starts.shape[1]):
+        np.add(starts[:, d, None], t * delta[:, d, None], out=points[..., d])
+    return points
+
+
 def _edge_lengths(m: ConicMetric, starts: np.ndarray, delta: np.ndarray) -> tuple:
     """(kept, lengths): the mask of the admissible straight edges
-    ``starts -> starts + delta`` on a position-dependent metric, and their
-    F-lengths, by the rule of :func:`build_separation_graph`.  A flagged
-    edge includes one whose K7 or G3 sum is not finite.  Each weighted sum
-    is a per-row reduction, so an edge's length does not depend on the
-    other edges in the batch (a BLAS matrix-vector product's rounding
-    depends on the row count)."""
+    ``starts -> starts + delta``, one delta per edge (E, n), on a
+    position-dependent metric, and their F-lengths, by the rule of
+    :func:`build_separation_graph`.  A flagged edge includes one whose K7 or
+    G3 sum is not finite.  Each weighted sum is a per-row reduction, so an
+    edge's length does not depend on the other edges in the batch (a BLAS
+    matrix-vector product's rounding depends on the row count).  The
+    velocity of an edge is one vector broadcast over its points, so the
+    position-independent nodes of ``m`` evaluate it once."""
     t, k7, g3 = gauss_kronrod_3_7()
-    ends_and_nodes = np.concatenate([[0.0], t, [1.0]])
-    ok, vals = m.jet(starts[:, None, :] + ends_and_nodes[None, :, None] * delta, delta)
+    velocity = delta[:, None, :]
+    ok, vals = m.jet(_segment_points(starts, delta, np.concatenate([[0.0], t, [1.0]])), velocity)
     kept = np.all(ok, axis=1)
     inner = vals[kept, 1:-1]
     kronrod = np.einsum("ij,j->i", inner, k7)
@@ -678,7 +696,7 @@ def _edge_lengths(m: ConicMetric, starts: np.ndarray, delta: np.ndarray) -> tupl
     if redo.size:
         w = simpson_weights(EDGE_QUAD_NODES)
         tq = np.linspace(0.0, 1.0, w.size)
-        ok, vals = m.jet(starts[redo][:, None, :] + tq[None, :, None] * delta, delta)
+        ok, vals = m.jet(_segment_points(starts[redo], delta[redo], tq), velocity[redo])
         keep = np.all(ok, axis=1)
         kept[redo] = keep
         # numpy's pairwise sum stays within 2 ulp of a BLAS product over the
@@ -830,15 +848,19 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     position-independent metric that length is F(delta), from one jet over
     the table of neighbour offsets; each weight equals
     ``eval_F_many(m, x, delta)`` bit for bit, and an offset outside the
-    cone gives no edges.  On a position-dependent metric one jet per offset
-    gives the 7-point Gauss-Kronrod sum, and the edge is dropped when the
-    velocity leaves the cone at either end or at any of the 7 nodes; an
-    edge whose embedded 3-point Gauss estimate differs from that sum by
-    more than ``EDGE_KRONROD_RTOL`` relative is redone with
+    cone gives no edges.  On a position-dependent metric the edges are
+    taken offset by offset in blocks, the fewest whole offsets that hold
+    ``EDGE_BLOCK`` edges, and one jet per block gives each edge's 7-point
+    Gauss-Kronrod sum; the edge is dropped when the velocity leaves the
+    cone at either end or at any of the 7 nodes.  An edge whose embedded
+    3-point Gauss estimate differs from that sum by more than
+    ``EDGE_KRONROD_RTOL`` relative is redone, in one jet per block, with
     ``EDGE_QUAD_NODES``-point Simpson, whose points alone then decide its
-    length and cone test.  A position-independent graph keeps its offset
-    table and F(offset) for the reduced query adjacencies.  The arguments
-    pass :func:`check_graph` before anything is allocated.
+    length and cone test.  Every edge's result is independent of its
+    batch, so the blocks only bound the memory of a jet and the number of
+    jets.  A position-independent graph keeps its offset table and
+    F(offset) for the reduced query adjacencies.  The arguments pass
+    :func:`check_graph` before anything is allocated.
     """
     h = check_graph(box, resolution, neighbor_radius)
     resolution, R = int(resolution), int(neighbor_radius)
@@ -860,11 +882,17 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
         table = {}
         mask = _in_grid(offsets, resolution)
         weights = np.zeros(mask.shape)
-        for k, off in enumerate(offsets):
-            src = np.flatnonzero(mask[:, k])
-            keep, lengths = _edge_lengths(m, nodes[src], off * h)
-            mask[src[~keep], k] = False
-            weights[src[keep], k] = lengths
+        steps = offsets * h
+        ends = np.cumsum(np.count_nonzero(mask, axis=0))  # edges through each offset
+        k0 = 0
+        while k0 < offsets.shape[0]:  # blocks of whole offsets, of EDGE_BLOCK or more edges but the last
+            k1 = int(np.searchsorted(ends, (ends[k0 - 1] if k0 else 0) + EDGE_BLOCK)) + 1
+            kb, sb = np.nonzero(mask[:, k0:k1].T)
+            kb += k0
+            keep, lengths = _edge_lengths(m, nodes[sb], steps[kb])
+            mask[sb[~keep], kb[~keep]] = False
+            weights[sb[keep], kb[keep]] = lengths
+            k0 = k1
     return SeparationGraph(
         box_lo=lo,
         box_hi=hi,

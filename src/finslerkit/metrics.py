@@ -201,8 +201,20 @@ class ConicMetric:
         """This node's jet with F NaN outside the domain.
 
         The zero vector is not excluded here; :meth:`jet` does that once per
-        top-level call.
+        top-level call.  A position-independent node evaluates a value jet
+        only on the vectors that broadcasting distinguishes: each batch axis
+        on which ``vec`` has stride 0 is cut to length 1, and ``(ok, F)`` is
+        broadcast back, read-only.  A pair gets the same result in any batch,
+        so the bits are those of the full stack.  Tensor jets take the stack
+        as it is.
         """
+        if self.position_independent and not with_tensor:
+            shape = vec.shape[:-1]
+            repeated = [step == 0 and size > 1 for step, size in zip(vec.strides, shape)]
+            if any(repeated):
+                cut = tuple(slice(None, 1) if r else slice(None) for r in repeated)
+                ok, F = self.node_jet(base[cut], vec[cut])
+                return np.broadcast_to(ok, shape), np.broadcast_to(F, shape)
         out = self.jet_fn(base, vec, with_tensor)
         ok = out[0]
         F = np.where(ok, out[1], np.nan)

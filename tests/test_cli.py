@@ -990,6 +990,35 @@ class TestPositionIndependence:
     def test_constant_expressions_stay_position_independent(self, tree):
         assert self.metric(tree).position_independent
 
+    def test_each_distinct_expression_is_evaluated_once(self, monkeypatch):
+        """The symmetric entries [0][1] and [1][0] share one compiled expression
+        and one evaluation per field call: 3 evaluations, not 4."""
+        evaluations = []
+        compile_expr = cli.compile_expr
+
+        def counting(expr, variables, path):
+            fn = compile_expr(expr, variables, path)
+
+            def counted(*args):
+                evaluations.append(path)
+                return fn(*args)
+
+            counted.variables_used = fn.variables_used
+            return counted
+
+        monkeypatch.setattr(cli, "compile_expr", counting)
+        rows = [["1+0.3*sin(x)**2", "0.1*cos(y)"], ["0.1*cos(y)", "1+0.2*cos(y)"]]
+        m = self.metric({"type": "riemannian", "matrix_expr": rows})
+        assert not m.position_independent
+        evaluations.clear()
+        x = np.array([[0.3, -0.2], [1.0, 0.5]])
+        g = m.tensor_many(x, [[1.0, 0.0], [0.0, 1.0]])
+        path = "metric.matrix_expr"
+        assert evaluations == [f"{path}[0][0]", f"{path}[0][1]", f"{path}[1][1]"]
+        assert np.array_equal(g[:, 0, 1], g[:, 1, 0])
+        assert np.array_equal(g[:, 0, 1], 0.1 * np.cos(x[:, 1]))
+        assert np.array_equal(g[:, 1, 1], 1 + 0.2 * np.cos(x[:, 1]))
+
     def test_position_form_expression(self):
         m = self.metric({"type": "named", "family": "randers", "form": {"coeff_exprs": ["0.3", "0.1*y"]}})
         assert not m.position_independent

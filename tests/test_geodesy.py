@@ -15,7 +15,7 @@ from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.cli import build_metric, builtin_config, parse_config
 from finslerkit.errors import DegenerateTensor, DomainEmpty, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain
-from finslerkit.numkernel import simpson_weights
+from finslerkit.numkernel import gauss_kronrod_3_7, simpson_weights
 
 from conftest import boxed
 
@@ -583,11 +583,35 @@ class TestEdgeRule:
                 gd.grid_node_id(([-1.0, -1.0], [1.0, 1.0]), 11, point)
 
 
+def _offset_edge_lengths(m, starts, delta):
+    """The earlier edge rule, kept as a reference: (kept, lengths) of the edges
+    ``starts -> starts + delta`` of one offset, delta (n,), from one jet."""
+    t, k7, g3 = gauss_kronrod_3_7()
+    ends_and_nodes = np.concatenate([[0.0], t, [1.0]])
+    ok, vals = m.jet(starts[:, None, :] + ends_and_nodes[None, :, None] * delta, delta)
+    kept = np.all(ok, axis=1)
+    inner = vals[kept, 1:-1]
+    kronrod = np.einsum("ij,j->i", inner, k7)
+    gauss = np.einsum("ij,j->i", inner[:, 1::2], g3)
+    flagged = ~(np.abs(kronrod - gauss) <= gd.EDGE_KRONROD_RTOL * np.abs(kronrod))
+    lengths = np.full(kept.shape, np.nan)
+    lengths[kept] = kronrod
+    redo = np.flatnonzero(kept)[flagged]
+    if redo.size:
+        w = simpson_weights(gd.EDGE_QUAD_NODES)
+        tq = np.linspace(0.0, 1.0, w.size)
+        ok, vals = m.jet(starts[redo][:, None, :] + tq[None, :, None] * delta, delta)
+        keep = np.all(ok, axis=1)
+        kept[redo] = keep
+        lengths[redo[keep]] = (vals[keep] * (w / (w.size - 1))).sum(-1)
+    return kept, lengths[kept]
+
+
 def _loop_graph_reference(m, box, resolution, neighbor_radius):
     """The earlier builder, kept as a reference: a Python loop over every
     offset in [-R, R]^n, one jet at the box centre per offset on a
-    position-independent metric, ``_edge_lengths`` per offset otherwise,
-    and COO assembly."""
+    position-independent metric, :func:`_offset_edge_lengths` per offset
+    otherwise, and COO assembly."""
     lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
     n = lo.shape[0]
     axes = [np.linspace(lo[d], hi[d], resolution) for d in range(n)]
@@ -611,7 +635,7 @@ def _loop_graph_reference(m, box, resolution, neighbor_radius):
             keep = np.full(src.shape, bool(ok))
             lengths = np.full(np.count_nonzero(keep), float(F))
         else:
-            keep, lengths = gd._edge_lengths(m, nodes[src], delta)
+            keep, lengths = _offset_edge_lengths(m, nodes[src], delta)
         rows_all.append(src[keep])
         cols_all.append(src[keep] + int(np.dot(off, strides)))
         weights_all.append(lengths)
@@ -679,14 +703,19 @@ class TestGraphAssembly:
         gd.build_separation_graph(m, box, resolution, radius)
         assert len(top_level_jets) == 1
 
-    @pytest.mark.parametrize("name", ["randers_posdep", "period_037", "kropina_posdep"])
-    def test_position_dependent_matches_loop_reference(self, name, randers_posdep):
-        m = {
-            "randers_posdep": randers_posdep,
-            "period_037": _tree_metric(PERIOD_037),
-            "kropina_posdep": _tree_metric(POSDEP_CONES["kropina"]),
-        }[name]
+    @pytest.mark.parametrize(
+        "name",
+        ["randers_posdep", *POSDEP_TREES, "kropina_posdep", "oneform_metric", "closing_halfplane", "period_037"],
+    )
+    def test_position_dependent_matches_loop_reference(self, name, randers_posdep, top_level_jets):
+        """The blocks of offsets give the per-offset loop's graph bit for bit;
+        at res 13 / R 3 (6072 in-grid edges) block cuts fall inside the table."""
+        trees = dict(POSDEP_TREES, kropina_posdep=POSDEP_CONES["kropina"], period_037=PERIOD_037)
+        m = randers_posdep if name == "randers_posdep" else _tree_metric(trees.get(name) or POSDEP_CONES[name])
+        top_level_jets.clear()
         g = gd.build_separation_graph(m, UNIT_BOX, 13, 3)
+        blocks = sum(b.shape[1] == 9 for b in top_level_jets)
+        assert 1 < blocks < 48
         ref = _loop_graph_reference(m, UNIT_BOX, 13, 3)
         assert 0 < g.matrix.nnz
         assert np.array_equal(g.matrix.indptr, ref.indptr)
@@ -726,18 +755,21 @@ class TestGraphAssembly:
     def test_edge_weight_does_not_depend_on_its_batch(self, top_level_jets):
         m = _tree_metric(PERIOD_037)
         axis = np.linspace(-1.0, 1.0, 21)
-        starts = np.stack([mm.ravel() for mm in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        grid = np.stack([mm.ravel() for mm in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
         rng = np.random.default_rng(7)
-        for delta in (np.array([0.1, 0.0]), np.array([0.2, 0.3]), np.array([0.3, -0.1])):
-            kept, lengths = gd._edge_lengths(m, starts, delta)
-            full = np.full(kept.shape, np.nan)
-            full[kept] = lengths
-            subsets = [np.arange(k) for k in range(1, 60)] + [np.array([i]) for i in range(0, starts.shape[0], 5)]
-            subsets.append(np.sort(rng.choice(starts.shape[0], 37, replace=False)))
-            for sub in subsets:
-                kept_sub, lengths_sub = gd._edge_lengths(m, starts[sub], delta)
-                assert np.array_equal(kept_sub, kept[sub])
-                assert np.array_equal(lengths_sub, full[sub][kept_sub])
+        # every grid node with each of three deltas, the deltas interleaved along the batch
+        starts = np.repeat(grid, 3, axis=0)
+        delta = np.tile([[0.1, 0.0], [0.2, 0.3], [0.3, -0.1]], (grid.shape[0], 1))
+        kept, lengths = gd._edge_lengths(m, starts, delta)
+        full = np.full(kept.shape, np.nan)
+        full[kept] = lengths
+        subsets = [np.arange(k) for k in range(1, 60)] + [np.array([i]) for i in range(0, starts.shape[0], 5)]
+        subsets.append(np.sort(rng.choice(starts.shape[0], 37, replace=False)))
+        subsets += [np.arange(j, starts.shape[0], 3) for j in range(3)]  # one delta per batch, as an offset is
+        for sub in subsets:
+            kept_sub, lengths_sub = gd._edge_lengths(m, starts[sub], delta[sub])
+            assert np.array_equal(kept_sub, kept[sub])
+            assert np.array_equal(lengths_sub, full[sub][kept_sub])
         # the batches include edges the 3-point Gauss estimate flags
         assert any(b.shape[1] == gd.EDGE_QUAD_NODES for b in top_level_jets)
 

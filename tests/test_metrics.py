@@ -280,12 +280,15 @@ class TestAlignedStacks:
         m.jet(base, vs, with_tensor=True)  # also the FD probes (9, 12, 2) of the leaf without a tensor
         m.fd_tensor_many(base, vs)  # probes (9, 12, 2) against bases (12, 2)
         gd.build_separation_graph(m, BOX_2D, 5, 2)  # the centre against the offset table (24, 2)
-        m.jet(vs[:3, None], vs[None, :8])  # (3, 1, 2) against (1, 8, 2)
+        # (3, 1, 2) against (1, 8, 2): the vectors repeat along the bases, so a
+        # position-independent value jet gets the 8 distinct ones, and its tensor jet all
+        m.jet(vs[:3, None], vs[None, :8])
+        m.jet(vs[:3, None], vs[None, :8], with_tensor=True)
         posdep = _spied_tree(name, calls, False)
         gd._accel(posdep, np.stack([base, -base]), vs[:2], 0.0)  # the stencil (5, 2, 2) against (2, 2)
         assert all(b == v for b, v in calls)
         shapes = {b for b, _ in calls}
-        assert {(1, 12, 2), (1, 9, 12, 2), (1, 24, 2), (1, 3, 8, 2), (1, 5, 2, 2)} <= shapes, shapes
+        assert {(1, 12, 2), (1, 9, 12, 2), (1, 24, 2), (1, 1, 8, 2), (1, 3, 8, 2), (1, 5, 2, 2)} <= shapes, shapes
 
     def test_atoms_whose_callables_ignore_x_give_batch_shaped_values(self):
         base, vs = np.zeros((5, 2)), me.unit_directions(2, 5)

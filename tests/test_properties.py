@@ -8,7 +8,8 @@ Separation graphs on random position-independent trees are held to the
 triangle inequality, nested balls, the offset envelope, A*'s agreement with
 Dijkstra and, on convex trees, the straight-line length.  Profile and curve jets are held bit for bit to the three callables
 each was built from before it became one call.  Finite-difference tensors
-next to a cone's edge do not depend on the batch a row comes in.
+next to a cone's edge do not depend on the batch a row comes in, and value
+jets on stacks with repeated (stride-0) vectors equal those on contiguous copies.
 """
 
 import contextlib
@@ -192,6 +193,29 @@ def test_position_independent_jet_ignores_its_base(metric, seed):
     vec = rng.normal(size=(24, 2))
     for at1, at2 in zip(metric.jet(b1, vec, with_tensor=True), metric.jet(b2, vec, with_tensor=True)):
         assert np.array_equal(at1, at2, equal_nan=True)
+
+
+@given(boxed_trees(), SEEDS)
+def test_value_jets_on_repeated_vectors_equal_those_on_copies(metric, seed):
+    """A position-independent node, a whole tree or a subtree under a node that
+    depends on the base point, evaluates a value jet once per vector that
+    broadcasting distinguishes; mask and F equal, bit for bit, those on a
+    contiguous copy of the stack."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.5, 1.5, size=(4, 9, 3, 2))
+    distinct = rng.normal(size=(4, 1, 3, 2))
+    distinct[0, 0, 0] = 0.0
+    stacks = [
+        distinct,  # broadcast by the jet: stride 0 along axis 1, as a graph edge's velocity
+        np.broadcast_to(distinct, base.shape),  # broadcast by the caller
+        np.broadcast_to(distinct[:, :, :1], base.shape),  # stride 0 along axes 1 and 2
+        distinct[0, 0, 1],  # one vector
+    ]
+    for vec in stacks:
+        ok, F = metric.jet(base, vec)
+        ok_c, F_c = metric.jet(base, np.ascontiguousarray(np.broadcast_to(vec, base.shape)))
+        assert np.array_equal(ok, ok_c)
+        assert np.array_equal(F, F_c, equal_nan=True)
 
 
 E2 = me.euclidean_metric(2)
