@@ -50,6 +50,7 @@ _EXPR_NAMES = dict(
     pi=math.pi,
     e=math.e,
 )
+_EXPR_GLOBALS = dict(_EXPR_NAMES, __builtins__={})  # the globals of every compiled expression
 # the syntax of an expression besides names and numbers: arithmetic, comparisons and calls
 _EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call, ast.Load, ast.operator, ast.unaryop,
                ast.cmpop)
@@ -63,18 +64,22 @@ def compile_expr(expr, variables: tuple[str, ...], path: str):
     floats, so a huge power overflows instead of growing an integer without
     end.  Anything else, and an evaluation that raises an ArithmeticError,
     TypeError or ValueError, raises a ValidationError naming the offending
-    config path.  The returned function gives a float array; its
-    ``variables_used`` holds the variables the expression names.
+    config path.  The expression is compiled once, into a function of the
+    variables whose globals are the whitelisted names.  The returned function
+    gives a float array; its ``variables_used`` holds the variables the
+    expression names.
     """
     _require(type(expr) in (str, int, float), f"expected an expression, got {expr!r}", path, "expression")
     try:
         tree = ast.parse(str(expr), mode="eval")
     except SyntaxError as exc:
         raise ValidationError(f"bad expression {expr!r}: {exc.msg}", path=path) from exc
+    used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             known = node.id in _EXPR_NAMES or node.id in variables
             _require(known, f"expression {expr!r} uses unknown name {node.id!r}", path, "names")
+            used.add(node.id)
         elif isinstance(node, ast.Constant):
             numeric = type(node.value) in (int, float)
             _require(numeric, f"expression {expr!r} has a non-numeric constant", path, "expression")
@@ -82,27 +87,30 @@ def compile_expr(expr, variables: tuple[str, ...], path: str):
         else:
             allowed = isinstance(node, _EXPR_NODES)
             _require(allowed, f"expression {expr!r} uses {type(node).__name__}", path, "expression")
-    code = compile(tree, f"<config:{path}>", "eval")
+    at = dict(lineno=1, col_offset=0, end_lineno=1, end_col_offset=0)  # compile needs every node's position
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(arg=name, **at) for name in variables], kwonlyargs=[],
+                           kw_defaults=[], defaults=[])
+    tree.body = ast.Lambda(args=params, body=tree.body, **at)
+    body = eval(compile(tree, f"<config:{path}>", "eval"), _EXPR_GLOBALS)  # noqa: S307 - checked above
 
     def fn(*args):
-        ns = dict(_EXPR_NAMES)
-        ns.update(zip(variables, args))
         try:
-            return np.asarray(eval(code, {"__builtins__": {}}, ns), dtype=float)  # noqa: S307 - checked above
+            return np.asarray(body(*args), dtype=float)
         except (ArithmeticError, TypeError, ValueError) as exc:
             msg = f"expression {expr!r} failed: {exc}"
             raise ValidationError(msg, path=path, constraint="expression") from exc
 
-    fn.variables_used = frozenset(code.co_names) & frozenset(variables)
+    fn.variables_used = frozenset(used.intersection(variables))
     return fn
 
 
 def _expr_field(exprs: list, dim: int, path: str, nested: bool = False):
     """``(field, constant)`` of a list (``nested``: a list of lists) of position expressions
-    in ``x, y, z`` (up to 3 dimensions) and ``x1 .. xN``: ``field(x)`` stacks their values
-    on trailing axes, with x's batch shape only when one names a position (the atom
-    broadcasts the rest), ``constant`` says none names a position.  Each distinct
-    expression text is compiled, at its first path, and evaluated once per call."""
+    in ``x, y, z`` (up to 3 dimensions) and ``x1 .. xN``: ``field(x)`` holds their values
+    on trailing axes, in one new array per call, with x's batch shape only when one names
+    a position (the atom broadcasts the rest), ``constant`` says none names a position.
+    Each distinct expression text is compiled once, at its first path, and evaluated once
+    per call."""
     letters = ("x", "y", "z")[:dim] if dim <= 3 else ()
     variables = letters + tuple(f"x{i+1}" for i in range(dim))
     rows = exprs if nested else [exprs]
@@ -119,8 +127,10 @@ def _expr_field(exprs: list, dim: int, path: str, nested: bool = False):
         comps = [x[..., i] for i in range(dim)]
         args = comps[: len(letters)] + comps
         values = {text: fn(*args) for text, fn in fns.items()}
-        vals = np.stack(np.broadcast_arrays(*(values[text] for text in slot)), axis=-1)
-        return vals.reshape(vals.shape[:-1] + (len(rows), -1)) if nested else vals
+        out = np.empty(np.broadcast_shapes(*(v.shape for v in values.values())) + (len(slot),))
+        for j, text in enumerate(slot):
+            out[..., j] = values[text]
+        return out.reshape(out.shape[:-1] + (len(rows), -1)) if nested else out
 
     return field, not any(fn.variables_used for fn in fns.values())
 

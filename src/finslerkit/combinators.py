@@ -22,6 +22,7 @@ from .metrics import (
     ConicMetric,
     OneFormAtom,
     TangentVec,
+    _repeat_cut,
     tensor,
     unit_directions,
 )
@@ -64,10 +65,6 @@ class PhiProfile:
         if not np.all(self.contains(s)):
             raise OutsideProfile(f"argument outside the profile interval(s) {self.intervals}")
 
-    def value(self, s) -> np.ndarray:
-        """phi at s, from one call without derivatives."""
-        return np.asarray(self.jet_fn(np.asarray(s, dtype=float), False), dtype=float)
-
     def jet(self, s) -> tuple:
         """(phi, phi', phi'') at s, from one call."""
         return tuple(np.asarray(d, dtype=float) for d in self.jet_fn(np.asarray(s, dtype=float), True))
@@ -90,13 +87,14 @@ def randers_profile() -> PhiProfile:
 
 def _power_jet(q: float, du: float, u_of):
     """Jet of phi(s) = |u|^-q for u = u_of(s) with slope du = +-1, the power computed once."""
+    c1, c2 = -du * q, q * (q + 1.0)
 
     def jet_fn(s, with_derivatives):
         u = u_of(s)
         p = np.abs(u) ** -q
         if not with_derivatives:
             return p
-        return p, -du * q * p / u, q * (q + 1.0) * p / (u * u)
+        return p, c1 * p / u, c2 * p / (u * u)
 
     return jet_fn
 
@@ -176,6 +174,7 @@ class LCombiner:
 
 def sum_combiner(n: int) -> LCombiner:
     """L = (x_1 + ... + x_n)^2, the plain sum of metrics."""
+    hess = np.full((n, n), 2.0)
 
     def jet_fn(x, p, with_derivatives):
         t = np.sum(x, axis=-1)
@@ -183,7 +182,7 @@ def sum_combiner(n: int) -> LCombiner:
         if not with_derivatives:
             return ok, L
         grad = np.broadcast_to((2.0 * t)[..., None], x.shape).copy()
-        return ok, L, grad, np.broadcast_to(2.0 * np.ones((n, n)), x.shape + (n,)).copy()
+        return ok, L, grad, np.broadcast_to(hess, x.shape + (n,)).copy()
 
     return LCombiner(n=n, m=0, jet_fn=jet_fn, name=f"sum[{n}]")
 
@@ -192,7 +191,10 @@ def power_combiner(n: int, m: int, q: float) -> LCombiner:
     """L = (sum |x_r|^q)^(2/q), the q-power-mean combination."""
     if q < 1.0:
         raise BadExponent("power combination requires q >= 1")
-    d = n + m
+    # per-law constants, each the value its term computes first
+    e0, e1, e2, eq = 2.0 / q, 2.0 / q - 1.0, 2.0 / q - 2.0, q - 2.0
+    c_diag, c_rank1 = 2.0 * (q - 1.0), 2.0 * (2.0 - q)
+    idx = np.arange(n + m)
 
     def jet_fn(x, p, with_derivatives):
         ax = np.abs(x)
@@ -200,16 +202,15 @@ def power_combiner(n: int, m: int, q: float) -> LCombiner:
         ok = u > 0.0
         if q < 2.0 and m > 0:
             ok = ok & np.all(ax[..., n:] > 0.0, axis=-1)
-        L = u ** (2.0 / q)
+        L = u**e0
         if not with_derivatives:
             return ok, L
-        aq = ax ** (q - 2.0)
-        up = (u ** (2.0 / q - 1.0))[..., None]
+        aq = ax**eq
+        up = (u**e1)[..., None]
         grad = 2.0 * x * aq * up
-        diag = 2.0 * (q - 1.0) * aq * up
+        diag = c_diag * aq * up
         w = x * aq
-        hess = 2.0 * (2.0 - q) * (u ** (2.0 / q - 2.0))[..., None, None] * (w[..., :, None] * w[..., None, :])
-        idx = np.arange(d)
+        hess = c_rank1 * (u**e2)[..., None, None] * (w[..., :, None] * w[..., None, :])
         hess[..., idx, idx] += diag
         return ok, L, grad, hess
 
@@ -321,8 +322,7 @@ def combine(
         for r, b in enumerate(bs, n):
             _pair(b, vec, out=x[r])
         ok, L, *derivs = combiner.jet(x.transpose(*range(1, x.ndim), 0), base, with_tensor)
-        for row in np.isfinite(x):  # a child's F is NaN outside its domain, so this masks it too
-            ok = row & ok
+        ok = ok & np.isfinite(x).all(axis=0)  # a child's F is NaN outside its domain, so this masks it too
         F = np.sqrt(np.maximum(L, 0.0))
         if not with_tensor:
             return ok, F
@@ -519,11 +519,18 @@ def characterization_nd(
 # ---------------------------------------------------------------------------
 
 
+def _negated(vec: np.ndarray) -> np.ndarray:
+    """-vec, negating only the vectors that broadcasting distinguishes: each batch
+    axis on which ``vec`` has stride 0 stays a stride-0 view."""
+    cut = _repeat_cut(vec)
+    return -vec if cut is None else np.broadcast_to(-vec[cut], vec.shape)
+
+
 def _reflected(metric: ConicMetric) -> ConicMetric:
     """The metric v -> F(-v); its tensor at v is the original tensor at -v."""
     return ConicMetric(
         dimension=metric.dimension,
-        jet_fn=lambda base, vec, with_tensor: metric.jet_fn(base, -vec, with_tensor),
+        jet_fn=lambda base, vec, with_tensor: metric.jet_fn(base, _negated(vec), with_tensor),
         zero_in_domain=metric.zero_in_domain,
         position_independent=metric.position_independent,
         name=f"reflect({metric.name})",

@@ -107,6 +107,8 @@ _DP_P = np.array(
         [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+_DP_POWERS = np.arange(1, 5)  # theta^j, j = 1..4, of the continuous extension
+_STENCIL_STEP = EPS ** (1.0 / 3.0)  # central-difference step of the position stencil, per unit of max(1, |x|)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +180,13 @@ class GeodesicState:
 
 def _tensor_checked(ok: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
     """The jet's tensors g, once every state is in the domain and g is finite and invertible."""
-    if not np.all(ok):
+    if not ok.all():
         raise LeftDomain(f"geodesic left the conic domain near parameter {t:.6g}", parameter=t)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise LeftDomain(f"tensor not finite near parameter {t:.6g}", parameter=t)
-    scale = np.sqrt(np.einsum("...ij,...ij->...", g, g) / g.shape[-1])
-    det = np.linalg.det(g)
-    if np.any(np.abs(det) < 1e-12 * np.maximum(scale, 1e-30) ** g.shape[-1]):
+    n = g.shape[-1]
+    scale = np.sqrt(np.einsum("...ij,...ij->...", g, g) / n)
+    if (abs(np.linalg.det(g)) < 1e-12 * np.maximum(scale, 1e-30) ** n).any():
         raise DegenerateTensor(f"fundamental tensor degenerate near parameter {t:.6g}", parameter=t)
     return g
 
@@ -192,32 +194,35 @@ def _tensor_checked(ok: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
 def _accel(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """Acceleration of the energy-critical curve at batched states (B, N).
 
-    One jet call evaluates the tensors on the stacked stencil: the states
-    themselves, then x + h e_a and x - h e_a for each axis a.
+    One jet call evaluates the tensors on the stacked stencil x + step: the
+    states themselves (step -0.0, which leaves every coordinate's bits), then
+    x + h e_a and x - h e_a for each axis a.
     """
-    n = x.shape[-1]
-    h = (EPS ** (1.0 / 3.0)) * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-    axes = 0 if m.position_independent else n
-    stencil = np.repeat(x[None], 1 + 2 * axes, axis=0)
-    for a in range(axes):
-        stencil[1 + 2 * a, ..., a] += h
-        stencil[2 + 2 * a, ..., a] -= h
-    ok, _, gs = m.jet(stencil, v, with_tensor=True)
-    g = _tensor_checked(ok[0], gs[0], t)
     if m.position_independent:
+        ok, _, g = m.jet(x[None], v, with_tensor=True)
+        _tensor_checked(ok[0], g[0], t)
         return np.zeros_like(v)
-    rhs = np.zeros_like(v)
-    dp_dx = np.zeros(x.shape[:-1] + (n, n))  # [..., a, i] = д p_i / д x_a
+    n = x.shape[-1]
+    h = _STENCIL_STEP * np.maximum(1.0, np.sqrt((x * x).sum(axis=-1)))  # |x| as np.linalg.norm sums it
+    step = np.full((1 + 2 * n,) + x.shape, -0.0)
+    for a in range(n):
+        step[1 + 2 * a, ..., a] = h
+        step[2 + 2 * a, ..., a] = -h
+    ok, _, gs = m.jet(x + step, v, with_tensor=True)
+    g = _tensor_checked(ok[0], gs[0], t)
+    h2 = 2.0 * h
+    rhs = np.empty(v.shape)
+    dp_dx = np.empty(x.shape[:-1] + (n, n))  # [..., a, i] = д p_i / д x_a
     for a in range(n):
         gp, gm = gs[1 + 2 * a], gs[2 + 2 * a]
         pp = 2.0 * np.einsum("...ij,...j->...i", gp, v)
         pm = 2.0 * np.einsum("...ij,...j->...i", gm, v)
-        dp_dx[..., a, :] = (pp - pm) / (2.0 * h[..., None])
+        dp_dx[..., a, :] = (pp - pm) / h2[..., None]
         lp = np.einsum("...i,...ij,...j->...", v, gp, v)
         lm = np.einsum("...i,...ij,...j->...", v, gm, v)
-        rhs[..., a] = (lp - lm) / (2.0 * h)
+        rhs[..., a] = (lp - lm) / h2
     rhs = rhs - np.einsum("...ai,...a->...i", dp_dx, v)
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise LeftDomain(f"position derivatives hit the domain boundary near {t:.6g}", parameter=t)
     return np.linalg.solve(2.0 * g, rhs[..., None])[..., 0]
 
@@ -229,8 +234,9 @@ def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, ste
     The whole batch is one state (x, v), so every orbit takes the same
     steps: the error norm is the RMS over the batch with rtol = atol =
     ``GEODESIC_RTOL``.  The step sequence does not depend on ``step``; the
-    grid states come from the pair's 4th-order continuous extension.  A
-    trial step whose stages leave the domain is rejected and shrunk;
+    grid states come from the pair's 4th-order continuous extension, taken
+    only on steps that hold grid points.  A trial step whose stages leave
+    the domain is rejected and shrunk;
     ``LeftDomain`` is raised, at the parameter of the last accepted state,
     once the step falls below ``GEODESIC_RTOL * t_end``.  ``StepBudget`` is
     raised, at the parameter reached, when ``MAX_GEODESIC_STEPS`` trial steps
@@ -240,15 +246,17 @@ def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, ste
     y = np.concatenate([np.atleast_2d(x0), np.atleast_2d(v0)], axis=-1).astype(float)
     n = y.shape[-1] // 2
 
-    def spray(y, t):
-        return np.concatenate([y[..., n:], _accel(m, y[..., :n], y[..., n:], t0 + t)], axis=-1)
+    def spray(y, t, out):
+        out[..., :n] = y[..., n:]
+        out[..., n:] = _accel(m, y[..., :n], y[..., n:], t0 + t)
 
     n_out = max(1, int(round(t_end / step)))
     ts = np.arange(n_out + 1) * (t_end / n_out)
     out = np.empty((n_out + 1,) + y.shape)
     out[0] = y
     k = np.empty((7,) + y.shape)
-    k[0] = spray(y, 0.0)
+    stages = k.reshape(7, -1)  # the stage sums are np.dot over this view, as np.tensordot computes them
+    spray(y, 0.0, k[0])
     t, h, done, after_reject, trials = 0.0, t_end, 1, False, 0
     while t < t_end:
         if trials == MAX_GEODESIC_STEPS:
@@ -261,20 +269,21 @@ def _integrate(m: ConicMetric, x0: np.ndarray, v0: np.ndarray, t_end: float, ste
         cause = None
         try:
             for i in range(1, 7):  # the 7th stage is the new state's spray (FSAL)
-                y_new = y + h * np.tensordot(_DP_A[i, :i], k[:i], axes=1)
-                k[i] = spray(y_new, t + _DP_C[i] * h)
+                y_new = y + h * np.dot(_DP_A[i, :i], stages[:i]).reshape(y.shape)
+                spray(y_new, t + _DP_C[i] * h, k[i])
         except LeftDomain as exc:
             err, cause = np.inf, exc
         else:
             scale = GEODESIC_RTOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-            err = np.sqrt(np.mean((h * np.tensordot(_DP_E, k, axes=1) / scale) ** 2))
+            err = np.sqrt(np.mean((h * np.dot(_DP_E, stages).reshape(y.shape) / scale) ** 2))
         # a NaN error shrinks the step: max(0.2, nan) is 0.2
         growth = 10.0 if err == 0 else min(10.0, max(0.2, 0.9 * err**-0.2))
         if err <= 1.0:
             stop = n_out + 1 if last else int(np.searchsorted(ts, t + h, side="right"))
-            theta = (ts[done:stop] - t) / h
-            slopes = np.tensordot(_DP_P.T, k, axes=1)
-            out[done:stop] = y + h * np.tensordot(theta[:, None] ** np.arange(1, 5), slopes, axes=1)
+            if stop > done:
+                theta = (ts[done:stop] - t) / h
+                slopes = np.dot(_DP_P.T, stages)
+                out[done:stop] = y + h * np.dot(theta[:, None] ** _DP_POWERS, slopes).reshape((-1,) + y.shape)
             t, y, k[0], done = (t_end if last else t + h), y_new, k[6], stop
             h *= min(growth, 1.0) if after_reject else growth
             after_reject = False

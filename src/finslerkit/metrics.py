@@ -134,14 +134,23 @@ class RiemannAtom:
 
     def matrix(self, x) -> np.ndarray:
         """The matrices at the points x (..., N), shape (..., N, N): the callable's
-        value broadcast to the batch, so one that ignores x may return one matrix."""
+        value, broadcast to the batch unless it already has that shape, so one
+        that ignores x may return one matrix."""
         x = np.asarray(x, dtype=float)
         g = np.asarray(self.metric_matrix(x), dtype=float)
-        return np.broadcast_to(g, x.shape[:-1] + g.shape[-2:])
+        shape = x.shape[:-1] + g.shape[-2:]
+        return g if g.shape == shape else np.broadcast_to(g, shape)
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``: an atom hands it out without a copy."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def constant_riemann(matrix) -> RiemannAtom:
-    g0 = np.asarray(matrix, dtype=float)
+    g0 = _frozen(matrix)
     return RiemannAtom(metric_matrix=lambda x: g0, constant=True)
 
 
@@ -158,18 +167,28 @@ class OneFormAtom:
 
     def coeffs(self, x) -> np.ndarray:
         """The covectors at the points x (..., N), shape (..., N): the callable's
-        value broadcast to the batch, so one that ignores x may return one covector."""
+        value, broadcast to the batch unless it already has that shape, so one
+        that ignores x may return one covector."""
         x = np.asarray(x, dtype=float)
         b = np.asarray(self.covector(x), dtype=float)
-        return np.broadcast_to(b, x.shape[:-1] + b.shape[-1:])
+        shape = x.shape[:-1] + b.shape[-1:]
+        return b if b.shape == shape else np.broadcast_to(b, shape)
 
     def pair(self, x, v) -> np.ndarray:
         return np.einsum("...i,...i->...", self.coeffs(x), np.asarray(v, dtype=float))
 
 
 def constant_oneform(coeffs) -> OneFormAtom:
-    b0 = np.asarray(coeffs, dtype=float)
+    b0 = _frozen(coeffs)
     return OneFormAtom(covector=lambda x: b0, constant=True)
+
+
+def _repeat_cut(vec: np.ndarray):
+    """The index that cuts to length 1 each batch axis of the stack ``vec``
+    (..., N) on which it has stride 0 and length above 1, or None when no axis
+    repeats: ``vec[cut]`` holds the vectors that broadcasting distinguishes."""
+    repeated = [step == 0 and size > 1 for step, size in zip(vec.strides, vec.shape[:-1])]
+    return tuple(slice(None, 1) if r else slice(None) for r in repeated) if any(repeated) else None
 
 
 @dataclass(frozen=True)
@@ -209,12 +228,10 @@ class ConicMetric:
         as it is.
         """
         if self.position_independent and not with_tensor:
-            shape = vec.shape[:-1]
-            repeated = [step == 0 and size > 1 for step, size in zip(vec.strides, shape)]
-            if any(repeated):
-                cut = tuple(slice(None, 1) if r else slice(None) for r in repeated)
+            cut = _repeat_cut(vec)
+            if cut is not None:
                 ok, F = self.node_jet(base[cut], vec[cut])
-                return np.broadcast_to(ok, shape), np.broadcast_to(F, shape)
+                return np.broadcast_to(ok, vec.shape[:-1]), np.broadcast_to(F, vec.shape[:-1])
         out = self.jet_fn(base, vec, with_tensor)
         ok = out[0]
         F = np.where(ok, out[1], np.nan)

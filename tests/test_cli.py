@@ -1051,6 +1051,59 @@ class TestPositionIndependence:
         assert capsys.readouterr().err.startswith("error [outside_domain]: vector [1. 0.] at [0. 0.]")
 
 
+class TestCompiledFields:
+    """A coeff_exprs / matrix_expr field runs its expressions compiled once, at
+    parse time: a call equals the numpy expressions written out by hand, bit for
+    bit, in a new array."""
+
+    FORM = ["0.3*(1+0.2*sin(x))", "0"]
+    MATRIX = [["1+0.3*sin(x)**2", "0.1*cos(y)"], ["0.1*cos(y)", "1+0.2*cos(y)"]]
+
+    @staticmethod
+    def by_hand(x, nested):
+        if not nested:
+            b = np.zeros(x.shape)
+            b[..., 0] = 0.3 * (1 + 0.2 * np.sin(x[..., 0]))
+            return b
+        g = np.empty(x.shape + (2,))
+        g[..., 0, 0] = 1 + 0.3 * np.sin(x[..., 0]) ** 2
+        g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.cos(x[..., 1])
+        g[..., 1, 1] = 1 + 0.2 * np.cos(x[..., 1])
+        return g
+
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("batch", [(), (5, 1), (40, 9)])
+    def test_field_equals_the_expressions_by_hand(self, nested, batch):
+        field, constant = cli._expr_field(self.MATRIX if nested else self.FORM, 2, "metric.f", nested)
+        x = np.random.default_rng(len(batch)).uniform(-2.0, 2.0, size=batch + (2,))
+        want = self.by_hand(x, nested)
+        got = field(x)
+        assert not constant
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got[...] = np.nan
+        assert field(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (5, 1), (40, 9)])
+    def test_writing_into_an_atom_result_leaves_the_next_unchanged(self, batch):
+        matrix, _ = cli._expr_field(self.MATRIX, 2, "metric.matrix_expr", nested=True)
+        covector, _ = cli._expr_field(self.FORM, 2, "metric.coeff_exprs")
+        constant, _ = cli._expr_field(["0.3", "0.1*e"], 2, "metric.coeff_exprs")
+        x = np.random.default_rng(7).uniform(-2.0, 2.0, size=batch + (2,))
+        for call, want in (
+            (me.RiemannAtom(metric_matrix=matrix).matrix, self.by_hand(x, True)),
+            (me.OneFormAtom(covector=covector).coeffs, self.by_hand(x, False)),
+            (me.OneFormAtom(covector=constant, constant=True).coeffs, np.broadcast_to([0.3, 0.1 * math.e], x.shape)),
+        ):
+            out = call(x)
+            assert out.tobytes() == np.ascontiguousarray(want).tobytes()
+            if out.flags.writeable:
+                out[...] = np.nan
+            else:
+                with pytest.raises(ValueError):
+                    out[...] = np.nan
+            assert call(x).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 class TestDeterminism:
     def test_byte_identical_csv(self):
         spec, cfg = parse_config(builtin_config("randers"))

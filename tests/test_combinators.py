@@ -645,10 +645,10 @@ class TestProfileNodeValues:
         wavy = profile_of(lambda s: 1.0 + 0.3 * np.sin(s), lambda s: 0.3 * np.cos(s), lambda s: -0.3 * np.sin(s))
 
         def phi_reference(profile):
-            return lambda vs: E.F_many(BASE, vs) * profile.value(cls.FORM.pair(BASE, vs) / E.F_many(BASE, vs))
+            return lambda vs: E.F_many(BASE, vs) * profile.jet_fn(cls.FORM.pair(BASE, vs) / E.F_many(BASE, vs), False)
 
         def f1f2_reference(profile):
-            return lambda vs: E.F_many(BASE, vs) * profile.value(second.F_many(BASE, vs) / E.F_many(BASE, vs))
+            return lambda vs: E.F_many(BASE, vs) * profile.jet_fn(second.F_many(BASE, vs) / E.F_many(BASE, vs), False)
 
         out = [("phi[wavy]", cb.phi_combine(E, cls.FORM, wavy), phi_reference(wavy))]
         for family, q in (("randers", None), ("kropina", 1.0), ("matsumoto", 2.0), ("square_over_f0", None)):
@@ -1042,6 +1042,38 @@ class TestReversibilize:
         for mode in ("sum", "quadratic"):
             m = cb.reversibilize(rd, mode)
             assert oracle_gap(m, count=40, seed=33) < 1e-6
+
+    @pytest.mark.parametrize("with_tensor", [False, True])
+    def test_reflection_keeps_broadcast_vectors(self, with_tensor):
+        """On a graph block's stack (one velocity per edge, broadcast over its
+        points) the reflected child of a position-dependent Riemannian metric
+        gets -v with the point axis still stride 0, and the jet has the bits of
+        negating the whole stack."""
+
+        def matrix(x):  # the riemann_posdep field
+            g = np.empty(x.shape + (2,))
+            g[..., 0, 0] = 1.0 + 0.3 * np.sin(x[..., 0]) ** 2
+            g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.cos(x[..., 1])
+            g[..., 1, 1] = 1.0 + 0.2 * np.cos(x[..., 1])
+            return g
+
+        inner = me.riemann_metric(me.RiemannAtom(metric_matrix=matrix), 2)
+        seen = []
+
+        def spy(base, vec, wt):
+            seen.append(vec.strides)
+            return inner.jet_fn(base, vec, wt)
+
+        whole = replace(inner, jet_fn=lambda base, vec, wt: inner.jet_fn(base, -vec, wt))
+        reference = cb.combine(cb.sum_combiner(2), [inner, whole], [])
+        m = cb.reversibilize(replace(inner, jet_fn=spy), "sum")
+        rng = np.random.default_rng(41)
+        base = rng.uniform(-1.0, 1.0, size=(40, 9, 2))
+        vec = np.broadcast_to(rng.normal(size=(40, 1, 2)), base.shape)
+        seen.clear()
+        got, want = m.jet(base, vec, with_tensor), reference.jet(base, vec, with_tensor)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert len(seen) == 2 and all(strides[-2] == 0 for strides in seen)
 
 
 class TestZeroInDomain:

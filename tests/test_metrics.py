@@ -182,6 +182,24 @@ class TestGaugeOnePass:
         assert not metric.zero_in_domain
 
 
+class TestConstantAtoms:
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+    def test_results_are_not_writeable_aliases(self, batch):
+        """A constant atom keeps its own read-only copy: writing into a result,
+        or into the array it was built from, leaves its next result unchanged."""
+        g, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1])
+        riemann, form = me.constant_riemann(g), me.constant_oneform(b)
+        want = {riemann.matrix: g.copy(), form.coeffs: b.copy()}
+        g[...], b[...] = 0.0, 0.0
+        x = np.zeros(batch + (2,))
+        for call, value in want.items():
+            out = call(x)
+            assert np.array_equal(out, np.broadcast_to(value, out.shape)) and out.shape == batch + value.shape
+            with pytest.raises(ValueError):
+                out[...] = np.nan
+            assert np.array_equal(call(x), out)
+
+
 class TestBatchInvariance:
     """A pair's unchecked value and tensor do not depend on the batch it comes in."""
 
