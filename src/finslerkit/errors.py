@@ -33,9 +33,14 @@ class NonFiniteSample(FinslerError):
 
 
 class NoBracket(FinslerError):
-    """Root bracketing failed after the doubling search (degenerate direction)."""
+    """Root bracketing failed after the doubling search (degenerate direction);
+    ``row`` is the index of the first row that found no bracket."""
 
     code = "no_bracket"
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class OutsideCone(FinslerError):

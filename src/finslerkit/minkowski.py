@@ -132,31 +132,38 @@ def gauge_from_ball(dimension: int, member, cone: Callable) -> GaugeNorm:
 
     ``cone`` is the membership test of the conic domain, stacks (..., dimension)
     to a boolean mask (:func:`whole_space_domain` for all of R^dimension).
-    Each evaluation runs a doubling bracket plus bisection on the ray
-    crossing; directions whose rays never leave (or never enter) the ball
-    are degenerate and rejected.
+    ``member`` tests one vector of shape (dimension,) and is called once per
+    probe.  An evaluation casts the rays of all in-cone vectors of a stack
+    together, one :func:`~finslerkit.numkernel.ray_root` call: each round
+    divides every unfinished vector by its next probe at once, then asks
+    ``member`` about each quotient in row order.  Each ray makes the probes,
+    and gets the value, that it would alone: a doubling bracket from the hint
+    |v|, then bisection on the crossing.  The zero vector has gauge 0, a
+    vector outside the cone NaN (and casts no ray), and a direction whose ray
+    never leaves (or never enters) the ball raises DegenerateDirection.
     """
-
-    def value_one(v: np.ndarray) -> float:
-        hint = float(np.linalg.norm(v))
-        if hint == 0.0:
-            return 0.0
-
-        def crossing(lam: float) -> float:
-            return 1.0 if member(v / lam) else -1.0
-
-        try:
-            return ray_root(crossing, bracket_hint=hint)
-        except NoBracket as exc:
-            raise DegenerateDirection(
-                f"ray through {np.array2string(v, precision=4)} never crosses the ball boundary"
-            ) from exc
 
     def value_unchecked(v):
         v = np.asarray(v, dtype=float)
         flat = v.reshape(-1, v.shape[-1])
-        ok = np.asarray(cone(flat), dtype=bool)
-        out = np.array([value_one(x) if o else np.nan for x, o in zip(flat, ok)])
+        out = np.full(flat.shape[0], np.nan)
+        inside = np.flatnonzero(np.asarray(cone(flat), dtype=bool))
+        # the norm of each 1-D row: the axis=-1 norm rounds some rows differently
+        hint = np.array([np.linalg.norm(x) for x in flat[inside]], dtype=float)
+        cast = hint != 0.0
+        out[inside[~cast]] = 0.0
+        rows = flat[inside[cast]]
+
+        def crossing(at, lam):
+            points = rows[at] / lam[:, None]
+            return np.array([1.0 if member(x) else -1.0 for x in points])
+
+        try:
+            out[inside[cast]] = ray_root(crossing, hint[cast])
+        except NoBracket as exc:
+            raise DegenerateDirection(
+                f"ray through {np.array2string(rows[exc.row], precision=4)} never crosses the ball boundary"
+            ) from exc
         return out.reshape(v.shape[:-1])
 
     return GaugeNorm(dimension=dimension, domain=cone, value_unchecked=value_unchecked)

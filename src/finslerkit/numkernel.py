@@ -15,7 +15,6 @@ oracle's form: it raises where :func:`fd_hessian_rows` gives NaN.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -234,51 +233,84 @@ def gauss_kronrod_3_7() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 0.5 * (1.0 + x), 0.5 * k7, 0.5 * g3
 
 
-def ray_root(g, bracket_hint: float = 1.0) -> float:
-    """Positive root of ``g`` on (0, inf), found by doubling then bisection.
+def ray_root(g, bracket_hint) -> np.ndarray:
+    """Positive root on (0, inf) of each of K rows, found by doubling then
+    bisection, with the rows cast together.
 
-    ``g`` may be a genuine continuous function or a +/-1 membership
-    indicator; either way the bracket is shrunk to relative width 1e-14
-    and its midpoint returned.  A non-finite value met while doubling
-    counts as no sign change.
+    ``bracket_hint`` holds one hint per row, shape (K,); a hint <= 0 is 1.
+    ``g(rows, lam)`` takes the ascending indices of the unfinished rows and
+    one probe for each, and returns one value per row.  Each round, every
+    unfinished row takes the next probe of its own sequence: the hint, then
+    hint * 2^k and hint / 2^k for k = 1, 2, ... until the sign changes, then
+    bisection until the bracket's width is at most 1e-14 * max(1, mid), whose
+    midpoint is the row's root.  ``g`` may be a genuine continuous function
+    or a +/-1 membership indicator.  A non-finite value met while doubling
+    counts as no sign change; at a hint it raises NonFiniteSample.  A row
+    with no sign change within ``RAY_DOUBLINGS`` doublings raises NoBracket,
+    whose ``row`` is the first such row.
     """
-    lam0 = float(bracket_hint)
-    if lam0 <= 0:
-        lam0 = 1.0
-    g0 = float(g(lam0))
-    if not math.isfinite(g0):
-        raise NonFiniteSample("non-finite value in ray_root at the hint")
-    if g0 == 0.0:
-        return lam0
+    hint = np.asarray(bracket_hint, dtype=float)
+    lam0 = np.where(hint <= 0.0, 1.0, hint)
+    n = lam0.shape[0]
+    g0 = np.asarray(g(np.arange(n), lam0), dtype=float)
+    bad = ~np.isfinite(g0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise NonFiniteSample(f"non-finite value in ray_root at the hint of row {row}")
 
     # sign0 is the sign of the inner end of each bracket, the previous probe (or
     # the hint); a probe p is a sign change when -inf < p * sign0 <= 0 (NaN and
     # infinities are not), and the bisection keeps lo = mid while mid's value
     # times the sign of lo's is positive (NaN never is; lo's sign may be 0)
-    sign0 = 1.0 if g0 > 0.0 else -1.0
-    for k in range(1, RAY_DOUBLINGS + 1):
-        up = lam0 * (2.0**k)
-        gu = float(g(up))
-        if -math.inf < gu * sign0 <= 0.0:
-            lo, hi, sign_lo = lam0 * (2.0 ** (k - 1)), up, sign0
-            break
-        down = lam0 / (2.0**k)
-        gd = float(g(down))
-        if -math.inf < gd * sign0 <= 0.0:
-            lo, hi, sign_lo = down, lam0 / (2.0 ** (k - 1)), 0.0 if gd == 0.0 else -sign0
-            break
-    else:
-        raise NoBracket(f"no sign change within {RAY_DOUBLINGS} doublings of {lam0}")
+    sign0 = np.where(g0 > 0.0, 1.0, -1.0)
+    root = lam0.copy()  # a row whose hint is a zero of g ends there
+    lo, hi, sign_lo, mid = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    bracketed = np.zeros(n, dtype=bool)
+    bisections = np.zeros(n, dtype=np.int64)
+    active = np.flatnonzero(g0 != 0.0)  # the unfinished rows, ascending
+    rounds = 0
+    while active.size:
+        rounds += 1
+        # a row without a bracket probes up 2^k on odd rounds and down 2^k on even ones
+        k, up = (rounds + 1) // 2, rounds % 2 == 1
+        searching = ~bracketed[active]
+        at = active[searching]
+        lam = mid[active]
+        with np.errstate(over="ignore"):
+            lam[searching] = lam0[at] * 2.0**k if up else lam0[at] / 2.0**k
+        val = np.asarray(g(active, lam), dtype=float)
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-14 * max(1.0, mid):
-            return mid
-        gm = float(g(mid))
-        if gm == 0.0:
-            return mid
-        if gm * sign_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, probe = val[searching], lam[searching]
+            ps = p * sign0[at]
+            change = (-np.inf < ps) & (ps <= 0.0)
+            if rounds == 2 * RAY_DOUBLINGS and not change.all():
+                row = int(at[np.argmin(change)])
+                raise NoBracket(f"no sign change within {RAY_DOUBLINGS} doublings of {lam0[row]}", row=row)
+            at, p, probe = at[change], p[change], probe[change]
+            if up:
+                lo[at], hi[at], sign_lo[at] = lam0[at] * 2.0 ** (k - 1), probe, sign0[at]
+            else:
+                lo[at], hi[at], sign_lo[at] = probe, lam0[at] / 2.0 ** (k - 1), np.where(p == 0.0, 0.0, -sign0[at])
+            bracketed[at] = True
+
+            at, gm = active[~searching], val[~searching]
+            bisections[at] += 1
+            hit = gm == 0.0
+            root[at[hit]] = mid[at[hit]]
+            at, gm = at[~hit], gm[~hit]
+            keep_lo = gm * sign_lo[at] > 0.0
+            lo[at[keep_lo]] = mid[at[keep_lo]]
+            hi[at[~keep_lo]] = mid[at[~keep_lo]]
+            live = np.ones(active.size, dtype=bool)
+            live[~searching] = ~hit
+
+            pos = np.flatnonzero(live & bracketed[active])
+            at = active[pos]
+            m = 0.5 * (lo[at] + hi[at])
+            mid[at] = m
+            done = (hi[at] - lo[at] <= 1e-14 * np.maximum(1.0, m)) | (bisections[at] >= 200)
+            root[at[done]] = m[done]
+            live[pos[done]] = False
+        active = active[live]
+    return root

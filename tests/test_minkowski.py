@@ -130,6 +130,49 @@ class TestGaugeFromBall:
         with pytest.raises(DegenerateDirection):
             gauge.value(np.array([1.0, 1.0]))
 
+    def test_degenerate_row_in_a_batch_is_named(self):
+        # the closed Lorentz ball holds the null rays (2.5, 2.5) and (-3, 3) whole
+        gauge = mk.gauge_from_ball(2, lambda v: v[1] ** 2 - v[0] ** 2 <= 1.0, lambda v: v[..., 1] > 0)
+        vs = np.array([[0.0, 1.0], [0.3, 2.0], [2.5, 2.5], [-0.5, 1.5], [-3.0, 3.0], [0.1, 0.7]])
+        with pytest.raises(DegenerateDirection, match=r"ray through \[2\.5 2\.5\]"):
+            gauge.value(vs)
+        with pytest.raises(DegenerateDirection, match=r"ray through \[-3\.  3\.\]"):
+            gauge.value(vs[3:])
+        assert np.allclose(gauge.value(vs[[0, 1, 3, 5]]), np.sqrt(vs[[0, 1, 3, 5], 1] ** 2 - vs[[0, 1, 3, 5], 0] ** 2))
+
+    def test_rows_outside_the_cone_are_nan_and_cast_no_ray(self):
+        probes = []
+
+        def member(v):
+            probes.append(v.copy())
+            return v[1] ** 2 - v[0] ** 2 <= 1.0
+
+        cone = lambda v: v[..., 1] > np.abs(v[..., 0])
+        gauge = mk.gauge_from_ball(2, member, cone)
+        vs = np.array([[1.0, 0.5], [0.0, 2.0], [0.0, -1.0], [0.2, 0.5], [3.0, 1.0]])
+        out = gauge.value_unchecked(vs)
+        assert np.array_equal(np.isnan(out), ~cone(vs))
+        assert np.all(cone(np.array(probes)))
+        calls = len(probes)
+        probes.clear()
+        assert gauge.value_unchecked(vs[cone(vs)]).tobytes() == out[cone(vs)].tobytes()
+        assert len(probes) == calls
+
+    @pytest.mark.parametrize("dimension, vs", [(2, [[1, 2], [0, 0], [-3, 1]]), (3, np.ones((2, 3, 3)))])
+    def test_member_sees_one_float_vector_per_call(self, dimension, vs):
+        seen, kept = [], []
+
+        def member(v):
+            seen.append((type(v), v.dtype, v.shape))
+            kept.append((v, v.copy()))  # a reference the gauge must not write through
+            return np.linalg.norm(v) <= 1.0
+
+        out = mk.gauge_from_ball(dimension, member, mk.whole_space_domain(dimension)).value(vs)
+        assert out.shape == np.shape(vs)[:-1] and seen
+        assert set(seen) == {(np.ndarray, np.dtype(float), (dimension,))}
+        assert all(np.array_equal(v, copy) for v, copy in kept)
+        assert np.allclose(out, np.linalg.norm(np.asarray(vs, dtype=float), axis=-1), rtol=1e-12)
+
     def test_unit_consistency(self):
         gauge = mk.gauge_from_ball(
             2, lambda v: v[0] ** 4 + v[1] ** 4 <= 1.0, mk.whole_space_domain(2)

@@ -123,6 +123,27 @@ def sign_test_ray_root(g, bracket_hint=1.0):
     return 0.5 * (lo + hi)
 
 
+def one_row(g, bracket_hint=1.0):
+    """The row-batched ray_root on one row of the scalar function ``g``."""
+    return float(ray_root(lambda rows, lam: np.array([float(g(float(lam[0])))]), np.array([bracket_hint]))[0])
+
+
+def per_row_gauge(member, cone, vs, root):
+    """A ball gauge cast one vector at a time through the scalar root finder
+    ``root``, the way each ray is defined: 0 at the zero vector, NaN outside
+    the cone, else the crossing of the indicator from the hint |v|."""
+    out = []
+    for v in vs:
+        hint = float(np.linalg.norm(v))
+        if not cone(v[None])[0]:
+            out.append(np.nan)
+        elif hint == 0.0:
+            out.append(0.0)
+        else:
+            out.append(root(lambda lam: 1.0 if member(v / lam) else -1.0, hint))
+    return np.array(out)
+
+
 def reference_polar_derivatives(r):
     """The central differences polar_curve wrote out for itself before it
     used the shared central-difference jet."""
@@ -451,25 +472,25 @@ class TestGaussKronrod37:
 
 class TestRayRoot:
     def test_linear(self):
-        assert ray_root(lambda lam: lam - 2.0, 1.0) == pytest.approx(2.0, abs=1e-10)
+        assert one_row(lambda lam: lam - 2.0, 1.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_quadratic(self):
-        assert ray_root(lambda lam: lam * lam - 9.0, 1.0) == pytest.approx(3.0, abs=1e-10)
+        assert one_row(lambda lam: lam * lam - 9.0, 1.0) == pytest.approx(3.0, abs=1e-10)
 
     def test_unit_disk_gauge(self):
         v = np.array([3.0, 4.0])
-        lam = ray_root(lambda t: np.linalg.norm(v / t) - 1.0, 1.0)
+        lam = one_row(lambda t: np.linalg.norm(v / t) - 1.0, 1.0)
         assert lam == pytest.approx(5.0, abs=1e-9)
 
     def test_crossing_is_a_sign_change(self):
         g = lambda lam: np.tanh(lam - 1.7)
-        lam = ray_root(g, 1.0)
+        lam = one_row(g, 1.0)
         delta = 1e-6 * max(1.0, lam)
         assert np.sign(g(lam - delta)) != np.sign(g(lam + delta))
 
     def test_no_bracket(self):
         with pytest.raises(NoBracket):
-            ray_root(lambda lam: lam * lam + 1.0, 1.0)
+            one_row(lambda lam: lam * lam + 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "g",
@@ -484,7 +505,7 @@ class TestRayRoot:
         ids=["linear", "quadratic", "unit_disk", "tanh", "down", "indicator_down"],
     )
     def test_matches_reference(self, g):
-        new, ref = ray_root(g, 1.0), reference_ray_root(g, 1.0)
+        new, ref = one_row(g, 1.0), reference_ray_root(g, 1.0)
         assert abs(new - ref) <= 1e-12 * ref
 
     @settings(max_examples=500, deadline=None)
@@ -493,7 +514,7 @@ class TestRayRoot:
         st.sampled_from([1.0, 0.3, 7.0, 0.0]),
     )
     def test_float_sign_tests_match_np_sign(self, values, hint):
-        """Fed the same probe values, the current ray_root and its np.sign
+        """Fed the same probe values, one row of ray_root and the scalar np.sign
         version probe the same points and end the same way."""
 
         def run(root):
@@ -508,9 +529,46 @@ class TestRayRoot:
             except (NoBracket, NonFiniteSample) as exc:
                 return type(exc), probes
 
-        assert run(ray_root) == run(sign_test_ray_root)
+        assert run(one_row) == run(sign_test_ray_root)
 
-    def test_ball_gauge_bit_identical_with_fewer_calls(self, monkeypatch):
+    def test_rows_take_their_own_probes(self):
+        """Rows cast together probe, and end, as each would alone, in row order
+        within each round."""
+        fns = [lambda lam: lam - 2.0, lambda lam: 0.3 - lam, lambda lam: lam * lam - 9.0, lambda lam: 5e-3 - lam]
+        hints = np.array([1.0, 4.0, 0.0, 1e3])
+        seen = [[] for _ in fns]
+
+        def g(rows, lam):
+            assert np.all(np.diff(rows) > 0)
+            for r, x in zip(rows, lam):
+                seen[r].append(float(x))
+            return np.array([fns[r](x) for r, x in zip(rows, lam)])
+
+        roots = ray_root(g, hints)
+        for f, h, probes, root in zip(fns, hints, seen, roots):
+            alone = []
+            want = sign_test_ray_root(lambda lam: alone.append(lam) or f(lam), h)
+            assert probes == alone and root == want
+
+    def test_non_finite_at_a_hint(self):
+        # log(lam - 1) is NaN at row 1's hint 0.5 and finite at the others
+        def g(rows, lam):
+            with np.errstate(invalid="ignore"):
+                return np.log(lam - 1.0)
+
+        with pytest.raises(NonFiniteSample, match="row 1"):
+            ray_root(g, np.array([3.0, 0.5, 4.0]))
+
+    def test_no_bracket_names_the_first_row(self):
+        g = lambda rows, lam: np.where(rows % 2 == 1, lam * lam + 1.0, lam - 2.0)
+        with pytest.raises(NoBracket) as err:
+            ray_root(g, np.ones(5))
+        assert err.value.row == 1
+
+    def test_ball_gauge_bit_identical_with_fewer_calls(self):
+        """The batched gauge against an explicit per-row loop: the same bits as
+        the earlier ray_root, with fewer calls of the predicate, and exactly the
+        calls of one scalar ray_root per vector."""
         # a scalar-only ellipse predicate, as a user would write it
         rng = np.random.default_rng(11)
         ax, ay = 1.6, 0.7
@@ -522,11 +580,51 @@ class TestRayRoot:
 
         angle = rng.uniform(0.0, 2.0 * np.pi, 2000)
         vs = rng.uniform(0.1, 3.0, 2000)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-        gauge = mk.gauge_from_ball(2, member, mk.whole_space_domain(2))
-        new = gauge.value(vs)
+        cone = mk.whole_space_domain(2)
+        new = mk.gauge_from_ball(2, member, cone).value(vs)
         new_calls, calls[0] = calls[0], 0
-        monkeypatch.setattr(mk, "ray_root", reference_ray_root)
-        ref = gauge.value(vs)
-        assert new.tobytes() == ref.tobytes()
-        assert new_calls < calls[0]
+        ref = per_row_gauge(member, cone, vs, reference_ray_root)
+        ref_calls, calls[0] = calls[0], 0
+        scalar = per_row_gauge(member, cone, vs, sign_test_ray_root)
+        assert new.tobytes() == ref.tobytes() == scalar.tobytes()
+        assert new_calls < ref_calls
+        assert new_calls == calls[0]
         assert np.allclose(new, np.hypot(vs[:, 0] / ax, vs[:, 1] / ay), rtol=1e-12)
+
+    @given(
+        st.floats(0.3, 3.0),
+        st.floats(0.3, 3.0),
+        st.floats(0.0, np.pi),
+        st.floats(-np.pi, np.pi),
+        st.floats(0.2, np.pi),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ball_gauge_matches_the_per_row_reference(self, a, b, turn, axis, half_angle, seed):
+        """A rotated ellipse on a random angular cone, vectors of norm 1e-3 to
+        1e3 and the zero vector: the batched gauge equals the per-row reference loop bit for bit,
+        and calls the predicate as often as one scalar ray_root per vector."""
+        c, s = np.cos(turn), np.sin(turn)
+        shape = np.array([[c, s], [-s, c]]) / np.array([[a], [b]])  # rotate, then scale each axis
+        calls = [0]
+
+        def member(v):
+            calls[0] += 1
+            w = shape @ v
+            return w @ w <= 1.0
+
+        u = np.array([np.cos(axis), np.sin(axis)])
+        # the open sector within half_angle of u, and the zero vector
+        cone = lambda v: (v @ u > np.cos(half_angle) * np.linalg.norm(v, axis=-1)) | ~v.any(axis=-1)
+        rng = np.random.default_rng(seed)
+        angle = rng.uniform(-np.pi, np.pi, 100)
+        vs = 10.0 ** rng.uniform(-3.0, 3.0, 100)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        vs[0] = 0.0
+        new = mk.gauge_from_ball(2, member, cone).value_unchecked(vs)
+        new_calls, calls[0] = calls[0], 0
+        ref = per_row_gauge(member, cone, vs, reference_ray_root)
+        calls[0] = 0
+        per_row_gauge(member, cone, vs, sign_test_ray_root)
+        assert new.tobytes() == ref.tobytes()
+        assert new_calls == calls[0]
+
+
