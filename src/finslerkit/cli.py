@@ -742,7 +742,6 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 # integers as str(x); numpy integer types are added by _row_format
 _CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%d", str: "%s"}
 _PLAIN_TEXT = re.compile(r"[\w.+-]+", re.ASCII)  # text csv's minimal quoting writes as it is
-CSV_CHUNK = 1024  # formatted lines write_csv collects per stream.write
 
 
 def _row_format(types: tuple):
@@ -760,29 +759,20 @@ def _row_format(types: tuple):
 def write_csv(stream, header: list[str], rows: list[list]):
     """Write the header and rows: floats as ``format(x, ".17g")``, everything
     else as ``str(x)``, under csv's minimal quoting.  A row whose cells are all
-    floats, ints or plain text is formatted with one %-format string, chosen once
-    per tuple of cell types, and such rows are written ``CSV_CHUNK`` at a time
-    (a larger batch costs memory, not time); any other row goes through the csv
-    writer, in its place."""
+    floats, ints or plain text is written with one %-format string, chosen once
+    per tuple of cell types; any other row goes through the csv writer."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     formats = {}
-    lines = []
     for row in rows:
         types = tuple(map(type, row))
         fmt = formats.get(types)
         if fmt is None:
             fmt = formats[types] = _row_format(types)
-        if fmt and (not fmt[1] or all(_PLAIN_TEXT.fullmatch(row[k]) for k in fmt[1])):
-            lines.append(fmt[0] % tuple(row))
-            if len(lines) == CSV_CHUNK:
-                stream.write("".join(lines))
-                lines.clear()
+        if fmt and all(_PLAIN_TEXT.fullmatch(row[k]) for k in fmt[1]):
+            stream.write(fmt[0] % tuple(row))
         else:
-            stream.write("".join(lines))
-            lines.clear()
             writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
-    stream.write("".join(lines))
 
 
 def builtin_config(name: str) -> str:

@@ -15,8 +15,10 @@ oracle's form: it raises where :func:`fd_hessian_rows` gives NaN.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -248,69 +250,82 @@ def ray_root(g, bracket_hint) -> np.ndarray:
     counts as no sign change; at a hint it raises NonFiniteSample.  A row
     with no sign change within ``RAY_DOUBLINGS`` doublings raises NoBracket,
     whose ``row`` is the first such row.
+
+    A round costs about twenty small array operations, the same for one row
+    as for thousands, beside the work of ``g``: the batch pays off over many
+    rows, while a few rows take longer than a scalar loop over each would.
     """
     hint = np.asarray(bracket_hint, dtype=float)
     lam0 = np.where(hint <= 0.0, 1.0, hint)
-    n = lam0.shape[0]
-    g0 = np.asarray(g(np.arange(n), lam0), dtype=float)
+    g0 = np.asarray(g(np.arange(lam0.shape[0]), lam0), dtype=float)
     bad = ~np.isfinite(g0)
     if bad.any():
         row = int(np.argmax(bad))
         raise NonFiniteSample(f"non-finite value in ray_root at the hint of row {row}")
-
-    # sign0 is the sign of the inner end of each bracket, the previous probe (or
-    # the hint); a probe p is a sign change when -inf < p * sign0 <= 0 (NaN and
-    # infinities are not), and the bisection keeps lo = mid while mid's value
-    # times the sign of lo's is positive (NaN never is; lo's sign may be 0)
-    sign0 = np.where(g0 > 0.0, 1.0, -1.0)
     root = lam0.copy()  # a row whose hint is a zero of g ends there
-    lo, hi, sign_lo, mid = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    bracketed = np.zeros(n, dtype=bool)
-    bisections = np.zeros(n, dtype=np.int64)
-    active = np.flatnonzero(g0 != 0.0)  # the unfinished rows, ascending
+
+    # The state of the unfinished rows ``act`` (ascending) is held in arrays
+    # aligned with act and compacted when rows end, so a round costs the same
+    # few array operations whatever its rows do.  sign0 is the sign of the
+    # inner end of each search bracket, the hint; a probe p is a sign change
+    # when -inf < p * sign0 <= 0 (NaN and infinities are not).  A bracketed row
+    # keeps lo = mid while mid's value times s, the sign of lo's, is positive;
+    # s is NaN where lo's value was 0 (the product is then never positive) and
+    # for the rows still searching, whose lo is NaN too so that they never end.
+    act = np.flatnonzero(g0 != 0.0)
+    lam0 = lam0[act]
+    sign0 = np.where(g0[act] > 0.0, 1.0, -1.0)
+    lo, hi, s = np.full(act.size, np.nan), np.full(act.size, np.nan), np.full(act.size, np.nan)
+    start = np.zeros(act.size, dtype=np.int64)  # the round of each row's bracket
+    searching = np.ones(act.size, dtype=bool)
+    n_search = act.size
+    # with every probe below half the largest float nothing here overflows
+    huge = act.size and lam0.max() > np.finfo(float).max / 2.0 ** (RAY_DOUBLINGS + 2)
+    quiet = partial(np.errstate, over="ignore", invalid="ignore") if huge else nullcontext
+    with quiet():
+        lam = lam0 * 2.0
     rounds = 0
-    while active.size:
+    while act.size:
         rounds += 1
-        # a row without a bracket probes up 2^k on odd rounds and down 2^k on even ones
-        k, up = (rounds + 1) // 2, rounds % 2 == 1
-        searching = ~bracketed[active]
-        at = active[searching]
-        lam = mid[active]
-        with np.errstate(over="ignore"):
-            lam[searching] = lam0[at] * 2.0**k if up else lam0[at] / 2.0**k
-        val = np.asarray(g(active, lam), dtype=float)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            p, probe = val[searching], lam[searching]
-            ps = p * sign0[at]
-            change = (-np.inf < ps) & (ps <= 0.0)
-            if rounds == 2 * RAY_DOUBLINGS and not change.all():
-                row = int(at[np.argmin(change)])
-                raise NoBracket(f"no sign change within {RAY_DOUBLINGS} doublings of {lam0[row]}", row=row)
-            at, p, probe = at[change], p[change], probe[change]
-            if up:
-                lo[at], hi[at], sign_lo[at] = lam0[at] * 2.0 ** (k - 1), probe, sign0[at]
-            else:
-                lo[at], hi[at], sign_lo[at] = probe, lam0[at] / 2.0 ** (k - 1), np.where(p == 0.0, 0.0, -sign0[at])
-            bracketed[at] = True
-
-            at, gm = active[~searching], val[~searching]
-            bisections[at] += 1
-            hit = gm == 0.0
-            root[at[hit]] = mid[at[hit]]
-            at, gm = at[~hit], gm[~hit]
-            keep_lo = gm * sign_lo[at] > 0.0
-            lo[at[keep_lo]] = mid[at[keep_lo]]
-            hi[at[~keep_lo]] = mid[at[~keep_lo]]
-            live = np.ones(active.size, dtype=bool)
-            live[~searching] = ~hit
-
-            pos = np.flatnonzero(live & bracketed[active])
-            at = active[pos]
-            m = 0.5 * (lo[at] + hi[at])
-            mid[at] = m
-            done = (hi[at] - lo[at] <= 1e-14 * np.maximum(1.0, m)) | (bisections[at] >= 200)
-            root[at[done]] = m[done]
-            live[pos[done]] = False
-        active = active[live]
+        val = np.asarray(g(act, lam), dtype=float)
+        with quiet():
+            keep = val * s > 0.0
+            np.copyto(lo, lam, where=keep)
+            np.copyto(hi, lam, where=~keep)
+            hit = val == 0.0  # a bisection probe at a root ends its row there
+            if n_search:
+                # a row without a bracket probed up 2^k on odd rounds and down 2^k on even ones
+                k = (rounds + 1) // 2
+                hit &= ~searching
+                ps = val * sign0
+                change = searching & (-np.inf < ps) & (ps <= 0.0)
+                if rounds % 2:
+                    np.copyto(lo, lam0 * 2.0 ** (k - 1), where=change)
+                    np.copyto(hi, lam, where=change)
+                    np.copyto(s, sign0, where=change)
+                else:
+                    np.copyto(lo, lam, where=change)
+                    np.copyto(hi, lam0 / 2.0 ** (k - 1), where=change)
+                    np.copyto(s, np.where(val == 0.0, np.nan, -sign0), where=change)
+                start[change] = rounds
+                searching &= ~change
+                n_search = np.count_nonzero(searching)
+                if n_search and rounds == 2 * RAY_DOUBLINGS:
+                    i = int(np.argmax(searching))
+                    raise NoBracket(f"no sign change within {RAY_DOUBLINGS} doublings of {lam0[i]}", row=int(act[i]))
+            mid = 0.5 * (lo + hi)
+            done = (hi - lo <= 1e-14 * np.maximum(1.0, mid)) | hit
+            if rounds > 200:  # past round 2 * RAY_DOUBLINGS every row has its bracket
+                done |= rounds - start >= 200
+            if np.count_nonzero(done):
+                root[act[done]] = mid[done]
+                root[act[hit]] = lam[hit]
+                live = ~done
+                act, lam0, sign0, lo, hi, s, start, searching, mid = (
+                    x[live] for x in (act, lam0, sign0, lo, hi, s, start, searching, mid)
+                )
+            if n_search:
+                k = rounds // 2 + 1
+                mid = np.where(searching, lam0 * 2.0**k if rounds % 2 == 0 else lam0 / 2.0**k, mid)
+        lam = mid
     return root

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from finslerkit import cli
 from finslerkit.cli import (
     COMMANDS,
-    CSV_CHUNK,
     BuiltMetric,
     MetricSpec,
     build_metric,
@@ -1219,18 +1218,6 @@ class TestWriteCsv:
         spec_write_csv(want, ["index", "x", "status"], rows)
         assert got.getvalue() == want.getvalue()
         assert got.getvalue().splitlines()[1:] == ["0,1.5,Indefinite", '1,-0,"a,b"', "True,0.1,", "2,nan,None"]
-
-    def test_rows_past_a_chunk_keep_their_order(self):
-        """Formatted lines are written in chunks, and a csv-writer row between
-        two chunks still lands in its place."""
-        n = 2 * CSV_CHUNK + 5
-        rows = [[k, k / 7.0, "ok"] for k in range(n)]
-        rows[CSV_CHUNK + 3][2] = "a,b"
-        rows[2 * CSV_CHUNK] = [None, 0.5, "x"]
-        got, want = io.StringIO(), io.StringIO()
-        write_csv(got, ["index", "x", "status"], rows)
-        spec_write_csv(want, ["index", "x", "status"], rows)
-        assert got.getvalue() == want.getvalue()
 
 
 def _columns(header, rows, prefix) -> np.ndarray:

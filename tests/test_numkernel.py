@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -564,6 +565,33 @@ class TestRayRoot:
         with pytest.raises(NoBracket) as err:
             ray_root(g, np.ones(5))
         assert err.value.row == 1
+
+    def test_huge_and_tiny_hints_probe_as_alone_without_warnings(self):
+        """Probes past half the largest float overflow quietly to inf, as the
+        scalar sequence's Python floats do, and every row still probes and
+        ends as it would alone."""
+        fns = [
+            lambda lam: 1.0 - lam / 1e307,
+            lambda lam: lam - 3e307,
+            lambda lam: math.inf if lam > 1e308 else (1.0 if lam < 1e306 else -1.0),
+            lambda lam: 1.0 if lam < 1e-300 else -1.0,
+            lambda lam: lam - 1.5,
+        ]
+        hints = np.array([1e300, 1.7e308, 1e308, 1e-310, 2.0])
+        seen = [[] for _ in fns]
+
+        def g(rows, lam):
+            for r, x in zip(rows, lam):
+                seen[r].append(float(x))
+            return np.array([fns[r](x) for r, x in zip(rows, lam)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = ray_root(g, hints)
+        for f, h, probes, root in zip(fns, hints, seen, roots):
+            alone = []
+            want = sign_test_ray_root(lambda lam: alone.append(lam) or f(lam), h)
+            assert probes == alone and root == want
 
     def test_ball_gauge_bit_identical_with_fewer_calls(self):
         """The batched gauge against an explicit per-row loop: the same bits as
