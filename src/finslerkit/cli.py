@@ -19,6 +19,7 @@ import argparse
 import ast
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -739,7 +740,7 @@ def run_command(cmd: str, spec: MetricSpec, cfg: RunConfig):
 
 
 # the %-format of a cell type whose text is fixed: floats as format(x, ".17g"),
-# integers as str(x); numpy integer types are added by _row_format
+# integers as str(x); _row_format gives numpy integer types "%d" too
 _CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%d", str: "%s"}
 _PLAIN_TEXT = re.compile(r"[\w.+-]+", re.ASCII)  # text csv's minimal quoting writes as it is
 
@@ -758,21 +759,18 @@ def _row_format(types: tuple):
 
 def write_csv(stream, header: list[str], rows: list[list]):
     """Write the header and rows: floats as ``format(x, ".17g")``, everything
-    else as ``str(x)``, under csv's minimal quoting.  A row whose cells are all
-    floats, ints or plain text is written with one %-format string, chosen once
-    per tuple of cell types; any other row goes through the csv writer."""
+    else as ``str(x)``, under csv's minimal quoting.  Consecutive rows with the
+    same tuple of cell types form a run.  A run of floats, ints and text whose
+    distinct text cells are all plain is written with one %-format string and
+    one ``stream.write``; any other run goes row by row through the csv writer."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    formats = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = _row_format(types)
-        if fmt and all(_PLAIN_TEXT.fullmatch(row[k]) for k in fmt[1]):
-            stream.write(fmt[0] % tuple(row))
+    for types, run in itertools.groupby(rows, key=lambda row: tuple(map(type, row))):
+        run, fmt = list(run), _row_format(types)
+        if fmt and all(map(_PLAIN_TEXT.fullmatch, {row[k] for row in run for k in fmt[1]})):
+            stream.write((fmt[0] * len(run)) % tuple(itertools.chain.from_iterable(run)))
         else:
-            writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
+            writer.writerows([format(x, ".17g") if isinstance(x, float) else str(x) for x in row] for row in run)
 
 
 def builtin_config(name: str) -> str:

@@ -53,6 +53,10 @@ BUILTINS = [
     "wavy_ex212",
 ]
 
+SHIPPED_COMMANDS = [
+    (name, command) for name in BUILTINS for command in json.loads(builtin_config(name))["run"] if command in COMMANDS
+]
+
 
 def _largest_resolution(dim: int) -> int:
     """The largest resolution whose graph with neighbour radius 1 stays within ``gd.MAX_GRAPH_EDGES``."""
@@ -1191,13 +1195,14 @@ _CELL_KINDS = [  # one strategy per kind of cell
 
 @st.composite
 def csv_tables(draw):
-    """(header, rows): runs of rows that share one list of cell strategies, so
-    a type tuple repeats, with the cell types changing between runs."""
+    """(header, rows): runs of up to 50 rows that share one list of cell
+    strategies, so a type tuple repeats, with the cell types changing between
+    runs."""
     header = draw(st.lists(_TEXT, max_size=4))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         kinds = draw(st.lists(st.sampled_from(_CELL_KINDS), max_size=5))
-        rows += draw(st.lists(st.tuples(*kinds).map(list), max_size=4))
+        rows += draw(st.lists(st.tuples(*kinds).map(list), max_size=50))
     return header, rows
 
 
@@ -1218,6 +1223,39 @@ class TestWriteCsv:
         spec_write_csv(want, ["index", "x", "status"], rows)
         assert got.getvalue() == want.getvalue()
         assert got.getvalue().splitlines()[1:] == ["0,1.5,Indefinite", '1,-0,"a,b"', "True,0.1,", "2,nan,None"]
+
+    def test_a_long_run_with_quoted_text_mid_run(self):
+        """3000 rows of one type tuple, as the commands build them: extreme
+        floats throughout and two cells that need quotes in mid-run."""
+        n = 3000
+        specials = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1.0 / 3.0])
+        x = np.resize(specials, n)
+        y = np.linspace(-1.0, 1.0, n)
+        status = np.resize(np.array(["PositiveDefinite", "OutsideDomain", "1.5e-3"], dtype=object), n)
+        status[1234], status[2345] = "a,b", 'say "hi"'
+        rows = cli._rows(x, y, index=range(n), text=(1, status))
+        header = ["index", "x", "status", "y"]
+        got, want = io.StringIO(), io.StringIO()
+        write_csv(got, header, rows)
+        spec_write_csv(want, header, rows)
+        assert got.getvalue() == want.getvalue()
+        lines = got.getvalue().splitlines()
+        assert len(lines) == n + 1 and lines[1 + 1234].endswith(',"a,b",' + format(y[1234], ".17g"))
+        assert '"say ""hi"""' in lines[1 + 2345]
+
+    def test_no_rows_writes_only_the_header(self):
+        got = io.StringIO()
+        write_csv(got, ["index", "x"], [])
+        assert got.getvalue() == "index,x\n"
+
+    @pytest.mark.parametrize("name, command", SHIPPED_COMMANDS, ids=[f"{n}-{c}" for n, c in SHIPPED_COMMANDS])
+    def test_shipped_rows_equal_the_per_cell_writer(self, name, command):
+        spec, cfg = parse_config(builtin_config(name))
+        _, header, rows = run_command(command, spec, cfg)
+        got, want = io.StringIO(), io.StringIO()
+        write_csv(got, header, rows)
+        spec_write_csv(want, header, rows)
+        assert got.getvalue() == want.getvalue()
 
 
 def _columns(header, rows, prefix) -> np.ndarray:
@@ -1272,11 +1310,6 @@ def _library_columns(cmd, built, cfg, header, rows) -> dict:
         ids = [gd.grid_node_id(params["box"], params["resolution"], params[k]) for k in ("source", "target")]
         return {"x": gd.separation(graph, *ids).witness_path}
     return {"x": graph.nodes[np.array([row[0] for row in rows], dtype=int)]}
-
-
-SHIPPED_COMMANDS = [
-    (name, command) for name in BUILTINS for command in json.loads(builtin_config(name))["run"] if command in COMMANDS
-]
 
 
 class TestRowContract:

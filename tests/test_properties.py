@@ -6,10 +6,12 @@ a predicate that keeps sample vectors whose profile ratios stay away from
 the profile endpoints, where the finite-difference oracle loses accuracy.
 Separation graphs on random position-independent trees are held to the
 triangle inequality, nested balls, the offset envelope, A*'s agreement with
-Dijkstra and, on convex trees, the straight-line length.  Profile and curve jets are held bit for bit to the three callables
-each was built from before it became one call.  Finite-difference tensors
-next to a cone's edge do not depend on the batch a row comes in, and value
-jets on stacks with repeated (stride-0) vectors equal those on contiguous copies.
+Dijkstra, reversal (the graph of v -> F(-v) is the transpose) and, on convex
+trees, the straight-line length.  Profile and curve jets are held bit for bit
+to the three callables each was built from before it became one call.
+Finite-difference tensors next to a cone's edge do not depend on the batch a
+row comes in, and value jets on stacks with repeated (stride-0) vectors equal
+those on contiguous copies.
 """
 
 import contextlib
@@ -608,6 +610,27 @@ def test_goal_directed_search_finds_the_dijkstra_distance(case, data):
         want = dijkstra(graph.query, directed=True, indices=p)[q]
         for limit in (gd._path_bound(graph, p, q), np.inf):
             assert gd._astar(graph, p, q, limit)[0] == want
+
+
+@given(graphs(), st.data())
+def test_reversal_transposes_the_graph(case, data):
+    """The graph of F~(v) = F(-v) is the transpose of F's, edge for edge and
+    weight for weight, so F's backward ball is F~'s forward ball, up to
+    nodes whose separation from p lies within rounding of r."""
+    metric, graph, reduce = case
+    reverse = gd.build_separation_graph(cb._reflected(metric), BOX, graph.resolution, graph.neighbor_radius)
+    want = graph.matrix.T.tocsr()
+    want.sort_indices()
+    got = reverse.matrix
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    (p,) = data.draw(_nodes(graph, 1))
+    r = data.draw(st.floats(0.0, 4.0))
+    with _reduced(reduce):
+        backward = set(gd.df_ball(graph, p, r, direction="backward").tolist())
+        forward = set(gd.df_ball(reverse, p, r).tolist())
+        for q in backward ^ forward:
+            assert abs(gd.separation(graph, q, p).value - r) <= 1e-12 * r
 
 
 def test_profiles_and_curves_are_one_call():
