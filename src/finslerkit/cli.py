@@ -652,7 +652,7 @@ def _graph(cmd: str, built: BuiltMetric, cfg: RunConfig, box, resolution, neighb
                 "value": float(result.value) if np.isfinite(result.value) else "Infinity",
                 "reachable": bool(result.reachable),
                 "nodes": graph.node_count,
-                "edges": int(graph.matrix.nnz),
+                "edges": graph.edge_count,
             },
             header,
             rows,

@@ -18,11 +18,13 @@ samples both ends and those 7 nodes; an edge whose 3-point Gauss
 estimate disagrees is redone with composite Simpson.  Edges are
 evaluated in blocks of whole offsets, one jet per block, and an edge's
 velocity is one vector broadcast over its points, which the metric's
-position-independent nodes evaluate once.  Queries on a
-position-independent graph run on adjacencies without the offsets that
-split into cheaper sign-consistent pairs (chamfer-mask dominance), with
-the same answers bit for bit, and read the edges into a node off the
-offset table instead of a transposed adjacency.  A separation on a large
+position-independent nodes evaluate once.  A position-independent graph
+holds its offset table, not the full adjacency.  Its queries run on
+adjacencies without the offsets that split into cheaper sign-consistent
+pairs (chamfer-mask dominance) or are k copies of a table offset, with
+distances within rounding of the full graph's and reach sets bit for
+bit, and read the edges into a node off the offset table instead of a
+transposed adjacency.  A separation on a large
 such graph whose kept offsets all lie on their convex envelope runs A*,
 guided by the envelope's gauge, a lower bound on every path's length.
 scipy is imported where a graph first needs it, not by ``import
@@ -61,7 +63,7 @@ MAX_GRAPH_EDGES = 5 * 10**7  # candidate_edges of one graph, checked by check_gr
 # A position-dependent graph evaluates its edges in blocks of whole offsets, the
 # fewest that hold EDGE_BLOCK edges: one jet per block bounds a build's memory.
 EDGE_BLOCK = 2**10
-DOMINANCE_MARGIN = 1e-12  # an offset is dropped when a split costs at most (1 - margin) F(offset)
+DOMINANCE_MARGIN = 1e-12  # a split must cost at most (1 - margin) F(o), a tie k F(o / k) at most (1 + margin) F(o)
 # A graph with fewer edges than this keeps its queries on the full adjacency
 # with no distance cap, and so does one whose dominated offsets carry fewer:
 # a reduced adjacency or a cap would cost more than one query spends on them.
@@ -503,16 +505,19 @@ def _envelope(offsets: np.ndarray, weights: np.ndarray) -> Optional[Envelope]:
 class SeparationGraph:
     """Grid graph whose directed edges carry F-lengths of straight segments.
 
-    ``matrix`` is the full construction.  On a position-independent metric
-    ``offsets`` (K, n) and ``weights`` (K,) hold the kept offset table and
-    F(offset), and the queries run on the dominance-reduced adjacencies
-    ``query`` (Dijkstra) and ``reach`` (BFS); :meth:`edges_into` reads the
-    edges into a node off the same table, so no forward query transposes
-    an adjacency.  On a position-dependent graph ``offsets`` and
-    ``weights`` are ``None``, the queries run on ``matrix`` and
-    :meth:`edges_into` scans one of its columns.  Only a backward ball
-    builds the transpose ``incoming``, and only a large graph's separation
-    builds the ``envelope`` of the kept offsets.
+    ``matrix`` is the full construction, of ``edge_count`` edges.  On a
+    position-independent metric ``offsets`` (K, n) and ``weights`` (K,) hold
+    the kept offset table and F(offset); the graph holds no full adjacency,
+    and ``matrix`` is assembled from the table on each read.  Its queries
+    run on the reduced adjacencies ``query`` (Dijkstra), without the
+    offsets :func:`_undominated` drops, and ``reach`` (BFS);
+    :meth:`edges_into` reads the edges into a node off the same table, so
+    no forward query transposes an adjacency.  On a position-dependent
+    graph ``offsets`` and ``weights`` are ``None``, ``stored_matrix`` holds
+    ``matrix``, the queries run on it and :meth:`edges_into` scans one of
+    its columns.  Only a backward ball builds the transpose ``incoming``,
+    and only a large graph's separation builds the ``envelope`` of the
+    kept offsets.
     """
 
     box_lo: np.ndarray
@@ -521,7 +526,8 @@ class SeparationGraph:
     neighbor_radius: int
     shape: tuple
     nodes: np.ndarray = field(repr=False)
-    matrix: csr_matrix = field(repr=False)
+    edge_count: int
+    stored_matrix: Optional[csr_matrix] = field(default=None, repr=False)
     offsets: Optional[np.ndarray] = field(default=None, repr=False)
     weights: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -529,17 +535,25 @@ class SeparationGraph:
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def matrix(self) -> csr_matrix:
+        """The full construction: ``stored_matrix``, or on a graph with an
+        offset table a new assembly of every table offset on each read."""
+        if self.offsets is None:
+            return self.stored_matrix
+        return self._table_adjacency(self.offsets, self.weights)
+
     def _keep(self, weights) -> Optional[np.ndarray]:
         """Mask of the table offsets a reduced adjacency under ``weights``
         holds: all but those :func:`_undominated` drops, or every offset when
-        ``matrix`` or the dropped offsets carry fewer than ``REDUCE_MIN_EDGES``
+        the graph or the dropped offsets carry fewer than ``REDUCE_MIN_EDGES``
         edges; ``None`` on a graph without an offset table."""
         if self.offsets is None:
             return None
-        if self.matrix.nnz < REDUCE_MIN_EDGES:
+        if self.edge_count < REDUCE_MIN_EDGES:
             return np.ones(len(self.offsets), dtype=bool)
         keep = _undominated(self.offsets, weights)
-        if np.prod(self.resolution - np.abs(self.offsets[~keep]), axis=1).sum() < REDUCE_MIN_EDGES:
+        if _edge_count(self.offsets[~keep], self.resolution) < REDUCE_MIN_EDGES:
             keep[:] = True
         return keep
 
@@ -556,16 +570,17 @@ class SeparationGraph:
         return _assemble(_in_grid(offsets, self.resolution), offsets, strides, weights)
 
     def _reduced(self, keep: Optional[np.ndarray]) -> csr_matrix:
-        """``matrix`` with only the table offsets in ``keep``; ``matrix``
-        itself when every offset is kept or there is no table."""
-        if keep is None or keep.all():
-            return self.matrix
+        """The table offsets in ``keep`` assembled; ``stored_matrix`` on a
+        graph without a table."""
+        if keep is None:
+            return self.stored_matrix
         return self._table_adjacency(self.offsets[keep], self.weights[keep])
 
     @functools.cached_property
     def query(self) -> csr_matrix:
-        """Adjacency of the shortest-path queries, built on first use: every
-        shortest path of ``matrix`` has the same length on it."""
+        """Adjacency of the shortest-path queries, built on first use.  Its
+        distances are never below those of ``matrix`` and exceed them by at
+        most the rounding bound of :func:`_undominated`."""
         return self._reduced(self._query_keep)
 
     @functools.cached_property
@@ -764,6 +779,12 @@ def _in_grid(offsets: np.ndarray, resolution: int) -> np.ndarray:
     return mask.reshape(resolution**n, K)
 
 
+def _edge_count(offsets: np.ndarray, resolution: int) -> int:
+    """Edges of the offsets (K, n) on the grid: offset o joins prod_d
+    (resolution - |o_d|) pairs of nodes."""
+    return int(np.prod(resolution - np.abs(offsets), axis=1).sum())
+
+
 def _assemble(mask: np.ndarray, offsets: np.ndarray, strides: np.ndarray, weights: np.ndarray) -> csr_matrix:
     """CSR matrix of the edges i -> i + offsets[k] where ``mask[i, k]``, with
     weights (K,) or (N, K).  Row i lists its edges in offset order, which is
@@ -831,14 +852,46 @@ def _split_index(table: bytes, n: int) -> tuple:
     return index + ((2 * r + 1) ** n,)
 
 
+def _tie_roots(offsets: np.ndarray) -> tuple:
+    """(k, roots) of the offsets (K, n): offset i is k[i] copies of the
+    table offset ``offsets[roots[i]]``.  k is the gcd g of the offset's
+    components when o / g is in the table too, and else 1, with roots[i] = i."""
+    n = offsets.shape[1]
+    r = int(np.abs(offsets).max())
+    strides = (2 * r + 1) ** np.arange(n - 1, -1, -1)
+    at = np.full((2 * r + 1) ** n, -1)
+    at[(offsets + r) @ strides] = np.arange(len(offsets))
+    g = np.gcd.reduce(offsets, axis=1)
+    roots = at[(offsets // g[:, None] + r) @ strides]
+    found = roots >= 0
+    return np.where(found, g, 1), np.where(found, roots, np.arange(len(offsets)))
+
+
 def _undominated(offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Mask of the offsets (K, n) a shortest-path query needs.  Offset o is
     dropped when o = o1 + o2 for table offsets o1, o2 with no component of
     opposite sign, so the middle node lies in every box that holds both
-    ends, and w(o1) + w(o2) <= (1 - ``DOMINANCE_MARGIN``) w(o).  Each part is
-    shorter than o in L1, so every dropped edge splits into kept ones; exact
-    ties such as (2, 0) = (1, 0) + (1, 0) stay.  One vectorised min-plus
-    pass over the splits of :func:`_split_index`."""
+    ends, and w(o1) + w(o2) <= (1 - ``DOMINANCE_MARGIN``) w(o), found by one
+    vectorised min-plus pass over the splits of :func:`_split_index`.  It
+    is dropped too when it is a tie: k >= 2 copies of the table offset o'
+    of :func:`_tie_roots`, with k w(o') <= (1 + ``DOMINANCE_MARGIN``) w(o).
+    On a position-independent metric F(k o') = k F(o'), so ties such as
+    (2, 0) = 2 (1, 0) go unless rounding put o' outside the cone or its
+    weight far off.  Each part is shorter than o in L1, so every dropped
+    edge splits into kept ones.
+
+    A distance d' without the dropped offsets is never below the distance
+    d over all of them, and d' <= d (1 + delta) (1 + g(m')) / (1 - g(m)),
+    g(j) = (j - 1) u / (1 - (j - 1) u), u = 2^-53.  Take the shortest path
+    over all offsets, m edges summed left to right to d, and split each of
+    its dropped edges into kept ones: m' edges, at most the path's L1
+    lattice length.  By induction on L1 length the parts of an offset o
+    cost at most (1 + delta) w(o), delta = max(0, k w(o') / w(o) - 1) over
+    the ties (a split's factor 1 - margin absorbs its parts' 1 + delta), so
+    the exact sums obey S' <= (1 + delta) S, and a float sum of j positive
+    terms is within g(j) of its exact value.  To first order d' - d <=
+    (delta + (m + m') u) d.  On the Matsumoto b = 0.5 graph at res 81 /
+    R 10, delta = 2.3 u and d' - d <= 7.9 x 2^-52 d over 12 sources."""
     if offsets.size == 0:
         return np.ones(0, dtype=bool)
     index = _split_index(offsets.astype(np.int64).tobytes(), offsets.shape[1])
@@ -846,7 +899,9 @@ def _undominated(offsets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     table = np.full(size, np.inf)  # the zero offset and offsets outside the table cost inf
     table[keys] = weights
     table[targets] = np.minimum.reduceat(table.take(first) + table.take(second), starts)
-    return ~(table[keys] <= (1.0 - DOMINANCE_MARGIN) * weights)  # table[keys]: the cheapest splits
+    copies, roots = _tie_roots(offsets)
+    tie = (copies > 1) & (copies * weights[roots] <= (1.0 + DOMINANCE_MARGIN) * weights)
+    return ~(table[keys] <= (1.0 - DOMINANCE_MARGIN) * weights) & ~tie
 
 
 def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor_radius: int) -> SeparationGraph:
@@ -868,7 +923,8 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     length and cone test.  Every edge's result is independent of its
     batch, so the blocks only bound the memory of a jet and the number of
     jets.  A position-independent graph keeps its offset table and
-    F(offset) for the reduced query adjacencies.  The arguments pass
+    F(offset) for the reduced query adjacencies, and assembles no full
+    adjacency; a position-dependent graph stores it.  The arguments pass
     :func:`check_graph` before anything is allocated.
     """
     h = check_graph(box, resolution, neighbor_radius)
@@ -879,39 +935,27 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     mesh = np.meshgrid(*np.linspace(lo, hi, resolution).T, indexing="ij")
     nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
     shape = (resolution,) * n
-    strides = resolution ** np.arange(n - 1, -1, -1)
     offsets = _offset_table(n, resolution, R)
-
+    grid = dict(box_lo=lo, box_hi=hi, resolution=resolution, neighbor_radius=R, shape=shape, nodes=nodes)
     if m.position_independent:
         ok, F = m.jet(0.5 * (lo + hi), offsets * h)
-        offsets, weights = offsets[ok], F[ok]
-        table = {"offsets": offsets, "weights": weights}
-        mask = _in_grid(offsets, resolution)
-    else:
-        table = {}
-        mask = _in_grid(offsets, resolution)
-        weights = np.zeros(mask.shape)
-        steps = offsets * h
-        ends = np.cumsum(np.count_nonzero(mask, axis=0))  # edges through each offset
-        k0 = 0
-        while k0 < offsets.shape[0]:  # blocks of whole offsets, of EDGE_BLOCK or more edges but the last
-            k1 = int(np.searchsorted(ends, (ends[k0 - 1] if k0 else 0) + EDGE_BLOCK)) + 1
-            kb, sb = np.nonzero(mask[:, k0:k1].T)
-            kb += k0
-            keep, lengths = _edge_lengths(m, nodes[sb], steps[kb])
-            mask[sb[~keep], kb[~keep]] = False
-            weights[sb[keep], kb[keep]] = lengths
-            k0 = k1
-    return SeparationGraph(
-        box_lo=lo,
-        box_hi=hi,
-        resolution=resolution,
-        neighbor_radius=R,
-        shape=shape,
-        nodes=nodes,
-        matrix=_assemble(mask, offsets, strides, weights),
-        **table,
-    )
+        offsets = offsets[ok]
+        return SeparationGraph(**grid, edge_count=_edge_count(offsets, resolution), offsets=offsets, weights=F[ok])
+    mask = _in_grid(offsets, resolution)
+    weights = np.zeros(mask.shape)
+    steps = offsets * h
+    ends = np.cumsum(np.count_nonzero(mask, axis=0))  # edges through each offset
+    k0 = 0
+    while k0 < offsets.shape[0]:  # blocks of whole offsets, of EDGE_BLOCK or more edges but the last
+        k1 = int(np.searchsorted(ends, (ends[k0 - 1] if k0 else 0) + EDGE_BLOCK)) + 1
+        kb, sb = np.nonzero(mask[:, k0:k1].T)
+        kb += k0
+        keep, lengths = _edge_lengths(m, nodes[sb], steps[kb])
+        mask[sb[~keep], kb[~keep]] = False
+        weights[sb[keep], kb[keep]] = lengths
+        k0 = k1
+    matrix = _assemble(mask, offsets, resolution ** np.arange(n - 1, -1, -1), weights)
+    return SeparationGraph(**grid, edge_count=matrix.nnz, stored_matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -954,11 +998,15 @@ def _closing_edge(dist: np.ndarray, sources: np.ndarray, weights: np.ndarray) ->
 
 
 def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
-    """An upper bound on the distance from node ip to node iq: the cost of
-    the lattice path a + floor(k delta / s), k = 0..s, with
+    """An upper bound on the ``query`` distance from node ip to node iq: the
+    cost of the lattice path a + floor(k delta / s), k = 0..s, with
     s = max(1, ceil(|delta|_inf / R)), inf unless every step is a table
-    offset.  Its step weights are summed left to right from 0.0, in path
-    order, so Dijkstra's distance never exceeds it."""
+    offset.  A step o = k o' that ``query`` drops as a tie
+    (:func:`_tie_roots`) is walked as k steps o', which are ``query``
+    edges or split into cheaper ones; a step that a split dominates keeps
+    w(o), above the split's cost by the ``DOMINANCE_MARGIN``.  The step
+    weights are summed left to right from 0.0, in path order, so
+    Dijkstra's distance never exceeds the bound."""
     if graph.offsets is None or graph.offsets.size == 0:
         return np.inf
     delta, a, b = [], ip, iq
@@ -970,13 +1018,18 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
     base = 2 * _stencil_radius(graph.resolution, graph.neighbor_radius) + 1
     place = [base**e for e in range(len(delta) - 1, -1, -1)]
     keys = (graph.offsets @ place).tolist()
+    keep, (copies, roots) = graph._query_keep, _tie_roots(graph.offsets)
     bound = 0.0
     for k in range(s):
         step = sum(((k + 1) * d // s - k * d // s) * p for d, p in zip(delta, place))
         at = bisect.bisect_left(keys, step)
         if at == len(keys) or keys[at] != step:
             return np.inf
-        bound += float(graph.weights[at])
+        reps = 1
+        if not keep[at]:
+            at, reps = int(roots[at]), int(copies[at])
+        for _ in range(reps):
+            bound += float(graph.weights[at])
     return bound
 
 
@@ -1040,7 +1093,11 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     with at least ``REDUCE_MIN_EDGES`` edges it stops past the
     :func:`_path_bound` of the pair (scipy's ``limit`` keeps a node at
     exactly that distance).  A loop p -> p closes through the cheapest
-    edge into p, read off :meth:`SeparationGraph.edges_into`.
+    edge into p, read off :meth:`SeparationGraph.edges_into`.  Where
+    ``query`` drops ties (:func:`_undominated`), the value is never below
+    the full graph's and exceeds it by at most the rounding bound derived
+    there, and every step of the witness path is a ``query`` edge, whose
+    weights summed in path order give the value bit for bit.
 
     On a position-independent graph with at least ``ASTAR_MIN_EDGES``
     ``query`` edges and ``ASTAR_MIN_OFFSETS`` kept offsets, a pair of
@@ -1062,7 +1119,7 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
         val, pred = _astar(graph, ip, iq, _path_bound(graph, ip, iq))
         path = [iq]
     else:
-        small = graph.matrix.nnz < REDUCE_MIN_EDGES
+        small = graph.edge_count < REDUCE_MIN_EDGES
         limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
         dist, pred = dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
         if ip == iq:

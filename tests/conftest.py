@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 from hypothesis import settings
 
+from finslerkit.geodesy import DOMINANCE_MARGIN, _tie_roots
 from finslerkit.minkowski import PolarCurve2D
 
 # Derandomized: every run draws the same examples, so the suite stays deterministic.
@@ -29,3 +30,18 @@ def unit_circle_curve() -> PolarCurve2D:
         return (r, np.zeros_like(th), np.zeros_like(th)) if with_derivatives else r
 
     return PolarCurve2D(jet_fn=jet_fn, theta_range=None)
+
+
+def tie_excess_bound(graph, path) -> float:
+    """The relative excess of a ``query`` distance over the distance over
+    every offset, as ``geodesy._undominated`` bounds it to first order, for
+    ``path``, flat node indices of a shortest path over every offset:
+    delta + 2 L u, with m and m' at most L, the path's L1 lattice length,
+    u = 2^-53 and delta the largest k w(o') / w(o) - 1 over the table's
+    ties.  The rule's own ``m + m' - 2`` leaves 2 u for the second order."""
+    copies, roots = _tie_roots(graph.offsets)
+    w = graph.weights
+    tie = (copies > 1) & (copies * w[roots] <= (1.0 + DOMINANCE_MARGIN) * w)
+    delta = max(0.0, float(((copies * w[roots] - w) / w)[tie].max(initial=0.0)))
+    lattice = np.array(np.unravel_index(np.asarray(path, dtype=int), graph.shape)).T
+    return delta + 2 * int(np.abs(np.diff(lattice, axis=0)).sum()) * 2.0**-53

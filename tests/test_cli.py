@@ -602,6 +602,8 @@ class TestRunCommand:
         spec, cfg = parse_config(builtin_config("lorentz_cone_ex36"))
         summary, header, rows = run_command("separation", spec, cfg)
         assert summary["value"] < 0.7
+        # the full construction: every pair P, Q with |P| < Q <= 20 in the 41-node grid, not query's 39 offsets
+        assert summary["edges"] == sum((41 - abs(p)) * (41 - q) for q in range(1, 21) for p in range(-20, 21) if abs(p) < q)
         assert rows[0][1:] == [pytest.approx(0.0), pytest.approx(0.0)]
 
     def test_indicatrix_spiral(self):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from finslerkit.cli import build_metric, builtin_config, parse_config
 from finslerkit.errors import DegenerateTensor, DomainEmpty, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain
 from finslerkit.numkernel import gauss_kronrod_3_7, simpson_weights
 
-from conftest import boxed
+from conftest import boxed, tie_excess_bound
 
 BASE = np.zeros(2)
 
@@ -937,7 +938,9 @@ class TestDfBall:
 
 # Reference graph queries: a full Dijkstra on ``graph.matrix`` (or its
 # transpose, for backward balls) and a Python loop over the edges into the
-# source.  The library's queries must give the same bits.
+# source.  The library's queries must give the same bits, except where
+# ``query`` drops ties: there a distance may exceed the reference by the
+# rounding bound of ``gd._undominated`` (``tie_excess_bound``).
 
 
 class _Reference:
@@ -966,15 +969,16 @@ class _Reference:
         return mat.indices[lo:hi][order], mat.data[lo:hi][order]
 
 
-def _ref_separation(ref, p, q):
+def _ref_separation(ref, p, q, direction="forward"):
+    """The separation from p to q, or from q to p along the reversed path when ``direction`` is backward."""
     graph = ref.graph
     ip, iq = gd._as_node(graph, p), gd._as_node(graph, q)
-    dist, pred = ref.search("forward", ip)
+    dist, pred = ref.search(direction, ip)
     empty = np.zeros((0, graph.nodes.shape[1]))
     if ip == iq:
         val = np.inf
         best = -1
-        for j, wgt in zip(*ref.into("forward", ip)):
+        for j, wgt in zip(*ref.into(direction, ip)):
             if dist[j] + wgt < val:
                 val, best = dist[j] + wgt, int(j)
         if best < 0:
@@ -1024,6 +1028,64 @@ def _same_indices(a, b):
     assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def _drops_ties(graph):
+    """Whether ``graph.query`` lacks table offsets that are k >= 2 copies of another."""
+    return graph.offsets is not None and bool(np.any(~graph._query_keep & (gd._tie_roots(graph.offsets)[0] > 1)))
+
+
+def _query_cost(graph, path):
+    """The ``query`` weights along ``path`` (flat node indices) summed in path
+    order from 0.0; KeyError at a step that is no ``query`` edge."""
+    keep = graph._query_keep
+    weight = dict(zip(map(tuple, graph.offsets[keep].tolist()), graph.weights[keep].tolist()))
+    total = 0.0
+    for step in np.diff(np.array(np.unravel_index(path, graph.shape)).T, axis=0).tolist():
+        total += weight[tuple(step)]
+    return total
+
+
+def _matches_separation(graph, got, want):
+    """``got`` is ``want``, the reference, bit for bit, unless ``query`` drops
+    ties.  Then it joins the same nodes along ``query`` edges whose weights
+    sum to its value in path order, and its value lies in [d, d (1 + the
+    tie excess bound of the reference path)], d the reference value."""
+    if not _drops_ties(graph) or not np.isfinite(want.value):
+        _same_separation(got, want)
+        return
+    path = [graph.node_id(x) for x in got.witness_path]
+    assert path[0] == graph.node_id(want.witness_path[0]) and path[-1] == graph.node_id(want.witness_path[-1])
+    assert _query_cost(graph, path) == got.value
+    bound = tie_excess_bound(graph, [graph.node_id(x) for x in want.witness_path])
+    assert want.value <= got.value <= want.value * (1.0 + bound)
+
+
+def _matches_ball(graph, ref, p, r, direction, got):
+    """``got`` is the reference ball bit for bit, unless ``query`` drops ties.
+    Then it is the reference ball less nodes whose reference separation d
+    from p lies in the shell r / (1 + the tie excess bound) <= d < r."""
+    want = _ref_df_ball(ref, p, r, direction)
+    if not _drops_ties(graph):
+        _same_indices(got, want)
+        return
+    assert got.dtype == want.dtype and np.all(np.isin(got, want))
+    for x in np.setdiff1d(want, got).tolist():
+        near = _ref_separation(ref, p, x, direction)
+        assert r <= near.value * (1.0 + tie_excess_bound(graph, [graph.node_id(y) for y in near.witness_path]))
+
+
+def _path_bound_admits(graph, p, q):
+    """A finite :func:`gd._path_bound` is at least the separation, and A* with
+    it as cutoff reaches q at that separation where the graph has an envelope."""
+    bound = gd._path_bound(graph, p, q)
+    if not np.isfinite(bound):
+        return False
+    value = gd.separation(graph, p, q).value
+    assert bound >= value
+    if graph.envelope is not None:
+        assert gd._astar(graph, p, q, bound)[0] == value
+    return True
+
+
 MATSUMOTO_TREE = {"type": "named", "family": "matsumoto", "q": 1.0, "b": 0.5}
 # Kropina's profile 1/s on s > 0 alone: its domain is the half-plane beta > 0
 KROPINA_ONE_SIDED = {"phi": "1/s", "phi_dot": "-1/s**2", "phi_ddot": "2/s**3", "interval": [0.0, 1e300]}
@@ -1043,12 +1105,15 @@ def _hand_graph():
         neighbor_radius=1,
         shape=(5,),
         nodes=np.arange(5.0).reshape(5, 1),
-        matrix=mat,
+        edge_count=6,
+        stored_matrix=mat,
     )
 
 
 class TestGraphQueriesMatchReference:
-    """The queries return bit for bit what the reference queries return."""
+    """The queries return bit for bit what the reference queries return, or,
+    on the three graphs whose ``query`` drops ties, what the tie contract
+    allows: reachability stays bit for bit there."""
 
     @pytest.fixture(
         scope="class",
@@ -1083,12 +1148,27 @@ class TestGraphQueriesMatchReference:
     def ref(self, graph):
         return _Reference(graph)
 
+    def test_ties_are_dropped_on_the_large_graphs(self, graph, request):
+        large = ("lorentz_ex36_res41", "halfline_1d", "kropina_3d")
+        assert _drops_ties(graph) == (request.node.callspec.id in large)
+        assert _drops_ties(graph) == (graph.edge_count >= gd.REDUCE_MIN_EDGES)
+
+    def test_edge_count_is_the_full_construction(self, graph):
+        assert graph.edge_count == graph.matrix.nnz
+
     def test_separation(self, graph, ref):
         rng = np.random.default_rng(5)
         for p in range(graph.node_count):
-            _same_separation(gd.separation(graph, p, p), _ref_separation(ref, p, p))
+            _matches_separation(graph, gd.separation(graph, p, p), _ref_separation(ref, p, p))
             q = int(rng.integers(graph.node_count))
-            _same_separation(gd.separation(graph, p, q), _ref_separation(ref, p, q))
+            _matches_separation(graph, gd.separation(graph, p, q), _ref_separation(ref, p, q))
+
+    def test_path_bound_admits_the_separation(self, graph):
+        if graph.edge_count < gd.REDUCE_MIN_EDGES:
+            return  # no distance cap: such a graph keeps every offset and searches without a bound
+        rng = np.random.default_rng(9)
+        finite = sum(_path_bound_admits(graph, p, q) for p, q in rng.integers(graph.node_count, size=(300, 2)).tolist())
+        assert finite > 0
 
     def test_reachability(self, graph, ref):
         for p in range(0, graph.node_count, 3):
@@ -1099,7 +1179,7 @@ class TestGraphQueriesMatchReference:
         rng = np.random.default_rng(6)
         for p in range(0, graph.node_count, 5):
             for r in (0.0, float(rng.uniform(0.05, 1.5)), np.inf):
-                _same_indices(gd.df_ball(graph, p, r, direction), _ref_df_ball(ref, p, r, direction))
+                _matches_ball(graph, ref, p, r, direction, gd.df_ball(graph, p, r, direction))
 
     def test_goal_directed_separation(self, graph, ref, request, monkeypatch):
         """With the size thresholds lifted, exactly the graphs whose kept offsets
@@ -1141,8 +1221,10 @@ class TestGoalDirectedSeparation:
         return gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 81, 10)
 
     def test_matsumoto_res81_r10_matches_dijkstra(self, matsumoto):
-        # all 440 offsets are kept and lie on the envelope: 2.52 M query edges
-        assert matsumoto.query.nnz >= gd.ASTAR_MIN_EDGES and gd._goal_directed(matsumoto)
+        # the 256 offsets of 440 that are no multiple of another stay, all on
+        # the envelope: 1.48 M query edges of the 2.52 M the graph counts
+        assert np.count_nonzero(matsumoto._query_keep) == 256 and gd._goal_directed(matsumoto)
+        assert matsumoto.query.nnz == 1475344 >= gd.ASTAR_MIN_EDGES and matsumoto.edge_count == 2524720
         rng = np.random.default_rng(3)
         for _ in range(10):
             p, q = (int(k) for k in rng.choice(matsumoto.node_count, size=2, replace=False))
@@ -1153,6 +1235,11 @@ class TestGoalDirectedSeparation:
             got = gd.separation(matsumoto, p, q)
             assert got.value == dist[q]
             assert got.witness_path.tobytes() == matsumoto.nodes[path[::-1]].tobytes()
+
+    def test_path_bound_admits_the_separation(self, matsumoto):
+        rng = np.random.default_rng(11)
+        pairs = rng.integers(matsumoto.node_count, size=(120, 2)).tolist()
+        assert sum(_path_bound_admits(matsumoto, p, q) for p, q in pairs) > 60
 
     def test_size_rules(self, matsumoto, monkeypatch):
         monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", matsumoto.query.nnz + 1)
@@ -1195,7 +1282,7 @@ class TestGoalDirectedSeparation:
 class TestHandMadeGraph:
     def test_explicit_zero_edge_is_stored(self):
         g = _hand_graph()
-        assert g.matrix.nnz == 6 and g.matrix[0, 1] == 0.0
+        assert g.matrix.nnz == g.edge_count == 6 and g.matrix[0, 1] == 0.0
 
     def test_matches_reference(self):
         g = _hand_graph()
@@ -1259,7 +1346,8 @@ class TestIncomingAdjacency:
 
 
 def _brute_undominated(offsets, weights):
-    """The dominance rule of ``gd._undominated`` by a loop over every split."""
+    """The dominance rule of ``gd._undominated`` by a loop over every split
+    and over the ties o = g (o / g), g the gcd of o's components."""
     index = {tuple(o): k for k, o in enumerate(offsets.tolist())}
     keep = np.ones(len(index), dtype=bool)
     for k, o in enumerate(offsets.tolist()):
@@ -1267,7 +1355,15 @@ def _brute_undominated(offsets, weights):
             v = tuple(c - a for c, a in zip(o, u))
             if u in index and v in index:
                 keep[k] &= not weights[index[u]] + weights[index[v]] <= (1 - gd.DOMINANCE_MARGIN) * weights[k]
+        g = math.gcd(*o)
+        root = tuple(c // g for c in o)
+        if g > 1 and root in index:
+            keep[k] &= not g * weights[index[root]] <= (1 + gd.DOMINANCE_MARGIN) * weights[k]
     return keep
+
+
+def _same_csr(a, b):
+    return all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in ("indptr", "indices", "data"))
 
 
 def _config_graph(tree, box, resolution, radius):
@@ -1282,20 +1378,26 @@ class TestReducedStencils:
     """The dominance rule, the reduced adjacencies and the distance cap."""
 
     def test_lorentz_radius_20(self):
+        # 19 of the 58 offsets no split dominates are multiples of another
         g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 81, 20)
         zero = np.zeros_like(g.weights)
         assert len(g.offsets) == 400
-        assert np.count_nonzero(gd._undominated(g.offsets, g.weights)) == 58
+        assert np.count_nonzero(gd._undominated(g.offsets, g.weights)) == 39
         assert np.count_nonzero(gd._undominated(g.offsets, zero)) == 39
         assert np.array_equal(gd._undominated(g.offsets, g.weights), _brute_undominated(g.offsets, g.weights))
         assert np.array_equal(gd._undominated(g.offsets, zero), _brute_undominated(g.offsets, zero))
-        assert g.query.nnz < g.matrix.nnz and g.reach.nnz < g.query.nnz
+        assert g.query.nnz == 196480 < g.edge_count == 2002240 and g.reach.nnz <= g.query.nnz
 
     @pytest.mark.parametrize("radius", [1, 3, 10])
-    def test_euclidean_keeps_every_offset(self, radius):
+    def test_euclidean_keeps_the_primitive_offsets(self, radius):
+        # F is strictly convex, so no split ties; (2, 0) = 2 (1, 0) and its kind go
         g = _config_graph({"type": "euclidean"}, ((0.0, 0.0), (3.0, 4.0)), 41, radius)
-        assert np.all(gd._undominated(g.offsets, g.weights))
-        assert g.query is g.matrix
+        primitive = np.gcd.reduce(g.offsets, axis=1) == 1
+        assert np.array_equal(gd._undominated(g.offsets, g.weights), primitive)
+        # query keeps them all when the ties carry fewer than REDUCE_MIN_EDGES edges
+        reduced = gd._edge_count(g.offsets[~primitive], 41) >= gd.REDUCE_MIN_EDGES
+        assert reduced == (radius == 10)
+        assert np.array_equal(g._query_keep, primitive | (not reduced))
 
     @pytest.mark.parametrize(
         "tree, box",
@@ -1305,20 +1407,27 @@ class TestReducedStencils:
         ],
         ids=["halfplane_dy", "halfline_1d"],
     )
-    def test_collinear_ties_stay(self, tree, box):
-        # F is linear, so every split ties exactly; the margin keeps them all
+    def test_collinear_ties_go(self, tree, box):
+        # F is linear, so every split ties exactly: the margin keeps the
+        # splits into two different offsets, and the multiples k o' go
         g = _config_graph(tree, box, 300 if len(box[0]) == 1 else 41, 4)
-        assert np.all(gd._undominated(g.offsets, g.weights))
-        assert g.query is g.matrix
+        primitive = np.gcd.reduce(g.offsets, axis=1) == 1
+        assert not np.all(primitive)
+        assert np.array_equal(gd._undominated(g.offsets, g.weights), primitive)
         # at zero weight only the offsets that do not split are needed
         kept = g.offsets[gd._undominated(g.offsets, np.zeros_like(g.weights))]
         assert np.all(kept[:, -1] == 1)
 
-    def test_exact_tie_of_two_unit_steps_stays(self):
+    def test_exact_tie_of_two_unit_steps_goes(self):
         offsets = np.array([[1, 0], [2, 0]])
-        assert gd._undominated(offsets, np.array([1.0, 2.0])).tolist() == [True, True]
+        assert gd._undominated(offsets, np.array([1.0, 2.0])).tolist() == [True, False]
         assert gd._undominated(offsets, np.array([1.0, 2.0 + 1e-9])).tolist() == [True, False]
+        assert gd._undominated(offsets, np.array([1.0, 2.0 * (1 - 1e-14)])).tolist() == [True, False]
+        # a tie only within the margin: a cheaper (2, 0) stays
+        assert gd._undominated(offsets, np.array([1.0, 2.0 - 1e-9])).tolist() == [True, True]
         assert gd._undominated(offsets, np.zeros(2)).tolist() == [True, False]
+        # (2, 0) is a tie only with (1, 0) in the table
+        assert gd._undominated(offsets[1:], np.array([2.0])).tolist() == [True]
 
     def test_opposite_signs_never_split(self):
         # (1, 0) = (2, -1) + (-1, 1) is cheap, but its middle node may leave the box
@@ -1343,19 +1452,19 @@ class TestReducedStencils:
 
     def test_small_graphs_keep_matrix_without_a_dominance_pass(self, monkeypatch):
         g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 21, 10)
-        assert g.matrix.nnz < gd.REDUCE_MIN_EDGES
+        assert g.edge_count < gd.REDUCE_MIN_EDGES
         assert not np.all(gd._undominated(g.offsets, g.weights))
         calls = []
         monkeypatch.setattr(gd, "_undominated", lambda *args: calls.append(args))
-        assert g.query is g.matrix and g.reach is g.matrix and not calls
+        assert _same_csr(g.query, g.matrix) and _same_csr(g.reach, g.matrix) and not calls
 
     def test_few_dropped_edges_keep_matrix(self, monkeypatch):
         # R = 2: reach drops (0, 2) = (0, 1) + (0, 1), one edge per grid row
         g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 101, 2)
         keep = gd._undominated(g.offsets, np.zeros_like(g.weights))
         dropped = int(np.prod(101 - np.abs(g.offsets[~keep]), axis=1).sum())
-        assert g.matrix.nnz >= gd.REDUCE_MIN_EDGES > dropped > 0
-        assert g.reach is g.matrix
+        assert g.edge_count >= gd.REDUCE_MIN_EDGES > dropped > 0
+        assert _same_csr(g.reach, g.matrix)
         monkeypatch.setattr(gd, "REDUCE_MIN_EDGES", dropped)
         g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 101, 2)
         assert g.reach.nnz == g.matrix.nnz - dropped
@@ -1377,10 +1486,13 @@ class TestReducedStencils:
         assert "incoming" not in g.__dict__ and "query" not in g.__dict__
 
     def test_path_bound_is_the_lattice_path_cost(self):
+        # each step is a table offset; one that query drops as k copies of o'
+        # costs k steps o', summed in path order
         g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
         rng = np.random.default_rng(8)
         weight = {tuple(o): w for o, w in zip(g.offsets.tolist(), g.weights)}
-        finite = 0
+        kept = {tuple(o) for o in g.offsets[g._query_keep].tolist()}
+        finite = split = 0
         for _ in range(60):
             ip, iq = (int(k) for k in rng.integers(0, g.node_count, 2))
             a, b = np.array(np.unravel_index(ip, g.shape)), np.array(np.unravel_index(iq, g.shape))
@@ -1388,12 +1500,20 @@ class TestReducedStencils:
             expected = 0.0
             for k in range(s):
                 step = tuple(((k + 1) * (b - a) // s - k * (b - a) // s).tolist())
-                expected = expected + weight[step] if step in weight else np.inf
+                if step not in weight:
+                    expected = np.inf
+                    continue
+                copies, root = math.gcd(*step), tuple(c // math.gcd(*step) for c in step)
+                if step in kept or root not in weight:
+                    copies, root = 1, step
+                split += copies > 1
+                for _ in range(copies):
+                    expected = expected + weight[root]
             bound = gd._path_bound(g, ip, iq)
             assert bound == expected or (np.isinf(bound) and np.isinf(expected))
-            assert dijkstra(g.matrix, indices=ip)[iq] <= bound
+            assert dijkstra(g.query, indices=ip)[iq] <= bound
             finite += np.isfinite(bound)
-        assert 0 < finite < 60
+        assert 0 < finite < 60 and split > 0
 
     def test_small_graphs_skip_the_distance_cap(self, monkeypatch):
         calls = []
@@ -1405,6 +1525,26 @@ class TestReducedStencils:
         assert not calls
         gd.separation(_config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20), 20, 1660)
         assert len(calls) == 1
+
+    def test_table_graph_holds_no_full_adjacency(self):
+        # a table graph assembles matrix on each read and keeps no copy: after
+        # every kind of query it holds only its smaller reduced adjacencies
+        g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
+        assert g.stored_matrix is None and not any(isinstance(v, csr_matrix) for v in vars(g).values())
+        gd.separation(g, 20, 1660)
+        gd.separation(g, 20, 20)
+        gd.df_ball(g, 20, 0.5, "forward")
+        gd.df_ball(g, 20, 0.5, "backward")
+        gd.reachability(g, 20)
+        held = [v for v in vars(g).values() if isinstance(v, csr_matrix)]
+        assert len(held) == 3 and all(v.nnz < g.edge_count for v in held)
+        first, second = g.matrix, g.matrix
+        assert first is not second and _same_csr(first, second) and first.nnz == g.edge_count
+        assert not any(v is first or v is second for v in vars(g).values())
+
+    def test_position_dependent_graphs_store_matrix(self, randers_posdep):
+        g = gd.build_separation_graph(randers_posdep, UNIT_BOX, 9, 3)
+        assert g.matrix is g.stored_matrix and g.edge_count == g.matrix.nnz > 0
 
     def test_dijkstra_limit_keeps_a_node_at_exactly_the_limit(self):
         # separations pass the path bound as scipy's limit, which must be inclusive
@@ -1427,16 +1567,17 @@ class TestReducedStencils:
         r=st.floats(0.05, 3.0),
     )
     def test_queries_on_reduced_stencils_match_reference(self, tree, width, resolution, radius, picks, r):
+        # bit for bit where query keeps every tie; else within the tie contract
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gd, "REDUCE_MIN_EDGES", 0)  # reduce these small graphs too
             g = _config_graph(tree, ((-1.0, 0.0), (width - 1.0, 2.0)), resolution, radius)
             p, q, c, d = (k % g.node_count for k in picks)
             ref = _Reference(g)
-            _same_separation(gd.separation(g, p, q), _ref_separation(ref, p, q))
-            _same_separation(gd.separation(g, p, p), _ref_separation(ref, p, p))
+            _matches_separation(g, gd.separation(g, p, q), _ref_separation(ref, p, q))
+            _matches_separation(g, gd.separation(g, p, p), _ref_separation(ref, p, p))
             _same_indices(gd.reachability(g, c), _ref_reachability(ref, c))
             for direction in ("forward", "backward"):
-                _same_indices(gd.df_ball(g, d, r, direction), _ref_df_ball(ref, d, r, direction))
+                _matches_ball(g, ref, d, r, direction, gd.df_ball(g, d, r, direction))
 
 
 MATSUMOTO = {"type": "named", "family": "matsumoto", "q": 1.0, "b": 0.5}
@@ -1472,6 +1613,9 @@ def _count_transposes(monkeypatch, cls):
 
 class TestEdgesInto:
     """The edges into a node come off the offset table, as the transpose of ``query`` has them."""
+
+    def test_edge_count_is_the_full_construction(self, table_graph):
+        assert table_graph.edge_count == table_graph.matrix.nnz
 
     def test_rows_match_the_transposed_query(self, table_graph):
         g = table_graph

@@ -6,8 +6,9 @@ a predicate that keeps sample vectors whose profile ratios stay away from
 the profile endpoints, where the finite-difference oracle loses accuracy.
 Separation graphs on random position-independent trees are held to the
 triangle inequality, nested balls, the offset envelope, A*'s agreement with
-Dijkstra, reversal (the graph of v -> F(-v) is the transpose) and, on convex
-trees, the straight-line length.  Profile and curve jets are held bit for bit
+Dijkstra, reversal (the graph of v -> F(-v) is the transpose), the rounding
+bound of dropping ties from ``query`` and, on convex trees, the
+straight-line length.  Profile and curve jets are held bit for bit
 to the three callables each was built from before it became one call.
 Finite-difference tensors next to a cone's edge do not depend on the batch a
 row comes in, and value jets on stacks with repeated (stride-0) vectors equal
@@ -31,7 +32,7 @@ from finslerkit import minkowski as mk
 from finslerkit.errors import FinslerError, NonFiniteSample
 from finslerkit.numkernel import HESS_STEP, _hessian_stencil, eigen_classify
 
-from conftest import boxed, unit_circle_curve
+from conftest import boxed, tie_excess_bound, unit_circle_curve
 
 PROFILE_MARGIN = 0.15  # as the CLI oracle's default interior margin
 # The step-eps^(1/4) FD Hessian is good to about 1e-7 on these trees (worst
@@ -610,6 +611,59 @@ def test_goal_directed_search_finds_the_dijkstra_distance(case, data):
         want = dijkstra(graph.query, directed=True, indices=p)[q]
         for limit in (gd._path_bound(graph, p, q), np.inf):
             assert gd._astar(graph, p, q, limit)[0] == want
+
+
+def _tree_path(pred, p, x):
+    """Flat node indices of the path p -> x in the predecessor tree ``pred``."""
+    path = [x]
+    while path[-1] != p:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
+
+
+@given(graphs(), st.data())
+def test_dropped_ties_move_distances_by_rounding_only(case, data):
+    """From a few sources, Dijkstra on ``query`` without the ties gives
+    d <= d' <= d (1 + tie excess bound of the full path), d over every
+    offset, and a forward ball is the full-graph ball less nodes (the centre
+    by its cheapest loop) whose d lies in the shell r / (1 + bound) <= d < r.
+    Half the graphs keep a random part of their table, which may hold k o'
+    without o'."""
+    _, graph, _ = case
+    if data.draw(st.booleans()):
+        part = np.array(data.draw(st.lists(st.booleans(), min_size=len(graph.offsets), max_size=len(graph.offsets))))
+        assume(part.any())
+        offsets = graph.offsets[part]
+        edges = gd._edge_count(offsets, graph.resolution)
+        graph = dataclasses.replace(graph, offsets=offsets, weights=graph.weights[part], edge_count=edges)
+    sources = data.draw(_nodes(graph, 3))
+    r = data.draw(st.floats(0.0, 4.0))
+    with _reduced(True):
+        query = graph.query
+        balls = [gd.df_ball(graph, p, r) for p in sources]
+    full = graph.matrix
+    into = full.T.tocsr()
+    dist, pred = dijkstra(full, indices=sources, return_predecessors=True)
+    for k, p in enumerate(sources):
+        got = dijkstra(query, indices=p)
+        assert np.array_equal(np.isfinite(got), np.isfinite(dist[k]))
+        near = {}  # node: (d, path) of the full graph, p by its cheapest loop
+        for x in np.flatnonzero(np.isfinite(dist[k])).tolist():
+            path = _tree_path(pred[k], p, x)
+            assert dist[k, x] <= got[x] <= dist[k, x] * (1.0 + tie_excess_bound(graph, path))
+            near[x] = dist[k, x], path
+        lo, hi = into.indptr[p], into.indptr[p + 1]
+        loops = dist[k, into.indices[lo:hi]] + into.data[lo:hi]
+        if loops.size and np.isfinite(loops.min()):
+            j = int(into.indices[lo + int(np.argmin(loops))])
+            near[p] = loops.min(), _tree_path(pred[k], p, j) + [p]
+        else:
+            near.pop(p)
+        want = {x for x, (d, _) in near.items() if d < r}
+        assert set(balls[k].tolist()) <= want
+        for x in want - set(balls[k].tolist()):
+            d, path = near[x]
+            assert r <= d * (1.0 + tie_excess_bound(graph, path))
 
 
 @given(graphs(), st.data())
