@@ -14,9 +14,11 @@ position-independent metric one jet over that table gives every edge
 length F(delta), equal to the checked ``eval_F_many``.
 On a position-dependent metric each edge's length is the 7-point Kronrod
 sum of the embedded 3/7-point Gauss-Kronrod pair, and its cone test
-samples both ends and those 7 nodes; an edge whose 3-point Gauss
-estimate disagrees is redone with composite Simpson.  Edges are
-evaluated in blocks of whole offsets, one jet per block, and an edge's
+samples both end nodes and those 7 nodes; an edge whose 3-point Gauss
+estimate disagrees is redone with composite Simpson.  An edge and its
+reverse share their segment's points and sum them in one order, so the
+graph of v -> F(-v) is the transpose.  Segments are evaluated in blocks
+of whole offsets, one jet per block for both directions, and an edge's
 velocity is one vector broadcast over its points, which the metric's
 position-independent nodes evaluate once.  A position-independent graph
 holds its offset table, not the full adjacency.  Its queries run on
@@ -60,8 +62,9 @@ DEFAULT_STEP = 0.01  # output spacing of a geodesic; the integrator picks its ow
 MAX_GEODESIC_STEPS = 10**4  # trial steps, accepted plus rejected, of one _integrate call
 MAX_GEODESIC_ROWS = 10**6  # output intervals t_end / step of one geodesic_shoot
 MAX_GRAPH_EDGES = 5 * 10**7  # candidate_edges of one graph, checked by check_graph before any allocation
-# A position-dependent graph evaluates its edges in blocks of whole offsets, the
-# fewest that hold EDGE_BLOCK edges: one jet per block bounds a build's memory.
+# A position-dependent graph evaluates its segments in blocks of whole offsets, the
+# fewest whose segments hold EDGE_BLOCK directed edges: one jet per block bounds a
+# build's memory.
 EDGE_BLOCK = 2**10
 DOMINANCE_MARGIN = 1e-12  # a split must cost at most (1 - margin) F(o), a tie k F(o / k) at most (1 + margin) F(o)
 # A graph with fewer edges than this keeps its queries on the full adjacency
@@ -686,47 +689,63 @@ def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, 
     return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
 
 
-def _segment_points(starts: np.ndarray, delta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The points ``starts + t_j * delta`` (E, J, n) of the edges (E, n), one
-    coordinate at a time: broadcasting (E, 1, n) against (J, n) would run an
-    inner loop of length n."""
+def _segment_points(starts: np.ndarray, ends: np.ndarray, delta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The points (S, J, n) of the segments ``starts -> ends`` (S, n), ends =
+    starts + delta up to rounding, at the ascending parameters t (J,) from 0
+    to 1: the start and end nodes exactly, and ``starts + t_j * delta``
+    between them, one coordinate at a time: broadcasting (S, 1, n) against
+    (J, n) would run an inner loop of length n."""
     points = np.empty(starts.shape[:1] + t.shape + starts.shape[1:])
+    points[:, 0] = starts
+    points[:, -1] = ends
     for d in range(starts.shape[1]):
-        np.add(starts[:, d, None], t * delta[:, d, None], out=points[..., d])
+        np.add(starts[:, d, None], t[1:-1] * delta[:, d, None], out=points[:, 1:-1, d])
     return points
 
 
-def _edge_lengths(m: ConicMetric, starts: np.ndarray, delta: np.ndarray) -> tuple:
-    """(kept, lengths): the mask of the admissible straight edges
-    ``starts -> starts + delta``, one delta per edge (E, n), on a
-    position-dependent metric, and their F-lengths, by the rule of
-    :func:`build_separation_graph`.  A flagged edge includes one whose K7 or
-    G3 sum is not finite.  Each weighted sum is a per-row reduction, so an
-    edge's length does not depend on the other edges in the batch (a BLAS
-    matrix-vector product's rounding depends on the row count).  The
-    velocity of an edge is one vector broadcast over its points, so the
-    position-independent nodes of ``m`` evaluate it once."""
+def _segment_jet(m: ConicMetric, points: np.ndarray, delta: np.ndarray) -> tuple:
+    """(ok, F), each (2, S, J), of the velocities +delta and -delta (S, n) at the
+    points (S, J, n) of their segments: one jet, the points broadcast over the
+    leading axis with stride 0, so the position fields evaluate them once, and
+    a velocity broadcast over its segment's points, so the position-independent
+    nodes evaluate it once."""
+    return m.jet(points, np.stack([delta, -delta])[:, :, None, :])
+
+
+def _edge_lengths(m: ConicMetric, starts: np.ndarray, ends: np.ndarray, delta: np.ndarray) -> tuple:
+    """(kept, lengths), each (2, S): the mask of the admissible straight
+    edges, the segments ``starts -> ends`` (S, n), ends = starts + delta, in
+    row 0 and their reverses ``ends -> starts`` in row 1, on a
+    position-dependent metric, and their F-lengths, NaN where not kept, by
+    the rule of :func:`build_separation_graph`.  Both directions of a segment
+    are sampled on the same points (:func:`_segment_points`), and each sums
+    its terms in point order from start to end: the quadrature weights are
+    symmetric, so the reverse edge's sum is its own, and its bits are those
+    of the forward edge of v -> F(-v).  A flagged edge includes one whose
+    K7 or G3 sum is not finite.  Each weighted sum is a per-row reduction,
+    so an edge's length does not depend on the other edges in the batch (a
+    BLAS matrix-vector product's rounding depends on the row count)."""
     t, k7, g3 = gauss_kronrod_3_7()
-    velocity = delta[:, None, :]
-    ok, vals = m.jet(_segment_points(starts, delta, np.concatenate([[0.0], t, [1.0]])), velocity)
-    kept = np.all(ok, axis=1)
-    inner = vals[kept, 1:-1]
-    kronrod = np.einsum("ij,j->i", inner, k7)
-    gauss = np.einsum("ij,j->i", inner[:, 1::2], g3)
-    flagged = ~(np.abs(kronrod - gauss) <= EDGE_KRONROD_RTOL * np.abs(kronrod))
-    lengths = np.full(kept.shape, np.nan)
-    lengths[kept] = kronrod
-    redo = np.flatnonzero(kept)[flagged]
+    ok, vals = _segment_jet(m, _segment_points(starts, ends, delta, np.concatenate([[0.0], t, [1.0]])), delta)
+    kept = np.all(ok, axis=-1)
+    inner = vals[..., 1:-1]
+    kronrod = np.einsum("...j,j->...", inner, k7)
+    gauss = np.einsum("...j,j->...", inner[..., 1::2], g3)
+    flagged = kept & ~(np.abs(kronrod - gauss) <= EDGE_KRONROD_RTOL * np.abs(kronrod))
+    lengths = np.where(kept, kronrod, np.nan)
+    redo = np.flatnonzero(flagged.any(axis=0))  # segments with a flagged direction
     if redo.size:
         w = simpson_weights(EDGE_QUAD_NODES)
         tq = np.linspace(0.0, 1.0, w.size)
-        ok, vals = m.jet(_segment_points(starts[redo], delta[redo], tq), velocity[redo])
-        keep = np.all(ok, axis=1)
-        kept[redo] = keep
+        ok, vals = _segment_jet(m, _segment_points(starts[redo], ends[redo], delta[redo], tq), delta[redo])
+        flagged = flagged[:, redo]
+        rows, segments = np.nonzero(flagged)
+        segments = redo[segments]
+        kept[rows, segments] = keep = np.all(ok[flagged], axis=-1)
         # numpy's pairwise sum stays within 2 ulp of a BLAS product over the
         # 33 points; einsum, faster on the 7-point rows, strays further
-        lengths[redo[keep]] = (vals[keep] * (w / (w.size - 1))).sum(-1)
-    return kept, lengths[kept]
+        lengths[rows, segments] = np.where(keep, (vals[flagged] * (w / (w.size - 1))).sum(-1), np.nan)
+    return kept, lengths
 
 
 def _stencil_radius(resolution: int, neighbor_radius: int) -> int:
@@ -912,19 +931,26 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     position-independent metric that length is F(delta), from one jet over
     the table of neighbour offsets; each weight equals
     ``eval_F_many(m, x, delta)`` bit for bit, and an offset outside the
-    cone gives no edges.  On a position-dependent metric the edges are
-    taken offset by offset in blocks, the fewest whole offsets that hold
-    ``EDGE_BLOCK`` edges, and one jet per block gives each edge's 7-point
-    Gauss-Kronrod sum; the edge is dropped when the velocity leaves the
-    cone at either end or at any of the 7 nodes.  An edge whose embedded
-    3-point Gauss estimate differs from that sum by more than
-    ``EDGE_KRONROD_RTOL`` relative is redone, in one jet per block, with
-    ``EDGE_QUAD_NODES``-point Simpson, whose points alone then decide its
-    length and cone test.  Every edge's result is independent of its
-    batch, so the blocks only bound the memory of a jet and the number of
-    jets.  A position-independent graph keeps its offset table and
-    F(offset) for the reduced query adjacencies, and assembles no full
-    adjacency; a position-dependent graph stores it.  The arguments pass
+    cone gives no edges.  On a position-dependent metric each segment
+    {x, x + delta}, delta an offset of the first half of the symmetric
+    table, is sampled once for its two edges: the end nodes exactly and
+    x + t_j delta at the 7 Gauss-Kronrod nodes.  The segments are taken
+    offset by offset in blocks, the fewest whole offsets whose segments
+    hold ``EDGE_BLOCK`` directed edges, and one jet per block, the
+    velocities +delta and -delta stacked on a leading axis over the
+    shared points, gives each edge's 7-point Kronrod sum; the edge is
+    dropped when its velocity leaves the cone at either end or at any of
+    the 7 nodes.  An edge whose embedded 3-point Gauss estimate differs
+    from that sum by more than ``EDGE_KRONROD_RTOL`` relative is redone,
+    in one jet per block, with ``EDGE_QUAD_NODES``-point Simpson on its
+    segment, whose points alone then decide its length and cone test.
+    Both edges of a segment sum in point order, from x to x + delta, so
+    the graph of v -> F(-v) is the transpose of this one bit for bit.
+    Every edge's result is independent of its batch, so the blocks only
+    bound the memory of a jet and the number of jets.  A
+    position-independent graph keeps its offset table and F(offset) for
+    the reduced query adjacencies, and assembles no full adjacency; a
+    position-dependent graph stores it.  The arguments pass
     :func:`check_graph` before anything is allocated.
     """
     h = check_graph(box, resolution, neighbor_radius)
@@ -943,18 +969,23 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
         return SeparationGraph(**grid, edge_count=_edge_count(offsets, resolution), offsets=offsets, weights=F[ok])
     mask = _in_grid(offsets, resolution)
     weights = np.zeros(mask.shape)
-    steps = offsets * h
-    ends = np.cumsum(np.count_nonzero(mask, axis=0))  # edges through each offset
+    K = offsets.shape[0]
+    half = K // 2  # the table is symmetric: offsets[K - 1 - k] == -offsets[k]
+    strides = resolution ** np.arange(n - 1, -1, -1)
+    jumps = offsets[:half] @ strides
+    steps = offsets[:half] * h
+    upto = np.cumsum(np.count_nonzero(mask[:, :half], axis=0))  # segments through offsets 0..k
     k0 = 0
-    while k0 < offsets.shape[0]:  # blocks of whole offsets, of EDGE_BLOCK or more edges but the last
-        k1 = int(np.searchsorted(ends, (ends[k0 - 1] if k0 else 0) + EDGE_BLOCK)) + 1
+    while k0 < half:  # blocks of whole offsets, of EDGE_BLOCK or more directed edges but the last
+        k1 = min(int(np.searchsorted(upto, (upto[k0 - 1] if k0 else 0) + EDGE_BLOCK // 2)) + 1, half)
         kb, sb = np.nonzero(mask[:, k0:k1].T)
         kb += k0
-        keep, lengths = _edge_lengths(m, nodes[sb], steps[kb])
-        mask[sb[~keep], kb[~keep]] = False
-        weights[sb[keep], kb[keep]] = lengths
+        db = sb + jumps[kb]
+        rows, cols = np.stack([sb, db]), np.stack([kb, K - 1 - kb])  # the segments, then their reverses
+        starts, ends = nodes.take(rows, axis=0)  # take gathers rows several times faster than indexing
+        mask[rows, cols], weights[rows, cols] = _edge_lengths(m, starts, ends, steps.take(kb, axis=0))
         k0 = k1
-    matrix = _assemble(mask, offsets, resolution ** np.arange(n - 1, -1, -1), weights)
+    matrix = _assemble(mask, offsets, strides, weights)
     return SeparationGraph(**grid, edge_count=matrix.nnz, stored_matrix=matrix)
 
 

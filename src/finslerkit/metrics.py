@@ -125,6 +125,26 @@ def admissible_draws(rng, samples: int, dim: int, accept: Callable, paired: bool
     raise DomainEmpty(f"{found} of {samples} random vectors admissible after {cap} draws")
 
 
+def _field_values(field: Callable, x, constant: bool, rank: int) -> np.ndarray:
+    """The values (..., *T) of an atom's ``field`` at the points x (..., N), T
+    its trailing shape of ``rank`` axes: the callable's value, broadcast to
+    the batch unless it already has that shape, so one that ignores x may
+    return one value.  A position-dependent field is evaluated only on the
+    points that broadcasting distinguishes, each batch axis on which x has
+    stride 0 cut to length 1 (:func:`_repeat_cut`), and its values are
+    broadcast back into one contiguous array: einsum pairs that with a stack
+    of vectors repeated along another axis (a graph segment's velocities) at
+    about twice the speed of a second stride-0 operand.  The bits are those
+    of the full stack, as long as the field maps each point on its own."""
+    x = np.asarray(x, dtype=float)
+    cut = None if constant else _repeat_cut(x)
+    out = np.asarray(field(x if cut is None else x[cut]), dtype=float)
+    shape = x.shape[:-1] + out.shape[out.ndim - rank :]
+    if out.shape == shape:
+        return out
+    return np.broadcast_to(out, shape) if cut is None else np.ascontiguousarray(np.broadcast_to(out, shape))
+
+
 @dataclass(frozen=True)
 class RiemannAtom:
     """Positive-definite matrix field; ``constant`` marks a position-independent one."""
@@ -133,13 +153,8 @@ class RiemannAtom:
     constant: bool = False
 
     def matrix(self, x) -> np.ndarray:
-        """The matrices at the points x (..., N), shape (..., N, N): the callable's
-        value, broadcast to the batch unless it already has that shape, so one
-        that ignores x may return one matrix."""
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(self.metric_matrix(x), dtype=float)
-        shape = x.shape[:-1] + g.shape[-2:]
-        return g if g.shape == shape else np.broadcast_to(g, shape)
+        """The matrices at the points x (..., N), shape (..., N, N), by :func:`_field_values`."""
+        return _field_values(self.metric_matrix, x, self.constant, 2)
 
 
 def _frozen(values) -> np.ndarray:
@@ -166,13 +181,8 @@ class OneFormAtom:
     constant: bool = False
 
     def coeffs(self, x) -> np.ndarray:
-        """The covectors at the points x (..., N), shape (..., N): the callable's
-        value, broadcast to the batch unless it already has that shape, so one
-        that ignores x may return one covector."""
-        x = np.asarray(x, dtype=float)
-        b = np.asarray(self.covector(x), dtype=float)
-        shape = x.shape[:-1] + b.shape[-1:]
-        return b if b.shape == shape else np.broadcast_to(b, shape)
+        """The covectors at the points x (..., N), shape (..., N), by :func:`_field_values`."""
+        return _field_values(self.covector, x, self.constant, 1)
 
     def pair(self, x, v) -> np.ndarray:
         return np.einsum("...i,...i->...", self.coeffs(x), np.asarray(v, dtype=float))
@@ -186,7 +196,8 @@ def constant_oneform(coeffs) -> OneFormAtom:
 def _repeat_cut(vec: np.ndarray):
     """The index that cuts to length 1 each batch axis of the stack ``vec``
     (..., N) on which it has stride 0 and length above 1, or None when no axis
-    repeats: ``vec[cut]`` holds the vectors that broadcasting distinguishes."""
+    repeats: ``vec[cut]`` holds the vectors (or base points) that broadcasting
+    distinguishes."""
     repeated = [step == 0 and size > 1 for step, size in zip(vec.strides, vec.shape[:-1])]
     return tuple(slice(None, 1) if r else slice(None) for r in repeated) if any(repeated) else None
 

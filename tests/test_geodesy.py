@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from finslerkit import cli
 from finslerkit import combinators as cb
 from finslerkit import geodesy as gd
 from finslerkit import metrics as me
@@ -409,38 +410,60 @@ class TestBuildGraph:
             assert abs(d[0]) < d[1]
 
 
-def _simpson_graph_reference(m, box, resolution, neighbor_radius):
-    """The earlier position-dependent builder, kept as a reference: every
-    edge's weight and cone test come from one jet over 33 Simpson points."""
-    assert not m.position_independent
+def _grid_layout(box, resolution):
+    """(nodes, strides, h) of the grid on ``box``, laid out as the builder does."""
     lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
     n = lo.shape[0]
     axes = [np.linspace(lo[d], hi[d], resolution) for d in range(n)]
     nodes = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
     strides = np.array([resolution ** (n - 1 - d) for d in range(n)])
-    h = (hi - lo) / (resolution - 1)
-    w = simpson_weights(33)
-    tq = np.linspace(0.0, 1.0, w.size)
-    wq = w / (w.size - 1)
-    rows_all, cols_all, weights_all = [], [], []
-    R = int(neighbor_radius)
+    return nodes, strides, (hi - lo) / (resolution - 1)
+
+
+def _offset_segments(nodes, resolution, strides, h, neighbor_radius):
+    """Per nonzero offset o in [-R, R]^n, in lexicographic order, the edges
+    src -> dst = src + o on the grid and the segments they are sampled on,
+    (o, src, dst, starts, ends, segment delta): from src by o h when o's first
+    nonzero component is negative (the first half of the offset table), else
+    the reverse segment, from dst by -o h.  ``starts`` and ``ends`` are grid nodes."""
+    R, n = int(neighbor_radius), len(strides)
     for off in itertools.product(range(-R, R + 1), repeat=n):
         if all(o == 0 for o in off):
             continue
-        delta = np.array(off, dtype=float) * h
         ranges = [np.arange(max(0, -off[d]), resolution - max(0, off[d])) * strides[d] for d in range(n)]
         src = ranges[0]
         for d in range(1, n):
             src = np.add.outer(src, ranges[d]).ravel()
         if src.size == 0:
             continue
-        pos = nodes[src][:, None, :] + tq[None, :, None] * delta[None, None, :]
-        ok, vals = m.jet(pos, delta)
+        dst = src + int(np.dot(off, strides))
+        first = next(o for o in off if o != 0) < 0
+        a, b, seg = (src, dst, off) if first else (dst, src, tuple(-o for o in off))
+        yield off, src, dst, nodes[a], nodes[b], np.array(seg, dtype=float) * h
+
+
+def _shared_points(starts, ends, seg_delta, t):
+    """starts + t_j seg_delta (E, J, n), with the exact nodes at t = 0 and t = 1."""
+    pos = starts[:, None, :] + t[None, :, None] * seg_delta
+    pos[:, 0], pos[:, -1] = starts, ends
+    return pos
+
+
+def _simpson_graph_reference(m, box, resolution, neighbor_radius):
+    """The earlier position-dependent builder, kept as a reference: every
+    edge's weight and cone test come from one jet over 33 Simpson points of
+    its shared segment (:func:`_offset_segments`)."""
+    assert not m.position_independent
+    nodes, strides, h = _grid_layout(box, resolution)
+    w = simpson_weights(33)
+    tq = np.linspace(0.0, 1.0, w.size)
+    wq = w / (w.size - 1)
+    rows_all, cols_all, weights_all = [], [], []
+    for off, src, dst, starts, ends, seg in _offset_segments(nodes, resolution, strides, h, neighbor_radius):
+        ok, vals = m.jet(_shared_points(starts, ends, seg, tq), np.array(off, dtype=float) * h)
         keep = np.all(ok, axis=1)
-        if not np.any(keep):
-            continue
         rows_all.append(src[keep])
-        cols_all.append(src[keep] + int(np.dot(off, strides)))
+        cols_all.append(dst[keep])
         weights_all.append((vals[keep] * wq).sum(-1))
     size = nodes.shape[0]
     return coo_matrix(
@@ -515,23 +538,29 @@ class TestEdgeRule:
         assert np.allclose(g.matrix.data, ref.data, rtol=1e-8, atol=0)
 
     def test_flagged_edges_keep_the_simpson_weight(self, top_level_jets):
+        """The edges the 3-point Gauss estimate flags keep the 33-point Simpson
+        weight of their shared segment, bit for bit, and the builder redoes
+        each flagged edge's segment in one jet for both directions."""
         m = _tree_metric(PERIOD_037)
         g = gd.build_separation_graph(m, UNIT_BOX, 21, 3)
-        redone = [b for b in top_level_jets if b.shape[1] == gd.EDGE_QUAD_NODES]
+        redone = [b for b in top_level_jets if b.shape[-2] == gd.EDGE_QUAD_NODES]
+        assert all(np.array_equal(b[0], b[1]) for b in redone)  # both directions on one set of points
         h = (UNIT_BOX[1] - UNIT_BOX[0]) / 20
         ids = [
             np.ravel_multi_index(tuple(np.rint((p - UNIT_BOX[0]) / h).astype(int).T), (21, 21))
             for b in redone
-            for p in (b[:, 0], b[:, -1])
+            for p in (b[0, :, 0], b[0, :, -1])
         ]
-        src, dst = np.concatenate(ids[0::2]), np.concatenate(ids[1::2])
-        assert 0 < src.size < g.matrix.nnz
+        segments = set(zip(np.concatenate(ids[0::2]).tolist(), np.concatenate(ids[1::2]).tolist()))
+        rows, cols, _, flagged = _loop_graph_edges(m, UNIT_BOX, 21, 3)
+        assert 0 < np.count_nonzero(flagged) < g.matrix.nnz
+        assert all((r, c) in segments or (c, r) in segments for r, c in zip(rows[flagged], cols[flagged]))
         ref = _simpson_graph_reference(m, UNIT_BOX, 21, 3)
         assert np.array_equal(g.matrix.indices, ref.indices)
-        flagged = np.zeros(g.matrix.shape, dtype=bool)
-        flagged[src, dst] = True
+        mask = np.zeros(g.matrix.shape, dtype=bool)
+        mask[rows[flagged], cols[flagged]] = True
         coo = g.matrix.tocoo()
-        mask = flagged[coo.row, coo.col]
+        mask = mask[coo.row, coo.col]
         assert np.array_equal(g.matrix.data[mask], ref.data[mask])
         assert np.allclose(g.matrix.data[~mask], ref.data[~mask], rtol=gd.EDGE_KRONROD_RTOL, atol=0)
 
@@ -544,10 +573,39 @@ class TestEdgeRule:
         assert np.max(np.abs(coo.data - ref) / ref) <= 1e-12
 
     def test_at_most_nine_jet_points_per_edge(self, randers_posdep, top_level_jets):
+        """Each jet is a (2, E, 9) stack of E segments, the two directions on one
+        set of points: 9 points per segment, 9 / 2 per edge."""
         g = gd.build_separation_graph(randers_posdep, UNIT_BOX, 21, 3)
-        points = sum(int(np.prod(b.shape[:-1])) for b in top_level_jets)
-        assert all(b.shape[1] == 9 for b in top_level_jets)
-        assert points == 9 * g.matrix.nnz
+        assert all(b.shape[:1] + b.shape[2:] == (2, 9, 2) for b in top_level_jets)
+        assert all(np.array_equal(b[0], b[1]) for b in top_level_jets)
+        points = sum(int(np.prod(b.shape[1:-1])) for b in top_level_jets)
+        assert 2 * points == 9 * g.matrix.nnz
+
+    def test_matrix_expr_field_sees_nine_points_per_segment(self, monkeypatch):
+        """The riemann_posdep graph at res 31 / R 4 evaluates its matrix_expr
+        field once on the 9 points of each segment, for both of its edges, and
+        once on the 33 Simpson points of each segment it redoes."""
+        shapes = []
+        expr_field = cli._expr_field
+
+        def counted_field(*args, **kwargs):
+            field, constant = expr_field(*args, **kwargs)
+
+            def counted(x):
+                shapes.append(np.shape(x))
+                return field(x)
+
+            return counted, constant
+
+        monkeypatch.setattr(cli, "_expr_field", counted_field)
+        m = _tree_metric(POSDEP_TREES["riemann_posdep"])
+        shapes.clear()
+        g = gd.build_separation_graph(m, ([-2.0, -2.0], [2.0, 2.0]), 31, 4)
+        assert g.matrix.nnz == 66120  # every in-grid pair
+        # (1, 1, segments, points, 2): the jet's leading axis, the two directions cut to one
+        assert all(s[:2] + s[3:] in ((1, 1, 9, 2), (1, 1, gd.EDGE_QUAD_NODES, 2)) for s in shapes)
+        assert sum(s[2] for s in shapes if s[3] == 9) == g.matrix.nnz // 2
+        assert 0 < sum(s[2] for s in shapes if s[3] == gd.EDGE_QUAD_NODES) < g.matrix.nnz // 200
 
     @pytest.mark.parametrize("box", [([0.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, 0.5]), ([0.0, 0.0], [1.0, np.nan])])
     def test_degenerate_box_rejected(self, euclid, box):
@@ -584,12 +642,14 @@ class TestEdgeRule:
                 gd.grid_node_id(([-1.0, -1.0], [1.0, 1.0]), 11, point)
 
 
-def _offset_edge_lengths(m, starts, delta):
-    """The earlier edge rule, kept as a reference: (kept, lengths) of the edges
-    ``starts -> starts + delta`` of one offset, delta (n,), from one jet."""
+def _offset_edge_lengths(m, starts, ends, seg_delta, velocity):
+    """The edge rule, kept as a reference: (kept, lengths, redone) of the edges
+    of one offset, velocity (n,), sampled on the segments ``starts -> ends``
+    = starts + seg_delta (E, n), from one jet, and ``redone``, the edges whose
+    Simpson sum decides, kept or not.  Both sums run in point order, from
+    ``starts`` to ``ends``."""
     t, k7, g3 = gauss_kronrod_3_7()
-    ends_and_nodes = np.concatenate([[0.0], t, [1.0]])
-    ok, vals = m.jet(starts[:, None, :] + ends_and_nodes[None, :, None] * delta, delta)
+    ok, vals = m.jet(_shared_points(starts, ends, seg_delta, np.concatenate([[0.0], t, [1.0]])), velocity)
     kept = np.all(ok, axis=1)
     inner = vals[kept, 1:-1]
     kronrod = np.einsum("ij,j->i", inner, k7)
@@ -601,49 +661,47 @@ def _offset_edge_lengths(m, starts, delta):
     if redo.size:
         w = simpson_weights(gd.EDGE_QUAD_NODES)
         tq = np.linspace(0.0, 1.0, w.size)
-        ok, vals = m.jet(starts[redo][:, None, :] + tq[None, :, None] * delta, delta)
+        ok, vals = m.jet(_shared_points(starts[redo], ends[redo], seg_delta, tq), velocity)
         keep = np.all(ok, axis=1)
         kept[redo] = keep
         lengths[redo[keep]] = (vals[keep] * (w / (w.size - 1))).sum(-1)
-    return kept, lengths[kept]
+    redone = np.zeros(kept.shape, dtype=bool)
+    redone[redo] = True
+    return kept, lengths[kept], redone
 
 
-def _loop_graph_reference(m, box, resolution, neighbor_radius):
-    """The earlier builder, kept as a reference: a Python loop over every
-    offset in [-R, R]^n, one jet at the box centre per offset on a
-    position-independent metric, :func:`_offset_edge_lengths` per offset
-    otherwise, and COO assembly."""
+def _loop_graph_edges(m, box, resolution, neighbor_radius):
+    """The earlier builder, kept as a reference: (rows, cols, weights, redone)
+    of the edges from a Python loop over every offset in [-R, R]^n, one jet at
+    the box centre per offset on a position-independent metric,
+    :func:`_offset_edge_lengths` on the offset's shared segments
+    (:func:`_offset_segments`) otherwise; ``redone`` marks the kept edges
+    whose Simpson sum decides."""
+    nodes, strides, h = _grid_layout(box, resolution)
     lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-    n = lo.shape[0]
-    axes = [np.linspace(lo[d], hi[d], resolution) for d in range(n)]
-    nodes = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    strides = np.array([resolution ** (n - 1 - d) for d in range(n)])
-    h = (hi - lo) / (resolution - 1)
     rows_all, cols_all, weights_all = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    R = int(neighbor_radius)
-    for off in itertools.product(range(-R, R + 1), repeat=n):
-        if all(o == 0 for o in off):
-            continue
+    redone_all = [np.zeros(0, dtype=bool)]
+    for off, src, dst, starts, ends, seg in _offset_segments(nodes, resolution, strides, h, neighbor_radius):
         delta = np.array(off, dtype=float) * h
-        ranges = [np.arange(max(0, -off[d]), resolution - max(0, off[d])) * strides[d] for d in range(n)]
-        src = ranges[0]
-        for d in range(1, n):
-            src = np.add.outer(src, ranges[d]).ravel()
-        if src.size == 0:
-            continue
         if m.position_independent:
             ok, F = m.jet(0.5 * (lo + hi), delta)
             keep = np.full(src.shape, bool(ok))
             lengths = np.full(np.count_nonzero(keep), float(F))
+            redone = np.zeros(src.shape, dtype=bool)
         else:
-            keep, lengths = _offset_edge_lengths(m, nodes[src], delta)
+            keep, lengths, redone = _offset_edge_lengths(m, starts, ends, seg, delta)
         rows_all.append(src[keep])
-        cols_all.append(src[keep] + int(np.dot(off, strides)))
+        cols_all.append(dst[keep])
         weights_all.append(lengths)
-    size = nodes.shape[0]
-    return coo_matrix(
-        (np.concatenate(weights_all), (np.concatenate(rows_all), np.concatenate(cols_all))), shape=(size, size)
-    ).tocsr()
+        redone_all.append(redone[keep])
+    return tuple(np.concatenate(a) for a in (rows_all, cols_all, weights_all, redone_all))
+
+
+def _loop_graph_reference(m, box, resolution, neighbor_radius):
+    """:func:`_loop_graph_edges` assembled as a CSR matrix."""
+    rows, cols, weights, _ = _loop_graph_edges(m, box, resolution, neighbor_radius)
+    size = resolution ** np.size(box[0])
+    return coo_matrix((weights, (rows, cols)), shape=(size, size)).tocsr()
 
 
 def _shipped_metric(name):
@@ -709,14 +767,15 @@ class TestGraphAssembly:
         ["randers_posdep", *POSDEP_TREES, "kropina_posdep", "oneform_metric", "closing_halfplane", "period_037"],
     )
     def test_position_dependent_matches_loop_reference(self, name, randers_posdep, top_level_jets):
-        """The blocks of offsets give the per-offset loop's graph bit for bit;
-        at res 13 / R 3 (6072 in-grid edges) block cuts fall inside the table."""
+        """The blocks of offsets give the per-offset loop's graph bit for bit, an
+        edge and its reverse on the same segment points; at res 13 / R 3 (3036
+        in-grid segments) block cuts fall inside the half table of 24 offsets."""
         trees = dict(POSDEP_TREES, kropina_posdep=POSDEP_CONES["kropina"], period_037=PERIOD_037)
         m = randers_posdep if name == "randers_posdep" else _tree_metric(trees.get(name) or POSDEP_CONES[name])
         top_level_jets.clear()
         g = gd.build_separation_graph(m, UNIT_BOX, 13, 3)
-        blocks = sum(b.shape[1] == 9 for b in top_level_jets)
-        assert 1 < blocks < 48
+        blocks = sum(b.shape[-2] == 9 for b in top_level_jets)
+        assert 1 < blocks < 24
         ref = _loop_graph_reference(m, UNIT_BOX, 13, 3)
         assert 0 < g.matrix.nnz
         assert np.array_equal(g.matrix.indptr, ref.indptr)
@@ -761,18 +820,17 @@ class TestGraphAssembly:
         # every grid node with each of three deltas, the deltas interleaved along the batch
         starts = np.repeat(grid, 3, axis=0)
         delta = np.tile([[0.1, 0.0], [0.2, 0.3], [0.3, -0.1]], (grid.shape[0], 1))
-        kept, lengths = gd._edge_lengths(m, starts, delta)
-        full = np.full(kept.shape, np.nan)
-        full[kept] = lengths
+        ends = starts + delta
+        kept, lengths = gd._edge_lengths(m, starts, ends, delta)
         subsets = [np.arange(k) for k in range(1, 60)] + [np.array([i]) for i in range(0, starts.shape[0], 5)]
         subsets.append(np.sort(rng.choice(starts.shape[0], 37, replace=False)))
         subsets += [np.arange(j, starts.shape[0], 3) for j in range(3)]  # one delta per batch, as an offset is
         for sub in subsets:
-            kept_sub, lengths_sub = gd._edge_lengths(m, starts[sub], delta[sub])
-            assert np.array_equal(kept_sub, kept[sub])
-            assert np.array_equal(lengths_sub, full[sub][kept_sub])
+            kept_sub, lengths_sub = gd._edge_lengths(m, starts[sub], ends[sub], delta[sub])
+            assert np.array_equal(kept_sub, kept[:, sub])
+            assert np.array_equal(lengths_sub, lengths[:, sub], equal_nan=True)
         # the batches include edges the 3-point Gauss estimate flags
-        assert any(b.shape[1] == gd.EDGE_QUAD_NODES for b in top_level_jets)
+        assert any(b.shape[-2] == gd.EDGE_QUAD_NODES for b in top_level_jets)
 
 
 class TestSeparation:

@@ -17,6 +17,7 @@ those on contiguous copies.
 
 import contextlib
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -53,18 +54,22 @@ def _everywhere(base, vec):
 def leaves(draw, posdep=True):
     """(metric, margin predicate) for a Euclidean or Randers leaf; a Randers
     leaf's form depends on the position only with ``posdep``."""
-    E = me.euclidean_metric(2)
     if draw(st.booleans()):
-        return E, _everywhere
+        return me.euclidean_metric(2), _everywhere
     b = np.array(draw(st.tuples(*[st.floats(-0.4, 0.4)] * 2)))
-    if not posdep or draw(st.booleans()):
-        return cb.phi_combine(E, me.constant_oneform(b), cb.randers_profile()), _everywhere
+    return _randers_leaf(b, posdep and not draw(st.booleans())), _everywhere
+
+
+def _randers_leaf(b, posdep):
+    """Randers over Euclidean with the form b, times 1 + 0.2 sin(x + y) with ``posdep``."""
+    if not posdep:
+        return cb.phi_combine(me.euclidean_metric(2), me.constant_oneform(b), cb.randers_profile())
 
     def covector(x):
         x = np.asarray(x, dtype=float)
         return b * (1.0 + 0.2 * np.sin(x[..., :1] + x[..., 1:]))
 
-    return cb.phi_combine(E, me.OneFormAtom(covector=covector), cb.randers_profile()), _everywhere
+    return cb.phi_combine(me.euclidean_metric(2), me.OneFormAtom(covector=covector), cb.randers_profile())
 
 
 @st.composite
@@ -219,6 +224,52 @@ def test_value_jets_on_repeated_vectors_equal_those_on_copies(metric, seed):
         ok_c, F_c = metric.jet(base, np.ascontiguousarray(np.broadcast_to(vec, base.shape)))
         assert np.array_equal(ok, ok_c)
         assert np.array_equal(F, F_c, equal_nan=True)
+
+
+@st.composite
+def posdep_trees(draw):
+    """A random tree that depends on the base point: a tree of :func:`trees`,
+    summed with a position-dependent Randers leaf when it does not."""
+    metric, _ = draw(trees())
+    if metric.position_independent:
+        b = np.array(draw(st.tuples(*[st.floats(-0.4, 0.4)] * 2)))
+        metric = cb.combine(cb.sum_combiner(2), [metric, _randers_leaf(b, True)], [])
+    return metric
+
+
+@given(posdep_trees(), SEEDS)
+def test_jets_on_repeated_base_points_equal_those_on_copies(metric, seed):
+    """A position field is evaluated only on the base points that broadcasting
+    distinguishes; value and tensor jets on stacks with stride-0 base axes
+    equal, bit for bit, those on contiguous copies."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.uniform(-1.5, 1.5, size=(1, 4, 3, 2))
+    vec = rng.normal(size=(2, 4, 3, 2))
+    bases = [
+        np.broadcast_to(distinct, vec.shape),  # stride 0 along axis 0, as a graph segment's points under +-delta
+        np.broadcast_to(distinct[:, :, :1], vec.shape),  # stride 0 along axes 0 and 2
+        distinct,  # broadcast by the jet
+        distinct[0, 0, 0],  # one point
+    ]
+    for base in bases:
+        for vecs in (vec, vec[:, :, :1]):  # a vector per point, or one per row repeated by the jet
+            copy = np.ascontiguousarray(np.broadcast_to(base, np.broadcast_shapes(base.shape, vecs.shape)))
+            for with_tensor in (False, True):
+                for got, want in zip(metric.jet(base, vecs, with_tensor), metric.jet(copy, vecs, with_tensor)):
+                    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_fields_that_ignore_the_point_still_broadcast():
+    """A position-dependent atom whose callable returns one matrix or one
+    covector gets it broadcast to every batch, stride-0 axes or not."""
+    g0, b0 = np.array([[2.0, 0.1], [0.1, 1.0]]), np.array([0.3, -0.1])
+    x = np.broadcast_to(np.random.default_rng(5).uniform(size=(1, 5, 2)), (3, 5, 2))
+    fields = [(me.RiemannAtom(metric_matrix=lambda x: g0).matrix, g0), (me.OneFormAtom(covector=lambda x: b0).coeffs, b0)]
+    for field, value in fields:
+        for base in (x, np.ascontiguousarray(x), x[0, 0]):
+            out = field(base)
+            assert out.shape == base.shape[:-1] + value.shape
+            assert np.array_equal(out, np.broadcast_to(value, out.shape))
 
 
 E2 = me.euclidean_metric(2)
@@ -666,6 +717,14 @@ def test_dropped_ties_move_distances_by_rounding_only(case, data):
             assert r <= d * (1.0 + tie_excess_bound(graph, path))
 
 
+def _assert_transpose(got, matrix):
+    """``got`` is the transpose of ``matrix`` in its indptr, indices and data bytes."""
+    want = matrix.T.tocsr()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 @given(graphs(), st.data())
 def test_reversal_transposes_the_graph(case, data):
     """The graph of F~(v) = F(-v) is the transpose of F's, edge for edge and
@@ -673,11 +732,7 @@ def test_reversal_transposes_the_graph(case, data):
     nodes whose separation from p lies within rounding of r."""
     metric, graph, reduce = case
     reverse = gd.build_separation_graph(cb._reflected(metric), BOX, graph.resolution, graph.neighbor_radius)
-    want = graph.matrix.T.tocsr()
-    want.sort_indices()
-    got = reverse.matrix
-    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-    assert got.data.tobytes() == want.data.tobytes()
+    _assert_transpose(reverse.matrix, graph.matrix)
     (p,) = data.draw(_nodes(graph, 1))
     r = data.draw(st.floats(0.0, 4.0))
     with _reduced(reduce):
@@ -685,6 +740,46 @@ def test_reversal_transposes_the_graph(case, data):
         forward = set(gd.df_ball(reverse, p, r).tolist())
         for q in backward ^ forward:
             assert abs(gd.separation(graph, q, p).value - r) <= 1e-12 * r
+
+
+@given(posdep_trees(), st.integers(3, 9), st.integers(1, 3))
+def test_reversal_transposes_position_dependent_graphs(metric, resolution, radius):
+    """On a position-dependent tree too, the graph of v -> F(-v) is the
+    transpose of F's, bit for bit: an edge and its reverse are sampled on the
+    same points of their segment and sum them in the same order, so the cone
+    test, the Gauss-Kronrod flag and the weight of one are those of the other."""
+    graph = gd.build_separation_graph(metric, BOX, resolution, radius)
+    assume(graph.matrix.nnz > 0)
+    reverse = gd.build_separation_graph(cb._reflected(metric), BOX, resolution, radius)
+    _assert_transpose(reverse.matrix, graph.matrix)
+
+
+REVERSIBLE_POSDEP = {
+    "riemann_posdep": lambda: _config_metric(
+        {"type": "riemannian", "matrix_expr": [["1+0.3*sin(x)**2", "0.1*cos(y)"], ["0.1*cos(y)", "1+0.2*cos(y)"]]}
+    ),
+    # flags edges for the Simpson redo
+    "period_037": lambda: _config_metric({"type": "riemannian", "matrix_expr": [["1+0.5*sin(2*pi*x/0.37)", "0"], ["0", "1"]]}),
+    # |b| < 1 at every point, so the inner Randers metric's domain is the whole
+    # tangent space, which a position-dependent combination does not claim itself
+    "reversibilize": lambda: cb.reversibilize(
+        dataclasses.replace(_randers_leaf(np.array([0.4, -0.3]), True), zero_in_domain=True), "sum"
+    ),
+}
+
+
+def _config_metric(tree):
+    return cli.build_metric(cli.parse_config(json.dumps({"metric": tree}))[0]).metric
+
+
+@pytest.mark.parametrize("name", sorted(REVERSIBLE_POSDEP))
+def test_reversible_position_dependent_graphs_are_symmetric(name):
+    """A reversible position-dependent metric's graph equals its own transpose, bit for bit."""
+    metric = REVERSIBLE_POSDEP[name]()
+    assert not metric.position_independent
+    graph = gd.build_separation_graph(metric, BOX, 9, 3)
+    assert graph.matrix.nnz > 0
+    _assert_transpose(graph.matrix, graph.matrix)
 
 
 def test_profiles_and_curves_are_one_call():
