@@ -136,7 +136,8 @@ class LCombiner:
     shape (..., n+m) and a base point p it returns ``(ok, L)``, the mask of
     the cone B over the batch (``True`` alone for all of R^(n+m)) and the
     positive scalar L, or ``(ok, L, grad, hess)`` with the first and second
-    x-derivatives of L when ``with_derivatives`` is set.  A law that always
+    x-derivatives of L when ``with_derivatives`` is set, which may be
+    read-only broadcasts: no caller writes into them.  A law that always
     returns ``(ok, L)`` gets finite differences of L instead (with
     correspondingly looser oracle tolerances).
     """
@@ -181,8 +182,7 @@ def sum_combiner(n: int) -> LCombiner:
         ok, L = t > 0.0, t * t
         if not with_derivatives:
             return ok, L
-        grad = np.broadcast_to((2.0 * t)[..., None], x.shape).copy()
-        return ok, L, grad, np.broadcast_to(hess, x.shape + (n,)).copy()
+        return ok, L, np.broadcast_to((2.0 * t)[..., None], x.shape), np.broadcast_to(hess, x.shape + (n,))
 
     return LCombiner(n=n, m=0, jet_fn=jet_fn, name=f"sum[{n}]")
 
@@ -253,14 +253,6 @@ def check_conditions_ABC(
     return ABCReport(A_ok=a_ok, B_ok=b_ok, C_ok=c_ok)
 
 
-def _pieces(jet, vec):
-    """(F, u = g v, h = g - u u^T / F^2) from a child's tensor jet."""
-    _, F, g = jet
-    u = np.einsum("...ij,...j->...i", g, vec)
-    h = g - u[..., :, None] * u[..., None, :] / (F * F)[..., None, None]
-    return F, u, h
-
-
 def _pair(b, vec, out=None):
     return np.einsum("...i,...i->...", b, vec, out=out)
 
@@ -294,9 +286,11 @@ def combine(
 ) -> ConicMetric:
     """Metric F = sqrt(L(F_1..F_n, beta_1..beta_m)) with its closed-form tensor.
 
-    The tensor assembles the angular parts of the ingredient metrics
-    weighted by the first derivatives of L plus the quadratic form of
-    Hess(L) in the tuple of fiber derivatives.
+    With c_k = L_k / F_k over the metric slots and J the rows of fiber
+    derivatives of the arguments (g_k v / F_k, then the forms' b), the tensor
+    is 0.5 (sum_k c_k g_k + J^T (Hess(L) - diag(c)) J): each ingredient's
+    angular part c_k (g_k - g_k v v^T g_k / F_k^2) folded into the quadratic
+    form of Hess(L).
     """
     metrics = list(metrics)
     forms = list(forms)
@@ -327,15 +321,17 @@ def combine(
         if not with_tensor:
             return ok, F
         grad, hess = derivs
+        H = np.array(hess)  # Hess(L) - diag(c) is built in a copy: a law may return a read-only broadcast
         term1 = 0.0
         J = np.empty(vec.shape[:-1] + (n + m, dim))  # rows: the fiber derivatives of the arguments
-        for k, kid in enumerate(kids):
-            Fk, uk, hk = _pieces(kid, vec)
-            term1 = term1 + (grad[..., k] / Fk)[..., None, None] * hk
-            J[..., k, :] = uk / Fk[..., None]
+        for k, (_, Fk, gk) in enumerate(kids):
+            ck = grad[..., k] / Fk
+            term1 = term1 + ck[..., None, None] * gk
+            H[..., k, k] -= ck
+            J[..., k, :] = np.einsum("...ij,...j->...i", gk, vec) / Fk[..., None]
         for r, b in enumerate(bs, n):
             J[..., r, :] = b
-        return ok, F, 0.5 * (term1 + J.swapaxes(-1, -2) @ (hess @ J))
+        return ok, F, 0.5 * (term1 + J.swapaxes(-1, -2) @ (H @ J))
 
     return _combined(
         dim,

@@ -6,7 +6,11 @@ p = 2 g v, taking position derivatives by central differences of the
 fundamental tensor.  It is integrated by the embedded Dormand-Prince 5(4)
 pair with error control at ``GEODESIC_RTOL``; states on the output grid
 come from the pair's continuous extension.  Each acceleration makes one
-stacked tensor evaluation: the state and its 2N stencil points.
+stacked tensor evaluation, the state and its 2N stencil points, all in the
+domain: d_x(F^2) comes from the jet's own F (g(v, v) = F^2 by homogeneity)
+and (d_x p) v from one stacked contraction p = 2 g v over the stencil.
+The F-length of a polyline is a Simpson sum over each piece, whose
+velocity the metric's position-independent nodes evaluate once.
 Separations are shortest paths on a grid graph whose edges are straight
 admissible segments weighted by F-length.  The graph is built from one
 table of neighbour offsets and assembled directly as a CSR matrix.  On a
@@ -138,7 +142,11 @@ class Polyline:
 
 
 def _curve_samples(curve, nodes: int):
-    """(positions, velocities, parameters, weights*dt) at the Simpson nodes of each piece."""
+    """(positions (K, q, n), velocities, parameters (K, q), weights*dt) at the
+    q Simpson nodes of each of the K pieces.  A piece's velocity is one vector
+    broadcast over its nodes with stride 0, so the position-independent nodes
+    of a metric evaluate it once per piece; the positions are built one
+    coordinate at a time, as :func:`_segment_points` builds them."""
     if not isinstance(curve, Polyline):
         raise InvalidArgument(f"unsupported curve type {type(curve)!r}", path="curve", constraint="type")
     w = simpson_weights(nodes)
@@ -146,12 +154,14 @@ def _curve_samples(curve, nodes: int):
     pts, tms = curve.points, curve.times
     dt = np.diff(tms)  # (K,), one per piece
     tloc = np.linspace(0.0, 1.0, q)
-    pos = pts[:-1, None, :] + tloc[None, :, None] * np.diff(pts, axis=0)[:, None, :]
-    vel = (np.diff(pts, axis=0) / dt[:, None])[:, None, :]
-    vel = np.broadcast_to(vel, pos.shape)
+    delta = np.diff(pts, axis=0)
+    pos = np.empty(dt.shape + tloc.shape + pts.shape[1:])
+    for d in range(pts.shape[1]):
+        np.add(pts[:-1, d, None], tloc * delta[:, d, None], out=pos[:, :, d])
+    vel = np.broadcast_to((delta / dt[:, None])[:, None, :], pos.shape)
     params = tms[:-1, None] + tloc[None, :] * dt[:, None]
     weights = w[None, :] * (dt / (q - 1))[:, None]
-    return pos.reshape(-1, pts.shape[1]), vel.reshape(-1, pts.shape[1]), params.ravel(), weights.ravel()
+    return pos, vel, params, weights
 
 
 def curve_length(m: ConicMetric, curve, nodes: int = CURVE_QUAD_NODES) -> float:
@@ -164,7 +174,7 @@ def curve_length(m: ConicMetric, curve, nodes: int = CURVE_QUAD_NODES) -> float:
             f"curve velocity leaves the conic domain at parameter {bad[0]:.6g}",
             parameter=float(bad[0]),
         )
-    return float(np.dot(weights, vals))
+    return float(np.dot(weights.ravel(), vals.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +209,12 @@ def _tensor_checked(ok: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
 def _accel(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """Acceleration of the energy-critical curve at batched states (B, N).
 
-    One jet call evaluates the tensors on the stacked stencil x + step: the
-    states themselves (step -0.0, which leaves every coordinate's bits), then
-    x + h e_a and x - h e_a for each axis a.
+    One jet call evaluates F and the tensors on the stacked stencil x + step:
+    the states themselves (step -0.0, which leaves every coordinate's bits),
+    then x + h e_a and x - h e_a for each axis a, every row in the domain.
+    By homogeneity g(v, v) = F^2, so d_a(F^2) is the central difference of
+    the jet's own F^2 on the axis rows, and (d_x p) v that of p = 2 g v,
+    one stacked contraction over those rows.
     """
     if m.position_independent:
         ok, _, g = m.jet(x[None], v, with_tensor=True)
@@ -213,20 +226,14 @@ def _accel(m: ConicMetric, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray
     for a in range(n):
         step[1 + 2 * a, ..., a] = h
         step[2 + 2 * a, ..., a] = -h
-    ok, _, gs = m.jet(x + step, v, with_tensor=True)
+    ok, F, gs = m.jet(x + step, v, with_tensor=True)
     g = _tensor_checked(ok[0], gs[0], t)
-    h2 = 2.0 * h
-    rhs = np.empty(v.shape)
-    dp_dx = np.empty(x.shape[:-1] + (n, n))  # [..., a, i] = д p_i / д x_a
-    for a in range(n):
-        gp, gm = gs[1 + 2 * a], gs[2 + 2 * a]
-        pp = 2.0 * np.einsum("...ij,...j->...i", gp, v)
-        pm = 2.0 * np.einsum("...ij,...j->...i", gm, v)
-        dp_dx[..., a, :] = (pp - pm) / h2[..., None]
-        lp = np.einsum("...i,...ij,...j->...", v, gp, v)
-        lm = np.einsum("...i,...ij,...j->...", v, gm, v)
-        rhs[..., a] = (lp - lm) / h2
-    rhs = rhs - np.einsum("...ai,...a->...i", dp_dx, v)
+    if not ok.all():
+        raise LeftDomain(f"position derivatives hit the domain boundary near {t:.6g}", parameter=t)
+    F2 = F[1:] * F[1:]
+    gv = np.einsum("sbij,bj->sbi", gs[1:], v)  # [s, b, i]: (g v)_i = p_i / 2 on stencil row s + 1
+    dp_dx = (gv[0::2] - gv[1::2]) / h[:, None]  # [a, b, i] = d p_i / d x_a, the bits of (p+ - p-) / 2h
+    rhs = ((F2[0::2] - F2[1::2]) / (2.0 * h)).T - np.einsum("abi,ba->bi", dp_dx, v)
     if not np.isfinite(rhs).all():
         raise LeftDomain(f"position derivatives hit the domain boundary near {t:.6g}", parameter=t)
     return np.linalg.solve(2.0 * g, rhs[..., None])[..., 0]

@@ -267,7 +267,8 @@ class ConicMetric:
         base = np.asarray(base, dtype=float)
         vec = np.asarray(vec, dtype=float)
         with np.errstate(all="ignore"):
-            nonzero = np.linalg.norm(vec, axis=-1) > 0.0  # on the caller's stack, not the broadcast one
+            # |v| > 0 with |v|^2 summed as np.linalg.norm sums it, on the caller's stack, not the broadcast one
+            nonzero = (vec * vec).sum(axis=-1) > 0.0
             # A leading axis keeps even one pair on numpy's array loops, whose power
             # differs from the scalar one in the last bit.
             base, vec = np.broadcast_arrays(base[None], vec[None])

@@ -332,6 +332,13 @@ class TestConditionsABC:
         assert (info.value.path, info.value.constraint) == ("point", "shape")
 
 
+def _angular_pieces(jet, vec):
+    """(F, u = g v, h = g - u u^T / F^2) from a child's tensor jet."""
+    _, F, g = jet
+    u = np.einsum("...ij,...j->...i", g, vec)
+    return F, u, g - u[..., :, None] * u[..., None, :] / (F * F)[..., None, None]
+
+
 def power_q_reference(metrics, forms, q):
     """q-power combination with its tensor written out term by term.
 
@@ -366,7 +373,7 @@ def power_q_reference(metrics, forms, q):
             return ok, total ** (1.0 / q)
         Fs, us, hs, a_vecs = [], [], [], []
         for kid in kids:
-            Fk, uk, hk = cb._pieces(kid, vec)
+            Fk, uk, hk = _angular_pieces(kid, vec)
             Fs.append(Fk)
             us.append(uk)
             hs.append(hk)

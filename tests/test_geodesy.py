@@ -57,6 +57,21 @@ def halfplane_dy():
     return me.oneform_metric(me.constant_oneform([0.0, 1.0]), 2)
 
 
+def _flat_curve_length(m, curve, nodes):
+    """The F-length by the earlier rule: one jet over the flat stack of every
+    sample, each piece's velocity copied to its nodes."""
+    w = simpson_weights(nodes)
+    q = w.size
+    pts, tms = curve.points, curve.times
+    dt = np.diff(tms)
+    tloc = np.linspace(0.0, 1.0, q)
+    pos = pts[:-1, None, :] + tloc[None, :, None] * np.diff(pts, axis=0)[:, None, :]
+    vel = np.broadcast_to((np.diff(pts, axis=0) / dt[:, None])[:, None, :], pos.shape)
+    ok, vals = m.jet(pos.reshape(-1, pts.shape[1]), vel.reshape(-1, pts.shape[1]))
+    assert ok.all()
+    return float(np.dot((w[None, :] * (dt / (q - 1))[:, None]).ravel(), vals))
+
+
 class TestCurveLength:
     def test_euclidean_segment(self, euclid):
         assert gd.curve_length(euclid, gd.Polyline(points=[[0, 0], [3, 4]])) == pytest.approx(5.0, abs=1e-10)
@@ -71,6 +86,26 @@ class TestCurveLength:
         # two segments hugging the null lines make the path cheap
         path = gd.Polyline(points=np.array([[0.0, 0.0], [0.999, 1.0], [0.0, 2.0]]))
         assert gd.curve_length(lorentz_metric, path) < 0.1
+
+    @pytest.mark.parametrize("name", ["randers_posdep", "tree_posdep", "lorentz"])
+    @pytest.mark.parametrize("nodes", [gd.CURVE_QUAD_NODES, gd.EDGE_QUAD_NODES])
+    def test_pieces_equal_the_flat_sample_jet_bit_for_bit(self, name, nodes, lorentz_metric):
+        # a piece's velocity broadcast over its nodes gives the bits of one jet over every sample
+        if name == "lorentz":
+            m = lorentz_metric  # a curve gauge, whose rays the jet casts once per piece
+        elif name == "tree_posdep":
+            m = _tree_metric(POSDEP_TREES[name])
+        else:
+            m = build_metric(parse_config(builtin_config(name))[0]).metric
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 12))
+            # steps inside the Lorentz cone |v_0| < v_1, admissible for every metric here
+            steps = np.stack([rng.uniform(-0.9, 0.9, k), np.ones(k)], axis=-1) * rng.uniform(0.1, 0.5, size=(k, 1))
+            points = np.concatenate([rng.uniform(-0.5, 0.5, size=(1, 2)), steps]).cumsum(axis=0)
+            times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, k))])
+            curve = gd.Polyline(points=points, times=times)
+            assert gd.curve_length(m, curve, nodes) == _flat_curve_length(m, curve, nodes)
 
     def test_not_admissible_reports_parameter(self, halfplane_dy):
         path = gd.Polyline(points=np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.5]]))
@@ -139,8 +174,11 @@ class TestGeodesicShoot:
             gd.geodesic_shoot(square, gd.GeodesicState([0, 0], [1.0, 0.0], t0), 2.0, 0.05)
         # the states of this shot carry t0 + t, and so does its exit
         assert err.value.parameter == t0 + ref.value.parameter
-        assert t0 + 0.9 < err.value.parameter <= t0 + 1.1
-        assert str(err.value).startswith(f"geodesic left the domain after parameter {t0 + 1:.6g}; ")
+        # every stencil row x +- h e_a must lie in the square, so the orbit along
+        # x = t stops once t + h reaches 1, with h = _STENCIL_STEP there (|x| < 1)
+        h = gd._STENCIL_STEP
+        assert t0 + 1.0 - 2.0 * h < err.value.parameter <= t0 + 1.0 - h
+        assert str(err.value).startswith(f"geodesic left the domain after parameter {err.value.parameter:.6g}; ")
 
 
 RANDERS_B05 = {"type": "named", "family": "randers", "b": 0.5}
@@ -158,33 +196,54 @@ POSDEP_TREES = {
 }
 
 
+def _stencil_axes(x):
+    """For each axis a, the points x + h e_a and x - h e_a of ``_accel``'s stencil, and h."""
+    h = (gd.EPS ** (1.0 / 3.0)) * np.maximum(1.0, np.linalg.norm(x, axis=-1))
+    for a in range(x.shape[-1]):
+        xp = x.copy()
+        xp[..., a] += h
+        xm = x.copy()
+        xm[..., a] -= h
+        yield xp, xm, h
+
+
 def _accel_reference(m, x, v, t):
-    """The per-offset acceleration: one checked tensor, then two tensor_many calls per axis."""
+    """The acceleration axis by axis: one checked tensor, then one jet per axis
+    over its pair x +- h e_a, wholly in the domain, whose F^2 and p = 2 g v
+    give the central differences."""
     ok, _, g = m.jet(x, v, with_tensor=True)
     g = gd._tensor_checked(ok, g, t)
     if m.position_independent:
         return np.zeros_like(v)
-    n = x.shape[-1]
-    h = (gd.EPS ** (1.0 / 3.0)) * np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
     rhs = np.zeros_like(v)
-    dp_dx = np.zeros(x.shape[:-1] + (n, n))
-    for a in range(n):
-        ha = h[..., 0]
-        xp = x.copy()
-        xp[..., a] += ha
-        xm = x.copy()
-        xm[..., a] -= ha
-        gp = m.tensor_many(xp, v)
-        gm = m.tensor_many(xm, v)
+    dp_dx = np.zeros(x.shape[-1:] + x.shape)  # [a, ..., i] = d p_i / d x_a
+    for a, (xp, xm, h) in enumerate(_stencil_axes(x)):
+        # one jet per axis pair, whose v is broadcast over the pair with stride 0 as over
+        # the stencil: riemann_metric's 3-operand einsum orders its sum by the strides
+        (okp, okm), (Fp, Fm), (gp, gm) = m.jet(np.stack([xp, xm]), v, with_tensor=True)
+        if not (okp.all() and okm.all()):
+            raise LeftDomain(f"position derivatives hit the domain boundary near {t:.6g}", parameter=t)
         pp = 2.0 * np.einsum("...ij,...j->...i", gp, v)
         pm = 2.0 * np.einsum("...ij,...j->...i", gm, v)
-        dp_dx[..., a, :] = (pp - pm) / (2.0 * ha[..., None])
-        lp = np.einsum("...i,...ij,...j->...", v, gp, v)
-        lm = np.einsum("...i,...ij,...j->...", v, gm, v)
-        rhs[..., a] = (lp - lm) / (2.0 * ha)
-    rhs = rhs - np.einsum("...ai,...a->...i", dp_dx, v)
+        dp_dx[a] = (pp - pm) / (2.0 * h[..., None])
+        rhs[..., a] = (Fp * Fp - Fm * Fm) / (2.0 * h)
+    rhs = rhs - np.einsum("a...i,...a->...i", dp_dx, v)
     if not np.all(np.isfinite(rhs)):
         raise LeftDomain(f"position derivatives hit the domain boundary near {t:.6g}", parameter=t)
+    return np.linalg.solve(2.0 * g, rhs[..., None])[..., 0]
+
+
+def _accel_vgv(m, x, v):
+    """The acceleration by the earlier rule: d_a(F^2) as the central difference
+    of v.g.v, with two ``tensor_many`` calls per axis and no stencil domain check."""
+    g = m.tensor_many(x, v)
+    rhs = np.zeros_like(v)
+    dp_dx = np.zeros(x.shape[:-1] + x.shape[-1:] * 2)
+    for a, (xp, xm, h) in enumerate(_stencil_axes(x)):
+        gp, gm = m.tensor_many(xp, v), m.tensor_many(xm, v)
+        dp_dx[..., a, :] = 2.0 * np.einsum("...ij,...j->...i", gp - gm, v) / (2.0 * h[..., None])
+        rhs[..., a] = (np.einsum("...i,...ij,...j->...", v, gp, v) - np.einsum("...i,...ij,...j->...", v, gm, v)) / (2.0 * h)
+    rhs = rhs - np.einsum("...ai,...a->...i", dp_dx, v)
     return np.linalg.solve(2.0 * g, rhs[..., None])[..., 0]
 
 
@@ -226,6 +285,29 @@ class TestStackedStencil:
         v = rng.uniform(0.8, 1.2, size=(batch, 1)) * np.stack([np.cos(th), np.sin(th)], axis=-1)
         assert not posdep.position_independent
         assert np.array_equal(gd._accel(posdep, x, v, 0.3), _accel_reference(posdep, x, v, 0.3))
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_stays_close_to_the_earlier_vgv_rule(self, posdep, batch):
+        # d_a(F^2) from the jet's F and from v.g.v agree to rounding over h
+        rng = np.random.default_rng(100 + batch)
+        x = rng.uniform(-0.5, 0.5, size=(batch, 2))
+        th = rng.uniform(0.0, 2.0 * np.pi, size=batch)
+        v = rng.uniform(0.5, 2.0, size=(batch, 1)) * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        diff = np.abs(gd._accel(posdep, x, v, 0.3) - _accel_vgv(posdep, x, v))
+        assert np.all(diff <= 1e-9 * (v * v).sum(axis=-1, keepdims=True))
+
+    def test_every_stencil_row_must_be_in_the_domain(self):
+        # Randers with b = (-x, 0): F(v) = |v| - x v_0 needs x < 1 for v = (1, 0), so the
+        # state at x = 1 - 0.4 h is inside while its stencil row x + h e_0 is not
+        m = _tree_metric({"type": "named", "family": "randers", "form": {"coeff_exprs": ["-x", "0"]}})
+        h = gd._STENCIL_STEP
+        x, v = np.array([[1.0 - 0.4 * h, 0.0]]), np.array([[1.0, 0.0]])
+        assert m.in_domain_many(x, v).all() and not m.in_domain_many(x + [h, 0.0], v).any()
+        # the earlier rule took that row's unspecified tensor into a finite acceleration (4.1e5)
+        assert np.isfinite(_accel_vgv(m, x, v)).all()
+        for accel in (gd._accel, _accel_reference):
+            with pytest.raises(LeftDomain, match="^position derivatives hit the domain boundary near 0.3$"):
+                accel(m, x, v, 0.3)
 
     def test_one_top_level_jet_per_accel_call(self, randers_posdep, monkeypatch):
         calls = {"accel": 0, "jet": 0}

@@ -12,7 +12,8 @@ straight-line length.  Profile and curve jets are held bit for bit
 to the three callables each was built from before it became one call.
 Finite-difference tensors next to a cone's edge do not depend on the batch a
 row comes in, and value jets on stacks with repeated (stride-0) vectors equal
-those on contiguous copies.
+those on contiguous copies.  Geodesics on random position-dependent trees
+are homogeneous in their initial velocity and keep their speed.
 """
 
 import contextlib
@@ -257,6 +258,37 @@ def test_jets_on_repeated_base_points_equal_those_on_copies(metric, seed):
             for with_tensor in (False, True):
                 for got, want in zip(metric.jet(base, vecs, with_tensor), metric.jet(copy, vecs, with_tensor)):
                     assert np.array_equal(got, want, equal_nan=True)
+
+
+# 10 x the integrator's rtol: on the derandomized draws the two shots' ends
+# differ by at most 4.4e-11 (relative, end velocity) and speeds drift by 2.5e-11
+GEODESIC_TOL = 10.0 * gd.GEODESIC_RTOL
+
+
+@given(posdep_trees(), SEEDS, st.floats(0.25, 4.0))
+def test_geodesic_homogeneity(metric, seed, lam):
+    """The spray is homogeneous of degree 2 in v, so the shot from (p, lam v)
+    to t / lam ends where the shot from (p, v) to t ends, with lam times its
+    end velocity; and an energy-critical curve keeps its speed F(x, x').
+    A copy of ``_accel`` that takes the central difference of F where it
+    needs F^2 fails the first clause; one that drops (d_x p) v fails only
+    the second, since what is left of its spray is still homogeneous."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-0.5, 0.5, size=2)
+    v = rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    assume(metric.in_domain_many(p, v))
+    t = 0.3
+    try:
+        end = gd.geodesic_shoot(metric, gd.GeodesicState(p, v, 0.0), t, t)[-1]
+        scaled = gd.geodesic_shoot(metric, gd.GeodesicState(p, lam * v, 0.0), t / lam, t / lam)[-1]
+    except FinslerError:
+        assume(False)
+    assert np.max(np.abs(scaled.position - end.position)) <= GEODESIC_TOL * (1.0 + np.max(np.abs(end.position)))
+    assert np.max(np.abs(scaled.velocity - lam * end.velocity)) <= GEODESIC_TOL * lam * (1.0 + np.max(np.abs(end.velocity)))
+    speed = metric.F_many(p, v)
+    assert abs(metric.F_many(end.position, end.velocity) - speed) <= GEODESIC_TOL * speed
+    assert abs(metric.F_many(scaled.position, scaled.velocity) - lam * speed) <= GEODESIC_TOL * lam * speed
 
 
 def test_fields_that_ignore_the_point_still_broadcast():
