@@ -26,12 +26,7 @@ from .metrics import (
     tensor,
     unit_directions,
 )
-from .numkernel import (
-    DEFAULT_EIG_TOL,
-    eigen_classify,
-    fd_gradient_rows,
-    fd_hessian_rows,
-)
+from .numkernel import DEFAULT_EIG_TOL, eigen_classify
 
 DOMAIN_PROBE_DIRECTIONS = 64
 
@@ -132,44 +127,28 @@ def square_over_f0_profile() -> PhiProfile:
 class LCombiner:
     """Degree-2 homogeneous combination law on n metrics and m one-forms.
 
-    The law is one call, ``jet_fn(x, p, with_derivatives)``: for a stack x of
-    shape (..., n+m) and a base point p it returns ``(ok, L)``, the mask of
-    the cone B over the batch (``True`` alone for all of R^(n+m)) and the
-    positive scalar L, or ``(ok, L, grad, hess)`` with the first and second
-    x-derivatives of L when ``with_derivatives`` is set, which may be
-    read-only broadcasts: no caller writes into them.  A law that always
-    returns ``(ok, L)`` gets finite differences of L instead (with
-    correspondingly looser oracle tolerances).
+    The law is a closed-form function on a cone of R^(n+m), one call
+    ``jet_fn(x, with_derivatives)``: for a stack x of shape (..., n+m) it
+    returns ``(ok, L)``, the mask of the cone B over the batch (``True``
+    alone for all of R^(n+m)) and the positive scalar L, or
+    ``(ok, L, grad, hess)`` with the first and second x-derivatives of L
+    when ``with_derivatives`` is set, which may be read-only broadcasts: no
+    caller writes into them.
     """
 
     n: int
     m: int
     jet_fn: Callable = field(repr=False)
-    position_independent: bool = True
     name: str = "L"
 
-    def jet(self, x, p=None, with_derivatives: bool = False) -> tuple:
-        """``(ok, L)`` or ``(ok, L, grad, hess)`` from one call of the law."""
-        x = np.asarray(x, dtype=float)
-        out = self.jet_fn(x, p, with_derivatives)
-        if with_derivatives and len(out) == 2:
-            return (*out, self._fd(fd_gradient_rows, x, p), self._fd(fd_hessian_rows, x, p))
-        return out
-
-    def value(self, x, p=None) -> np.ndarray:
-        return self.jet(x, p)[1]
-
-    def _fd(self, fd, x, p) -> np.ndarray:
-        """Finite differences of L, one stacked call over the finite rows of
-        x, each at its own base point; rows that are not finite (arguments
-        from outside an ingredient's domain), or where a probe of L is not
-        finite, give NaN."""
-        fin = np.all(np.isfinite(x), axis=-1)
-        if p is not None:
-            p = np.broadcast_to(p, x.shape[:-1] + np.shape(p)[-1:])[fin]
-        rows = fd(lambda y: self.value(y, p), x[fin])
-        out = np.full(x.shape[:-1] + rows.shape[1:], np.nan)
-        out[fin] = rows
+    def jet(self, x, with_derivatives: bool = False) -> tuple:
+        """``(ok, L)`` or ``(ok, L, grad, hess)`` from one call of the law;
+        InvalidArgument at ``jet_fn`` where derivatives are asked for and the
+        law does not return them."""
+        out = self.jet_fn(np.asarray(x, dtype=float), with_derivatives)
+        if with_derivatives and len(out) != 4:
+            msg = f"law {self.name} must return (ok, L, grad, hess) with derivatives, got {len(out)} items"
+            raise InvalidArgument(msg, path="jet_fn", constraint="shape")
         return out
 
 
@@ -177,7 +156,7 @@ def sum_combiner(n: int) -> LCombiner:
     """L = (x_1 + ... + x_n)^2, the plain sum of metrics."""
     hess = np.full((n, n), 2.0)
 
-    def jet_fn(x, p, with_derivatives):
+    def jet_fn(x, with_derivatives):
         t = np.sum(x, axis=-1)
         ok, L = t > 0.0, t * t
         if not with_derivatives:
@@ -196,7 +175,7 @@ def power_combiner(n: int, m: int, q: float) -> LCombiner:
     c_diag, c_rank1 = 2.0 * (q - 1.0), 2.0 * (2.0 - q)
     idx = np.arange(n + m)
 
-    def jet_fn(x, p, with_derivatives):
+    def jet_fn(x, with_derivatives):
         ax = np.abs(x)
         u = np.sum(ax**q, axis=-1)
         ok = u > 0.0
@@ -228,23 +207,22 @@ class ABCReport:
         return self.A_ok and self.B_ok and self.C_ok
 
 
-def check_conditions_ABC(
-    combiner: LCombiner, point, base=None, tolerance: float = DEFAULT_EIG_TOL
-) -> ABCReport:
+def check_conditions_ABC(combiner: LCombiner, point, tolerance: float = DEFAULT_EIG_TOL) -> ABCReport:
     """Positive-semidefiniteness conditions of the combination law at one
     point (F_1..F_n, beta_1..beta_m): A, L_k >= 0 for k <= n; B, Hess L
     positive semidefinite; C, L_1 + ... + L_n > 0.  Where all hold and the
     ingredient metrics are positive definite, so is the combination.
 
-    InvalidArgument at ``point`` unless its shape is (n + m,); OutsideDomain
-    where the point leaves the law's cone.
+    InvalidArgument at ``point`` unless its shape is (n + m,), and at
+    ``jet_fn`` where the law gives no derivatives; OutsideDomain where the
+    point leaves the law's cone.
     """
     point = np.asarray(point, dtype=float)
     n, d = combiner.n, combiner.n + combiner.m
     if point.shape != (d,):
         raise InvalidArgument(f"point must have shape ({d},), got {point.shape}", path="point", constraint="shape")
     with np.errstate(all="ignore"):  # a pole of the law is outside its cone
-        ok, _, grad, hess = combiner.jet(point, base, True)
+        ok, _, grad, hess = combiner.jet(point, True)
     if not np.all(ok):
         raise OutsideDomain(f"point {point} outside the cone of the law {combiner.name}")
     a_ok = bool(np.all(grad[:n] >= -tolerance))
@@ -305,7 +283,7 @@ def combine(
     # forms there is no kernel, and that point may be a pole of the law (s = 1 for
     # a two-metric Matsumoto profile).  Kropina's law divides by zero there.
     with np.errstate(all="ignore"):
-        admits_beta_zero = m == 0 or bool(combiner.jet(np.array([1.0] * n + [0.0] * m), np.zeros(dim))[0])
+        admits_beta_zero = m == 0 or bool(combiner.jet(np.array([1.0] * n + [0.0] * m))[0])
 
     def jet_fn(base, vec, with_tensor):
         kids = [mk.node_jet(base, vec, with_tensor) for mk in metrics]
@@ -315,7 +293,7 @@ def combine(
             x[k] = kid[1]
         for r, b in enumerate(bs, n):
             _pair(b, vec, out=x[r])
-        ok, L, *derivs = combiner.jet(x.transpose(*range(1, x.ndim), 0), base, with_tensor)
+        ok, L, *derivs = combiner.jet(x.transpose(*range(1, x.ndim), 0), with_tensor)
         ok = ok & np.isfinite(x).all(axis=0)  # a child's F is NaN outside its domain, so this masks it too
         F = np.sqrt(np.maximum(L, 0.0))
         if not with_tensor:
@@ -336,9 +314,7 @@ def combine(
     return _combined(
         dim,
         jet_fn,
-        combiner.position_independent
-        and all(mk.position_independent for mk in metrics)
-        and all(fm.constant for fm in forms),
+        all(mk.position_independent for mk in metrics) and all(fm.constant for fm in forms),
         f"{combiner.name}({', '.join(mk.name for mk in metrics)})",
         all(mk.zero_in_domain for mk in metrics) and admits_beta_zero,
     )
@@ -377,7 +353,7 @@ def _profile_law(profile: PhiProfile, n: int, m: int) -> LCombiner:
     overflows or underflows.
     """
 
-    def jet_fn(x, p, with_derivatives):
+    def jet_fn(x, with_derivatives):
         x1 = x[..., 0]
         s = x[..., 1] / x1
         ok = profile.contains(s)

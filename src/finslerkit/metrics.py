@@ -304,7 +304,7 @@ class ConicMetric:
             val = self.F_many(base_b, vs)
             return 0.5 * val * val
 
-        return hessian(half_f_squared, vec_b, scale=np.linalg.norm(vec_b, axis=-1))
+        return hessian(half_f_squared, vec_b)
 
     def with_name(self, name: str) -> "ConicMetric":
         return replace(self, name=name)

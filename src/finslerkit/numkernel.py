@@ -1,16 +1,18 @@
 """Small dense numerics shared by every other module.
 
-Finite differences (gradients and Hessians over batches of points, NaN
-at each point where a probe is not finite, and the one-call jet of a
-function of one variable), symmetric eigenvalue classification,
-composite Simpson weights, the embedded 3/7-point Gauss-Kronrod rule and
-one-dimensional root bracketing.  All functions are pure; vectors are
-plain float ndarrays.
+Finite differences (Hessians over batches of points, NaN at each point
+where a probe is not finite, and the one-call jet of a function of one
+variable), symmetric eigenvalue classification, composite Simpson
+weights, the embedded 3/7-point Gauss-Kronrod rule and one-dimensional
+root bracketing.  All functions are pure; vectors are plain float
+ndarrays.
 
-The finite-difference routines stand in where no closed form is given
-and cross-check the closed-form tensors, so they deliberately do not
-share any code with the analytic paths.  :func:`fd_hessian_batch` is the
-oracle's form: it raises where :func:`fd_hessian_rows` gives NaN.
+The Hessian kernels give the tensors of metric nodes without a closed
+form (gauges) and cross-check the closed-form tensors, so they
+deliberately do not share any code with the analytic paths.
+:func:`fd_hessian_batch` is the oracle's form: it raises where
+:func:`fd_hessian_rows` gives NaN.  Combination laws are closed-form and
+take no finite differences.
 """
 
 from __future__ import annotations
@@ -39,26 +41,18 @@ class Definiteness(Enum):
     NEGATIVE_DEFINITE = "NegativeDefinite"
 
 
-_CLASSES = np.array(tuple(Definiteness), dtype=object)  # the code table: code i is _CLASSES[i]
-
-
 @dataclass(frozen=True)
 class EigenReport:
     """Sorted spectra of a stack (..., N, N) of symmetric matrices and their sign classes.
 
     ``eigenvalues`` is (..., N), ascending; ``min_eigenvalue`` and ``code``
     are (...); ``code`` indexes ``tuple(Definiteness)``.  For one matrix they
-    are a float and an int, so ``classification`` is one ``Definiteness``
-    member and ``is_positive_definite`` one bool.
+    are a float and an int, so ``is_positive_definite`` is one bool.
     """
 
     eigenvalues: np.ndarray
     min_eigenvalue: np.ndarray | float
     code: np.ndarray | int
-
-    @property
-    def classification(self) -> Definiteness | np.ndarray:
-        return _CLASSES[self.code]
 
     @property
     def is_positive_definite(self) -> np.ndarray | bool:
@@ -78,28 +72,6 @@ def _eval_stack(f, points: np.ndarray) -> np.ndarray:
         msg = f"f must map a stack of points {points.shape} to one value each, got shape {out.shape}"
         raise InvalidArgument(msg, path="f", constraint="shape")
     return out
-
-
-def fd_gradient_rows(f, x, scale=None) -> np.ndarray:
-    """Central-difference gradients of a scalar function, shape (..., n) -> (..., n),
-    NaN at each point where a probe of ``f`` is not finite.
-
-    The step per point is h = cbrt(eps) * max(1, scale); ``scale``
-    broadcasts over the batch and defaults to the norm of each point.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    batch = x.shape[:-1]
-    s = np.linalg.norm(x, axis=-1) if scale is None else np.broadcast_to(np.asarray(scale, float), batch)
-    h = GRAD_STEP * np.maximum(1.0, s)
-    # probes: (2n, ..., n), the +h steps first
-    steps = np.eye(n).reshape(n, *([1] * len(batch)), n) * h[..., None]
-    vals = _eval_stack(f, np.concatenate([x + steps, x - steps]))
-    finite = np.isfinite(vals)
-    vals = np.where(finite, vals, np.nan)  # NaN arithmetic raises no warning
-    grad = np.moveaxis((vals[:n] - vals[n:]) / (2.0 * h), 0, -1)
-    grad[~np.all(finite, axis=0)] = np.nan
-    return grad
 
 
 def central_jet(f):
@@ -136,20 +108,17 @@ def _hessian_stencil(n: int):
     return np.array(offs), pairs
 
 
-def fd_hessian_rows(f, xs: np.ndarray, scale=None) -> np.ndarray:
+def fd_hessian_rows(f, xs: np.ndarray) -> np.ndarray:
     """Hessians of ``f`` at a batch of points, shape (..., n) -> (..., n, n),
     NaN at each point where a probe of ``f`` is not finite.
 
-    Uses the 4-point mixed stencil; the result is symmetrized exactly.
+    Uses the 4-point mixed stencil with step eps^(1/4) * max(1, |x|) per
+    point; the result is symmetrized exactly.
     """
     xs = np.asarray(xs, dtype=float)
     n = xs.shape[-1]
     batch = xs.shape[:-1]
-    if scale is None:
-        s = np.maximum(1.0, np.linalg.norm(xs, axis=-1))
-    else:
-        s = np.maximum(1.0, np.broadcast_to(np.asarray(scale, float), batch).astype(float))
-    h = HESS_STEP * s[..., None]  # (..., 1)
+    h = HESS_STEP * np.maximum(1.0, np.linalg.norm(xs, axis=-1))[..., None]  # (..., 1)
 
     offsets, pairs = _hessian_stencil(n)
     # points: (n_off, ..., n)
@@ -174,9 +143,9 @@ def fd_hessian_rows(f, xs: np.ndarray, scale=None) -> np.ndarray:
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
-def fd_hessian_batch(f, xs: np.ndarray, scale=None) -> np.ndarray:
+def fd_hessian_batch(f, xs: np.ndarray) -> np.ndarray:
     """:func:`fd_hessian_rows`; NonFiniteSample where a probe is not finite."""
-    hess = fd_hessian_rows(f, xs, scale)
+    hess = fd_hessian_rows(f, xs)
     if not np.all(np.isfinite(hess)):
         raise NonFiniteSample("non-finite sample while evaluating fd_hessian")
     return hess

@@ -34,6 +34,7 @@ from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.errors import DomainEmpty, FinslerError, InvalidArgument, ParseError, StepBudget, ValidationError
+from finslerkit.numkernel import Definiteness
 
 BUILTINS = [
     "euclidean",
@@ -727,7 +728,7 @@ class TestBatchedCommands:
             want = {
                 "eval": lambda: [me.eval_F(m, tv)],
                 "tensor": lambda: list(me.tensor(m, tv).ravel()),
-                "classify": lambda: [me.classify_point(m, tv, cfg.tolerance).classification.value],
+                "classify": lambda: [tuple(Definiteness)[me.classify_point(m, tv, cfg.tolerance).code].value],
             }[command]()
             assert row[5 : 5 + len(want)] == want
 

@@ -6,7 +6,7 @@ import pytest
 from finslerkit import combinators as cb
 from finslerkit import metrics as me
 from finslerkit.errors import BadExponent, DomainEmpty, InvalidArgument, NonFiniteSample, OutsideDomain
-from finslerkit.numkernel import Definiteness, eigen_classify
+from finslerkit.numkernel import Definiteness, eigen_classify, fd_hessian_batch
 
 BASE = np.zeros(2)
 
@@ -75,7 +75,7 @@ class TestProfiles:
             if not bool(profile.contains(s)):
                 continue
             p, pd, pdd = (float(x) for x in profile.jet(s))
-            _, _, grad, hess = law.jet([1.0, s], None, True)
+            _, _, grad, hess = law.jet([1.0, s], True)
             scale = max(1.0, abs(p) ** 4, abs(p * pd * s))
             assert abs(float(grad[0]) - 2 * p * (p - s * pd)) < 1e-10 * scale
             assert abs(float(np.linalg.det(hess)) - 4 * p**3 * pdd) < 1e-10 * scale * max(1, abs(pdd))
@@ -108,7 +108,7 @@ class TestProfileConvexitySufficiency:
             s = 0.8 * v[0]
             if cb.check_conditions_ABC(law, [1.0, s]).all_ok:
                 rep = me.classify_point(m, me.TangentVec(BASE, v), 1e-9)
-                assert rep.classification is not Definiteness.INDEFINITE
+                assert tuple(Definiteness)[rep.code] is not Definiteness.INDEFINITE
             checked += 1
 
 
@@ -152,22 +152,21 @@ class TestCombinerLaws:
         ids=["sum", "power2", "power1", "power3", "randers", "kropina2", "matsumoto_f1f2"],
     )
     def test_homogeneity_and_derivative_consistency(self, combiner, point):
-        val = combiner.value(point)
+        value = lambda x: combiner.jet(x)[1]
+        val = value(point)
         for lam in (0.5, 2.0):
-            assert combiner.value(lam * point) == pytest.approx(lam * lam * val, rel=1e-12)
-        from finslerkit.numkernel import fd_gradient_rows, fd_hessian_batch
-
-        grad_fd = fd_gradient_rows(lambda x: combiner.value(x), point)
-        hess_fd = fd_hessian_batch(lambda x: combiner.value(x), point)
-        _, _, grad, hess = combiner.jet(point, None, True)
-        assert np.allclose(grad, grad_fd, rtol=1e-5, atol=1e-6)
-        assert np.allclose(hess, hess_fd, rtol=1e-4, atol=1e-4)
+            assert value(lam * point) == pytest.approx(lam * lam * val, rel=1e-12)
+        _, L, grad, hess = combiner.jet(point, True)
+        # Euler's identities of a 2-homogeneous L: the gradient is 1-homogeneous
+        np.testing.assert_allclose(grad, hess @ point, rtol=1e-12)
+        np.testing.assert_allclose(point @ grad, 2.0 * L, rtol=1e-12)
+        assert np.allclose(hess, fd_hessian_batch(value, point), rtol=1e-4, atol=1e-4)
 
 
 class TestCombine:
     def test_identity_combination(self):
         E = euclid()
-        def jet_fn(x, p, with_derivatives):
+        def jet_fn(x, with_derivatives):
             if not with_derivatives:
                 return True, x[..., 0] ** 2
             return True, x[..., 0] ** 2, 2.0 * x, np.broadcast_to(2.0 * np.eye(1), x.shape + (1,))
@@ -194,69 +193,21 @@ class TestCombine:
         b2 = np.zeros((40, 2))
         assert np.allclose(via_l.tensor_many(b2, vs), named.tensor_many(b2, vs), atol=1e-9)
 
-    def test_fd_fallback_for_user_l(self):
-        # grad/hess omitted: combination still works against the FD oracle
-        def jet_fn(x, p, with_derivatives):
-            return True, x[..., 0] ** 2 + 0.5 * x[..., 1] ** 2 + 0.3 * x[..., 0] * x[..., 1]
-
-        mix = cb.LCombiner(n=2, m=0, jet_fn=jet_fn, name="quadratic-mix")
-        stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), 2)
-        m = cb.combine(mix, [euclid(), stretched], [])
-        assert oracle_gap(m, count=25, seed=3) < 1e-4
-
-    def test_fd_fallback_scan_over_conic_ingredient(self):
-        # the scan evaluates tensors on every direction; FD rows outside the cone stay NaN
-        mix = cb.LCombiner(n=2, m=0, jet_fn=lambda x, p, d: (True, (x[..., 0] + x[..., 1]) ** 2), name="sum-fd")
-        upper = me.oneform_metric(me.constant_oneform([0.0, 1.0]), 2)
-        dirs, in_domain, _ = me.convexity_scan(cb.combine(mix, [euclid(), upper], []), BASE, 36)
-        assert set(in_domain.tolist()) == {True, False}
-        assert np.array_equal(in_domain, dirs[:, 1] > 0.0)
-
-    def test_fd_fallback_gives_a_nan_row_where_a_probe_leaves_the_cone(self):
-        # (beta > 0, (F + sqrt(beta))^2): the probes of the second row cross beta = 0
-        def jet_fn(x, p, with_derivatives):
-            return x[..., 1] > 0.0, (x[..., 0] + np.sqrt(x[..., 1])) ** 2
-
-        law = cb.LCombiner(n=1, m=1, jet_fn=jet_fn, name="sqrt-beta")
-        m = cb.combine(law, [euclid()], [me.constant_oneform([0.0, 1.0])])
-        g = m.tensor_many(BASE, [[1.0, 1.0], [1.0, 1e-6]])
-        assert g[0].tobytes() == m.tensor_many(BASE, [[1.0, 1.0]])[0].tobytes()
-        assert np.all(np.isfinite(g[0])) and np.all(np.isnan(g[1]))
-        with pytest.raises(NonFiniteSample, match="hit the domain boundary"):
-            me.tensor(m, me.TangentVec(BASE, np.array([1.0, 1e-6])))
-        with pytest.raises(NonFiniteSample, match="fd_hessian"):
-            m.fd_tensor_many(BASE, [1.0, 1e-6])
-
-    @pytest.mark.parametrize("batch", [3, 9])
-    def test_fd_fallback_uses_each_rows_base_point(self, batch):
-        # L depends on the point, so each finite-difference row needs its own p
-        def L(x, p):
-            return x[..., 0] ** 2 * (1.0 + p[..., 0] ** 2) + x[..., 1] ** 2
-
-        def exact_jet(x, p, with_derivatives):
-            if not with_derivatives:
-                return True, L(x, p)
-            grad = np.stack([2.0 * x[..., 0] * (1.0 + p[..., 0] ** 2), 2.0 * x[..., 1]], axis=-1)
-            h = np.zeros(x.shape + (2,))
-            h[..., 0, 0] = 2.0 * (1.0 + p[..., 0] ** 2)
-            h[..., 1, 1] = 2.0
-            return True, L(x, p), grad, h
-
-        fd = cb.LCombiner(n=2, m=0, jet_fn=lambda x, p, d: (True, L(x, p)), position_independent=False, name="posdep-fd")
-        exact = replace(fd, jet_fn=exact_jet, name="posdep")
-        stretched = me.riemann_metric(me.constant_riemann(np.diag([2.0, 1.0])), 2)
-        rng = np.random.default_rng(batch)
-        base = rng.uniform(-1.0, 1.0, size=(batch, 2))
-        vs = rng.normal(size=(batch, 2))
-        g_fd, g_exact = (cb.combine(c, [euclid(), stretched], []).tensor_many(base, vs) for c in (fd, exact))
-        assert np.all(np.isfinite(g_fd))
-        assert np.max(np.abs(g_fd - g_exact)) <= 1e-6 * max(1.0, np.max(np.abs(g_exact)))
-
     def test_domain_empty(self):
         E = euclid()
-        never = cb.LCombiner(n=1, m=0, jet_fn=lambda x, p, d: (False, x[..., 0] ** 2), name="empty")
+        never = cb.LCombiner(n=1, m=0, jet_fn=lambda x, d: (False, x[..., 0] ** 2), name="empty")
         with pytest.raises(DomainEmpty):
             cb.combine(never, [E], [])
+
+    def test_a_law_without_derivatives_is_rejected_where_they_are_asked_for(self):
+        # a law is closed-form: its values serve F, but a tensor needs its derivatives
+        values_only = cb.LCombiner(n=2, m=0, jet_fn=lambda x, d: (True, np.sum(x, axis=-1) ** 2), name="values-only")
+        m = cb.combine(values_only, [euclid(), euclid()], [])
+        assert float(m.F_many(BASE, [3.0, 4.0])) == 10.0
+        for call in (lambda: m.tensor_many(BASE, [3.0, 4.0]), lambda: cb.check_conditions_ABC(values_only, [1.0, 1.0])):
+            with pytest.raises(InvalidArgument) as err:
+                call()
+            assert (err.value.path, err.value.constraint) == ("jet_fn", "shape")
 
 
 class TestConditionsABC:
@@ -265,7 +216,7 @@ class TestConditionsABC:
         assert rep.A_ok and rep.B_ok and rep.C_ok
 
     def test_lorentz_like_l_fails_b(self):
-        def jet_fn(x, p, with_derivatives):
+        def jet_fn(x, with_derivatives):
             L = x[..., 0] ** 2 - x[..., 1] ** 2
             if not with_derivatives:
                 return True, L
@@ -969,9 +920,9 @@ class TestLawCalls:
         law = make()
         calls = [0]
 
-        def counting(x, p, with_derivatives):
+        def counting(x, with_derivatives):
             calls[0] += 1
-            return law.jet_fn(x, p, with_derivatives)
+            return law.jet_fn(x, with_derivatives)
 
         counted = replace(law, jet_fn=counting)
         # two different metrics: equal ones put a two-metric Matsumoto law on its pole s = 1

@@ -11,6 +11,8 @@ from finslerkit import minkowski as mk
 from finslerkit.errors import DomainEmpty, NonFiniteSample, OutsideDomain
 from finslerkit.numkernel import Definiteness, eigen_classify
 
+INDEFINITE = tuple(Definiteness).index(Definiteness.INDEFINITE)  # its EigenReport code
+
 from conftest import unit_circle_curve
 
 BASE = np.zeros(2)
@@ -250,7 +252,7 @@ class TestFiniteDifferenceTensorNearTheConeBoundary:
         dirs, in_domain, rep = me.convexity_scan(lorentz_metric, BASE, 40000)
         inside = lorentz_metric.in_domain_many(BASE, dirs)
         assert 0 < np.sum(inside & ~in_domain) <= 4 and not np.any(in_domain & ~inside)
-        assert np.all(rep.classification == Definiteness.INDEFINITE)
+        assert np.all(rep.code == INDEFINITE)
 
 
 def _spy(calls: list, position_independent: bool, closed_form: bool) -> me.ConicMetric:
@@ -379,7 +381,7 @@ class TestClassifyPoint:
 
     def test_lorentz_indefinite(self, lorentz_metric):
         rep = me.classify_point(lorentz_metric, me.TangentVec(BASE, [0.0, 1.0]), 1e-6)
-        assert rep.classification is Definiteness.INDEFINITE
+        assert rep.code == INDEFINITE
 
     def test_matsumoto_bad_region_not_pd(self, euclid):
         # b=0.8 makes (F0 - 2 beta) negative along the form direction
@@ -391,7 +393,7 @@ class TestClassifyPoint:
         v = np.array([0.3, 0.9])
         r1 = me.classify_point(randers, me.TangentVec(BASE, v))
         r2 = me.classify_point(randers, me.TangentVec(BASE, 7.3 * v))
-        assert r1.classification == r2.classification
+        assert r1.code == r2.code
 
     @pytest.mark.parametrize("name", ["euclid", "randers", "lorentz_metric"])
     def test_stacked_vector_matches_per_vector_calls(self, name, request):
@@ -404,7 +406,7 @@ class TestClassifyPoint:
             one = me.classify_point(m, me.TangentVec(BASE, v), 1e-6)
             assert np.array_equal(rep.eigenvalues[i], one.eigenvalues)
             assert rep.min_eigenvalue[i] == one.min_eigenvalue
-            assert rep.classification[i] is one.classification
+            assert rep.code[i] == one.code
         stacked = me.classify_point(m, me.TangentVec(BASE, vs), 1e-6)
         assert stacked.code.shape == (3, 4) and np.array_equal(stacked.code.reshape(-1), rep.code)
 
@@ -424,7 +426,7 @@ class TestConvexityScan:
                 one = eigen_classify(g, 1e-9)
                 assert np.array_equal(rep.eigenvalues[row], one.eigenvalues)
                 assert rep.min_eigenvalue[row] == one.min_eigenvalue
-                assert rep.classification[row] is one.classification
+                assert rep.code[row] == one.code
                 row += 1
         assert rep.code.shape == (row,)
 
@@ -468,7 +470,7 @@ class TestConvexityScan:
     def test_outside_domain_tagged(self, lorentz_metric):
         _, in_domain, rep = me.convexity_scan(lorentz_metric, BASE, 360)
         assert not np.all(in_domain)
-        assert all(cls is Definiteness.INDEFINITE for cls in rep.classification)
+        assert np.all(rep.code == INDEFINITE)
 
 
 class TestDomainAndHomogeneity:

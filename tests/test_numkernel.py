@@ -6,8 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslerkit import combinators as cb
-from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.errors import InvalidArgument, NoBracket, NonFiniteSample
 from finslerkit.numkernel import (
@@ -16,7 +14,6 @@ from finslerkit.numkernel import (
     Definiteness,
     central_jet,
     eigen_classify,
-    fd_gradient_rows,
     fd_hessian_batch,
     fd_hessian_rows,
     gauss_kronrod_3_7,
@@ -161,51 +158,11 @@ def reference_polar_derivatives(r):
     return r_dot, r_ddot
 
 
-class TestFdGradient:
-    def test_square_1d(self):
-        g = fd_gradient_rows(lambda x: x[..., 0] ** 2, np.array([3.0]))
-        assert abs(g[0] - 6.0) < 1e-7
-
-    def test_half_norm_square_is_identity_map(self):
-        g = fd_gradient_rows(lambda x: 0.5 * np.sum(x**2, axis=-1), np.array([3.0, 4.0]))
-        assert np.allclose(g, [3.0, 4.0], atol=1e-7)
-
-    def test_non_finite_probe_detected(self):
-        g = fd_gradient_rows(lambda x: np.sqrt(x[..., 0]), np.array([1e-10]))
-        assert np.all(np.isnan(g))
-
-    def test_randers_half_square_gradient_matches_tensor_row(self):
-        # grad of F^2/2 at v equals g_v v for the closed-form Randers tensor
-        E = me.euclidean_metric(2)
-        rd, _ = cb.named_family("randers", E, me.constant_oneform([0.5, 0.0]))
-        base = np.zeros(2)
-        v = np.array([1.0, 0.0])
-        g = fd_gradient_rows(lambda u: 0.5 * rd.F_many(base, u) ** 2, v)
-        gv = me.tensor(rd, me.TangentVec(base, v)) @ v
-        assert np.allclose(g, gv, atol=1e-6)
-
-    def test_rows_are_nan_where_a_probe_is_not_finite(self):
-        f = lambda x: np.sqrt(x[..., 0]) + x[..., 1] ** 2
-        xs = np.array([[4.0, 1.0], [1e-10, 1.0], [9.0, -2.0]])
-        rows = fd_gradient_rows(f, xs)
-        assert np.all(np.isnan(rows[1]))
-        assert rows[[0, 2]].tobytes() == fd_gradient_rows(f, xs[[0, 2]]).tobytes()
-
-    @pytest.mark.parametrize("scale", [None, 2.5])
-    def test_batch_equals_per_point_calls(self, scale):
-        f = lambda x: np.sin(x[..., 0]) * np.exp(x[..., 1]) + x[..., 2] ** 3
-        xs = np.random.default_rng(4).normal(size=(4, 5, 3)) * 2.0
-        batched = fd_gradient_rows(f, xs, scale=scale)
-        single = np.array([[fd_gradient_rows(f, x, scale=scale) for x in row] for row in xs])
-        assert batched.shape == xs.shape
-        assert batched.tobytes() == single.tobytes()
-
-
 class TestProbeShape:
     """The kernels evaluate ``f`` once, on the whole probe stack; a callable
     that does not give one value per probe is an InvalidArgument at ``f``."""
 
-    @pytest.mark.parametrize("kernel", [fd_gradient_rows, fd_hessian_rows, fd_hessian_batch])
+    @pytest.mark.parametrize("kernel", [fd_hessian_rows, fd_hessian_batch])
     def test_a_scalar_only_callable_is_rejected(self, kernel):
         with pytest.raises(InvalidArgument) as err:
             kernel(lambda x: x[0], np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -267,6 +224,9 @@ class TestFdHessian:
             assert np.max(np.abs(h - a)) < 1e-6 * max(1.0, np.max(np.abs(a)))
 
 
+CLASSES = tuple(Definiteness)  # an EigenReport's code indexes this tuple
+
+
 def _classify_loop_reference(m, tolerance=1e-9):
     """The earlier one-matrix eigen_classify, kept as a reference."""
     m = np.asarray(m, dtype=float)
@@ -292,40 +252,40 @@ def _assert_matches_loop(stack, tolerance=1e-9):
     rep = eigen_classify(stack, tolerance)
     lead, n = stack.shape[:-2], stack.shape[-1]
     assert rep.eigenvalues.shape == lead + (n,) and rep.min_eigenvalue.shape == rep.code.shape == lead
-    columns = (rep.eigenvalues.reshape(-1, n), rep.min_eigenvalue.reshape(-1), rep.classification.reshape(-1))
-    for m, e, lo, cls in zip(stack.reshape(-1, n, n), *columns):
+    columns = (rep.eigenvalues.reshape(-1, n), rep.min_eigenvalue.reshape(-1), rep.code.reshape(-1))
+    for m, e, lo, code in zip(stack.reshape(-1, n, n), *columns):
         eig, ref_lo, ref_cls = _classify_loop_reference(m, tolerance)
         assert np.array_equal(e, eig)
         assert lo == ref_lo
-        assert cls is ref_cls
+        assert CLASSES[code] is ref_cls
 
 
 class TestEigenClassify:
     def test_identity_positive_definite(self):
         rep = eigen_classify(np.eye(3), 1e-9)
-        assert rep.classification is Definiteness.POSITIVE_DEFINITE
+        assert CLASSES[rep.code] is Definiteness.POSITIVE_DEFINITE
 
     def test_semidefinite_degenerate(self):
         rep = eigen_classify(np.diag([1.0, 0.0]), 1e-9)
-        assert rep.classification is Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE
+        assert CLASSES[rep.code] is Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE
 
     def test_indefinite(self):
         rep = eigen_classify(np.diag([1.0, -1.0]), 1e-9)
-        assert rep.classification is Definiteness.INDEFINITE
+        assert CLASSES[rep.code] is Definiteness.INDEFINITE
         assert rep.min_eigenvalue == pytest.approx(-1.0)
 
     def test_negative_definite(self):
         rep = eigen_classify(-np.eye(2), 1e-9)
-        assert rep.classification is Definiteness.NEGATIVE_DEFINITE
+        assert CLASSES[rep.code] is Definiteness.NEGATIVE_DEFINITE
 
     def test_zero_matrix_is_semidefinite_degenerate(self):
         rep = eigen_classify(np.zeros((3, 3)), 1e-9)
-        assert rep.classification is Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE
+        assert CLASSES[rep.code] is Definiteness.POSITIVE_SEMIDEFINITE_DEGENERATE
         assert rep.min_eigenvalue == 0.0
 
     def test_negative_semidefinite(self):
         rep = eigen_classify(np.diag([0.0, -1.0]), 1e-9)
-        assert rep.classification is Definiteness.NEGATIVE_SEMIDEFINITE
+        assert CLASSES[rep.code] is Definiteness.NEGATIVE_SEMIDEFINITE
         assert rep.min_eigenvalue == -1.0
 
     def test_eigenvalues_sorted(self):
@@ -358,7 +318,7 @@ class TestEigenClassifyStacks:
             np.eye(3),
         ]
         _assert_matches_loop(stack)
-        classes = eigen_classify(np.array(stack), 1e-9).classification.tolist()
+        classes = [CLASSES[code] for code in eigen_classify(np.array(stack), 1e-9).code.tolist()]
         D = Definiteness
         assert classes == [
             D.POSITIVE_SEMIDEFINITE_DEGENERATE,
@@ -380,10 +340,10 @@ class TestEigenClassifyStacks:
         m = np.array([[2.0, 0.5], [0.5, -1.0]])
         rep = eigen_classify(m)
         eig, lo, cls = _classify_loop_reference(m)
-        assert np.array_equal(rep.eigenvalues, eig) and rep.min_eigenvalue == lo and rep.classification is cls
+        assert np.array_equal(rep.eigenvalues, eig) and rep.min_eigenvalue == lo and CLASSES[rep.code] is cls
         assert isinstance(rep.min_eigenvalue, float) and rep.is_positive_definite is False
         stacked = eigen_classify(m[None])
-        assert np.array_equal(stacked.eigenvalues, eig[None]) and stacked.classification.tolist() == [cls]
+        assert np.array_equal(stacked.eigenvalues, eig[None]) and stacked.code.tolist() == [CLASSES.index(cls)]
 
     def test_one_nan_in_a_stack_raises(self):
         stack = np.tile(np.eye(2), (6, 1, 1))
@@ -435,12 +395,12 @@ class TestEigenClassifyProperty:
         stack, tolerance = drawn
         _assert_matches_loop(stack, tolerance)
         rep = eigen_classify(stack, tolerance)
-        codes = [tuple(Definiteness).index(_classify_loop_reference(m, tolerance)[2]) for m in stack]
+        codes = [CLASSES.index(_classify_loop_reference(m, tolerance)[2]) for m in stack]
         assert rep.code.tolist() == codes
         if len(stack) == 1:
             one = eigen_classify(stack[0], tolerance)
             assert np.array_equal(one.eigenvalues, rep.eigenvalues[0]) and one.min_eigenvalue == rep.min_eigenvalue[0]
-            assert one.classification is rep.classification[0]
+            assert one.code == rep.code[0]
 
 
 class TestGaussKronrod37:

@@ -182,3 +182,22 @@ def test_every_private_name_has_a_reader():
     read = set().union(*(loaded_names(ast.parse(source)) for source in sources))
     defined = {name for source in sources for name in private_definitions(source)}
     assert sorted(defined - read) == []
+
+
+def fd_kernel_imports(source: str) -> list[str]:
+    """The ``fd_*`` names a module imports from the package's ``numkernel``."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "numkernel"
+            for alias in node.names if alias.name.startswith("fd_")]
+
+
+def test_the_fd_check_sees_a_kernel_import():
+    source = "from .numkernel import EPS, fd_hessian_rows\nfrom numkernel import fd_x\ndef f():\n    from .numkernel import fd_y\n"
+    assert fd_kernel_imports(source) == ["fd_hessian_rows", "fd_y"]
+
+
+def test_only_metric_nodes_take_finite_differences():
+    # a combination law is closed-form: the Hessian kernels serve only gauge
+    # nodes without a closed form and the oracle, both in metrics.py
+    importers = [path.name for path in MODULES if fd_kernel_imports(path.read_text())]
+    assert importers == ["metrics.py"]
