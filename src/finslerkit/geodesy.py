@@ -32,7 +32,10 @@ distances within rounding of the full graph's and reach sets bit for
 bit, and read the edges into a node off the offset table instead of a
 transposed adjacency.  A separation on a large
 such graph whose kept offsets all lie on their convex envelope runs A*,
-guided by the envelope's gauge, a lower bound on every path's length.
+guided by the envelope's gauge, a lower bound on every path's length; a
+ball on such a 2-D graph is decided from that bound and the cost of an
+explicit two-offset path, per displacement, with Dijkstra only when a
+node falls between them.
 scipy is imported where a graph first needs it, not by ``import
 finslerkit``: ``scipy.sparse`` by the first assembly, ``csgraph`` by the
 first query and ``scipy.spatial`` (qhull) by the first envelope.
@@ -511,6 +514,60 @@ def _envelope(offsets: np.ndarray, weights: np.ndarray) -> Optional[Envelope]:
     )
 
 
+def _displacement_bounds(offsets: np.ndarray, weights: np.ndarray, env: Envelope, resolution: int) -> tuple:
+    """(lower, upper), each (2 res - 1, 2 res - 1): bounds on the ``query``
+    distance from node p to node p + delta of a 2-D graph, at
+    [delta_0 + res - 1, delta_1 + res - 1], from the offsets (K, 2) of its
+    rays sorted by angle (``SeparationGraph._fan``), their weights w and
+    the ``env`` of its kept offsets.
+
+    Angle neighbours o, o' with det(o, o') > 0 bound a sector, which holds
+    delta when det(o, delta) >= 0 and det(delta, o') >= 0; a delta in no
+    sector lies outside the offset cone, and both its bounds are inf.  In a
+    sector, lower = (1 - ``ENVELOPE_MARGIN``) max(0, f . delta), f the
+    ``env`` facet largest on the sector's bisector.  Every facet gives
+    f . delta <= H(delta), so this is at most the bound A* takes.  upper is
+    inf unless det(o, o') = 1 and no component of o and o' has opposite
+    signs.  Then delta = a o + b o' with integers a, b >= 0, and a steps o
+    followed by b steps o' form a ``query`` path inside the box of its
+    ends.  Float addition is monotone, so Dijkstra's distance is at most
+    that path's weights summed in path order, which lie within (a + b)
+    2^-53 relative of a w(o) + b w(o'); upper = (a w(o) + b w(o')) (1 + 4
+    (a + b + 2) 2^-53) covers that and its own rounding.  Each delta is
+    tried in the sector of its angle and then in the two beside it, so a
+    delta on an offset's ray finds a sector that holds it however its
+    angle rounds."""
+    nxt, w_nxt = np.roll(offsets, -1, axis=0), np.roll(weights, -1)
+    area = offsets[:, 0] * nxt[:, 1] - offsets[:, 1] * nxt[:, 0]
+    sectors = np.flatnonzero(area > 0)
+    bisectors = offsets[sectors] / np.hypot(*offsets[sectors].T)[:, None]
+    bisectors += nxt[sectors] / np.hypot(*nxt[sectors].T)[:, None]
+    facets = np.zeros(offsets.shape)  # f of each sector
+    facets[sectors] = env.facets[np.argmax(bisectors @ env.facets.T, axis=1)]
+    paths = (area == 1) & np.all(offsets * nxt >= 0, axis=1)
+
+    def bounds(k, x, y):
+        """(inside, lower, upper) of the deltas (x, y) in the sectors k."""
+        (ox, oy), (px, py) = offsets[k].T, nxt[k].T
+        a, b = x * py - y * px, ox * y - oy * x  # det(delta, o') and det(o, delta)
+        inside = (area[k] > 0) & (a >= 0) & (b >= 0)
+        low = (1.0 - ENVELOPE_MARGIN) * np.maximum(0.0, facets[k, 0] * x + facets[k, 1] * y)
+        cost = (a * weights[k] + b * w_nxt[k]) * (1.0 + 4 * (a + b + 2) * 2.0**-53)
+        return inside, low, np.where(paths[k], cost, np.inf)
+
+    r = resolution - 1
+    x, y = np.indices((2 * r + 1,) * 2).reshape(2, -1) - r
+    at = np.searchsorted(np.arctan2(offsets[:, 1], offsets[:, 0]), np.arctan2(y, x), side="right")
+    inside, lower, upper = bounds((at - 1) % len(offsets), x, y)
+    for shift in (2, 0):  # a delta on an offset's ray whose angle rounds into the next sector
+        rest = np.flatnonzero(~inside)
+        hit, low, up = bounds((at[rest] - shift) % len(offsets), x[rest], y[rest])
+        inside[rest[hit]] = True
+        lower[rest[hit]], upper[rest[hit]] = low[hit], up[hit]
+    lower[~inside] = upper[~inside] = np.inf
+    return lower.reshape(2 * r + 1, -1), upper.reshape(2 * r + 1, -1)
+
+
 @dataclass(frozen=True)
 class SeparationGraph:
     """Grid graph whose directed edges carry F-lengths of straight segments.
@@ -525,9 +582,12 @@ class SeparationGraph:
     no forward query transposes an adjacency.  On a position-dependent
     graph ``offsets`` and ``weights`` are ``None``, ``stored_matrix`` holds
     ``matrix``, the queries run on it and :meth:`edges_into` scans one of
-    its columns.  Only a backward ball builds the transpose ``incoming``,
-    and only a large graph's separation builds the ``envelope`` of the
-    kept offsets.
+    its columns.  Only a backward ball that its bounds do not decide builds
+    the transpose ``incoming``, and only a large graph's separation or ball
+    builds the ``envelope`` of the kept offsets.  A ball on a large convex
+    2-D table also builds ``_ball_bounds``, bounds on the ``query``
+    distance of every displacement (:func:`_displacement_bounds`), 2 (2
+    res - 1)^2 floats, and reads them as views at its centre.
     """
 
     box_lo: np.ndarray
@@ -574,6 +634,35 @@ class SeparationGraph:
     @functools.cached_property
     def _reach_keep(self) -> Optional[np.ndarray]:
         return self._keep(None if self.weights is None else np.zeros_like(self.weights))
+
+    @functools.cached_property
+    def _ties(self) -> tuple:
+        """:func:`_tie_roots` of the offset table."""
+        return _tie_roots(self.offsets)
+
+    @functools.cached_property
+    def _keys(self) -> tuple:
+        """(place, keys): the place values of the balanced base-(2r + 1)
+        keys, r the stencil radius, and the keys of the offset table, which
+        follow its lexicographic order."""
+        base = 2 * _stencil_radius(self.resolution, self.neighbor_radius) + 1
+        place = [base**e for e in range(len(self.shape) - 1, -1, -1)]
+        return place, (self.offsets @ place).tolist()
+
+    @functools.cached_property
+    def _fan(self) -> tuple:
+        """(offsets, weights) of the kept ``query`` offsets of a 2-D table
+        sorted by angle, less each one whose primitive root is kept too."""
+        copies, roots = self._ties
+        keep = self._query_keep & ~((copies > 1) & self._query_keep[roots])
+        order = np.argsort(np.arctan2(self.offsets[keep, 1], self.offsets[keep, 0]), kind="stable")
+        return self.offsets[keep][order], self.weights[keep][order]
+
+    @functools.cached_property
+    def _ball_bounds(self) -> tuple:
+        """(lower, upper) of :func:`_displacement_bounds` over the ``_fan``
+        and the ``envelope``, built on first use."""
+        return _displacement_bounds(*self._fan, self.envelope, self.resolution)
 
     def _table_adjacency(self, offsets: np.ndarray, weights: np.ndarray) -> csr_matrix:
         strides = self.resolution ** np.arange(len(self.shape) - 1, -1, -1)
@@ -1052,11 +1141,7 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
         (a, da), (b, db) = divmod(a, size), divmod(b, size)
         delta.insert(0, db - da)
     s = max(1, -(-max(map(abs, delta)) // graph.neighbor_radius))
-    # balanced base-(2r + 1) keys follow the lexicographic order of the table
-    base = 2 * _stencil_radius(graph.resolution, graph.neighbor_radius) + 1
-    place = [base**e for e in range(len(delta) - 1, -1, -1)]
-    keys = (graph.offsets @ place).tolist()
-    keep, (copies, roots) = graph._query_keep, _tie_roots(graph.offsets)
+    (place, keys), keep, (copies, roots) = graph._keys, graph._query_keep, graph._ties
     bound = 0.0
     for k in range(s):
         step = sum(((k + 1) * d // s - k * d // s) * p for d, p in zip(delta, place))
@@ -1072,10 +1157,12 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
 
 
 def _goal_directed(graph: SeparationGraph) -> bool:
-    """Whether a separation between distinct nodes runs :func:`_astar`: on a
-    graph with an offset table of at least ``ASTAR_MIN_OFFSETS`` kept
-    offsets, all on the envelope, whose ``query`` has at least
-    ``ASTAR_MIN_EDGES`` edges."""
+    """Whether a separation between distinct nodes runs :func:`_astar`, and
+    a ball of a 2-D graph reads the displacement bounds first: on a graph
+    with an offset table of at least ``ASTAR_MIN_OFFSETS`` kept offsets,
+    all on the envelope, whose ``query`` has at least ``ASTAR_MIN_EDGES``
+    edges.  The size rules are checked first, so a smaller graph builds no
+    envelope and imports no qhull."""
     keep = graph._query_keep
     if keep is None or np.count_nonzero(keep) < ASTAR_MIN_OFFSETS or graph.query.nnz < ASTAR_MIN_EDGES:
         return False
@@ -1186,23 +1273,65 @@ def reachability(graph: SeparationGraph, p) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> np.ndarray:
-    """Flat indices of the discrete forward/backward separation ball, by
-    Dijkstra on ``graph.query`` (forward) or on the reversed graph
-    ``graph.incoming`` (backward); a negative radius gives the empty ball.
-    The node p is in its ball when a loop through p costs less than r: the
-    closing edges are :meth:`SeparationGraph.edges_into` p forward, and row
-    p of ``graph.query`` backward."""
-    from scipy.sparse.csgraph import dijkstra
+def _bounded_ball(graph: SeparationGraph, ip: int, r: float, forward: bool, nbrs, weights) -> Optional[np.ndarray]:
+    """The ball of :func:`df_ball` decided from ``graph._ball_bounds`` alone,
+    or None when a node falls between the bounds.  The tables are read as
+    views at p, of the displacements x - p forward and p - x backward.  A
+    node x != p is in the ball when upper < r and out when lower >= r.
+    Each closing edge joins p and a node x of ``nbrs`` with weight w(o):
+    x = p - o is the source of an edge into p forward, x = p + o the
+    target of an edge out of p backward.  Either way x's entry of the views
+    is the tables' entry at -o, and float addition is monotone, so the
+    loop's cost fl(d(x) + w(o)) lies between fl(lower + w(o)) and
+    fl(upper + w(o)) there."""
+    lower, upper = graph._ball_bounds
+    if not forward:
+        lower, upper = lower[::-1, ::-1], upper[::-1, ::-1]
+    res = graph.resolution
+    view = tuple(slice(res - 1 - c, 2 * res - 1 - c) for c in np.unravel_index(ip, graph.shape))
+    lower, upper = lower[view], upper[view]
+    inside = upper < r
+    decided = inside | (lower >= r)
+    decided.flat[ip] = True
+    if not decided.all():
+        return None
+    close = (upper.flat[nbrs] + weights).min(initial=np.inf) < r
+    if not close and (lower.flat[nbrs] + weights).min(initial=np.inf) < r:
+        return None
+    inside.flat[ip] = close
+    return np.flatnonzero(inside)
 
+
+def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> np.ndarray:
+    """Flat indices of the discrete forward/backward separation ball: the
+    nodes x != p whose Dijkstra distance on ``graph.query`` from p
+    (forward), or on the reversed graph ``graph.incoming`` (backward), is
+    below r; a negative radius gives the empty ball.  The node p is in its
+    ball when a loop through p costs less than r: the closing edges are
+    :meth:`SeparationGraph.edges_into` p forward, and row p of
+    ``graph.query`` backward.
+
+    On a 2-D graph that :func:`_goal_directed` admits, the ball is first
+    decided from the graph's displacement bounds
+    (:func:`_displacement_bounds`, built once on first use): a node is in
+    when its upper bound is below r and out when its lower bound is at
+    least r, and p likewise from the bounds of its closing edges' costs.
+    When some node falls between its bounds, Dijkstra stopped at r decides
+    the whole ball.  Either way the node set is Dijkstra's."""
     ip = _as_node(graph, p)
     check_ball_direction(direction)
     if np.isnan(r):
         raise InvalidArgument("r must be a number, got nan", path="r", constraint="number")
-    if direction == "forward":
-        mat, into = graph.query, graph.edges_into(ip)
-    else:  # the edges into p of the reversed graph are the edges out of p
-        mat, into = graph.incoming, _row(graph.query, ip)
+    forward = direction == "forward"
+    # the edges into p of the reversed graph are the edges out of p
+    into = graph.edges_into(ip) if forward else _row(graph.query, ip)
+    if len(graph.shape) == 2 and _goal_directed(graph):
+        ball = _bounded_ball(graph, ip, r, forward, *into)
+        if ball is not None:
+            return ball
+    from scipy.sparse.csgraph import dijkstra
+
+    mat = graph.query if forward else graph.incoming
     # scipy rejects a negative limit; such a ball is empty either way
     dist = dijkstra(mat, directed=True, indices=ip, limit=max(r, 0.0))
     mask = dist < r

@@ -1352,13 +1352,15 @@ class TestGraphQueriesMatchReference:
                     assert graph.nodes[path[::-1]].tobytes() == want.witness_path.tobytes()
 
 
+@pytest.fixture(scope="module")
+def matsumoto():
+    """The Matsumoto b = 0.5 graph at res 81 / R 10: large, convex and 2-D."""
+    metric = build_metric(parse_config(json.dumps({"metric": MATSUMOTO_TREE}))[0]).metric
+    return gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 81, 10)
+
+
 class TestGoalDirectedSeparation:
     """A* under the offset envelope, where the size rules choose it."""
-
-    @pytest.fixture(scope="class")
-    def matsumoto(self):
-        metric = build_metric(parse_config(json.dumps({"metric": MATSUMOTO_TREE}))[0]).metric
-        return gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 81, 10)
 
     def test_matsumoto_res81_r10_matches_dijkstra(self, matsumoto):
         # the 256 offsets of 440 that are no multiple of another stay, all on
@@ -1382,11 +1384,19 @@ class TestGoalDirectedSeparation:
         assert sum(_path_bound_admits(matsumoto, p, q) for p, q in pairs) > 60
 
     def test_size_rules(self, matsumoto, monkeypatch):
+        # a ball outside the rules runs Dijkstra without reading the bounds
+        def fail(*args):
+            raise AssertionError("a ball outside the size rules reads the bounds")
+
+        c, r = 3321, 0.5
+        monkeypatch.setattr(gd, "_bounded_ball", fail)
         monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", matsumoto.query.nnz + 1)
         assert not gd._goal_directed(matsumoto)
+        _same_indices(gd.df_ball(matsumoto, c, r), _dijkstra_ball(matsumoto, c, r, "forward"))
         monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
         monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 441)
         assert not gd._goal_directed(matsumoto)
+        _same_indices(gd.df_ball(matsumoto, c, r, "backward"), _dijkstra_ball(matsumoto, c, r, "backward"))
 
     def test_target_outside_the_cone_or_past_the_cutoff_is_unreachable(self, monkeypatch):
         monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
@@ -1417,6 +1427,132 @@ class TestGoalDirectedSeparation:
         small = gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 9, 3)
         monkeypatch.setattr(gd, "_astar", fail)
         assert np.isfinite(gd.separation(small, 4, 4).value)
+
+
+def _dijkstra_ball(graph, c, r, direction):
+    """scipy's Dijkstra on ``query`` (forward) or ``incoming`` (backward)
+    stopped at r, with the centre in the ball when a closing edge, into c
+    forward and out of c backward, completes a loop cheaper than r."""
+    forward = direction == "forward"
+    dist = dijkstra(graph.query if forward else graph.incoming, directed=True, indices=c, limit=max(r, 0.0))
+    closing = (graph.incoming if forward else graph.query)[c]  # row c: the neighbours that close a loop
+    mask = dist < r
+    mask[c] = np.any(dist[closing.indices] + closing.data < r)
+    return np.flatnonzero(mask)
+
+
+def _bound_views(graph, c, direction):
+    """The (lower, upper) displacement bounds at every node of ``graph``:
+    at x - c forward and at c - x backward."""
+    lower, upper = graph._ball_bounds
+    index = np.array(np.unravel_index(np.arange(graph.node_count), graph.shape)).T
+    delta = index - np.array(np.unravel_index(c, graph.shape))
+    if direction == "backward":
+        delta = -delta
+    at = tuple((delta + graph.resolution - 1).T)
+    return lower[at], upper[at]
+
+
+class TestBoundedBalls:
+    """Balls of large convex 2-D graphs decided from the displacement bounds."""
+
+    # off the lattice's round distances, so that no node lies at the radius
+    BALLS = [(3321, 0.517), (0, 1.213), (6560, 0.309), (80, 0.777), (1234, 2.473), (4000, 0.0613)]
+
+    def test_matches_dijkstra(self, matsumoto):
+        rng = np.random.default_rng(41)
+        balls = self.BALLS + [(int(c), float(r)) for c, r in zip(rng.integers(0, 6561, 14), rng.uniform(0.1, 1.5, 14))]
+        for c, r in balls:
+            for direction in ("forward", "backward"):
+                got = gd.df_ball(matsumoto, c, r, direction)
+                _same_indices(got, _dijkstra_ball(matsumoto, c, r, direction))
+        assert matsumoto._ball_bounds[0].shape == (161, 161)
+
+    def test_the_bounds_decide_without_dijkstra(self, matsumoto, monkeypatch):
+        import scipy.sparse.csgraph as csgraph
+
+        want = {(c, r, d): _dijkstra_ball(matsumoto, c, r, d) for c, r in self.BALLS for d in ("forward", "backward")}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a decided ball runs Dijkstra")
+
+        monkeypatch.setattr(csgraph, "dijkstra", fail)
+        for (c, r, direction), ball in want.items():
+            _same_indices(gd.df_ball(matsumoto, c, r, direction), ball)
+
+    def test_the_bounds_bracket_dijkstra(self, matsumoto):
+        # every node's distance lies in [lower, upper], and the two meet to rounding
+        for c in (0, 3321, 6500):
+            for direction in ("forward", "backward"):
+                lower, upper = _bound_views(matsumoto, c, direction)
+                dist = dijkstra(matsumoto.query if direction == "forward" else matsumoto.incoming, indices=c)
+                assert np.all(lower <= dist) and np.all(dist <= upper)
+                assert np.all(upper <= lower * (1.0 + 1e-11))
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_a_radius_between_the_bounds_falls_back(self, matsumoto, monkeypatch, direction):
+        # r = d(c, x) exactly: lower < r <= upper at x, so Dijkstra decides the ball
+        import scipy.sparse.csgraph as csgraph
+
+        calls = []
+        real = csgraph.dijkstra
+        monkeypatch.setattr(csgraph, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for c, x in ((3321, 3500), (100, 6000), (5000, 5001)):
+            p, q = (c, x) if direction == "forward" else (x, c)
+            r = gd.separation(matsumoto, p, q).value
+            lower, upper = _bound_views(matsumoto, c, direction)
+            assert lower[x] < r <= upper[x]
+            calls.clear()
+            got = gd.df_ball(matsumoto, c, r, direction)
+            assert calls and x not in got
+            _same_indices(got, _dijkstra_ball(matsumoto, c, r, direction))
+
+    def test_radius_edge_cases(self, matsumoto):
+        for c in (0, 3321):
+            for direction in ("forward", "backward"):
+                for r in (0.0, -1.0, -np.inf, np.inf):
+                    got = gd.df_ball(matsumoto, c, r, direction)
+                    _same_indices(got, _dijkstra_ball(matsumoto, c, r, direction))
+                    assert got.size == (matsumoto.node_count if r == np.inf else 0)
+
+    def test_a_sector_across_an_axis_has_no_upper_bound(self, monkeypatch):
+        # (1, -2) and (-1, 3) are angle neighbours with det 1, but their y
+        # components have opposite signs: a path of them leaves the box of its
+        # ends, and on a 4 x 4 grid no step order joins x to x + (0, 1)
+        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        offsets = np.array([[-1, -1], [-1, 3], [1, -2]])  # Euclidean weights: all on the envelope
+        mesh = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
+        g = gd.SeparationGraph(
+            box_lo=np.zeros(2),
+            box_hi=np.full(2, 3.0),
+            resolution=4,
+            neighbor_radius=3,
+            shape=(4, 4),
+            nodes=np.stack([m.ravel() for m in mesh], axis=-1),
+            edge_count=gd._edge_count(offsets, 4),
+            offsets=offsets,
+            weights=np.hypot(*offsets.T),
+        )
+        assert gd._goal_directed(g) and g._ball_bounds[1][3, 4] == np.inf
+        for c in range(g.node_count):
+            for direction in ("forward", "backward"):
+                lower, upper = _bound_views(g, c, direction)
+                dist = dijkstra(g.query if direction == "forward" else g.incoming, indices=c)
+                assert np.all(lower <= dist) and np.all(dist <= upper)
+                for r in (1.5, 4.0, 9.0):
+                    _same_indices(gd.df_ball(g, c, r, direction), _dijkstra_ball(g, c, r, direction))
+
+    @pytest.mark.parametrize("name", ["lorentz_ex36_res81", "kropina_3d", "halfline_1d"])
+    def test_other_graphs_build_no_bounds(self, name, monkeypatch):
+        # off the envelope, in 3-D or in 1-D a ball runs Dijkstra, whatever the size rules
+        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        g = _config_graph(*TABLE_GRAPHS[name])
+        for direction in ("forward", "backward"):
+            for c in (0, g.node_count // 2):
+                _same_indices(gd.df_ball(g, c, 0.5, direction), _dijkstra_ball(g, c, 0.5, direction))
+        assert "_ball_bounds" not in g.__dict__ and "_fan" not in g.__dict__
 
 
 class TestHandMadeGraph:

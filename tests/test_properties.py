@@ -667,6 +667,45 @@ def test_goal_directed_search_finds_the_dijkstra_distance(case, data):
             assert gd._astar(graph, p, q, limit)[0] == want
 
 
+@given(graphs(), st.data())
+def test_ball_bounds_bracket_dijkstra_and_decide_its_balls(case, data):
+    """On a graph the size rules would send to A* once lowered, every
+    node's Dijkstra distance from a source c, forward and backward, lies
+    between the displacement bounds at x - c and c - x, and a ball is
+    scipy's Dijkstra ball with the closing-edge rule for c, whether the
+    bounds decide it or fall back.  Half the radii are a node's distance,
+    which puts that node between the bounds.  Half the graphs keep a random
+    part of their table, whose angle neighbours may lie on either side of
+    an axis."""
+    _, graph, reduce = case
+    if data.draw(st.booleans()):
+        part = np.array(data.draw(st.lists(st.booleans(), min_size=len(graph.offsets), max_size=len(graph.offsets))))
+        assume(part.any())
+        offsets = graph.offsets[part]
+        edges = gd._edge_count(offsets, graph.resolution)
+        graph = dataclasses.replace(graph, offsets=offsets, weights=graph.weights[part], edge_count=edges)
+    c, x = data.draw(_nodes(graph, 2))
+    with _reduced(reduce), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gd, "ASTAR_MIN_EDGES", 0)
+        mp.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        assume(gd._goal_directed(graph))
+        lower, upper = graph._ball_bounds
+        index = np.array(np.unravel_index(np.arange(graph.node_count), graph.shape)).T
+        outward = index - np.array(np.unravel_index(c, graph.shape))
+        at_distance = data.draw(st.booleans())
+        radius = data.draw(st.floats(0.0, 4.0))
+        for sign, adj, closing in ((1, graph.query, graph.incoming), (-1, graph.incoming, graph.query)):
+            at = tuple((sign * outward + graph.resolution - 1).T)
+            dist = dijkstra(adj, indices=c)
+            assert np.all(lower[at] <= dist) and np.all(dist <= upper[at])
+            r = float(dist[x]) if at_distance and np.isfinite(dist[x]) else radius
+            want = dijkstra(adj, indices=c, limit=r) < r if r >= 0 else np.zeros(graph.node_count, dtype=bool)
+            row = closing[c]  # the neighbours that close a loop through c
+            want[c] = np.any(dist[row.indices] + row.data < r)
+            got = gd.df_ball(graph, c, r, "forward" if sign == 1 else "backward")
+            assert got.dtype == np.flatnonzero(want).dtype and np.array_equal(got, np.flatnonzero(want))
+
+
 def _tree_path(pred, p, x):
     """Flat node indices of the path p -> x in the predecessor tree ``pred``."""
     path = [x]
