@@ -30,12 +30,13 @@ adjacencies without the offsets that split into cheaper sign-consistent
 pairs (chamfer-mask dominance) or are k copies of a table offset, with
 distances within rounding of the full graph's and reach sets bit for
 bit, and read the edges into a node off the offset table instead of a
-transposed adjacency.  A separation on a large
-such graph whose kept offsets all lie on their convex envelope runs A*,
-guided by the envelope's gauge, a lower bound on every path's length; a
-ball on such a 2-D graph is decided from that bound and the cost of an
-explicit two-offset path, per displacement, with Dijkstra only when a
-node falls between them.
+transposed adjacency.  On a large such graph whose kept offsets all lie
+on their convex envelope, the envelope's gauge bounds every path's
+length from below, and in 2-D the cost of an explicit two-offset path,
+per displacement, bounds the distance from above.  A separation in 2-D
+returns that path, within the gap of the two bounds of Dijkstra's
+distance, and a ball is decided from the bounds, with Dijkstra only when
+a node falls between them; A* guided by the gauge answers the rest.
 scipy is imported where a graph first needs it, not by ``import
 finslerkit``: ``scipy.sparse`` by the first assembly, ``csgraph`` by the
 first query and ``scipy.spatial`` (qhull) by the first envelope.
@@ -78,9 +79,10 @@ DOMINANCE_MARGIN = 1e-12  # a split must cost at most (1 - margin) F(o), a tie k
 # with no distance cap, and so does one whose dominated offsets carry fewer:
 # a reduced adjacency or a cap would cost more than one query spends on them.
 REDUCE_MIN_EDGES = 2**15
-# A separation between distinct nodes runs A* under the offset envelope when
-# ``query`` has at least ASTAR_MIN_EDGES edges, the table keeps at least
-# ASTAR_MIN_OFFSETS offsets and every kept offset lies on the envelope.  On a
+# A separation between distinct nodes reads the displacement tables (2-D) or
+# runs A* under the offset envelope when ``query`` has at least
+# ASTAR_MIN_EDGES edges, the table keeps at least ASTAR_MIN_OFFSETS offsets
+# and every kept offset lies on the envelope.  On a
 # smaller graph one scipy Dijkstra call costs less than the search; on a
 # smaller table many lattice paths tie at the shortest length, and A*
 # expands every node on them.
@@ -515,11 +517,13 @@ def _envelope(offsets: np.ndarray, weights: np.ndarray) -> Optional[Envelope]:
 
 
 def _displacement_bounds(offsets: np.ndarray, weights: np.ndarray, env: Envelope, resolution: int) -> tuple:
-    """(lower, upper), each (2 res - 1, 2 res - 1): bounds on the ``query``
-    distance from node p to node p + delta of a 2-D graph, at
+    """(lower, upper, sector), each (2 res - 1, 2 res - 1): bounds on the
+    ``query`` distance from node p to node p + delta of a 2-D graph, at
     [delta_0 + res - 1, delta_1 + res - 1], from the offsets (K, 2) of its
     rays sorted by angle (``SeparationGraph._fan``), their weights w and
-    the ``env`` of its kept offsets.
+    the ``env`` of its kept offsets, and the index k of the sector whose
+    path gives a finite upper bound, o = offsets[k] and o' = offsets[(k +
+    1) % K], or -1 where upper is inf.
 
     Angle neighbours o, o' with det(o, o') > 0 bound a sector, which holds
     delta when det(o, delta) >= 0 and det(delta, o') >= 0; a delta in no
@@ -558,14 +562,17 @@ def _displacement_bounds(offsets: np.ndarray, weights: np.ndarray, env: Envelope
     r = resolution - 1
     x, y = np.indices((2 * r + 1,) * 2).reshape(2, -1) - r
     at = np.searchsorted(np.arctan2(offsets[:, 1], offsets[:, 0]), np.arctan2(y, x), side="right")
-    inside, lower, upper = bounds((at - 1) % len(offsets), x, y)
+    sector = (at - 1) % len(offsets)
+    inside, lower, upper = bounds(sector, x, y)
     for shift in (2, 0):  # a delta on an offset's ray whose angle rounds into the next sector
         rest = np.flatnonzero(~inside)
-        hit, low, up = bounds((at[rest] - shift) % len(offsets), x[rest], y[rest])
+        k = (at[rest] - shift) % len(offsets)
+        hit, low, up = bounds(k, x[rest], y[rest])
         inside[rest[hit]] = True
-        lower[rest[hit]], upper[rest[hit]] = low[hit], up[hit]
+        lower[rest[hit]], upper[rest[hit]], sector[rest[hit]] = low[hit], up[hit], k[hit]
     lower[~inside] = upper[~inside] = np.inf
-    return lower.reshape(2 * r + 1, -1), upper.reshape(2 * r + 1, -1)
+    sector[upper == np.inf] = -1
+    return tuple(a.reshape(2 * r + 1, -1) for a in (lower, upper, sector))
 
 
 @dataclass(frozen=True)
@@ -584,10 +591,11 @@ class SeparationGraph:
     ``matrix``, the queries run on it and :meth:`edges_into` scans one of
     its columns.  Only a backward ball that its bounds do not decide builds
     the transpose ``incoming``, and only a large graph's separation or ball
-    builds the ``envelope`` of the kept offsets.  A ball on a large convex
-    2-D table also builds ``_ball_bounds``, bounds on the ``query``
-    distance of every displacement (:func:`_displacement_bounds`), 2 (2
-    res - 1)^2 floats, and reads them as views at its centre.
+    builds the ``envelope`` of the kept offsets.  A separation or a ball on
+    a large convex 2-D table also builds ``_displacement_tables``, bounds on
+    the ``query`` distance of every displacement and the sector of its
+    lattice path (:func:`_displacement_bounds`), 3 (2 res - 1)^2 numbers; a
+    separation reads them at q - p, a ball as views at its centre.
     """
 
     box_lo: np.ndarray
@@ -659,9 +667,9 @@ class SeparationGraph:
         return self.offsets[keep][order], self.weights[keep][order]
 
     @functools.cached_property
-    def _ball_bounds(self) -> tuple:
-        """(lower, upper) of :func:`_displacement_bounds` over the ``_fan``
-        and the ``envelope``, built on first use."""
+    def _displacement_tables(self) -> tuple:
+        """(lower, upper, sector) of :func:`_displacement_bounds` over the
+        ``_fan`` and the ``envelope``, built on first use."""
         return _displacement_bounds(*self._fan, self.envelope, self.resolution)
 
     def _table_adjacency(self, offsets: np.ndarray, weights: np.ndarray) -> csr_matrix:
@@ -729,8 +737,9 @@ class SeparationGraph:
         return grid_spacing((self.box_lo, self.box_hi), self.resolution)
 
     def node_id(self, point, name: str = "point") -> int:
-        """Flat index of the grid node at ``point``; see :func:`grid_node_id`."""
-        return _grid_index(self.box_lo, self.box_hi, self._spacing, self.resolution, point, name)
+        """Flat index of the grid node at ``point``; see :func:`grid_node_id`.
+        The node's coordinates are read off ``nodes``."""
+        return _grid_index(self.box_lo, self.box_hi, self._spacing, self.resolution, point, name, self.nodes)
 
 
 def grid_spacing(box: tuple, resolution: int) -> np.ndarray:
@@ -767,8 +776,11 @@ def grid_node_id(box: tuple, resolution: int, point, name: str = "point") -> int
     return _grid_index(lo, hi, grid_spacing((lo, hi), resolution), resolution, point, name)
 
 
-def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, point, name: str) -> int:
-    """:func:`grid_node_id` on a checked box with cell size ``h``."""
+def _grid_index(
+    lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, point, name: str, nodes: Optional[np.ndarray] = None
+) -> int:
+    """:func:`grid_node_id` on a checked box with cell size ``h``, reading the
+    node's coordinates off a graph's ``nodes`` when given."""
     point = np.asarray(point, dtype=float)
     if point.shape != lo.shape:
         msg = f"{name}: point needs shape {lo.shape}, got {point.shape}"
@@ -778,11 +790,12 @@ def _grid_index(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, resolution: int, 
     if not np.all((pos >= 0) & (pos < resolution)):  # a NaN position fails too
         raise InvalidArgument(f"{name}: point {point} outside the graph box", path=name, constraint="grid")
     idx = pos.astype(int)
+    flat = int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
     # the node's coordinates exactly as build_separation_graph lays them out
-    node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)]
+    node = np.linspace(lo, hi, resolution)[idx, np.arange(idx.size)] if nodes is None else nodes[flat]
     if np.linalg.norm(node - point) > 0.5 * float(np.max(h)):
         raise InvalidArgument(f"{name}: point {point} is not a grid node", path=name, constraint="grid")
-    return int(np.ravel_multi_index(tuple(idx), (resolution,) * lo.shape[0]))
+    return flat
 
 
 def _segment_points(starts: np.ndarray, ends: np.ndarray, delta: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -1157,16 +1170,51 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
 
 
 def _goal_directed(graph: SeparationGraph) -> bool:
-    """Whether a separation between distinct nodes runs :func:`_astar`, and
-    a ball of a 2-D graph reads the displacement bounds first: on a graph
-    with an offset table of at least ``ASTAR_MIN_OFFSETS`` kept offsets,
-    all on the envelope, whose ``query`` has at least ``ASTAR_MIN_EDGES``
-    edges.  The size rules are checked first, so a smaller graph builds no
-    envelope and imports no qhull."""
+    """Whether a separation between distinct nodes and a ball read the
+    displacement tables first on a 2-D graph, and a separation that they
+    leave open runs :func:`_astar`: on a graph with an offset table of at
+    least ``ASTAR_MIN_OFFSETS`` kept offsets, all on the envelope, whose
+    ``query`` has at least ``ASTAR_MIN_EDGES`` edges, counted off the table
+    without assembling ``query``.  The size rules are checked first, so a
+    smaller graph builds no envelope and imports no qhull."""
     keep = graph._query_keep
-    if keep is None or np.count_nonzero(keep) < ASTAR_MIN_OFFSETS or graph.query.nnz < ASTAR_MIN_EDGES:
+    if keep is None or np.count_nonzero(keep) < ASTAR_MIN_OFFSETS:
+        return False
+    if _edge_count(graph.offsets[keep], graph.resolution) < ASTAR_MIN_EDGES:
         return False
     return graph.envelope is not None and graph.envelope.convex
+
+
+def _sector_path(graph: SeparationGraph, ip: int, iq: int) -> Optional[tuple]:
+    """(value, path) of the separation from node ip to node iq != ip of a
+    2-D graph that :func:`_goal_directed` admits, read off the
+    ``_displacement_tables`` at delta = q - p, or None when they leave it
+    open.  In a sector (o, o') with a finite upper bound, delta = a o + b o'
+    with a = det(delta, o') and b = det(o, delta), and the path is p, a
+    steps o, then b steps o': ``query`` edges inside the box of p and q.
+    Its value is their weights summed left to right from 0.0, in path
+    order, so Dijkstra's distance D obeys lower <= D <= value <= upper.
+    ``path`` lists the flat node indices from iq back to ip, as a walk of
+    predecessors does; it is empty, with value inf, when delta lies outside
+    the offset cone (lower = inf)."""
+    lower, _, sector = graph._displacement_tables
+    res = graph.resolution
+    (px, py), (qx, qy) = divmod(ip, res), divmod(iq, res)
+    dx, dy = qx - px, qy - py
+    at = (dx + res - 1, dy + res - 1)
+    k = int(sector[at])
+    if k < 0:
+        return (np.inf, []) if lower[at] == np.inf else None
+    offsets, weights = graph._fan
+    k2 = (k + 1) % len(offsets)
+    (ox, oy), (o2x, o2y) = offsets[k].tolist(), offsets[k2].tolist()
+    a, b = dx * o2y - dy * o2x, ox * dy - oy * dx
+    steps = np.repeat(offsets[[k, k2]], [a, b], axis=0)
+    value = 0.0
+    for w in [float(weights[k])] * a + [float(weights[k2])] * b:
+        value += w
+    nodes = np.vstack([(px, py), (px, py) + np.cumsum(steps, axis=0)])
+    return value, np.ravel_multi_index(nodes[::-1].T, graph.shape).tolist()
 
 
 def _astar(graph: SeparationGraph, ip: int, iq: int, limit: float) -> tuple:
@@ -1225,24 +1273,33 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     weights summed in path order give the value bit for bit.
 
     On a position-independent graph with at least ``ASTAR_MIN_EDGES``
-    ``query`` edges and ``ASTAR_MIN_OFFSETS`` kept offsets, a pair of
-    distinct nodes is searched by A* instead, with the same
-    :func:`_path_bound` as cutoff.  Its heuristic is the
-    ``graph.envelope`` H, the gauge of conv({0} u {o / w(o)}) over the kept
-    offsets o in lattice units: H is sublinear and H(o) <= w(o), so
-    d(p, q) >= H(q - p), and a q - p outside the offset cone (H = inf) is
-    unreachable without a search.  A* runs only when every kept offset lies
-    on the envelope, w(o) <= (1 + ``ENVELOPE_RTOL``) H(o); where H is loose,
-    as on the Lorentz cone, or n = 1 or the offsets span fewer than n
-    dimensions, Dijkstra runs.  Building the envelope imports
-    ``scipy.spatial`` (qhull) on first use.  Both searches give the same
-    distance bit for bit; a predecessor may differ only on an exact tie."""
+    ``query`` edges and ``ASTAR_MIN_OFFSETS`` kept offsets, all on the
+    ``graph.envelope`` (w(o) <= (1 + ``ENVELOPE_RTOL``) H(o), H the gauge of
+    conv({0} u {o / w(o)}) over the kept offsets o in lattice units), a pair
+    of distinct nodes is answered without Dijkstra.  In 2-D it is read off
+    the displacement tables (:func:`_sector_path`): the witness is the
+    lattice path of a steps o then b steps o' of q - p's sector, its value
+    those weights summed in path order, so D <= value <= D + (upper -
+    lower) at q - p, D Dijkstra's distance; on the Matsumoto, Euclidean and
+    Randers tables at R 10 upper - lower is about 1e-12 relative.  A q - p
+    outside the offset cone is unreachable.  In 3-D, and in 2-D where no
+    sector path exists, A* searches, with the same :func:`_path_bound` as
+    cutoff and H as heuristic: H is sublinear and H(o) <= w(o), so d(p, q)
+    >= H(q - p), and it gives Dijkstra's distance bit for bit; a
+    predecessor may differ only on an exact tie.  Where H is loose, as on
+    the Lorentz cone, or n = 1 or the offsets span fewer than n dimensions,
+    Dijkstra runs.  Building the envelope imports ``scipy.spatial`` (qhull)
+    on first use."""
     from scipy.sparse.csgraph import dijkstra
 
     ip, iq = _as_node(graph, p), _as_node(graph, q, "q")
     if ip != iq and _goal_directed(graph):
-        val, pred = _astar(graph, ip, iq, _path_bound(graph, ip, iq))
-        path = [iq]
+        found = _sector_path(graph, ip, iq) if len(graph.shape) == 2 else None
+        if found is not None:
+            val, path = found
+        else:
+            val, pred = _astar(graph, ip, iq, _path_bound(graph, ip, iq))
+            path = [iq]
     else:
         small = graph.edge_count < REDUCE_MIN_EDGES
         limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
@@ -1274,7 +1331,7 @@ def reachability(graph: SeparationGraph, p) -> np.ndarray:
 
 
 def _bounded_ball(graph: SeparationGraph, ip: int, r: float, forward: bool, nbrs, weights) -> Optional[np.ndarray]:
-    """The ball of :func:`df_ball` decided from ``graph._ball_bounds`` alone,
+    """The ball of :func:`df_ball` decided from ``graph._displacement_tables`` alone,
     or None when a node falls between the bounds.  The tables are read as
     views at p, of the displacements x - p forward and p - x backward.  A
     node x != p is in the ball when upper < r and out when lower >= r.
@@ -1284,7 +1341,7 @@ def _bounded_ball(graph: SeparationGraph, ip: int, r: float, forward: bool, nbrs
     is the tables' entry at -o, and float addition is monotone, so the
     loop's cost fl(d(x) + w(o)) lies between fl(lower + w(o)) and
     fl(upper + w(o)) there."""
-    lower, upper = graph._ball_bounds
+    lower, upper, _ = graph._displacement_tables
     if not forward:
         lower, upper = lower[::-1, ::-1], upper[::-1, ::-1]
     res = graph.resolution

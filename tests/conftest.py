@@ -45,3 +45,34 @@ def tie_excess_bound(graph, path) -> float:
     delta = max(0.0, float(((copies * w[roots] - w) / w)[tie].max(initial=0.0)))
     lattice = np.array(np.unravel_index(np.asarray(path, dtype=int), graph.shape)).T
     return delta + 2 * int(np.abs(np.diff(lattice, axis=0)).sum()) * 2.0**-53
+
+
+def assert_sector_separation(graph, p, q, got, want) -> None:
+    """``got``, the separation from node p to node q != p of a 2-D graph
+    that ``geodesy._goal_directed`` admits, keeps the contract of the
+    displacement tables against ``want``, scipy's Dijkstra distance on
+    ``query``: the witness path joins p to q, every step of it is a
+    ``query`` edge, and its weights summed in path order from 0.0 give the
+    value bit for bit.  A sector path stays inside the box of its ends, and
+    want <= value <= want + (upper - lower) at q - p.  Where the tables hold
+    no sector path, A* answers, and the value is ``want`` bit for bit."""
+    lower, upper, sector = graph._displacement_tables
+    at = tuple(np.subtract(np.unravel_index(q, graph.shape), np.unravel_index(p, graph.shape)) + graph.resolution - 1)
+    if not np.isfinite(want):
+        assert got.value == np.inf and got.witness_path.shape == (0, 2)
+        return
+    path = [graph.node_id(x) for x in got.witness_path]
+    assert path[0] == p and path[-1] == q
+    lattice = np.array(np.unravel_index(path, graph.shape)).T
+    keep = graph._query_keep
+    weight = dict(zip(map(tuple, graph.offsets[keep].tolist()), graph.weights[keep].tolist()))
+    total = 0.0
+    for step in np.diff(lattice, axis=0).tolist():
+        total += weight[tuple(step)]  # KeyError at a step that is no query edge
+    assert total == got.value
+    if sector[at] < 0:
+        assert got.value == want
+        return
+    lo, hi = np.minimum(lattice[0], lattice[-1]), np.maximum(lattice[0], lattice[-1])
+    assert np.all((lo <= lattice) & (lattice <= hi))
+    assert want <= got.value <= want + (upper[at] - lower[at])

@@ -19,7 +19,7 @@ from finslerkit.cli import build_metric, builtin_config, parse_config
 from finslerkit.errors import DegenerateTensor, DomainEmpty, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain
 from finslerkit.numkernel import gauss_kronrod_3_7, simpson_weights
 
-from conftest import boxed, tie_excess_bound
+from conftest import assert_sector_separation, boxed, tie_excess_bound
 
 BASE = np.zeros(2)
 
@@ -1214,12 +1214,13 @@ def _matches_ball(graph, ref, p, r, direction, got):
 
 
 def _path_bound_admits(graph, p, q):
-    """A finite :func:`gd._path_bound` is at least the separation, and A* with
-    it as cutoff reaches q at that separation where the graph has an envelope."""
+    """A finite :func:`gd._path_bound` is at least scipy's Dijkstra distance
+    on ``query``, and A* with it as cutoff reaches q at that distance where
+    the graph has an envelope."""
     bound = gd._path_bound(graph, p, q)
     if not np.isfinite(bound):
         return False
-    value = gd.separation(graph, p, q).value
+    value = dijkstra(graph.query, directed=True, indices=p, limit=bound)[q]  # a node at the limit is kept
     assert bound >= value
     if graph.envelope is not None:
         assert gd._astar(graph, p, q, bound)[0] == value
@@ -1328,7 +1329,8 @@ class TestGraphQueriesMatchReference:
         Lorentz fail that rule; the 1-D table and the two collinear offsets
         of the wide Lorentz graph span too few dimensions for a hull.  A*
         gives the reference's value and witness path bit for bit, with or
-        without the lattice-path cutoff, directly and through ``separation``."""
+        without the lattice-path cutoff; ``separation`` keeps the contract
+        of the displacement tables against the reference's value."""
         monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
         monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
         fixture = request.node.callspec.id
@@ -1341,7 +1343,7 @@ class TestGraphQueriesMatchReference:
             if p == q:
                 continue
             want = _ref_separation(ref, p, q)
-            _same_separation(gd.separation(graph, p, q), want)
+            assert_sector_separation(graph, p, q, gd.separation(graph, p, q), want.value)
             for limit in (gd._path_bound(graph, p, q), np.inf):
                 value, pred = gd._astar(graph, p, q, limit)
                 assert value == want.value
@@ -1360,23 +1362,34 @@ def matsumoto():
 
 
 class TestGoalDirectedSeparation:
-    """A* under the offset envelope, where the size rules choose it."""
+    """Separations read off the displacement tables, and A* under the offset
+    envelope, where the size rules choose them."""
 
     def test_matsumoto_res81_r10_matches_dijkstra(self, matsumoto):
         # the 256 offsets of 440 that are no multiple of another stay, all on
         # the envelope: 1.48 M query edges of the 2.52 M the graph counts
         assert np.count_nonzero(matsumoto._query_keep) == 256 and gd._goal_directed(matsumoto)
         assert matsumoto.query.nnz == 1475344 >= gd.ASTAR_MIN_EDGES and matsumoto.edge_count == 2524720
+        # 300 seeded pairs, 10 targets from each of 30 sources, against scipy's Dijkstra on query
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            p, q = (int(k) for k in rng.choice(matsumoto.node_count, size=2, replace=False))
-            dist, pred = dijkstra(matsumoto.query, directed=True, indices=p, return_predecessors=True)
-            path = [q]
-            while path[-1] != p:
-                path.append(int(pred[path[-1]]))
+        sources = rng.choice(matsumoto.node_count, size=30, replace=False)
+        for p, dist in zip(sources.tolist(), dijkstra(matsumoto.query, directed=True, indices=sources)):
+            for q in rng.choice(np.delete(np.arange(matsumoto.node_count), p), size=10, replace=False).tolist():
+                assert_sector_separation(matsumoto, p, q, gd.separation(matsumoto, p, q), dist[q])
+
+    def test_sector_paths_answer_without_a_search(self, matsumoto, monkeypatch):
+        # every displacement of this table has a sector path, so no pair reaches A*
+        def fail(*args):
+            raise AssertionError("a separation on the Matsumoto table runs A*")
+
+        monkeypatch.setattr(gd, "_astar", fail)
+        assert np.all(matsumoto._displacement_tables[2] >= 0)
+        rng = np.random.default_rng(17)
+        pairs = [tuple(int(k) for k in rng.choice(matsumoto.node_count, size=2, replace=False)) for _ in range(100)]
+        for p, q in pairs:
             got = gd.separation(matsumoto, p, q)
-            assert got.value == dist[q]
-            assert got.witness_path.tobytes() == matsumoto.nodes[path[::-1]].tobytes()
+            assert got.reachable and got.witness_path[0].tobytes() == matsumoto.nodes[p].tobytes()
+            assert got.witness_path[-1].tobytes() == matsumoto.nodes[q].tobytes()
 
     def test_path_bound_admits_the_separation(self, matsumoto):
         rng = np.random.default_rng(11)
@@ -1410,7 +1423,7 @@ class TestGoalDirectedSeparation:
         out = gd.separation(graph, p, q)
         assert out.value == np.inf and not out.reachable and out.witness_path.shape == (0, 2)
         r = graph.node_id([0.5, 0.25], "q")
-        d = gd.separation(graph, p, r).value
+        d = dijkstra(graph.query, directed=True, indices=p)[r]
         assert np.isfinite(d) and gd._astar(graph, p, r, d)[0] == d
         assert gd._astar(graph, p, r, d * (1.0 - 1e-9))[0] == np.inf
 
@@ -1444,7 +1457,7 @@ def _dijkstra_ball(graph, c, r, direction):
 def _bound_views(graph, c, direction):
     """The (lower, upper) displacement bounds at every node of ``graph``:
     at x - c forward and at c - x backward."""
-    lower, upper = graph._ball_bounds
+    lower, upper, _ = graph._displacement_tables
     index = np.array(np.unravel_index(np.arange(graph.node_count), graph.shape)).T
     delta = index - np.array(np.unravel_index(c, graph.shape))
     if direction == "backward":
@@ -1466,7 +1479,7 @@ class TestBoundedBalls:
             for direction in ("forward", "backward"):
                 got = gd.df_ball(matsumoto, c, r, direction)
                 _same_indices(got, _dijkstra_ball(matsumoto, c, r, direction))
-        assert matsumoto._ball_bounds[0].shape == (161, 161)
+        assert matsumoto._displacement_tables[0].shape == (161, 161)
 
     def test_the_bounds_decide_without_dijkstra(self, matsumoto, monkeypatch):
         import scipy.sparse.csgraph as csgraph
@@ -1497,9 +1510,9 @@ class TestBoundedBalls:
         calls = []
         real = csgraph.dijkstra
         monkeypatch.setattr(csgraph, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k))
+        adj = matsumoto.query if direction == "forward" else matsumoto.incoming
         for c, x in ((3321, 3500), (100, 6000), (5000, 5001)):
-            p, q = (c, x) if direction == "forward" else (x, c)
-            r = gd.separation(matsumoto, p, q).value
+            r = float(dijkstra(adj, directed=True, indices=c)[x])
             lower, upper = _bound_views(matsumoto, c, direction)
             assert lower[x] < r <= upper[x]
             calls.clear()
@@ -1534,7 +1547,7 @@ class TestBoundedBalls:
             offsets=offsets,
             weights=np.hypot(*offsets.T),
         )
-        assert gd._goal_directed(g) and g._ball_bounds[1][3, 4] == np.inf
+        assert gd._goal_directed(g) and g._displacement_tables[1][3, 4] == np.inf
         for c in range(g.node_count):
             for direction in ("forward", "backward"):
                 lower, upper = _bound_views(g, c, direction)
@@ -1552,7 +1565,7 @@ class TestBoundedBalls:
         for direction in ("forward", "backward"):
             for c in (0, g.node_count // 2):
                 _same_indices(gd.df_ball(g, c, 0.5, direction), _dijkstra_ball(g, c, 0.5, direction))
-        assert "_ball_bounds" not in g.__dict__ and "_fan" not in g.__dict__
+        assert "_displacement_tables" not in g.__dict__ and "_fan" not in g.__dict__
 
 
 class TestHandMadeGraph:
@@ -1950,7 +1963,9 @@ class TestEdgesInto:
 
 
 class TestNodeId:
-    """``SeparationGraph.node_id`` answers as ``grid_node_id`` does, index or error."""
+    """``SeparationGraph.node_id``, which reads a node off ``nodes``, answers
+    as ``grid_node_id``, which lays the grid out again, does: the same index,
+    or an error with the same path, constraint and message."""
 
     @pytest.mark.parametrize(
         "box, resolution",
@@ -1961,7 +1976,7 @@ class TestNodeId:
         g = gd.build_separation_graph(me.euclidean_metric(box[0].size), box, resolution, 1)
         h = (box[1] - box[0]) / (resolution - 1)
         rng = np.random.default_rng(31)
-        points = [g.nodes[i] for i in rng.integers(0, g.node_count, 20)]
+        points = list(g.nodes)
         points += [g.nodes[i] + h * rng.uniform(-0.6, 0.6, h.size) for i in rng.integers(0, g.node_count, 40)]
         points += [np.full(h.size, np.nan), box[0] - h, box[1] + h, np.full(h.size, np.inf), np.zeros(h.size + 1), 0.0]
         answers = set()
@@ -1971,7 +1986,7 @@ class TestNodeId:
             except InvalidArgument as exc:
                 with pytest.raises(InvalidArgument) as got:
                     g.node_id(point)
-                assert (got.value.path, got.value.constraint) == (exc.path, exc.constraint)
+                assert (got.value.path, got.value.constraint, str(got.value)) == (exc.path, exc.constraint, str(exc))
                 answers.add(exc.constraint)
             else:
                 assert g.node_id(point) == want

@@ -6,9 +6,10 @@ a predicate that keeps sample vectors whose profile ratios stay away from
 the profile endpoints, where the finite-difference oracle loses accuracy.
 Separation graphs on random position-independent trees are held to the
 triangle inequality, nested balls, the offset envelope, A*'s agreement with
-Dijkstra, reversal (the graph of v -> F(-v) is the transpose), the rounding
-bound of dropping ties from ``query`` and, on convex trees, the
-straight-line length.  Profile and curve jets are held bit for bit
+Dijkstra, the contract of separations read off the displacement tables of
+convex 2-D tables, reversal (the graph of v -> F(-v) is the transpose),
+the rounding bound of dropping ties from ``query`` and, on convex trees,
+the straight-line length.  Profile and curve jets are held bit for bit
 to the three callables each was built from before it became one call.
 Finite-difference tensors next to a cone's edge do not depend on the batch a
 row comes in, and value jets on stacks with repeated (stride-0) vectors equal
@@ -34,7 +35,7 @@ from finslerkit import minkowski as mk
 from finslerkit.errors import FinslerError, NonFiniteSample
 from finslerkit.numkernel import HESS_STEP, _hessian_stencil, eigen_classify
 
-from conftest import boxed, tie_excess_bound, unit_circle_curve
+from conftest import assert_sector_separation, boxed, tie_excess_bound, unit_circle_curve
 
 PROFILE_MARGIN = 0.15  # as the CLI oracle's default interior margin
 # The step-eps^(1/4) FD Hessian is good to about 1e-7 on these trees (worst
@@ -689,7 +690,7 @@ def test_ball_bounds_bracket_dijkstra_and_decide_its_balls(case, data):
         mp.setattr(gd, "ASTAR_MIN_EDGES", 0)
         mp.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
         assume(gd._goal_directed(graph))
-        lower, upper = graph._ball_bounds
+        lower, upper, _ = graph._displacement_tables
         index = np.array(np.unravel_index(np.arange(graph.node_count), graph.shape)).T
         outward = index - np.array(np.unravel_index(c, graph.shape))
         at_distance = data.draw(st.booleans())
@@ -704,6 +705,33 @@ def test_ball_bounds_bracket_dijkstra_and_decide_its_balls(case, data):
             want[c] = np.any(dist[row.indices] + row.data < r)
             got = gd.df_ball(graph, c, r, "forward" if sign == 1 else "backward")
             assert got.dtype == np.flatnonzero(want).dtype and np.array_equal(got, np.flatnonzero(want))
+
+
+@given(graphs(), st.data())
+def test_sector_separations_keep_their_contract(case, data):
+    """On a graph the size rules would send to A* once lowered, the
+    separation from a source p to every other node meets the contract of
+    the displacement tables against scipy's Dijkstra distance on ``query``:
+    ``query`` edges summed in path order to the value, inside the box of
+    the ends, D <= value <= D + (upper - lower) at q - p, and A*'s value
+    where no sector path exists.  Half the graphs keep a random part of
+    their table, whose sectors may lack a path."""
+    _, graph, reduce = case
+    if data.draw(st.booleans()):
+        part = np.array(data.draw(st.lists(st.booleans(), min_size=len(graph.offsets), max_size=len(graph.offsets))))
+        assume(part.any())
+        offsets = graph.offsets[part]
+        edges = gd._edge_count(offsets, graph.resolution)
+        graph = dataclasses.replace(graph, offsets=offsets, weights=graph.weights[part], edge_count=edges)
+    (p,) = data.draw(_nodes(graph, 1))
+    with _reduced(reduce), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gd, "ASTAR_MIN_EDGES", 0)
+        mp.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        assume(gd._goal_directed(graph))
+        dist = dijkstra(graph.query, directed=True, indices=p)
+        for q in range(graph.node_count):
+            if q != p:
+                assert_sector_separation(graph, p, q, gd.separation(graph, p, q), dist[q])
 
 
 def _tree_path(pred, p, x):
