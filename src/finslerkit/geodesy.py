@@ -30,23 +30,23 @@ adjacencies without the offsets that split into cheaper sign-consistent
 pairs (chamfer-mask dominance) or are k copies of a table offset, with
 distances within rounding of the full graph's and reach sets bit for
 bit, and read the edges into a node off the offset table instead of a
-transposed adjacency.  On a large such graph whose kept offsets all lie
-on their convex envelope, the envelope's gauge bounds every path's
-length from below, and in 2-D the cost of an explicit two-offset path,
-per displacement, bounds the distance from above.  A separation in 2-D
-returns that path, within the gap of the two bounds of Dijkstra's
-distance, and a ball is decided from the bounds, with Dijkstra only when
-a node falls between them; A* guided by the gauge answers the rest.
-scipy is imported where a graph first needs it, not by ``import
-finslerkit``: ``scipy.sparse`` by the first assembly, ``csgraph`` by the
-first query and ``scipy.spatial`` (qhull) by the first envelope.
+transposed adjacency.  On a large such 2-D graph whose kept offsets all
+lie on their convex envelope, as the chords of its angle-sorted sectors
+tell, those chords bound every path's length from below, and the cost of
+an explicit two-offset path, per displacement, bounds the distance from
+above.  A separation returns that path, within the gap of the two bounds
+of Dijkstra's distance, and a ball is decided from the bounds, with
+Dijkstra only when a node falls between them; Dijkstra answers every
+pair the bounds leave open.  scipy is imported where a graph first needs
+it, not by ``import finslerkit``: ``scipy.sparse`` by the first assembly
+and ``csgraph`` by the first search, so an answer read off the tables
+loads neither.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 import math
 import sys
 from dataclasses import dataclass, field
@@ -79,17 +79,16 @@ DOMINANCE_MARGIN = 1e-12  # a split must cost at most (1 - margin) F(o), a tie k
 # with no distance cap, and so does one whose dominated offsets carry fewer:
 # a reduced adjacency or a cap would cost more than one query spends on them.
 REDUCE_MIN_EDGES = 2**15
-# A separation between distinct nodes reads the displacement tables (2-D) or
-# runs A* under the offset envelope when ``query`` has at least
-# ASTAR_MIN_EDGES edges, the table keeps at least ASTAR_MIN_OFFSETS offsets
-# and every kept offset lies on the envelope.  On a
-# smaller graph one scipy Dijkstra call costs less than the search; on a
-# smaller table many lattice paths tie at the shortest length, and A*
-# expands every node on them.
-ASTAR_MIN_EDGES = 2**20
-ASTAR_MIN_OFFSETS = 64
-ENVELOPE_RTOL = 1e-9  # an offset lies on the envelope when w(o) <= (1 + rtol) H(o)
-ENVELOPE_MARGIN = 1e-12  # A* takes (1 - margin) H, which covers the rounding of a path's sum
+# A separation between distinct nodes and a ball of a 2-D graph read the
+# displacement tables when ``query`` has at least TABLE_MIN_EDGES edges, the
+# table keeps at least TABLE_MIN_OFFSETS offsets and its sector chords find
+# every kept offset on the envelope.  On a smaller graph one scipy Dijkstra
+# call costs less than building the tables, and every shipped configuration
+# stays below these sizes, so its answers are Dijkstra's.
+TABLE_MIN_EDGES = 2**20
+TABLE_MIN_OFFSETS = 64
+ENVELOPE_RTOL = 1e-9  # a table is convex when every sector chord f has f . o <= (1 + rtol) w(o)
+ENVELOPE_MARGIN = 1e-12  # the tables' lower bound takes (1 - margin) f . delta, which covers the rounding of a path's sum
 
 # The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
 # Table II.5.2).  Row 6 of _DP_A holds the 5th-order weights, so the 7th
@@ -469,68 +468,47 @@ def radial_minimality_test(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """The gauge H of conv({0} u {o / w(o)}) over a table of integer offsets
-    o with weights w(o) > 0, in lattice units.  H is sublinear and
-    H(o) <= w(o), so every path of table offsets from p to q costs at
-    least H(q - p).  Inside the cone the offsets span, H(x) is
-    max(0, max_k ``facets[k]`` . x); x is outside that cone, and H(x) = inf,
-    when ``cone[k]`` . x > 1e-9 |x| for some k: the rows of ``cone`` are the
-    outward normals of the hull's facets through 0.  ``convex`` holds when
-    every offset lies on the envelope, w(o) <= (1 + ``ENVELOPE_RTOL``) H(o)."""
-
-    facets: np.ndarray
-    cone: np.ndarray
-    convex: bool
-
-    def gauge(self, deltas) -> np.ndarray:
-        """H at lattice vectors (..., n)."""
-        d = np.asarray(deltas, dtype=float)
-        h = np.maximum((d @ self.facets.T).max(axis=-1), 0.0)
-        if len(self.cone):
-            outside = np.any(d @ self.cone.T > 1e-9 * np.linalg.norm(d, axis=-1)[..., None], axis=-1)
-            h = np.where(outside, np.inf, h)
-        return h
-
-
-def _envelope(offsets: np.ndarray, weights: np.ndarray) -> Optional[Envelope]:
-    """The :class:`Envelope` of the offsets (K, n) and weights (K,), by
-    qhull; None for n < 2, a weight that is not positive, or offsets that
-    span fewer than n dimensions, which qhull cannot hull.  The facets are
-    scaled down by max(1, max H(o) / w(o)), so qhull's rounding never puts
-    H above a weight."""
-    n = offsets.shape[1]
-    if n < 2 or not np.all(weights > 0.0) or np.linalg.matrix_rank(offsets) < n:
-        return None
-    from scipy.spatial import ConvexHull  # ~90 ms of imports after csgraph, paid by the first graph that needs a hull
-
-    points = offsets / weights[:, None]
-    equations = ConvexHull(np.vstack([np.zeros(n), points])).equations  # unit outward normal, offset
-    normals, dist = equations[:, :-1], -equations[:, -1]  # facet k: normals[k] . x <= dist[k]
-    at_zero = dist <= 1e-12 * np.linalg.norm(points, axis=1).max()
-    env = Envelope(normals[~at_zero] / dist[~at_zero, None], normals[at_zero], False)
-    ratio = env.gauge(offsets) / weights
-    return Envelope(
-        env.facets / max(1.0, ratio.max()), env.cone, bool(np.all(1.0 <= (1.0 + ENVELOPE_RTOL) * ratio))
-    )
+def _sector_chords(fan: np.ndarray, fan_weights: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> tuple:
+    """(facets, convex) of a 2-D table.  Angle neighbours o = fan[k] and
+    o' = fan[(k + 1) % K] of the ``fan`` (K, 2), with det(o, o') > 0, bound
+    sector k, and its chord f_k solves f . o = w(o) and f . o' = w(o'):
+    the line through o / w(o) and o' / w(o') in lattice units; ``facets[k]``
+    is f_k / s, and 0 where k is no sector.  s = max(1, max f_k . o / w(o))
+    over the offsets (K', 2), copies included, with their weights, so every
+    facet has f . o <= w(o) on each of them, and a path of these offsets
+    from p to q costs at least f . (q - p) whether or not the table is
+    convex.  ``convex`` holds when every weight is positive, some sector
+    exists and s <= 1 + ``ENVELOPE_RTOL``.  Then every fan offset lies on
+    the envelope conv({0} u {o / w(o)}) to that tolerance, w(o) <= s H(o),
+    H its gauge: the envelope lies inside the chords' half-planes scaled
+    by s, and each fan offset lies on the chords of its own sectors.  When
+    every offset lies on the envelope, the chords are its edges and s = 1
+    up to rounding."""
+    nxt, w_nxt = np.roll(fan, -1, axis=0), np.roll(fan_weights, -1)
+    area = fan[:, 0] * nxt[:, 1] - fan[:, 1] * nxt[:, 0]
+    inside = area > 0
+    facets = np.zeros(fan.shape)
+    facets[inside, 0] = (fan_weights * nxt[:, 1] - w_nxt * fan[:, 1])[inside] / area[inside]
+    facets[inside, 1] = (w_nxt * fan[:, 0] - fan_weights * nxt[:, 0])[inside] / area[inside]
+    s = float(((offsets @ facets[inside].T) / weights[:, None]).max(initial=1.0))
+    convex = bool(np.all(weights > 0.0) and inside.any() and s <= 1.0 + ENVELOPE_RTOL)
+    return facets / s, convex
 
 
-def _displacement_bounds(offsets: np.ndarray, weights: np.ndarray, env: Envelope, resolution: int) -> tuple:
+def _displacement_bounds(offsets: np.ndarray, weights: np.ndarray, facets: np.ndarray, resolution: int) -> tuple:
     """(lower, upper, sector), each (2 res - 1, 2 res - 1): bounds on the
     ``query`` distance from node p to node p + delta of a 2-D graph, at
     [delta_0 + res - 1, delta_1 + res - 1], from the offsets (K, 2) of its
     rays sorted by angle (``SeparationGraph._fan``), their weights w and
-    the ``env`` of its kept offsets, and the index k of the sector whose
-    path gives a finite upper bound, o = offsets[k] and o' = offsets[(k +
-    1) % K], or -1 where upper is inf.
+    the chord ``facets`` of their sectors (:func:`_sector_chords`), and the
+    index k of the sector whose path gives a finite upper bound, o =
+    offsets[k] and o' = offsets[(k + 1) % K], or -1 where upper is inf.
 
     Angle neighbours o, o' with det(o, o') > 0 bound a sector, which holds
     delta when det(o, delta) >= 0 and det(delta, o') >= 0; a delta in no
     sector lies outside the offset cone, and both its bounds are inf.  In a
     sector, lower = (1 - ``ENVELOPE_MARGIN``) max(0, f . delta), f the
-    ``env`` facet largest on the sector's bisector.  Every facet gives
-    f . delta <= H(delta), so this is at most the bound A* takes.  upper is
+    sector's chord facet, which no path of kept offsets undercuts.  upper is
     inf unless det(o, o') = 1 and no component of o and o' has opposite
     signs.  Then delta = a o + b o' with integers a, b >= 0, and a steps o
     followed by b steps o' form a ``query`` path inside the box of its
@@ -543,11 +521,6 @@ def _displacement_bounds(offsets: np.ndarray, weights: np.ndarray, env: Envelope
     angle rounds."""
     nxt, w_nxt = np.roll(offsets, -1, axis=0), np.roll(weights, -1)
     area = offsets[:, 0] * nxt[:, 1] - offsets[:, 1] * nxt[:, 0]
-    sectors = np.flatnonzero(area > 0)
-    bisectors = offsets[sectors] / np.hypot(*offsets[sectors].T)[:, None]
-    bisectors += nxt[sectors] / np.hypot(*nxt[sectors].T)[:, None]
-    facets = np.zeros(offsets.shape)  # f of each sector
-    facets[sectors] = env.facets[np.argmax(bisectors @ env.facets.T, axis=1)]
     paths = (area == 1) & np.all(offsets * nxt >= 0, axis=1)
 
     def bounds(k, x, y):
@@ -590,12 +563,13 @@ class SeparationGraph:
     graph ``offsets`` and ``weights`` are ``None``, ``stored_matrix`` holds
     ``matrix``, the queries run on it and :meth:`edges_into` scans one of
     its columns.  Only a backward ball that its bounds do not decide builds
-    the transpose ``incoming``, and only a large graph's separation or ball
-    builds the ``envelope`` of the kept offsets.  A separation or a ball on
-    a large convex 2-D table also builds ``_displacement_tables``, bounds on
-    the ``query`` distance of every displacement and the sector of its
-    lattice path (:func:`_displacement_bounds`), 3 (2 res - 1)^2 numbers; a
-    separation reads them at q - p, a ball as views at its centre.
+    the transpose ``incoming``, and only a large 2-D graph's separation or
+    ball builds the ``_chords`` of its kept offsets' sectors, which tell
+    whether the table is convex.  A separation or a ball on a large convex
+    2-D table also builds ``_displacement_tables``, bounds on the ``query``
+    distance of every displacement and the sector of its lattice path
+    (:func:`_displacement_bounds`), 3 (2 res - 1)^2 numbers; a separation
+    reads them at q - p, a ball as views at its centre.
     """
 
     box_lo: np.ndarray
@@ -667,10 +641,17 @@ class SeparationGraph:
         return self.offsets[keep][order], self.weights[keep][order]
 
     @functools.cached_property
+    def _chords(self) -> tuple:
+        """(facets, convex) of :func:`_sector_chords` over the ``_fan`` and
+        the kept ``query`` offsets of a 2-D table, built on first use."""
+        keep = self._query_keep
+        return _sector_chords(*self._fan, self.offsets[keep], self.weights[keep])
+
+    @functools.cached_property
     def _displacement_tables(self) -> tuple:
         """(lower, upper, sector) of :func:`_displacement_bounds` over the
-        ``_fan`` and the ``envelope``, built on first use."""
-        return _displacement_bounds(*self._fan, self.envelope, self.resolution)
+        ``_fan`` and its ``_chords``, built on first use."""
+        return _displacement_bounds(*self._fan, self._chords[0], self.resolution)
 
     def _table_adjacency(self, offsets: np.ndarray, weights: np.ndarray) -> csr_matrix:
         strides = self.resolution ** np.arange(len(self.shape) - 1, -1, -1)
@@ -723,14 +704,6 @@ class SeparationGraph:
         sources = np.array(np.unravel_index(i, self.shape)) - offsets
         ok = np.all((sources >= 0) & (sources < self.resolution), axis=1)
         return np.ravel_multi_index(sources[ok].T, self.shape), self.weights[keep][::-1][ok]
-
-    @functools.cached_property
-    def envelope(self) -> Optional[Envelope]:
-        """The :class:`Envelope` of the kept ``query`` offsets, built on first
-        use; None without an offset table and where :func:`_envelope` gives
-        none."""
-        keep = self._query_keep
-        return None if keep is None else _envelope(self.offsets[keep], self.weights[keep])
 
     @functools.cached_property
     def _spacing(self) -> np.ndarray:
@@ -1169,25 +1142,26 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
     return bound
 
 
-def _goal_directed(graph: SeparationGraph) -> bool:
+def _reads_tables(graph: SeparationGraph) -> bool:
     """Whether a separation between distinct nodes and a ball read the
-    displacement tables first on a 2-D graph, and a separation that they
-    leave open runs :func:`_astar`: on a graph with an offset table of at
-    least ``ASTAR_MIN_OFFSETS`` kept offsets, all on the envelope, whose
-    ``query`` has at least ``ASTAR_MIN_EDGES`` edges, counted off the table
-    without assembling ``query``.  The size rules are checked first, so a
-    smaller graph builds no envelope and imports no qhull."""
+    displacement tables first: on a 2-D graph with an offset table of at
+    least ``TABLE_MIN_OFFSETS`` kept offsets, whose ``query`` has at least
+    ``TABLE_MIN_EDGES`` edges, counted off the table without assembling
+    ``query``, and whose sector ``_chords`` find the table convex.  The
+    size rules are checked first, so a smaller graph builds no chords."""
     keep = graph._query_keep
-    if keep is None or np.count_nonzero(keep) < ASTAR_MIN_OFFSETS:
+    if keep is None or len(graph.shape) != 2 or not keep.any():
         return False
-    if _edge_count(graph.offsets[keep], graph.resolution) < ASTAR_MIN_EDGES:
+    if np.count_nonzero(keep) < TABLE_MIN_OFFSETS:
         return False
-    return graph.envelope is not None and graph.envelope.convex
+    if _edge_count(graph.offsets[keep], graph.resolution) < TABLE_MIN_EDGES:
+        return False
+    return graph._chords[1]
 
 
 def _sector_path(graph: SeparationGraph, ip: int, iq: int) -> Optional[tuple]:
     """(value, path) of the separation from node ip to node iq != ip of a
-    2-D graph that :func:`_goal_directed` admits, read off the
+    2-D graph that :func:`_reads_tables` admits, read off the
     ``_displacement_tables`` at delta = q - p, or None when they leave it
     open.  In a sector (o, o') with a finite upper bound, delta = a o + b o'
     with a = det(delta, o') and b = det(o, delta), and the path is p, a
@@ -1217,48 +1191,6 @@ def _sector_path(graph: SeparationGraph, ip: int, iq: int) -> Optional[tuple]:
     return value, np.ravel_multi_index(nodes[::-1].T, graph.shape).tolist()
 
 
-def _astar(graph: SeparationGraph, ip: int, iq: int, limit: float) -> tuple:
-    """(distance, predecessors) of the A* search from node ip to node iq on
-    ``graph.query``; inf when iq lies outside the offset cone from ip or no
-    path costs at most ``limit``.  A node's priority is g + (1 -
-    ``ENVELOPE_MARGIN``) H(iq - x), with H evaluated only on the nodes a
-    relaxation improves.  H is consistent and the margin covers the rounding
-    of a path's sum, so iq leaves the frontier at the distance Dijkstra
-    gives; an entry whose node has since improved is skipped, and a node
-    that improves after its expansion is expanded again."""
-    adj, env = graph.query, graph.envelope
-    target = np.array(np.unravel_index(iq, graph.shape))
-    scale = 1.0 - ENVELOPE_MARGIN
-    limit = min(limit, sys.float_info.max)  # a node outside the cone (H = inf) is never queued
-    g = np.full(graph.node_count, np.inf)
-    pred = np.full(graph.node_count, -1)
-    h = np.full(graph.node_count, np.nan)
-    if not scale * env.gauge(target - np.array(np.unravel_index(ip, graph.shape))) <= limit:
-        return np.inf, pred
-    g[ip] = 0.0
-    frontier = [(0.0, 0.0, ip)]
-    while frontier:
-        _, gu, u = heapq.heappop(frontier)
-        if gu > g[u]:
-            continue
-        if u == iq:
-            return gu, pred
-        cols, w = _row(adj, u)
-        cand = gu + w
-        better = cand < g[cols]
-        cols, cand = cols[better], cand[better]
-        new = cols[np.isnan(h[cols])]
-        h[new] = scale * env.gauge(target - np.stack(np.unravel_index(new, graph.shape), axis=-1))
-        f = cand + h[cols]
-        keep = f <= limit
-        cols, cand, f = cols[keep], cand[keep], f[keep]
-        g[cols] = cand
-        pred[cols] = u
-        for entry in zip(f.tolist(), cand.tolist(), cols.tolist()):
-            heapq.heappush(frontier, entry)
-    return np.inf, pred
-
-
 def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     """Shortest admissible-path length from p to q on the graph.
 
@@ -1272,35 +1204,23 @@ def separation(graph: SeparationGraph, p, q) -> SeparationResult:
     there, and every step of the witness path is a ``query`` edge, whose
     weights summed in path order give the value bit for bit.
 
-    On a position-independent graph with at least ``ASTAR_MIN_EDGES``
-    ``query`` edges and ``ASTAR_MIN_OFFSETS`` kept offsets, all on the
-    ``graph.envelope`` (w(o) <= (1 + ``ENVELOPE_RTOL``) H(o), H the gauge of
-    conv({0} u {o / w(o)}) over the kept offsets o in lattice units), a pair
-    of distinct nodes is answered without Dijkstra.  In 2-D it is read off
-    the displacement tables (:func:`_sector_path`): the witness is the
-    lattice path of a steps o then b steps o' of q - p's sector, its value
-    those weights summed in path order, so D <= value <= D + (upper -
-    lower) at q - p, D Dijkstra's distance; on the Matsumoto, Euclidean and
-    Randers tables at R 10 upper - lower is about 1e-12 relative.  A q - p
-    outside the offset cone is unreachable.  In 3-D, and in 2-D where no
-    sector path exists, A* searches, with the same :func:`_path_bound` as
-    cutoff and H as heuristic: H is sublinear and H(o) <= w(o), so d(p, q)
-    >= H(q - p), and it gives Dijkstra's distance bit for bit; a
-    predecessor may differ only on an exact tie.  Where H is loose, as on
-    the Lorentz cone, or n = 1 or the offsets span fewer than n dimensions,
-    Dijkstra runs.  Building the envelope imports ``scipy.spatial`` (qhull)
-    on first use."""
-    from scipy.sparse.csgraph import dijkstra
-
+    On a 2-D position-independent graph with at least ``TABLE_MIN_EDGES``
+    ``query`` edges and ``TABLE_MIN_OFFSETS`` kept offsets, all on their
+    envelope as the sector chords tell (:func:`_sector_chords`), a pair of
+    distinct nodes is read off the displacement tables
+    (:func:`_sector_path`): the witness is the lattice path of a steps o
+    then b steps o' of q - p's sector, its value those weights summed in
+    path order, so D <= value <= D + (upper - lower) at q - p, D Dijkstra's
+    distance; on the Matsumoto, Euclidean and Randers tables at R 10
+    upper - lower is about 1e-12 relative.  A q - p outside the offset cone
+    is unreachable.  Where no sector path exists, Dijkstra runs as above."""
     ip, iq = _as_node(graph, p), _as_node(graph, q, "q")
-    if ip != iq and _goal_directed(graph):
-        found = _sector_path(graph, ip, iq) if len(graph.shape) == 2 else None
-        if found is not None:
-            val, path = found
-        else:
-            val, pred = _astar(graph, ip, iq, _path_bound(graph, ip, iq))
-            path = [iq]
+    found = _sector_path(graph, ip, iq) if ip != iq and _reads_tables(graph) else None
+    if found is not None:
+        val, path = found
     else:
+        from scipy.sparse.csgraph import dijkstra
+
         small = graph.edge_count < REDUCE_MIN_EDGES
         limit = np.inf if ip == iq or small else _path_bound(graph, ip, iq)
         dist, pred = dijkstra(graph.query, directed=True, indices=ip, return_predecessors=True, limit=limit)
@@ -1368,7 +1288,7 @@ def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> 
     :meth:`SeparationGraph.edges_into` p forward, and row p of
     ``graph.query`` backward.
 
-    On a 2-D graph that :func:`_goal_directed` admits, the ball is first
+    On a 2-D graph that :func:`_reads_tables` admits, the ball is first
     decided from the graph's displacement bounds
     (:func:`_displacement_bounds`, built once on first use): a node is in
     when its upper bound is below r and out when its lower bound is at
@@ -1382,7 +1302,7 @@ def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> 
     forward = direction == "forward"
     # the edges into p of the reversed graph are the edges out of p
     into = graph.edges_into(ip) if forward else _row(graph.query, ip)
-    if len(graph.shape) == 2 and _goal_directed(graph):
+    if _reads_tables(graph):
         ball = _bounded_ball(graph, ip, r, forward, *into)
         if ball is not None:
             return ball

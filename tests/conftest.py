@@ -49,13 +49,13 @@ def tie_excess_bound(graph, path) -> float:
 
 def assert_sector_separation(graph, p, q, got, want) -> None:
     """``got``, the separation from node p to node q != p of a 2-D graph
-    that ``geodesy._goal_directed`` admits, keeps the contract of the
+    that ``geodesy._reads_tables`` admits, keeps the contract of the
     displacement tables against ``want``, scipy's Dijkstra distance on
     ``query``: the witness path joins p to q, every step of it is a
     ``query`` edge, and its weights summed in path order from 0.0 give the
     value bit for bit.  A sector path stays inside the box of its ends, and
     want <= value <= want + (upper - lower) at q - p.  Where the tables hold
-    no sector path, A* answers, and the value is ``want`` bit for bit."""
+    no sector path, Dijkstra answers, and the value is ``want`` bit for bit."""
     lower, upper, sector = graph._displacement_tables
     at = tuple(np.subtract(np.unravel_index(q, graph.shape), np.unravel_index(p, graph.shape)) + graph.resolution - 1)
     if not np.isfinite(want):

@@ -1360,6 +1360,24 @@ def loaded():
 
 steps = [["import", 0, loaded()]]
 configs, out = sys.argv[1:]
+# a ball and a separation that read the displacement tables of a small convex 2-D table
+import finslerkit.geodesy as gd
+rules = gd.TABLE_MIN_EDGES, gd.TABLE_MIN_OFFSETS
+gd.TABLE_MIN_EDGES = gd.TABLE_MIN_OFFSETS = 0
+read = []
+for name in ("_bounded_ball", "_sector_path"):
+    setattr(gd, name, lambda *a, real=getattr(gd, name), name=name: read.append(name) or real(*a))
+grid = {"box": [[-1, -1], [1, 1]], "resolution": 9, "neighbor_radius": 3}
+table = {"metric": {"type": "named", "family": "matsumoto", "q": 1.0, "b": 0.5},
+         "run": {"ball": dict(grid, center=[0.0, 0.0], radius=0.7, direction="forward"),
+                 "separation": dict(grid, source=[-0.5, -0.5], target=[0.5, 0.25])}}
+with open(out + ".json", "w") as f:
+    json.dump(table, f)
+for command in ("ball", "separation"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", out + ".json", "--out", out])
+    steps.append([command + " on the tables", code, loaded()])
+gd.TABLE_MIN_EDGES, gd.TABLE_MIN_OFFSETS = rules
 for command, config in [("eval", "euclidean"), ("scan", "kropina"), ("oracle", "kropina"),
                         ("indicatrix", "spiral_ex213"), ("geodesic", "randers_posdep"), ("separation", "euclidean")]:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1367,7 +1385,7 @@ for command, config in [("eval", "euclidean"), ("scan", "kropina"), ("oracle", "
     steps.append([command, code, loaded()])
 fan = unit_directions(4, 8)
 steps.append(["unit_directions", 0, loaded()])
-print(json.dumps({"steps": steps, "fan": fan.tolist()}))
+print(json.dumps({"steps": steps, "fan": fan.tolist(), "read": sorted(set(read))}))
 """
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -1376,8 +1394,10 @@ print(json.dumps({"steps": steps, "fan": fan.tolist()}))
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout)
         steps = {name: (code, set(mods)) for name, code, mods in report["steps"]}
-        for name in ("import", "eval", "scan", "oracle", "indicatrix", "geodesic"):
+        names = ("import", "ball on the tables", "separation on the tables", "eval", "scan", "oracle", "indicatrix")
+        for name in names + ("geodesic",):
             assert steps[name] == (0, set()), name
+        assert report["read"] == ["_bounded_ball", "_sector_path"]
         code, mods = steps["separation"]
         assert code == 0 and "scipy.sparse.csgraph" in mods and "scipy.special" not in mods
         assert "scipy.special" in steps["unit_directions"][1]

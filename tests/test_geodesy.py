@@ -1215,15 +1215,12 @@ def _matches_ball(graph, ref, p, r, direction, got):
 
 def _path_bound_admits(graph, p, q):
     """A finite :func:`gd._path_bound` is at least scipy's Dijkstra distance
-    on ``query``, and A* with it as cutoff reaches q at that distance where
-    the graph has an envelope."""
+    on ``query``."""
     bound = gd._path_bound(graph, p, q)
     if not np.isfinite(bound):
         return False
     value = dijkstra(graph.query, directed=True, indices=p, limit=bound)[q]  # a node at the limit is kept
     assert bound >= value
-    if graph.envelope is not None:
-        assert gd._astar(graph, p, q, bound)[0] == value
     return True
 
 
@@ -1323,20 +1320,23 @@ class TestGraphQueriesMatchReference:
                 _matches_ball(graph, ref, p, r, direction, gd.df_ball(graph, p, r, direction))
 
     def test_goal_directed_separation(self, graph, ref, request, monkeypatch):
-        """With the size thresholds lifted, exactly the graphs whose kept offsets
-        all lie on the envelope search by A*: Matsumoto and the one-sided
-        Kropina.  The two-sided Kropina (phi = |s|^-q on both half-lines) and
-        Lorentz fail that rule; the 1-D table and the two collinear offsets
-        of the wide Lorentz graph span too few dimensions for a hull.  A*
-        gives the reference's value and witness path bit for bit, with or
-        without the lattice-path cutoff; ``separation`` keeps the contract
-        of the displacement tables against the reference's value."""
-        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
-        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        """With the size thresholds lifted, exactly the 2-D graphs whose kept
+        offsets all lie on the envelope read the displacement tables:
+        Matsumoto and the one-sided Kropina.  The two-sided Kropina (phi =
+        |s|^-q on both half-lines) and Lorentz fail that rule, the two
+        collinear offsets of the wide Lorentz graph bound no sector, and the
+        1-D and 3-D tables are not 2-D.  ``separation`` keeps the contract of
+        the displacement tables against the reference's value."""
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 0)
         fixture = request.node.callspec.id
-        assert gd._goal_directed(graph) == (fixture in ("matsumoto", "kropina_one_sided"))
-        assert (graph.envelope is None) == (fixture in ("halfline_1d", "lorentz_ex36_wide"))
-        if not gd._goal_directed(graph):
+        assert gd._reads_tables(graph) == (fixture in ("matsumoto", "kropina_one_sided"))
+        if len(graph.shape) != 2:
+            assert "_chords" not in graph.__dict__
+            return
+        facets, convex = graph._chords
+        assert convex == gd._reads_tables(graph) and facets.any() == (fixture != "lorentz_ex36_wide")
+        if not convex:
             return
         rng = np.random.default_rng(7)
         for p, q in rng.integers(graph.node_count, size=(150, 2)).tolist():
@@ -1344,14 +1344,6 @@ class TestGraphQueriesMatchReference:
                 continue
             want = _ref_separation(ref, p, q)
             assert_sector_separation(graph, p, q, gd.separation(graph, p, q), want.value)
-            for limit in (gd._path_bound(graph, p, q), np.inf):
-                value, pred = gd._astar(graph, p, q, limit)
-                assert value == want.value
-                if np.isfinite(value):
-                    path = [q]
-                    while path[-1] != p:
-                        path.append(int(pred[path[-1]]))
-                    assert graph.nodes[path[::-1]].tobytes() == want.witness_path.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -1362,14 +1354,14 @@ def matsumoto():
 
 
 class TestGoalDirectedSeparation:
-    """Separations read off the displacement tables, and A* under the offset
-    envelope, where the size rules choose them."""
+    """Separations read off the displacement tables where the size rules and
+    the sector chords choose them, and Dijkstra on every pair they leave open."""
 
     def test_matsumoto_res81_r10_matches_dijkstra(self, matsumoto):
         # the 256 offsets of 440 that are no multiple of another stay, all on
         # the envelope: 1.48 M query edges of the 2.52 M the graph counts
-        assert np.count_nonzero(matsumoto._query_keep) == 256 and gd._goal_directed(matsumoto)
-        assert matsumoto.query.nnz == 1475344 >= gd.ASTAR_MIN_EDGES and matsumoto.edge_count == 2524720
+        assert np.count_nonzero(matsumoto._query_keep) == 256 and gd._reads_tables(matsumoto)
+        assert matsumoto.query.nnz == 1475344 >= gd.TABLE_MIN_EDGES and matsumoto.edge_count == 2524720
         # 300 seeded pairs, 10 targets from each of 30 sources, against scipy's Dijkstra on query
         rng = np.random.default_rng(3)
         sources = rng.choice(matsumoto.node_count, size=30, replace=False)
@@ -1378,11 +1370,13 @@ class TestGoalDirectedSeparation:
                 assert_sector_separation(matsumoto, p, q, gd.separation(matsumoto, p, q), dist[q])
 
     def test_sector_paths_answer_without_a_search(self, matsumoto, monkeypatch):
-        # every displacement of this table has a sector path, so no pair reaches A*
-        def fail(*args):
-            raise AssertionError("a separation on the Matsumoto table runs A*")
+        # every displacement of this table has a sector path, so no pair reaches Dijkstra
+        import scipy.sparse.csgraph as csgraph
 
-        monkeypatch.setattr(gd, "_astar", fail)
+        def fail(*args, **kwargs):
+            raise AssertionError("a separation on the Matsumoto table runs Dijkstra")
+
+        monkeypatch.setattr(csgraph, "dijkstra", fail)
         assert np.all(matsumoto._displacement_tables[2] >= 0)
         rng = np.random.default_rng(17)
         pairs = [tuple(int(k) for k in rng.choice(matsumoto.node_count, size=2, replace=False)) for _ in range(100)]
@@ -1403,43 +1397,92 @@ class TestGoalDirectedSeparation:
 
         c, r = 3321, 0.5
         monkeypatch.setattr(gd, "_bounded_ball", fail)
-        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", matsumoto.query.nnz + 1)
-        assert not gd._goal_directed(matsumoto)
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", matsumoto.query.nnz + 1)
+        assert not gd._reads_tables(matsumoto)
         _same_indices(gd.df_ball(matsumoto, c, r), _dijkstra_ball(matsumoto, c, r, "forward"))
-        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
-        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 441)
-        assert not gd._goal_directed(matsumoto)
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 441)
+        assert not gd._reads_tables(matsumoto)
         _same_indices(gd.df_ball(matsumoto, c, r, "backward"), _dijkstra_ball(matsumoto, c, r, "backward"))
 
     def test_target_outside_the_cone_or_past_the_cutoff_is_unreachable(self, monkeypatch):
-        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
-        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 0)
         tree = {"type": "phi", "form": {"coeffs": [0.5, 0.0]}, "profile": KROPINA_ONE_SIDED}
         metric = build_metric(parse_config(json.dumps({"metric": tree}))[0]).metric
         graph = gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 9, 2)
-        assert gd._goal_directed(graph) and len(graph.envelope.cone) == 2
+        assert gd._reads_tables(graph)
         p, q = graph.node_id([0.0, 0.0]), graph.node_id([-0.5, 0.0], "q")  # beta(q - p) < 0
-        assert graph.envelope.gauge(np.subtract(*[np.unravel_index(i, graph.shape) for i in (q, p)])) == np.inf
+        lower, upper, _ = graph._displacement_tables
+        at = tuple(np.subtract(np.unravel_index(q, graph.shape), np.unravel_index(p, graph.shape)) + graph.resolution - 1)
+        assert lower[at] == upper[at] == np.inf
         out = gd.separation(graph, p, q)
         assert out.value == np.inf and not out.reachable and out.witness_path.shape == (0, 2)
         r = graph.node_id([0.5, 0.25], "q")
         d = dijkstra(graph.query, directed=True, indices=p)[r]
-        assert np.isfinite(d) and gd._astar(graph, p, r, d)[0] == d
-        assert gd._astar(graph, p, r, d * (1.0 - 1e-9))[0] == np.inf
+        assert np.isfinite(d)
+        assert_sector_separation(graph, p, r, gd.separation(graph, p, r), d)
+
+    @pytest.mark.parametrize("name", ["kropina_3d", "axis_sector"])
+    def test_dijkstra_answers_what_the_tables_leave_open(self, name, monkeypatch):
+        """With the size rules lowered, a pair of distinct nodes that the
+        tables leave open gets scipy's Dijkstra distance on ``query`` bit for
+        bit, and its witness steps are ``query`` edges whose weights sum to it
+        in path order: every pair from 6 sources of the 3-D Kropina table,
+        which reads no tables, and every pair of the 4 x 4 graph whose
+        displacement has no sector path."""
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 0)
+        if name == "kropina_3d":
+            graph = _config_graph(*TABLE_GRAPHS[name])
+            sources = np.random.default_rng(23).choice(graph.node_count, size=6, replace=False).tolist()
+            assert not gd._reads_tables(graph)
+            left_open = lambda delta: True  # noqa: E731
+        else:
+            graph, sources = _axis_sector_graph(), range(16)
+            assert gd._reads_tables(graph)
+            sector = graph._displacement_tables[2]
+            left_open = lambda delta: sector[tuple(delta + graph.resolution - 1)] < 0  # noqa: E731
+        keep = graph._query_keep
+        weight = dict(zip(map(tuple, graph.offsets[keep].tolist()), graph.weights[keep].tolist()))
+        lattice = np.array(np.unravel_index(np.arange(graph.node_count), graph.shape)).T
+        checked = 0
+        for p in sources:
+            dist = dijkstra(graph.query, directed=True, indices=p)
+            for q in range(graph.node_count):
+                if q == p or not left_open(lattice[q] - lattice[p]):
+                    continue
+                got = gd.separation(graph, p, q)
+                assert got.value == dist[q]
+                checked += 1
+                if not got.reachable:
+                    continue
+                path = [graph.node_id(x) for x in got.witness_path]
+                assert path[0] == p and path[-1] == q
+                total = 0.0
+                for step in np.diff(lattice[path], axis=0).tolist():
+                    total += weight[tuple(step)]  # KeyError at a step that is no query edge
+                assert total == got.value
+        assert checked == 6 * 511 if name == "kropina_3d" else checked > 0
 
     def test_position_dependent_and_loops_keep_dijkstra(self, randers_posdep, monkeypatch):
-        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
-        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        import scipy.sparse.csgraph as csgraph
+
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 0)
         graph = gd.build_separation_graph(randers_posdep, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 7, 2)
-        assert graph.envelope is None and not gd._goal_directed(graph)
+        assert not gd._reads_tables(graph) and "_chords" not in graph.__dict__
 
         def fail(*args):
-            raise AssertionError("a loop runs Dijkstra")
+            raise AssertionError("a loop reads the displacement tables")
 
+        calls = []
+        real = csgraph.dijkstra
+        monkeypatch.setattr(csgraph, "dijkstra", lambda *a, **k: calls.append(1) or real(*a, **k))
         metric = build_metric(parse_config(json.dumps({"metric": MATSUMOTO_TREE}))[0]).metric
         small = gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 9, 3)
-        monkeypatch.setattr(gd, "_astar", fail)
-        assert np.isfinite(gd.separation(small, 4, 4).value)
+        monkeypatch.setattr(gd, "_sector_path", fail)
+        assert gd._reads_tables(small) and np.isfinite(gd.separation(small, 4, 4).value) and calls
 
 
 def _dijkstra_ball(graph, c, r, direction):
@@ -1452,6 +1495,27 @@ def _dijkstra_ball(graph, c, r, direction):
     mask = dist < r
     mask[c] = np.any(dist[closing.indices] + closing.data < r)
     return np.flatnonzero(mask)
+
+
+def _axis_sector_graph():
+    """A 4 x 4 graph of the offsets (-1, -1), (-1, 3) and (1, -2) with
+    Euclidean weights, all on the envelope.  (1, -2) and (-1, 3) are angle
+    neighbours with det 1, but their y components have opposite signs: a
+    path of them leaves the box of its ends, and no step order joins x to
+    x + (0, 1)."""
+    offsets = np.array([[-1, -1], [-1, 3], [1, -2]])
+    mesh = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
+    return gd.SeparationGraph(
+        box_lo=np.zeros(2),
+        box_hi=np.full(2, 3.0),
+        resolution=4,
+        neighbor_radius=3,
+        shape=(4, 4),
+        nodes=np.stack([m.ravel() for m in mesh], axis=-1),
+        edge_count=gd._edge_count(offsets, 4),
+        offsets=offsets,
+        weights=np.hypot(*offsets.T),
+    )
 
 
 def _bound_views(graph, c, direction):
@@ -1529,25 +1593,10 @@ class TestBoundedBalls:
                     assert got.size == (matsumoto.node_count if r == np.inf else 0)
 
     def test_a_sector_across_an_axis_has_no_upper_bound(self, monkeypatch):
-        # (1, -2) and (-1, 3) are angle neighbours with det 1, but their y
-        # components have opposite signs: a path of them leaves the box of its
-        # ends, and on a 4 x 4 grid no step order joins x to x + (0, 1)
-        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
-        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
-        offsets = np.array([[-1, -1], [-1, 3], [1, -2]])  # Euclidean weights: all on the envelope
-        mesh = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
-        g = gd.SeparationGraph(
-            box_lo=np.zeros(2),
-            box_hi=np.full(2, 3.0),
-            resolution=4,
-            neighbor_radius=3,
-            shape=(4, 4),
-            nodes=np.stack([m.ravel() for m in mesh], axis=-1),
-            edge_count=gd._edge_count(offsets, 4),
-            offsets=offsets,
-            weights=np.hypot(*offsets.T),
-        )
-        assert gd._goal_directed(g) and g._displacement_tables[1][3, 4] == np.inf
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 0)
+        g = _axis_sector_graph()
+        assert gd._reads_tables(g) and g._displacement_tables[1][3, 4] == np.inf
         for c in range(g.node_count):
             for direction in ("forward", "backward"):
                 lower, upper = _bound_views(g, c, direction)
@@ -1559,13 +1608,14 @@ class TestBoundedBalls:
     @pytest.mark.parametrize("name", ["lorentz_ex36_res81", "kropina_3d", "halfline_1d"])
     def test_other_graphs_build_no_bounds(self, name, monkeypatch):
         # off the envelope, in 3-D or in 1-D a ball runs Dijkstra, whatever the size rules
-        monkeypatch.setattr(gd, "ASTAR_MIN_EDGES", 0)
-        monkeypatch.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 0)
         g = _config_graph(*TABLE_GRAPHS[name])
         for direction in ("forward", "backward"):
             for c in (0, g.node_count // 2):
                 _same_indices(gd.df_ball(g, c, 0.5, direction), _dijkstra_ball(g, c, 0.5, direction))
-        assert "_displacement_tables" not in g.__dict__ and "_fan" not in g.__dict__
+        # the Lorentz table's chords find it off the envelope; the others have no chords
+        assert "_displacement_tables" not in g.__dict__ and ("_chords" in g.__dict__) == (name == "lorentz_ex36_res81")
 
 
 class TestHandMadeGraph:

@@ -5,11 +5,11 @@ reversibilizations and (F1, F2) profile combinations.  Each tree comes with
 a predicate that keeps sample vectors whose profile ratios stay away from
 the profile endpoints, where the finite-difference oracle loses accuracy.
 Separation graphs on random position-independent trees are held to the
-triangle inequality, nested balls, the offset envelope, A*'s agreement with
-Dijkstra, the contract of separations read off the displacement tables of
-convex 2-D tables, reversal (the graph of v -> F(-v) is the transpose),
-the rounding bound of dropping ties from ``query`` and, on convex trees,
-the straight-line length.  Profile and curve jets are held bit for bit
+triangle inequality, nested balls, the offset envelope (qhull's hull as the
+reference of the sector chords), the contract of separations read off the
+displacement tables of convex 2-D tables, reversal (the graph of v -> F(-v)
+is the transpose), the rounding bound of dropping ties from ``query`` and,
+on convex trees, the straight-line length.  Profile and curve jets are held bit for bit
 to the three callables each was built from before it became one call.
 Finite-difference tensors next to a cone's edge do not depend on the batch a
 row comes in, and value jets on stacks with repeated (stride-0) vectors equal
@@ -596,6 +596,63 @@ def _reduced(reduce):
         yield
 
 
+def _random_part(graph, data):
+    """``graph`` itself or, on a drawn coin, the graph of a random nonempty
+    part of its offset table."""
+    if not data.draw(st.booleans()):
+        return graph
+    part = np.array(data.draw(st.lists(st.booleans(), min_size=len(graph.offsets), max_size=len(graph.offsets))))
+    assume(part.any())
+    offsets = graph.offsets[part]
+    edges = gd._edge_count(offsets, graph.resolution)
+    return dataclasses.replace(graph, offsets=offsets, weights=graph.weights[part], edge_count=edges)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Envelope:
+    """The gauge H of conv({0} u {o / w(o)}) over a table of integer offsets
+    o with weights w(o) > 0, in lattice units.  Inside the cone the offsets
+    span, H(x) is max(0, max_k ``facets[k]`` . x); x is outside that cone,
+    and H(x) = inf, when ``cone[k]`` . x > 1e-9 |x| for some k: the rows of
+    ``cone`` are the outward normals of the hull's facets through 0.
+    ``ratio`` holds H(o) / w(o) of each offset before the facets are scaled
+    down by max(1, max ratio), and ``convex`` that every offset lies on the
+    envelope, w(o) <= (1 + ``ENVELOPE_RTOL``) H(o)."""
+
+    facets: np.ndarray
+    cone: np.ndarray
+    ratio: np.ndarray
+    convex: bool
+
+    def gauge(self, deltas) -> np.ndarray:
+        d = np.asarray(deltas, dtype=float)
+        h = np.maximum((d @ self.facets.T).max(axis=-1), 0.0)
+        if len(self.cone):
+            outside = np.any(d @ self.cone.T > 1e-9 * np.linalg.norm(d, axis=-1)[..., None], axis=-1)
+            h = np.where(outside, np.inf, h)
+        return h
+
+
+def _envelope_reference(offsets, weights):
+    """The :class:`_Envelope` of the offsets (K, n) and weights (K,), by
+    qhull; None for a weight that is not positive or offsets that span
+    fewer than n dimensions.  The facets are scaled down by max(1, max
+    H(o) / w(o)), so qhull's rounding never puts H above a weight."""
+    from scipy.spatial import ConvexHull
+
+    n = offsets.shape[1]
+    if not np.all(weights > 0.0) or np.linalg.matrix_rank(offsets) < n:
+        return None
+    points = offsets / weights[:, None]
+    equations = ConvexHull(np.vstack([np.zeros(n), points])).equations  # unit outward normal, offset
+    normals, dist = equations[:, :-1], -equations[:, -1]  # facet k: normals[k] . x <= dist[k]
+    at_zero = dist <= 1e-12 * np.linalg.norm(points, axis=1).max()
+    env = _Envelope(normals[~at_zero] / dist[~at_zero, None], normals[at_zero], ratio=None, convex=False)
+    ratio = env.gauge(offsets) / weights
+    convex = bool(np.all(1.0 <= (1.0 + gd.ENVELOPE_RTOL) * ratio))
+    return dataclasses.replace(env, facets=env.facets / max(1.0, ratio.max()), ratio=ratio, convex=convex)
+
+
 def _nodes(graph, count):
     """``count`` flat node indices, drawn one grid coordinate per axis."""
     node = st.tuples(*[st.integers(0, graph.resolution - 1)] * len(graph.shape))
@@ -647,7 +704,8 @@ def test_separation_is_at_least_the_envelope(case, data):
     _, graph, reduce = case
     p, q = data.draw(_nodes(graph, 2))
     with _reduced(reduce):
-        envelope = graph.envelope
+        keep = graph._query_keep
+        envelope = _envelope_reference(graph.offsets[keep], graph.weights[keep])
         d = gd.separation(graph, p, q).value
     assume(envelope is not None)
     delta = np.subtract(np.unravel_index(q, graph.shape), np.unravel_index(p, graph.shape))
@@ -655,41 +713,46 @@ def test_separation_is_at_least_the_envelope(case, data):
 
 
 @given(graphs(), st.data())
-def test_goal_directed_search_finds_the_dijkstra_distance(case, data):
-    """A* under the envelope gives scipy's distance bit for bit, with or
-    without the lattice-path cutoff, whether or not the table is convex."""
+def test_sector_chords_agree_with_the_hull(case, data):
+    """The sector chords find a table convex exactly when qhull's envelope
+    does, wherever the hull's excess max w(o) / H(o) - 1 over the kept
+    offsets lies more than 1e-9 from the ``ENVELOPE_RTOL`` cut or below
+    the 1e-12 of an exactly convex table's rounding, and the tables' lower
+    bound is at most H (1 + 1e-12) at every displacement, convex or not.
+    Half the graphs keep a random part of their table."""
     _, graph, reduce = case
-    p, q = data.draw(_nodes(graph, 2))
-    assume(p != q)
+    graph = _random_part(graph, data)
     with _reduced(reduce):
-        assume(graph.envelope is not None)
-        want = dijkstra(graph.query, directed=True, indices=p)[q]
-        for limit in (gd._path_bound(graph, p, q), np.inf):
-            assert gd._astar(graph, p, q, limit)[0] == want
+        keep = graph._query_keep
+        envelope = _envelope_reference(graph.offsets[keep], graph.weights[keep])
+        assume(envelope is not None)
+        facets, convex = graph._chords
+    excess = 1.0 / envelope.ratio.min() - 1.0
+    if excess < 1e-12 or abs(excess - gd.ENVELOPE_RTOL) > 1e-9:
+        assert convex == envelope.convex
+    r = graph.resolution - 1
+    lower = gd._displacement_bounds(*graph._fan, facets, graph.resolution)[0]
+    deltas = np.indices((2 * r + 1,) * 2).reshape(2, -1).T - r
+    assert np.all(lower.ravel() <= envelope.gauge(deltas) * (1.0 + 1e-12))
 
 
 @given(graphs(), st.data())
 def test_ball_bounds_bracket_dijkstra_and_decide_its_balls(case, data):
-    """On a graph the size rules would send to A* once lowered, every
-    node's Dijkstra distance from a source c, forward and backward, lies
-    between the displacement bounds at x - c and c - x, and a ball is
+    """On a graph the size rules would send to the tables once lowered,
+    every node's Dijkstra distance from a source c, forward and backward,
+    lies between the displacement bounds at x - c and c - x, and a ball is
     scipy's Dijkstra ball with the closing-edge rule for c, whether the
     bounds decide it or fall back.  Half the radii are a node's distance,
     which puts that node between the bounds.  Half the graphs keep a random
     part of their table, whose angle neighbours may lie on either side of
     an axis."""
     _, graph, reduce = case
-    if data.draw(st.booleans()):
-        part = np.array(data.draw(st.lists(st.booleans(), min_size=len(graph.offsets), max_size=len(graph.offsets))))
-        assume(part.any())
-        offsets = graph.offsets[part]
-        edges = gd._edge_count(offsets, graph.resolution)
-        graph = dataclasses.replace(graph, offsets=offsets, weights=graph.weights[part], edge_count=edges)
+    graph = _random_part(graph, data)
     c, x = data.draw(_nodes(graph, 2))
     with _reduced(reduce), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gd, "ASTAR_MIN_EDGES", 0)
-        mp.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
-        assume(gd._goal_directed(graph))
+        mp.setattr(gd, "TABLE_MIN_EDGES", 0)
+        mp.setattr(gd, "TABLE_MIN_OFFSETS", 0)
+        assume(gd._reads_tables(graph))
         lower, upper, _ = graph._displacement_tables
         index = np.array(np.unravel_index(np.arange(graph.node_count), graph.shape)).T
         outward = index - np.array(np.unravel_index(c, graph.shape))
@@ -709,25 +772,20 @@ def test_ball_bounds_bracket_dijkstra_and_decide_its_balls(case, data):
 
 @given(graphs(), st.data())
 def test_sector_separations_keep_their_contract(case, data):
-    """On a graph the size rules would send to A* once lowered, the
+    """On a graph the size rules would send to the tables once lowered, the
     separation from a source p to every other node meets the contract of
     the displacement tables against scipy's Dijkstra distance on ``query``:
     ``query`` edges summed in path order to the value, inside the box of
-    the ends, D <= value <= D + (upper - lower) at q - p, and A*'s value
-    where no sector path exists.  Half the graphs keep a random part of
-    their table, whose sectors may lack a path."""
+    the ends, D <= value <= D + (upper - lower) at q - p, and Dijkstra's
+    value where no sector path exists.  Half the graphs keep a random part
+    of their table, whose sectors may lack a path."""
     _, graph, reduce = case
-    if data.draw(st.booleans()):
-        part = np.array(data.draw(st.lists(st.booleans(), min_size=len(graph.offsets), max_size=len(graph.offsets))))
-        assume(part.any())
-        offsets = graph.offsets[part]
-        edges = gd._edge_count(offsets, graph.resolution)
-        graph = dataclasses.replace(graph, offsets=offsets, weights=graph.weights[part], edge_count=edges)
+    graph = _random_part(graph, data)
     (p,) = data.draw(_nodes(graph, 1))
     with _reduced(reduce), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gd, "ASTAR_MIN_EDGES", 0)
-        mp.setattr(gd, "ASTAR_MIN_OFFSETS", 0)
-        assume(gd._goal_directed(graph))
+        mp.setattr(gd, "TABLE_MIN_EDGES", 0)
+        mp.setattr(gd, "TABLE_MIN_OFFSETS", 0)
+        assume(gd._reads_tables(graph))
         dist = dijkstra(graph.query, directed=True, indices=p)
         for q in range(graph.node_count):
             if q != p:
@@ -751,12 +809,7 @@ def test_dropped_ties_move_distances_by_rounding_only(case, data):
     Half the graphs keep a random part of their table, which may hold k o'
     without o'."""
     _, graph, _ = case
-    if data.draw(st.booleans()):
-        part = np.array(data.draw(st.lists(st.booleans(), min_size=len(graph.offsets), max_size=len(graph.offsets))))
-        assume(part.any())
-        offsets = graph.offsets[part]
-        edges = gd._edge_count(offsets, graph.resolution)
-        graph = dataclasses.replace(graph, offsets=offsets, weights=graph.weights[part], edge_count=edges)
+    graph = _random_part(graph, data)
     sources = data.draw(_nodes(graph, 3))
     r = data.draw(st.floats(0.0, 4.0))
     with _reduced(True):
