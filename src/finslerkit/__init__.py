@@ -3,6 +3,11 @@
 Construct norm gauges and homogeneous metric combinations with
 closed-form fundamental tensors, classify where they stay strongly
 convex, and explore geodesics and graph-based Finslerian separations.
+
+The geodesic and graph layer, ``finslerkit.geodesy``, is imported on the
+first access to it or to one of the names this package re-exports from
+it (``separation``, ``exp_map``, ...), so importing the package, building
+a metric and the pointwise evaluations compile none of its code.
 """
 
 from .combinators import (
@@ -25,20 +30,6 @@ from .combinators import (
     sum_combiner,
 )
 from .errors import FinslerError
-from .geodesy import (
-    GeodesicState,
-    Polyline,
-    SeparationGraph,
-    SeparationResult,
-    build_separation_graph,
-    curve_length,
-    df_ball,
-    exp_map,
-    geodesic_shoot,
-    radial_minimality_test,
-    reachability,
-    separation,
-)
 from .metrics import (
     ConicMetric,
     OneFormAtom,
@@ -79,3 +70,36 @@ from .numkernel import (
 )
 
 __version__ = "0.1.0"
+
+# re-exported from .geodesy on first access (PEP 562)
+_GEODESY_NAMES = (
+    "GeodesicState",
+    "Polyline",
+    "SeparationGraph",
+    "SeparationResult",
+    "build_separation_graph",
+    "curve_length",
+    "df_ball",
+    "exp_map",
+    "geodesic_shoot",
+    "radial_minimality_test",
+    "reachability",
+    "separation",
+)
+# the names ``from finslerkit import *`` binds: every public name above, the
+# package's modules and the geodesy module with its names
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | {"geodesy", *_GEODESY_NAMES})
+
+
+def __getattr__(name: str):
+    if name != "geodesy" and name not in _GEODESY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement, which -X importtime logs; ``from . import geodesy``
+    # would look the attribute up here again
+    import finslerkit.geodesy as geodesy
+
+    return geodesy if name == "geodesy" else getattr(geodesy, name)
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

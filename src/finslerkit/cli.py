@@ -15,7 +15,6 @@ Config schema (see README for the full grammar)::
 
 from __future__ import annotations
 
-import argparse
 import ast
 import csv
 import io
@@ -32,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from . import combinators as cb
-from . import geodesy as gd
 from . import metrics as me
 from . import minkowski as mk
 from .errors import (
@@ -600,6 +598,8 @@ def _detcheck(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
 
 
 def _geodesic(cmd: str, built: BuiltMetric, cfg: RunConfig, base, velocity, t_end, step):
+    from . import geodesy as gd
+
     m, dim = built.metric, len(base)
     states = gd.geodesic_shoot(m, gd.GeodesicState(base, velocity, 0.0), t_end, step)
     header = ["t"] + _vec_cols("x", dim) + _vec_cols("v", dim) + ["F"]
@@ -611,6 +611,8 @@ def _geodesic(cmd: str, built: BuiltMetric, cfg: RunConfig, base, velocity, t_en
 
 
 def _expmap(cmd: str, built: BuiltMetric, cfg: RunConfig, base, velocity):
+    from . import geodesy as gd
+
     end = gd.exp_map(built.metric, base, velocity)
     header = _vec_cols("base", len(base)) + _vec_cols("v", len(base)) + _vec_cols("exp", len(base))
     rows = _rows(base[None], velocity[None], np.asarray(end)[None])
@@ -618,6 +620,8 @@ def _expmap(cmd: str, built: BuiltMetric, cfg: RunConfig, base, velocity):
 
 
 def _gauss(cmd: str, built: BuiltMetric, cfg: RunConfig, base, samples):
+    from . import geodesy as gd
+
     m, dim = built.metric, len(base)
     header = ["index"] + _vec_cols("v", dim) + _vec_cols("w", dim) + ["residual"]
     rng = np.random.default_rng(cfg.seed)
@@ -632,6 +636,8 @@ def _graph(cmd: str, built: BuiltMetric, cfg: RunConfig, box, resolution, neighb
     """``separation``, ``ball`` and ``reach`` on the grid graph of ``box``; the
     graph's arguments (:func:`gd.check_graph`), then the points are checked
     before the graph is built."""
+    from . import geodesy as gd
+
     dim = len(box[0])
     gd.check_graph(box, resolution, neighbor_radius)
     if cmd == "ball":
@@ -691,6 +697,13 @@ def _oracle(cmd: str, built: BuiltMetric, cfg: RunConfig, samples, tolerance, in
     return {"command": cmd, "max_rel_err": worst, "tolerance": tolerance, "ok": bool(worst <= tolerance)}, header, rows
 
 
+def _default_step(dim: int) -> float:
+    """``run.geodesic.step``'s default, read when a geodesic run needs it."""
+    from .geodesy import DEFAULT_STEP
+
+    return DEFAULT_STEP
+
+
 # command -> (function, then one (key, reader, default) per key of its run.<cmd>
 # section, in reading order); a default of None marks a required key, a callable
 # one is called with the metric's dimension
@@ -704,7 +717,7 @@ _COMMANDS = {
     "classify": (_pointwise, _BASE, _VECTORS),
     "scan": (_scan, _BASE, ("samples", _int, 360)),
     "detcheck": (_detcheck, _BASE, ("samples", _int, 100)),
-    "geodesic": (_geodesic, _BASE, _VELOCITY, ("t_end", _float, 1.0), ("step", _float, gd.DEFAULT_STEP)),
+    "geodesic": (_geodesic, _BASE, _VELOCITY, ("t_end", _float, 1.0), ("step", _float, _default_step)),
     "expmap": (_expmap, _BASE, _VELOCITY),
     "gauss": (_gauss, _BASE, ("samples", _int, 10)),
     "separation": (_graph, *_GRID, ("source", _point, None), ("target", _point, None)),
@@ -779,6 +792,8 @@ def builtin_config(name: str) -> str:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="finslerkit",
         description="Conic pseudo-Finsler metric toolkit: evaluations, convexity scans, "

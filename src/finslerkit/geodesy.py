@@ -618,6 +618,12 @@ class SeparationGraph:
         return self._keep(None if self.weights is None else np.zeros_like(self.weights))
 
     @functools.cached_property
+    def _query_edges(self) -> int:
+        """Edges of ``query`` on a graph with an offset table, counted off
+        the table without assembling ``query``."""
+        return _edge_count(self.offsets[self._query_keep], self.resolution)
+
+    @functools.cached_property
     def _ties(self) -> tuple:
         """:func:`_tie_roots` of the offset table."""
         return _tie_roots(self.offsets)
@@ -1146,15 +1152,16 @@ def _reads_tables(graph: SeparationGraph) -> bool:
     """Whether a separation between distinct nodes and a ball read the
     displacement tables first: on a 2-D graph with an offset table of at
     least ``TABLE_MIN_OFFSETS`` kept offsets, whose ``query`` has at least
-    ``TABLE_MIN_EDGES`` edges, counted off the table without assembling
-    ``query``, and whose sector ``_chords`` find the table convex.  The
-    size rules are checked first, so a smaller graph builds no chords."""
+    ``TABLE_MIN_EDGES`` edges (``_query_edges``, counted once per graph),
+    and whose sector ``_chords`` find the table convex.  The size rules are
+    checked first, so a smaller graph builds no chords; their constants are
+    read on each call."""
     keep = graph._query_keep
     if keep is None or len(graph.shape) != 2 or not keep.any():
         return False
     if np.count_nonzero(keep) < TABLE_MIN_OFFSETS:
         return False
-    if _edge_count(graph.offsets[keep], graph.resolution) < TABLE_MIN_EDGES:
+    if graph._query_edges < TABLE_MIN_EDGES:
         return False
     return graph._chords[1]
 

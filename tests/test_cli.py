@@ -59,6 +59,12 @@ SHIPPED_COMMANDS = [
 ]
 
 
+# the names ``import finslerkit`` re-exports from finslerkit.geodesy
+GEODESY_EXPORTS = ["GeodesicState", "Polyline", "SeparationGraph", "SeparationResult", "build_separation_graph",
+                   "curve_length", "df_ball", "exp_map", "geodesic_shoot", "radial_minimality_test", "reachability",
+                   "separation"]
+
+
 def _largest_resolution(dim: int) -> int:
     """The largest resolution whose graph with neighbour radius 1 stays within ``gd.MAX_GRAPH_EDGES``."""
     res = 2
@@ -1405,6 +1411,65 @@ print(json.dumps({"steps": steps, "fan": fan.tolist(), "read": sorted(set(read))
 
         g = ndtri(np.clip(me.kronecker_sequence(8, 4), 1e-12, 1.0 - 1e-12))
         assert np.array_equal(report["fan"], g / np.linalg.norm(g, axis=-1, keepdims=True))
+
+    def test_pointwise_commands_load_no_geodesy(self, tmp_path):
+        # in a fresh interpreter: the package re-exports geodesy's names on first access
+        probe = """
+import contextlib, io, json, sys
+from pathlib import Path
+import finslerkit, finslerkit.cli as cli
+
+def loaded():
+    return "finslerkit.geodesy" in sys.modules
+
+configs, out = Path(sys.argv[1]), sys.argv[2]
+docs = {path.stem: json.loads(path.read_text()) for path in sorted(configs.glob("*.json"))}
+for doc in docs.values():
+    cli.build_metric(cli.parse_config(json.dumps(doc))[0])
+steps = [["import, parse and build", 0, loaded()]]
+names = dir(finslerkit)
+try:
+    finslerkit.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+steps.append(["dir, __all__ and an unknown name", 0, loaded()])
+pointwise = ("eval", "tensor", "classify", "scan", "detcheck", "oracle", "indicatrix")
+ran = []
+for name, doc in docs.items():
+    for command in (c for c in doc["run"] if c in pointwise):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", str(configs / f"{name}.json"), "--out", out])
+        steps.append([f"{name}/{command}", code, loaded()])
+        ran.append(command)
+for command, name in [("geodesic", "randers_posdep"), ("separation", "euclidean")]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", str(configs / f"{name}.json"), "--out", out])
+    steps.append([command, code, loaded()])
+    sys.modules.pop("finslerkit.geodesy", None)  # so that the next command has to load it again
+    vars(finslerkit).pop("geodesy", None)
+import finslerkit.geodesy as gd
+print(json.dumps({
+    "steps": steps, "ran": sorted(set(ran)), "unknown": unknown,
+    "dir": names, "all": getattr(finslerkit, "__all__", []),
+    "same": [getattr(finslerkit, name) is getattr(gd, name) for name in json.loads(sys.argv[3])],
+    "module": finslerkit.geodesy is gd,
+}))
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = [sys.executable, "-c", probe, str(src / "finslerkit" / "configs"), str(tmp_path / "o.csv"),
+                json.dumps(GEODESY_EXPORTS)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        *pointwise, geodesic, separation = report["steps"]
+        assert [step for step in pointwise if step[1:] != [0, False]] == []
+        assert geodesic == ["geodesic", 0, True] and separation == ["separation", 0, True]
+        assert report["ran"] == sorted(["eval", "tensor", "classify", "scan", "detcheck", "oracle", "indicatrix"])
+        assert set(GEODESY_EXPORTS) <= set(report["dir"]) & set(report["all"]) and "geodesy" in report["all"]
+        assert report["unknown"] == "AttributeError"
+        assert report["same"] == [True] * len(GEODESY_EXPORTS) and report["module"]
 
     def test_domain_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1405,6 +1405,28 @@ class TestGoalDirectedSeparation:
         assert not gd._reads_tables(matsumoto)
         _same_indices(gd.df_ball(matsumoto, c, r, "backward"), _dijkstra_ball(matsumoto, c, r, "backward"))
 
+    def test_query_edges_are_counted_once_per_graph(self, monkeypatch):
+        # the size rules' constants are read on every call, so lowering them
+        # after the build switches the path; query's edges are counted once
+        metric = build_metric(parse_config(json.dumps({"metric": MATSUMOTO_TREE}))[0]).metric
+        graph = gd.build_separation_graph(metric, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 9, 3)
+        counts, read = [], []
+        for name, log in (("_edge_count", counts), ("_sector_path", read)):
+            monkeypatch.setattr(gd, name, lambda *a, real=getattr(gd, name), log=log: log.append(a) or real(*a))
+        pairs = [(p, q) for p in (0, 20, 40) for q in range(graph.node_count) if q != p]
+        want = [gd.separation(graph, p, q).value for p, q in pairs]  # too small for the tables: Dijkstra
+        assert not read and not counts
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
+        monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 0)
+        for (p, q), d in zip(pairs, want):
+            assert_sector_separation(graph, p, q, gd.separation(graph, p, q), d)
+        assert len(read) == len(pairs) and len(counts) == 1
+        assert graph._query_edges == graph.query.nnz
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", graph._query_edges + 1)
+        assert not gd._reads_tables(graph)
+        monkeypatch.setattr(gd, "TABLE_MIN_EDGES", graph._query_edges)
+        assert gd._reads_tables(graph) and len(counts) == 1
+
     def test_target_outside_the_cone_or_past_the_cutoff_is_unreachable(self, monkeypatch):
         monkeypatch.setattr(gd, "TABLE_MIN_EDGES", 0)
         monkeypatch.setattr(gd, "TABLE_MIN_OFFSETS", 0)

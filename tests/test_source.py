@@ -33,9 +33,10 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def eager_imports(source: str) -> list[str]:
-    """Modules that importing the module imports: every import outside a
-    function body and outside an ``if TYPE_CHECKING:`` block, in source order."""
+def eager_import_nodes(source: str) -> list:
+    """The import statements that run when the module is imported: every one
+    outside a function body and outside an ``if TYPE_CHECKING:`` block, in
+    source order."""
     found = []
 
     def visit(nodes):
@@ -45,13 +46,39 @@ def eager_imports(source: str) -> list[str]:
             if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
                 visit(node.orelse)
                 continue
-            if isinstance(node, ast.Import):
-                found.extend(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                found.append(node.module)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.append(node)
             visit(ast.iter_child_nodes(node))
 
     visit(ast.parse(source).body)
+    return found
+
+
+def eager_imports(source: str) -> list[str]:
+    """Modules that importing the module imports, by absolute name, in source order."""
+    found = []
+    for node in eager_import_nodes(source):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif node.level == 0:
+            found.append(node.module)
+    return found
+
+
+def eager_package_imports(source: str) -> list[str]:
+    """The package modules that importing a module of the package imports:
+    ``from . import a``, ``from .a import x``, ``import finslerkit.a`` and
+    ``from finslerkit import a`` each name ``a``."""
+    found = []
+    for node in eager_import_nodes(source):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("finslerkit."))
+        elif node.level > 0 and node.module:
+            found.append(node.module.split(".")[0])
+        elif node.level > 0 or node.module == "finslerkit":
+            found.extend(alias.name for alias in node.names)
+        elif node.module.startswith("finslerkit."):
+            found.append(node.module.split(".")[1])
     return found
 
 
@@ -72,6 +99,24 @@ def test_no_module_imports_scipy_when_imported(path):
     # scipy is imported by the functions that call it, so a command that builds
     # no graph and draws no fan above 3-D never loads it
     assert [name for name in eager_imports(path.read_text()) if name.split(".")[0] == "scipy"] == []
+
+
+def test_the_check_sees_an_eager_package_import():
+    source = (
+        "from . import a, b\nfrom .c import x\nfrom .d.e import y\nimport finslerkit.f\n"
+        "from finslerkit import g\nfrom finslerkit.h import z\nimport finslerkit\nimport os.path\n"
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from . import skipped\n"
+        "def f():\n    from . import geodesy\n"
+    )
+    assert eager_package_imports(source) == ["a", "b", "c", "d", "f", "g", "h"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_geodesy_when_imported(path):
+    # the graph and geodesic layer is imported by the functions that use it and
+    # by the package's __getattr__, so building a metric and the pointwise
+    # commands never compile it
+    assert "geodesy" not in eager_package_imports(path.read_text())
 
 
 def cli_rule_owners(source: str) -> tuple[list[str], list[str]]:
@@ -121,9 +166,15 @@ ROOT = PACKAGE.parents[1]
 
 
 def exported_names(init_source: str) -> list[str]:
-    """The names that ``__init__`` imports from the package's modules to re-export."""
-    return [alias.asname or alias.name for node in ast.parse(init_source).body
-            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    """The names that ``__init__`` re-exports: those it imports from the
+    package's modules, then those of its lazy name tables, the module-level
+    tuples of strings that its ``__getattr__`` resolves on first access."""
+    body = ast.parse(init_source).body
+    imported = [alias.asname or alias.name for node in body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    tables = [node.value.elts for node in body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)]
+    return imported + [elt.value for elts in tables for elt in elts
+                       if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
 
 
 def loaded_names(tree: ast.AST) -> set[str]:
@@ -144,6 +195,9 @@ def read_names(source: str) -> set[str]:
 
 def test_the_export_check_sees_an_unread_name():
     assert exported_names("from .a import (x, y)\nfrom .b import z as w\nimport os\n") == ["x", "y", "w"]
+    lazy = "from .a import x\n_NAMES = (\"y\", \"z\")\n__all__ = sorted(_NAMES)\ndef __getattr__(name):\n    return name\n"
+    assert exported_names(lazy) == ["x", "y", "z"]
+    assert sorted(set(exported_names(lazy)) - read_names("def f():\n    return m.x(y)\n")) == ["z"]
     assert read_names("def f(v: x):\n    return m.y(z)\n") == {"x", "m", "y", "z"}
     assert read_names("def f():\n    segment = 1\n    return segment\n") == set()
 
