@@ -12,30 +12,32 @@ and (d_x p) v from one stacked contraction p = 2 g v over the stencil.
 The F-length of a polyline is a Simpson sum over each piece, whose
 velocity the metric's position-independent nodes evaluate once.
 Separations are shortest paths on a grid graph whose edges are straight
-admissible segments weighted by F-length.  The graph is built from one
-table of neighbour offsets and assembled directly as a CSR matrix.  On a
-position-independent metric one jet over that table gives every edge
-length F(delta), equal to the checked ``eval_F_many``.
-On a position-dependent metric each edge's length is the 7-point Kronrod
-sum of the embedded 3/7-point Gauss-Kronrod pair, and its cone test
-samples both end nodes and those 7 nodes; an edge whose 3-point Gauss
-estimate disagrees is redone with composite Simpson.  An edge and its
-reverse share their segment's points and sum them in one order, so the
-graph of v -> F(-v) is the transpose.  Segments are evaluated in blocks
-of whole offsets, one jet per block for both directions, and an edge's
-velocity is one vector broadcast over its points, which the metric's
-position-independent nodes evaluate once.  A position-independent graph
-holds its offset table, not the full adjacency.  Its queries run on
-adjacencies without the offsets that split into cheaper sign-consistent
-pairs (chamfer-mask dominance) or are k copies of a table offset, with
-distances within rounding of the full graph's and reach sets bit for
-bit, and read the edges into a node off the offset table instead of a
-transposed adjacency.  On a large such 2-D graph whose kept offsets all
-lie on their convex envelope, as the chords of its angle-sorted sectors
-tell, those chords bound every path's length from below, and the cost of
-an explicit two-offset path, per displacement, bounds the distance from
-above.  A separation returns that path, within the gap of the two bounds
-of Dijkstra's distance, and a ball is decided from the bounds, with
+admissible segments weighted by F-length.  Every graph is one table of
+neighbour offsets with weights, from which adjacencies are assembled as
+CSR matrices: per offset on a position-independent metric, where one jet
+over the table gives every F(delta), equal to the checked
+``eval_F_many``, and per edge, NaN where there is none, on a
+position-dependent one; a kept edge whose length is not finite raises
+``NonFiniteSample``.  On a position-dependent metric each edge's length
+is the 7-point Kronrod sum of the embedded 3/7-point Gauss-Kronrod pair,
+and its cone test samples both end nodes and those 7 nodes; an edge
+whose 3-point Gauss estimate disagrees is redone with composite Simpson.
+An edge and its reverse share their segment's points and sum them in one
+order, so the graph of v -> F(-v) is the transpose.  Segments are
+evaluated in blocks of whole offsets, one jet per block for both
+directions, and an edge's velocity is one vector broadcast over its
+points, which the metric's position-independent nodes evaluate once.
+Queries with per-offset weights run on adjacencies without the offsets
+that split into cheaper sign-consistent pairs (chamfer-mask dominance)
+or are k copies of a table offset, with distances within rounding of the
+full graph's and reach sets bit for bit.  Every graph reads the edges
+into and out of a node off its table, not off an adjacency.  On a large
+2-D graph with per-offset weights whose kept offsets all lie on their
+convex envelope, as the chords of its angle-sorted sectors tell, those
+chords bound every path's length from below, and the cost of an explicit
+two-offset path, per displacement, bounds the distance from above.  A
+separation returns that path, within the gap of the two bounds of
+Dijkstra's distance, and a ball is decided from the bounds, with
 Dijkstra only when a node falls between them; Dijkstra answers every
 pair the bounds leave open.  scipy is imported where a graph first needs
 it, not by ``import finslerkit``: ``scipy.sparse`` by the first assembly
@@ -54,7 +56,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain, StepBudget, check_integer, check_real
+from .errors import DegenerateTensor, InvalidArgument, LeftDomain, NonFiniteSample, NotAdmissible, OutsideDomain, StepBudget, check_integer, check_real
 from .metrics import ConicMetric, TangentVec, _check_samples, admissible_draws, unit_directions
 from .minkowski import check_ball_direction
 from .numkernel import EPS, eigen_classify, gauss_kronrod_3_7, simpson_weights
@@ -552,18 +554,20 @@ def _displacement_bounds(offsets: np.ndarray, weights: np.ndarray, facets: np.nd
 class SeparationGraph:
     """Grid graph whose directed edges carry F-lengths of straight segments.
 
-    ``matrix`` is the full construction, of ``edge_count`` edges.  On a
-    position-independent metric ``offsets`` (K, n) and ``weights`` (K,) hold
-    the kept offset table and F(offset); the graph holds no full adjacency,
-    and ``matrix`` is assembled from the table on each read.  Its queries
-    run on the reduced adjacencies ``query`` (Dijkstra), without the
-    offsets :func:`_undominated` drops, and ``reach`` (BFS);
-    :meth:`edges_into` reads the edges into a node off the same table, so
-    no forward query transposes an adjacency.  On a position-dependent
-    graph ``offsets`` and ``weights`` are ``None``, ``stored_matrix`` holds
-    ``matrix``, the queries run on it and :meth:`edges_into` scans one of
-    its columns.  Only a backward ball that its bounds do not decide builds
-    the transpose ``incoming``, and only a large 2-D graph's separation or
+    ``offsets`` (K, n) is the table of neighbour offsets and ``weights``
+    the weights of its edges: (K,) F(offset) on a position-independent
+    metric, where every in-grid pair of a table offset is an edge, or
+    (N, K) per edge on a position-dependent one, ``weights[i, k]`` that of
+    i -> i + offsets[k] and NaN where there is no edge.  ``matrix`` is the
+    full construction, of ``edge_count`` edges; with per-offset weights it
+    is assembled from the table on each read.  Queries run on the
+    adjacencies ``query`` (Dijkstra), without the offsets
+    :func:`_undominated` drops, and ``reach`` (BFS); with per-edge weights
+    every offset is kept, and ``matrix``, ``query`` and ``reach`` are one
+    adjacency.  :meth:`edges_into` and :meth:`edges_out` read the edges at
+    a node off the table, so no forward query transposes an adjacency.
+    Only a backward ball that its bounds do not decide builds the
+    transpose ``incoming``, and only a large 2-D graph's separation or
     ball builds the ``_chords`` of its kept offsets' sectors, which tell
     whether the table is convex.  A separation or a ball on a large convex
     2-D table also builds ``_displacement_tables``, bounds on the ``query``
@@ -579,9 +583,8 @@ class SeparationGraph:
     shape: tuple
     nodes: np.ndarray = field(repr=False)
     edge_count: int
-    stored_matrix: Optional[csr_matrix] = field(default=None, repr=False)
-    offsets: Optional[np.ndarray] = field(default=None, repr=False)
-    weights: Optional[np.ndarray] = field(default=None, repr=False)
+    offsets: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @property
     def node_count(self) -> int:
@@ -589,38 +592,34 @@ class SeparationGraph:
 
     @property
     def matrix(self) -> csr_matrix:
-        """The full construction: ``stored_matrix``, or on a graph with an
-        offset table a new assembly of every table offset on each read."""
-        if self.offsets is None:
-            return self.stored_matrix
-        return self._table_adjacency(self.offsets, self.weights)
+        """The full construction: every table offset assembled on each
+        read, or ``query``, which keeps them all, with per-edge weights."""
+        return self.query if self.weights.ndim == 2 else self._assembly(slice(None))
 
-    def _keep(self, weights) -> Optional[np.ndarray]:
-        """Mask of the table offsets a reduced adjacency under ``weights``
-        holds: all but those :func:`_undominated` drops, or every offset when
-        the graph or the dropped offsets carry fewer than ``REDUCE_MIN_EDGES``
-        edges; ``None`` on a graph without an offset table."""
-        if self.offsets is None:
-            return None
-        if self.edge_count < REDUCE_MIN_EDGES:
-            return np.ones(len(self.offsets), dtype=bool)
-        keep = _undominated(self.offsets, weights)
-        if _edge_count(self.offsets[~keep], self.resolution) < REDUCE_MIN_EDGES:
-            keep[:] = True
+    def _keep(self, weights: np.ndarray) -> np.ndarray:
+        """Mask of the table offsets a reduced adjacency under per-offset
+        ``weights`` holds: all but those :func:`_undominated` drops, or
+        every offset when the graph's weights are per edge, or the graph or
+        the dropped offsets carry fewer than ``REDUCE_MIN_EDGES`` edges."""
+        keep = np.ones(len(self.offsets), dtype=bool)
+        if self.weights.ndim == 1 and self.edge_count >= REDUCE_MIN_EDGES:
+            keep = _undominated(self.offsets, weights)
+            if _edge_count(self.offsets[~keep], self.resolution) < REDUCE_MIN_EDGES:
+                keep[:] = True
         return keep
 
     @functools.cached_property
-    def _query_keep(self) -> Optional[np.ndarray]:
+    def _query_keep(self) -> np.ndarray:
         return self._keep(self.weights)
 
     @functools.cached_property
-    def _reach_keep(self) -> Optional[np.ndarray]:
-        return self._keep(None if self.weights is None else np.zeros_like(self.weights))
+    def _reach_keep(self) -> np.ndarray:
+        return self._keep(np.zeros(len(self.offsets)))
 
     @functools.cached_property
     def _query_edges(self) -> int:
-        """Edges of ``query`` on a graph with an offset table, counted off
-        the table without assembling ``query``."""
+        """Edges of ``query`` on a graph with per-offset weights, counted
+        off the table without assembling ``query``."""
         return _edge_count(self.offsets[self._query_keep], self.resolution)
 
     @functools.cached_property
@@ -659,57 +658,77 @@ class SeparationGraph:
         ``_fan`` and its ``_chords``, built on first use."""
         return _displacement_bounds(*self._fan, self._chords[0], self.resolution)
 
-    def _table_adjacency(self, offsets: np.ndarray, weights: np.ndarray) -> csr_matrix:
-        strides = self.resolution ** np.arange(len(self.shape) - 1, -1, -1)
-        return _assemble(_in_grid(offsets, self.resolution), offsets, strides, weights)
+    def _assembly(self, keep, reverse: bool = False) -> csr_matrix:
+        """CSR matrix of the edges i -> i + o of the table offsets o in
+        ``keep``: every in-grid pair with per-offset weights, every non-NaN
+        weight with per-edge ones; with ``reverse`` (per-offset weights
+        only) its transpose, of the negated offsets in reversed order.  Row
+        i lists its edges in offset order, which is ascending column order:
+        the flat indices follow the lexicographic order of i + o."""
+        from scipy.sparse import csr_matrix
 
-    def _reduced(self, keep: Optional[np.ndarray]) -> csr_matrix:
-        """The table offsets in ``keep`` assembled; ``stored_matrix`` on a
-        graph without a table."""
-        if keep is None:
-            return self.stored_matrix
-        return self._table_adjacency(self.offsets[keep], self.weights[keep])
+        offsets, weights = self.offsets[keep], self.weights[..., keep]
+        if reverse:
+            offsets, weights = -offsets[::-1], weights[::-1]
+        mask = _in_grid(offsets, self.resolution) if weights.ndim == 1 else ~np.isnan(weights)
+        N = mask.shape[0]
+        # scipy keeps 32-bit indices it is given; 64-bit ones it scans and copies
+        index = np.int32 if mask.size < 2**31 else np.int64
+        counts = np.count_nonzero(mask, axis=1)
+        indptr = np.zeros(N + 1, dtype=index)
+        np.cumsum(counts, out=indptr[1:])
+        strides = self.resolution ** np.arange(len(self.shape) - 1, -1, -1)
+        indices = np.broadcast_to((offsets @ strides).astype(index), mask.shape)[mask]
+        indices += np.repeat(np.arange(N, dtype=index), counts)
+        data = np.broadcast_to(weights, mask.shape)[mask]
+        return csr_matrix((data, indices, indptr), shape=(N, N))
 
     @functools.cached_property
     def query(self) -> csr_matrix:
         """Adjacency of the shortest-path queries, built on first use.  Its
         distances are never below those of ``matrix`` and exceed them by at
         most the rounding bound of :func:`_undominated`."""
-        return self._reduced(self._query_keep)
+        return self._assembly(self._query_keep)
 
     @functools.cached_property
     def reach(self) -> csr_matrix:
         """Adjacency of the reachability queries, built on first use: the
-        offsets undominated at zero weight, which reach what ``matrix`` reaches."""
-        return self._reduced(self._reach_keep)
+        offsets undominated at zero weight, which reach what ``matrix``
+        reaches; ``query`` itself with per-edge weights."""
+        return self.query if self.weights.ndim == 2 else self._assembly(self._reach_keep)
 
     @functools.cached_property
     def incoming(self) -> csr_matrix:
         """Transposed ``query``, built on first use: row i lists the edges
-        into i.  Only backward balls need it whole.  On a
-        position-independent graph it is assembled from the negated kept
-        offsets in reversed table order, which is lexicographic order."""
-        keep = self._query_keep
-        if keep is None:
-            return self.query.T.tocsr()
-        return self._table_adjacency(-self.offsets[keep][::-1], self.weights[keep][::-1])
+        into i.  Only backward balls need it whole.  With per-offset
+        weights it is assembled from the negated kept offsets."""
+        return self.query.T.tocsr() if self.weights.ndim == 2 else self._assembly(self._query_keep, reverse=True)
+
+    def _edges(self, i: int, keep: np.ndarray, sign: int) -> tuple:
+        """(nodes, weights) of the edges of the ``keep`` offsets o into node
+        ``i`` from i - o (sign -1) or out of it to i + o (sign 1), nodes
+        ascending: they follow the table's lexicographic order."""
+        walk = slice(None, None, sign)
+        at, offsets = np.array(np.unravel_index(i, self.shape)), self.offsets[keep][walk]
+        ends = at + offsets if sign > 0 else at - offsets
+        ok = np.all((ends >= 0) & (ends < self.resolution), axis=1)
+        nodes = np.ravel_multi_index(ends[ok].T, self.shape)
+        if self.weights.ndim == 1:
+            return nodes, self.weights[keep][walk][ok]
+        weights = self.weights[nodes if sign < 0 else i, np.flatnonzero(keep)[walk][ok]]
+        edge = ~np.isnan(weights)
+        return nodes[edge], weights[edge]
 
     def edges_into(self, i: int, reach: bool = False) -> tuple:
         """(sources, weights) of the edges into node ``i`` of ``query``, or
-        of ``reach`` when ``reach``, sources ascending.  On a
-        position-independent graph they are i - o for the kept offsets o
-        whose source is a grid node, with weight F(o): the table walked in
-        reverse lexicographic order gives the sources in ascending order.
-        Otherwise a scan of the adjacency's column ``i`` finds them."""
-        keep = self._reach_keep if reach else self._query_keep
-        if keep is None:
-            adj = self.reach if reach else self.query
-            at = np.flatnonzero(adj.indices == i)
-            return np.searchsorted(adj.indptr, at, side="right") - 1, adj.data[at]
-        offsets = self.offsets[keep][::-1]
-        sources = np.array(np.unravel_index(i, self.shape)) - offsets
-        ok = np.all((sources >= 0) & (sources < self.resolution), axis=1)
-        return np.ravel_multi_index(sources[ok].T, self.shape), self.weights[keep][::-1][ok]
+        of ``reach`` when ``reach``: i - o for the kept offsets o, read off
+        the table in O(K) and equal to row i of the adjacency's transpose."""
+        return self._edges(i, self._reach_keep if reach else self._query_keep, -1)
+
+    def edges_out(self, i: int) -> tuple:
+        """(targets, weights) of the edges out of node ``i`` of ``query``:
+        i + o for the kept offsets o, read off the table as row i."""
+        return self._edges(i, self._query_keep, 1)
 
     @functools.cached_property
     def _spacing(self) -> np.ndarray:
@@ -810,9 +829,10 @@ def _edge_lengths(m: ConicMetric, starts: np.ndarray, ends: np.ndarray, delta: n
     its terms in point order from start to end: the quadrature weights are
     symmetric, so the reverse edge's sum is its own, and its bits are those
     of the forward edge of v -> F(-v).  A flagged edge includes one whose
-    K7 or G3 sum is not finite.  Each weighted sum is a per-row reduction,
-    so an edge's length does not depend on the other edges in the batch (a
-    BLAS matrix-vector product's rounding depends on the row count)."""
+    K7 or G3 sum is not finite; a kept one still so raises NonFiniteSample.
+    Each weighted sum is a per-row reduction, so an edge's length does not
+    depend on the other edges in the batch (a BLAS matrix-vector product's
+    rounding depends on the row count)."""
     t, k7, g3 = gauss_kronrod_3_7()
     ok, vals = _segment_jet(m, _segment_points(starts, ends, delta, np.concatenate([[0.0], t, [1.0]])), delta)
     kept = np.all(ok, axis=-1)
@@ -833,6 +853,8 @@ def _edge_lengths(m: ConicMetric, starts: np.ndarray, ends: np.ndarray, delta: n
         # numpy's pairwise sum stays within 2 ulp of a BLAS product over the
         # 33 points; einsum, faster on the 7-point rows, strays further
         lengths[rows, segments] = np.where(keep, (vals[flagged] * (w / (w.size - 1))).sum(-1), np.nan)
+    if not np.isfinite(lengths[kept]).all():
+        raise NonFiniteSample("edge length is not finite")
     return kept, lengths
 
 
@@ -891,24 +913,6 @@ def _edge_count(offsets: np.ndarray, resolution: int) -> int:
     (resolution - |o_d|) pairs of nodes."""
     return int(np.prod(resolution - np.abs(offsets), axis=1).sum())
 
-
-def _assemble(mask: np.ndarray, offsets: np.ndarray, strides: np.ndarray, weights: np.ndarray) -> csr_matrix:
-    """CSR matrix of the edges i -> i + offsets[k] where ``mask[i, k]``, with
-    weights (K,) or (N, K).  Row i lists its edges in offset order, which is
-    ascending column order: the destinations are grid nodes, and their flat
-    indices follow the lexicographic order of i + offsets[k]."""
-    from scipy.sparse import csr_matrix
-
-    N = mask.shape[0]
-    # scipy keeps 32-bit indices it is given; 64-bit ones it scans and copies
-    index = np.int32 if mask.size < 2**31 else np.int64
-    counts = np.count_nonzero(mask, axis=1)
-    indptr = np.zeros(N + 1, dtype=index)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.broadcast_to((offsets @ strides).astype(index), mask.shape)[mask]
-    indices += np.repeat(np.arange(N, dtype=index), counts)
-    data = np.broadcast_to(weights, mask.shape)[mask]
-    return csr_matrix((data, indices, indptr), shape=(N, N))
 
 
 @functools.lru_cache(maxsize=8)
@@ -1035,10 +1039,11 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     Both edges of a segment sum in point order, from x to x + delta, so
     the graph of v -> F(-v) is the transpose of this one bit for bit.
     Every edge's result is independent of its batch, so the blocks only
-    bound the memory of a jet and the number of jets.  A
-    position-independent graph keeps its offset table and F(offset) for
-    the reduced query adjacencies, and assembles no full adjacency; a
-    position-dependent graph stores it.  The arguments pass
+    bound the memory of a jet and the number of jets.  Either graph keeps
+    its offset table and no adjacency: a position-independent one with
+    F(offset) per offset, a position-dependent one with each edge's
+    length per node and offset, NaN where there is no edge.  A kept edge
+    whose length is not finite raises NonFiniteSample.  The arguments pass
     :func:`check_graph` before anything is allocated.
     """
     h = check_graph(box, resolution, neighbor_radius)
@@ -1053,10 +1058,12 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
     grid = dict(box_lo=lo, box_hi=hi, resolution=resolution, neighbor_radius=R, shape=shape, nodes=nodes)
     if m.position_independent:
         ok, F = m.jet(0.5 * (lo + hi), offsets * h)
-        offsets = offsets[ok]
-        return SeparationGraph(**grid, edge_count=_edge_count(offsets, resolution), offsets=offsets, weights=F[ok])
+        offsets, F = offsets[ok], F[ok]
+        if not np.isfinite(F).all():
+            raise NonFiniteSample("edge length is not finite")
+        return SeparationGraph(**grid, edge_count=_edge_count(offsets, resolution), offsets=offsets, weights=F)
     mask = _in_grid(offsets, resolution)
-    weights = np.zeros(mask.shape)
+    weights = np.full(mask.shape, np.nan)
     K = offsets.shape[0]
     half = K // 2  # the table is symmetric: offsets[K - 1 - k] == -offsets[k]
     strides = resolution ** np.arange(n - 1, -1, -1)
@@ -1071,10 +1078,10 @@ def build_separation_graph(m: ConicMetric, box: tuple, resolution: int, neighbor
         db = sb + jumps[kb]
         rows, cols = np.stack([sb, db]), np.stack([kb, K - 1 - kb])  # the segments, then their reverses
         starts, ends = nodes.take(rows, axis=0)  # take gathers rows several times faster than indexing
-        mask[rows, cols], weights[rows, cols] = _edge_lengths(m, starts, ends, steps.take(kb, axis=0))
+        weights[rows, cols] = _edge_lengths(m, starts, ends, steps.take(kb, axis=0))[1]
         k0 = k1
-    matrix = _assemble(mask, offsets, strides, weights)
-    return SeparationGraph(**grid, edge_count=matrix.nnz, stored_matrix=matrix)
+    edges = int(np.count_nonzero(~np.isnan(weights)))
+    return SeparationGraph(**grid, edge_count=edges, offsets=offsets, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -1099,12 +1106,6 @@ def _as_node(graph: SeparationGraph, p, name: str = "p") -> int:
     return graph.node_id(p, name)
 
 
-def _row(adj: csr_matrix, i: int) -> tuple:
-    """(columns, weights) of row ``i`` of ``adj``."""
-    lo, hi = adj.indptr[i], adj.indptr[i + 1]
-    return adj.indices[lo:hi], adj.data[lo:hi]
-
-
 def _closing_edge(dist: np.ndarray, sources: np.ndarray, weights: np.ndarray) -> tuple:
     """Cheapest of the edges ``sources`` -> ip with ``weights`` after the
     distances ``dist``: (cost, source), or (inf, -1) when none is finite.
@@ -1125,8 +1126,9 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
     edges or split into cheaper ones; a step that a split dominates keeps
     w(o), above the split's cost by the ``DOMINANCE_MARGIN``.  The step
     weights are summed left to right from 0.0, in path order, so
-    Dijkstra's distance never exceeds the bound."""
-    if graph.offsets is None or graph.offsets.size == 0:
+    Dijkstra's distance never exceeds the bound; inf too on a graph with
+    per-edge weights."""
+    if graph.weights.ndim == 2 or graph.offsets.size == 0:
         return np.inf
     delta, a, b = [], ip, iq
     for size in reversed(graph.shape):
@@ -1150,20 +1152,15 @@ def _path_bound(graph: SeparationGraph, ip: int, iq: int) -> float:
 
 def _reads_tables(graph: SeparationGraph) -> bool:
     """Whether a separation between distinct nodes and a ball read the
-    displacement tables first: on a 2-D graph with an offset table of at
-    least ``TABLE_MIN_OFFSETS`` kept offsets, whose ``query`` has at least
+    displacement tables first: on a 2-D graph with per-offset weights and
+    at least ``TABLE_MIN_OFFSETS`` kept offsets, whose ``query`` has at least
     ``TABLE_MIN_EDGES`` edges (``_query_edges``, counted once per graph),
     and whose sector ``_chords`` find the table convex.  The size rules are
     checked first, so a smaller graph builds no chords; their constants are
     read on each call."""
-    keep = graph._query_keep
-    if keep is None or len(graph.shape) != 2 or not keep.any():
+    if graph.weights.ndim == 2 or len(graph.shape) != 2 or np.count_nonzero(graph._query_keep) < TABLE_MIN_OFFSETS:
         return False
-    if np.count_nonzero(keep) < TABLE_MIN_OFFSETS:
-        return False
-    if graph._query_edges < TABLE_MIN_EDGES:
-        return False
-    return graph._chords[1]
+    return graph._query_edges >= TABLE_MIN_EDGES and graph._chords[1]
 
 
 def _sector_path(graph: SeparationGraph, ip: int, iq: int) -> Optional[tuple]:
@@ -1292,8 +1289,9 @@ def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> 
     (forward), or on the reversed graph ``graph.incoming`` (backward), is
     below r; a negative radius gives the empty ball.  The node p is in its
     ball when a loop through p costs less than r: the closing edges are
-    :meth:`SeparationGraph.edges_into` p forward, and row p of
-    ``graph.query`` backward.
+    :meth:`SeparationGraph.edges_into` p forward and
+    :meth:`SeparationGraph.edges_out` of p backward, both read off the
+    offset table.
 
     On a 2-D graph that :func:`_reads_tables` admits, the ball is first
     decided from the graph's displacement bounds
@@ -1308,7 +1306,7 @@ def df_ball(graph: SeparationGraph, p, r: float, direction: str = "forward") -> 
         raise InvalidArgument("r must be a number, got nan", path="r", constraint="number")
     forward = direction == "forward"
     # the edges into p of the reversed graph are the edges out of p
-    into = graph.edges_into(ip) if forward else _row(graph.query, ip)
+    into = graph.edges_into(ip) if forward else graph.edges_out(ip)
     if _reads_tables(graph):
         ball = _bounded_ball(graph, ip, r, forward, *into)
         if ball is not None:

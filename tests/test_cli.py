@@ -1383,6 +1383,13 @@ for command in ("ball", "separation"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([command, "--config", out + ".json", "--out", out])
     steps.append([command + " on the tables", code, loaded()])
+# a backward ball closes its loops with the edges out of its centre, read off the table too
+table["run"]["ball"]["direction"] = "backward"
+with open(out + ".json", "w") as f:
+    json.dump(table, f)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["ball", "--config", out + ".json", "--out", out])
+steps.append(["backward ball on the tables", code, loaded()])
 gd.TABLE_MIN_EDGES, gd.TABLE_MIN_OFFSETS = rules
 for command, config in [("eval", "euclidean"), ("scan", "kropina"), ("oracle", "kropina"),
                         ("indicatrix", "spiral_ex213"), ("geodesic", "randers_posdep"), ("separation", "euclidean")]:
@@ -1400,7 +1407,8 @@ print(json.dumps({"steps": steps, "fan": fan.tolist(), "read": sorted(set(read))
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout)
         steps = {name: (code, set(mods)) for name, code, mods in report["steps"]}
-        names = ("import", "ball on the tables", "separation on the tables", "eval", "scan", "oracle", "indicatrix")
+        tables = ("ball on the tables", "separation on the tables", "backward ball on the tables")
+        names = ("import",) + tables + ("eval", "scan", "oracle", "indicatrix")
         for name in names + ("geodesic",):
             assert steps[name] == (0, set()), name
         assert report["read"] == ["_bounded_ball", "_sector_path"]

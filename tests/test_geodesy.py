@@ -16,7 +16,7 @@ from finslerkit import geodesy as gd
 from finslerkit import metrics as me
 from finslerkit import minkowski as mk
 from finslerkit.cli import build_metric, builtin_config, parse_config
-from finslerkit.errors import DegenerateTensor, DomainEmpty, InvalidArgument, LeftDomain, NotAdmissible, OutsideDomain
+from finslerkit.errors import DegenerateTensor, DomainEmpty, InvalidArgument, LeftDomain, NonFiniteSample, NotAdmissible, OutsideDomain
 from finslerkit.numkernel import gauss_kronrod_3_7, simpson_weights
 
 from conftest import assert_sector_separation, boxed, tie_excess_bound
@@ -465,6 +465,16 @@ class TestBuildGraph:
             me.eval_F_many(m, p, q - p)
         assert gd.separation(g, p, q).value == np.inf
         assert gd.separation(g, [-0.5, -0.5], [0.5, 0.5]).value == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("entry, independent", [("1 + sqrt(-1)", True), ("1 + sqrt(x)", False)])
+    def test_a_kept_edge_with_a_nan_length_raises(self, entry, independent):
+        # eval_F_many rejects these vectors, so the build does not keep their edges as NaN weights
+        m = _tree_metric({"type": "riemannian", "matrix_expr": [[entry, "0"], ["0", "1"]]})
+        assert m.position_independent == independent
+        with pytest.raises(NonFiniteSample):
+            me.eval_F_many(m, np.array([-0.5, 0.0]), np.array([0.25, 0.0]))
+        with pytest.raises(NonFiniteSample, match="edge length is not finite"):
+            gd.build_separation_graph(m, UNIT_BOX, 9, 2)
 
     def test_euclidean_unit_box(self, euclid):
         g = gd.build_separation_graph(euclid, (np.zeros(2), np.ones(2)), 21, 2)
@@ -1232,19 +1242,23 @@ KROPINA_ONE_SIDED = {"phi": "1/s", "phi_dot": "-1/s**2", "phi_ddot": "2/s**3", "
 def _hand_graph():
     """Five nodes on a line.  Edges: 0->1 (explicit 0), 0->2 (0.25),
     1->0 (0.5), 2->0 (0.25), 1->2 (1), 3->0 (0.2); node 3 has no incoming
-    edge and node 4 none at all.  The two loops back to 0 tie at 0.5."""
-    rows, cols = [0, 0, 1, 2, 1, 3], [1, 2, 0, 0, 2, 0]
-    data = [0.0, 0.25, 0.5, 0.25, 1.0, 0.2]
-    mat = csr_matrix((np.array(data), (np.array(rows), np.array(cols))), shape=(5, 5))
+    edge and node 4 none at all.  The two loops back to 0 tie at 0.5.  Its
+    table holds the nonzero offsets -3..3 with per-edge weights, NaN where
+    there is no edge."""
+    offsets = np.array([[-3], [-2], [-1], [1], [2], [3]])
+    weights = np.full((5, 6), np.nan)
+    for i, j, w in [(0, 1, 0.0), (0, 2, 0.25), (1, 0, 0.5), (2, 0, 0.25), (1, 2, 1.0), (3, 0, 0.2)]:
+        weights[i, offsets[:, 0].tolist().index(j - i)] = w
     return gd.SeparationGraph(
         box_lo=np.zeros(1),
         box_hi=np.array([4.0]),
         resolution=5,
-        neighbor_radius=1,
+        neighbor_radius=3,
         shape=(5,),
         nodes=np.arange(5.0).reshape(5, 1),
         edge_count=6,
-        stored_matrix=mat,
+        offsets=offsets,
+        weights=weights,
     )
 
 
@@ -1682,10 +1696,10 @@ class TestIncomingAdjacency:
         g = _hand_graph()
         gd.separation(g, 0, 2)
         assert "incoming" not in g.__dict__
-        # without an offset table a loop scans the column of 0 for its edges
+        # a loop reads the edges into 0 off the table, with per-edge weights
         gd.separation(g, 0, 0)
         assert "incoming" not in g.__dict__
-        # with one it reads them off the table
+        # and with per-offset ones
         g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
         gd.separation(g, 20, 1660)
         gd.separation(g, 20, 20)
@@ -1807,8 +1821,10 @@ class TestReducedStencils:
         assert gd._undominated(table[:0], np.zeros(0)).shape == (0,)
 
     def test_position_dependent_queries_run_on_matrix(self, randers_posdep):
+        # per-edge weights keep every offset: query, reach and matrix are one adjacency
         g = gd.build_separation_graph(randers_posdep, UNIT_BOX, 9, 3)
-        assert g.offsets is None and g.weights is None
+        assert g.offsets.shape == (48, 2) and g.weights.shape == (81, 48)
+        assert g._query_keep.all() and g._reach_keep.all()
         assert g.query is g.matrix and g.reach is g.matrix
 
     def test_small_graphs_keep_matrix_without_a_dominance_pass(self, monkeypatch):
@@ -1891,7 +1907,7 @@ class TestReducedStencils:
         # a table graph assembles matrix on each read and keeps no copy: after
         # every kind of query it holds only its smaller reduced adjacencies
         g = _config_graph({"type": "lorentz_example"}, LORENTZ_BOX, 41, 20)
-        assert g.stored_matrix is None and not any(isinstance(v, csr_matrix) for v in vars(g).values())
+        assert not any(isinstance(v, csr_matrix) for v in vars(g).values())
         gd.separation(g, 20, 1660)
         gd.separation(g, 20, 20)
         gd.df_ball(g, 20, 0.5, "forward")
@@ -1904,8 +1920,12 @@ class TestReducedStencils:
         assert not any(v is first or v is second for v in vars(g).values())
 
     def test_position_dependent_graphs_store_matrix(self, randers_posdep):
+        # the build stores the table's per-edge weights, NaN where there is no
+        # edge; the first read of matrix assembles query, which holds it after
         g = gd.build_separation_graph(randers_posdep, UNIT_BOX, 9, 3)
-        assert g.matrix is g.stored_matrix and g.edge_count == g.matrix.nnz > 0
+        assert not any(isinstance(v, csr_matrix) for v in vars(g).values())
+        assert g.edge_count == np.count_nonzero(~np.isnan(g.weights)) > 0
+        assert g.matrix is g.matrix is g.query and g.edge_count == g.matrix.nnz
 
     def test_dijkstra_limit_keeps_a_node_at_exactly_the_limit(self):
         # separations pass the path bound as scipy's limit, which must be inclusive

@@ -877,6 +877,25 @@ def test_reversal_transposes_position_dependent_graphs(metric, resolution, radiu
     _assert_transpose(reverse.matrix, graph.matrix)
 
 
+@given(posdep_trees(), st.integers(3, 9), st.integers(1, 3))
+def test_position_dependent_edges_read_off_the_table_match_matrix(metric, resolution, radius):
+    """A position-dependent graph reads the edges at node i off its per-edge
+    weights as ``matrix`` holds them: ``edges_into(i)``, of ``query`` and of
+    ``reach``, is column i and ``edges_out(i)`` row i, nodes and weights,
+    and ``incoming`` is ``matrix.T`` in every CSR array, dtypes included."""
+    graph = gd.build_separation_graph(metric, BOX, resolution, radius)
+    matrix = graph.matrix
+    into = matrix.T.tocsr()
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(graph.incoming, name), getattr(into, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for i in range(graph.node_count):
+        for adj, (nodes, weights) in ((into, graph.edges_into(i)), (into, graph.edges_into(i, True)), (matrix, graph.edges_out(i))):
+            lo, hi = adj.indptr[i], adj.indptr[i + 1]
+            assert np.array_equal(nodes, adj.indices[lo:hi])
+            assert weights.dtype == adj.data.dtype and weights.tobytes() == adj.data[lo:hi].tobytes()
+
+
 REVERSIBLE_POSDEP = {
     "riemann_posdep": lambda: _config_metric(
         {"type": "riemannian", "matrix_expr": [["1+0.3*sin(x)**2", "0.1*cos(y)"], ["0.1*cos(y)", "1+0.2*cos(y)"]]}
